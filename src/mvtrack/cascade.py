@@ -12,15 +12,16 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import EMPTY, Distance, cluster_with_cutoff
 from .cross_view import Cluster
-from .geometry import (CameraRig, GeometryError, PlaneSpec, Point2,
-                       ray_plane_intersect, triangulate)
-from .sv_track import WindowSegment2D
+from .geometry import (CameraRig, PlaneSpec, ray_plane_intersect_batch,
+                       triangulate_batch)
+from .sv_track import WindowSegment2D, boxes_array
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +29,10 @@ THETA_OPP_DEG = 150.0
 TAU_PLANE_M = 0.5
 VELOCITY_LIMIT_M = 1.0
 BETA_M = 1.0
+
+# Box points that are triangulated, as vertical offsets from the box
+# center in box heights (image y points down).
+CENTER, TOP, BOTTOM = 0.0, -0.5, 0.5
 
 
 class Provenance(enum.Enum):
@@ -107,26 +112,64 @@ class TrackingSpace:
         return bool(x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1)
 
 
-def _cluster_frame_obs(cluster: Cluster, frame: int, rig: CameraRig,
-                       point_of) -> list:
-    obs = []
-    for seg in cluster.members:
-        box = seg.boxes.get(frame)
-        if box is not None:
-            obs.append((rig[seg.camera], point_of(box)))
-    return obs
+def _triangulate_boxes(segments: Sequence[WindowSegment2D], frames: list[int],
+                       rig: CameraRig, offsets: tuple[float, ...]
+                       ) -> tuple[np.ndarray, np.ndarray, list[frozenset[int] | None]]:
+    """Triangulate box points of `segments` at each of `frames`.
+
+    A frame is solved from every segment with a box there, if there are at
+    least two; frames sharing one set of segments are solved together, for
+    all `offsets`, in one `triangulate_batch` call.  Returns (points, ok,
+    views): points (len(offsets), n, 3) and ok (len(offsets), n) per
+    offset and frame, and the cameras of each frame's solve (None where
+    fewer than two segments have a box).
+    """
+    n = len(frames)
+    points = np.full((len(offsets), n, 3), np.nan)
+    ok = np.zeros((len(offsets), n), dtype=bool)
+    views: list[frozenset[int] | None] = [None] * n
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(frames):
+        present = tuple(k for k, seg in enumerate(segments) if f in seg.boxes)
+        if len(present) >= 2:
+            groups.setdefault(present, []).append(i)
+    for present, rows in groups.items():
+        segs = [segments[k] for k in present]
+        boxes = np.stack([boxes_array(seg.boxes[frames[i]] for i in rows)
+                          for seg in segs], axis=1)
+        x, y, h = boxes[..., 0], boxes[..., 1], boxes[..., 3]
+        pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
+                                 for off in offsets])
+        solved, good = triangulate_batch([rig[seg.camera] for seg in segs], pixels)
+        points[:, rows] = solved.reshape(len(offsets), len(rows), 3)
+        ok[:, rows] = good.reshape(len(offsets), len(rows))
+        cameras = frozenset(seg.camera for seg in segs)
+        for i in rows:
+            views[i] = cameras
+    return points, ok, views
 
 
-def _center(box) -> Point2:
-    return Point2(box.x, box.y)
+def _set_top_bottom(t3: Tracklet3D, frames: list[int], points: np.ndarray,
+                    ok: np.ndarray) -> None:
+    # A failed top solve drops the frame's bottom as well.
+    for i in np.flatnonzero(ok[0]):
+        t3.top[frames[i]] = points[0, i]
+        if ok[1, i]:
+            t3.bottom[frames[i]] = points[1, i]
 
 
 def classify_cluster(cluster: Cluster, rig: CameraRig,
                      theta_opp_deg: float = THETA_OPP_DEG,
-                     opposite_pairs: list[frozenset[int]] | None = None) -> Sufficiency:
+                     opposite_pairs: list[frozenset[int]] | None = None,
+                     triangulated: Tracklet3D | None = None) -> Sufficiency:
     """INSUFFICIENT for single-view clusters and for two-view clusters whose
     line-of-sight rays are nearly opposed (median per-frame angle above
-    theta_opp, or an explicitly configured opposite pair)."""
+    theta_opp, or an explicitly configured opposite pair).
+
+    The angles are taken at the cluster's triangulated centers; pass
+    `triangulated`, the cluster's `triangulate_cluster` result, when it
+    has been solved already.
+    """
     cameras = sorted(cluster.cameras)
     if len(cameras) == 1:
         return Sufficiency.INSUFFICIENT
@@ -135,44 +178,43 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     if opposite_pairs and frozenset(cameras) in opposite_pairs:
         return Sufficiency.INSUFFICIENT
 
-    angles = []
-    frames = sorted(set.intersection(*[set(s.valid_frames) for s in cluster.members]))
-    for frame in frames:
-        obs = _cluster_frame_obs(cluster, frame, rig, _center)
-        if len(obs) < 2:
-            continue
-        try:
-            X = triangulate(obs).as_array()
-        except GeometryError:
-            continue
-        d_a = X - rig[cameras[0]].center
-        d_b = X - rig[cameras[1]].center
-        cosang = float(np.clip(
-            d_a @ d_b / (np.linalg.norm(d_a) * np.linalg.norm(d_b)), -1.0, 1.0))
-        angles.append(math.degrees(math.acos(cosang)))
-    if angles and float(np.median(angles)) > theta_opp_deg:
+    if triangulated is None:
+        triangulated = triangulate_cluster(cluster, rig)
+    common = frozenset.intersection(*[s.valid_frames for s in cluster.members])
+    frames = sorted(common & triangulated.points.keys())
+    if not frames:
+        return Sufficiency.SUFFICIENT
+    X = np.array([triangulated.points[f] for f in frames])
+    d_a = X - rig[cameras[0]].center
+    d_b = X - rig[cameras[1]].center
+    cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
+                     / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)),
+                     -1.0, 1.0)
+    if float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg:
         return Sufficiency.INSUFFICIENT
     return Sufficiency.SUFFICIENT
 
 
 def triangulate_cluster(cluster: Cluster, rig: CameraRig,
                         track_id: int = -1) -> Tracklet3D:
-    """Per-frame triangulation of the cluster's bbox centers; frames with a
-    single view or a degenerate solve are skipped."""
+    """Per-frame triangulation of the cluster's bbox centers, with the top
+    and bottom centers of the same boxes solved alongside; frames with a
+    single view or a degenerate center solve are skipped."""
     t3 = Tracklet3D(track_id=track_id)
-    all_frames = sorted(set().union(*[s.valid_frames for s in cluster.members]))
-    for frame in all_frames:
-        obs = _cluster_frame_obs(cluster, frame, rig, _center)
-        if len(obs) < 2:
-            continue
-        try:
-            X = triangulate(obs)
-        except GeometryError as exc:
-            logger.debug("frame %d: triangulation skipped (%s)", frame, exc)
-            continue
-        t3.points[frame] = X.as_array()
-        t3.provenance[frame] = Provenance.TRIANGULATED
-        t3.source_views[frame] = frozenset(cam.id for cam, _ in obs)
+    frames = sorted(set().union(*[s.boxes.keys() for s in cluster.members]))
+    points, ok, views = _triangulate_boxes(cluster.members, frames, rig,
+                                           (CENTER, TOP, BOTTOM))
+    solved = np.flatnonzero(ok[0])
+    for i in solved:
+        f = frames[i]
+        t3.points[f] = points[0, i]
+        t3.provenance[f] = Provenance.TRIANGULATED
+        t3.source_views[f] = views[i]
+    skipped = sum(v is not None for v in views) - len(solved)
+    if skipped:
+        logger.debug("cluster %s: triangulation skipped at %d frames",
+                     [s.key for s in cluster.members], skipped)
+    _set_top_bottom(t3, frames, points[1:], ok[1:] & ok[0])
     return t3
 
 
@@ -181,13 +223,12 @@ def outlier_gate(t3: Tracklet3D, space: TrackingSpace,
     """True to keep: all points inside the tracking cuboid and no
     consecutive-frame step above the velocity limit."""
     frames = t3.frames
-    for f in frames:
-        if not space.in_track(t3.points[f]):
-            return False
-    for a, b in zip(frames, frames[1:]):
-        if b - a == 1 and np.linalg.norm(t3.points[b] - t3.points[a]) > velocity_limit:
-            return False
-    return True
+    pts = np.array([t3.points[f] for f in frames])
+    x0, y0, z0, x1, y1, z1 = space.track
+    if not np.all((pts >= (x0, y0, z0)) & (pts <= (x1, y1, z1))):
+        return False
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return not np.any((np.diff(frames) == 1) & (steps > velocity_limit))
 
 
 def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
@@ -196,21 +237,23 @@ def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
     intersection of the bbox centers.  Parallel/behind frames are skipped."""
     out = []
     for seg in unmatched:
+        frames = sorted(seg.boxes)
+        points, s = ray_plane_intersect_batch(
+            rig[seg.camera], boxes_array(map(seg.boxes.__getitem__, frames))[:, :2],
+            plane)
+        hits = np.flatnonzero(s > 0)
+        if len(hits) < len(frames):
+            logger.debug("segment %s: plane intersection skipped at %d frames",
+                         seg.key, len(frames) - len(hits))
+        if not len(hits):
+            continue
         t3 = Tracklet3D(track_id=-1)
-        cam = rig[seg.camera]
-        for frame in sorted(seg.valid_frames):
-            box = seg.boxes[frame]
-            try:
-                X = ray_plane_intersect(cam, _center(box), plane)
-            except GeometryError as exc:
-                logger.debug("frame %d cam %d: plane intersection skipped (%s)",
-                             frame, seg.camera, exc)
-                continue
-            t3.points[frame] = X.as_array()
-            t3.provenance[frame] = Provenance.PLANE_INTERSECTED
-            t3.source_views[frame] = frozenset({seg.camera})
-        if t3.points:
-            out.append((t3, seg))
+        views = frozenset({seg.camera})
+        for i in hits:
+            t3.points[frames[i]] = points[i]
+            t3.provenance[frames[i]] = Provenance.PLANE_INTERSECTED
+            t3.source_views[frames[i]] = views
+        out.append((t3, seg))
     return out
 
 
@@ -258,22 +301,9 @@ def attach_top_bottom(t3: Tracklet3D, segments: list[WindowSegment2D],
                       rig: CameraRig) -> None:
     """Triangulate per-frame top-center and bottom-center pixels of the
     associated 2D boxes; frames with fewer than two views are omitted."""
-    for frame in t3.frames:
-        obs_top = []
-        obs_bot = []
-        for seg in segments:
-            box = seg.boxes.get(frame)
-            if box is None:
-                continue
-            obs_top.append((rig[seg.camera], Point2(box.x, box.y - box.h / 2)))
-            obs_bot.append((rig[seg.camera], Point2(box.x, box.y + box.h / 2)))
-        if len(obs_top) < 2:
-            continue
-        try:
-            t3.top[frame] = triangulate(obs_top).as_array()
-            t3.bottom[frame] = triangulate(obs_bot).as_array()
-        except GeometryError:
-            continue
+    frames = t3.frames
+    points, ok, _ = _triangulate_boxes(segments, frames, rig, (TOP, BOTTOM))
+    _set_top_bottom(t3, frames, points, ok)
 
 
 @dataclass
@@ -294,25 +324,21 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
                    opposite_pairs: list[frozenset[int]] | None = None
                    ) -> list[WindowTrack]:
     """Route every cluster through exactly one branch and gate the results."""
-    sufficient: list[Cluster] = []
+    tracks: list[WindowTrack] = []
     insufficient_segments: list[WindowSegment2D] = []
     for cluster in clusters:
-        if mode is Mode.PLANE_ONLY:
-            verdict = Sufficiency.INSUFFICIENT
-        elif mode is Mode.TRIANGULATION_ONLY:
-            verdict = (Sufficiency.SUFFICIENT if len(cluster.cameras) >= 2
-                       else Sufficiency.INSUFFICIENT)
+        # The triangulation feeds both the two-view verdict and the branch.
+        t3 = None
+        if mode is not Mode.PLANE_ONLY and len(cluster.cameras) >= 2:
+            t3 = triangulate_cluster(cluster, rig)
+        if mode is Mode.CASCADE:
+            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
+                                          t3) is Sufficiency.SUFFICIENT
         else:
-            verdict = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs)
-        if verdict is Sufficiency.SUFFICIENT:
-            sufficient.append(cluster)
-        else:
+            sufficient = t3 is not None
+        if not sufficient:
             insufficient_segments.extend(cluster.members)
-
-    tracks: list[WindowTrack] = []
-    for cluster in sufficient:
-        t3 = triangulate_cluster(cluster, rig)
-        if t3.points and outlier_gate(t3, space, velocity_limit):
+        elif t3.points and outlier_gate(t3, space, velocity_limit):
             tracks.append(WindowTrack(start, t3, list(cluster.members)))
 
     if mode is not Mode.TRIANGULATION_ONLY and insufficient_segments:
@@ -321,9 +347,8 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
         for t3, segs in plane_match_and_fuse(cands, tau_plane):
             # The gate is applied to both branches for uniformity.
             if t3.points and outlier_gate(t3, space, velocity_limit):
+                attach_top_bottom(t3, segs, rig)
                 tracks.append(WindowTrack(start, t3, segs))
 
-    for wt in tracks:
-        attach_top_bottom(wt.tracklet, wt.segments, rig)
     tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
     return tracks

@@ -79,6 +79,10 @@ def load_routine_config(path) -> PipelineConfig:
                 setattr(cfg, key, int(raw[key]))
         if "opposite_pairs" in raw and raw["opposite_pairs"] is not None:
             cfg.opposite_pairs = [[int(c) for c in p] for p in raw["opposite_pairs"]]
+        if cfg.window_len < 2 or cfg.window_len % 2 != 0:
+            raise ValueError(f"window_len must be even and >= 2, got {cfg.window_len}")
+        if cfg.smooth_window < 1 or cfg.smooth_window % 2 != 1:
+            raise ValueError(f"smooth_window must be odd and >= 1, got {cfg.smooth_window}")
         # Validate derived structures eagerly.
         cfg.plane()
         cfg.space()

@@ -6,12 +6,22 @@ Conventions:
   - Image frame has its origin at the top-left corner, units in pixels.
   - R maps world to camera: x_cam = R @ (X - center) = R @ X + t.
 
+The per-frame work is done on stacked arrays: `triangulate_batch` solves
+F frames seen by one set of V cameras with a single SVD call (DLT) and
+one batched Gauss-Newton step, `epipolar_distance_batch` scores N point
+pairs with one matrix product, and `ray_plane_intersect_batch` intersects
+N pixel rays of one camera.  Failures are reported per row (a mask, or
+NaN) instead of raised, so one degenerate frame leaves the others intact.
+`triangulate`, `epipolar_point_distance` and `ray_plane_intersect` are
+the single-observation forms; they raise the GeometryError subclasses.
+
 All functions here are pure and operate on value-semantic inputs; they are
 safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -106,6 +116,8 @@ class CameraModel:
         K = np.asarray(self.K, dtype=float).reshape(3, 3)
         R = np.asarray(self.R, dtype=float).reshape(3, 3)
         t = np.asarray(self.t, dtype=float).reshape(3)
+        if not (np.isfinite(K).all() and np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError(f"camera {self.id}: K, R and t must be finite")
         if np.max(np.abs(R.T @ R - np.eye(3))) >= 1e-9:
             raise ValueError(f"camera {self.id}: R is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) >= 1e-9:
@@ -162,33 +174,53 @@ def fundamental_matrix(cam_i: CameraModel, cam_j: CameraModel) -> np.ndarray:
     return F / peak
 
 
+def epipolar_distance_batch(F: np.ndarray, source, target,
+                            target_scale) -> np.ndarray:
+    """Normalized distances from each `target` pixel to the epipolar line
+    of the matching `source` pixel.
+
+    F maps source-view pixels to epipolar lines in the target view.
+    `source` and `target` are (N, 2) pixel arrays; each point-to-line
+    distance is divided by its `target_scale` entry (the |w+h| of the
+    target box) so the measure is resolution independent.  Returns (N,).
+    """
+    scale = np.asarray(target_scale, dtype=float)
+    if not (scale > 0).all():
+        raise ValueError("target_scale must be positive")
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    F = np.asarray(F, dtype=float)
+    l = source @ F[:, :2].T + F[:, 2]
+    norm = np.hypot(l[:, 0], l[:, 1])
+    if (norm == 0.0).any():
+        raise DegenerateLine("epipolar line has (l1, l2) = (0, 0)")
+    d = np.abs(l[:, 0] * target[:, 0] + l[:, 1] * target[:, 1] + l[:, 2]) / norm
+    return d / scale
+
+
 def epipolar_point_distance(F: np.ndarray, source: Point2, target: Point2,
                             target_scale: float) -> float:
-    """Normalized distance from `target` to the epipolar line of `source`.
+    """`epipolar_distance_batch` for one point pair."""
+    return float(epipolar_distance_batch(F, [[source.x, source.y]],
+                                         [[target.x, target.y]],
+                                         [target_scale])[0])
 
-    F maps source-view pixels to epipolar lines in the target view; the
-    point-to-line distance is divided by `target_scale` (the |w+h| of the
-    target box) so the measure is resolution independent.
-    """
-    if target_scale <= 0:
-        raise ValueError("target_scale must be positive")
-    l = np.asarray(F, dtype=float) @ np.array([source.x, source.y, 1.0])
-    norm = float(np.hypot(l[0], l[1]))
-    if norm == 0.0:
-        raise DegenerateLine("epipolar line has (l1, l2) = (0, 0)")
-    d = abs(l[0] * target.x + l[1] * target.y + l[2]) / norm
-    return d / target_scale
+
+def pixel_ray_world_batch(cams: list[CameraModel], pixels) -> np.ndarray:
+    """Unit directions (N, V, 3) in world coordinates of the rays through
+    (N, V, 2) pixels, where pixels[:, k] lie in the image of cams[k]."""
+    pixels = np.asarray(pixels, dtype=float)
+    K = np.stack([cam.K for cam in cams])
+    R = np.stack([cam.R for cam in cams])
+    v_cam = np.ones(pixels.shape[:-1] + (3,))
+    v_cam[..., :2] = (pixels - K[:, :2, 2]) / K[:, (0, 1), (0, 1)]
+    v_world = np.einsum("nvi,vij->nvj", v_cam, R)  # row-vector form of R^T @ v_cam
+    return v_world / np.linalg.norm(v_world, axis=-1, keepdims=True)
 
 
 def pixel_ray_world(cam: CameraModel, p: Point2) -> np.ndarray:
     """Unit direction in world coordinates of the ray through pixel p."""
-    v_cam = np.array([
-        (p.x - cam.K[0, 2]) / cam.K[0, 0],
-        (p.y - cam.K[1, 2]) / cam.K[1, 1],
-        1.0,
-    ])
-    v_world = v_cam @ cam.R  # row-vector form; equals R^T @ v_cam
-    return v_world / np.linalg.norm(v_world)
+    return pixel_ray_world_batch([cam], [[[p.x, p.y]]])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -217,66 +249,103 @@ class PlaneSpec:
         return float(self.n @ (np.asarray(X, dtype=float) - self.point))
 
 
+def ray_plane_intersect_batch(cam: CameraModel, pixels,
+                              plane: PlaneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect the back-projected rays of (N, 2) pixels with a plane.
+
+    Returns (points, s): the (N, 3) intersections and the (N,) ray
+    multipliers.  Only hits in front of the camera (s > 0) are valid; the
+    paper-style formula alone would also admit hits behind the optical
+    center.  s is NaN where the ray is parallel to the plane
+    (RayParallelToPlane) and <= 0 where the hit lies behind the camera
+    (BehindCamera); points are NaN in both cases.
+    """
+    v = pixel_ray_world_batch([cam], np.asarray(pixels, dtype=float)[:, None])[:, 0]
+    denom = v @ plane.n
+    parallel = np.abs(denom) <= 1e-9
+    s = float(plane.n @ (plane.point - cam.center)) / np.where(parallel, np.nan, denom)
+    points = cam.center + s[:, None] * v
+    points[~(s > 0)] = np.nan
+    return points, s
+
+
 def ray_plane_intersect(cam: CameraModel, p: Point2, plane: PlaneSpec) -> Point3:
-    """Intersect the back-projected pixel ray with a plane.
+    """`ray_plane_intersect_batch` for one pixel; raises RayParallelToPlane
+    or BehindCamera where the batch form reports no hit."""
+    points, s = ray_plane_intersect_batch(cam, [[p.x, p.y]], plane)
+    if np.isnan(s[0]):
+        raise RayParallelToPlane(f"camera {cam.id}: ray parallel to the plane")
+    if s[0] <= 0:
+        raise BehindCamera(f"camera {cam.id}: ray multiplier {s[0]:.3g}")
+    return Point3.from_array(points[0])
 
-    The intersection must lie in front of the camera (positive ray
-    multiplier); the paper-style formula alone would also admit hits
-    behind the optical center.
+
+def triangulate_batch(cams: list[CameraModel],
+                      pixels) -> tuple[np.ndarray, np.ndarray]:
+    """Recover F 3D points, each observed once by every camera in `cams`.
+
+    `pixels` is (F, V, 2): pixels[:, k] are the observations of cams[k].
+    All F homogeneous DLT systems are solved with one SVD call, then one
+    batched Gauss-Newton step refines the reprojection objective.
+
+    Returns (points, ok): (F, 3) points and an (F,) mask.  ok is False,
+    and the point NaN, for every frame when `cams` holds fewer than two
+    distinct cameras, and for a frame whose rays are parallel within
+    PARALLEL_RAY_RAD or whose DLT solution lies at infinity.  The
+    refinement is skipped for a frame whose point projects onto some
+    camera's principal plane (|h_z| < 1e-12) or whose step is not finite.
     """
-    v = pixel_ray_world(cam, p)
-    denom = float(plane.n @ v)
-    if abs(denom) <= 1e-9:
-        raise RayParallelToPlane(f"camera {cam.id}: |n.v| = {abs(denom):.3g}")
-    s = float(plane.n @ (plane.point - cam.center)) / denom
-    if s <= 0:
-        raise BehindCamera(f"camera {cam.id}: ray multiplier {s:.3g}")
-    return Point3.from_array(cam.center + s * v)
+    pixels = np.asarray(pixels, dtype=float)
+    n_frames, n_views = pixels.shape[:2]
+    points = np.full((n_frames, 3), np.nan)
+    if len({cam.id for cam in cams}) < 2:
+        return points, np.zeros(n_frames, dtype=bool)
 
+    rays = pixel_ray_world_batch(cams, pixels)
+    ia, ib = zip(*itertools.combinations(range(n_views), 2))
+    cosang = np.clip(np.einsum("fpi,fpi->fp", rays[:, ia], rays[:, ib]), -1.0, 1.0)
+    ok = np.arccos(cosang).max(axis=1) >= PARALLEL_RAY_RAD
 
-def triangulate(obs: list[tuple[CameraModel, Point2]], min_views: int = 2) -> Point3:
-    """Recover a 3D point from >=2 calibrated pixel observations.
-
-    Solves the homogeneous DLT system, then takes a single Gauss-Newton
-    step on the reprojection objective.
-    """
-    if len(obs) < min_views or len({cam.id for cam, _ in obs}) < min_views:
-        raise InsufficientViews(f"need >= {min_views} distinct views, got {len(obs)}")
-    rays = [pixel_ray_world(cam, p) for cam, p in obs]
-    max_angle = 0.0
-    for a in range(len(rays)):
-        for b in range(a + 1, len(rays)):
-            cosang = float(np.clip(rays[a] @ rays[b], -1.0, 1.0))
-            max_angle = max(max_angle, float(np.arccos(cosang)))
-    if max_angle < PARALLEL_RAY_RAD:
-        raise IllConditioned(f"rays parallel within {max_angle:.3g} rad")
-
-    A = np.empty((2 * len(obs), 4))
-    for k, (cam, p) in enumerate(obs):
-        A[2 * k] = p.x * cam.P[2] - cam.P[0]
-        A[2 * k + 1] = p.y * cam.P[2] - cam.P[1]
-    _, _, vt = np.linalg.svd(A)
-    Xh = vt[-1]
-    if abs(Xh[3]) < 1e-12:
-        raise IllConditioned("DLT solution at infinity")
-    X = Xh[:3] / Xh[3]
+    P = np.stack([cam.P for cam in cams])
+    A = np.empty((n_frames, n_views, 2, 4))
+    A[:, :, 0] = pixels[:, :, 0, None] * P[:, 2] - P[:, 0]
+    A[:, :, 1] = pixels[:, :, 1, None] * P[:, 2] - P[:, 1]
+    _, _, vt = np.linalg.svd(A.reshape(n_frames, 2 * n_views, 4))
+    Xh = vt[:, -1]
+    ok &= np.abs(Xh[:, 3]) >= 1e-12
+    X = Xh[ok, :3] / Xh[ok, 3:]
+    obs = pixels[ok]
 
     # One Gauss-Newton refinement of sum ||x_c - pi(P_c, X)||^2.
-    J = np.empty((2 * len(obs), 3))
-    r = np.empty(2 * len(obs))
-    for k, (cam, p) in enumerate(obs):
-        h = cam.P @ np.append(X, 1.0)
-        if abs(h[2]) < 1e-12:
-            return Point3.from_array(X)
-        u, v = h[0] / h[2], h[1] / h[2]
-        r[2 * k] = p.x - u
-        r[2 * k + 1] = p.y - v
-        J[2 * k] = (cam.P[0, :3] - u * cam.P[2, :3]) / h[2]
-        J[2 * k + 1] = (cam.P[1, :3] - v * cam.P[2, :3]) / h[2]
-    delta, *_ = np.linalg.lstsq(J, r, rcond=None)
-    if np.all(np.isfinite(delta)):
-        X = X + delta
-    return Point3.from_array(X)
+    h = np.einsum("vij,fj->fvi", P, np.column_stack([X, np.ones(len(X))]))
+    refine = np.all(np.abs(h[:, :, 2]) >= 1e-12, axis=1)
+    h, obs = h[refine], obs[refine]
+    hz = h[:, :, 2, None]
+    uv = h[:, :, :2] / hz
+    r = (obs - uv).reshape(len(h), 2 * n_views)
+    J = (P[:, :2, :3] - uv[..., None] * P[:, 2, None, :3]) / hz[..., None]
+    J = J.reshape(len(h), 2 * n_views, 3)
+    delta = (np.linalg.pinv(J, rtol=None) @ r[..., None])[..., 0]
+    finite = np.all(np.isfinite(delta), axis=1)
+    rows = np.flatnonzero(refine)[finite]
+    X[rows] += delta[finite]
+    points[ok] = X
+    return points, ok
+
+
+def triangulate(obs: list[tuple[CameraModel, Point2]]) -> Point3:
+    """`triangulate_batch` for one frame of (camera, pixel) observations.
+
+    Raises InsufficientViews for fewer than two distinct cameras and
+    IllConditioned where the batch form reports the frame not ok.
+    """
+    cams = [cam for cam, _ in obs]
+    if len({cam.id for cam in cams}) < 2:
+        raise InsufficientViews(f"need >= 2 distinct views, got {len(obs)}")
+    points, ok = triangulate_batch(cams, [[[p.x, p.y] for _, p in obs]])
+    if not ok[0]:
+        raise IllConditioned("rays parallel or DLT solution at infinity")
+    return Point3.from_array(points[0])
 
 
 def load_calibration(path) -> list[CameraModel]:
@@ -308,11 +377,21 @@ def save_calibration(cams: list[CameraModel], path) -> None:
 
 
 class CameraRig:
-    """A fixed set of calibrated cameras with cached fundamental matrices."""
+    """A fixed set of calibrated cameras with their fundamental matrices,
+    computed for every ordered camera pair at construction."""
 
     def __init__(self, cameras: list[CameraModel]):
         self.cameras = {c.id: c for c in cameras}
-        self._F: dict[tuple[int, int], np.ndarray] = {}
+        # None marks a pair sharing an optical center: it has no F, which
+        # is an error only when the pair is asked for.
+        self._F: dict[tuple[int, int], np.ndarray | None] = {}
+        for a in cameras:
+            for b in cameras:
+                try:
+                    F = fundamental_matrix(a, b)
+                except CoincidentCenters:
+                    F = None
+                self._F[(a.id, b.id)] = F
 
     def __getitem__(self, cam_id: int) -> CameraModel:
         return self.cameras[cam_id]
@@ -325,8 +404,8 @@ class CameraRig:
 
     def fundamental(self, source_id: int, target_id: int) -> np.ndarray:
         """F mapping source-view pixels to epipolar lines in the target view."""
-        key = (source_id, target_id)
-        if key not in self._F:
-            self._F[key] = fundamental_matrix(self.cameras[source_id],
-                                              self.cameras[target_id])
-        return self._F[key]
+        F = self._F[(source_id, target_id)]
+        if F is None:
+            raise CoincidentCenters(
+                f"cameras {source_id} and {target_id} share a center")
+        return F

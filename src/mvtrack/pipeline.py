@@ -88,7 +88,8 @@ def run_pipeline(detections: list[Detection], rig: CameraRig,
         space=space,
         criteria=TargetCriteria(h_top=cfg.h_top, h_bot=cfg.h_bot,
                                 delta=cfg.identify_delta),
-        max_gap=cfg.max_gap_fill, buffer_scale=cfg.buffer_scale)
+        max_gap=cfg.max_gap_fill, buffer_scale=cfg.buffer_scale,
+        smooth_window=cfg.smooth_window)
     for start, window_tracks in window_results:
         registry.advance(start, window_tracks)
         maintainer.observe(start, cfg.window_len, registry)

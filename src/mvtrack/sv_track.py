@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +34,9 @@ class Bbox:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError(f"box values must be finite, got x={self.x}, y={self.y}, "
+                             f"w={self.w}, h={self.h}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
@@ -41,6 +47,11 @@ class Bbox:
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x - self.w / 2, self.y - self.h / 2,
                 self.x + self.w / 2, self.y + self.h / 2)
+
+
+def boxes_array(boxes) -> np.ndarray:
+    """(n, 4) array of the (x, y, w, h) rows of an iterable of n boxes."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes])
 
 
 @dataclass(frozen=True)

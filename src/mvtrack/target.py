@@ -109,13 +109,14 @@ class TargetMaintainer:
 
     Call observe() after each stitched window; finalize() assembles the
     target timeline, bridges gaps of at most `max_gap` frames, smooths
-    and reprojects.
+    with a `smooth_window`-frame moving average and reprojects.
     """
 
     space: TrackingSpace
     criteria: TargetCriteria
     max_gap: int = MAX_GAP_FILL
     buffer_scale: float = BUFFER_SCALE
+    smooth_window: int = SMOOTH_WINDOW
     target_id: int | None = None
     tenures: list[dict] = field(default_factory=list)
 
@@ -163,7 +164,7 @@ class TargetMaintainer:
             return []
 
         self._fill_gaps(target, frame_tid)
-        smoothed = smooth_track(target)
+        smoothed = smooth_track(target, self.smooth_window)
         return self._emit(smoothed, frame_tid, registry, rig)
 
     def _fill_gaps(self, target: Tracklet3D, frame_tid: dict[int, int]) -> None:

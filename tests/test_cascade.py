@@ -89,6 +89,14 @@ class TestClassifyCluster:
         c = cluster_for(rig, [0, 1], person_path(range(10)))
         assert classify_cluster(c, rig) is Sufficiency.SUFFICIENT
 
+    def test_reuses_given_triangulation(self, rig):
+        c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
+        t3 = triangulate_cluster(c, rig)
+        assert classify_cluster(c, rig, triangulated=t3) is Sufficiency.INSUFFICIENT
+        # With no solved frames there is no angle evidence at all.
+        empty = Tracklet3D(track_id=-1)
+        assert classify_cluster(c, rig, triangulated=empty) is Sufficiency.SUFFICIENT
+
     def test_explicit_opposite_pairs_override(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
         verdict = classify_cluster(c, rig, opposite_pairs=[frozenset({0, 1})])
@@ -120,6 +128,18 @@ class TestTriangulateCluster:
         t3 = triangulate_cluster(c, rig)
         errs = [np.linalg.norm(t3.points[f] - path[f]) for f in path]
         assert np.mean(errs) <= 0.05
+
+    def test_top_bottom_match_attach_top_bottom(self, rig):
+        rng = np.random.default_rng(34)
+        path = person_path(range(11))
+        c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
+        t3 = triangulate_cluster(c, rig)
+        attached = Tracklet3D(track_id=-1, points=dict(t3.points))
+        attach_top_bottom(attached, list(c.members), rig)
+        assert sorted(t3.top) == sorted(attached.top) == list(range(11))
+        for f in range(11):
+            assert np.allclose(t3.top[f], attached.top[f], rtol=0, atol=1e-12)
+            assert np.allclose(t3.bottom[f], attached.bottom[f], rtol=0, atol=1e-12)
 
     def test_single_view_frames_skipped(self, rig):
         path = person_path(range(10))

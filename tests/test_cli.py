@@ -114,6 +114,15 @@ class TestTrack:
         (out / "calib.json").unlink()
         assert run_track(runner, out).exit_code == 2
 
+    def test_non_finite_calibration_is_config_error(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        calib = json.loads((out / "calib.json").read_text())
+        calib[1]["t"][0] = float("nan")
+        (out / "calib.json").write_text(json.dumps(calib))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+
     def test_invalid_config_is_config_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         (out / "routine.json").write_text('{"perf_space": [1, 2, 3]}')
@@ -130,6 +139,41 @@ class TestTrack:
             {"frame": 0, "camera": 9, "x": 1.0, "y": 1.0, "w": 5.0, "h": 5.0,
              "confidence": 1.0}) + "\n")
         assert run_track(runner, out).exit_code == 3
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_detection_is_input_error(self, runner, tmp_path, value):
+        out = simulate(runner, tmp_path)
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        lines[3] = lines[3].replace('"x": ', f'"x": {value}, "ignored": ', 1)
+        (out / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("key,value", [("window_len", 7), ("window_len", 0),
+                                           ("smooth_window", 4),
+                                           ("smooth_window", 0)])
+    def test_invalid_window_is_config_error(self, runner, tmp_path, key, value):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine[key] = value
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+
+    def test_smooth_window_takes_effect(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        smoothed = (out / "tracklets.jsonl").read_text()
+        routine = json.loads((out / "routine.json").read_text())
+        routine["smooth_window"] = 1
+        (out / "routine.json").write_text(json.dumps(routine))
+        assert run_track(runner, out).exit_code == 0
+        raw = (out / "tracklets.jsonl").read_text()
+        assert [json.loads(l)["frame"] for l in raw.splitlines()] == \
+            [json.loads(l)["frame"] for l in smoothed.splitlines()]
+        assert raw != smoothed
 
     def test_thread_count_does_not_change_output(self, runner, tmp_path):
         out = simulate(runner, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 
 from mvtrack.clustering import EMPTY
 from mvtrack.cross_view import (bbox_pair_distance, cluster_segments,
-                                tracklet_pair_distance)
+                                pair_distance_matrix, tracklet_pair_distance)
 from mvtrack.geometry import CameraRig, Point3, project
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, WindowSegment2D
@@ -100,6 +100,71 @@ class TestTrackletPairDistance:
     def test_consistent_cross_view_pair(self, rig):
         a, b = consistent_segments(rig, [0, 1], range(10))
         assert tracklet_pair_distance(a, b, rig) == pytest.approx(0.0, abs=1e-6)
+
+
+def reference_pair_distance(a, b, rig):
+    """Per-frame sum of the two epipolar terms, divided by the frame count."""
+    common = sorted(set(a.boxes) & set(b.boxes))
+    total = 0.0
+    for f in common:
+        for src, tgt, F in ((b.boxes[f], a.boxes[f], rig.fundamental(b.camera, a.camera)),
+                            (a.boxes[f], b.boxes[f], rig.fundamental(a.camera, b.camera))):
+            l = F @ [src.x, src.y, 1.0]
+            total += abs(l[0] * tgt.x + l[1] * tgt.y + l[2]) / np.hypot(l[0], l[1]) \
+                / (tgt.w + tgt.h)
+    return total / len(common)
+
+
+def noisy_segments(rig, rng):
+    """Two people seen by all four cameras over partly overlapping frames,
+    with a few pixels of noise."""
+    segs = []
+    for pid, offset in enumerate([(0.0, 0.0), (1.1, -0.7)]):
+        for cam_id in range(4):
+            lo = int(rng.integers(0, 4))
+            boxes = {}
+            for f in range(lo, lo + 7):
+                box = project_box(rig[cam_id], trajectory(f, offset))
+                dx, dy = rng.normal(0.0, 3.0, size=2)
+                boxes[f] = Bbox(box.x + dx, box.y + dy, box.w, box.h)
+            segs.append(segment(cam_id, pid, boxes))
+    return segs
+
+
+class TestPairDistanceMatrix:
+    def test_matches_per_frame_reference(self, rig):
+        rng = np.random.default_rng(53)
+        segs = noisy_segments(rig, rng)
+        D = pair_distance_matrix(segs, rig)
+        for i, a in enumerate(segs):
+            assert D[i][i] is EMPTY
+            for j, b in enumerate(segs):
+                if i == j:
+                    continue
+                assert D[i][j] == D[j][i]
+                assert tracklet_pair_distance(a, b, rig) == D[i][j]
+                if a.camera == b.camera:
+                    assert D[i][j] == math.inf
+                else:
+                    assert abs(D[i][j] - reference_pair_distance(a, b, rig)) <= 1e-12
+
+    def test_bbox_pair_distance_is_one_frame_reference(self, rig):
+        a, b = noisy_segments(rig, np.random.default_rng(59))[:2]
+        for f in set(a.boxes) & set(b.boxes):
+            one = (segment(a.camera, 0, {f: a.boxes[f]}),
+                   segment(b.camera, 1, {f: b.boxes[f]}))
+            assert abs(bbox_pair_distance(a.boxes[f], b.boxes[f], a.camera,
+                                          b.camera, rig)
+                       - reference_pair_distance(*one, rig)) <= 1e-12
+
+    def test_empty_and_infinite_entries(self, rig):
+        a, = consistent_segments(rig, [0], range(0, 4))
+        b, = consistent_segments(rig, [1], range(6, 10))
+        c, = consistent_segments(rig, [0], range(2, 8), track_id=1)
+        D = pair_distance_matrix([a, b, c], rig)
+        assert D[0][1] is EMPTY and D[1][0] is EMPTY
+        assert D[0][2] == math.inf
+        assert abs(D[1][2] - reference_pair_distance(b, c, rig)) <= 1e-12
 
 
 class TestClusterSegments:

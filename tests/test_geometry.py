@@ -5,12 +5,13 @@ import pytest
 
 from mvtrack.geometry import (BehindCamera, CameraModel, CameraRig,
                               CoincidentCenters, DegenerateDepth,
-                              IllConditioned, InsufficientViews, PlaneSpec,
-                              Point2, Point3, RayParallelToPlane,
+                              DegenerateLine, IllConditioned,
+                              InsufficientViews, PlaneSpec, Point2, Point3,
+                              RayParallelToPlane, epipolar_distance_batch,
                               epipolar_point_distance, fundamental_matrix,
                               load_calibration, pixel_ray_world, project,
-                              ray_plane_intersect, save_calibration,
-                              triangulate)
+                              ray_plane_intersect, ray_plane_intersect_batch,
+                              save_calibration, triangulate, triangulate_batch)
 from mvtrack.simulate import make_rig
 
 from conftest import intrinsics, look_at_camera
@@ -43,6 +44,14 @@ class TestCameraModel:
         K[1, 1] = -5.0
         with pytest.raises(ValueError, match="focal"):
             CameraModel(id=0, K=K, R=np.eye(3), t=np.zeros(3))
+
+    @pytest.mark.parametrize("field", ["K", "R", "t"])
+    def test_rejects_non_finite_values(self, field):
+        values = {"K": intrinsics(), "R": np.eye(3), "t": np.zeros(3)}
+        values[field] = values[field].copy()
+        values[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(id=0, **values)
 
     def test_center_is_minus_rt_t(self):
         cam = look_at_camera(0, (3.0, -4.0, 2.0), (0.0, 0.0, 1.0))
@@ -98,6 +107,39 @@ class TestFundamentalMatrix:
                     F = fundamental_matrix(cams[i], cams[j])
                     residual = np.array([xj.x, xj.y, 1.0]) @ F @ [xi.x, xi.y, 1.0]
                     assert abs(residual) <= 1e-6
+
+
+def reference_epipolar_distance(F, source, target, scale):
+    l = F @ [source[0], source[1], 1.0]
+    return abs(l[0] * target[0] + l[1] * target[1] + l[2]) / np.hypot(l[0], l[1]) / scale
+
+
+class TestEpipolarDistanceBatch:
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(29)
+        cams = random_cameras(rng, count=2)
+        F = fundamental_matrix(cams[0], cams[1])
+        source = rng.uniform(0.0, 1900.0, size=(40, 2))
+        target = rng.uniform(0.0, 1900.0, size=(40, 2))
+        scale = rng.uniform(50.0, 300.0, size=40)
+        d = epipolar_distance_batch(F, source, target, scale)
+        for k in range(40):
+            assert d[k] == pytest.approx(
+                reference_epipolar_distance(F, source[k], target[k], scale[k]),
+                rel=1e-12, abs=1e-15)
+
+    def test_degenerate_line_raises(self):
+        F = np.zeros((3, 3))
+        F[2, 2] = 1.0
+        with pytest.raises(DegenerateLine):
+            epipolar_distance_batch(F, [[0.0, 0.0], [5.0, 5.0]],
+                                    [[1.0, 1.0], [2.0, 2.0]], [10.0, 10.0])
+
+    def test_any_non_positive_scale_raises(self, cam_a, cam_b):
+        F = fundamental_matrix(cam_a, cam_b)
+        with pytest.raises(ValueError):
+            epipolar_distance_batch(F, [[0.0, 0.0], [1.0, 1.0]],
+                                    [[0.0, 0.0], [1.0, 1.0]], [10.0, 0.0])
 
 
 class TestEpipolarPointDistance:
@@ -205,6 +247,107 @@ class TestRayPlaneIntersect:
             assert np.linalg.norm(back.as_array() - X.as_array()) <= 1e-9
 
 
+class TestRayPlaneIntersectBatch:
+    def test_failures_are_per_row(self):
+        # Camera at x = 2 looking along +y at the plane x = 0: the left
+        # pixel's ray hits it, the principal ray runs parallel to it and
+        # the right pixel's ray meets it only behind the camera.
+        cam = look_at_camera(0, (2.0, -5.0, 0.0), (2.0, 1.0, 0.0))
+        plane = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
+        pixels = [[460.0, 540.0], [960.0, 540.0], [1460.0, 540.0]]
+        points, s = ray_plane_intersect_batch(cam, pixels, plane)
+        assert s[0] > 0 and np.isnan(s[1]) and s[2] <= 0
+        assert np.allclose(points[0], (0.0, -1.0, 0.0), atol=1e-9)
+        assert np.all(np.isnan(points[1:]))
+        assert np.array_equal(
+            points[0], ray_plane_intersect(cam, Point2(460.0, 540.0), plane).as_array())
+        with pytest.raises(RayParallelToPlane):
+            ray_plane_intersect(cam, Point2(960.0, 540.0), plane)
+        with pytest.raises(BehindCamera):
+            ray_plane_intersect(cam, Point2(1460.0, 540.0), plane)
+
+
+def reference_triangulate(cams, pixels):
+    """Per-frame DLT plus one Gauss-Newton step; None where degenerate."""
+    rays = [pixel_ray_world(cam, Point2(*p)) for cam, p in zip(cams, pixels)]
+    max_angle = max(np.arccos(np.clip(rays[a] @ rays[b], -1.0, 1.0))
+                    for a in range(len(rays)) for b in range(a + 1, len(rays)))
+    if max_angle < 1e-6:
+        return None
+    A = np.empty((2 * len(cams), 4))
+    for k, (cam, p) in enumerate(zip(cams, pixels)):
+        A[2 * k] = p[0] * cam.P[2] - cam.P[0]
+        A[2 * k + 1] = p[1] * cam.P[2] - cam.P[1]
+    Xh = np.linalg.svd(A)[2][-1]
+    if abs(Xh[3]) < 1e-12:
+        return None
+    X = Xh[:3] / Xh[3]
+    J = np.empty((2 * len(cams), 3))
+    r = np.empty(2 * len(cams))
+    for k, (cam, p) in enumerate(zip(cams, pixels)):
+        h = cam.P @ np.append(X, 1.0)
+        if abs(h[2]) < 1e-12:
+            return X
+        u, v = h[0] / h[2], h[1] / h[2]
+        r[2 * k], r[2 * k + 1] = p[0] - u, p[1] - v
+        J[2 * k] = (cam.P[0, :3] - u * cam.P[2, :3]) / h[2]
+        J[2 * k + 1] = (cam.P[1, :3] - v * cam.P[2, :3]) / h[2]
+    delta = np.linalg.lstsq(J, r, rcond=None)[0]
+    return X + delta if np.all(np.isfinite(delta)) else X
+
+
+def vanishing_pixels(cams, direction):
+    """Pixels of the point at infinity along `direction` in each camera."""
+    h = [cam.P @ np.append(direction, 0.0) for cam in cams]
+    return [(v[0] / v[2], v[1] / v[2]) for v in h]
+
+
+class TestTriangulateBatch:
+    def test_matches_per_frame_reference(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            cams = random_cameras(rng, count=int(rng.integers(2, 5)))
+            truth = rng.uniform(-1.5, 1.5, size=(12, 3)) + [0.0, 0.0, 1.8]
+            pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
+                                for cam in cams] for X in truth])
+            pixels += rng.normal(0.0, 2.0, size=pixels.shape)
+            points, ok = triangulate_batch(cams, pixels)
+            assert ok.all()
+            for k in range(len(truth)):
+                expected = reference_triangulate(cams, pixels[k])
+                assert np.max(np.abs(points[k] - expected)) <= 1e-9
+
+    def test_degenerate_frames_masked_without_poisoning(self, cam_a, cam_b):
+        # Frame 1 has parallel rays (the same pixel in two translated,
+        # equally oriented cameras); frame 3 is the image of a point at
+        # infinity.  Neither raises, and the other frames are unchanged.
+        good = [[(960.0, 540.0), (760.0, 540.0)],
+                [(1000.0, 500.0), (800.0, 500.0)],
+                [(900.0, 600.0), (700.0, 600.0)]]
+        pixels = [good[0], [(960.0, 540.0), (960.0, 540.0)], good[1],
+                  vanishing_pixels([cam_a, cam_b], [0.3, -0.2, 1.0]), good[2]]
+        points, ok = triangulate_batch([cam_a, cam_b], pixels)
+        assert ok.tolist() == [True, False, True, False, True]
+        assert np.all(np.isnan(points[~ok]))
+        clean, clean_ok = triangulate_batch([cam_a, cam_b], good)
+        assert clean_ok.all()
+        assert np.array_equal(points[ok], clean)
+
+    def test_point_at_infinity_in_rotated_rig(self):
+        rng = np.random.default_rng(37)
+        cams = random_cameras(rng, count=3)
+        pixels = [vanishing_pixels(cams, [0.5, 0.4, 0.2]),
+                  [project(cam, Point3(0.1, 0.2, 1.5)).as_array() for cam in cams]]
+        points, ok = triangulate_batch(cams, pixels)
+        assert ok.tolist() == [False, True]
+        assert np.linalg.norm(points[1] - (0.1, 0.2, 1.5)) <= 1e-6
+
+    def test_single_camera_set_is_not_ok(self, cam_a):
+        points, ok = triangulate_batch([cam_a, cam_a],
+                                       [[(100.0, 100.0), (101.0, 100.0)]])
+        assert not ok.any() and np.all(np.isnan(points))
+
+
 class TestTriangulate:
     def test_two_view_round_trip(self, cam_a, cam_b):
         X = triangulate([(cam_a, Point2(960.0, 540.0)),
@@ -287,6 +430,18 @@ class TestCalibrationIO:
 
 
 class TestCameraRig:
+    def test_coincident_pair_raises_only_when_asked(self):
+        a = CameraModel(id=0, K=intrinsics(), R=np.eye(3), t=np.zeros(3))
+        twin = CameraModel(id=1, K=intrinsics(), R=np.eye(3), t=np.zeros(3))
+        other = CameraModel(id=2, K=intrinsics(), R=np.eye(3),
+                            t=np.array([-1.0, 0.0, 0.0]))
+        rig = CameraRig([a, twin, other])
+        assert np.array_equal(rig.fundamental(0, 2), fundamental_matrix(a, other))
+        with pytest.raises(CoincidentCenters):
+            rig.fundamental(0, 1)
+        with pytest.raises(CoincidentCenters):
+            rig.fundamental(1, 0)
+
     def test_lookup_and_cache(self):
         rig = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
         assert len(rig) == 4

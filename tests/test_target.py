@@ -177,6 +177,16 @@ class TestTargetMaintainer:
         records = run_maintainer(reg, 60)
         assert {r.track_id for r in records} == {0}
 
+    def test_smooth_window_is_used(self):
+        spiky = performer_track(range(0, 61))
+        spiky.points[30] = spiky.points[30] + [0.0, 0.0, 0.5]
+        kept = {r.frame: r.X for r in run_maintainer(
+            registry_with([spiky]), 60,
+            TargetMaintainer(space=SPACE, criteria=CRIT, smooth_window=1))}
+        assert np.array_equal(kept[30], spiky.points[30])
+        smoothed = {r.frame: r.X for r in run_maintainer(registry_with([spiky]), 60)}
+        assert smoothed[30][2] == pytest.approx(spiky.points[30][2] - 0.4)
+
     def test_reidentification_after_track_end(self):
         first = performer_track(range(0, 31))
         second = performer_track(range(60, 101), track_id=1)
