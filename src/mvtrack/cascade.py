@@ -41,11 +41,6 @@ class Provenance(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
-class Sufficiency(enum.Enum):
-    SUFFICIENT = "sufficient"
-    INSUFFICIENT = "insufficient"
-
-
 class Mode(enum.Enum):
     CASCADE = "cascade"
     TRIANGULATION_ONLY = "triangulation_only"
@@ -112,41 +107,55 @@ class TrackingSpace:
         return bool(x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1)
 
 
-def _triangulate_boxes(segments: Sequence[WindowSegment2D], frames: list[int],
+def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[int]]],
                        rig: CameraRig, offsets: tuple[float, ...]
-                       ) -> tuple[np.ndarray, np.ndarray, list[frozenset[int] | None]]:
-    """Triangulate box points of `segments` at each of `frames`.
+                       ) -> list[tuple[np.ndarray, np.ndarray, list[frozenset[int] | None]]]:
+    """Triangulate box points of each request's segments at its frames.
 
-    A frame is solved from every segment with a box there, if there are at
-    least two; frames sharing one set of segments are solved together, for
-    all `offsets`, in one `triangulate_batch` call.  Returns (points, ok,
-    views): points (len(offsets), n, 3) and ok (len(offsets), n) per
-    offset and frame, and the cameras of each frame's solve (None where
-    fewer than two segments have a box).
+    A request is (segments, frames).  A frame is solved from every segment
+    of its request with a box there, if there are at least two.  The rows
+    of all requests are grouped by the cameras they are seen by, and each
+    group is solved, for all `offsets`, in one `triangulate_batch` call.
+    Returns, per request, (points, ok, views): points (len(offsets), n, 3)
+    and ok (len(offsets), n) per offset and frame, and the cameras of each
+    frame's solve (None where fewer than two segments have a box).
     """
-    n = len(frames)
-    points = np.full((len(offsets), n, 3), np.nan)
-    ok = np.zeros((len(offsets), n), dtype=bool)
-    views: list[frozenset[int] | None] = [None] * n
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(frames):
-        present = tuple(k for k, seg in enumerate(segments) if f in seg.boxes)
-        if len(present) >= 2:
-            groups.setdefault(present, []).append(i)
-    for present, rows in groups.items():
-        segs = [segments[k] for k in present]
-        boxes = np.stack([boxes_array(seg.boxes[frames[i]] for i in rows)
-                          for seg in segs], axis=1)
+    results = []
+    by_cameras: dict[tuple[int, ...], list[tuple[int, list[int], np.ndarray]]] = {}
+    for r, (segments, frames) in enumerate(requests):
+        n = len(frames)
+        views: list[frozenset[int] | None] = [None] * n
+        results.append((np.full((len(offsets), n, 3), np.nan),
+                        np.zeros((len(offsets), n), dtype=bool), views))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, f in enumerate(frames):
+            present = tuple(k for k, seg in enumerate(segments) if f in seg.boxes)
+            if len(present) >= 2:
+                groups.setdefault(present, []).append(i)
+        for present, rows in groups.items():
+            segs = [segments[k] for k in present]
+            boxes = np.stack([boxes_array(seg.boxes[frames[i]] for i in rows)
+                              for seg in segs], axis=1)
+            cameras = tuple(seg.camera for seg in segs)
+            by_cameras.setdefault(cameras, []).append((r, rows, boxes))
+            view_set = frozenset(cameras)
+            for i in rows:
+                views[i] = view_set
+    for cameras, parts in by_cameras.items():
+        boxes = np.concatenate([b for _, _, b in parts])
         x, y, h = boxes[..., 0], boxes[..., 1], boxes[..., 3]
         pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
                                  for off in offsets])
-        solved, good = triangulate_batch([rig[seg.camera] for seg in segs], pixels)
-        points[:, rows] = solved.reshape(len(offsets), len(rows), 3)
-        ok[:, rows] = good.reshape(len(offsets), len(rows))
-        cameras = frozenset(seg.camera for seg in segs)
-        for i in rows:
-            views[i] = cameras
-    return points, ok, views
+        solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
+        solved = solved.reshape(len(offsets), len(boxes), 3)
+        good = good.reshape(len(offsets), len(boxes))
+        at = 0
+        for r, rows, b in parts:
+            points, ok, _ = results[r]
+            points[:, rows] = solved[:, at:at + len(b)]
+            ok[:, rows] = good[:, at:at + len(b)]
+            at += len(b)
+    return results
 
 
 def _set_top_bottom(t3: Tracklet3D, frames: list[int], points: np.ndarray,
@@ -161,10 +170,11 @@ def _set_top_bottom(t3: Tracklet3D, frames: list[int], points: np.ndarray,
 def classify_cluster(cluster: Cluster, rig: CameraRig,
                      theta_opp_deg: float = THETA_OPP_DEG,
                      opposite_pairs: list[frozenset[int]] | None = None,
-                     triangulated: Tracklet3D | None = None) -> Sufficiency:
-    """INSUFFICIENT for single-view clusters and for two-view clusters whose
-    line-of-sight rays are nearly opposed (median per-frame angle above
-    theta_opp, or an explicitly configured opposite pair).
+                     triangulated: Tracklet3D | None = None) -> bool:
+    """True if the cluster is sufficient for triangulation.  False for
+    single-view clusters and for two-view clusters whose line-of-sight
+    rays are nearly opposed (median per-frame angle above theta_opp, or an
+    explicitly configured opposite pair).
 
     The angles are taken at the cluster's triangulated centers; pass
     `triangulated`, the cluster's `triangulate_cluster` result, when it
@@ -172,49 +182,61 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     """
     cameras = sorted(cluster.cameras)
     if len(cameras) == 1:
-        return Sufficiency.INSUFFICIENT
+        return False
     if len(cameras) != 2:
-        return Sufficiency.SUFFICIENT
+        return True
     if opposite_pairs and frozenset(cameras) in opposite_pairs:
-        return Sufficiency.INSUFFICIENT
+        return False
 
     if triangulated is None:
         triangulated = triangulate_cluster(cluster, rig)
     common = frozenset.intersection(*[s.valid_frames for s in cluster.members])
     frames = sorted(common & triangulated.points.keys())
     if not frames:
-        return Sufficiency.SUFFICIENT
+        return True
     X = np.array([triangulated.points[f] for f in frames])
     d_a = X - rig[cameras[0]].center
     d_b = X - rig[cameras[1]].center
     cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
                      / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)),
                      -1.0, 1.0)
-    if float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg:
-        return Sufficiency.INSUFFICIENT
-    return Sufficiency.SUFFICIENT
+    return not float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg
+
+
+def triangulate_clusters(clusters: Sequence[Cluster],
+                         rig: CameraRig) -> list[Tracklet3D]:
+    """Per-frame triangulation of each cluster's bbox centers, with the top
+    and bottom centers of the same boxes solved alongside; frames with a
+    single view or a degenerate center solve are skipped.  The frames of
+    all clusters are solved together, one `triangulate_batch` call per
+    camera set."""
+    frame_lists = [sorted(set().union(*[s.boxes.keys() for s in c.members]))
+                   for c in clusters]
+    solves = _triangulate_boxes(list(zip([c.members for c in clusters], frame_lists)),
+                                rig, (CENTER, TOP, BOTTOM))
+    out = []
+    for cluster, frames, (points, ok, views) in zip(clusters, frame_lists, solves):
+        t3 = Tracklet3D(track_id=-1)
+        solved = np.flatnonzero(ok[0])
+        for i in solved:
+            f = frames[i]
+            t3.points[f] = points[0, i]
+            t3.provenance[f] = Provenance.TRIANGULATED
+            t3.source_views[f] = views[i]
+        skipped = sum(v is not None for v in views) - len(solved)
+        if skipped:
+            logger.debug("cluster %s: triangulation skipped at %d frames",
+                         [s.key for s in cluster.members], skipped)
+        _set_top_bottom(t3, frames, points[1:], ok[1:] & ok[0])
+        out.append(t3)
+    return out
 
 
 def triangulate_cluster(cluster: Cluster, rig: CameraRig,
                         track_id: int = -1) -> Tracklet3D:
-    """Per-frame triangulation of the cluster's bbox centers, with the top
-    and bottom centers of the same boxes solved alongside; frames with a
-    single view or a degenerate center solve are skipped."""
-    t3 = Tracklet3D(track_id=track_id)
-    frames = sorted(set().union(*[s.boxes.keys() for s in cluster.members]))
-    points, ok, views = _triangulate_boxes(cluster.members, frames, rig,
-                                           (CENTER, TOP, BOTTOM))
-    solved = np.flatnonzero(ok[0])
-    for i in solved:
-        f = frames[i]
-        t3.points[f] = points[0, i]
-        t3.provenance[f] = Provenance.TRIANGULATED
-        t3.source_views[f] = views[i]
-    skipped = sum(v is not None for v in views) - len(solved)
-    if skipped:
-        logger.debug("cluster %s: triangulation skipped at %d frames",
-                     [s.key for s in cluster.members], skipped)
-    _set_top_bottom(t3, frames, points[1:], ok[1:] & ok[0])
+    """`triangulate_clusters` for one cluster."""
+    t3, = triangulate_clusters([cluster], rig)
+    t3.track_id = track_id
     return t3
 
 
@@ -233,39 +255,79 @@ def outlier_gate(t3: Tracklet3D, space: TrackingSpace,
 
 def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
                      rig: CameraRig) -> list[tuple[Tracklet3D, WindowSegment2D]]:
-    """One coplanar 3D candidate per segment, from per-frame ray-plane
-    intersection of the bbox centers.  Parallel/behind frames are skipped."""
+    """One coplanar 3D candidate per segment, in the order of `unmatched`,
+    from per-frame ray-plane intersection of the bbox centers; the
+    segments of one camera are intersected in one call.  Parallel/behind
+    frames are skipped."""
+    frames = [sorted(seg.boxes) for seg in unmatched]
+    by_camera: dict[int, list[int]] = {}
+    for k, seg in enumerate(unmatched):
+        by_camera.setdefault(seg.camera, []).append(k)
+    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for camera, ks in by_camera.items():
+        centers = boxes_array(unmatched[k].boxes[f] for k in ks for f in frames[k])[:, :2]
+        points, s = ray_plane_intersect_batch(rig[camera], centers, plane)
+        bounds = np.cumsum([len(frames[k]) for k in ks])[:-1]
+        solved.update(zip(ks, zip(np.split(points, bounds), np.split(s, bounds))))
+
     out = []
-    for seg in unmatched:
-        frames = sorted(seg.boxes)
-        points, s = ray_plane_intersect_batch(
-            rig[seg.camera], boxes_array(map(seg.boxes.__getitem__, frames))[:, :2],
-            plane)
+    for k, seg in enumerate(unmatched):
+        points, s = solved[k]
         hits = np.flatnonzero(s > 0)
-        if len(hits) < len(frames):
+        if len(hits) < len(frames[k]):
             logger.debug("segment %s: plane intersection skipped at %d frames",
-                         seg.key, len(frames) - len(hits))
+                         seg.key, len(frames[k]) - len(hits))
         if not len(hits):
             continue
         t3 = Tracklet3D(track_id=-1)
         views = frozenset({seg.camera})
         for i in hits:
-            t3.points[frames[i]] = points[i]
-            t3.provenance[frames[i]] = Provenance.PLANE_INTERSECTED
-            t3.source_views[frames[i]] = views
+            f = frames[k][i]
+            t3.points[f] = points[i]
+            t3.provenance[f] = Provenance.PLANE_INTERSECTED
+            t3.source_views[f] = views
         out.append((t3, seg))
     return out
 
 
+def _frame_aligned(tracklets: Sequence[Tracklet3D]) -> tuple[int, np.ndarray]:
+    """(first, points): the tracklets' points stacked on their common frame
+    span starting at frame `first`, (n, span, 3), NaN where missing."""
+    first = min(t.first_frame for t in tracklets)
+    span = max(t.last_frame for t in tracklets) - first + 1
+    points = np.full((len(tracklets), span, 3), np.nan)
+    for k, t in enumerate(tracklets):
+        at = np.fromiter(t.points, dtype=int, count=len(t.points)) - first
+        points[k, at] = list(t.points.values())
+    return first, points
+
+
+def _candidate_distances(points: np.ndarray,
+                         cameras: Sequence[int]) -> list[list[Distance]]:
+    """Pairwise candidate distances from frame-aligned (n, span, 3) points:
+    the mean Euclidean distance over shared frames, EMPTY where two
+    candidates share no frame (and on the diagonal), math.inf for
+    different candidates of one camera."""
+    n = len(points)
+    D: list[list[Distance]] = [[EMPTY] * n for _ in range(n)]
+    present = ~np.isnan(points[..., 0])
+    rows, cols = np.triu_indices(n, k=1)
+    shared = present[rows] & present[cols]
+    pair, frame = np.nonzero(shared)
+    d = np.linalg.norm(points[rows[pair], frame] - points[cols[pair], frame], axis=1)
+    counts = shared.sum(axis=1)
+    means = np.bincount(pair, weights=d, minlength=len(rows)) / np.maximum(counts, 1)
+    for i, j, c, m in zip(rows.tolist(), cols.tolist(), counts.tolist(), means.tolist()):
+        if c:
+            D[i][j] = D[j][i] = math.inf if cameras[i] == cameras[j] else m
+    return D
+
+
 def candidate_pair_distance(a: Tracklet3D, cam_a: int,
                             b: Tracklet3D, cam_b: int) -> Distance:
-    """Mean per-frame Euclidean distance between coplanar candidates."""
-    common = set(a.points) & set(b.points)
-    if not common:
-        return EMPTY
-    if cam_a == cam_b:
-        return math.inf
-    return float(np.mean([np.linalg.norm(a.points[f] - b.points[f]) for f in sorted(common)]))
+    """Mean per-frame Euclidean distance between coplanar candidates;
+    EMPTY when they share no frame, math.inf when they share a camera."""
+    return _candidate_distances(_frame_aligned([a, b])[1], [cam_a, cam_b])[0][1]
 
 
 def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
@@ -274,36 +336,49 @@ def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
     """Cluster coplanar candidates and fuse clusters covering >=2 cameras by
     per-frame averaging over the views present; single-camera clusters
     are discarded."""
+    if not cands:
+        return []
     ordered = sorted(cands, key=lambda cs: cs[1].key)
-
-    def dist(i: int, j: int) -> Distance:
-        return candidate_pair_distance(ordered[i][0], ordered[i][1].camera,
-                                       ordered[j][0], ordered[j][1].camera)
+    cameras = [seg.camera for _, seg in ordered]
+    first, points = _frame_aligned([t for t, _ in ordered])
+    D = _candidate_distances(points, cameras)
 
     fused: list[tuple[Tracklet3D, list[WindowSegment2D]]] = []
-    for group in cluster_with_cutoff(len(ordered), dist, cutoff):
-        members = [ordered[i] for i in group]
-        cameras = {seg.camera for _, seg in members}
-        if len(cameras) < 2:
+    for group in cluster_with_cutoff(len(ordered), lambda i, j: D[i][j], cutoff):
+        if len({cameras[i] for i in group}) < 2:
             continue
+        present = ~np.isnan(points[group, :, 0])
+        count = present.sum(axis=0)
+        mean = (np.where(present[..., None], points[group], 0.0).sum(axis=0)
+                / np.maximum(count, 1)[:, None])
         t3 = Tracklet3D(track_id=-1)
-        frames = sorted(set().union(*[set(t.points) for t, _ in members]))
-        for frame in frames:
-            present = [(t, seg) for t, seg in members if frame in t.points]
-            t3.points[frame] = np.mean([t.points[frame] for t, _ in present], axis=0)
-            t3.provenance[frame] = Provenance.PLANE_INTERSECTED
-            t3.source_views[frame] = frozenset(seg.camera for _, seg in present)
-        fused.append((t3, [seg for _, seg in members]))
+        for i in np.flatnonzero(count):
+            f = first + int(i)
+            t3.points[f] = mean[i]
+            t3.provenance[f] = Provenance.PLANE_INTERSECTED
+            t3.source_views[f] = frozenset(cameras[g] for g, p in zip(group, present[:, i])
+                                           if p)
+        fused.append((t3, [ordered[i][1] for i in group]))
     return fused
+
+
+def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSegment2D]]],
+                            rig: CameraRig) -> None:
+    """Triangulate per-frame top-center and bottom-center pixels of the 2D
+    boxes associated with each track, at the track's frames; frames with
+    fewer than two views are omitted.  All tracks are solved together, one
+    `triangulate_batch` call per camera set."""
+    frame_lists = [t3.frames for t3, _ in tracks]
+    solves = _triangulate_boxes(list(zip([segs for _, segs in tracks], frame_lists)),
+                                rig, (TOP, BOTTOM))
+    for (t3, _), frames, (points, ok, _) in zip(tracks, frame_lists, solves):
+        _set_top_bottom(t3, frames, points, ok)
 
 
 def attach_top_bottom(t3: Tracklet3D, segments: list[WindowSegment2D],
                       rig: CameraRig) -> None:
-    """Triangulate per-frame top-center and bottom-center pixels of the
-    associated 2D boxes; frames with fewer than two views are omitted."""
-    frames = t3.frames
-    points, ok, _ = _triangulate_boxes(segments, frames, rig, (TOP, BOTTOM))
-    _set_top_bottom(t3, frames, points, ok)
+    """`attach_top_bottom_batch` for one track."""
+    attach_top_bottom_batch([(t3, segments)], rig)
 
 
 @dataclass
@@ -323,17 +398,24 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
                    velocity_limit: float = VELOCITY_LIMIT_M,
                    opposite_pairs: list[frozenset[int]] | None = None
                    ) -> list[WindowTrack]:
-    """Route every cluster through exactly one branch and gate the results."""
+    """Route every cluster through exactly one branch and gate the results.
+
+    The window is solved at once: the multi-camera clusters are
+    triangulated together (`triangulate_clusters`), and the tops and
+    bottoms of the plane-branch tracks together (`attach_top_bottom_batch`),
+    each with one `triangulate_batch` call per camera set.
+    """
     tracks: list[WindowTrack] = []
     insufficient_segments: list[WindowSegment2D] = []
-    for cluster in clusters:
-        # The triangulation feeds both the two-view verdict and the branch.
-        t3 = None
-        if mode is not Mode.PLANE_ONLY and len(cluster.cameras) >= 2:
-            t3 = triangulate_cluster(cluster, rig)
+    # The triangulation feeds both the two-view verdict and the branch.
+    solvable = [i for i, c in enumerate(clusters)
+                if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
+    solved = dict(zip(solvable, triangulate_clusters([clusters[i] for i in solvable],
+                                                     rig)))
+    for i, cluster in enumerate(clusters):
+        t3 = solved.get(i)
         if mode is Mode.CASCADE:
-            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
-                                          t3) is Sufficiency.SUFFICIENT
+            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs, t3)
         else:
             sufficient = t3 is not None
         if not sufficient:
@@ -344,11 +426,11 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
     if mode is not Mode.TRIANGULATION_ONLY and insufficient_segments:
         cands = plane_candidates(sorted(insufficient_segments, key=lambda s: s.key),
                                  plane, rig)
-        for t3, segs in plane_match_and_fuse(cands, tau_plane):
-            # The gate is applied to both branches for uniformity.
-            if t3.points and outlier_gate(t3, space, velocity_limit):
-                attach_top_bottom(t3, segs, rig)
-                tracks.append(WindowTrack(start, t3, segs))
+        # The gate is applied to both branches for uniformity.
+        fused = [(t3, segs) for t3, segs in plane_match_and_fuse(cands, tau_plane)
+                 if t3.points and outlier_gate(t3, space, velocity_limit)]
+        attach_top_bottom_batch(fused, rig)
+        tracks.extend(WindowTrack(start, t3, segs) for t3, segs in fused)
 
     tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
     return tracks

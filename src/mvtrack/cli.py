@@ -94,8 +94,7 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--mode", type=click.Choice([m.value for m in Mode]),
               default=Mode.CASCADE.value, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def cmd_track(detections_path, calib_path, config_path, out_dir, mode, threads):
+def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
     """Track a detection stream into target tracklets (tracklets.jsonl)."""
     for path, label in ((calib_path, "calibration"), (config_path, "routine config")):
         if not os.path.exists(path):
@@ -105,6 +104,10 @@ def cmd_track(detections_path, calib_path, config_path, out_dir, mode, threads):
         cfg = config_mod.load_routine_config(config_path)
     except ValueError as exc:
         _fail(EXIT_CONFIG_ERROR, str(exc))
+    for pair in cfg.opposite_pairs or ():
+        if not set(pair) <= rig.cameras.keys():
+            _fail(EXIT_CONFIG_ERROR,
+                  f"opposite pair {pair} names a camera absent from calibration")
     try:
         detections = load_detections(detections_path)
     except FileNotFoundError:
@@ -114,8 +117,7 @@ def cmd_track(detections_path, calib_path, config_path, out_dir, mode, threads):
     if any(det.camera not in rig.cameras for det in detections):
         _fail(EXIT_INPUT_ERROR, "detections reference cameras absent from calibration")
 
-    records, _registry = run_pipeline(detections, rig, cfg, Mode(mode),
-                                      threads=max(1, threads))
+    records, _registry = run_pipeline(detections, rig, cfg, Mode(mode))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target.save_target_records(records, out / "tracklets.jsonl")

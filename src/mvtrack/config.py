@@ -12,7 +12,8 @@ from .cross_view import LAMBDA_2D
 from .geometry import PlaneSpec
 from .stitch import STITCH_THRESHOLD_M
 from .sv_track import IOU_THRESHOLD, MAX_AGE, MIN_SEGMENT_OBS, WINDOW_LEN
-from .target import BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW
+from .target import (BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW,
+                     TargetCriteria)
 
 
 @dataclass
@@ -43,6 +44,10 @@ class PipelineConfig:
 
     def space(self) -> TrackingSpace:
         return TrackingSpace(perf=tuple(self.perf_space), beta=self.beta)
+
+    def criteria(self) -> TargetCriteria:
+        return TargetCriteria(h_top=self.h_top, h_bot=self.h_bot,
+                              delta=self.identify_delta)
 
     def opposite_pair_sets(self) -> list[frozenset[int]] | None:
         if self.opposite_pairs is None:
@@ -79,6 +84,10 @@ def load_routine_config(path) -> PipelineConfig:
                 setattr(cfg, key, int(raw[key]))
         if "opposite_pairs" in raw and raw["opposite_pairs"] is not None:
             cfg.opposite_pairs = [[int(c) for c in p] for p in raw["opposite_pairs"]]
+            for pair in cfg.opposite_pairs:
+                if len(pair) != 2 or pair[0] == pair[1]:
+                    raise ValueError(f"opposite_pairs entry {pair} must be two "
+                                     "distinct camera ids")
         if cfg.window_len < 2 or cfg.window_len % 2 != 0:
             raise ValueError(f"window_len must be even and >= 2, got {cfg.window_len}")
         if cfg.smooth_window < 1 or cfg.smooth_window % 2 != 1:
@@ -86,6 +95,7 @@ def load_routine_config(path) -> PipelineConfig:
         # Validate derived structures eagerly.
         cfg.plane()
         cfg.space()
+        cfg.criteria()
         return cfg
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid routine config {path}: {exc}") from exc

@@ -7,11 +7,14 @@ Conventions:
   - R maps world to camera: x_cam = R @ (X - center) = R @ X + t.
 
 The per-frame work is done on stacked arrays: `triangulate_batch` solves
-F frames seen by one set of V cameras with a single SVD call (DLT) and
-one batched Gauss-Newton step, `epipolar_distance_batch` scores N point
-pairs with one matrix product, and `ray_plane_intersect_batch` intersects
-N pixel rays of one camera.  Failures are reported per row (a mask, or
-NaN) instead of raised, so one degenerate frame leaves the others intact.
+F frames seen by one set of V cameras with one batched `eigh` of the 4x4
+DLT normal matrices A^T A and one batched Gauss-Newton step, whose 3x3
+normal equations are solved in closed form (`gauss_newton_step`, with a
+`pinv` fallback for near-singular rows); `epipolar_distance_batch` scores
+N point pairs with one matrix product, and `ray_plane_intersect_batch`
+intersects N pixel rays of one camera.  Failures are reported per row (a
+mask, or NaN) instead of raised, so one degenerate frame leaves the others
+intact.
 `triangulate`, `epipolar_point_distance` and `ray_plane_intersect` are
 the single-observation forms; they raise the GeometryError subclasses.
 
@@ -63,6 +66,10 @@ class BehindCamera(GeometryError):
 
 MIN_DEPTH_M = 1e-9
 PARALLEL_RAY_RAD = 1e-6
+# Rows of `gauss_newton_step` whose J^T J has a Frobenius condition number
+# above this (cond(J) above about 1e4) are solved by pinv: the closed-form
+# normal equations lose cond(J)^2 * eps of relative precision.
+NORMAL_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -280,13 +287,51 @@ def ray_plane_intersect(cam: CameraModel, p: Point2, plane: PlaneSpec) -> Point3
     return Point3.from_array(points[0])
 
 
+def gauss_newton_step(J, r) -> np.ndarray:
+    """Least-squares steps argmin ||J[n] @ d - r[n]|| for (N, M, 3) J and
+    (N, M) r; returns (N, 3).
+
+    Each row solves the 3x3 normal equations (J^T J) d = J^T r through the
+    adjugate, with elementwise numpy.  Rows whose J^T J is near singular
+    (Frobenius condition number above NORMAL_COND_LIMIT, which includes a
+    rank-deficient J) or whose step is not finite are solved instead with
+    `np.linalg.pinv` and the lstsq cutoff, which gives the minimum-norm
+    step there.
+    """
+    J = np.asarray(J, dtype=float)
+    r = np.asarray(r, dtype=float)
+    Jt = J.transpose(0, 2, 1)
+    M = Jt @ J
+    g = (Jt @ r[..., None])[..., 0]
+    a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 0, 2]
+    d, e, f = M[:, 1, 1], M[:, 1, 2], M[:, 2, 2]
+    # M is symmetric, and so is its adjugate.
+    adj = np.stack([d * f - e * e, c * e - b * f, b * e - c * d,
+                    c * e - b * f, a * f - c * c, b * c - a * e,
+                    b * e - c * d, b * c - a * e, a * d - b * b], axis=1)
+    det = a * adj[:, 0] + b * adj[:, 1] + c * adj[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = (adj.reshape(-1, 3, 3) @ g[..., None])[..., 0] / det[:, None]
+        well = (np.linalg.norm(M.reshape(-1, 9), axis=1) * np.linalg.norm(adj, axis=1)
+                < NORMAL_COND_LIMIT * np.abs(det))
+    fallback = ~(well & np.isfinite(step).all(axis=1))
+    if fallback.any():
+        step[fallback] = (np.linalg.pinv(J[fallback], rtol=None)
+                          @ r[fallback, :, None])[..., 0]
+    return step
+
+
 def triangulate_batch(cams: list[CameraModel],
                       pixels) -> tuple[np.ndarray, np.ndarray]:
     """Recover F 3D points, each observed once by every camera in `cams`.
 
     `pixels` is (F, V, 2): pixels[:, k] are the observations of cams[k].
-    All F homogeneous DLT systems are solved with one SVD call, then one
-    batched Gauss-Newton step refines the reprojection objective.
+    The homogeneous DLT solution of each frame is the eigenvector of the
+    smallest eigenvalue of its 4x4 A^T A, found for all F frames by one
+    batched `np.linalg.eigh`; one batched Gauss-Newton step
+    (`gauss_newton_step`: closed-form normal equations, `pinv` only for
+    near-singular or non-finite rows) then refines the reprojection
+    objective.
 
     Returns (points, ok): (F, 3) points and an (F,) mask.  ok is False,
     and the point NaN, for every frame when `cams` holds fewer than two
@@ -310,22 +355,23 @@ def triangulate_batch(cams: list[CameraModel],
     A = np.empty((n_frames, n_views, 2, 4))
     A[:, :, 0] = pixels[:, :, 0, None] * P[:, 2] - P[:, 0]
     A[:, :, 1] = pixels[:, :, 1, None] * P[:, 2] - P[:, 1]
-    _, _, vt = np.linalg.svd(A.reshape(n_frames, 2 * n_views, 4))
-    Xh = vt[:, -1]
+    A = A.reshape(n_frames, 2 * n_views, 4)
+    # eigh orders eigenvalues ascending: column 0 is the DLT solution.
+    Xh = np.linalg.eigh(A.transpose(0, 2, 1) @ A)[1][:, :, 0]
     ok &= np.abs(Xh[:, 3]) >= 1e-12
     X = Xh[ok, :3] / Xh[ok, 3:]
     obs = pixels[ok]
 
     # One Gauss-Newton refinement of sum ||x_c - pi(P_c, X)||^2.
-    h = np.einsum("vij,fj->fvi", P, np.column_stack([X, np.ones(len(X))]))
+    h = (np.column_stack([X, np.ones(len(X))]) @ P.reshape(-1, 4).T).reshape(
+        len(X), n_views, 3)
     refine = np.all(np.abs(h[:, :, 2]) >= 1e-12, axis=1)
     h, obs = h[refine], obs[refine]
     hz = h[:, :, 2, None]
     uv = h[:, :, :2] / hz
     r = (obs - uv).reshape(len(h), 2 * n_views)
     J = (P[:, :2, :3] - uv[..., None] * P[:, 2, None, :3]) / hz[..., None]
-    J = J.reshape(len(h), 2 * n_views, 3)
-    delta = (np.linalg.pinv(J, rtol=None) @ r[..., None])[..., 0]
+    delta = gauss_newton_step(J.reshape(len(h), 2 * n_views, 3), r)
     finite = np.all(np.isfinite(delta), axis=1)
     rows = np.flatnonzero(refine)[finite]
     X[rows] += delta[finite]

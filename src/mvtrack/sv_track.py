@@ -223,7 +223,6 @@ def _extrapolate(anchor: Bbox, prev: Bbox | None, gap: int, steps: int) -> Bbox:
 
 
 def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
-                    step: int | None = None,
                     min_observed: int = MIN_SEGMENT_OBS) -> list[WindowSegment2D]:
     """Cut a tracklet into overlapping [start, start + window_len] segments.
 
@@ -235,8 +234,7 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     """
     if window_len < 2 or window_len % 2 != 0:
         raise ValueError("window_len must be even and >= 2")
-    if step is None:
-        step = window_len // 2
+    step = window_len // 2
     if not tracklet.boxes:
         return []
 

@@ -39,7 +39,7 @@ class TargetCriteria:
     occupancy: float = 0.5
 
     def __post_init__(self):
-        if self.h_top < self.h_bot or self.h_bot < 0:
+        if not self.h_top >= self.h_bot >= 0:
             raise ValueError("need h_top >= h_bot >= 0")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")

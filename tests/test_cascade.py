@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mvtrack.cascade import (Mode, Provenance, Sufficiency, Tracklet3D,
-                             TrackingSpace, attach_top_bottom,
-                             candidate_pair_distance, classify_cluster,
-                             outlier_gate, plane_candidates,
+from mvtrack import cascade
+from mvtrack.cascade import (Mode, Provenance, Tracklet3D, TrackingSpace,
+                             attach_top_bottom, candidate_pair_distance,
+                             classify_cluster, outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
                              triangulate_cluster)
 from mvtrack.clustering import EMPTY
 from mvtrack.cross_view import Cluster, cluster_segments
-from mvtrack.geometry import CameraRig, PlaneSpec, Point3, project
+from mvtrack.geometry import (CameraRig, PlaneSpec, Point3, project,
+                              triangulate_batch)
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, WindowSegment2D
 
@@ -73,34 +74,34 @@ class TestTrackingSpace:
 class TestClassifyCluster:
     def test_three_views_sufficient(self, rig):
         c = cluster_for(rig, [0, 1, 2], person_path(range(10)))
-        assert classify_cluster(c, rig) is Sufficiency.SUFFICIENT
+        assert classify_cluster(c, rig) is True
 
     def test_single_view_insufficient(self, rig):
         c = cluster_for(rig, [0], person_path(range(10)))
-        assert classify_cluster(c, rig) is Sufficiency.INSUFFICIENT
+        assert classify_cluster(c, rig) is False
 
     def test_opposite_pair_insufficient(self, rig):
         # Cameras 0 and 2 face each other across the rig; rays to a point
         # near the center are close to antiparallel.
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
-        assert classify_cluster(c, rig) is Sufficiency.INSUFFICIENT
+        assert classify_cluster(c, rig) is False
 
     def test_adjacent_pair_sufficient(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
-        assert classify_cluster(c, rig) is Sufficiency.SUFFICIENT
+        assert classify_cluster(c, rig) is True
 
     def test_reuses_given_triangulation(self, rig):
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
         t3 = triangulate_cluster(c, rig)
-        assert classify_cluster(c, rig, triangulated=t3) is Sufficiency.INSUFFICIENT
+        assert classify_cluster(c, rig, triangulated=t3) is False
         # With no solved frames there is no angle evidence at all.
         empty = Tracklet3D(track_id=-1)
-        assert classify_cluster(c, rig, triangulated=empty) is Sufficiency.SUFFICIENT
+        assert classify_cluster(c, rig, triangulated=empty) is True
 
     def test_explicit_opposite_pairs_override(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
         verdict = classify_cluster(c, rig, opposite_pairs=[frozenset({0, 1})])
-        assert verdict is Sufficiency.INSUFFICIENT
+        assert verdict is False
 
 
 class TestTriangulateCluster:
@@ -385,3 +386,54 @@ class TestProcessWindow:
         provs = [set(wt.tracklet.provenance.values()) for wt in tracks]
         assert sorted(map(tuple, (sorted(p.value for p in s) for s in provs))) == \
             [("plane_intersected",), ("triangulated",)]
+
+    def test_window_batch_equals_per_cluster_solves(self, rig, monkeypatch):
+        # Two clusters share the camera set (0, 1, 2) and one uses
+        # (1, 2, 3): their solves are batched across clusters.  Two
+        # on-plane people seen only by the opposed pair (0, 2) become two
+        # plane-branch tracks whose tops and bottoms are batched as well.
+        rng = np.random.default_rng(47)
+        frames = range(11)
+        triangulated = [
+            cluster_for(rig, [0, 1, 2], person_path(frames, x=0.8, z0=1.0), rng, 1.0),
+            cluster_for(rig, [0, 1, 2], person_path(frames, x=-0.8, lateral=0.3), rng, 1.0),
+            cluster_for(rig, [1, 2, 3], person_path(frames, x=1.2, lateral=-0.4), rng, 1.0)]
+        plane = [cluster_for(rig, [0, 2], person_path(frames, x=0.0, lateral=0.3)),
+                 cluster_for(rig, [0, 2], {f: np.array([0.0, 1.0, 1.4]) for f in frames})]
+        clusters = []
+        for k, c in enumerate(triangulated + plane):
+            clusters.append(Cluster(tuple(
+                segment(s.camera, s.boxes, track_id=k) for s in c.members)))
+        calls = []
+
+        def spy(cams, pixels):
+            calls.append(tuple(cam.id for cam in cams))
+            return triangulate_batch(cams, pixels)
+        monkeypatch.setattr(cascade, "triangulate_batch", spy)
+        tracks = process_window(0, clusters, rig, PLANE, SPACE, mode=Mode.CASCADE)
+        # One call per camera set and branch: (0, 2) is solved once for the
+        # two-view verdicts and once for the plane tracks' tops and bottoms.
+        assert calls == [(0, 1, 2), (1, 2, 3), (0, 2), (0, 2)]
+        monkeypatch.undo()
+
+        expected = {}
+        for c in clusters[:3]:
+            expected[c.members[0].key] = triangulate_cluster(c, rig)
+        segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
+        for t3, fused_segs in plane_match_and_fuse(plane_candidates(segs, PLANE, rig)):
+            attach_top_bottom(t3, fused_segs, rig)
+            expected[min(s.key for s in fused_segs)] = t3
+        assert len(expected) == 5
+        assert sorted(min(s.key for s in wt.segments) for wt in tracks) == sorted(expected)
+        for wt in tracks:
+            want = expected[min(s.key for s in wt.segments)]
+            got = wt.tracklet
+            assert got.provenance == want.provenance
+            assert got.source_views == want.source_views
+            for attr in ("points", "top", "bottom"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert sorted(a) == sorted(b) and a
+                for f in a:
+                    assert np.max(np.abs(a[f] - b[f])) <= 1e-12
+        branches = [next(iter(wt.tracklet.provenance.values())) for wt in tracks]
+        assert branches.count(Provenance.PLANE_INTERSECTED) == 2

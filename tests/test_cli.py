@@ -85,15 +85,13 @@ class TestSimulate:
         assert (a / "truth.jsonl").read_bytes() == (b / "truth.jsonl").read_bytes()
 
 
-def run_track(runner, out, mode=None, threads=None):
+def run_track(runner, out, mode=None):
     args = ["track", "--detections", str(out / "detections.jsonl"),
             "--calib", str(out / "calib.json"),
             "--config", str(out / "routine.json"),
             "--out", str(out)]
     if mode:
         args += ["--mode", mode]
-    if threads:
-        args += ["--threads", str(threads)]
     return runner.invoke(main, args)
 
 
@@ -175,12 +173,48 @@ class TestTrack:
             [json.loads(l)["frame"] for l in smoothed.splitlines()]
         assert raw != smoothed
 
-    def test_thread_count_does_not_change_output(self, runner, tmp_path):
+    def test_repeated_runs_are_byte_identical(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         assert run_track(runner, out).exit_code == 0
-        single = (out / "tracklets.jsonl").read_bytes()
-        assert run_track(runner, out, threads=4).exit_code == 0
-        assert (out / "tracklets.jsonl").read_bytes() == single
+        first = (out / "tracklets.jsonl").read_bytes()
+        assert run_track(runner, out).exit_code == 0
+        assert (out / "tracklets.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("h_top,h_bot", [(0.5, 1.5), (1.5, -0.1),
+                                             (float("nan"), 0.5)])
+    def test_bad_height_triggers_are_config_error(self, runner, tmp_path,
+                                                  h_top, h_bot):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine.update(h_top=h_top, h_bot=h_bot)
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert "h_top >= h_bot >= 0" in result.output
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([[0, 2, 5]], "two distinct camera ids"),
+        ([[1, 1]], "two distinct camera ids"),
+        ([[0]], "two distinct camera ids"),
+        ([[0, 9]], "absent from calibration"),
+    ])
+    def test_bad_opposite_pairs_are_config_error(self, runner, tmp_path,
+                                                 pairs, message):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine["opposite_pairs"] = pairs
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    def test_valid_opposite_pair_accepted(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine["opposite_pairs"] = [[0, 2]]
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
 
     def test_mode_flag_accepted(self, runner, tmp_path):
         out = simulate(runner, tmp_path)

@@ -9,9 +9,10 @@ from mvtrack.geometry import (BehindCamera, CameraModel, CameraRig,
                               InsufficientViews, PlaneSpec, Point2, Point3,
                               RayParallelToPlane, epipolar_distance_batch,
                               epipolar_point_distance, fundamental_matrix,
-                              load_calibration, pixel_ray_world, project,
-                              ray_plane_intersect, ray_plane_intersect_batch,
-                              save_calibration, triangulate, triangulate_batch)
+                              gauss_newton_step, load_calibration,
+                              pixel_ray_world, project, ray_plane_intersect,
+                              ray_plane_intersect_batch, save_calibration,
+                              triangulate, triangulate_batch)
 from mvtrack.simulate import make_rig
 
 from conftest import intrinsics, look_at_camera
@@ -346,6 +347,86 @@ class TestTriangulateBatch:
         points, ok = triangulate_batch([cam_a, cam_a],
                                        [[(100.0, 100.0), (101.0, 100.0)]])
         assert not ok.any() and np.all(np.isnan(points))
+
+    def test_matches_reference_with_opposed_cameras(self):
+        # Two cameras facing each other across the aim point, 170-180
+        # degrees apart as seen from every triangulated point, plus up to
+        # two cameras placed at random.
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            aim = rng.uniform(-0.3, 0.3, size=3) + [0.0, 0.0, 1.0]
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            radius = rng.uniform(6.0, 8.0)
+            offset = np.array([radius * np.cos(ang), radius * np.sin(ang),
+                               rng.uniform(-0.2, 0.2)])
+            turn = np.radians(rng.uniform(-4.0, 4.0))
+            rot = np.array([[np.cos(turn), -np.sin(turn), 0.0],
+                            [np.sin(turn), np.cos(turn), 0.0], [0.0, 0.0, 1.0]])
+            cams = [look_at_camera(0, aim + offset, aim),
+                    look_at_camera(1, aim - rot @ offset, aim)]
+            extra = random_cameras(rng, count=int(rng.integers(0, 3)))
+            cams += [CameraModel(id=2 + k, K=c.K, R=c.R, t=c.t)
+                     for k, c in enumerate(extra)]
+            truth = aim + rng.uniform(-0.15, 0.15, size=(12, 3))
+            rays = [truth - cams[k].center for k in (0, 1)]
+            cosang = np.einsum("ij,ij->i", *rays) / (
+                np.linalg.norm(rays[0], axis=1) * np.linalg.norm(rays[1], axis=1))
+            assert np.degrees(np.arccos(cosang)).min() >= 170.0
+            pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
+                                for cam in cams] for X in truth])
+            pixels += rng.normal(0.0, 2.0, size=pixels.shape)
+            points, ok = triangulate_batch(cams, pixels)
+            expected = [reference_triangulate(cams, p) for p in pixels]
+            assert ok.tolist() == [e is not None for e in expected]
+            for k in np.flatnonzero(ok):
+                assert np.max(np.abs(points[k] - expected[k])) <= 1e-9
+
+    def test_common_path_calls_no_svd_or_pinv(self, monkeypatch, cam_a, cam_b):
+        # Well-conditioned frames are solved by eigh and the closed-form
+        # normal equations alone; a far point, whose rays are 1e-5 rad
+        # apart, makes J^T J near singular and takes the pinv fallback.
+        rows = {"svd": [], "pinv": []}
+        for name in rows:
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, _real=real, _name=name, **kwargs):
+                rows[_name].append(len(a))
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        rng = np.random.default_rng(5)
+        cams = random_cameras(rng, count=3)
+        truth = rng.uniform(-1.0, 1.0, size=(20, 3)) + [0.0, 0.0, 1.5]
+        pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
+                            for cam in cams] for X in truth])
+        points, ok = triangulate_batch(cams, pixels + rng.normal(0.0, 1.0, pixels.shape))
+        assert ok.all() and rows == {"svd": [], "pinv": []}
+
+        far = np.array([0.0, 0.0, 1e5])
+        near = np.array([0.2, -0.1, 4.0])
+        pixels = [[project(cam, Point3.from_array(X)).as_array()
+                   for cam in (cam_a, cam_b)] for X in (near, far)]
+        points, ok = triangulate_batch([cam_a, cam_b], pixels)
+        assert ok.tolist() == [True, True]
+        assert rows == {"svd": [], "pinv": [1]}
+        assert np.linalg.norm(points[0] - near) <= 1e-9
+        assert np.linalg.norm(points[1] - far) <= 1e-6 * np.linalg.norm(far)
+
+
+class TestGaussNewtonStep:
+    def test_matches_pinv_and_falls_back_on_near_singular_rows(self):
+        rng = np.random.default_rng(17)
+        J = rng.normal(size=(6, 8, 3)) * [100.0, 50.0, 1.0]
+        r = rng.normal(size=(6, 8))
+        # Row 1 is near rank deficient (cond(J) about 1e8), where the
+        # closed-form normal equations lose most digits; row 4 is exactly
+        # rank deficient, where only pinv's minimum-norm step is defined.
+        J[1, :, 2] = J[1, :, 0] + 1e-6 * rng.normal(size=8)
+        J[4, :, 2] = J[4, :, 0]
+        step = gauss_newton_step(J, r)
+        for k in range(len(J)):
+            expected = np.linalg.pinv(J[k]) @ r[k]
+            assert np.allclose(step[k], expected, rtol=1e-9, atol=1e-12)
+        assert np.isclose(step[4, 0], step[4, 2], rtol=1e-9)
 
 
 class TestTriangulate:
