@@ -142,14 +142,16 @@ def cmd_evaluate(tracklets_path, truth_path, report_path, config_path):
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     try:
-        report = metrics.evaluate(records, truth)
+        cfg = config_mod.load_routine_config(config_path) if config_path else None
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_CONFIG_ERROR, str(exc))
+    try:
+        report = metrics.evaluate(records, truth,
+                                  (cfg or config_mod.PipelineConfig()).window_len)
     except (metrics.EmptyOverlap, ValueError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    if config_path is not None:
-        try:
-            report["config"] = config_mod.load_routine_config(config_path).as_dict()
-        except ValueError as exc:
-            _fail(EXIT_CONFIG_ERROR, str(exc))
+    if cfg is not None:
+        report["config"] = cfg.as_dict()
     if report_path is None:
         report_path = str(Path(tracklets_path).parent / "report.json")
     metrics.save_report(report, report_path)

@@ -4,7 +4,9 @@ routine JSON file and echoed into the evaluation report for provenance."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+
+import numpy as np
 
 from .cascade import (BETA_M, TAU_PLANE_M, THETA_OPP_DEG, TrackingSpace,
                       VELOCITY_LIMIT_M)
@@ -14,6 +16,9 @@ from .stitch import STITCH_THRESHOLD_M
 from .sv_track import IOU_THRESHOLD, MAX_AGE, MIN_SEGMENT_OBS, WINDOW_LEN
 from .target import (BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW,
                      TargetCriteria)
+
+FLOAT_FIELDS = ("beta", "nu", "tau", "theta_opp", "lambda_2d", "stitch_threshold",
+                "h_top", "h_bot", "iou_threshold", "buffer_scale")
 
 
 @dataclass
@@ -73,9 +78,7 @@ def load_routine_config(path) -> PipelineConfig:
             if len(space) != 6:
                 raise ValueError("perf_space must have 6 numbers")
             cfg.perf_space = space
-        for key in ("beta", "nu", "tau", "theta_opp", "lambda_2d",
-                    "stitch_threshold", "h_top", "h_bot", "iou_threshold",
-                    "buffer_scale"):
+        for key in FLOAT_FIELDS:
             if key in raw:
                 setattr(cfg, key, float(raw[key]))
         for key in ("window_len", "min_segment_obs", "max_age",
@@ -96,6 +99,15 @@ def load_routine_config(path) -> PipelineConfig:
         cfg.plane()
         cfg.space()
         cfg.criteria()
+        for key in FLOAT_FIELDS + ("plane_n", "plane_point", "perf_space"):
+            if not np.isfinite(getattr(cfg, key)).all():
+                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
+        for key in ("nu", "tau", "lambda_2d", "stitch_threshold", "buffer_scale"):
+            if getattr(cfg, key) <= 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(cfg, key)}")
+        for key, upper in (("iou_threshold", 1.0), ("theta_opp", 180.0)):
+            if not 0 < getattr(cfg, key) <= upper:
+                raise ValueError(f"{key} must be in (0, {upper}], got {getattr(cfg, key)}")
         return cfg
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid routine config {path}: {exc}") from exc

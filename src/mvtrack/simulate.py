@@ -231,8 +231,7 @@ def render_detections(scenario: Scenario) -> tuple[list[Detection], list[dict]]:
                     frame=frame, camera=cam.id,
                     bbox=Bbox(box.x + sigma * noise[0], box.y + sigma * noise[1],
                               max(box.w + 0.5 * sigma * noise[2], 1.0),
-                              max(box.h + 0.5 * sigma * noise[3], 1.0)),
-                    confidence=1.0))
+                              max(box.h + 0.5 * sigma * noise[3], 1.0))))
             truth.append({
                 "frame": frame, "person": pid, "is_target": traj.is_target,
                 "X": [float(v) for v in traj.center[frame]],

@@ -3,8 +3,9 @@
 Adjacent windows overlap by half a window; fragment pairs are scored by
 their mean 3D distance over shared frames and matched with an optimal
 linear assignment, rejecting pairs above the unmatched threshold.
-Matched fragments are merged (averaging the overlap) under the earlier
-track id; unmatched fragments from the new window get fresh ids.
+Matched fragments are merged in place into the earlier track, touching
+only the new window's frames and averaging the overlap; unmatched
+fragments from the new window get fresh ids as copies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cascade import Provenance, Tracklet3D, WindowTrack
+from .cascade import Tracklet3D, WindowTrack
 from .sv_track import Bbox
 
 logger = logging.getLogger(__name__)
@@ -30,11 +31,12 @@ UNAVAILABLE_COST = 1e9
 def window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float | None:
     """Mean per-frame Euclidean distance over the shared valid frames;
     None (UNAVAILABLE) when the overlap is empty."""
-    common = sorted(set(prev.points) & set(nxt.points))
+    common = sorted(f for f in nxt.points if f in prev.points)
     if not common:
         return None
-    return float(np.mean([np.linalg.norm(prev.points[f] - nxt.points[f])
-                          for f in common]))
+    diff = np.array([prev.points[f] for f in common]) - \
+        np.array([nxt.points[f] for f in common])
+    return float(np.mean(np.linalg.norm(diff, axis=1)))
 
 
 def window_distance_matrix(prev: list[Tracklet3D],
@@ -69,34 +71,26 @@ def assign(D: list[list[float | None]],
 
 
 def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
-    """Merge two assigned fragments: keep prev before the overlap, average
-    pointwise where both have data, keep next after; prev's id wins.
-    Overlap frames present in only one side use the available value."""
-    merged = Tracklet3D(track_id=prev.track_id)
-    for f in sorted(set(prev.points) | set(nxt.points)):
-        in_prev, in_next = f in prev.points, f in nxt.points
-        if in_prev and in_next:
-            merged.points[f] = (prev.points[f] + nxt.points[f]) / 2.0
-            merged.provenance[f] = prev.provenance[f]
-            merged.source_views[f] = prev.source_views.get(f, frozenset()) | \
+    """Merge an assigned fragment into prev in place and return prev.
+
+    Only nxt's frames are visited: a frame both have is averaged, keeping
+    prev's provenance and the union of source views; a frame only nxt has
+    is taken from it.  prev's frames before the overlap are untouched and
+    prev's id wins."""
+    for f, p in nxt.points.items():
+        if f in prev.points:
+            prev.points[f] = (prev.points[f] + p) / 2.0
+            prev.source_views[f] = prev.source_views.get(f, frozenset()) | \
                 nxt.source_views.get(f, frozenset())
-        elif in_prev:
-            merged.points[f] = prev.points[f]
-            merged.provenance[f] = prev.provenance[f]
-            merged.source_views[f] = prev.source_views.get(f, frozenset())
         else:
-            merged.points[f] = nxt.points[f]
-            merged.provenance[f] = nxt.provenance[f]
-            merged.source_views[f] = nxt.source_views.get(f, frozenset())
+            prev.points[f] = p
+            prev.provenance[f] = nxt.provenance[f]
+            prev.source_views[f] = nxt.source_views.get(f, frozenset())
     for attr in ("top", "bottom"):
-        a, b = getattr(prev, attr), getattr(nxt, attr)
-        out = getattr(merged, attr)
-        for f in sorted(set(a) | set(b)):
-            if f in a and f in b:
-                out[f] = (a[f] + b[f]) / 2.0
-            else:
-                out[f] = a.get(f, b.get(f))
-    return merged
+        a = getattr(prev, attr)
+        for f, b in getattr(nxt, attr).items():
+            a[f] = (a[f] + b) / 2.0 if f in a else b
+    return prev
 
 
 @dataclass
@@ -150,12 +144,13 @@ class TrackRegistry:
 
         for i, j in pairs:
             rec = self.tracks[live[i]]
-            rec.tracklet = merge_assigned(rec.tracklet, window_tracks[j].tracklet)
+            merge_assigned(rec.tracklet, window_tracks[j].tracklet)
             rec.absorb_segments(window_tracks[j].segments)
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
-            t3 = wt.tracklet
-            t3.track_id = tid
-            rec = TrackRecord(tracklet=t3)
+            # Merged into an empty track: a copy, so later merges leave the
+            # window track as it was.
+            rec = TrackRecord(tracklet=merge_assigned(Tracklet3D(track_id=tid),
+                                                      wt.tracklet))
             rec.absorb_segments(wt.segments)
             self.tracks[tid] = rec

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,6 @@ class Detection:
     frame: int
     camera: int
     bbox: Bbox
-    confidence: float = 1.0
 
     def __post_init__(self):
         if self.frame < 0:
@@ -71,14 +71,6 @@ class Tracklet2D:
     camera: int
     track_id: int
     boxes: dict[int, Bbox] = field(default_factory=dict)
-
-    @property
-    def first_frame(self) -> int:
-        return min(self.boxes)
-
-    @property
-    def last_frame(self) -> int:
-        return max(self.boxes)
 
 
 @dataclass
@@ -238,11 +230,12 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     if not tracklet.boxes:
         return []
 
-    t0, tn = tracklet.first_frame, tracklet.last_frame
-    start = (t0 // step) * step
+    frames = sorted(tracklet.boxes)
+    start = (frames[0] // step) * step
     segments: list[WindowSegment2D] = []
     while True:
-        observed = sorted(f for f in tracklet.boxes if start <= f <= start + window_len)
+        observed = frames[bisect_left(frames, start):
+                          bisect_right(frames, start + window_len)]
         if len(observed) >= min_observed:
             boxes: dict[int, Bbox] = {f: tracklet.boxes[f] for f in observed}
             # Interior gaps: per-field linear interpolation.
@@ -266,7 +259,7 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
                 camera=tracklet.camera, track_id=tracklet.track_id, start=start,
                 window_len=window_len, boxes=dict(sorted(boxes.items())),
                 observed_frames=frozenset(observed)))
-        if start + window_len >= tn:
+        if start + window_len >= frames[-1]:
             break
         start += step
     return segments
@@ -285,8 +278,7 @@ def load_detections(path) -> list[Detection]:
                 detections.append(Detection(
                     frame=int(rec["frame"]), camera=int(rec["camera"]),
                     bbox=Bbox(float(rec["x"]), float(rec["y"]),
-                              float(rec["w"]), float(rec["h"])),
-                    confidence=float(rec.get("confidence", 1.0))))
+                              float(rec["w"]), float(rec["h"]))))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad detection record: {exc}") from exc
     return detections
@@ -299,6 +291,5 @@ def save_detections(detections: list[Detection], path) -> None:
                 "frame": det.frame, "camera": det.camera,
                 "x": det.bbox.x, "y": det.bbox.y,
                 "w": det.bbox.w, "h": det.bbox.h,
-                "confidence": det.confidence,
             }, sort_keys=True))
             fh.write("\n")

@@ -221,6 +221,34 @@ class TestTrack:
         assert run_track(runner, out, mode="plane_only").exit_code == 0
         assert run_track(runner, out, mode="triangulation_only").exit_code == 0
 
+    @pytest.mark.parametrize("key,value", [
+        *((key, float("nan")) for key in (
+            "beta", "nu", "tau", "theta_opp", "lambda_2d", "stitch_threshold",
+            "iou_threshold", "buffer_scale")),
+        ("nu", float("inf")), ("h_top", float("inf")), ("beta", float("-inf")),
+        ("perf_space", [-2.0, -2.0, 0.0, 2.0, 2.0, float("inf")]),
+        ("nu", 0.0), ("tau", -0.5), ("lambda_2d", 0.0), ("stitch_threshold", 0.0),
+        ("buffer_scale", -1.0), ("iou_threshold", 0.0), ("iou_threshold", 1.5),
+        ("theta_opp", 0.0), ("theta_opp", 180.5),
+    ])
+    def test_bad_threshold_is_config_error(self, runner, tmp_path, key, value):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine[key] = value
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert key in result.output
+
+    def test_threshold_bounds_are_inclusive(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine.update(iou_threshold=1.0, theta_opp=180.0)
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+
 
 class TestEvaluate:
     def evaluate(self, runner, out, **kwargs):
@@ -299,3 +327,28 @@ class TestEvaluate:
         out = simulate(runner, tmp_path)
         result = self.evaluate(runner, out)
         assert result.exit_code == 3
+
+    def test_per_window_uses_config_window_len(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        assert self.evaluate(runner, out).exit_code == 0
+        default = json.loads((out / "report.json").read_text())["per_window"]
+        routine = json.loads((out / "routine.json").read_text())
+        routine["window_len"] = 20
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = self.evaluate(runner, out, config=out / "routine.json")
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["window_len"] == 20
+        per_window = report["per_window"]
+        assert [w["start"] for w in default] == list(range(0, 80, 10))
+        assert [w["start"] for w in per_window] == list(range(0, 80, 20))
+        assert sum(w["frames"] for w in per_window) == \
+            sum(w["frames"] for w in default)
+
+    def test_missing_config_is_config_error(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        result = self.evaluate(runner, out, config=tmp_path / "absent.json")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)

@@ -155,3 +155,11 @@ class TestDetectionIO:
         path.write_text('{"frame": 0, "camera": 0, "x": 1.0}\n')
         with pytest.raises(ValueError, match="bad detection record"):
             load_detections(path)
+
+    def test_confidence_key_is_ignored(self, tmp_path):
+        path = tmp_path / "detections.jsonl"
+        path.write_text('{"frame": 3, "camera": 1, "x": 1.0, "y": 2.0, '
+                        '"w": 3.0, "h": 4.0, "confidence": 0.25}\n')
+        assert load_detections(path) == [det(3, 1.0, 2.0, 3.0, 4.0, camera=1)]
+        save_detections(load_detections(path), path)
+        assert "confidence" not in path.read_text()
