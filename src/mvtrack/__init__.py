@@ -3,14 +3,13 @@ ray-plane intersection, plus a synthetic rig simulator and evaluator."""
 
 from .cascade import Mode, Provenance, Tracklet3D, TrackingSpace
 from .config import PipelineConfig, load_routine_config
-from .geometry import (CameraModel, CameraRig, PlaneSpec, Point2, Point3,
-                       load_calibration)
+from .geometry import CameraModel, CameraRig, PlaneSpec, load_calibration
 from .pipeline import run_pipeline
 from .sv_track import Bbox, Detection, Tracklet2D, WindowSegment2D
 
 __all__ = [
     "Bbox", "CameraModel", "CameraRig", "Detection", "Mode", "PipelineConfig",
-    "PlaneSpec", "Point2", "Point3", "Provenance", "Tracklet2D", "Tracklet3D",
+    "PlaneSpec", "Provenance", "Tracklet2D", "Tracklet3D",
     "TrackingSpace", "WindowSegment2D", "load_calibration",
     "load_routine_config", "run_pipeline",
 ]

@@ -169,16 +169,16 @@ def _set_top_bottom(t3: Tracklet3D, frames: list[int], points: np.ndarray,
 
 def classify_cluster(cluster: Cluster, rig: CameraRig,
                      theta_opp_deg: float = THETA_OPP_DEG,
-                     opposite_pairs: list[frozenset[int]] | None = None,
-                     triangulated: Tracklet3D | None = None) -> bool:
+                     opposite_pairs: list[frozenset[int]] | None = None, *,
+                     triangulated: Tracklet3D | None) -> bool:
     """True if the cluster is sufficient for triangulation.  False for
     single-view clusters and for two-view clusters whose line-of-sight
     rays are nearly opposed (median per-frame angle above theta_opp, or an
     explicitly configured opposite pair).
 
-    The angles are taken at the cluster's triangulated centers; pass
-    `triangulated`, the cluster's `triangulate_cluster` result, when it
-    has been solved already.
+    The angles are taken at `triangulated`, the cluster's centers as
+    solved by `triangulate_clusters`; it is read only for two-camera
+    clusters, so a single-camera cluster may pass None.
     """
     cameras = sorted(cluster.cameras)
     if len(cameras) == 1:
@@ -188,8 +188,6 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     if opposite_pairs and frozenset(cameras) in opposite_pairs:
         return False
 
-    if triangulated is None:
-        triangulated = triangulate_cluster(cluster, rig)
     common = frozenset.intersection(*[s.valid_frames for s in cluster.members])
     frames = sorted(common & triangulated.points.keys())
     if not frames:
@@ -230,14 +228,6 @@ def triangulate_clusters(clusters: Sequence[Cluster],
         _set_top_bottom(t3, frames, points[1:], ok[1:] & ok[0])
         out.append(t3)
     return out
-
-
-def triangulate_cluster(cluster: Cluster, rig: CameraRig,
-                        track_id: int = -1) -> Tracklet3D:
-    """`triangulate_clusters` for one cluster."""
-    t3, = triangulate_clusters([cluster], rig)
-    t3.track_id = track_id
-    return t3
 
 
 def outlier_gate(t3: Tracklet3D, space: TrackingSpace,
@@ -323,13 +313,6 @@ def _candidate_distances(points: np.ndarray,
     return D
 
 
-def candidate_pair_distance(a: Tracklet3D, cam_a: int,
-                            b: Tracklet3D, cam_b: int) -> Distance:
-    """Mean per-frame Euclidean distance between coplanar candidates;
-    EMPTY when they share no frame, math.inf when they share a camera."""
-    return _candidate_distances(_frame_aligned([a, b])[1], [cam_a, cam_b])[0][1]
-
-
 def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
                          cutoff: float = TAU_PLANE_M
                          ) -> list[tuple[Tracklet3D, list[WindowSegment2D]]]:
@@ -375,12 +358,6 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSe
         _set_top_bottom(t3, frames, points, ok)
 
 
-def attach_top_bottom(t3: Tracklet3D, segments: list[WindowSegment2D],
-                      rig: CameraRig) -> None:
-    """`attach_top_bottom_batch` for one track."""
-    attach_top_bottom_batch([(t3, segments)], rig)
-
-
 @dataclass
 class WindowTrack:
     """A fused 3D tracklet for one window plus its contributing segments."""
@@ -415,7 +392,8 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
     for i, cluster in enumerate(clusters):
         t3 = solved.get(i)
         if mode is Mode.CASCADE:
-            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs, t3)
+            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
+                                          triangulated=t3)
         else:
             sufficient = t3 is not None
         if not sufficient:

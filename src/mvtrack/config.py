@@ -4,7 +4,7 @@ routine JSON file and echoed into the evaluation report for provenance."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .target import (BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW,
 
 FLOAT_FIELDS = ("beta", "nu", "tau", "theta_opp", "lambda_2d", "stitch_threshold",
                 "h_top", "h_bot", "iou_threshold", "buffer_scale")
+INT_FIELDS = ("window_len", "min_segment_obs", "max_age", "identify_delta",
+              "max_gap_fill", "smooth_window")
 
 
 @dataclass
@@ -65,10 +67,17 @@ class PipelineConfig:
 
 def load_routine_config(path) -> PipelineConfig:
     """Read the routine JSON: {plane: {n, point}, perf_space, beta, nu, tau,
-    theta_opp, opposite_pairs?, ...overrides}."""
+    theta_opp, opposite_pairs?, ...overrides}.  Every key must name a
+    PipelineConfig field, with `plane` standing for plane_n and
+    plane_point."""
     with open(path) as fh:
         raw = json.load(fh)
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("the routine must be a JSON object")
+        known = {f.name for f in fields(PipelineConfig)} - {"plane_n", "plane_point"} | {"plane"}
+        if raw.keys() - known:
+            raise ValueError(f"unknown keys {sorted(raw.keys() - known)}")
         cfg = PipelineConfig()
         if "plane" in raw:
             cfg.plane_n = tuple(float(v) for v in raw["plane"]["n"])
@@ -81,10 +90,11 @@ def load_routine_config(path) -> PipelineConfig:
         for key in FLOAT_FIELDS:
             if key in raw:
                 setattr(cfg, key, float(raw[key]))
-        for key in ("window_len", "min_segment_obs", "max_age",
-                    "identify_delta", "max_gap_fill", "smooth_window"):
+        for key in INT_FIELDS:
             if key in raw:
-                setattr(cfg, key, int(raw[key]))
+                if type(raw[key]) is not int:
+                    raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
+                setattr(cfg, key, raw[key])
         if "opposite_pairs" in raw and raw["opposite_pairs"] is not None:
             cfg.opposite_pairs = [[int(c) for c in p] for p in raw["opposite_pairs"]]
             for pair in cfg.opposite_pairs:
@@ -95,6 +105,12 @@ def load_routine_config(path) -> PipelineConfig:
             raise ValueError(f"window_len must be even and >= 2, got {cfg.window_len}")
         if cfg.smooth_window < 1 or cfg.smooth_window % 2 != 1:
             raise ValueError(f"smooth_window must be odd and >= 1, got {cfg.smooth_window}")
+        for key in ("max_age", "max_gap_fill"):
+            if getattr(cfg, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+        if not 1 <= cfg.min_segment_obs <= cfg.window_len + 1:
+            raise ValueError(f"min_segment_obs must be in [1, window_len + 1], "
+                             f"got {cfg.min_segment_obs}")
         # Validate derived structures eagerly.
         cfg.plane()
         cfg.space()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import EMPTY, Distance, cluster_with_cutoff
 from .geometry import CameraRig, epipolar_distance_batch
-from .sv_track import Bbox, WindowSegment2D, boxes_array
+from .sv_track import WindowSegment2D, boxes_array
 
 LAMBDA_2D = 0.3
 
@@ -44,13 +44,6 @@ def _box_pair_distances(a: np.ndarray, b: np.ndarray, cam_a: int, cam_b: int,
     lb = epipolar_distance_batch(rig.fundamental(cam_a, cam_b), a[:, :2], b[:, :2],
                                  b[:, 2] + b[:, 3])
     return la + lb
-
-
-def bbox_pair_distance(a: Bbox, b: Bbox, cam_a: int, cam_b: int,
-                       rig: CameraRig) -> float:
-    """Symmetric two-term epipolar distance between two cross-view boxes."""
-    return float(_box_pair_distances(boxes_array([a]), boxes_array([b]),
-                                      cam_a, cam_b, rig)[0])
 
 
 def pair_distance_matrix(segments: list[WindowSegment2D],
@@ -96,13 +89,6 @@ def pair_distance_matrix(segments: list[WindowSegment2D],
         for a, b, m in zip(i.tolist(), j.tolist(), means.tolist()):
             D[a][b] = D[b][a] = m
     return D
-
-
-def tracklet_pair_distance(a: WindowSegment2D, b: WindowSegment2D,
-                           rig: CameraRig) -> Distance:
-    """Mean per-frame epipolar distance; math.inf for same-camera overlap,
-    EMPTY when the segments share no valid frames."""
-    return pair_distance_matrix([a, b], rig)[0][1]
 
 
 def cluster_segments(segments: list[WindowSegment2D], rig: CameraRig,

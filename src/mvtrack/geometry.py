@@ -14,12 +14,8 @@ normal equations are solved in closed form (`gauss_newton_step`, with a
 N point pairs with one matrix product, and `ray_plane_intersect_batch`
 intersects N pixel rays of one camera.  Failures are reported per row (a
 mask, or NaN) instead of raised, so one degenerate frame leaves the others
-intact.
-`triangulate`, `epipolar_point_distance` and `ray_plane_intersect` are
-the single-observation forms; they raise the GeometryError subclasses.
-
-All functions here are pure and operate on value-semantic inputs; they are
-safe to call concurrently.
+intact.  `project` maps (N, 3) world points to (N, 2) pixels, NaN where
+a point is on or behind the principal plane.
 """
 
 from __future__ import annotations
@@ -36,10 +32,6 @@ class GeometryError(Exception):
     """Base class for geometric failure modes."""
 
 
-class DegenerateDepth(GeometryError):
-    """Point lies on (or behind) the camera's principal plane."""
-
-
 class CoincidentCenters(GeometryError):
     """Two cameras share an optical center; no fundamental matrix exists."""
 
@@ -48,59 +40,12 @@ class DegenerateLine(GeometryError):
     """Epipolar line has zero direction components."""
 
 
-class InsufficientViews(GeometryError):
-    """Fewer distinct camera views than required."""
-
-
-class IllConditioned(GeometryError):
-    """Triangulation rays are (anti)parallel beyond recovery."""
-
-
-class RayParallelToPlane(GeometryError):
-    """Back-projected ray does not meet the plane."""
-
-
-class BehindCamera(GeometryError):
-    """Ray-plane intersection lies behind the camera center."""
-
-
 MIN_DEPTH_M = 1e-9
 PARALLEL_RAY_RAD = 1e-6
 # Rows of `gauss_newton_step` whose J^T J has a Frobenius condition number
 # above this (cond(J) above about 1e4) are solved by pinv: the closed-form
 # normal equations lose cond(J)^2 * eps of relative precision.
 NORMAL_COND_LIMIT = 1e8
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError(f"non-finite pixel coordinates ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.x, self.y, self.z])):
-            raise ValueError(f"non-finite world coordinates ({self.x}, {self.y}, {self.z})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -139,21 +84,20 @@ class CameraModel:
         object.__setattr__(self, "P", K @ np.hstack([R, t[:, None]]))
         object.__setattr__(self, "center", -R.T @ t)
 
-    def depth(self, X: np.ndarray) -> float:
-        """Signed depth of a world point along the principal axis."""
-        return float(self.R[2] @ np.asarray(X, dtype=float) + self.t[2])
 
-
-def project(cam: CameraModel, X: Point3) -> Point2:
-    """Project a world point to pixel coordinates.
-
-    Raises DegenerateDepth for points on/behind the principal plane.
-    """
-    Xa = X.as_array() if isinstance(X, Point3) else np.asarray(X, dtype=float)
-    if cam.depth(Xa) <= MIN_DEPTH_M:
-        raise DegenerateDepth(f"camera {cam.id}: depth {cam.depth(Xa):.3g} m")
-    h = cam.P @ np.append(Xa, 1.0)
-    return Point2(float(h[0] / h[2]), float(h[1] / h[2]))
+def project(cam: CameraModel, points) -> np.ndarray:
+    """Project (N, 3) world points to (N, 2) pixel coordinates; rows on or
+    behind the principal plane (depth <= MIN_DEPTH_M) are NaN."""
+    X = np.asarray(points, dtype=float)
+    Xh = np.column_stack([X, np.ones(len(X))])
+    # Stacked mat-vecs rather than one product with P.T: each row is then
+    # bit-identical to P @ [X, 1].
+    h = (cam.P[None] @ Xh[..., None])[..., 0]
+    depth = (cam.R[2][None, None] @ X[..., None])[:, 0, 0] + cam.t[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels = h[:, :2] / h[:, 2:]
+    pixels[~(depth > MIN_DEPTH_M)] = np.nan
+    return pixels
 
 
 def fundamental_matrix(cam_i: CameraModel, cam_j: CameraModel) -> np.ndarray:
@@ -205,14 +149,6 @@ def epipolar_distance_batch(F: np.ndarray, source, target,
     return d / scale
 
 
-def epipolar_point_distance(F: np.ndarray, source: Point2, target: Point2,
-                            target_scale: float) -> float:
-    """`epipolar_distance_batch` for one point pair."""
-    return float(epipolar_distance_batch(F, [[source.x, source.y]],
-                                         [[target.x, target.y]],
-                                         [target_scale])[0])
-
-
 def pixel_ray_world_batch(cams: list[CameraModel], pixels) -> np.ndarray:
     """Unit directions (N, V, 3) in world coordinates of the rays through
     (N, V, 2) pixels, where pixels[:, k] lie in the image of cams[k]."""
@@ -223,11 +159,6 @@ def pixel_ray_world_batch(cams: list[CameraModel], pixels) -> np.ndarray:
     v_cam[..., :2] = (pixels - K[:, :2, 2]) / K[:, (0, 1), (0, 1)]
     v_world = np.einsum("nvi,vij->nvj", v_cam, R)  # row-vector form of R^T @ v_cam
     return v_world / np.linalg.norm(v_world, axis=-1, keepdims=True)
-
-
-def pixel_ray_world(cam: CameraModel, p: Point2) -> np.ndarray:
-    """Unit direction in world coordinates of the ray through pixel p."""
-    return pixel_ray_world_batch([cam], [[[p.x, p.y]]])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -263,9 +194,8 @@ def ray_plane_intersect_batch(cam: CameraModel, pixels,
     Returns (points, s): the (N, 3) intersections and the (N,) ray
     multipliers.  Only hits in front of the camera (s > 0) are valid; the
     paper-style formula alone would also admit hits behind the optical
-    center.  s is NaN where the ray is parallel to the plane
-    (RayParallelToPlane) and <= 0 where the hit lies behind the camera
-    (BehindCamera); points are NaN in both cases.
+    center.  s is NaN where the ray is parallel to the plane and <= 0
+    where the hit lies behind the camera; points are NaN in both cases.
     """
     v = pixel_ray_world_batch([cam], np.asarray(pixels, dtype=float)[:, None])[:, 0]
     denom = v @ plane.n
@@ -274,17 +204,6 @@ def ray_plane_intersect_batch(cam: CameraModel, pixels,
     points = cam.center + s[:, None] * v
     points[~(s > 0)] = np.nan
     return points, s
-
-
-def ray_plane_intersect(cam: CameraModel, p: Point2, plane: PlaneSpec) -> Point3:
-    """`ray_plane_intersect_batch` for one pixel; raises RayParallelToPlane
-    or BehindCamera where the batch form reports no hit."""
-    points, s = ray_plane_intersect_batch(cam, [[p.x, p.y]], plane)
-    if np.isnan(s[0]):
-        raise RayParallelToPlane(f"camera {cam.id}: ray parallel to the plane")
-    if s[0] <= 0:
-        raise BehindCamera(f"camera {cam.id}: ray multiplier {s[0]:.3g}")
-    return Point3.from_array(points[0])
 
 
 def gauss_newton_step(J, r) -> np.ndarray:
@@ -379,36 +298,31 @@ def triangulate_batch(cams: list[CameraModel],
     return points, ok
 
 
-def triangulate(obs: list[tuple[CameraModel, Point2]]) -> Point3:
-    """`triangulate_batch` for one frame of (camera, pixel) observations.
-
-    Raises InsufficientViews for fewer than two distinct cameras and
-    IllConditioned where the batch form reports the frame not ok.
-    """
-    cams = [cam for cam, _ in obs]
-    if len({cam.id for cam in cams}) < 2:
-        raise InsufficientViews(f"need >= 2 distinct views, got {len(obs)}")
-    points, ok = triangulate_batch(cams, [[[p.x, p.y] for _, p in obs]])
-    if not ok[0]:
-        raise IllConditioned("rays parallel or DLT solution at infinity")
-    return Point3.from_array(points[0])
-
-
 def load_calibration(path) -> list[CameraModel]:
-    """Read a JSON array of {id, K, R, t} camera records (row-major)."""
+    """Read a JSON array of {id, K, R, t} camera records (row-major).
+
+    Raises ValueError for an entry that is not such an object, an id that
+    is not an integer or is repeated, and K, R, t that make no valid
+    CameraModel."""
     with open(path) as fh:
         records = json.load(fh)
     if not isinstance(records, list):
         raise ValueError("calibration file must contain a JSON array")
-    cams = []
-    for rec in records:
-        cams.append(CameraModel(
-            id=int(rec["id"]),
-            K=np.asarray(rec["K"], dtype=float).reshape(3, 3),
-            R=np.asarray(rec["R"], dtype=float).reshape(3, 3),
-            t=np.asarray(rec["t"], dtype=float).reshape(3),
-        ))
-    return sorted(cams, key=lambda c: c.id)
+    cams: dict[int, CameraModel] = {}
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or not {"id", "K", "R", "t"} <= rec.keys():
+            raise ValueError(f"calibration entry {k} must be an object with "
+                             "keys id, K, R and t")
+        cam_id = rec["id"]
+        if type(cam_id) is not int:
+            raise ValueError(f"calibration entry {k}: id must be an integer, got {cam_id!r}")
+        if cam_id in cams:
+            raise ValueError(f"calibration entry {k}: camera id {cam_id} is repeated")
+        try:
+            cams[cam_id] = CameraModel(cam_id, rec["K"], rec["R"], rec["t"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"calibration entry {k}: {exc}") from exc
+    return sorted(cams.values(), key=lambda c: c.id)
 
 
 def save_calibration(cams: list[CameraModel], path) -> None:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import TrackingSpace
-from .geometry import (CameraModel, CameraRig, DegenerateDepth, PlaneSpec,
-                       Point3, project)
+from .geometry import CameraModel, PlaneSpec, project
 from .sv_track import Bbox, Detection
 
 PERSON_HALF_HEIGHT = 0.85
@@ -196,16 +195,14 @@ def build_scenario(spec: dict) -> Scenario:
 
 
 def _person_box(cam: CameraModel, traj: PersonTrajectory, frame: int) -> Bbox | None:
-    try:
-        c = project(cam, Point3.from_array(traj.center[frame]))
-        t = project(cam, Point3.from_array(traj.top[frame]))
-        b = project(cam, Point3.from_array(traj.bottom[frame]))
-    except DegenerateDepth:
+    pixels = project(cam, [traj.center[frame], traj.top[frame], traj.bottom[frame]])
+    if np.isnan(pixels).any():
         return None
-    h = abs(t.y - b.y) * BBOX_HEIGHT_SLACK
+    (cx, cy), (_, ty), (_, by) = pixels.tolist()
+    h = abs(ty - by) * BBOX_HEIGHT_SLACK
     if h <= 0:
         return None
-    return Bbox(c.x, c.y, BBOX_ASPECT * h, h)
+    return Bbox(cx, cy, BBOX_ASPECT * h, h)
 
 
 def render_detections(scenario: Scenario) -> tuple[list[Detection], list[dict]]:

@@ -41,10 +41,6 @@ class Bbox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def scale(self) -> float:
-        return self.w + self.h
-
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x - self.w / 2, self.y - self.h / 2,
                 self.x + self.w / 2, self.y + self.h / 2)
@@ -275,8 +271,10 @@ def load_detections(path) -> list[Detection]:
                 continue
             try:
                 rec = json.loads(line)
+                if type(rec["frame"]) is not int or type(rec["camera"]) is not int:
+                    raise ValueError("frame and camera must be integers")
                 detections.append(Detection(
-                    frame=int(rec["frame"]), camera=int(rec["camera"]),
+                    frame=rec["frame"], camera=rec["camera"],
                     bbox=Bbox(float(rec["x"]), float(rec["y"]),
                               float(rec["w"]), float(rec["h"]))))
             except (ValueError, KeyError, TypeError) as exc:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cascade import Provenance, Tracklet3D, TrackingSpace
-from .geometry import CameraRig, GeometryError, Point3, project
+from .geometry import CameraRig, project
 from .stitch import TrackRegistry
 from .sv_track import Bbox
 
@@ -182,25 +183,28 @@ class TargetMaintainer:
 
     def _emit(self, target: Tracklet3D, frame_tid: dict[int, int],
               registry: TrackRegistry, rig: CameraRig) -> list[TargetRecord]:
+        frames = target.frames
+        X = np.array([target.points[f] for f in frames])
+        cameras = list(rig)
+        pixels = [project(cam, X).tolist() for cam in cameras]
         last_size: dict[int, tuple[float, float]] = {}
         records: list[TargetRecord] = []
-        for f in target.frames:
+        for i, f in enumerate(frames):
             tid = frame_tid[f]
             boxes2d = registry.tracks[tid].boxes2d
             per_view: list[dict] = []
-            for cam in rig:
-                try:
-                    p = project(cam, Point3.from_array(target.points[f]))
-                except GeometryError:
+            for cam, cam_pixels in zip(cameras, pixels):
+                x, y = cam_pixels[i]
+                if math.isnan(x):
                     continue
                 orig = boxes2d.get(cam.id, {}).get(f)
-                if orig is not None and np.hypot(p.x - orig.x, p.y - orig.y) \
+                if orig is not None and np.hypot(x - orig.x, y - orig.y) \
                         <= 0.5 * max(orig.w, orig.h):
-                    refined = Bbox(p.x, p.y, orig.w, orig.h)
+                    refined = Bbox(x, y, orig.w, orig.h)
                     last_size[cam.id] = (orig.w, orig.h)
                 elif cam.id in last_size:
                     w, h = last_size[cam.id]
-                    refined = Bbox(p.x, p.y, w, h)
+                    refined = Bbox(x, y, w, h)
                 else:
                     continue
                 buf = buffer_bbox(refined, self.buffer_scale)

@@ -13,9 +13,8 @@ from mvtrack.cascade import Mode, Provenance
 from mvtrack.cli import main as cli_main
 from mvtrack.clustering import cluster_with_cutoff
 from mvtrack.config import PipelineConfig
-from mvtrack.geometry import (CameraRig, IllConditioned, PlaneSpec, Point2,
-                              Point3, project, ray_plane_intersect,
-                              triangulate)
+from mvtrack.geometry import (CameraRig, PlaneSpec, project,
+                              ray_plane_intersect_batch, triangulate_batch)
 from mvtrack.metrics import evaluate
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
@@ -52,25 +51,28 @@ def test_acceptance_1_geometry_round_trips():
     cams = make_rig(6.0, 2.0, 1000.0, (1920, 1080))
     rng = np.random.default_rng(101)
 
-    worst_tri = 0.0
-    for _ in range(10_000):
-        X = Point3(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
-                   rng.uniform(0.2, 3.0))
-        got = triangulate([(c, project(c, X)) for c in cams])
-        worst_tri = max(worst_tri,
-                        float(np.linalg.norm(got.as_array() - X.as_array())))
+    X = np.array([[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
+                   rng.uniform(0.2, 3.0)] for _ in range(10_000)])
+    got, tri_ok = triangulate_batch(cams, np.stack([project(c, X) for c in cams], axis=1))
+    worst_tri = float(np.linalg.norm(got - X, axis=1).max())
 
     plane = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
-    worst_plane = 0.0
+    X, side = [], []
     for _ in range(10_000):
-        X = Point3(0.0, rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0))
-        cam = cams[0] if rng.random() < 0.5 else cams[2]
-        got = ray_plane_intersect(cam, project(cam, X), plane)
-        worst_plane = max(worst_plane,
-                          float(np.linalg.norm(got.as_array() - X.as_array())))
+        X.append([0.0, rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0)])
+        side.append(0 if rng.random() < 0.5 else 2)
+    X, side = np.array(X), np.array(side)
+    worst_plane = 0.0
+    plane_ok = True
+    for k in (0, 2):
+        Xk = X[side == k]
+        got, s = ray_plane_intersect_batch(cams[k], project(cams[k], Xk), plane)
+        plane_ok &= bool((s > 0).all())
+        worst_plane = max(worst_plane, float(np.linalg.norm(got - Xk, axis=1).max()))
 
     elapsed = time.perf_counter() - t0
-    ok = worst_tri <= 1e-6 and worst_plane <= 1e-9 and elapsed < 10.0
+    ok = (bool(tri_ok.all()) and plane_ok and worst_tri <= 1e-6
+          and worst_plane <= 1e-9 and elapsed < 10.0)
     _verdict(1, "geometry round trips", ok,
              f"tri {worst_tri:.2e} m, plane {worst_plane:.2e} m, "
              f"{elapsed:.1f} s")
@@ -234,20 +236,16 @@ def test_acceptance_8_near_opposite_error_anisotropy():
     cam_a = look_at_camera(0, (0.0, 5.0, 1.0), (0.0, 0.0, 1.0))
     cam_b = look_at_camera(1, (0.0, -5.0, 1.0), (0.0, 0.0, 1.0))
     rng = np.random.default_rng(808)
-    along_sq, perp_sq = [], []
+    X, noise = [], []
     for _ in range(1_000):
-        X = np.array([0.0, 0.0, 1.0]) + rng.uniform(-0.2, 0.2, 3)
-        obs = []
-        for cam in (cam_a, cam_b):
-            p = project(cam, Point3.from_array(X))
-            obs.append((cam, Point2(p.x + rng.normal(0.0, 2.0),
-                                    p.y + rng.normal(0.0, 2.0))))
-        try:
-            got = triangulate(obs)
-        except IllConditioned:
-            continue
-        err = got.as_array() - X
-        d = X - cam_a.center
+        X.append(np.array([0.0, 0.0, 1.0]) + rng.uniform(-0.2, 0.2, 3))
+        noise.append([[rng.normal(0.0, 2.0), rng.normal(0.0, 2.0)] for _ in range(2)])
+    X = np.array(X)
+    pixels = np.stack([project(cam, X) for cam in (cam_a, cam_b)], axis=1) + noise
+    got, ok = triangulate_batch([cam_a, cam_b], pixels)
+    along_sq, perp_sq = [], []
+    for err, X_k in zip(got[ok] - X[ok], X[ok]):
+        d = X_k - cam_a.center
         d /= np.linalg.norm(d)
         along = float(err @ d)
         along_sq.append(along ** 2)

@@ -5,14 +5,13 @@ import pytest
 
 from mvtrack import cascade
 from mvtrack.cascade import (Mode, Provenance, Tracklet3D, TrackingSpace,
-                             attach_top_bottom, candidate_pair_distance,
-                             classify_cluster, outlier_gate, plane_candidates,
+                             attach_top_bottom_batch, classify_cluster,
+                             outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
-                             triangulate_cluster)
+                             triangulate_clusters)
 from mvtrack.clustering import EMPTY
 from mvtrack.cross_view import Cluster, cluster_segments
-from mvtrack.geometry import (CameraRig, PlaneSpec, Point3, project,
-                              triangulate_batch)
+from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, WindowSegment2D
 
@@ -28,10 +27,10 @@ def rig():
 
 
 def project_box(cam, X, w=40.0, h=100.0, noise=None):
-    p = project(cam, Point3.from_array(X))
+    x, y = project(cam, [X])[0].tolist()
     if noise is None:
-        return Bbox(p.x, p.y, w, h)
-    return Bbox(p.x + noise[0], p.y + noise[1], w, h)
+        return Bbox(x, y, w, h)
+    return Bbox(x + noise[0], y + noise[1], w, h)
 
 
 def segment(camera, boxes, track_id=0, start=0):
@@ -71,28 +70,38 @@ class TestTrackingSpace:
             TrackingSpace(perf=(1.0, 0.0, 0.0, -1.0, 1.0, 1.0))
 
 
+def triangulate_one(cluster, rig):
+    t3, = triangulate_clusters([cluster], rig)
+    return t3
+
+
+def classify(cluster, rig, **kwargs):
+    solved = triangulate_one(cluster, rig) if len(cluster.cameras) >= 2 else None
+    return classify_cluster(cluster, rig, triangulated=solved, **kwargs)
+
+
 class TestClassifyCluster:
     def test_three_views_sufficient(self, rig):
         c = cluster_for(rig, [0, 1, 2], person_path(range(10)))
-        assert classify_cluster(c, rig) is True
+        assert classify(c, rig) is True
 
     def test_single_view_insufficient(self, rig):
         c = cluster_for(rig, [0], person_path(range(10)))
-        assert classify_cluster(c, rig) is False
+        assert classify(c, rig) is False
 
     def test_opposite_pair_insufficient(self, rig):
         # Cameras 0 and 2 face each other across the rig; rays to a point
         # near the center are close to antiparallel.
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
-        assert classify_cluster(c, rig) is False
+        assert classify(c, rig) is False
 
     def test_adjacent_pair_sufficient(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
-        assert classify_cluster(c, rig) is True
+        assert classify(c, rig) is True
 
     def test_reuses_given_triangulation(self, rig):
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
-        t3 = triangulate_cluster(c, rig)
+        t3 = triangulate_one(c, rig)
         assert classify_cluster(c, rig, triangulated=t3) is False
         # With no solved frames there is no angle evidence at all.
         empty = Tracklet3D(track_id=-1)
@@ -100,7 +109,7 @@ class TestClassifyCluster:
 
     def test_explicit_opposite_pairs_override(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
-        verdict = classify_cluster(c, rig, opposite_pairs=[frozenset({0, 1})])
+        verdict = classify(c, rig, opposite_pairs=[frozenset({0, 1})])
         assert verdict is False
 
 
@@ -108,7 +117,7 @@ class TestTriangulateCluster:
     def test_exact_round_trip(self, rig):
         path = person_path(range(10))
         c = cluster_for(rig, [0, 1, 2, 3], path)
-        t3 = triangulate_cluster(c, rig)
+        t3 = triangulate_one(c, rig)
         for f, X in path.items():
             assert np.linalg.norm(t3.points[f] - X) <= 1e-6
             assert t3.provenance[f] is Provenance.TRIANGULATED
@@ -118,7 +127,7 @@ class TestTriangulateCluster:
         rng = np.random.default_rng(31)
         path = person_path(range(100))
         c = cluster_for(rig, [0, 1, 2], path, noise_rng=rng, sigma=1.0)
-        t3 = triangulate_cluster(c, rig)
+        t3 = triangulate_one(c, rig)
         errs = [np.linalg.norm(t3.points[f] - path[f]) for f in path]
         assert np.mean(errs) <= 0.02
 
@@ -126,7 +135,7 @@ class TestTriangulateCluster:
         rng = np.random.default_rng(32)
         path = person_path(range(100))
         c = cluster_for(rig, [0, 1], path, noise_rng=rng, sigma=2.0)
-        t3 = triangulate_cluster(c, rig)
+        t3 = triangulate_one(c, rig)
         errs = [np.linalg.norm(t3.points[f] - path[f]) for f in path]
         assert np.mean(errs) <= 0.05
 
@@ -134,9 +143,9 @@ class TestTriangulateCluster:
         rng = np.random.default_rng(34)
         path = person_path(range(11))
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
-        t3 = triangulate_cluster(c, rig)
+        t3 = triangulate_one(c, rig)
         attached = Tracklet3D(track_id=-1, points=dict(t3.points))
-        attach_top_bottom(attached, list(c.members), rig)
+        attach_top_bottom_batch([(attached, list(c.members))], rig)
         assert sorted(t3.top) == sorted(attached.top) == list(range(11))
         for f in range(11):
             assert np.allclose(t3.top[f], attached.top[f], rtol=0, atol=1e-12)
@@ -147,7 +156,7 @@ class TestTriangulateCluster:
         segs = [segment(0, {f: project_box(rig[0], X) for f, X in path.items()}),
                 segment(1, {f: project_box(rig[1], X)
                             for f, X in path.items() if f < 5})]
-        t3 = triangulate_cluster(Cluster(members=tuple(segs)), rig)
+        t3 = triangulate_one(Cluster(members=tuple(segs)), rig)
         assert sorted(t3.points) == list(range(5))
 
 
@@ -225,6 +234,11 @@ def constant_candidate(camera, value, frames=range(10)):
         t3.source_views[f] = frozenset({camera})
     seg = segment(camera, {f: Bbox(100.0, 100.0, 10.0, 10.0) for f in frames})
     return t3, seg
+
+
+def candidate_pair_distance(a, cam_a, b, cam_b):
+    return cascade._candidate_distances(cascade._frame_aligned([a, b])[1],
+                                        [cam_a, cam_b])[0][1]
 
 
 class TestCandidatePairDistance:
@@ -318,19 +332,18 @@ class TestAttachTopBottom:
         half = 0.85
         segs = []
         for c in range(4):
-            pc = project(rig[c], Point3.from_array(center))
-            pt = project(rig[c], Point3.from_array(center + [0, 0, half]))
-            pb = project(rig[c], Point3.from_array(center - [0, 0, half]))
-            box = Bbox(pc.x, (pt.y + pb.y) / 2.0, 40.0, pb.y - pt.y)
+            (cx, _), (_, ty), (_, by) = project(
+                rig[c], [center, center + [0, 0, half], center - [0, 0, half]]).tolist()
+            box = Bbox(cx, (ty + by) / 2.0, 40.0, by - ty)
             segs.append(segment(c, {0: box}))
         t3 = Tracklet3D(track_id=0, points={0: center})
-        attach_top_bottom(t3, segs, rig)
+        attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
         t3 = Tracklet3D(track_id=0, points={0: np.array([0.0, 0.0, 1.0])})
         segs = [segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})]
-        attach_top_bottom(t3, segs, rig)
+        attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top == {} and t3.bottom == {}
 
 
@@ -418,10 +431,10 @@ class TestProcessWindow:
 
         expected = {}
         for c in clusters[:3]:
-            expected[c.members[0].key] = triangulate_cluster(c, rig)
+            expected[c.members[0].key] = triangulate_one(c, rig)
         segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
         for t3, fused_segs in plane_match_and_fuse(plane_candidates(segs, PLANE, rig)):
-            attach_top_bottom(t3, fused_segs, rig)
+            attach_top_bottom_batch([(t3, fused_segs)], rig)
             expected[min(s.key for s in fused_segs)] = t3
         assert len(expected) == 5
         assert sorted(min(s.key for s in wt.segments) for wt in tracks) == sorted(expected)

@@ -121,6 +121,86 @@ class TestTrack:
         assert result.exit_code == 2, result.output
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda calib: [1, 2], "must be an object"),
+        (lambda calib: calib[:1] + [{k: v for k, v in calib[1].items() if k != "t"}],
+         "keys id, K, R and t"),
+        (lambda calib: [dict(calib[0], id="0")] + calib[1:], "id must be an integer"),
+        (lambda calib: [dict(calib[0], id=0.0)] + calib[1:], "id must be an integer"),
+        (lambda calib: [dict(calib[0], id=True)] + calib[1:], "id must be an integer"),
+        (lambda calib: calib + [dict(calib[2], id=1)], "camera id 1 is repeated"),
+        (lambda calib: [dict(calib[0], K={"f": 1})] + calib[1:], "calibration entry 0"),
+    ], ids=["not-objects", "missing-t", "string-id", "float-id", "bool-id",
+            "repeated-id", "bad-K"])
+    def test_malformed_calibration_is_config_error(self, runner, tmp_path, edit,
+                                                   message):
+        out = simulate(runner, tmp_path)
+        calib = json.loads((out / "calib.json").read_text())
+        (out / "calib.json").write_text(json.dumps(edit(calib)))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    @pytest.mark.parametrize("routine,message", [
+        ([1, 2], "must be a JSON object"),
+        ("null", "must be a JSON object"),
+        ({"stich_threshold": 1.0}, "unknown keys ['stich_threshold']"),
+        ({"plane_n": [1.0, 0.0, 0.0]}, "unknown keys ['plane_n']"),
+    ])
+    def test_routine_must_be_object_with_known_keys(self, runner, tmp_path, routine,
+                                                     message):
+        out = simulate(runner, tmp_path)
+        if isinstance(routine, dict):
+            routine = {**json.loads((out / "routine.json").read_text()), **routine}
+        (out / "routine.json").write_text(
+            routine if isinstance(routine, str) else json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("window_len", 2.7), ("window_len", 10.0), ("min_segment_obs", True),
+        ("max_age", "2"), ("identify_delta", 30.5), ("max_gap_fill", None),
+        ("smooth_window", True),
+    ])
+    def test_non_integer_count_is_config_error(self, runner, tmp_path, key, value):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine[key] = value
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{key} must be an integer" in result.output
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"max_age": -1}, "max_age must be >= 0"),
+        ({"max_gap_fill": -3}, "max_gap_fill must be >= 0"),
+        ({"min_segment_obs": 0}, "min_segment_obs must be in [1, window_len + 1]"),
+        ({"min_segment_obs": 9, "window_len": 4},
+         "min_segment_obs must be in [1, window_len + 1]"),
+    ])
+    def test_count_out_of_range_is_config_error(self, runner, tmp_path, overrides,
+                                                message):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine.update(overrides)
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_count_bounds_are_inclusive(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine.update(window_len=4, min_segment_obs=5, max_age=0, max_gap_fill=0)
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+
     def test_invalid_config_is_config_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         (out / "routine.json").write_text('{"perf_space": [1, 2, 3]}')
@@ -137,6 +217,20 @@ class TestTrack:
             {"frame": 0, "camera": 9, "x": 1.0, "y": 1.0, "w": 5.0, "h": 5.0,
              "confidence": 1.0}) + "\n")
         assert run_track(runner, out).exit_code == 3
+
+    @pytest.mark.parametrize("key,value", [("frame", "1.5"), ("frame", '"3"'),
+                                           ("frame", "true"), ("camera", "1.0"),
+                                           ("camera", "null")])
+    def test_non_integer_frame_or_camera_is_input_error(self, runner, tmp_path,
+                                                         key, value):
+        out = simulate(runner, tmp_path)
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        lines[3] = lines[3].replace(f'"{key}": ', f'"{key}": {value}, "ignored": ', 1)
+        (out / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "frame and camera must be integers" in result.output
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_detection_is_input_error(self, runner, tmp_path, value):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from mvtrack.clustering import EMPTY
-from mvtrack.cross_view import (bbox_pair_distance, cluster_segments,
-                                pair_distance_matrix, tracklet_pair_distance)
-from mvtrack.geometry import CameraRig, Point3, project
+from mvtrack.cross_view import (_box_pair_distances, cluster_segments,
+                                pair_distance_matrix)
+from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox, WindowSegment2D
+from mvtrack.sv_track import Bbox, WindowSegment2D, boxes_array
 
 from conftest import intrinsics, look_at_camera
 
@@ -20,14 +20,22 @@ def rig():
 
 
 def project_box(cam, X, w=40.0, h=100.0):
-    p = project(cam, Point3.from_array(X))
-    return Bbox(p.x, p.y, w, h)
+    x, y = project(cam, [X])[0].tolist()
+    return Bbox(x, y, w, h)
 
 
 def segment(camera, track_id, boxes, start=0):
     return WindowSegment2D(camera=camera, track_id=track_id, start=start,
                            window_len=10, boxes=boxes,
                            observed_frames=frozenset(boxes))
+
+
+def box_distance(a, b, cam_a, cam_b, rig):
+    return _box_pair_distances(boxes_array([a]), boxes_array([b]), cam_a, cam_b, rig)[0]
+
+
+def segment_distance(a, b, rig):
+    return pair_distance_matrix([a, b], rig)[0][1]
 
 
 def trajectory(t, offset=(0.0, 0.0)):
@@ -49,14 +57,14 @@ class TestBboxPairDistance:
     def test_symmetric(self, rig):
         a = project_box(rig[0], trajectory(0))
         b = project_box(rig[1], trajectory(0))
-        d_ab = bbox_pair_distance(a, b, 0, 1, rig)
-        d_ba = bbox_pair_distance(b, a, 1, 0, rig)
+        d_ab = box_distance(a, b, 0, 1, rig)
+        d_ba = box_distance(b, a, 1, 0, rig)
         assert abs(d_ab - d_ba) <= 1e-12
 
     def test_consistent_pair_is_zero(self, rig):
         a = project_box(rig[0], trajectory(2))
         b = project_box(rig[1], trajectory(2))
-        assert bbox_pair_distance(a, b, 0, 1, rig) == pytest.approx(0.0, abs=1e-6)
+        assert box_distance(a, b, 0, 1, rig) == pytest.approx(0.0, abs=1e-6)
 
     def test_resolution_invariance(self):
         # Doubling intrinsics, pixels and box sizes leaves the normalized
@@ -75,7 +83,7 @@ class TestBboxPairDistance:
         for scale, r in zip((1.0, 2.0), rigs):
             a = project_box(r[0], X, w=40.0 * scale, h=100.0 * scale)
             b = project_box(r[1], Y, w=40.0 * scale, h=100.0 * scale)
-            dists.append(bbox_pair_distance(a, b, 0, 1, r))
+            dists.append(box_distance(a, b, 0, 1, r))
         assert dists[0] == pytest.approx(dists[1], abs=1e-9)
 
 
@@ -84,22 +92,22 @@ class TestTrackletPairDistance:
         a, = consistent_segments(rig, [0], range(5))
         b, = consistent_segments(rig, [0], range(3, 8), offset=(1.0, 0.0),
                                  track_id=1)
-        assert tracklet_pair_distance(a, b, rig) == math.inf
+        assert segment_distance(a, b, rig) == math.inf
 
     def test_disjoint_frames_is_empty(self, rig):
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [1], range(6, 10))
-        assert tracklet_pair_distance(a, b, rig) is EMPTY
+        assert segment_distance(a, b, rig) is EMPTY
 
     def test_same_camera_disjoint_is_empty(self, rig):
         # No shared frames carries no evidence even within one camera.
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [0], range(6, 10), track_id=1)
-        assert tracklet_pair_distance(a, b, rig) is EMPTY
+        assert segment_distance(a, b, rig) is EMPTY
 
     def test_consistent_cross_view_pair(self, rig):
         a, b = consistent_segments(rig, [0, 1], range(10))
-        assert tracklet_pair_distance(a, b, rig) == pytest.approx(0.0, abs=1e-6)
+        assert segment_distance(a, b, rig) == pytest.approx(0.0, abs=1e-6)
 
 
 def reference_pair_distance(a, b, rig):
@@ -142,7 +150,7 @@ class TestPairDistanceMatrix:
                 if i == j:
                     continue
                 assert D[i][j] == D[j][i]
-                assert tracklet_pair_distance(a, b, rig) == D[i][j]
+                assert segment_distance(a, b, rig) == D[i][j]
                 if a.camera == b.camera:
                     assert D[i][j] == math.inf
                 else:
@@ -153,8 +161,7 @@ class TestPairDistanceMatrix:
         for f in set(a.boxes) & set(b.boxes):
             one = (segment(a.camera, 0, {f: a.boxes[f]}),
                    segment(b.camera, 1, {f: b.boxes[f]}))
-            assert abs(bbox_pair_distance(a.boxes[f], b.boxes[f], a.camera,
-                                          b.camera, rig)
+            assert abs(box_distance(a.boxes[f], b.boxes[f], a.camera, b.camera, rig)
                        - reference_pair_distance(*one, rig)) <= 1e-12
 
     def test_empty_and_infinite_entries(self, rig):

@@ -3,16 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from mvtrack.geometry import (BehindCamera, CameraModel, CameraRig,
-                              CoincidentCenters, DegenerateDepth,
-                              DegenerateLine, IllConditioned,
-                              InsufficientViews, PlaneSpec, Point2, Point3,
-                              RayParallelToPlane, epipolar_distance_batch,
-                              epipolar_point_distance, fundamental_matrix,
+from mvtrack.geometry import (MIN_DEPTH_M, CameraModel, CameraRig,
+                              CoincidentCenters, DegenerateLine, PlaneSpec,
+                              epipolar_distance_batch, fundamental_matrix,
                               gauss_newton_step, load_calibration,
-                              pixel_ray_world, project, ray_plane_intersect,
+                              pixel_ray_world_batch, project,
                               ray_plane_intersect_batch, save_calibration,
-                              triangulate, triangulate_batch)
+                              triangulate_batch)
 from mvtrack.simulate import make_rig
 
 from conftest import intrinsics, look_at_camera
@@ -60,20 +57,41 @@ class TestCameraModel:
         assert np.allclose(cam.P, cam.K @ np.hstack([cam.R, cam.t[:, None]]))
 
 
+def ray_of(cam, pixel):
+    return pixel_ray_world_batch([cam], [[pixel]])[0, 0]
+
+
 class TestProject:
     def test_principal_axis_point(self, cam_a):
-        p = project(cam_a, Point3(0.0, 0.0, 5.0))
-        assert p.x == pytest.approx(960.0, abs=1e-9)
-        assert p.y == pytest.approx(540.0, abs=1e-9)
+        p = project(cam_a, [[0.0, 0.0, 5.0]])[0]
+        assert p[0] == pytest.approx(960.0, abs=1e-9)
+        assert p[1] == pytest.approx(540.0, abs=1e-9)
 
     def test_translated_camera(self, cam_b):
-        p = project(cam_b, Point3(0.0, 0.0, 5.0))
-        assert p.x == pytest.approx(760.0, abs=1e-9)
-        assert p.y == pytest.approx(540.0, abs=1e-9)
+        p = project(cam_b, [[0.0, 0.0, 5.0]])[0]
+        assert p[0] == pytest.approx(760.0, abs=1e-9)
+        assert p[1] == pytest.approx(540.0, abs=1e-9)
 
-    def test_zero_depth_raises(self, cam_a):
-        with pytest.raises(DegenerateDepth):
-            project(cam_a, Point3(0.0, 0.0, 0.0))
+    def test_zero_depth_is_nan(self, cam_a):
+        assert np.isnan(project(cam_a, [[0.0, 0.0, 0.0]])).all()
+
+    def test_rows_equal_per_point_product(self):
+        # Points in front of the camera, on its principal plane, within
+        # MIN_DEPTH_M of it and behind it.
+        rng = np.random.default_rng(41)
+        cam = random_cameras(rng, count=1)[0]
+        X = cam.center + rng.uniform(-3.0, 3.0, size=(200, 3))
+        X[:3] = [cam.center + d * cam.R[2] for d in (0.0, MIN_DEPTH_M / 2, -1.0)]
+        pixels = project(cam, X)
+        depth = (X - cam.center) @ cam.R[2]
+        assert np.isnan(pixels[:3]).all()
+        assert (depth[3:] > MIN_DEPTH_M).any() and (depth[3:] <= MIN_DEPTH_M).any()
+        for x, p, d in zip(X, pixels, depth):
+            if d <= MIN_DEPTH_M:
+                assert np.isnan(p).all()
+            else:
+                h = cam.P @ np.append(x, 1.0)
+                assert p[0] == h[0] / h[2] and p[1] == h[1] / h[2]
 
 
 class TestFundamentalMatrix:
@@ -100,13 +118,13 @@ class TestFundamentalMatrix:
         rng = np.random.default_rng(5)
         cams = random_cameras(rng)
         for _ in range(20):
-            X = Point3(*(rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 1.5]))
+            X = rng.uniform(-1.0, 1.0, size=(1, 3)) + [0.0, 0.0, 1.5]
             for i in range(len(cams)):
                 for j in range(i + 1, len(cams)):
-                    xi = project(cams[i], X)
-                    xj = project(cams[j], X)
+                    xi = project(cams[i], X)[0]
+                    xj = project(cams[j], X)[0]
                     F = fundamental_matrix(cams[i], cams[j])
-                    residual = np.array([xj.x, xj.y, 1.0]) @ F @ [xi.x, xi.y, 1.0]
+                    residual = np.array([*xj, 1.0]) @ F @ [*xi, 1.0]
                     assert abs(residual) <= 1e-6
 
 
@@ -146,44 +164,41 @@ class TestEpipolarDistanceBatch:
 class TestEpipolarPointDistance:
     def test_corresponding_pair_is_zero(self, cam_a, cam_b):
         F = fundamental_matrix(cam_a, cam_b)
-        d = epipolar_point_distance(F, Point2(960.0, 540.0),
-                                    Point2(760.0, 540.0), 100.0)
-        assert d == pytest.approx(0.0, abs=1e-6)
+        d = epipolar_distance_batch(F, [[960.0, 540.0]], [[760.0, 540.0]], [100.0])
+        assert d[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_perpendicular_shift(self, cam_a, cam_b):
         # For a pure x-translation pair the epipolar lines are horizontal,
         # so a vertical shift is exactly perpendicular.
         F = fundamental_matrix(cam_a, cam_b)
-        d = epipolar_point_distance(F, Point2(960.0, 540.0),
-                                    Point2(760.0, 550.0), 100.0)
-        assert d == pytest.approx(0.1, abs=1e-6)
+        d = epipolar_distance_batch(F, [[960.0, 540.0]], [[760.0, 550.0]], [100.0])
+        assert d[0] == pytest.approx(0.1, abs=1e-6)
 
     def test_random_rig_shift(self):
         rng = np.random.default_rng(17)
         cams = random_cameras(rng, count=2)
-        X = Point3(0.2, -0.1, 1.4)
+        X = [[0.2, -0.1, 1.4]]
         src = project(cams[0], X)
         tgt = project(cams[1], X)
         F = fundamental_matrix(cams[0], cams[1])
-        l = F @ [src.x, src.y, 1.0]
+        l = F @ [*src[0], 1.0]
         normal = np.array([l[0], l[1]]) / np.hypot(l[0], l[1])
-        shifted = Point2(tgt.x + 3.0 * normal[0], tgt.y + 3.0 * normal[1])
-        d = epipolar_point_distance(F, src, shifted, 150.0)
-        assert d == pytest.approx(3.0 / 150.0, abs=1e-6)
+        d = epipolar_distance_batch(F, src, tgt + 3.0 * normal, [150.0])
+        assert d[0] == pytest.approx(3.0 / 150.0, abs=1e-6)
 
     def test_requires_positive_scale(self, cam_a, cam_b):
         F = fundamental_matrix(cam_a, cam_b)
         with pytest.raises(ValueError):
-            epipolar_point_distance(F, Point2(0, 0), Point2(0, 0), 0.0)
+            epipolar_distance_batch(F, [[0.0, 0.0]], [[0.0, 0.0]], [0.0])
 
 
 class TestPixelRayWorld:
     def test_principal_point(self, cam_a):
-        assert np.allclose(pixel_ray_world(cam_a, Point2(960.0, 540.0)),
+        assert np.allclose(ray_of(cam_a, (960.0, 540.0)),
                            (0.0, 0.0, 1.0), atol=1e-12)
 
     def test_offset_pixel(self, cam_a):
-        v = pixel_ray_world(cam_a, Point2(1960.0, 540.0))
+        v = ray_of(cam_a, (1960.0, 540.0))
         expected = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
         assert np.allclose(v, expected, atol=1e-12)
 
@@ -193,7 +208,7 @@ class TestPixelRayWorld:
                       [0.0, 0.0, -1.0],
                       [0.0, 1.0, 0.0]])
         cam = CameraModel(id=0, K=intrinsics(), R=R, t=np.zeros(3))
-        v = pixel_ray_world(cam, Point2(960.0, 540.0))
+        v = ray_of(cam, (960.0, 540.0))
         assert np.allclose(v, (0.0, 1.0, 0.0), atol=1e-9)
 
 
@@ -219,33 +234,34 @@ class TestRayPlaneIntersect:
     def test_axis_aligned(self):
         cam = look_at_camera(0, (0.0, -5.0, 0.0), (0.0, 1.0, 0.0))
         plane = PlaneSpec(n=[0.0, 1.0, 0.0], point=[0.0, 0.0, 0.0])
-        X = ray_plane_intersect(cam, Point2(960.0, 540.0), plane)
-        assert np.allclose(X.as_array(), (0.0, 0.0, 0.0), atol=1e-9)
+        X, s = ray_plane_intersect_batch(cam, [[960.0, 540.0]], plane)
+        assert s[0] > 0
+        assert np.allclose(X[0], (0.0, 0.0, 0.0), atol=1e-9)
 
     def test_parallel_ray(self):
         cam = look_at_camera(0, (0.0, -5.0, 0.0), (0.0, 1.0, 0.0))
         plane = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
-        with pytest.raises(RayParallelToPlane):
-            ray_plane_intersect(cam, Point2(960.0, 540.0), plane)
+        X, s = ray_plane_intersect_batch(cam, [[960.0, 540.0]], plane)
+        assert np.isnan(s[0]) and np.isnan(X[0]).all()
 
     def test_behind_camera(self):
         # Camera looking away from the plane.
         cam = look_at_camera(0, (0.0, -5.0, 0.0), (0.0, -10.0, 0.0))
         plane = PlaneSpec(n=[0.0, 1.0, 0.0], point=[0.0, 0.0, 0.0])
-        with pytest.raises(BehindCamera):
-            ray_plane_intersect(cam, Point2(960.0, 540.0), plane)
+        X, s = ray_plane_intersect_batch(cam, [[960.0, 540.0]], plane)
+        assert s[0] <= 0 and np.isnan(X[0]).all()
 
     def test_on_plane_round_trip(self):
         rng = np.random.default_rng(23)
         plane = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
         for _ in range(50):
             cams = random_cameras(rng, count=1)
-            X = Point3(0.0, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.5))
+            X = np.array([[0.0, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.5)]])
             if abs(cams[0].center[0]) < 0.5:
                 continue  # camera too close to the plane, grazing ray
-            p = project(cams[0], X)
-            back = ray_plane_intersect(cams[0], p, plane)
-            assert np.linalg.norm(back.as_array() - X.as_array()) <= 1e-9
+            back, s = ray_plane_intersect_batch(cams[0], project(cams[0], X), plane)
+            assert s[0] > 0
+            assert np.linalg.norm(back[0] - X[0]) <= 1e-9
 
 
 class TestRayPlaneIntersectBatch:
@@ -260,17 +276,15 @@ class TestRayPlaneIntersectBatch:
         assert s[0] > 0 and np.isnan(s[1]) and s[2] <= 0
         assert np.allclose(points[0], (0.0, -1.0, 0.0), atol=1e-9)
         assert np.all(np.isnan(points[1:]))
-        assert np.array_equal(
-            points[0], ray_plane_intersect(cam, Point2(460.0, 540.0), plane).as_array())
-        with pytest.raises(RayParallelToPlane):
-            ray_plane_intersect(cam, Point2(960.0, 540.0), plane)
-        with pytest.raises(BehindCamera):
-            ray_plane_intersect(cam, Point2(1460.0, 540.0), plane)
+        # Each row equals the row solved on its own.
+        alone = [ray_plane_intersect_batch(cam, [p], plane) for p in pixels]
+        assert np.array_equal(points[0], alone[0][0][0])
+        assert np.isnan(alone[1][1][0]) and alone[2][1][0] <= 0
 
 
 def reference_triangulate(cams, pixels):
     """Per-frame DLT plus one Gauss-Newton step; None where degenerate."""
-    rays = [pixel_ray_world(cam, Point2(*p)) for cam, p in zip(cams, pixels)]
+    rays = [ray_of(cam, p) for cam, p in zip(cams, pixels)]
     max_angle = max(np.arccos(np.clip(rays[a] @ rays[b], -1.0, 1.0))
                     for a in range(len(rays)) for b in range(a + 1, len(rays)))
     if max_angle < 1e-6:
@@ -309,8 +323,7 @@ class TestTriangulateBatch:
         for _ in range(30):
             cams = random_cameras(rng, count=int(rng.integers(2, 5)))
             truth = rng.uniform(-1.5, 1.5, size=(12, 3)) + [0.0, 0.0, 1.8]
-            pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
-                                for cam in cams] for X in truth])
+            pixels = np.stack([project(cam, truth) for cam in cams], axis=1)
             pixels += rng.normal(0.0, 2.0, size=pixels.shape)
             points, ok = triangulate_batch(cams, pixels)
             assert ok.all()
@@ -338,7 +351,7 @@ class TestTriangulateBatch:
         rng = np.random.default_rng(37)
         cams = random_cameras(rng, count=3)
         pixels = [vanishing_pixels(cams, [0.5, 0.4, 0.2]),
-                  [project(cam, Point3(0.1, 0.2, 1.5)).as_array() for cam in cams]]
+                  [project(cam, [[0.1, 0.2, 1.5]])[0] for cam in cams]]
         points, ok = triangulate_batch(cams, pixels)
         assert ok.tolist() == [False, True]
         assert np.linalg.norm(points[1] - (0.1, 0.2, 1.5)) <= 1e-6
@@ -372,8 +385,7 @@ class TestTriangulateBatch:
             cosang = np.einsum("ij,ij->i", *rays) / (
                 np.linalg.norm(rays[0], axis=1) * np.linalg.norm(rays[1], axis=1))
             assert np.degrees(np.arccos(cosang)).min() >= 170.0
-            pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
-                                for cam in cams] for X in truth])
+            pixels = np.stack([project(cam, truth) for cam in cams], axis=1)
             pixels += rng.normal(0.0, 2.0, size=pixels.shape)
             points, ok = triangulate_batch(cams, pixels)
             expected = [reference_triangulate(cams, p) for p in pixels]
@@ -396,15 +408,13 @@ class TestTriangulateBatch:
         rng = np.random.default_rng(5)
         cams = random_cameras(rng, count=3)
         truth = rng.uniform(-1.0, 1.0, size=(20, 3)) + [0.0, 0.0, 1.5]
-        pixels = np.array([[project(cam, Point3.from_array(X)).as_array()
-                            for cam in cams] for X in truth])
+        pixels = np.stack([project(cam, truth) for cam in cams], axis=1)
         points, ok = triangulate_batch(cams, pixels + rng.normal(0.0, 1.0, pixels.shape))
         assert ok.all() and rows == {"svd": [], "pinv": []}
 
         far = np.array([0.0, 0.0, 1e5])
         near = np.array([0.2, -0.1, 4.0])
-        pixels = [[project(cam, Point3.from_array(X)).as_array()
-                   for cam in (cam_a, cam_b)] for X in (near, far)]
+        pixels = np.stack([project(cam, [near, far]) for cam in (cam_a, cam_b)], axis=1)
         points, ok = triangulate_batch([cam_a, cam_b], pixels)
         assert ok.tolist() == [True, True]
         assert rows == {"svd": [], "pinv": [1]}
@@ -431,32 +441,31 @@ class TestGaussNewtonStep:
 
 class TestTriangulate:
     def test_two_view_round_trip(self, cam_a, cam_b):
-        X = triangulate([(cam_a, Point2(960.0, 540.0)),
-                         (cam_b, Point2(760.0, 540.0))])
-        assert np.allclose(X.as_array(), (0.0, 0.0, 5.0), atol=1e-6)
+        X, ok = triangulate_batch([cam_a, cam_b], [[(960.0, 540.0), (760.0, 540.0)]])
+        assert ok[0]
+        assert np.allclose(X[0], (0.0, 0.0, 5.0), atol=1e-6)
 
     def test_four_view_round_trip(self):
         rng = np.random.default_rng(3)
         cams = random_cameras(rng)
-        truth = Point3(1.2, 0.3, 2.0)
-        obs = [(cam, project(cam, truth)) for cam in cams]
-        X = triangulate(obs)
-        assert np.linalg.norm(X.as_array() - truth.as_array()) <= 1e-6
+        truth = np.array([[1.2, 0.3, 2.0]])
+        X, ok = triangulate_batch(cams, np.stack([project(cam, truth) for cam in cams],
+                                                 axis=1))
+        assert ok[0]
+        assert np.linalg.norm(X[0] - truth[0]) <= 1e-6
 
     def test_insufficient_views(self, cam_a):
-        with pytest.raises(InsufficientViews):
-            triangulate([(cam_a, Point2(100.0, 100.0))])
-        with pytest.raises(InsufficientViews):
-            triangulate([(cam_a, Point2(100.0, 100.0)),
-                         (cam_a, Point2(101.0, 100.0))])
+        for cams, pixels in (([cam_a], [[(100.0, 100.0)]]),
+                             ([cam_a, cam_a], [[(100.0, 100.0), (101.0, 100.0)]])):
+            X, ok = triangulate_batch(cams, pixels)
+            assert not ok[0] and np.isnan(X[0]).all()
 
     def test_parallel_rays(self, cam_a):
         shifted = CameraModel(id=1, K=intrinsics(), R=np.eye(3),
                               t=np.array([-1.0, 0.0, 0.0]))
         # Identical pixels from two translated cameras give parallel rays.
-        with pytest.raises(IllConditioned):
-            triangulate([(cam_a, Point2(960.0, 540.0)),
-                         (shifted, Point2(960.0, 540.0))])
+        X, ok = triangulate_batch([cam_a, shifted], [[(960.0, 540.0), (960.0, 540.0)]])
+        assert not ok[0] and np.isnan(X[0]).all()
 
     def test_near_opposite_anisotropy(self):
         # Two cameras facing each other: the error blows up along the
@@ -465,18 +474,18 @@ class TestTriangulate:
         cam_s = look_at_camera(1, (0.0, 5.0, 1.0), (0.0, 0.0, 1.0))
         axis = np.array([0.0, 1.0, 0.0])
         rng = np.random.default_rng(8)
-        along, perp = [], []
+        truth, noise = [], []
         for _ in range(200):
-            truth = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
-                              1.0 + rng.uniform(-0.2, 0.2)])
-            obs = []
-            for cam in (cam_n, cam_s):
-                p = project(cam, Point3.from_array(truth))
-                obs.append((cam, Point2(p.x + rng.normal(0.0, 2.0),
-                                        p.y + rng.normal(0.0, 2.0))))
-            err = triangulate(obs).as_array() - truth
-            along.append(abs(err @ axis))
-            perp.append(np.linalg.norm(err - (err @ axis) * axis))
+            truth.append([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
+                          1.0 + rng.uniform(-0.2, 0.2)])
+            noise.append([[rng.normal(0.0, 2.0), rng.normal(0.0, 2.0)] for _ in range(2)])
+        truth = np.array(truth)
+        pixels = np.stack([project(cam, truth) for cam in (cam_n, cam_s)], axis=1) + noise
+        X, ok = triangulate_batch([cam_n, cam_s], pixels)
+        assert ok.all()
+        err = X - truth
+        along = np.abs(err @ axis)
+        perp = np.linalg.norm(err - (err @ axis)[:, None] * axis, axis=1)
         assert np.mean(along) >= 5.0 * np.mean(perp)
 
 
@@ -485,10 +494,11 @@ class TestRoundTripProperties:
         rng = np.random.default_rng(11)
         for _ in range(50):
             cams = random_cameras(rng, count=rng.integers(2, 5))
-            truth = Point3(*(rng.uniform(-1.5, 1.5, size=3) + [0.0, 0.0, 1.8]))
-            obs = [(cam, project(cam, truth)) for cam in cams]
-            X = triangulate(obs)
-            assert np.linalg.norm(X.as_array() - truth.as_array()) <= 1e-6
+            truth = rng.uniform(-1.5, 1.5, size=(1, 3)) + [0.0, 0.0, 1.8]
+            X, ok = triangulate_batch(
+                cams, np.stack([project(cam, truth) for cam in cams], axis=1))
+            assert ok[0]
+            assert np.linalg.norm(X[0] - truth[0]) <= 1e-6
 
 
 class TestCalibrationIO:

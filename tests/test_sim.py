@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvtrack.geometry import PlaneSpec, Point3, project, triangulate
+from mvtrack.geometry import PlaneSpec, project, triangulate_batch
 from mvtrack.scenarios import CANNED, get_scenario_spec
 from mvtrack.simulate import (build_scenario, make_rig, render_detections,
                               synth_trajectory)
@@ -30,18 +30,18 @@ class TestMakeRig:
     def test_aim_point_projects_inside_image(self):
         rig = make_rig(6.0, 2.0, 1000.0, (1920, 1080))
         for cam in rig:
-            p = project(cam, Point3(0.0, 0.0, 1.0))
-            assert 0.0 <= p.x <= 1920.0 and 0.0 <= p.y <= 1080.0
+            (x, y), = project(cam, [[0.0, 0.0, 1.0]])
+            assert 0.0 <= x <= 1920.0 and 0.0 <= y <= 1080.0
 
     def test_round_trip_of_random_points(self):
         rig = make_rig(6.0, 2.0, 1000.0, (1920, 1080))
         rng = np.random.default_rng(9)
         for _ in range(50):
-            X = Point3(*(rng.uniform(-1.5, 1.5, 2).tolist()
-                         + [rng.uniform(0.2, 3.0)]))
-            obs = [(cam, project(cam, X)) for cam in rig]
-            got = triangulate(obs)
-            assert np.linalg.norm(got.as_array() - X.as_array()) <= 1e-6
+            X = np.array([rng.uniform(-1.5, 1.5, 2).tolist() + [rng.uniform(0.2, 3.0)]])
+            got, ok = triangulate_batch(rig, np.stack([project(cam, X) for cam in rig],
+                                                      axis=1))
+            assert ok[0]
+            assert np.linalg.norm(got[0] - X[0]) <= 1e-6
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):

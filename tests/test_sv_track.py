@@ -14,9 +14,8 @@ class TestBbox:
         with pytest.raises(ValueError):
             Bbox(0.0, 0.0, 0.0, 5.0)
 
-    def test_scale_and_corners(self):
+    def test_corners(self):
         b = Bbox(10.0, 20.0, 4.0, 6.0)
-        assert b.scale == 10.0
         assert b.corners() == (8.0, 17.0, 12.0, 23.0)
 
 

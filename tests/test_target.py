@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvtrack.cascade import Provenance, Tracklet3D, TrackingSpace
-from mvtrack.geometry import CameraRig, Point3, project
+from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
 from mvtrack.sv_track import Bbox
@@ -207,8 +207,8 @@ class TestEmission:
         for f in t3.frames:
             if not with_box_for_frame(f):
                 continue
-            p = project(rig[0], Point3.from_array(t3.points[f]))
-            boxes[f] = Bbox(p.x, p.y, 40.0, 100.0)
+            (x, y), = project(rig[0], [t3.points[f]]).tolist()
+            boxes[f] = Bbox(x, y, 40.0, 100.0)
         rec.boxes2d[0] = boxes
         reg = TrackRegistry()
         reg.tracks[0] = rec
@@ -220,8 +220,8 @@ class TestEmission:
         records = {r.frame: r for r in run_maintainer(reg, 60, rig=rig)}
         for f in range(2, 59):
             views = {v["camera"]: v for v in records[f].per_view}
-            p = project(rig[0], Point3.from_array(records[f].X))
-            assert views[0]["x"] == pytest.approx(p.x, abs=1e-6)
+            (x, _), = project(rig[0], [records[f].X])
+            assert views[0]["x"] == pytest.approx(x, abs=1e-6)
             assert views[0]["w"] == pytest.approx(1.3 * 100.0)
             assert views[0]["buffered"] is True
 
