@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import EMPTY, Distance, cluster_with_cutoff
+from .clustering import cluster_with_cutoff, shared_frame_distances
 from .cross_view import Cluster
 from .geometry import (CameraRig, PlaneSpec, ray_plane_intersect_batch,
                        triangulate_batch)
@@ -97,9 +96,6 @@ class TrackingSpace:
 
     def in_perf(self, X) -> bool:
         return self._contains(self.perf, X)
-
-    def in_track(self, X) -> bool:
-        return self._contains(self.track, X)
 
     @staticmethod
     def _contains(cuboid, X) -> bool:
@@ -292,27 +288,6 @@ def _frame_aligned(tracklets: Sequence[Tracklet3D]) -> tuple[int, np.ndarray]:
     return first, points
 
 
-def _candidate_distances(points: np.ndarray,
-                         cameras: Sequence[int]) -> list[list[Distance]]:
-    """Pairwise candidate distances from frame-aligned (n, span, 3) points:
-    the mean Euclidean distance over shared frames, EMPTY where two
-    candidates share no frame (and on the diagonal), math.inf for
-    different candidates of one camera."""
-    n = len(points)
-    D: list[list[Distance]] = [[EMPTY] * n for _ in range(n)]
-    present = ~np.isnan(points[..., 0])
-    rows, cols = np.triu_indices(n, k=1)
-    shared = present[rows] & present[cols]
-    pair, frame = np.nonzero(shared)
-    d = np.linalg.norm(points[rows[pair], frame] - points[cols[pair], frame], axis=1)
-    counts = shared.sum(axis=1)
-    means = np.bincount(pair, weights=d, minlength=len(rows)) / np.maximum(counts, 1)
-    for i, j, c, m in zip(rows.tolist(), cols.tolist(), counts.tolist(), means.tolist()):
-        if c:
-            D[i][j] = D[j][i] = math.inf if cameras[i] == cameras[j] else m
-    return D
-
-
 def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
                          cutoff: float = TAU_PLANE_M
                          ) -> list[tuple[Tracklet3D, list[WindowSegment2D]]]:
@@ -324,22 +299,26 @@ def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
     ordered = sorted(cands, key=lambda cs: cs[1].key)
     cameras = [seg.camera for _, seg in ordered]
     first, points = _frame_aligned([t for t, _ in ordered])
-    D = _candidate_distances(points, cameras)
+    present = ~np.isnan(points[..., 0])
+    D = shared_frame_distances(
+        present, cameras,
+        lambda _a, _b, i, j, frame: np.linalg.norm(points[i, frame] - points[j, frame],
+                                                   axis=1))
 
     fused: list[tuple[Tracklet3D, list[WindowSegment2D]]] = []
-    for group in cluster_with_cutoff(len(ordered), lambda i, j: D[i][j], cutoff):
+    for group in cluster_with_cutoff(D, cutoff):
         if len({cameras[i] for i in group}) < 2:
             continue
-        present = ~np.isnan(points[group, :, 0])
-        count = present.sum(axis=0)
-        mean = (np.where(present[..., None], points[group], 0.0).sum(axis=0)
+        seen = present[group]
+        count = seen.sum(axis=0)
+        mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
                 / np.maximum(count, 1)[:, None])
         t3 = Tracklet3D(track_id=-1)
         for i in np.flatnonzero(count):
             f = first + int(i)
             t3.points[f] = mean[i]
             t3.provenance[f] = Provenance.PLANE_INTERSECTED
-            t3.source_views[f] = frozenset(cameras[g] for g, p in zip(group, present[:, i])
+            t3.source_views[f] = frozenset(cameras[g] for g, p in zip(group, seen[:, i])
                                            if p)
         fused.append((t3, [ordered[i][1] for i in group]))
     return fused

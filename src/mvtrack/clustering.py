@@ -1,76 +1,93 @@
-"""Agglomerative clustering with a three-state distance.
+"""Agglomerative clustering on a three-state distance array.
 
-Pairwise distances are one of: a finite float, math.inf (forbidden merge,
-e.g. same-camera overlap), or EMPTY (no shared temporal support).  The
-complete-linkage update is modified so that EMPTY entries defer to the
-other side instead of poisoning the max:
+Pairwise distances are a float array whose entries are one of: a finite
+distance, inf (forbidden merge, e.g. same-camera overlap), or NaN (no
+shared temporal support).  The complete-linkage update is np.fmax, so a
+NaN entry defers to the other side instead of poisoning the max, while
+inf still wins:
 
-    combine(a, b) = max(a, b)   if neither is EMPTY
-                  = b           if only a is EMPTY
-                  = a           if only b is EMPTY
-                  = EMPTY       if both are EMPTY
+    fmax(a, b) = max(a, b)   if neither is NaN
+               = b           if only a is NaN
+               = a           if only b is NaN
+               = NaN         if both are NaN
 
-Merging continues while the global minimum over non-EMPTY entries is
-below the cutoff.  Ties are broken by the lexicographically smallest
-(i, j) cluster-index pair, which makes the result deterministic.
+Merging continues while the global minimum over non-NaN entries is below
+the cutoff.  Ties are broken by the lexicographically smallest (i, j)
+cluster-index pair, which makes the result deterministic.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 
-# Sentinel for "no shared frames"; distinct from math.inf, which forbids
-# a merge but still participates in the max-update.
-EMPTY = None
-
-Distance = float | None
+import numpy as np
 
 
-def combine(a: Distance, b: Distance) -> Distance:
-    if a is EMPTY and b is EMPTY:
-        return EMPTY
-    if a is EMPTY:
-        return b
-    if b is EMPTY:
-        return a
-    return max(a, b)
+def shared_frame_distances(present: np.ndarray, cameras,
+                           frame_distance: Callable[..., np.ndarray]) -> np.ndarray:
+    """Pairwise (n, n) distances between n items over the frames they share.
+
+    `present` is an (n, span) mask of the frames each item has and
+    `cameras` the camera label of each item.  An entry is the mean
+    per-frame distance over the two items' shared frames, inf where two
+    items of one camera share a frame, and NaN where two items share no
+    frame (and on the diagonal).
+
+    `frame_distance(cam_a, cam_b, i, j, frames)` returns the distances
+    between items i[k] of camera cam_a and j[k] of camera cam_b at frame
+    frames[k]; it is called once per camera pair, with the shared frames
+    of all that pair's item pairs.
+    """
+    n = len(present)
+    labels, camera = np.unique(cameras, return_inverse=True)
+    labels = labels.tolist()
+    D = np.full((n, n), np.nan)
+    rows, cols = np.triu_indices(n, k=1)
+    shared = present[rows] & present[cols]
+    counts = shared.sum(axis=1)
+    overlap = counts > 0
+    # One code per ordered camera pair, sorted as (camera a, camera b).
+    pair_code = camera[rows] * len(labels) + camera[cols]
+    same = camera[rows] == camera[cols]
+    D[rows[overlap & same], cols[overlap & same]] = np.inf
+    scored = overlap & ~same
+    for code in np.unique(pair_code[scored]).tolist():
+        group = np.flatnonzero(scored & (pair_code == code))
+        pair, frame = np.nonzero(shared[group])
+        i, j = rows[group], cols[group]
+        a, b = divmod(code, len(labels))
+        d = frame_distance(labels[a], labels[b], i[pair], j[pair], frame)
+        D[i, j] = np.bincount(pair, weights=d, minlength=len(group)) / counts[group]
+    D[cols, rows] = D[rows, cols]
+    return D
 
 
-def cluster_with_cutoff(n: int, distance, cutoff: float) -> list[list[int]]:
-    """Cluster items 0..n-1; `distance(i, j)` returns a Distance.
+def cluster_with_cutoff(D, cutoff: float) -> list[list[int]]:
+    """Cluster items 0..n-1 of the symmetric (n, n) distance array D; the
+    diagonal is ignored.
 
     Returns the final clusters as lists of original item indices, each
     sorted, in a deterministic order.
     """
-    clusters: list[list[int]] = [[i] for i in range(n)]
-    D: list[list[Distance]] = [[EMPTY] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i][j] = D[j][i] = distance(i, j)
-
-    while len(clusters) > 1:
-        best_i = best_j = -1
-        best = math.inf
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = D[i][j]
-                if d is not EMPTY and d < best:
-                    best, best_i, best_j = d, i, j
-        if best_i < 0 or best >= cutoff:
+    D = np.array(D, dtype=float)
+    n = len(D)
+    clusters = [[i] for i in range(n)]
+    if n < 2:
+        return clusters
+    active = np.ones(n, dtype=bool)
+    # The merge candidates: the active upper triangle, NaN and inactive
+    # entries as inf, so a row-major argmin is the lexicographic minimum.
+    search = np.where(np.isnan(D) | np.tri(n, dtype=bool), np.inf, D)
+    while True:
+        k = int(search.argmin())
+        if not search.flat[k] < cutoff:
             break
-        # Merge j into i, then update row/column i with the EMPTY-aware rule.
-        clusters[best_i] = sorted(clusters[best_i] + clusters[best_j])
-        del clusters[best_j]
-        merged_row = [
-            combine(D[best_i][q], D[best_j][q])
-            for q in range(len(D)) if q != best_j
-        ]
-        D = [
-            [row[q] for q in range(len(row)) if q != best_j]
-            for k, row in enumerate(D) if k != best_j
-        ]
-        for q in range(len(D)):
-            if q != best_i:
-                D[best_i][q] = D[q][best_i] = merged_row[q]
-        D[best_i][best_i] = EMPTY
-    return clusters
+        i, j = divmod(k, n)
+        clusters[i] = sorted(clusters[i] + clusters[j])
+        active[j] = False
+        search[j, :] = search[:, j] = np.inf
+        D[i] = D[:, i] = np.fmax(D[i], D[j])
+        row = np.where(np.isnan(D[i]) | ~active, np.inf, D[i])
+        search[i, i + 1:] = row[i + 1:]
+        search[:i, i] = row[:i]
+    return [clusters[k] for k in np.flatnonzero(active)]

@@ -65,6 +65,19 @@ class PipelineConfig:
         return asdict(self)
 
 
+def _number(key: str, value) -> float:
+    # bool is an int subclass; a JSON true is not a number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_routine_config(path) -> PipelineConfig:
     """Read the routine JSON: {plane: {n, point}, perf_space, beta, nu, tau,
     theta_opp, opposite_pairs?, ...overrides}.  Every key must name a
@@ -80,23 +93,22 @@ def load_routine_config(path) -> PipelineConfig:
             raise ValueError(f"unknown keys {sorted(raw.keys() - known)}")
         cfg = PipelineConfig()
         if "plane" in raw:
-            cfg.plane_n = tuple(float(v) for v in raw["plane"]["n"])
-            cfg.plane_point = tuple(float(v) for v in raw["plane"]["point"])
+            cfg.plane_n = tuple(_number("plane.n", v) for v in raw["plane"]["n"])
+            cfg.plane_point = tuple(_number("plane.point", v) for v in raw["plane"]["point"])
         if "perf_space" in raw:
-            space = tuple(float(v) for v in raw["perf_space"])
+            space = tuple(_number("perf_space", v) for v in raw["perf_space"])
             if len(space) != 6:
                 raise ValueError("perf_space must have 6 numbers")
             cfg.perf_space = space
         for key in FLOAT_FIELDS:
             if key in raw:
-                setattr(cfg, key, float(raw[key]))
+                setattr(cfg, key, _number(key, raw[key]))
         for key in INT_FIELDS:
             if key in raw:
-                if type(raw[key]) is not int:
-                    raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
-                setattr(cfg, key, raw[key])
+                setattr(cfg, key, _integer(key, raw[key]))
         if "opposite_pairs" in raw and raw["opposite_pairs"] is not None:
-            cfg.opposite_pairs = [[int(c) for c in p] for p in raw["opposite_pairs"]]
+            cfg.opposite_pairs = [[_integer("opposite_pairs", c) for c in p]
+                                  for p in raw["opposite_pairs"]]
             for pair in cfg.opposite_pairs:
                 if len(pair) != 2 or pair[0] == pair[1]:
                     raise ValueError(f"opposite_pairs entry {pair} must be two "
@@ -125,7 +137,7 @@ def load_routine_config(path) -> PipelineConfig:
             if not 0 < getattr(cfg, key) <= upper:
                 raise ValueError(f"{key} must be in (0, {upper}], got {getattr(cfg, key)}")
         return cfg
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid routine config {path}: {exc}") from exc
 
 

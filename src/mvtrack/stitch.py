@@ -1,8 +1,9 @@
 """Cross-window stitching of fragmented 3D tracklets.
 
 Adjacent windows overlap by half a window; fragment pairs are scored by
-their mean 3D distance over shared frames and matched with an optimal
-linear assignment, rejecting pairs above the unmatched threshold.
+their mean 3D distance over shared frames (NaN when they share none)
+and matched with an optimal linear assignment, rejecting pairs with no
+shared frame or above the unmatched threshold.
 Matched fragments are merged in place into the earlier track, touching
 only the new window's frames and averaging the overlap; unmatched
 fragments from the new window get fresh ids as copies.
@@ -23,48 +24,45 @@ logger = logging.getLogger(__name__)
 
 STITCH_THRESHOLD_M = 0.6
 
-# Cost used for UNAVAILABLE (no-overlap) entries; far above any plausible
+# Cost used for no-overlap (NaN) entries; far above any plausible
 # threshold, so such pairs are always rejected.
 UNAVAILABLE_COST = 1e9
 
 
-def window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float | None:
+def window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
     """Mean per-frame Euclidean distance over the shared valid frames;
-    None (UNAVAILABLE) when the overlap is empty."""
+    NaN when the overlap is empty."""
     common = sorted(f for f in nxt.points if f in prev.points)
     if not common:
-        return None
+        return np.nan
     diff = np.array([prev.points[f] for f in common]) - \
         np.array([nxt.points[f] for f in common])
     return float(np.mean(np.linalg.norm(diff, axis=1)))
 
 
-def window_distance_matrix(prev: list[Tracklet3D],
-                           nxt: list[Tracklet3D]) -> list[list[float | None]]:
-    return [[window_distance(p, n) for n in nxt] for p in prev]
+def window_distance_matrix(prev: list[Tracklet3D], nxt: list[Tracklet3D]) -> np.ndarray:
+    """The (len(prev), len(nxt)) array of `window_distance`s."""
+    return np.array([[window_distance(p, n) for n in nxt] for p in prev],
+                    dtype=float).reshape(len(prev), len(nxt))
 
 
-def assign(D: list[list[float | None]],
-           unmatched_threshold: float = STITCH_THRESHOLD_M
+def assign(D, unmatched_threshold: float = STITCH_THRESHOLD_M
            ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Optimal assignment over a rectangular matrix with UNAVAILABLE (None)
-    entries excluded; assigned pairs costing more than the threshold are
-    rejected to unmatched.  Returns (pairs, unmatched_rows, unmatched_cols).
+    """Optimal assignment over a rectangular 2-D array-like with NaN
+    (no overlap) entries excluded; assigned pairs costing more than the
+    threshold are rejected to unmatched.  Returns (pairs, unmatched_rows,
+    unmatched_cols).
     """
-    n_rows = len(D)
-    n_cols = len(D[0]) if D else 0
-    if n_rows == 0 or n_cols == 0:
-        return [], list(range(n_rows)), list(range(n_cols))
-    cost = np.full((n_rows, n_cols), UNAVAILABLE_COST)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if D[i][j] is not None:
-                cost[i, j] = D[i][j]
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 and not D.size:
+        D = D.reshape(0, 0)  # a bare [] has no column count
+    cost = np.where(np.isnan(D), UNAVAILABLE_COST, D)
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j)) for i, j in zip(rows, cols)
              if cost[i, j] <= unmatched_threshold]
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
+    n_rows, n_cols = cost.shape
     return (pairs,
             [i for i in range(n_rows) if i not in matched_rows],
             [j for j in range(n_cols) if j not in matched_cols])
@@ -134,13 +132,9 @@ class TrackRegistry:
 
     def advance(self, window_start: int, window_tracks: list[WindowTrack]) -> None:
         live = self.live_tracks(window_start)
-        if live:
-            D = window_distance_matrix(
-                [self.tracks[tid].tracklet for tid in live],
-                [wt.tracklet for wt in window_tracks])
-            pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
-        else:
-            pairs, unmatched_next = [], list(range(len(window_tracks)))
+        D = window_distance_matrix([self.tracks[tid].tracklet for tid in live],
+                                   [wt.tracklet for wt in window_tracks])
+        pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
 
         for i, j in pairs:
             rec = self.tracks[live[i]]

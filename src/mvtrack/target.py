@@ -239,7 +239,8 @@ def load_target_records(path) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-                rec["frame"] = int(rec["frame"])
+                if type(rec["frame"]) is not int:
+                    raise ValueError(f"frame must be an integer, got {rec['frame']!r}")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad target record: {exc}") from exc
             records.append(rec)

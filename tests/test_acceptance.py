@@ -85,7 +85,7 @@ def test_acceptance_2_clustering_matches_reference():
         n = int(rng.integers(1, 7))
         cutoff = float(rng.uniform(0.3, 1.5))
         D = random_distance_matrix(rng, n, cutoff)
-        got = cluster_with_cutoff(n, lambda i, j: D[i][j], cutoff)
+        got = cluster_with_cutoff(D, cutoff)
         want = reference_clustering(n, D, cutoff)
         if sorted(map(tuple, got)) != sorted(map(tuple, want)):
             mismatches += 1

@@ -9,7 +9,6 @@ from mvtrack.cascade import (Mode, Provenance, Tracklet3D, TrackingSpace,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
                              triangulate_clusters)
-from mvtrack.clustering import EMPTY
 from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
@@ -62,8 +61,8 @@ class TestTrackingSpace:
     def test_membership(self):
         assert SPACE.in_perf((0.0, 0.0, 1.0))
         assert not SPACE.in_perf((2.5, 0.0, 1.0))
-        assert SPACE.in_track((2.5, 0.0, 1.0))
-        assert not SPACE.in_track((0.0, 0.0, 5.0))
+        assert TrackingSpace._contains(SPACE.track, (2.5, 0.0, 1.0))
+        assert not TrackingSpace._contains(SPACE.track, (0.0, 0.0, 5.0))
 
     def test_rejects_degenerate_cuboid(self):
         with pytest.raises(ValueError):
@@ -236,26 +235,32 @@ def constant_candidate(camera, value, frames=range(10)):
     return t3, seg
 
 
-def candidate_pair_distance(a, cam_a, b, cam_b):
-    return cascade._candidate_distances(cascade._frame_aligned([a, b])[1],
-                                        [cam_a, cam_b])[0][1]
+def candidate_pair_distance(a, b):
+    """D[0, 1] of the distances `plane_match_and_fuse` clusters the
+    candidates a and b (in key order) on."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascade, "cluster_with_cutoff",
+                   lambda D, cutoff: seen.append(D) or [])
+        plane_match_and_fuse([a, b])
+    return seen[0][0, 1]
 
 
 class TestCandidatePairDistance:
     def test_disjoint_frames_empty(self):
-        a, _ = constant_candidate(0, (0, 0, 1), range(0, 5))
-        b, _ = constant_candidate(1, (0, 0, 1), range(5, 10))
-        assert candidate_pair_distance(a, 0, b, 1) is EMPTY
+        a = constant_candidate(0, (0, 0, 1), range(0, 5))
+        b = constant_candidate(1, (0, 0, 1), range(5, 10))
+        assert math.isnan(candidate_pair_distance(a, b))
 
     def test_same_camera_infinite(self):
-        a, _ = constant_candidate(0, (0, 0, 1))
-        b, _ = constant_candidate(0, (0, 0, 1))
-        assert candidate_pair_distance(a, 0, b, 0) == math.inf
+        a = constant_candidate(0, (0, 0, 1))
+        b = constant_candidate(0, (0, 0, 1))
+        assert candidate_pair_distance(a, b) == math.inf
 
     def test_mean_euclidean(self):
-        a, _ = constant_candidate(0, (0, 0, 1))
-        b, _ = constant_candidate(1, (0.3, 0, 1))
-        assert candidate_pair_distance(a, 0, b, 1) == pytest.approx(0.3, abs=1e-12)
+        a = constant_candidate(0, (0, 0, 1))
+        b = constant_candidate(1, (0.3, 0, 1))
+        assert candidate_pair_distance(a, b) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestPlaneMatchAndFuse:

@@ -291,6 +291,9 @@ class TestTrack:
         ([[1, 1]], "two distinct camera ids"),
         ([[0]], "two distinct camera ids"),
         ([[0, 9]], "absent from calibration"),
+        ([[0, 2.7]], "opposite_pairs must be an integer"),
+        ([["0", "2"]], "opposite_pairs must be an integer"),
+        ([[0, True]], "opposite_pairs must be an integer"),
     ])
     def test_bad_opposite_pairs_are_config_error(self, runner, tmp_path,
                                                  pairs, message):
@@ -334,6 +337,37 @@ class TestTrack:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert key in result.output
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("nu", "0.5", "nu must be a number"),
+        ("tau", True, "tau must be a number"),
+        ("beta", None, "beta must be a number"),
+        ("plane", {"n": [1.0, 0.0, False], "point": [0.0, 0.0, 0.0]},
+         "plane.n must be a number"),
+        ("plane", {"n": [1.0, 0.0, 0.0], "point": ["0", 0.0, 0.0]},
+         "plane.point must be a number"),
+        ("perf_space", [-2.0, -2.0, 0.0, 2.0, 2.0, "4"], "perf_space must be a number"),
+        ("nu", 10 ** 400, "too large"),
+    ], ids=["string-nu", "bool-tau", "null-beta", "bool-plane-n", "string-plane-point",
+            "string-perf-space", "huge-int-nu"])
+    def test_non_number_threshold_is_config_error(self, runner, tmp_path, key, value,
+                                                   message):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine[key] = value
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_integer_threshold_accepted(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine.update(nu=1, plane={"n": [1, 0, 0], "point": [0, 0, 0]})
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
 
     def test_threshold_bounds_are_inclusive(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
@@ -416,6 +450,18 @@ class TestEvaluate:
                                       str(tracklets_path), "--truth",
                                       str(truth_path)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("value", ["1.5", '"3"'])
+    def test_non_integer_frame_is_input_error(self, runner, tmp_path, value):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        lines = (out / "tracklets.jsonl").read_text().splitlines()
+        lines[3] = lines[3].replace('"frame": ', f'"frame": {value}, "ignored": ', 1)
+        (out / "tracklets.jsonl").write_text("\n".join(lines) + "\n")
+        result = self.evaluate(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "frame must be an integer" in result.output
 
     def test_missing_tracklets_is_input_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from mvtrack.clustering import EMPTY
 from mvtrack.cross_view import (_box_pair_distances, cluster_segments,
                                 pair_distance_matrix)
 from mvtrack.geometry import CameraRig, project
@@ -35,7 +34,7 @@ def box_distance(a, b, cam_a, cam_b, rig):
 
 
 def segment_distance(a, b, rig):
-    return pair_distance_matrix([a, b], rig)[0][1]
+    return pair_distance_matrix([a, b], rig)[0, 1]
 
 
 def trajectory(t, offset=(0.0, 0.0)):
@@ -97,13 +96,13 @@ class TestTrackletPairDistance:
     def test_disjoint_frames_is_empty(self, rig):
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [1], range(6, 10))
-        assert segment_distance(a, b, rig) is EMPTY
+        assert math.isnan(segment_distance(a, b, rig))
 
     def test_same_camera_disjoint_is_empty(self, rig):
         # No shared frames carries no evidence even within one camera.
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [0], range(6, 10), track_id=1)
-        assert segment_distance(a, b, rig) is EMPTY
+        assert math.isnan(segment_distance(a, b, rig))
 
     def test_consistent_cross_view_pair(self, rig):
         a, b = consistent_segments(rig, [0, 1], range(10))
@@ -145,16 +144,16 @@ class TestPairDistanceMatrix:
         segs = noisy_segments(rig, rng)
         D = pair_distance_matrix(segs, rig)
         for i, a in enumerate(segs):
-            assert D[i][i] is EMPTY
+            assert math.isnan(D[i, i])
             for j, b in enumerate(segs):
                 if i == j:
                     continue
-                assert D[i][j] == D[j][i]
-                assert segment_distance(a, b, rig) == D[i][j]
+                assert D[i, j] == D[j, i]
+                assert segment_distance(a, b, rig) == D[i, j]
                 if a.camera == b.camera:
-                    assert D[i][j] == math.inf
+                    assert D[i, j] == math.inf
                 else:
-                    assert abs(D[i][j] - reference_pair_distance(a, b, rig)) <= 1e-12
+                    assert abs(D[i, j] - reference_pair_distance(a, b, rig)) <= 1e-12
 
     def test_bbox_pair_distance_is_one_frame_reference(self, rig):
         a, b = noisy_segments(rig, np.random.default_rng(59))[:2]
@@ -169,9 +168,9 @@ class TestPairDistanceMatrix:
         b, = consistent_segments(rig, [1], range(6, 10))
         c, = consistent_segments(rig, [0], range(2, 8), track_id=1)
         D = pair_distance_matrix([a, b, c], rig)
-        assert D[0][1] is EMPTY and D[1][0] is EMPTY
-        assert D[0][2] == math.inf
-        assert abs(D[1][2] - reference_pair_distance(b, c, rig)) <= 1e-12
+        assert math.isnan(D[0, 1]) and math.isnan(D[1, 0])
+        assert D[0, 2] == math.inf
+        assert abs(D[1, 2] - reference_pair_distance(b, c, rig)) <= 1e-12
 
 
 class TestClusterSegments:

@@ -34,13 +34,13 @@ class TestWindowDistance:
     def test_disjoint_is_unavailable(self):
         a = tracklet(range(0, 5), (0.0, 0.0, 1.0))
         b = tracklet(range(10, 15), (0.0, 0.0, 1.0))
-        assert window_distance(a, b) is None
+        assert np.isnan(window_distance(a, b))
 
     def test_matrix_shape(self):
         a = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         b = tracklet(range(5, 16), (0.0, 0.0, 1.0))
         D = window_distance_matrix([a, a], [b])
-        assert len(D) == 2 and len(D[0]) == 1
+        assert D.shape == (2, 1)
 
 
 class TestAssign:
@@ -55,13 +55,16 @@ class TestAssign:
         assert ur == [1] and uc == [1]
 
     def test_unavailable_entries_never_match(self):
-        pairs, ur, uc = assign([[None, None], [None, 0.2]],
+        pairs, ur, uc = assign([[np.nan, np.nan], [np.nan, 0.2]],
                                unmatched_threshold=0.6)
         assert pairs == [(1, 1)]
         assert ur == [0] and uc == [0]
 
     def test_empty_matrix(self):
         assert assign([], 0.6) == ([], [], [])
+        assert assign(np.empty((0, 0)), 0.6) == ([], [], [])
+        # No live tracks: every window track is unmatched.
+        assert assign(np.empty((0, 3)), 0.6) == ([], [], [0, 1, 2])
 
     def test_rectangular(self):
         pairs, ur, uc = assign([[0.1, 0.5, 0.2]], unmatched_threshold=0.6)

@@ -196,7 +196,7 @@ class TestWindowDistance:
             common = sorted(set(prev.points) & set(nxt.points))
             got = window_distance(prev, nxt)
             if not common:
-                assert got is None
+                assert np.isnan(got)
                 continue
             want = np.mean([np.linalg.norm(prev.points[f] - nxt.points[f])
                             for f in common])
