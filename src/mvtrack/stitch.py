@@ -3,7 +3,9 @@
 Adjacent windows overlap by half a window; fragment pairs are scored by
 their mean 3D distance over shared frames (NaN when they share none)
 and matched with an optimal linear assignment, rejecting pairs with no
-shared frame or above the unmatched threshold.
+shared frame or above the unmatched threshold.  Each window scores all
+live-track x window-track pairs at once, on arrays over the window's
+frames only.
 Matched fragments are merged in place into the earlier track, touching
 only the new window's frames and averaging the overlap; unmatched
 fragments from the new window get fresh ids as copies.
@@ -32,18 +34,44 @@ UNAVAILABLE_COST = 1e9
 def window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
     """Mean per-frame Euclidean distance over the shared valid frames;
     NaN when the overlap is empty."""
-    common = sorted(f for f in nxt.points if f in prev.points)
-    if not common:
-        return np.nan
-    diff = np.array([prev.points[f] for f in common]) - \
-        np.array([nxt.points[f] for f in common])
-    return float(np.mean(np.linalg.norm(diff, axis=1)))
+    return float(window_distance_matrix([prev], [nxt])[0, 0])
+
+
+def _frame_stack(tracks: list[Tracklet3D], frames: list[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(len(tracks), len(frames), 3) points, zero where a track has no
+    point, and the matching presence mask.  Only `frames` are looked up,
+    so a long live track costs no more than a window track."""
+    got = [t.points.get(f) for t in tracks for f in frames]
+    has = np.array([p is not None for p in got], dtype=bool
+                   ).reshape(len(tracks), len(frames))
+    pts = np.zeros(has.shape + (3,))
+    present = [p for p in got if p is not None]
+    if present:
+        pts[has] = np.concatenate(present).reshape(-1, 3)
+    return pts, has
 
 
 def window_distance_matrix(prev: list[Tracklet3D], nxt: list[Tracklet3D]) -> np.ndarray:
-    """The (len(prev), len(nxt)) array of `window_distance`s."""
-    return np.array([[window_distance(p, n) for n in nxt] for p in prev],
-                    dtype=float).reshape(len(prev), len(nxt))
+    """The (len(prev), len(nxt)) array of mean per-frame distances over
+    shared frames, NaN for a pair that shares none.
+
+    Every pair is scored in one pass over the new window's frames.  Each
+    pair's mean is `np.mean` of its per-frame distances in frame order:
+    pairs with the same number of shared frames are reduced together as
+    contiguous rows, which numpy sums exactly as it sums one such row.
+    """
+    frames = sorted({f for t in nxt for f in t.points})
+    a, has_a = _frame_stack(prev, frames)
+    b, has_b = _frame_stack(nxt, frames)
+    dist = np.linalg.norm(a[:, None] - b[None], axis=-1)
+    shared = has_a[:, None] & has_b[None]
+    counts = shared.sum(axis=-1)
+    D = np.full(counts.shape, np.nan)
+    for k in set(counts[counts > 0].tolist()):
+        sel = counts == k
+        D[sel] = np.mean(dist[sel][shared[sel]].reshape(-1, k), axis=1)
+    return D
 
 
 def assign(D, unmatched_threshold: float = STITCH_THRESHOLD_M

@@ -1,7 +1,10 @@
 """Per-camera IoU tracking and sliding-window segmentation.
 
 Tracks are matched greedily by descending IoU (classic IoU-tracker
-behavior), with ties broken by the lower track id.  Completed tracklets
+behavior), with ties broken by the lower track id, then the lower
+detection index.  Each step takes a detection's corners and area once,
+as a plain tuple, and each live track keeps the tuple of its last box,
+so scoring a pair is a few float operations inline.  Completed tracklets
 are later cut into temporally overlapping window segments on a global
 frame grid so that segments from different cameras line up.
 """
@@ -90,18 +93,6 @@ class WindowSegment2D:
         return (self.camera, self.track_id)
 
 
-def iou(a: Bbox, b: Bbox) -> float:
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union
-
-
 class IouTracker:
     """Online greedy IoU tracker for a single camera.
 
@@ -123,24 +114,39 @@ class IouTracker:
             if det.frame != frame or det.camera != self.camera:
                 raise ValueError("detections must share the step's frame and camera")
 
+        # Corners and area once per box; the pair loop is the IoU inline
+        # (min/max spelled out with their tie rules), since a function call
+        # per pair would cost more than the arithmetic.
+        boxes = [(*det.bbox.corners(), det.bbox.w * det.bbox.h)
+                 for det in detections]
+        threshold = self.iou_threshold
         pairs = []
         for ti, track in enumerate(self._live):
-            for di, det in enumerate(detections):
-                score = iou(track["last_box"], det.bbox)
-                if score >= self.iou_threshold:
-                    pairs.append((score, track["id"], di, ti))
-        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+            ax0, ay0, ax1, ay1, a_area = track["last"]
+            tid = track["id"]
+            for di, (bx0, by0, bx1, by1, b_area) in enumerate(boxes):
+                iw = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+                ih = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+                if iw <= 0 or ih <= 0:
+                    score = 0.0
+                else:
+                    inter = iw * ih
+                    score = inter / (a_area + b_area - inter)
+                if score >= threshold:
+                    pairs.append((-score, tid, di, ti))
+        # (-score, track id, detection index) is unique per pair.
+        pairs.sort()
 
         used_tracks: set[int] = set()
         used_dets: set[int] = set()
-        for score, _tid, di, ti in pairs:
+        for _score, _tid, di, ti in pairs:
             if ti in used_tracks or di in used_dets:
                 continue
             used_tracks.add(ti)
             used_dets.add(di)
             track = self._live[ti]
             track["boxes"][frame] = detections[di].bbox
-            track["last_box"] = detections[di].bbox
+            track["last"] = boxes[di]
             track["missed"] = 0
 
         closed: list[Tracklet2D] = []
@@ -162,7 +168,7 @@ class IouTracker:
             self._live.append({
                 "id": self._next_id,
                 "boxes": {frame: det.bbox},
-                "last_box": det.bbox,
+                "last": boxes[di],
                 "missed": 0,
             })
             self._next_id += 1

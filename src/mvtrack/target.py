@@ -230,6 +230,35 @@ def save_target_records(records: list[TargetRecord], path) -> None:
             fh.write("\n")
 
 
+def _finite_number(value) -> bool:
+    # type(), not isinstance(): a JSON true is a bool, not a number.
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _check_target_record(rec) -> None:
+    """Raise ValueError unless rec has the fields `metrics.evaluate` reads,
+    with the JSON types `save_target_records` writes."""
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    for key in ("frame", "track_id"):
+        if type(rec[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {rec[key]!r}")
+    X = rec["X"]
+    if not (isinstance(X, list) and len(X) == 3 and all(map(_finite_number, X))):
+        raise ValueError(f"X must be three finite numbers, got {X!r}")
+    views = rec.get("per_view", [])
+    if not isinstance(views, list):
+        raise ValueError(f"per_view must be a list, got {views!r}")
+    for view in views:
+        if not isinstance(view, dict) or type(view.get("camera")) is not int or \
+                not all(_finite_number(view.get(k)) for k in ("x", "y", "w", "h")):
+            raise ValueError("per_view entry needs an integer camera and finite "
+                             f"numbers x, y, w, h, got {view!r}")
+
+
 def load_target_records(path) -> list[dict]:
     records = []
     with open(path) as fh:
@@ -239,8 +268,7 @@ def load_target_records(path) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-                if type(rec["frame"]) is not int:
-                    raise ValueError(f"frame must be an integer, got {rec['frame']!r}")
+                _check_target_record(rec)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad target record: {exc}") from exc
             records.append(rec)

@@ -463,6 +463,31 @@ class TestEvaluate:
         assert isinstance(result.exception, SystemExit)
         assert "frame must be an integer" in result.output
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.update(X=[float("nan"), 0.0, 1.0]), "X must be three"),
+        (lambda rec: rec.update(X=[1.0, 2.0]), "X must be three"),
+        (lambda rec: rec.update(X=[True, 0.0, 1.0]), "X must be three"),
+        (lambda rec: rec.update(X=[10**400, 0.0, 1.0]), "X must be three"),
+        (lambda rec: rec.update(track_id=1.5), "track_id must be an integer"),
+        (lambda rec: rec["per_view"][0].update(x="a"), "per_view entry"),
+        (lambda rec: rec["per_view"][0].update(camera=0.5), "per_view entry"),
+    ], ids=["nan-X", "short-X", "bool-X", "huge-int-X", "float-track-id",
+            "string-view-x", "float-view-camera"])
+    def test_malformed_record_is_input_error(self, runner, tmp_path, edit, message):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        records = [json.loads(line) for line in
+                   (out / "tracklets.jsonl").read_text().splitlines()]
+        i = next(i for i, rec in enumerate(records) if rec["per_view"])
+        edit(records[i])
+        (out / "tracklets.jsonl").write_text(
+            "".join(json.dumps(rec) + "\n" for rec in records))
+        result = self.evaluate(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert not (out / "report.json").exists()
+
     def test_missing_tracklets_is_input_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         result = self.evaluate(runner, out)

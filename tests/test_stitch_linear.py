@@ -204,6 +204,63 @@ class TestWindowDistance:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def pairwise_window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
+    """`window_distance` as it was: one `np.mean` over the shared frames."""
+    common = sorted(f for f in nxt.points if f in prev.points)
+    if not common:
+        return np.nan
+    diff = np.array([prev.points[f] for f in common]) - \
+        np.array([nxt.points[f] for f in common])
+    return float(np.mean(np.linalg.norm(diff, axis=1)))
+
+
+@st.composite
+def live_and_window_tracks(draw):
+    """Gappy live tracks (some ending before the window, some reaching
+    back far) and gappy window tracks of one window, 0 or more of each."""
+    window_len = draw(st.sampled_from([10, 20]))
+    start = draw(st.integers(0, 3)) * window_len // 2 + 40
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def track(lo, hi):
+        frames = [f for f in range(lo, hi + 1) if draw(st.integers(0, 4))]
+        return Tracklet3D(track_id=-1, points={
+            f: rng.normal(scale=float(10.0 ** rng.integers(-2, 2)), size=3)
+            for f in frames})
+
+    prev = [track(draw(st.integers(0, start)), draw(st.integers(0, start + window_len)))
+            for _ in range(draw(st.integers(0, 5)))]
+    nxt = [track(start + draw(st.integers(0, 3)), start + window_len)
+           for _ in range(draw(st.integers(0, 5)))]
+    return prev, nxt
+
+
+class TestWindowDistanceMatrixAgainstPairwise:
+    @settings(max_examples=300, deadline=None)
+    @given(live_and_window_tracks())
+    def test_equals_pairwise_mean(self, tracks):
+        prev, nxt = tracks
+        want = np.array([[pairwise_window_distance(p, n) for n in nxt] for p in prev]
+                        ).reshape(len(prev), len(nxt))
+        got = window_distance_matrix(prev, nxt)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        for p in prev[:2]:
+            for n in nxt[:2]:
+                assert np.array_equal(window_distance(p, n),
+                                      pairwise_window_distance(p, n), equal_nan=True)
+
+    def test_long_overlap_keeps_pairwise_summation(self):
+        # 21 shared frames: np.mean sums them pairwise, not left to right.
+        rng = np.random.default_rng(3)
+        prev = [Tracklet3D(track_id=0, points={f: rng.normal(size=3) for f in range(40)})]
+        nxt = [Tracklet3D(track_id=1, points={f: rng.normal(size=3)
+                                              for f in range(19, 40)})
+               for _ in range(3)]
+        want = [[pairwise_window_distance(prev[0], n) for n in nxt]]
+        assert np.array_equal(window_distance_matrix(prev, nxt), want)
+
+
 def rescan_segment_windows(tracklet: Tracklet2D, window_len: int,
                            min_observed: int) -> list[WindowSegment2D]:
     """`segment_windows` as it was, scanning every box for every window."""

@@ -1,12 +1,74 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvtrack.sv_track import (Bbox, Detection, IouTracker, Tracklet2D, iou,
+from mvtrack.sv_track import (Bbox, Detection, IouTracker, Tracklet2D,
                               load_detections, save_detections,
                               segment_windows, track_camera_stream)
 
 
 def det(frame, x, y, w=10.0, h=10.0, camera=0):
     return Detection(frame=frame, camera=camera, bbox=Bbox(x, y, w, h))
+
+
+def iou(a: Bbox, b: Bbox) -> float:
+    """Scalar IoU of two boxes: the oracle for the tracker's inline score."""
+    ax0, ay0, ax1, ay1 = a.corners()
+    bx0, by0, bx1, by1 = b.corners()
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union
+
+
+class ReferenceIouTracker(IouTracker):
+    """`IouTracker.step` as it was, scoring each pair with a scalar `iou`
+    call on the track's last `Bbox`."""
+
+    def step(self, frame, detections):
+        pairs = []
+        for ti, track in enumerate(self._live):
+            for di, det in enumerate(detections):
+                score = iou(track["last_box"], det.bbox)
+                if score >= self.iou_threshold:
+                    pairs.append((score, track["id"], di, ti))
+        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+
+        used_tracks: set[int] = set()
+        used_dets: set[int] = set()
+        for score, _tid, di, ti in pairs:
+            if ti in used_tracks or di in used_dets:
+                continue
+            used_tracks.add(ti)
+            used_dets.add(di)
+            track = self._live[ti]
+            track["boxes"][frame] = detections[di].bbox
+            track["last_box"] = detections[di].bbox
+            track["missed"] = 0
+
+        closed = []
+        survivors = []
+        for ti, track in enumerate(self._live):
+            if ti in used_tracks:
+                survivors.append(track)
+                continue
+            track["missed"] += 1
+            if track["missed"] > self.max_age:
+                closed.append(Tracklet2D(self.camera, track["id"], track["boxes"]))
+            else:
+                survivors.append(track)
+        self._live = survivors
+
+        for di, det in enumerate(detections):
+            if di in used_dets:
+                continue
+            self._live.append({"id": self._next_id, "boxes": {frame: det.bbox},
+                               "last_box": det.bbox, "missed": 0})
+            self._next_id += 1
+        return closed
 
 
 class TestBbox:
@@ -78,6 +140,53 @@ class TestIouTracker:
         b = track_camera_stream(0, stream)
         assert [(t.track_id, sorted(t.boxes)) for t in a] == \
             [(t.track_id, sorted(t.boxes)) for t in b]
+
+
+# Boxes on a coarse grid: duplicates, identical scores across tracks and
+# exact rational IoUs are common.
+grid_boxes = st.builds(Bbox, st.integers(0, 6).map(float), st.integers(0, 2).map(float),
+                       st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+                       st.sampled_from([1.0, 2.0, 4.0]))
+
+
+@st.composite
+def detection_streams(draw):
+    frames = draw(st.lists(st.lists(grid_boxes, max_size=6), max_size=12))
+    boxes = [b for frame in frames for b in frame]
+    # A threshold equal to a score that occurs in the stream, so some pairs
+    # sit exactly at it, or a fixed one.
+    scores = sorted({s for a in boxes[:8] for b in boxes[:8]
+                     if 0.0 < (s := iou(a, b)) <= 1.0})
+    fixed = st.sampled_from([0.1, 1.0 / 3.0, 0.5, 1.0])
+    threshold = draw(st.sampled_from(scores) | fixed if scores else fixed)
+    return frames, threshold, draw(st.integers(0, 3))
+
+
+class TestIouTrackerAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(detection_streams())
+    def test_equals_scalar_iou_step(self, stream):
+        frames, threshold, max_age = stream
+        tracker = IouTracker(3, threshold, max_age)
+        reference = ReferenceIouTracker(3, threshold, max_age)
+        for f, boxes in enumerate(frames):
+            dets = [Detection(frame=f, camera=3, bbox=b) for b in boxes]
+            assert tracker.step(f, dets) == reference.step(f, dets)
+        assert tracker.finish() == reference.finish()
+
+    def test_score_at_threshold_matches(self):
+        # 2x2 boxes one unit apart: IoU 2/6, exactly the threshold.
+        tracker = IouTracker(0, iou_threshold=2.0 / 6.0)
+        tracker.step(0, [det(0, 0.0, 0.0, 2.0, 2.0)])
+        tracker.step(1, [det(1, 1.0, 0.0, 2.0, 2.0)])
+        assert [sorted(t.boxes) for t in tracker.finish()] == [[0, 1]]
+
+    def test_equal_scores_go_to_lower_track_id(self):
+        tracker = IouTracker(0)
+        tracker.step(0, [det(0, 0.0, 0.0), det(0, 0.0, 0.0)])
+        tracker.step(1, [det(1, 1.0, 0.0)])
+        tracks = sorted(tracker.finish(), key=lambda t: t.track_id)
+        assert [sorted(t.boxes) for t in tracks] == [[0, 1], [0]]
 
 
 def linear_tracklet(frames, camera=0, track_id=0):
