@@ -17,7 +17,7 @@ import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
-from .sv_track import Bbox, Detection
+from .sv_track import Bbox, Detection, finite_number
 
 PERSON_HALF_HEIGHT = 0.85
 BBOX_HEIGHT_SLACK = 1.1
@@ -247,6 +247,33 @@ def save_truth(truth: list[dict], path) -> None:
             fh.write("\n")
 
 
+def _check_truth_record(rec) -> None:
+    """Raise ValueError unless rec has the fields `metrics.evaluate` reads,
+    with the JSON types `save_truth` writes."""
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    if type(rec["frame"]) is not int:
+        raise ValueError(f"frame must be an integer, got {rec['frame']!r}")
+    if type(rec.get("is_target", False)) is not bool:
+        raise ValueError(f"is_target must be true or false, got {rec['is_target']!r}")
+    for key in ("X", "top", "bottom"):
+        if key == "X" or key in rec:
+            value = rec[key]
+            if not (isinstance(value, list) and len(value) == 3
+                    and all(map(finite_number, value))):
+                raise ValueError(f"{key} must be three finite numbers, got {value!r}")
+    boxes = rec.get("boxes", {})
+    if not isinstance(boxes, dict):
+        raise ValueError(f"boxes must be an object, got {boxes!r}")
+    for cam, box in boxes.items():
+        if not (cam.removeprefix("-").isdecimal() and str(int(cam)) == cam):
+            raise ValueError(f"box camera id must be an integer string, got {cam!r}")
+        if not (isinstance(box, list) and len(box) == 4 and all(map(finite_number, box))
+                and box[2] > 0 and box[3] > 0):
+            raise ValueError("box must be four finite numbers x, y, w, h with "
+                             f"positive w and h, got {box!r}")
+
+
 def load_truth(path) -> list[dict]:
     records = []
     with open(path) as fh:
@@ -255,7 +282,9 @@ def load_truth(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except ValueError as exc:
+                rec = json.loads(line)
+                _check_truth_record(rec)
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad truth record: {exc}") from exc
+            records.append(rec)
     return records

@@ -9,15 +9,29 @@ frames only.
 Matched fragments are merged in place into the earlier track, touching
 only the new window's frames and averaging the overlap; unmatched
 fragments from the new window get fresh ids as copies.
+
+The assignment is solved in plain Python by `min_cost_assignment`, the
+shortest-augmenting-path method of Crouse ("On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016), a variant of Jonker
+and Volgenant's.  Its tie rules are those of the C++ port of that method
+behind the common `linear_sum_assignment`, whose (rows, cols) it
+reproduces on every input (the tests pin this):
+- the remaining columns are scanned from the highest index down;
+- on an equal shortest-path cost an unassigned column wins;
+- a tall matrix is solved transposed and the result sorted by row;
+- NaN or -inf entries, or no assignment of finite cost (a row of +inf),
+  raise ValueError.
+Stitching matrices are live tracks x window tracks, a few rows, where
+list arithmetic costs less than array dispatch.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cascade import Tracklet3D, WindowTrack
 from .sv_track import Bbox
@@ -74,6 +88,68 @@ def window_distance_matrix(prev: list[Tracklet3D], nxt: list[Tracklet3D]) -> np.
     return D
 
 
+def min_cost_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Rows and columns of a minimum-cost assignment of a rectangular
+    cost matrix given as a list of rows; min(rows, columns) pairs, sorted
+    by row.  Raises ValueError for NaN or -inf entries and for a matrix
+    with no finite assignment."""
+    nr, nc = len(cost), len(cost[0]) if cost else 0
+    if not nr or not nc:
+        return [], []
+    if any(c != c or c == -math.inf for row in cost for c in row):
+        raise ValueError("cost matrix contains NaN or -inf entries")
+    transposed = nc < nr
+    if transposed:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra over reduced costs from cur_row to an unassigned column.
+        spc = [math.inf] * nc
+        rows_seen, cols_seen = [cur_row], []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            row, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # flip the path back to cur_row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transposed:
+        pairs = sorted((r, c) for c, r in enumerate(col4row))
+        return [r for r, _ in pairs], [c for _, c in pairs]
+    return list(range(nr)), col4row
+
+
 def assign(D, unmatched_threshold: float = STITCH_THRESHOLD_M
            ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Optimal assignment over a rectangular 2-D array-like with NaN
@@ -84,13 +160,12 @@ def assign(D, unmatched_threshold: float = STITCH_THRESHOLD_M
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 and not D.size:
         D = D.reshape(0, 0)  # a bare [] has no column count
-    cost = np.where(np.isnan(D), UNAVAILABLE_COST, D)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols)
-             if cost[i, j] <= unmatched_threshold]
+    n_rows, n_cols = D.shape
+    cost = np.where(np.isnan(D), UNAVAILABLE_COST, D).tolist()
+    pairs = [(i, j) for i, j in zip(*min_cost_assignment(cost))
+             if cost[i][j] <= unmatched_threshold]
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
-    n_rows, n_cols = cost.shape
     return (pairs,
             [i for i in range(n_rows) if i not in matched_rows],
             [j for j in range(n_cols) if j not in matched_cols])

@@ -49,6 +49,15 @@ class Bbox:
                 self.x + self.w / 2, self.y + self.h / 2)
 
 
+def finite_number(value) -> bool:
+    """Whether a decoded JSON value is a finite number."""
+    # type(), not isinstance(): a JSON true is a bool, not a number.
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def boxes_array(boxes) -> np.ndarray:
     """(n, 4) array of the (x, y, w, h) rows of an iterable of n boxes."""
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes])

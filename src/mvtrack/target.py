@@ -20,7 +20,7 @@ import numpy as np
 from .cascade import Provenance, Tracklet3D, TrackingSpace
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
-from .sv_track import Bbox
+from .sv_track import Bbox, finite_number
 
 logger = logging.getLogger(__name__)
 
@@ -230,14 +230,6 @@ def save_target_records(records: list[TargetRecord], path) -> None:
             fh.write("\n")
 
 
-def _finite_number(value) -> bool:
-    # type(), not isinstance(): a JSON true is a bool, not a number.
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
 def _check_target_record(rec) -> None:
     """Raise ValueError unless rec has the fields `metrics.evaluate` reads,
     with the JSON types `save_target_records` writes."""
@@ -247,14 +239,14 @@ def _check_target_record(rec) -> None:
         if type(rec[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {rec[key]!r}")
     X = rec["X"]
-    if not (isinstance(X, list) and len(X) == 3 and all(map(_finite_number, X))):
+    if not (isinstance(X, list) and len(X) == 3 and all(map(finite_number, X))):
         raise ValueError(f"X must be three finite numbers, got {X!r}")
     views = rec.get("per_view", [])
     if not isinstance(views, list):
         raise ValueError(f"per_view must be a list, got {views!r}")
     for view in views:
         if not isinstance(view, dict) or type(view.get("camera")) is not int or \
-                not all(_finite_number(view.get(k)) for k in ("x", "y", "w", "h")):
+                not all(finite_number(view.get(k)) for k in ("x", "y", "w", "h")):
             raise ValueError("per_view entry needs an integer camera and finite "
                              f"numbers x, y, w, h, got {view!r}")
 

@@ -488,6 +488,33 @@ class TestEvaluate:
         assert message in result.output
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.update(X=[float("nan"), 0.0, 1.0]), "X must be three"),
+        (lambda rec: rec["boxes"].update({"0": ["a", 1, 2, 3]}), "box must be four"),
+        (lambda rec: rec["boxes"].update({"0": [1.0, 2.0, 0.0, 3.0]}),
+         "box must be four"),
+        (lambda rec: rec["boxes"].update({"x": [1.0, 2.0, 3.0, 4.0]}),
+         "box camera id"),
+        (lambda rec: rec.update(top=[0.0, 1.0]), "top must be three"),
+        (lambda rec: rec.update(frame=1.5), "frame must be an integer"),
+        (lambda rec: rec.update(is_target=1), "is_target must be"),
+    ], ids=["nan-X", "string-box", "zero-width-box", "non-integer-camera",
+            "short-top", "float-frame", "integer-is-target"])
+    def test_malformed_truth_is_input_error(self, runner, tmp_path, edit, message):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        truth_path = out / "truth.jsonl"
+        records = [json.loads(line) for line in truth_path.read_text().splitlines()]
+        i = next(i for i, rec in enumerate(records) if rec["is_target"])
+        edit(records[i])
+        truth_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        result = self.evaluate(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{truth_path}:{i + 1}: bad truth record" in result.output
+        assert message in result.output
+        assert not (out / "report.json").exists()
+
     def test_missing_tracklets_is_input_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         result = self.evaluate(runner, out)

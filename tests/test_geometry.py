@@ -393,6 +393,30 @@ class TestTriangulateBatch:
             for k in np.flatnonzero(ok):
                 assert np.max(np.abs(points[k] - expected[k])) <= 1e-9
 
+    def test_split_batches_match_joint_solve(self):
+        # The window-batched cascade solves all frames of one camera tuple
+        # in a call, so a row's result must not depend on the other rows.
+        # Each part keeps at least two solvable rows: with one, numpy
+        # takes a matrix-vector kernel for the refinement, which may differ
+        # in the last bits.
+        rng = np.random.default_rng(43)
+        for count in (2, 3, 4):
+            for _ in range(10):
+                cams = random_cameras(rng, count=count)
+                truth = rng.uniform(-1.5, 1.5, size=(12, 3)) + [0.0, 0.0, 1.8]
+                pixels = np.stack([project(cam, truth) for cam in cams], axis=1)
+                pixels += rng.normal(0.0, 2.0, size=pixels.shape)
+                # A point at infinity keeps a not-ok row in the stack.
+                pixels[int(rng.integers(len(truth)))] = vanishing_pixels(
+                    cams, rng.normal(size=3))
+                points, ok = triangulate_batch(cams, pixels)
+                cut = int(rng.integers(3, len(truth) - 2))
+                head, head_ok = triangulate_batch(cams, pixels[:cut])
+                tail, tail_ok = triangulate_batch(cams, pixels[cut:])
+                assert np.array_equal(np.concatenate([head_ok, tail_ok]), ok)
+                assert np.array_equal(np.concatenate([head, tail]), points,
+                                      equal_nan=True)
+
     def test_common_path_calls_no_svd_or_pinv(self, monkeypatch, cam_a, cam_b):
         # Well-conditioned frames are solved by eigh and the closed-form
         # normal equations alone; a far point, whose rays are 1e-5 rad
