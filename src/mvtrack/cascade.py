@@ -239,12 +239,14 @@ def outlier_gate(t3: Tracklet3D, space: TrackingSpace,
     return not np.any((np.diff(frames) == 1) & (steps > velocity_limit))
 
 
-def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
-                     rig: CameraRig) -> list[tuple[Tracklet3D, WindowSegment2D]]:
-    """One coplanar 3D candidate per segment, in the order of `unmatched`,
-    from per-frame ray-plane intersection of the bbox centers; the
-    segments of one camera are intersected in one call.  Parallel/behind
-    frames are skipped."""
+def plane_candidates(windows: Sequence[Sequence[WindowSegment2D]], plane: PlaneSpec,
+                     rig: CameraRig) -> list[list[tuple[Tracklet3D, WindowSegment2D]]]:
+    """Per window, one coplanar 3D candidate per segment, in the window's
+    order, from per-frame ray-plane intersection of the bbox centers; the
+    segments of one camera, across all windows, are intersected in one
+    call.  Parallel/behind frames are skipped, and a segment with no hit
+    has no candidate."""
+    unmatched = [seg for segs in windows for seg in segs]
     frames = [sorted(seg.boxes) for seg in unmatched]
     by_camera: dict[int, list[int]] = {}
     for k, seg in enumerate(unmatched):
@@ -256,7 +258,8 @@ def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
         bounds = np.cumsum([len(frames[k]) for k in ks])[:-1]
         solved.update(zip(ks, zip(np.split(points, bounds), np.split(s, bounds))))
 
-    out = []
+    out: list[list[tuple[Tracklet3D, WindowSegment2D]]] = [[] for _ in windows]
+    window = [w for w, segs in enumerate(windows) for _ in segs]
     for k, seg in enumerate(unmatched):
         points, s = solved[k]
         hits = np.flatnonzero(s > 0)
@@ -272,7 +275,7 @@ def plane_candidates(unmatched: list[WindowSegment2D], plane: PlaneSpec,
             t3.points[f] = points[i]
             t3.provenance[f] = Provenance.PLANE_INTERSECTED
             t3.source_views[f] = views
-        out.append((t3, seg))
+        out[window[k]].append((t3, seg))
     return out
 
 
@@ -346,6 +349,64 @@ class WindowTrack:
     segments: list[WindowSegment2D]
 
 
+def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
+                    rig: CameraRig, plane: PlaneSpec, space: TrackingSpace,
+                    mode: Mode = Mode.CASCADE,
+                    theta_opp_deg: float = THETA_OPP_DEG,
+                    tau_plane: float = TAU_PLANE_M,
+                    velocity_limit: float = VELOCITY_LIMIT_M,
+                    opposite_pairs: list[frozenset[int]] | None = None
+                    ) -> list[list[WindowTrack]]:
+    """Route every cluster of each window (windows[k] starts at starts[k])
+    through exactly one branch and gate the results; returns each window's
+    tracks.
+
+    A run of windows is solved at once: the multi-camera clusters of all
+    windows are triangulated together (`triangulate_clusters`), their
+    insufficient segments intersected with the plane together
+    (`plane_candidates`), and the tops and bottoms of all plane-branch
+    tracks triangulated together (`attach_top_bottom_batch`).  The
+    two-view verdict, plane matching and the outlier gate run per window,
+    and every row of those batched solves is independent of the others, so
+    a window's tracks do not depend on the windows it is solved with.
+    """
+    # The triangulation feeds both the two-view verdict and the branch.
+    solvable = [(w, i) for w, clusters in enumerate(windows)
+                for i, c in enumerate(clusters)
+                if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
+    solved = dict(zip(solvable, triangulate_clusters(
+        [windows[w][i] for w, i in solvable], rig)))
+    tracks: list[list[WindowTrack]] = [[] for _ in windows]
+    insufficient: list[list[WindowSegment2D]] = [[] for _ in windows]
+    for w, (start, clusters) in enumerate(zip(starts, windows)):
+        for i, cluster in enumerate(clusters):
+            t3 = solved.get((w, i))
+            if mode is Mode.CASCADE:
+                sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
+                                              triangulated=t3)
+            else:
+                sufficient = t3 is not None
+            if not sufficient:
+                insufficient[w].extend(cluster.members)
+            elif t3.points and outlier_gate(t3, space, velocity_limit):
+                tracks[w].append(WindowTrack(start, t3, list(cluster.members)))
+
+    if mode is not Mode.TRIANGULATION_ONLY:
+        cands = plane_candidates(
+            [sorted(segs, key=lambda s: s.key) for segs in insufficient], plane, rig)
+        # The gate is applied to both branches for uniformity.
+        fused = [[(t3, segs) for t3, segs in plane_match_and_fuse(c, tau_plane)
+                  if t3.points and outlier_gate(t3, space, velocity_limit)]
+                 for c in cands]
+        attach_top_bottom_batch([f for window in fused for f in window], rig)
+        for start, window_tracks, window_fused in zip(starts, tracks, fused):
+            window_tracks.extend(WindowTrack(start, t3, segs) for t3, segs in window_fused)
+
+    for window_tracks in tracks:
+        window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
+    return tracks
+
+
 def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
                    plane: PlaneSpec, space: TrackingSpace,
                    mode: Mode = Mode.CASCADE,
@@ -354,40 +415,6 @@ def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
                    velocity_limit: float = VELOCITY_LIMIT_M,
                    opposite_pairs: list[frozenset[int]] | None = None
                    ) -> list[WindowTrack]:
-    """Route every cluster through exactly one branch and gate the results.
-
-    The window is solved at once: the multi-camera clusters are
-    triangulated together (`triangulate_clusters`), and the tops and
-    bottoms of the plane-branch tracks together (`attach_top_bottom_batch`),
-    each with one `triangulate_batch` call per camera set.
-    """
-    tracks: list[WindowTrack] = []
-    insufficient_segments: list[WindowSegment2D] = []
-    # The triangulation feeds both the two-view verdict and the branch.
-    solvable = [i for i, c in enumerate(clusters)
-                if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
-    solved = dict(zip(solvable, triangulate_clusters([clusters[i] for i in solvable],
-                                                     rig)))
-    for i, cluster in enumerate(clusters):
-        t3 = solved.get(i)
-        if mode is Mode.CASCADE:
-            sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
-                                          triangulated=t3)
-        else:
-            sufficient = t3 is not None
-        if not sufficient:
-            insufficient_segments.extend(cluster.members)
-        elif t3.points and outlier_gate(t3, space, velocity_limit):
-            tracks.append(WindowTrack(start, t3, list(cluster.members)))
-
-    if mode is not Mode.TRIANGULATION_ONLY and insufficient_segments:
-        cands = plane_candidates(sorted(insufficient_segments, key=lambda s: s.key),
-                                 plane, rig)
-        # The gate is applied to both branches for uniformity.
-        fused = [(t3, segs) for t3, segs in plane_match_and_fuse(cands, tau_plane)
-                 if t3.points and outlier_gate(t3, space, velocity_limit)]
-        attach_top_bottom_batch(fused, rig)
-        tracks.extend(WindowTrack(start, t3, segs) for t3, segs in fused)
-
-    tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
-    return tracks
+    """`process_windows` for one window."""
+    return process_windows([start], [clusters], rig, plane, space, mode, theta_opp_deg,
+                           tau_plane, velocity_limit, opposite_pairs)[0]

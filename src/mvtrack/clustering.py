@@ -24,32 +24,38 @@ import numpy as np
 
 
 def shared_frame_distances(present: np.ndarray, cameras,
-                           frame_distance: Callable[..., np.ndarray]) -> np.ndarray:
+                           frame_distance: Callable[..., np.ndarray],
+                           pairs: tuple[np.ndarray, np.ndarray] | None = None
+                           ) -> np.ndarray:
     """Pairwise (n, n) distances between n items over the frames they share.
 
     `present` is an (n, span) mask of the frames each item has and
     `cameras` the camera label of each item.  An entry is the mean
     per-frame distance over the two items' shared frames, inf where two
     items of one camera share a frame, and NaN where two items share no
-    frame (and on the diagonal).
+    frame (and on the diagonal).  A NaN frame distance is no evidence: it
+    leaves the mean, and a pair with no other shared frame gets NaN.
 
     `frame_distance(cam_a, cam_b, i, j, frames)` returns the distances
     between items i[k] of camera cam_a and j[k] of camera cam_b at frame
     frames[k]; it is called once per camera pair, with the shared frames
     of all that pair's item pairs.
+
+    With `pairs`, a (rows, cols) pair of index arrays with rows < cols,
+    only those item pairs are scored, and their (len(rows),) distances
+    are returned in pair order instead of the (n, n) array.
     """
     n = len(present)
     labels, camera = np.unique(cameras, return_inverse=True)
     labels = labels.tolist()
-    D = np.full((n, n), np.nan)
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = np.triu_indices(n, k=1) if pairs is None else pairs
+    out = np.full(len(rows), np.nan)
     shared = present[rows] & present[cols]
-    counts = shared.sum(axis=1)
-    overlap = counts > 0
+    overlap = shared.any(axis=1)
     # One code per ordered camera pair, sorted as (camera a, camera b).
     pair_code = camera[rows] * len(labels) + camera[cols]
     same = camera[rows] == camera[cols]
-    D[rows[overlap & same], cols[overlap & same]] = np.inf
+    out[overlap & same] = np.inf
     scored = overlap & ~same
     for code in np.unique(pair_code[scored]).tolist():
         group = np.flatnonzero(scored & (pair_code == code))
@@ -57,8 +63,14 @@ def shared_frame_distances(present: np.ndarray, cameras,
         i, j = rows[group], cols[group]
         a, b = divmod(code, len(labels))
         d = frame_distance(labels[a], labels[b], i[pair], j[pair], frame)
-        D[i, j] = np.bincount(pair, weights=d, minlength=len(group)) / counts[group]
-    D[cols, rows] = D[rows, cols]
+        defined = ~np.isnan(d)
+        total = np.bincount(pair, weights=np.where(defined, d, 0.0), minlength=len(group))
+        with np.errstate(invalid="ignore"):
+            out[group] = total / np.bincount(pair, weights=defined, minlength=len(group))
+    if pairs is not None:
+        return out
+    D = np.full((n, n), np.nan)
+    D[rows, cols] = D[cols, rows] = out
     return D
 
 

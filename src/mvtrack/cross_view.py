@@ -9,6 +9,7 @@ complete-linkage scheme in `clustering`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,36 +43,62 @@ def _box_pair_distances(a: np.ndarray, b: np.ndarray, cam_a: int, cam_b: int,
     return la + lb
 
 
-def pair_distance_matrix(segments: list[WindowSegment2D], rig: CameraRig) -> np.ndarray:
-    """All pairwise segment distances as an (n, n) array: the mean
-    per-frame epipolar distance over shared valid frames, inf for
+def pair_distance_matrices(windows: Sequence[Sequence[WindowSegment2D]],
+                           rig: CameraRig) -> list[np.ndarray]:
+    """Each window's pairwise segment distances as an (n, n) array: the
+    mean per-frame epipolar distance over shared valid frames, inf for
     same-camera overlap and NaN where two segments share no valid frames
     (and on the diagonal).
 
-    The boxes are stacked once on the segments' common frame span, and
-    the shared frames of all pairs from one camera pair are scored in one
-    batched call.
+    The boxes of all windows are stacked once on one grid, each window's
+    frames indexed from its first frame.  Only pairs within a window are
+    formed, and the shared frames of all of them from one camera pair are
+    scored in one batched call.
     """
-    n = len(segments)
-    if n < 2:
-        return np.full((n, n), np.nan)
-    first = min(min(seg.boxes) for seg in segments)
-    span = max(max(seg.boxes) for seg in segments) - first + 1
-    boxes = np.zeros((n, span, 4))
-    valid = np.zeros((n, span), dtype=bool)
-    for k, seg in enumerate(segments):
-        at = np.fromiter(seg.boxes, dtype=int, count=len(seg.boxes)) - first
-        boxes[k, at] = boxes_array(seg.boxes.values())
-        valid[k, at] = True
-    return shared_frame_distances(
+    segments = [seg for segs in windows for seg in segs]
+    counts = [len(seg.boxes) for seg in segments]
+    firsts = [min(min(seg.boxes) for seg in segs) if segs else 0 for segs in windows]
+    first = np.repeat(np.repeat(firsts, [len(segs) for segs in windows]), counts)
+    at = np.fromiter((f for seg in segments for f in seg.boxes), dtype=int,
+                     count=sum(counts)) - first
+    item = np.repeat(np.arange(len(segments)), counts)
+    boxes = np.zeros((len(segments), at.max(initial=0) + 1, 4))
+    valid = np.zeros(boxes.shape[:2], dtype=bool)
+    boxes[item, at] = boxes_array(b for seg in segments
+                                  for b in seg.boxes.values()).reshape(-1, 4)
+    valid[item, at] = True
+
+    pairs = [np.triu_indices(len(segs), k=1) for segs in windows]
+    offsets = np.cumsum([0] + [len(segs) for segs in windows])
+    rows = np.concatenate([r + o for (r, _), o in zip(pairs, offsets)])
+    cols = np.concatenate([c + o for (_, c), o in zip(pairs, offsets)])
+    d = shared_frame_distances(
         valid, [seg.camera for seg in segments],
         lambda cam_a, cam_b, i, j, frame: _box_pair_distances(
-            boxes[i, frame], boxes[j, frame], cam_a, cam_b, rig))
+            boxes[i, frame], boxes[j, frame], cam_a, cam_b, rig),
+        pairs=(rows, cols))
+
+    out, done = [], 0
+    for segs, (r, c) in zip(windows, pairs):
+        n = len(segs)
+        D = np.full((n, n), np.nan)
+        D[r, c] = D[c, r] = d[done:done + len(r)]
+        out.append(D)
+        done += len(r)
+    return out
+
+
+def cluster_windows(windows: Sequence[Sequence[WindowSegment2D]], rig: CameraRig,
+                    cutoff: float = LAMBDA_2D) -> list[list[Cluster]]:
+    """Associate each window's segments into per-identity clusters; the
+    distances of all windows are scored together, and each window is
+    clustered on its own."""
+    ordered = [sorted(segs, key=lambda s: s.key) for segs in windows]
+    return [[Cluster(tuple(segs[i] for i in g)) for g in cluster_with_cutoff(D, cutoff)]
+            for segs, D in zip(ordered, pair_distance_matrices(ordered, rig))]
 
 
 def cluster_segments(segments: list[WindowSegment2D], rig: CameraRig,
                      cutoff: float = LAMBDA_2D) -> list[Cluster]:
     """Associate same-window segments into per-identity clusters."""
-    ordered = sorted(segments, key=lambda s: s.key)
-    groups = cluster_with_cutoff(pair_distance_matrix(ordered, rig), cutoff)
-    return [Cluster(tuple(ordered[i] for i in g)) for g in groups]
+    return cluster_windows([segments], rig, cutoff)[0]

@@ -36,10 +36,6 @@ class CoincidentCenters(GeometryError):
     """Two cameras share an optical center; no fundamental matrix exists."""
 
 
-class DegenerateLine(GeometryError):
-    """Epipolar line has zero direction components."""
-
-
 MIN_DEPTH_M = 1e-9
 PARALLEL_RAY_RAD = 1e-6
 # Rows of `gauss_newton_step` whose J^T J has a Frobenius condition number
@@ -83,6 +79,17 @@ class CameraModel:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "P", K @ np.hstack([R, t[:, None]]))
         object.__setattr__(self, "center", -R.T @ t)
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an (N, k) a, with every row on one kernel: numpy computes a
+    one-row product with a matrix-vector (or dot) kernel whose last bits
+    differ from the multi-row one, so a single row is taken as the first
+    row of a two-row product.  A row's result then does not depend on how
+    many rows share the call."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
 
 def project(cam: CameraModel, points) -> np.ndarray:
@@ -133,7 +140,9 @@ def epipolar_distance_batch(F: np.ndarray, source, target,
     F maps source-view pixels to epipolar lines in the target view.
     `source` and `target` are (N, 2) pixel arrays; each point-to-line
     distance is divided by its `target_scale` entry (the |w+h| of the
-    target box) so the measure is resolution independent.  Returns (N,).
+    target box) so the measure is resolution independent.  Returns (N,),
+    NaN for a row whose line is undefined: a source pixel at the epipole
+    maps to (l1, l2) = (0, 0).
     """
     scale = np.asarray(target_scale, dtype=float)
     if not (scale > 0).all():
@@ -141,11 +150,11 @@ def epipolar_distance_batch(F: np.ndarray, source, target,
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     F = np.asarray(F, dtype=float)
-    l = source @ F[:, :2].T + F[:, 2]
+    l = _rows_product(source, F[:, :2].T) + F[:, 2]
     norm = np.hypot(l[:, 0], l[:, 1])
-    if (norm == 0.0).any():
-        raise DegenerateLine("epipolar line has (l1, l2) = (0, 0)")
-    d = np.abs(l[:, 0] * target[:, 0] + l[:, 1] * target[:, 1] + l[:, 2]) / norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.abs(l[:, 0] * target[:, 0] + l[:, 1] * target[:, 1] + l[:, 2]) / norm
+    d[norm == 0.0] = np.nan
     return d / scale
 
 
@@ -198,7 +207,7 @@ def ray_plane_intersect_batch(cam: CameraModel, pixels,
     where the hit lies behind the camera; points are NaN in both cases.
     """
     v = pixel_ray_world_batch([cam], np.asarray(pixels, dtype=float)[:, None])[:, 0]
-    denom = v @ plane.n
+    denom = _rows_product(v, plane.n)
     parallel = np.abs(denom) <= 1e-9
     s = float(plane.n @ (plane.point - cam.center)) / np.where(parallel, np.nan, denom)
     points = cam.center + s[:, None] * v
@@ -282,8 +291,8 @@ def triangulate_batch(cams: list[CameraModel],
     obs = pixels[ok]
 
     # One Gauss-Newton refinement of sum ||x_c - pi(P_c, X)||^2.
-    h = (np.column_stack([X, np.ones(len(X))]) @ P.reshape(-1, 4).T).reshape(
-        len(X), n_views, 3)
+    h = _rows_product(np.column_stack([X, np.ones(len(X))]),
+                      P.reshape(-1, 4).T).reshape(len(X), n_views, 3)
     refine = np.all(np.abs(h[:, :, 2]) >= 1e-12, axis=1)
     h, obs = h[refine], obs[refine]
     hz = h[:, :, 2, None]

@@ -2,18 +2,24 @@
 cross-view clustering, the triangulation / ray-plane cascade, cross-window
 stitching and target maintenance, run in one thread.
 
-The per-frame numpy work is small and holds the interpreter lock, so a
-thread pool over cameras or windows made every run slower; parallelism
-would have to come from processes, sharded by window.
+Windows are associated in chunks: consecutive windows are buffered, in
+order, until they hold at least CHUNK_SEGMENTS segments; the chunk is
+clustered (`cluster_windows`) and solved (`process_windows`) at once, and
+only then is each of its windows stitched and observed, in window order.
+This is safe because association reads only a window's own segments,
+never the track registry, and every batched solve is row-independent, so
+a window's tracks are the same in any chunk.  Budgeting in segments rather
+than windows bounds the stacked temporaries on crowded clips.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 
-from .cascade import Mode, process_window
+from .cascade import Mode, process_windows
 from .config import PipelineConfig
-from .cross_view import cluster_segments
+from .cross_view import cluster_windows
 from .geometry import CameraRig
 from .stitch import TrackRegistry
 from .sv_track import (Detection, WindowSegment2D, segment_windows,
@@ -21,6 +27,8 @@ from .sv_track import (Detection, WindowSegment2D, segment_windows,
 from .target import TargetMaintainer, TargetRecord
 
 logger = logging.getLogger(__name__)
+
+CHUNK_SEGMENTS = 128
 
 
 def collect_window_segments(detections: list[Detection], rig: CameraRig,
@@ -43,6 +51,22 @@ def collect_window_segments(detections: list[Detection], rig: CameraRig,
             for start, segs in sorted(by_window.items())}
 
 
+def _chunks(windows: dict[int, list[WindowSegment2D]]
+            ) -> Iterator[list[tuple[int, list[WindowSegment2D]]]]:
+    """Consecutive (start, segments) runs of `windows`, in order, each
+    closed once it holds at least CHUNK_SEGMENTS segments."""
+    chunk: list[tuple[int, list[WindowSegment2D]]] = []
+    size = 0
+    for start, segments in windows.items():
+        chunk.append((start, segments))
+        size += len(segments)
+        if size >= CHUNK_SEGMENTS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
 def run_pipeline(detections: list[Detection], rig: CameraRig,
                  cfg: PipelineConfig,
                  mode: Mode = Mode.CASCADE) -> tuple[list[TargetRecord], TrackRegistry]:
@@ -55,14 +79,16 @@ def run_pipeline(detections: list[Detection], rig: CameraRig,
     maintainer = TargetMaintainer(
         space=space, criteria=cfg.criteria(), max_gap=cfg.max_gap_fill,
         buffer_scale=cfg.buffer_scale, smooth_window=cfg.smooth_window)
-    for start, segments in collect_window_segments(detections, rig, cfg).items():
-        clusters = cluster_segments(segments, rig, cfg.lambda_2d)
-        window_tracks = process_window(
-            start, clusters, rig, plane, space, mode=mode,
+    for chunk in _chunks(collect_window_segments(detections, rig, cfg)):
+        starts = [start for start, _ in chunk]
+        clusters = cluster_windows([segments for _, segments in chunk], rig, cfg.lambda_2d)
+        tracks = process_windows(
+            starts, clusters, rig, plane, space, mode=mode,
             theta_opp_deg=cfg.theta_opp, tau_plane=cfg.tau,
             velocity_limit=cfg.nu, opposite_pairs=opposite_pairs)
-        registry.advance(start, window_tracks)
-        maintainer.observe(start, cfg.window_len, registry)
+        for start, window_tracks in zip(starts, tracks):
+            registry.advance(start, window_tracks)
+            maintainer.observe(start, cfg.window_len, registry)
 
     records = maintainer.finalize(registry, rig)
     logger.info("pipeline: %d tracks, %d target frames",

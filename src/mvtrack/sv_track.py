@@ -288,10 +288,11 @@ def load_detections(path) -> list[Detection]:
                 rec = json.loads(line)
                 if type(rec["frame"]) is not int or type(rec["camera"]) is not int:
                     raise ValueError("frame and camera must be integers")
+                box = [rec["x"], rec["y"], rec["w"], rec["h"]]
+                if not all(map(finite_number, box)):
+                    raise ValueError(f"x, y, w and h must be finite JSON numbers, got {box}")
                 detections.append(Detection(
-                    frame=rec["frame"], camera=rec["camera"],
-                    bbox=Bbox(float(rec["x"]), float(rec["y"]),
-                              float(rec["w"]), float(rec["h"]))))
+                    frame=rec["frame"], camera=rec["camera"], bbox=Bbox(*map(float, box))))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad detection record: {exc}") from exc
     return detections

@@ -189,7 +189,7 @@ class TestPlaneCandidates:
     def test_on_plane_exact_round_trip(self, rig):
         path = person_path(range(10), x=0.0)
         seg = segment(0, {f: project_box(rig[0], X) for f, X in path.items()})
-        (t3, out_seg), = plane_candidates([seg], PLANE, rig)
+        (t3, out_seg), = plane_candidates([[seg]], PLANE, rig)[0]
         assert out_seg is seg
         for f, X in path.items():
             assert np.linalg.norm(t3.points[f] - X) <= 1e-9
@@ -202,7 +202,7 @@ class TestPlaneCandidates:
         path = person_path(range(10), x=1.0, z0=1.0)
         segs = [segment(c, {f: project_box(cams[c], X) for f, X in path.items()})
                 for c in (0, 1)]
-        (ta, _), (tb, _) = plane_candidates(segs, PLANE, cams)
+        (ta, _), (tb, _) = plane_candidates([segs], PLANE, cams)[0]
         diffs = [np.linalg.norm(ta.points[f] - tb.points[f]) for f in range(10)]
         assert np.mean(diffs) > 0.5
 
@@ -214,7 +214,7 @@ class TestPlaneCandidates:
             boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                      for f, X in path.items()}
             segs.append(segment(c, boxes))
-        (ta, _), (tb, _) = plane_candidates(segs, PLANE, rig)
+        (ta, _), (tb, _) = plane_candidates([segs], PLANE, rig)[0]
         diffs = [np.linalg.norm(ta.points[f] - tb.points[f]) for f in range(10)]
         assert np.mean(diffs) <= 0.1
 
@@ -222,7 +222,7 @@ class TestPlaneCandidates:
         # Camera 1 sits on the plane x = 0: every ray multiplier is zero.
         path = person_path(range(10), x=0.0)
         seg = segment(1, {f: project_box(rig[1], X) for f, X in path.items()})
-        assert plane_candidates([seg], PLANE, rig) == []
+        assert plane_candidates([[seg]], PLANE, rig) == [[]]
 
 
 def constant_candidate(camera, value, frames=range(10)):
@@ -322,7 +322,7 @@ class TestPlaneMatchAndFuse:
                 boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                          for f, X in path.items()}
                 segs.append(segment(c, boxes, track_id=pid))
-        fused = plane_match_and_fuse(plane_candidates(segs, PLANE, rig))
+        fused = plane_match_and_fuse(plane_candidates([segs], PLANE, rig)[0])
         assert len(fused) == 1
         t3, _ = fused[0]
         errs = [np.linalg.norm(t3.points[f] - paths["target"][f]) for f in frames]
@@ -438,7 +438,7 @@ class TestProcessWindow:
         for c in clusters[:3]:
             expected[c.members[0].key] = triangulate_one(c, rig)
         segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
-        for t3, fused_segs in plane_match_and_fuse(plane_candidates(segs, PLANE, rig)):
+        for t3, fused_segs in plane_match_and_fuse(plane_candidates([segs], PLANE, rig)[0]):
             attach_top_bottom_batch([(t3, fused_segs)], rig)
             expected[min(s.key for s in fused_segs)] = t3
         assert len(expected) == 5

@@ -4,6 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from mvtrack.cli import main
+from mvtrack.geometry import save_calibration
+
+from conftest import look_at_camera
 
 SMALL_SCENARIO = {
     "seed": 5,
@@ -241,6 +244,35 @@ class TestTrack:
         result = run_track(runner, out)
         assert result.exit_code == 3, result.output
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("key,value", [("x", '"769.9"'), ("w", "true")])
+    def test_non_number_box_field_is_input_error(self, runner, tmp_path, key, value):
+        out = simulate(runner, tmp_path)
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        lines[3] = lines[3].replace(f'"{key}": ', f'"{key}": {value}, "ignored": ', 1)
+        (out / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "detections.jsonl:4: bad detection record: x, y, w and h must be " \
+               "finite JSON numbers" in result.output
+
+    def test_box_at_the_epipole_is_tracked(self, runner, tmp_path):
+        # Two cameras face each other along x, so each sees the other's
+        # center at its principal point, where the epipolar line of a box
+        # center is undefined.  That frame is no evidence, not a crash.
+        out = simulate(runner, tmp_path)
+        cams = [look_at_camera(k, (x, 0.0, 2.0), (0.0, 0.0, 2.0), focal=1024.0,
+                               principal=(1024.0, 512.0))
+                for k, x in enumerate((-6.0, 6.0))]
+        save_calibration(cams, out / "calib.json")
+        (out / "detections.jsonl").write_text("".join(
+            json.dumps({"frame": f, "camera": c, "x": 1024.0, "y": 512.0,
+                        "w": 60.0, "h": 180.0}) + "\n"
+            for f in range(12) for c in (0, 1)))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+        assert (out / "tracklets.jsonl").exists()
 
     @pytest.mark.parametrize("key,value", [("window_len", 7), ("window_len", 0),
                                            ("smooth_window", 4),

@@ -192,7 +192,7 @@ class TestClusteringProperties:
 
 def reference_shared_frame_distances(present, cameras, values):
     """Per-pair loop: the mean Euclidean distance of `values` over the
-    frames two items share."""
+    frames two items share, leaving out NaN distances."""
     n = len(present)
     D = np.full((n, n), nan)
     for i in range(n):
@@ -202,9 +202,11 @@ def reference_shared_frame_distances(present, cameras, values):
                 continue
             if cameras[i] == cameras[j]:
                 D[i, j] = math.inf
-            else:
-                D[i, j] = np.mean([np.linalg.norm(values[i, f] - values[j, f])
-                                   for f in shared])
+                continue
+            d = [np.linalg.norm(values[i, f] - values[j, f]) for f in shared]
+            d = [x for x in d if not math.isnan(x)]
+            if d:
+                D[i, j] = np.mean(d)
     return D
 
 
@@ -217,6 +219,8 @@ class TestSharedFrameDistances:
         present = rng.random((n, span)) < 0.5
         cameras = rng.integers(0, n_cameras, size=n).tolist()
         values = rng.normal(size=(n, span, 3))
+        # A NaN frame distance is no evidence for its pair.
+        values[rng.random((n, span)) < 0.2] = nan
         calls = []
 
         def frame_distance(cam_a, cam_b, i, j, frames):
@@ -235,4 +239,11 @@ class TestSharedFrameDistances:
         # One call per camera pair with a scored pair of items.
         assert len(calls) == len(set(calls))
         assert set(calls) == {(cameras[i], cameras[j]) for i in range(n)
-                              for j in range(i + 1, n) if np.isfinite(want[i, j])}
+                              for j in range(i + 1, n) if cameras[i] != cameras[j]
+                              and (present[i] & present[j]).any()}
+        # A given pair list scores just those pairs, with the same values.
+        rows, cols = np.triu_indices(n, k=1)
+        pick = rng.random(len(rows)) < 0.5
+        some = shared_frame_distances(present, cameras, frame_distance,
+                                      pairs=(rows[pick], cols[pick]))
+        assert np.array_equal(some, got[rows[pick], cols[pick]], equal_nan=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvtrack.cross_view import (_box_pair_distances, cluster_segments,
-                                pair_distance_matrix)
+                                pair_distance_matrices)
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, WindowSegment2D, boxes_array
@@ -34,7 +34,7 @@ def box_distance(a, b, cam_a, cam_b, rig):
 
 
 def segment_distance(a, b, rig):
-    return pair_distance_matrix([a, b], rig)[0, 1]
+    return pair_distance_matrices([[a, b]], rig)[0][0, 1]
 
 
 def trajectory(t, offset=(0.0, 0.0)):
@@ -142,7 +142,7 @@ class TestPairDistanceMatrix:
     def test_matches_per_frame_reference(self, rig):
         rng = np.random.default_rng(53)
         segs = noisy_segments(rig, rng)
-        D = pair_distance_matrix(segs, rig)
+        D, = pair_distance_matrices([segs], rig)
         for i, a in enumerate(segs):
             assert math.isnan(D[i, i])
             for j, b in enumerate(segs):
@@ -167,7 +167,7 @@ class TestPairDistanceMatrix:
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [1], range(6, 10))
         c, = consistent_segments(rig, [0], range(2, 8), track_id=1)
-        D = pair_distance_matrix([a, b, c], rig)
+        D, = pair_distance_matrices([[a, b, c]], rig)
         assert math.isnan(D[0, 1]) and math.isnan(D[1, 0])
         assert D[0, 2] == math.inf
         assert abs(D[1, 2] - reference_pair_distance(b, c, rig)) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvtrack.geometry import (MIN_DEPTH_M, CameraModel, CameraRig,
-                              CoincidentCenters, DegenerateLine, PlaneSpec,
+                              CoincidentCenters, PlaneSpec,
                               epipolar_distance_batch, fundamental_matrix,
                               gauss_newton_step, load_calibration,
                               pixel_ray_world_batch, project,
@@ -147,12 +147,35 @@ class TestEpipolarDistanceBatch:
                 reference_epipolar_distance(F, source[k], target[k], scale[k]),
                 rel=1e-12, abs=1e-15)
 
-    def test_degenerate_line_raises(self):
-        F = np.zeros((3, 3))
-        F[2, 2] = 1.0
-        with pytest.raises(DegenerateLine):
-            epipolar_distance_batch(F, [[0.0, 0.0], [5.0, 5.0]],
-                                    [[1.0, 1.0], [2.0, 2.0]], [10.0, 10.0])
+    def test_degenerate_line_is_a_nan_row(self):
+        # Forward motion with K = I: the epipole is pixel (0, 0), whose
+        # line is all zero.  The other row is scored as if it were alone.
+        F = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        source = [[0.0, 0.0], [5.0, 5.0]]
+        target = [[1.0, 1.0], [2.0, 3.0]]
+        d = epipolar_distance_batch(F, source, target, [10.0, 10.0])
+        assert np.isnan(d[0])
+        assert d[1] == epipolar_distance_batch(F, source[1:], target[1:], [10.0])[0]
+        assert d[1] == pytest.approx(5.0 / np.sqrt(50.0) / 10.0)
+
+    def test_split_batches_match_joint_call(self):
+        # A row's distance does not depend on the rows it shares a call
+        # with, also in a call of one row.
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            cams = random_cameras(rng, count=2)
+            F = fundamental_matrix(cams[0], cams[1])
+            n = int(rng.integers(2, 40))
+            source = rng.uniform(0.0, 1900.0, size=(n, 4))[:, :2]
+            target = rng.uniform(0.0, 1900.0, size=(n, 2))
+            scale = rng.uniform(50.0, 300.0, size=n)
+            d = epipolar_distance_batch(F, source, target, scale)
+            random_cuts = rng.choice(np.arange(1, n), replace=False,
+                                     size=int(rng.integers(1, n)))
+            for cuts in (range(1, n), np.sort(random_cuts)):
+                parts = [epipolar_distance_batch(F, s, t, w) for s, t, w in
+                         zip(*(np.split(a, cuts) for a in (source, target, scale)))]
+                assert np.array_equal(np.concatenate(parts), d)
 
     def test_any_non_positive_scale_raises(self, cam_a, cam_b):
         F = fundamental_matrix(cam_a, cam_b)
@@ -394,11 +417,11 @@ class TestTriangulateBatch:
                 assert np.max(np.abs(points[k] - expected[k])) <= 1e-9
 
     def test_split_batches_match_joint_solve(self):
-        # The window-batched cascade solves all frames of one camera tuple
-        # in a call, so a row's result must not depend on the other rows.
-        # Each part keeps at least two solvable rows: with one, numpy
-        # takes a matrix-vector kernel for the refinement, which may differ
-        # in the last bits.
+        # The chunked cascade solves the frames of many windows in one
+        # call, so a row's result must not depend on the other rows: not in
+        # a part of one row, nor in a part whose only solvable row sits next
+        # to a point at infinity (numpy's one-row product takes a
+        # matrix-vector kernel unless it is routed round it).
         rng = np.random.default_rng(43)
         for count in (2, 3, 4):
             for _ in range(10):
@@ -407,15 +430,19 @@ class TestTriangulateBatch:
                 pixels = np.stack([project(cam, truth) for cam in cams], axis=1)
                 pixels += rng.normal(0.0, 2.0, size=pixels.shape)
                 # A point at infinity keeps a not-ok row in the stack.
-                pixels[int(rng.integers(len(truth)))] = vanishing_pixels(
-                    cams, rng.normal(size=3))
+                far = int(rng.integers(1, len(truth) - 1))
+                pixels[far] = vanishing_pixels(cams, rng.normal(size=3))
                 points, ok = triangulate_batch(cams, pixels)
-                cut = int(rng.integers(3, len(truth) - 2))
-                head, head_ok = triangulate_batch(cams, pixels[:cut])
-                tail, tail_ok = triangulate_batch(cams, pixels[cut:])
-                assert np.array_equal(np.concatenate([head_ok, tail_ok]), ok)
-                assert np.array_equal(np.concatenate([head, tail]), points,
-                                      equal_nan=True)
+                random_cuts = rng.choice(np.arange(1, len(truth)), replace=False,
+                                         size=int(rng.integers(1, 6)))
+                for cuts in (range(1, len(truth)), (far - 1, far + 1),
+                             (far, far + 2), np.sort(random_cuts)):
+                    parts = [triangulate_batch(cams, p)
+                             for p in np.split(pixels, [c for c in cuts
+                                                        if 0 < c < len(truth)])]
+                    assert np.array_equal(np.concatenate([o for _, o in parts]), ok)
+                    assert np.array_equal(np.concatenate([p for p, _ in parts]), points,
+                                          equal_nan=True)
 
     def test_common_path_calls_no_svd_or_pinv(self, monkeypatch, cam_a, cam_b):
         # Well-conditioned frames are solved by eigh and the closed-form
