@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -19,6 +20,7 @@ from . import metrics, scenarios, simulate, target
 from .cascade import Mode
 from .geometry import CameraRig, load_calibration, save_calibration
 from .pipeline import run_pipeline
+from .records import write_json, write_jsonl
 from .sv_track import load_detections, save_detections
 
 EXIT_CONFIG_ERROR = 2
@@ -34,6 +36,14 @@ def _setup_logging():
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _load(code: int, load, *args):
+    """load(*args), exiting with `code` on OSError or ValueError."""
+    try:
+        return load(*args)
+    except (OSError, ValueError) as exc:
+        _fail(code, str(exc))
 
 
 @click.group()
@@ -65,21 +75,16 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
         _fail(EXIT_INPUT_ERROR, f"unreadable scenario file: {exc}")
     if seed is not None:
         spec["seed"] = seed
-    try:
-        scene = simulate.build_scenario(spec)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG_ERROR, str(exc))
+    scene = _load(EXIT_CONFIG_ERROR, simulate.build_scenario, spec)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     detections, truth = simulate.render_detections(scene)
     save_detections(detections, out / "detections.jsonl")
-    simulate.save_truth(truth, out / "truth.jsonl")
+    write_jsonl(out / "truth.jsonl", truth)
     save_calibration(scene.rig, out / "calib.json")
-    cfg = config_mod.PipelineConfig(
-        plane_n=tuple(scene.plane.n.tolist()),
-        plane_point=tuple(scene.plane.point.tolist()),
-        perf_space=tuple(scene.space.perf), beta=scene.space.beta)
+    cfg = config_mod.PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
+                                    perf_space=scene.space.perf, beta=scene.space.beta)
     config_mod.save_routine_config(cfg, out / "routine.json")
     click.echo(f"wrote {len(detections)} detections over {scene.duration} frames "
                f"to {out}")
@@ -96,24 +101,13 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
               default=Mode.CASCADE.value, show_default=True)
 def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
     """Track a detection stream into target tracklets (tracklets.jsonl)."""
-    for path, label in ((calib_path, "calibration"), (config_path, "routine config")):
-        if not os.path.exists(path):
-            _fail(EXIT_CONFIG_ERROR, f"missing {label} file: {path}")
-    try:
-        rig = CameraRig(load_calibration(calib_path))
-        cfg = config_mod.load_routine_config(config_path)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG_ERROR, str(exc))
+    rig = _load(EXIT_CONFIG_ERROR, lambda: CameraRig(load_calibration(calib_path)))
+    cfg = _load(EXIT_CONFIG_ERROR, config_mod.load_routine_config, config_path)
     for pair in cfg.opposite_pairs or ():
         if not set(pair) <= rig.cameras.keys():
             _fail(EXIT_CONFIG_ERROR,
                   f"opposite pair {pair} names a camera absent from calibration")
-    try:
-        detections = load_detections(detections_path)
-    except FileNotFoundError:
-        _fail(EXIT_INPUT_ERROR, f"missing detections file: {detections_path}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    detections = _load(EXIT_INPUT_ERROR, load_detections, detections_path)
     if any(det.camera not in rig.cameras for det in detections):
         _fail(EXIT_INPUT_ERROR, "detections reference cameras absent from calibration")
 
@@ -134,27 +128,17 @@ def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
               help="Routine config echoed into the report.")
 def cmd_evaluate(tracklets_path, truth_path, report_path, config_path):
     """Score tracklets against ground truth into report.json."""
-    try:
-        records = target.load_target_records(tracklets_path)
-        truth = simulate.load_truth(truth_path)
-    except FileNotFoundError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    try:
-        cfg = config_mod.load_routine_config(config_path) if config_path else None
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_CONFIG_ERROR, str(exc))
-    try:
-        report = metrics.evaluate(records, truth,
-                                  (cfg or config_mod.PipelineConfig()).window_len)
-    except (metrics.EmptyOverlap, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    records = _load(EXIT_INPUT_ERROR, target.load_target_records, tracklets_path)
+    truth = _load(EXIT_INPUT_ERROR, simulate.load_truth, truth_path)
+    cfg = _load(EXIT_CONFIG_ERROR, config_mod.load_routine_config, config_path) \
+        if config_path else None
+    report = _load(EXIT_INPUT_ERROR, metrics.evaluate, records, truth,
+                   (cfg or config_mod.PipelineConfig()).window_len)
     if cfg is not None:
-        report["config"] = cfg.as_dict()
+        report["config"] = asdict(cfg)
     if report_path is None:
         report_path = str(Path(tracklets_path).parent / "report.json")
-    metrics.save_report(report, report_path)
+    write_json(report_path, report)
     click.echo(json.dumps({k: report[k] for k in
                            ("id_switches", "aed_m", "failure_rate", "coverage")},
                           sort_keys=True))

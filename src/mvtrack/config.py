@@ -4,7 +4,8 @@ routine JSON file and echoed into the evaluation report for provenance."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -12,19 +13,19 @@ from .cascade import (BETA_M, TAU_PLANE_M, THETA_OPP_DEG, TrackingSpace,
                       VELOCITY_LIMIT_M)
 from .cross_view import LAMBDA_2D
 from .geometry import PlaneSpec
+from .records import FLOAT, INT, require, write_json
 from .stitch import STITCH_THRESHOLD_M
 from .sv_track import IOU_THRESHOLD, MAX_AGE, MIN_SEGMENT_OBS, WINDOW_LEN
 from .target import (BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW,
                      TargetCriteria)
 
-FLOAT_FIELDS = ("beta", "nu", "tau", "theta_opp", "lambda_2d", "stitch_threshold",
-                "h_top", "h_bot", "iou_threshold", "buffer_scale")
-INT_FIELDS = ("window_len", "min_segment_obs", "max_age", "identify_delta",
-              "max_gap_fill", "smooth_window")
-
 
 @dataclass
 class PipelineConfig:
+    """Every pipeline threshold.  Construction turns the float fields into
+    floats and applies the range rules, raising ValueError; a field's JSON
+    kind in a routine file comes from its annotation."""
+
     plane_n: tuple[float, float, float] = (1.0, 0.0, 0.0)
     plane_point: tuple[float, float, float] = (0.0, 0.0, 0.0)
     perf_space: tuple[float, ...] = (-2.0, -2.0, 0.0, 2.0, 2.0, 4.0)
@@ -46,6 +47,40 @@ class PipelineConfig:
     buffer_scale: float = BUFFER_SCALE
     smooth_window: int = SMOOTH_WINDOW
 
+    def __post_init__(self):
+        if len(self.perf_space) != 6:
+            raise ValueError("perf_space must have 6 numbers")
+        for pair in self.opposite_pairs or ():
+            if len(pair) != 2 or pair[0] == pair[1]:
+                raise ValueError(f"opposite_pairs entry {pair} must be two "
+                                 "distinct camera ids")
+        if self.window_len < 2 or self.window_len % 2 != 0:
+            raise ValueError(f"window_len must be even and >= 2, got {self.window_len}")
+        if self.smooth_window < 1 or self.smooth_window % 2 != 1:
+            raise ValueError(f"smooth_window must be odd and >= 1, got {self.smooth_window}")
+        for key in ("max_age", "max_gap_fill"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 1 <= self.min_segment_obs <= self.window_len + 1:
+            raise ValueError(f"min_segment_obs must be in [1, window_len + 1], "
+                             f"got {self.min_segment_obs}")
+        self.plane()
+        self.space()
+        self.criteria()
+        for key, kind in _KINDS.items():
+            if kind in (FLOAT, [FLOAT]):
+                value = getattr(self, key)
+                value = float(value) if kind == FLOAT else tuple(map(float, value))
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{key} must be finite, got {value}")
+                setattr(self, key, value)
+        for key in ("nu", "tau", "lambda_2d", "stitch_threshold", "buffer_scale"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key, upper in (("iou_threshold", 1.0), ("theta_opp", 180.0)):
+            if not 0 < getattr(self, key) <= upper:
+                raise ValueError(f"{key} must be in (0, {upper}], got {getattr(self, key)}")
+
     def plane(self) -> PlaneSpec:
         return PlaneSpec(n=self.plane_n, point=self.plane_point)
 
@@ -61,90 +96,51 @@ class PipelineConfig:
             return None
         return [frozenset(p) for p in self.opposite_pairs]
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+def _kind(hint):
+    """The records kind of a PipelineConfig annotation."""
+    args = [arg for arg in typing.get_args(hint) if arg not in (type(None), Ellipsis)]
+    if typing.get_origin(hint) in (tuple, list):
+        return [_kind(args[0])]
+    return _kind(args[0]) if args else {int: INT, float: FLOAT}[hint]
 
 
-def _number(key: str, value) -> float:
-    # bool is an int subclass; a JSON true is not a number.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+_HINTS = typing.get_type_hints(PipelineConfig)
+_KINDS = {name: _kind(hint) for name, hint in _HINTS.items()}
+_LABELS = {"plane_n": "plane.n", "plane_point": "plane.point"}
 
 
-def _integer(key: str, value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+def _known_keys(obj, known, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if obj.keys() - known:
+        raise ValueError(f"unknown keys {sorted(obj.keys() - known)} in {what}")
 
 
 def load_routine_config(path) -> PipelineConfig:
     """Read the routine JSON: {plane: {n, point}, perf_space, beta, nu, tau,
     theta_opp, opposite_pairs?, ...overrides}.  Every key must name a
     PipelineConfig field, with `plane` standing for plane_n and
-    plane_point."""
+    plane_point, and hold a value of that field's kind (null only where
+    the field may be None); PipelineConfig then applies the range rules."""
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        if not isinstance(raw, dict):
-            raise ValueError("the routine must be a JSON object")
-        known = {f.name for f in fields(PipelineConfig)} - {"plane_n", "plane_point"} | {"plane"}
-        if raw.keys() - known:
-            raise ValueError(f"unknown keys {sorted(raw.keys() - known)}")
-        cfg = PipelineConfig()
-        if "plane" in raw:
-            cfg.plane_n = tuple(_number("plane.n", v) for v in raw["plane"]["n"])
-            cfg.plane_point = tuple(_number("plane.point", v) for v in raw["plane"]["point"])
-        if "perf_space" in raw:
-            space = tuple(_number("perf_space", v) for v in raw["perf_space"])
-            if len(space) != 6:
-                raise ValueError("perf_space must have 6 numbers")
-            cfg.perf_space = space
-        for key in FLOAT_FIELDS:
-            if key in raw:
-                setattr(cfg, key, _number(key, raw[key]))
-        for key in INT_FIELDS:
-            if key in raw:
-                setattr(cfg, key, _integer(key, raw[key]))
-        if "opposite_pairs" in raw and raw["opposite_pairs"] is not None:
-            cfg.opposite_pairs = [[_integer("opposite_pairs", c) for c in p]
-                                  for p in raw["opposite_pairs"]]
-            for pair in cfg.opposite_pairs:
-                if len(pair) != 2 or pair[0] == pair[1]:
-                    raise ValueError(f"opposite_pairs entry {pair} must be two "
-                                     "distinct camera ids")
-        if cfg.window_len < 2 or cfg.window_len % 2 != 0:
-            raise ValueError(f"window_len must be even and >= 2, got {cfg.window_len}")
-        if cfg.smooth_window < 1 or cfg.smooth_window % 2 != 1:
-            raise ValueError(f"smooth_window must be odd and >= 1, got {cfg.smooth_window}")
-        for key in ("max_age", "max_gap_fill"):
-            if getattr(cfg, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-        if not 1 <= cfg.min_segment_obs <= cfg.window_len + 1:
-            raise ValueError(f"min_segment_obs must be in [1, window_len + 1], "
-                             f"got {cfg.min_segment_obs}")
-        # Validate derived structures eagerly.
-        cfg.plane()
-        cfg.space()
-        cfg.criteria()
-        for key in FLOAT_FIELDS + ("plane_n", "plane_point", "perf_space"):
-            if not np.isfinite(getattr(cfg, key)).all():
-                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
-        for key in ("nu", "tau", "lambda_2d", "stitch_threshold", "buffer_scale"):
-            if getattr(cfg, key) <= 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(cfg, key)}")
-        for key, upper in (("iou_threshold", 1.0), ("theta_opp", 180.0)):
-            if not 0 < getattr(cfg, key) <= upper:
-                raise ValueError(f"{key} must be in (0, {upper}], got {getattr(cfg, key)}")
-        return cfg
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        _known_keys(raw, _KINDS.keys() - _LABELS.keys() | {"plane"}, "the routine")
+        values = dict(raw)
+        if "plane" in values:
+            plane = values.pop("plane")
+            _known_keys(plane, {"n", "point"}, "plane")
+            values["plane_n"], values["plane_point"] = plane["n"], plane["point"]
+        for key, value in values.items():
+            if value is not None or type(None) not in typing.get_args(_HINTS[key]):
+                require(value, _KINDS[key], _LABELS.get(key, key))
+        return PipelineConfig(**values)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid routine config {path}: {exc}") from exc
 
 
 def save_routine_config(cfg: PipelineConfig, path) -> None:
-    raw = cfg.as_dict()
-    raw["plane"] = {"n": list(raw.pop("plane_n")), "point": list(raw.pop("plane_point"))}
-    raw["perf_space"] = list(raw["perf_space"])
-    with open(path, "w") as fh:
-        json.dump(raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    raw = asdict(cfg)
+    raw["plane"] = {"n": raw.pop("plane_n"), "point": raw.pop("plane_point")}
+    write_json(path, raw)

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class GeometryError(Exception):
-    """Base class for geometric failure modes."""
-
-
-class CoincidentCenters(GeometryError):
-    """Two cameras share an optical center; no fundamental matrix exists."""
+from .records import INT, NUM, require, write_json
 
 
 MIN_DEPTH_M = 1e-9
@@ -111,10 +105,11 @@ def fundamental_matrix(cam_i: CameraModel, cam_j: CameraModel) -> np.ndarray:
     """F such that x_j^T F x_i = 0 for projections x_i, x_j of one point.
 
     Built from the relative pose; normalized so the largest-magnitude
-    entry is exactly 1.
+    entry is exactly 1.  Raises ValueError for two cameras that share an
+    optical center, where no F exists.
     """
     if np.linalg.norm(cam_i.center - cam_j.center) < 1e-9:
-        raise CoincidentCenters(f"cameras {cam_i.id} and {cam_j.id} share a center")
+        raise ValueError(f"cameras {cam_i.id} and {cam_j.id} share a center")
     R_rel = cam_j.R @ cam_i.R.T
     t_rel = cam_j.t - R_rel @ cam_i.t
     tx = np.array([
@@ -191,9 +186,6 @@ class PlaneSpec:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float).reshape(3))
-
-    def signed_distance(self, X) -> float:
-        return float(self.n @ (np.asarray(X, dtype=float) - self.point))
 
 
 def ray_plane_intersect_batch(cam: CameraModel, pixels,
@@ -308,11 +300,10 @@ def triangulate_batch(cams: list[CameraModel],
 
 
 def load_calibration(path) -> list[CameraModel]:
-    """Read a JSON array of {id, K, R, t} camera records (row-major).
-
-    Raises ValueError for an entry that is not such an object, an id that
-    is not an integer or is repeated, and K, R, t that make no valid
-    CameraModel."""
+    """Read a JSON array of {id, K, R, t} camera records: K and R row-major
+    or as nested rows.  Raises ValueError for an entry that is not such an
+    object, an id that is not an integer or is repeated, a K, R or t entry
+    that is not a finite JSON number, and K, R, t of no valid CameraModel."""
     with open(path) as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -322,15 +313,17 @@ def load_calibration(path) -> list[CameraModel]:
         if not isinstance(rec, dict) or not {"id", "K", "R", "t"} <= rec.keys():
             raise ValueError(f"calibration entry {k} must be an object with "
                              "keys id, K, R and t")
-        cam_id = rec["id"]
-        if type(cam_id) is not int:
-            raise ValueError(f"calibration entry {k}: id must be an integer, got {cam_id!r}")
-        if cam_id in cams:
-            raise ValueError(f"calibration entry {k}: camera id {cam_id} is repeated")
+        where = f"calibration entry {k}: "
+        require(rec["id"], INT, where + "id")
+        for key in ("K", "R", "t"):
+            nested = type(rec[key]) is list and rec[key] and type(rec[key][0]) is list
+            require(rec[key], [[NUM]] if nested else [NUM], where + key)
+        if rec["id"] in cams:
+            raise ValueError(f"{where}camera id {rec['id']} is repeated")
         try:
-            cams[cam_id] = CameraModel(cam_id, rec["K"], rec["R"], rec["t"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"calibration entry {k}: {exc}") from exc
+            cams[rec["id"]] = CameraModel(rec["id"], rec["K"], rec["R"], rec["t"])
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from exc
     return sorted(cams.values(), key=lambda c: c.id)
 
 
@@ -340,27 +333,18 @@ def save_calibration(cams: list[CameraModel], path) -> None:
          "t": c.t.tolist()}
         for c in sorted(cams, key=lambda c: c.id)
     ]
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, records)
 
 
 class CameraRig:
     """A fixed set of calibrated cameras with their fundamental matrices,
-    computed for every ordered camera pair at construction."""
+    computed for every ordered pair of distinct cameras at construction.
+    Raises ValueError for two cameras that share an optical center."""
 
     def __init__(self, cameras: list[CameraModel]):
         self.cameras = {c.id: c for c in cameras}
-        # None marks a pair sharing an optical center: it has no F, which
-        # is an error only when the pair is asked for.
-        self._F: dict[tuple[int, int], np.ndarray | None] = {}
-        for a in cameras:
-            for b in cameras:
-                try:
-                    F = fundamental_matrix(a, b)
-                except CoincidentCenters:
-                    F = None
-                self._F[(a.id, b.id)] = F
+        self._F = {(a.id, b.id): fundamental_matrix(a, b)
+                   for a in cameras for b in cameras if a.id != b.id}
 
     def __getitem__(self, cam_id: int) -> CameraModel:
         return self.cameras[cam_id]
@@ -373,8 +357,4 @@ class CameraRig:
 
     def fundamental(self, source_id: int, target_id: int) -> np.ndarray:
         """F mapping source-view pixels to epipolar lines in the target view."""
-        F = self._F[(source_id, target_id)]
-        if F is None:
-            raise CoincidentCenters(
-                f"cameras {source_id} and {target_id} share a center")
-        return F
+        return self._F[(source_id, target_id)]

@@ -3,13 +3,7 @@ the 3D centers, and the per-view buffered-box failure rate."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-
-
-class EmptyOverlap(Exception):
-    """No frame carries both an estimate and ground truth."""
 
 
 def id_switches(timeline: dict[int, int]) -> int:
@@ -24,11 +18,12 @@ def aed(estimate: dict[int, np.ndarray], truth: dict[int, np.ndarray]
     """Mean 3D error over frames carrying both estimate and truth.
 
     Returns (aed_m, coverage) where coverage is the fraction of truth
-    frames that have an estimate.
+    frames that have an estimate.  Raises ValueError when no frame carries
+    both.
     """
     common = sorted(set(estimate) & set(truth))
     if not common:
-        raise EmptyOverlap("no frames with both estimate and ground truth")
+        raise ValueError("no frames with both estimate and ground truth")
     err = float(np.mean([
         np.linalg.norm(np.asarray(estimate[f]) - np.asarray(truth[f]))
         for f in common]))
@@ -79,7 +74,7 @@ def evaluate(target_records: list[dict], truth: list[dict],
     buffered = {}
     for rec in target_records:
         for view in rec.get("per_view", []):
-            buffered[(rec["frame"], int(view["camera"]))] = (
+            buffered[(rec["frame"], view["camera"])] = (
                 view["x"], view["y"], view["w"], view["h"])
     gt_boxes = {}
     for rec in gt_target:
@@ -110,9 +105,3 @@ def evaluate(target_records: list[dict], truth: list[dict],
         "evaluated_boxes": evaluated,
         "per_window": per_window,
     }
-
-
-def save_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

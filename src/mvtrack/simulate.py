@@ -9,7 +9,6 @@ generation order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
-from .sv_track import Bbox, Detection, finite_number
+from .records import BOOL, INT, Fields, read_jsonl, require
+from .sv_track import Bbox, Detection
 
 PERSON_HALF_HEIGHT = 0.85
 BBOX_HEIGHT_SLACK = 1.1
@@ -240,51 +240,26 @@ def render_detections(scenario: Scenario) -> tuple[list[Detection], list[dict]]:
     return detections, truth
 
 
-def save_truth(truth: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        for rec in truth:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+TRUTH_FIELDS = Fields({"frame": INT, "is_target": BOOL, "X": 3, "top": 3, "bottom": 3},
+                      optional=("is_target", "top", "bottom"))
 
 
-def _check_truth_record(rec) -> None:
-    """Raise ValueError unless rec has the fields `metrics.evaluate` reads,
-    with the JSON types `save_truth` writes."""
-    if not isinstance(rec, dict):
-        raise ValueError("record must be a JSON object")
-    if type(rec["frame"]) is not int:
-        raise ValueError(f"frame must be an integer, got {rec['frame']!r}")
-    if type(rec.get("is_target", False)) is not bool:
-        raise ValueError(f"is_target must be true or false, got {rec['is_target']!r}")
-    for key in ("X", "top", "bottom"):
-        if key == "X" or key in rec:
-            value = rec[key]
-            if not (isinstance(value, list) and len(value) == 3
-                    and all(map(finite_number, value))):
-                raise ValueError(f"{key} must be three finite numbers, got {value!r}")
+def _parse_truth_record(rec) -> dict:
+    """rec, once it has the fields `metrics.evaluate` reads with the kinds
+    `render_detections` gives."""
+    TRUTH_FIELDS.check(rec)
     boxes = rec.get("boxes", {})
-    if not isinstance(boxes, dict):
+    if type(boxes) is not dict:
         raise ValueError(f"boxes must be an object, got {boxes!r}")
     for cam, box in boxes.items():
         if not (cam.removeprefix("-").isdecimal() and str(int(cam)) == cam):
             raise ValueError(f"box camera id must be an integer string, got {cam!r}")
-        if not (isinstance(box, list) and len(box) == 4 and all(map(finite_number, box))
-                and box[2] > 0 and box[3] > 0):
-            raise ValueError("box must be four finite numbers x, y, w, h with "
-                             f"positive w and h, got {box!r}")
+        require(box, 4, "box")
+        if not (box[2] > 0 and box[3] > 0):
+            raise ValueError(f"box must be four numbers x, y, w, h with positive w "
+                             f"and h, got {box!r}")
+    return rec
 
 
 def load_truth(path) -> list[dict]:
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                _check_truth_record(rec)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad truth record: {exc}") from exc
-            records.append(rec)
-    return records
+    return read_jsonl(path, "truth", _parse_truth_record)

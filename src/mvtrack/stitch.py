@@ -45,12 +45,6 @@ STITCH_THRESHOLD_M = 0.6
 UNAVAILABLE_COST = 1e9
 
 
-def window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
-    """Mean per-frame Euclidean distance over the shared valid frames;
-    NaN when the overlap is empty."""
-    return float(window_distance_matrix([prev], [nxt])[0, 0])
-
-
 def _frame_stack(tracks: list[Tracklet3D], frames: list[int]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(len(tracks), len(frames), 3) points, zero where a track has no

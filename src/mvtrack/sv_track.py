@@ -11,15 +11,14 @@ frame grid so that segments from different cameras line up.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from .records import INT, NUM, Fields, read_jsonl, write_jsonl
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -47,15 +46,6 @@ class Bbox:
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x - self.w / 2, self.y - self.h / 2,
                 self.x + self.w / 2, self.y + self.h / 2)
-
-
-def finite_number(value) -> bool:
-    """Whether a decoded JSON value is a finite number."""
-    # type(), not isinstance(): a JSON true is a bool, not a number.
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
 
 
 def boxes_array(boxes) -> np.ndarray:
@@ -276,34 +266,21 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     return segments
 
 
+DETECTION_FIELDS = Fields({("frame", "camera"): INT, ("x", "y", "w", "h"): NUM})
+_detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
+
+
+def _parse_detection(rec) -> Detection:
+    frame, camera, x, y, w, h = _detection_values(DETECTION_FIELDS.check(rec))
+    return Detection(frame, camera, Bbox(float(x), float(y), float(w), float(h)))
+
+
 def load_detections(path) -> list[Detection]:
     """Read a JSON-lines detection stream sorted by frame."""
-    detections: list[Detection] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if type(rec["frame"]) is not int or type(rec["camera"]) is not int:
-                    raise ValueError("frame and camera must be integers")
-                box = [rec["x"], rec["y"], rec["w"], rec["h"]]
-                if not all(map(finite_number, box)):
-                    raise ValueError(f"x, y, w and h must be finite JSON numbers, got {box}")
-                detections.append(Detection(
-                    frame=rec["frame"], camera=rec["camera"], bbox=Bbox(*map(float, box))))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad detection record: {exc}") from exc
-    return detections
+    return read_jsonl(path, "detection", _parse_detection)
 
 
 def save_detections(detections: list[Detection], path) -> None:
-    with open(path, "w") as fh:
-        for det in detections:
-            fh.write(json.dumps({
-                "frame": det.frame, "camera": det.camera,
-                "x": det.bbox.x, "y": det.bbox.y,
-                "w": det.bbox.w, "h": det.bbox.h,
-            }, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, ({"frame": det.frame, "camera": det.camera, "x": det.bbox.x,
+                        "y": det.bbox.y, "w": det.bbox.w, "h": det.bbox.h}
+                       for det in detections))

@@ -10,7 +10,6 @@ into each camera with buffered square boxes.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ import numpy as np
 from .cascade import Provenance, Tracklet3D, TrackingSpace
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
-from .sv_track import Bbox, finite_number
+from .records import INT, NUM, Fields, read_jsonl, write_jsonl
+from .sv_track import Bbox
 
 logger = logging.getLogger(__name__)
 
@@ -218,50 +218,17 @@ class TargetMaintainer:
 
 def save_target_records(records: list[TargetRecord], path) -> None:
     """Write the target output as JSON-lines, one record per frame."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "frame": rec.frame,
-                "track_id": rec.track_id,
-                "X": [float(v) for v in rec.X],
-                "provenance": rec.provenance.value,
-                "per_view": rec.per_view,
-            }, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, ({"frame": rec.frame, "track_id": rec.track_id,
+                        "X": [float(v) for v in rec.X],
+                        "provenance": rec.provenance.value, "per_view": rec.per_view}
+                       for rec in records))
 
 
-def _check_target_record(rec) -> None:
-    """Raise ValueError unless rec has the fields `metrics.evaluate` reads,
-    with the JSON types `save_target_records` writes."""
-    if not isinstance(rec, dict):
-        raise ValueError("record must be a JSON object")
-    for key in ("frame", "track_id"):
-        if type(rec[key]) is not int:
-            raise ValueError(f"{key} must be an integer, got {rec[key]!r}")
-    X = rec["X"]
-    if not (isinstance(X, list) and len(X) == 3 and all(map(finite_number, X))):
-        raise ValueError(f"X must be three finite numbers, got {X!r}")
-    views = rec.get("per_view", [])
-    if not isinstance(views, list):
-        raise ValueError(f"per_view must be a list, got {views!r}")
-    for view in views:
-        if not isinstance(view, dict) or type(view.get("camera")) is not int or \
-                not all(finite_number(view.get(k)) for k in ("x", "y", "w", "h")):
-            raise ValueError("per_view entry needs an integer camera and finite "
-                             f"numbers x, y, w, h, got {view!r}")
+VIEW_FIELDS = Fields({"camera": INT, ("x", "y", "w", "h"): NUM})
+# The fields `metrics.evaluate` reads, with the kinds `save_target_records` writes.
+TARGET_FIELDS = Fields({"frame": INT, "track_id": INT, "X": 3, "per_view": [VIEW_FIELDS]},
+                       optional=("per_view",))
 
 
 def load_target_records(path) -> list[dict]:
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                _check_target_record(rec)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad target record: {exc}") from exc
-            records.append(rec)
-    return records
+    return read_jsonl(path, "target", TARGET_FIELDS.check)

@@ -576,3 +576,44 @@ class TestEvaluate:
         result = self.evaluate(runner, out, config=tmp_path / "absent.json")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+
+
+class TestCalibrationAndRoutineKinds:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda calib: calib[1].update(t=["1.0", "2.0", "3.0"]),
+         "calibration entry 1: t must be a number, got '1.0'"),
+        (lambda calib: calib[0]["K"].__setitem__(8, True),
+         "calibration entry 0: K must be a number, got True"),
+        (lambda calib: calib[2]["R"].__setitem__(0, 10 ** 400),
+         "calibration entry 2: R must be finite, got an integer too large"),
+    ], ids=["string-t", "bool-K", "huge-int-R"])
+    def test_calibration_entry_not_a_number_is_config_error(self, runner, tmp_path,
+                                                            edit, message):
+        out = simulate(runner, tmp_path)
+        calib = json.loads((out / "calib.json").read_text())
+        edit(calib)
+        (out / "calib.json").write_text(json.dumps(calib))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_unknown_plane_key_is_config_error(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        routine = json.loads((out / "routine.json").read_text())
+        routine["plane"]["extra"] = 1
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "unknown keys ['extra']" in result.output
+
+    def test_coincident_camera_centers_are_config_error(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        calib = json.loads((out / "calib.json").read_text())
+        calib[3] = dict(calib[1], id=3)
+        (out / "calib.json").write_text(json.dumps(calib))
+        result = run_track(runner, out)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "cameras 1 and 3 share a center" in result.output

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from mvtrack.metrics import (EmptyOverlap, aed, box_failure, evaluate,
-                             failure_rate, id_switches)
+from mvtrack.metrics import (aed, box_failure, evaluate, failure_rate,
+                             id_switches)
 
 
 class TestIdSwitches:
@@ -41,7 +41,7 @@ class TestAed:
         assert coverage == 0.4
 
     def test_empty_overlap(self):
-        with pytest.raises(EmptyOverlap):
+        with pytest.raises(ValueError, match="no frames with both"):
             aed({0: np.zeros(3)}, {5: np.zeros(3)})
 
 

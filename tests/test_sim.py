@@ -54,14 +54,14 @@ class TestSynthTrajectory:
                                 on_plane_intervals=[(0, 199)],
                                 off_plane_amplitude=0.2)
         for X in traj.center:
-            assert abs(PLANE.signed_distance(X)) <= 1e-9
+            assert abs(PLANE.n @ (X - PLANE.point)) <= 1e-9
 
     def test_off_plane_deviation_outside_intervals(self):
         traj = synth_trajectory("on_plane_jump", 300, seed=4, plane=PLANE,
                                 on_plane_intervals=[(100, 200)],
                                 off_plane_amplitude=0.2)
-        inside = [abs(PLANE.signed_distance(X)) for X in traj.center[100:201]]
-        outside = [abs(PLANE.signed_distance(X)) for X in traj.center[:60]]
+        inside = [abs(PLANE.n @ (X - PLANE.point)) for X in traj.center[100:201]]
+        outside = [abs(PLANE.n @ (X - PLANE.point)) for X in traj.center[:60]]
         assert max(inside) <= 1e-9
         assert max(outside) > 0.05
 
@@ -79,7 +79,7 @@ class TestSynthTrajectory:
     def test_walker_stays_off_plane(self):
         traj = synth_trajectory("off_plane_walk", 300, seed=5, plane=PLANE,
                                 offset=1.3)
-        dists = [abs(PLANE.signed_distance(X)) for X in traj.center]
+        dists = [abs(PLANE.n @ (X - PLANE.point)) for X in traj.center]
         assert min(dists) >= 1.0
 
     def test_unknown_kind(self):

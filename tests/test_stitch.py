@@ -5,7 +5,7 @@ import pytest
 
 from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
-                            merge_assigned, window_distance,
+                            merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import Bbox, WindowSegment2D
 
@@ -24,17 +24,17 @@ class TestWindowDistance:
     def test_identical_overlap_is_zero(self):
         a = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         b = tracklet(range(5, 16), (0.0, 0.0, 1.0))
-        assert window_distance(a, b) == 0.0
+        assert window_distance_matrix([a], [b])[0, 0] == 0.0
 
     def test_constant_offset(self):
         a = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         b = tracklet(range(5, 16), (0.0, 0.0, 1.3))
-        assert window_distance(a, b) == pytest.approx(0.3, abs=1e-12)
+        assert window_distance_matrix([a], [b])[0, 0] == pytest.approx(0.3, abs=1e-12)
 
     def test_disjoint_is_unavailable(self):
         a = tracklet(range(0, 5), (0.0, 0.0, 1.0))
         b = tracklet(range(10, 15), (0.0, 0.0, 1.0))
-        assert np.isnan(window_distance(a, b))
+        assert np.isnan(window_distance_matrix([a], [b])[0, 0])
 
     def test_matrix_shape(self):
         a = tracklet(range(0, 11), (0.0, 0.0, 1.0))

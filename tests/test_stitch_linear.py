@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
-                            window_distance, window_distance_matrix)
+                            window_distance_matrix)
 from mvtrack.sv_track import (MAX_EXTRAPOLATION, Bbox, Tracklet2D,
                               WindowSegment2D, _extrapolate, _lerp_box,
                               segment_windows)
@@ -194,7 +194,7 @@ class TestWindowDistance:
             nxt = Tracklet3D(track_id=1, points={
                 f: rng.normal(size=3) for f in range(10, 30) if rng.random() < 0.7})
             common = sorted(set(prev.points) & set(nxt.points))
-            got = window_distance(prev, nxt)
+            got = window_distance_matrix([prev], [nxt])[0, 0]
             if not common:
                 assert np.isnan(got)
                 continue
@@ -205,7 +205,7 @@ class TestWindowDistance:
 
 
 def pairwise_window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
-    """`window_distance` as it was: one `np.mean` over the shared frames."""
+    """The one-pair distance as it was: one `np.mean` over the shared frames."""
     common = sorted(f for f in nxt.points if f in prev.points)
     if not common:
         return np.nan
@@ -247,7 +247,7 @@ class TestWindowDistanceMatrixAgainstPairwise:
         assert np.array_equal(got, want, equal_nan=True)
         for p in prev[:2]:
             for n in nxt[:2]:
-                assert np.array_equal(window_distance(p, n),
+                assert np.array_equal(window_distance_matrix([p], [n])[0, 0],
                                       pairwise_window_distance(p, n), equal_nan=True)
 
     def test_long_overlap_keeps_pairwise_summation(self):
