@@ -103,6 +103,15 @@ class TrackingSpace:
         return bool(x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for a C-contiguous 2-D array: the index of one
+    occurrence of each distinct row, and each row's index into
+    rows[first].  Rows are keyed on their bytes, so -0.0 and 0.0 differ."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[int]]],
                        rig: CameraRig, offsets: tuple[float, ...]
                        ) -> list[tuple[np.ndarray, np.ndarray, list[frozenset[int] | None]]]:
@@ -110,8 +119,9 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[
 
     A request is (segments, frames).  A frame is solved from every segment
     of its request with a box there, if there are at least two.  The rows
-    of all requests are grouped by the cameras they are seen by, and each
-    group is solved, for all `offsets`, in one `triangulate_batch` call.
+    of all requests are grouped by the cameras they are seen by, and the
+    distinct rows of each group are solved, for all `offsets`, in one
+    `triangulate_batch` call.
     Returns, per request, (points, ok, views): points (len(offsets), n, 3)
     and ok (len(offsets), n) per offset and frame, and the cameras of each
     frame's solve (None where fewer than two segments have a box).
@@ -139,12 +149,16 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[
                 views[i] = view_set
     for cameras, parts in by_cameras.items():
         boxes = np.concatenate([b for _, _, b in parts])
-        x, y, h = boxes[..., 0], boxes[..., 1], boxes[..., 3]
+        # A box tuple kept across the overlap of two windows recurs.  A row's
+        # solve does not depend on the other rows, so one solve serves all.
+        first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
+        distinct = boxes[first]
+        x, y, h = distinct[..., 0], distinct[..., 1], distinct[..., 3]
         pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
                                  for off in offsets])
         solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
-        solved = solved.reshape(len(offsets), len(boxes), 3)
-        good = good.reshape(len(offsets), len(boxes))
+        solved = solved.reshape(len(offsets), len(first), 3)[:, inverse]
+        good = good.reshape(len(offsets), len(first))[:, inverse]
         at = 0
         for r, rows, b in parts:
             points, ok, _ = results[r]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
-from .records import BOOL, INT, Fields, read_jsonl, require
+from .records import BOOL, INT, NUM, Fields, read_jsonl, require
 from .sv_track import Bbox, Detection
 
 PERSON_HALF_HEIGHT = 0.85
@@ -158,9 +158,24 @@ class Scenario:
         return True
 
 
+SCENARIO_FIELDS = Fields(
+    {"seed": INT, "duration": INT, "noise_px": NUM, "beta": NUM, "perf_space": 6,
+     "rig": Fields({"radius": NUM, "height": NUM, "focal": NUM, "resolution": 2},
+                   optional=("radius", "height", "focal", "resolution")),
+     "plane": Fields({"n": 3, "point": 3}),
+     "persons": [Fields({"is_target": BOOL, "off_plane_amplitude": NUM, "offset": NUM,
+                         "on_plane_intervals": [2]},
+                        optional=("is_target", "off_plane_amplitude", "offset",
+                                  "on_plane_intervals"))],
+     "dropout": [Fields({"cameras": [INT], "start": INT, "end": INT})]},
+    optional=("seed", "noise_px", "beta", "perf_space", "rig", "plane", "dropout"))
+
+
 def build_scenario(spec: dict) -> Scenario:
-    """Instantiate a Scenario from its JSON description."""
+    """Instantiate a Scenario from its JSON description, whose fields must
+    be of the kinds in SCENARIO_FIELDS."""
     try:
+        SCENARIO_FIELDS.check(spec)
         rig_spec = spec.get("rig", {})
         rig = make_rig(
             radius=float(rig_spec.get("radius", 6.0)),
@@ -172,8 +187,8 @@ def build_scenario(spec: dict) -> Scenario:
         space = TrackingSpace(perf=tuple(spec.get("perf_space",
                                                   [-2.0, -2.0, 0.0, 2.0, 2.0, 4.0])),
                               beta=float(spec.get("beta", 1.0)))
-        seed = int(spec.get("seed", 0))
-        duration = int(spec["duration"])
+        seed = spec.get("seed", 0)
+        duration = spec["duration"]
         persons = []
         for i, p in enumerate(spec["persons"]):
             traj = synth_trajectory(
@@ -182,10 +197,10 @@ def build_scenario(spec: dict) -> Scenario:
                 on_plane_intervals=[tuple(iv) for iv in p.get("on_plane_intervals", [])],
                 off_plane_amplitude=float(p.get("off_plane_amplitude", 0.0)),
                 offset=float(p.get("offset", 1.2)))
-            traj.is_target = bool(p.get("is_target", False))
+            traj.is_target = p.get("is_target", False)
             persons.append(traj)
-        dropout = [{"cameras": set(d["cameras"]), "start": int(d["start"]),
-                    "end": int(d["end"])} for d in spec.get("dropout", [])]
+        dropout = [{"cameras": set(d["cameras"]), "start": d["start"], "end": d["end"]}
+                   for d in spec.get("dropout", [])]
         return Scenario(seed=seed, duration=duration,
                         noise_px=float(spec.get("noise_px", 0.0)),
                         rig=rig, plane=plane, space=space,

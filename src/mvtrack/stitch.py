@@ -197,15 +197,18 @@ class TrackRecord:
     boxes2d: dict[int, dict[int, Bbox]] = field(default_factory=dict)
 
     def absorb_segments(self, segments) -> None:
-        # On cross-window 2D conflicts the newer window's segment wins.
+        # On cross-window 2D conflicts the newer window's segment wins; the
+        # boxes are compared only to log a conflict.
+        debug = logger.isEnabledFor(logging.DEBUG)
         for seg in segments:
             per_cam = self.boxes2d.setdefault(seg.camera, {})
-            for f, box in seg.boxes.items():
-                if f in per_cam and per_cam[f] != box:
-                    logger.debug("track %d cam %d frame %d: 2D link conflict, "
-                                 "keeping newer window", self.tracklet.track_id,
-                                 seg.camera, f)
-                per_cam[f] = box
+            if debug:
+                for f, box in seg.boxes.items():
+                    if f in per_cam and per_cam[f] != box:
+                        logger.debug("track %d cam %d frame %d: 2D link conflict, "
+                                     "keeping newer window", self.tracklet.track_id,
+                                     seg.camera, f)
+            per_cam.update(seg.boxes)
 
 
 class TrackRegistry:

@@ -183,15 +183,23 @@ class IouTracker:
 def track_camera_stream(camera: int, detections: list[Detection],
                         iou_threshold: float = IOU_THRESHOLD,
                         max_age: int = MAX_AGE) -> list[Tracklet2D]:
-    """Run the IoU tracker over one camera's full detection stream."""
+    """Run the IoU tracker over one camera's full detection stream.
+
+    A frame without detections is stepped only while some track is live
+    (at most max_age + 1 such frames in a row); with none live, an empty
+    step changes nothing, so the tracker jumps to the next detection."""
     tracker = IouTracker(camera, iou_threshold, max_age)
     by_frame: dict[int, list[Detection]] = {}
     for det in detections:
         by_frame.setdefault(det.frame, []).append(det)
     tracklets: list[Tracklet2D] = []
-    if by_frame:
-        for frame in range(min(by_frame), max(by_frame) + 1):
-            tracklets.extend(tracker.step(frame, by_frame.get(frame, [])))
+    empty = 0
+    for frame in sorted(by_frame):
+        while tracker._live and empty < frame:
+            tracklets.extend(tracker.step(empty, []))
+            empty += 1
+        tracklets.extend(tracker.step(frame, by_frame[frame]))
+        empty = frame + 1
     tracklets.extend(tracker.finish())
     tracklets.sort(key=lambda t: t.track_id)
     return tracklets

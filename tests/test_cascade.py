@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mvtrack import cascade
-from mvtrack.cascade import (Mode, Provenance, Tracklet3D, TrackingSpace,
-                             attach_top_bottom_batch, classify_cluster,
+from mvtrack.cascade import (BOTTOM, CENTER, TOP, Mode, Provenance, Tracklet3D,
+                             TrackingSpace, attach_top_bottom_batch, classify_cluster,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
                              triangulate_clusters)
@@ -455,3 +455,80 @@ class TestProcessWindow:
                     assert np.max(np.abs(a[f] - b[f])) <= 1e-12
         branches = [next(iter(wt.tracklet.provenance.values())) for wt in tracks]
         assert branches.count(Provenance.PLANE_INTERSECTED) == 2
+
+
+def direct_solve(rig, segs, frames, offset):
+    """`triangulate_batch` of the boxes of `segs` at `frames`, one row per
+    frame, outside the cascade's batching."""
+    pixels = [[(s.boxes[f].x, s.boxes[f].y + offset * s.boxes[f].h) for s in segs]
+              for f in frames]
+    return triangulate_batch([rig[s.camera] for s in segs], np.array(pixels))
+
+
+class TestOverlapSolvedOnce:
+    @staticmethod
+    def overlapping_windows(rig):
+        # Windows [0, 10] and [5, 15]: a walker seen by cameras 0, 1 and 2
+        # and an on-plane person seen only by the opposed pair (0, 2).  The
+        # segments of both windows hold the same boxes at frames 5..10.
+        people = [((0, 1, 2), person_path(range(16), x=0.8, z0=1.0)),
+                  ((0, 2), person_path(range(16), x=0.0, lateral=0.3))]
+        boxes = [{c: {f: project_box(rig[c], X) for f, X in path.items()} for c in cams}
+                 for cams, path in people]
+        return [[Cluster(tuple(segment(c, {f: per_cam[c][f] for f in range(s, s + 11)},
+                                       track_id=k, start=s) for c in per_cam))
+                 for k, per_cam in enumerate(boxes)]
+                for s in (0, 5)]
+
+    def test_each_distinct_row_once_per_call(self, rig, monkeypatch):
+        calls = []
+
+        def spy(cams, pixels):
+            calls.append((tuple(cam.id for cam in cams), pixels))
+            return triangulate_batch(cams, pixels)
+        monkeypatch.setattr(cascade, "triangulate_batch", spy)
+        windows = self.overlapping_windows(rig)
+        tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
+        assert [len(t) for t in tracks] == [2, 2]
+        # Centers, tops and bottoms of 16 frames, then the plane tracks'
+        # tops and bottoms; without the dedupe each is 22 frames.
+        assert [(cams, len(p)) for cams, p in calls] == \
+            [((0, 1, 2), 3 * 16), ((0, 2), 3 * 16), ((0, 2), 2 * 16)]
+        for _, pixels in calls:
+            rows = pixels.reshape(len(pixels), -1)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+    def test_tracks_equal_direct_solves(self, rig):
+        windows = self.overlapping_windows(rig)
+        tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
+        for start, window_tracks in zip((0, 5), tracks):
+            frames = list(range(start, start + 11))
+            for wt in window_tracks:
+                t3, segs = wt.tracklet, wt.segments
+                assert t3.frames == frames
+                solves = [direct_solve(rig, segs, frames, off) for off in (TOP, BOTTOM)]
+                if len(segs) == 3:
+                    solves.append(direct_solve(rig, segs, frames, CENTER))
+                for attr, (points, ok) in zip(("top", "bottom", "points"), solves):
+                    assert ok.all()
+                    got = getattr(t3, attr)
+                    assert sorted(got) == frames
+                    for i, f in enumerate(frames):
+                        assert np.array_equal(got[f], points[i])
+
+    def test_signed_zeros_stay_two_rows(self, rig, monkeypatch):
+        calls = []
+
+        def spy(cams, pixels):
+            calls.append(pixels)
+            return triangulate_batch(cams, pixels)
+        monkeypatch.setattr(cascade, "triangulate_batch", spy)
+        box = project_box(rig[1], np.array([0.0, 0.0, 1.0]))
+        c = Cluster((segment(0, {0: Bbox(-0.0, 500.0, 40.0, 100.0),
+                                 1: Bbox(0.0, 500.0, 40.0, 100.0)}),
+                     segment(1, {0: box, 1: box})))
+        t3 = triangulate_one(c, rig)
+        pixels, = calls
+        assert pixels.shape == (3 * 2, 2, 2)
+        assert sorted(np.signbit(pixels[:2, 0, 0])) == [False, True]
+        assert sorted(t3.points) == [0, 1]

@@ -1,12 +1,14 @@
 """Chunked association: `run_pipeline` clusters and solves a run of windows
 at once, then stitches them in order.  A window's tracks must not depend
 on the windows it shares a chunk with, so the target records are the same
-bytes for every chunk size."""
+bytes for every chunk size, and the same whether or not a box tuple that
+recurs in a chunk is solved once."""
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mvtrack import config, pipeline, target
+from mvtrack import cascade, config, pipeline, target
 from mvtrack.cascade import Mode
 from mvtrack.cli import main
 from mvtrack.geometry import CameraRig, load_calibration
@@ -58,3 +60,19 @@ def test_records_do_not_depend_on_chunk_size(inputs, scenario, mode, monkeypatch
     assert outputs[0]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_records_do_not_depend_on_row_dedupe(inputs, scenario, mode, monkeypatch,
+                                             tmp_path):
+    detections, rig, cfg = inputs[scenario]
+    outputs = []
+    for dedupe in (cascade._distinct_rows, lambda rows: (np.arange(len(rows)),) * 2):
+        monkeypatch.setattr(cascade, "_distinct_rows", dedupe)
+        records, _ = pipeline.run_pipeline(detections, rig, cfg, mode)
+        path = tmp_path / "records.jsonl"
+        target.save_target_records(records, path)
+        outputs.append(path.read_bytes())
+    assert outputs[0]
+    assert outputs[1] == outputs[0]

@@ -80,6 +80,21 @@ class TestSimulate:
                                       str(tmp_path / "sim")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: spec.update(seed=5.9), "seed must be an integer, got 5.9"),
+        (lambda spec: spec.update(duration="20"), "duration must be an integer, got '20'"),
+        (lambda spec: spec["persons"][1].update(is_target="no"),
+         "persons entry: is_target must be true or false, got 'no'"),
+    ], ids=["float-seed", "string-duration", "string-is-target"])
+    def test_scenario_field_of_wrong_kind(self, runner, tmp_path, edit, message):
+        spec = json.loads(json.dumps(SMALL_SCENARIO))
+        edit(spec)
+        result = runner.invoke(main, ["simulate", str(write_scenario(tmp_path, spec)),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2
+        assert f"invalid scenario spec: {message}" in result.output
+        assert not (tmp_path / "sim").exists()
+
     def test_seeded_rerun_identical(self, runner, tmp_path):
         a = simulate(runner, tmp_path, out="a")
         b = simulate(runner, tmp_path, out="b")

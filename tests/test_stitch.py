@@ -1,3 +1,4 @@
+import logging
 from itertools import permutations
 
 import numpy as np
@@ -183,3 +184,17 @@ class TestTrackRecord:
         rec.absorb_segments([seg_a])
         rec.absorb_segments([seg_b])
         assert rec.boxes2d[0][0].x == 9.0
+
+    def test_absorb_logs_conflicts_at_debug(self, caplog):
+        def seg(x):
+            return WindowSegment2D(camera=2, track_id=0, start=0, window_len=10,
+                                   boxes={0: Bbox(x, 1.0, 2.0, 2.0)},
+                                   observed_frames=frozenset({0}))
+        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1), track_id=4))
+        rec.absorb_segments([seg(1.0)])
+        caplog.set_level(logging.DEBUG, logger="mvtrack.stitch")
+        rec.absorb_segments([seg(9.0)])
+        rec.absorb_segments([seg(9.0)])  # the same box again: no conflict
+        assert [r.getMessage() for r in caplog.records] == \
+            ["track 4 cam 2 frame 0: 2D link conflict, keeping newer window"]
+        assert rec.boxes2d[2][0].x == 9.0

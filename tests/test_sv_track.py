@@ -189,6 +189,50 @@ class TestIouTrackerAgainstReference:
         assert [sorted(t.boxes) for t in tracks] == [[0, 1], [0]]
 
 
+def dense_track_camera_stream(camera, detections, iou_threshold, max_age):
+    """`track_camera_stream` stepping every frame from the first detection to
+    the last, with or without a live track."""
+    tracker = IouTracker(camera, iou_threshold, max_age)
+    by_frame = {}
+    for d in detections:
+        by_frame.setdefault(d.frame, []).append(d)
+    tracklets = []
+    for frame in range(min(by_frame), max(by_frame) + 1):
+        tracklets.extend(tracker.step(frame, by_frame.get(frame, [])))
+    tracklets.extend(tracker.finish())
+    return sorted(tracklets, key=lambda t: t.track_id)
+
+
+class TestSparseFrames:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 7), st.lists(grid_boxes, min_size=1,
+                                                          max_size=4)),
+                    min_size=1, max_size=10),
+           st.integers(0, 3), st.sampled_from([0.1, 1.0 / 3.0, 0.5]))
+    def test_equals_dense_stepping(self, gaps, max_age, threshold):
+        # Gaps of 1 to 7 frames straddle every max_age + 1 from 1 to 4.
+        detections, frame = [], 0
+        for gap, boxes in gaps:
+            frame += gap
+            detections += [Detection(frame=frame, camera=1, bbox=b) for b in boxes]
+        assert track_camera_stream(1, detections, threshold, max_age) == \
+            dense_track_camera_stream(1, detections, threshold, max_age)
+
+    def test_far_frame_steps_only_to_close_tracks(self, monkeypatch):
+        steps = []
+        real = IouTracker.step
+
+        def spy(self, frame, detections):
+            steps.append(frame)
+            assert len(steps) <= 10, "stepped through the empty frames"
+            return real(self, frame, detections)
+        monkeypatch.setattr(IouTracker, "step", spy)
+        tracklets = track_camera_stream(0, [det(0, 0.0, 0.0), det(10**9, 0.0, 0.0)],
+                                        max_age=2)
+        assert steps == [0, 1, 2, 3, 10**9]
+        assert [sorted(t.boxes) for t in tracklets] == [[0], [10**9]]
+
+
 def linear_tracklet(frames, camera=0, track_id=0):
     return Tracklet2D(camera=camera, track_id=track_id,
                       boxes={f: Bbox(float(f), 2.0 * f, 10.0, 20.0)
