@@ -50,8 +50,9 @@ class Mode(enum.Enum):
 class Tracklet3D:
     """Frame-indexed 3D center positions with provenance and view sets.
 
-    `top` / `bottom` hold the triangulated head/foot heights for frames
-    where at least two views were available.
+    `top` / `bottom` hold triangulated head/foot points, solved only for
+    the height trigger: a window track's by `attach_top_bottom_batch`, a
+    registry track's folded in by `target.TargetMaintainer.observe`.
     """
 
     track_id: int
@@ -168,15 +169,6 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[
     return results
 
 
-def _set_top_bottom(t3: Tracklet3D, frames: list[int], points: np.ndarray,
-                    ok: np.ndarray) -> None:
-    # A failed top solve drops the frame's bottom as well.
-    for i in np.flatnonzero(ok[0]):
-        t3.top[frames[i]] = points[0, i]
-        if ok[1, i]:
-            t3.bottom[frames[i]] = points[1, i]
-
-
 def classify_cluster(cluster: Cluster, rig: CameraRig,
                      theta_opp_deg: float = THETA_OPP_DEG,
                      opposite_pairs: list[frozenset[int]] | None = None, *,
@@ -213,15 +205,14 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
 
 def triangulate_clusters(clusters: Sequence[Cluster],
                          rig: CameraRig) -> list[Tracklet3D]:
-    """Per-frame triangulation of each cluster's bbox centers, with the top
-    and bottom centers of the same boxes solved alongside; frames with a
-    single view or a degenerate center solve are skipped.  The frames of
-    all clusters are solved together, one `triangulate_batch` call per
-    camera set."""
+    """Per-frame triangulation of each cluster's bbox centers; frames with
+    a single view or a degenerate solve are skipped.  The frames of all
+    clusters are solved together, one `triangulate_batch` call per camera
+    set."""
     frame_lists = [sorted(set().union(*[s.boxes.keys() for s in c.members]))
                    for c in clusters]
     solves = _triangulate_boxes(list(zip([c.members for c in clusters], frame_lists)),
-                                rig, (CENTER, TOP, BOTTOM))
+                                rig, (CENTER,))
     out = []
     for cluster, frames, (points, ok, views) in zip(clusters, frame_lists, solves):
         t3 = Tracklet3D(track_id=-1)
@@ -235,7 +226,6 @@ def triangulate_clusters(clusters: Sequence[Cluster],
         if skipped:
             logger.debug("cluster %s: triangulation skipped at %d frames",
                          [s.key for s in cluster.members], skipped)
-        _set_top_bottom(t3, frames, points[1:], ok[1:] & ok[0])
         out.append(t3)
     return out
 
@@ -344,23 +334,29 @@ def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
 def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSegment2D]]],
                             rig: CameraRig) -> None:
     """Triangulate per-frame top-center and bottom-center pixels of the 2D
-    boxes associated with each track, at the track's frames; frames with
-    fewer than two views are omitted.  All tracks are solved together, one
-    `triangulate_batch` call per camera set."""
+    boxes associated with each track, at the track's frames; a top is kept
+    where it solves, a bottom only where top and bottom both solve, and
+    frames with fewer than two views are omitted.  All tracks are solved
+    together, one `triangulate_batch` call per camera set."""
     frame_lists = [t3.frames for t3, _ in tracks]
     solves = _triangulate_boxes(list(zip([segs for _, segs in tracks], frame_lists)),
                                 rig, (TOP, BOTTOM))
     for (t3, _), frames, (points, ok, _) in zip(tracks, frame_lists, solves):
-        _set_top_bottom(t3, frames, points, ok)
+        for i in np.flatnonzero(ok[0]):
+            t3.top[frames[i]] = points[0, i]
+            if ok[1, i]:
+                t3.bottom[frames[i]] = points[1, i]
 
 
 @dataclass
 class WindowTrack:
-    """A fused 3D tracklet for one window plus its contributing segments."""
+    """A fused 3D tracklet for one window plus its contributing segments
+    and the rig they are seen by, which its height solve needs."""
 
     start: int
     tracklet: Tracklet3D
     segments: list[WindowSegment2D]
+    rig: CameraRig
 
 
 def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
@@ -378,9 +374,9 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
     A run of windows is solved at once: the multi-camera clusters of all
     windows are triangulated together (`triangulate_clusters`), their
     insufficient segments intersected with the plane together
-    (`plane_candidates`), and the tops and bottoms of all plane-branch
-    tracks triangulated together (`attach_top_bottom_batch`).  The
-    two-view verdict, plane matching and the outlier gate run per window,
+    (`plane_candidates`).  Only centers are solved: tops and bottoms are
+    left to the height trigger (`attach_top_bottom_batch`).  The two-view
+    verdict, plane matching and the outlier gate run per window,
     and every row of those batched solves is independent of the others, so
     a window's tracks do not depend on the windows it is solved with.
     """
@@ -403,18 +399,16 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
             if not sufficient:
                 insufficient[w].extend(cluster.members)
             elif t3.points and outlier_gate(t3, space, velocity_limit):
-                tracks[w].append(WindowTrack(start, t3, list(cluster.members)))
+                tracks[w].append(WindowTrack(start, t3, list(cluster.members), rig))
 
     if mode is not Mode.TRIANGULATION_ONLY:
         cands = plane_candidates(
             [sorted(segs, key=lambda s: s.key) for segs in insufficient], plane, rig)
-        # The gate is applied to both branches for uniformity.
-        fused = [[(t3, segs) for t3, segs in plane_match_and_fuse(c, tau_plane)
-                  if t3.points and outlier_gate(t3, space, velocity_limit)]
-                 for c in cands]
-        attach_top_bottom_batch([f for window in fused for f in window], rig)
-        for start, window_tracks, window_fused in zip(starts, tracks, fused):
-            window_tracks.extend(WindowTrack(start, t3, segs) for t3, segs in window_fused)
+        for start, window_tracks, c in zip(starts, tracks, cands):
+            # The gate is applied to both branches for uniformity.
+            window_tracks.extend(WindowTrack(start, t3, segs, rig)
+                                 for t3, segs in plane_match_and_fuse(c, tau_plane)
+                                 if t3.points and outlier_gate(t3, space, velocity_limit))
 
     for window_tracks in tracks:
         window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))

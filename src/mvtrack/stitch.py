@@ -181,20 +181,19 @@ def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
             prev.points[f] = p
             prev.provenance[f] = nxt.provenance[f]
             prev.source_views[f] = nxt.source_views.get(f, frozenset())
-    for attr in ("top", "bottom"):
-        a = getattr(prev, attr)
-        for f, b in getattr(nxt, attr).items():
-            a[f] = (a[f] + b) / 2.0 if f in a else b
     return prev
 
 
 @dataclass
 class TrackRecord:
     """A live stitched track: the accumulated 3D tracklet plus the 2D boxes
-    propagated from associated window segments, per camera."""
+    propagated from associated window segments, per camera, and the window
+    tracks merged into it whose heights are not yet folded into the
+    tracklet, in merge order (see `target.TargetMaintainer.observe`)."""
 
     tracklet: Tracklet3D
     boxes2d: dict[int, dict[int, Bbox]] = field(default_factory=dict)
+    pending: list[WindowTrack] = field(default_factory=list)
 
     def absorb_segments(self, segments) -> None:
         # On cross-window 2D conflicts the newer window's segment wins; the
@@ -209,6 +208,16 @@ class TrackRecord:
                                      "keeping newer window", self.tracklet.track_id,
                                      seg.camera, f)
             per_cam.update(seg.boxes)
+
+    def fold_heights(self) -> None:
+        """Fold the solved tops and bottoms of the pending window tracks
+        into the tracklet in merge order, averaging a frame it already has,
+        and clear them."""
+        for wt in self.pending:
+            for a, b in ((self.tracklet.top, wt.tracklet.top),
+                         (self.tracklet.bottom, wt.tracklet.bottom)):
+                a.update({f: (a[f] + v) / 2.0 if f in a else v for f, v in b.items()})
+        self.pending = []
 
 
 class TrackRegistry:
@@ -240,11 +249,12 @@ class TrackRegistry:
             rec = self.tracks[live[i]]
             merge_assigned(rec.tracklet, window_tracks[j].tracklet)
             rec.absorb_segments(window_tracks[j].segments)
+            rec.pending.append(window_tracks[j])
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
             # Merged into an empty track: a copy, so later merges leave the
             # window track as it was.
             rec = TrackRecord(tracklet=merge_assigned(Tracklet3D(track_id=tid),
-                                                      wt.tracklet))
+                                                      wt.tracklet), pending=[wt])
             rec.absorb_segments(wt.segments)
             self.tracks[tid] = rec

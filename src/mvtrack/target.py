@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import Provenance, Tracklet3D, TrackingSpace
+from .cascade import Provenance, Tracklet3D, TrackingSpace, attach_top_bottom_batch
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
 from .records import INT, NUM, Fields, read_jsonl, write_jsonl
@@ -50,9 +50,12 @@ def identify_target(t3: Tracklet3D, space: TrackingSpace, crit: TargetCriteria,
                     current_frame: int) -> bool:
     """True when, over the trailing delta-frame buffer, the count of frames
     with (center in perf) and (top.z > h_top) and (bottom.z > h_bot)
-    strictly exceeds occupancy * delta."""
+    strictly exceeds occupancy * delta.  Only the track's frames inside
+    the buffer are visited, however long the buffer."""
+    first = current_frame - crit.delta
     count = 0
-    for f in range(current_frame - crit.delta, current_frame + 1):
+    for f in (range(first, current_frame + 1) if len(t3.top) > crit.delta
+              else [f for f in t3.top if first <= f <= current_frame]):
         X = t3.points.get(f)
         top = t3.top.get(f)
         bot = t3.bottom.get(f)
@@ -74,8 +77,7 @@ def smooth_track(t3: Tracklet3D, window: int = SMOOTH_WINDOW) -> Tracklet3D:
     ends the window shrinks symmetrically."""
     if window % 2 != 1 or window < 1:
         raise ValueError("smoothing window must be odd and >= 1")
-    out = Tracklet3D(track_id=t3.track_id, top=dict(t3.top), bottom=dict(t3.bottom),
-                     provenance=dict(t3.provenance),
+    out = Tracklet3D(track_id=t3.track_id, provenance=dict(t3.provenance),
                      source_views=dict(t3.source_views))
     frames = t3.frames
     runs: list[list[int]] = []
@@ -123,7 +125,17 @@ class TargetMaintainer:
 
     def observe(self, window_start: int, window_len: int,
                 registry: TrackRegistry) -> None:
+        """Check the target for loss and, while none is held, run the height
+        trigger on every live track.  Heights are solved only for it: a
+        track keeps the window tracks merged into it pending while they can
+        reach a later buffer, and with no target held the pending ones of
+        all live tracks are solved in one call and folded in merge order."""
         t_c = window_start + window_len
+        for rec in registry.tracks.values():
+            if rec.pending:
+                ended = rec.tracklet.last_frame < window_start
+                rec.pending = [wt for wt in rec.pending if not ended
+                               and wt.start + window_len >= t_c - self.criteria.delta]
         if self.target_id is not None:
             rec = registry.tracks[self.target_id]
             if rec.tracklet.last_frame < window_start:
@@ -132,7 +144,14 @@ class TargetMaintainer:
                 self.tenures[-1]["end"] = rec.tracklet.last_frame
                 self.target_id = None
         if self.target_id is None:
-            for tid in registry.live_tracks(window_start):
+            live = registry.live_tracks(window_start)
+            pending = [wt for tid in live for wt in registry.tracks[tid].pending]
+            if pending:
+                attach_top_bottom_batch([(wt.tracklet, wt.segments) for wt in pending],
+                                        pending[0].rig)
+            for tid in live:
+                registry.tracks[tid].fold_heights()
+            for tid in live:
                 t3 = registry.tracks[tid].tracklet
                 if identify_target(t3, self.space, self.criteria, t_c):
                     self.target_id = tid
@@ -155,10 +174,6 @@ class TargetMaintainer:
                 target.points[f] = t3.points[f]
                 target.provenance[f] = t3.provenance[f]
                 target.source_views[f] = t3.source_views.get(f, frozenset())
-                if f in t3.top:
-                    target.top[f] = t3.top[f]
-                if f in t3.bottom:
-                    target.bottom[f] = t3.bottom[f]
                 frame_tid[f] = tenure["id"]
             emitted_end = max(emitted_end, end)
         if not target.points:

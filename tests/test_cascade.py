@@ -139,16 +139,20 @@ class TestTriangulateCluster:
         assert np.mean(errs) <= 0.05
 
     def test_top_bottom_match_attach_top_bottom(self, rig):
+        # Centers only: a cluster's tops and bottoms are left to
+        # attach_top_bottom_batch on the track's own frames, which solves
+        # the top and bottom centers of the cluster's boxes.
         rng = np.random.default_rng(34)
         path = person_path(range(11))
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
         t3 = triangulate_one(c, rig)
-        attached = Tracklet3D(track_id=-1, points=dict(t3.points))
-        attach_top_bottom_batch([(attached, list(c.members))], rig)
-        assert sorted(t3.top) == sorted(attached.top) == list(range(11))
-        for f in range(11):
-            assert np.allclose(t3.top[f], attached.top[f], rtol=0, atol=1e-12)
-            assert np.allclose(t3.bottom[f], attached.bottom[f], rtol=0, atol=1e-12)
+        assert t3.top == {} and t3.bottom == {}
+        attach_top_bottom_batch([(t3, list(c.members))], rig)
+        for offset, got in ((TOP, t3.top), (BOTTOM, t3.bottom)):
+            points, ok = direct_solve(rig, c.members, range(11), offset)
+            assert ok.all() and sorted(got) == list(range(11))
+            for f in range(11):
+                assert np.array_equal(got[f], points[f])
 
     def test_single_view_frames_skipped(self, rig):
         path = person_path(range(10))
@@ -366,6 +370,9 @@ class TestProcessWindow:
                            mode=Mode.TRIANGULATION_ONLY)
         assert len(a) == len(b) == 1
         assert a[0].tracklet.frames == b[0].tracklet.frames
+        for wt in (a[0], b[0]):
+            assert wt.rig is rig and wt.tracklet.top == {}
+            attach_top_bottom_batch([(wt.tracklet, wt.segments)], wt.rig)
         for f in a[0].tracklet.frames:
             assert np.array_equal(a[0].tracklet.points[f], b[0].tracklet.points[f])
             assert np.array_equal(a[0].tracklet.top[f], b[0].tracklet.top[f])
@@ -409,7 +416,7 @@ class TestProcessWindow:
         # Two clusters share the camera set (0, 1, 2) and one uses
         # (1, 2, 3): their solves are batched across clusters.  Two
         # on-plane people seen only by the opposed pair (0, 2) become two
-        # plane-branch tracks whose tops and bottoms are batched as well.
+        # plane-branch tracks.  Their heights are left to one deferred call.
         rng = np.random.default_rng(47)
         frames = range(11)
         triangulated = [
@@ -429,14 +436,18 @@ class TestProcessWindow:
             return triangulate_batch(cams, pixels)
         monkeypatch.setattr(cascade, "triangulate_batch", spy)
         tracks = process_window(0, clusters, rig, PLANE, SPACE, mode=Mode.CASCADE)
-        # One call per camera set and branch: (0, 2) is solved once for the
-        # two-view verdicts and once for the plane tracks' tops and bottoms.
-        assert calls == [(0, 1, 2), (1, 2, 3), (0, 2), (0, 2)]
+        # One center solve per camera set: (0, 2) only for the two-view
+        # verdicts.  The heights of all five tracks take one more call per
+        # camera set.
+        assert calls == [(0, 1, 2), (1, 2, 3), (0, 2)]
+        attach_top_bottom_batch([(wt.tracklet, wt.segments) for wt in tracks], rig)
+        assert sorted(calls[3:]) == [(0, 1, 2), (0, 2), (1, 2, 3)]
         monkeypatch.undo()
 
         expected = {}
         for c in clusters[:3]:
             expected[c.members[0].key] = triangulate_one(c, rig)
+            attach_top_bottom_batch([(expected[c.members[0].key], list(c.members))], rig)
         segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
         for t3, fused_segs in plane_match_and_fuse(plane_candidates([segs], PLANE, rig)[0]):
             attach_top_bottom_batch([(t3, fused_segs)], rig)
@@ -490,10 +501,12 @@ class TestOverlapSolvedOnce:
         windows = self.overlapping_windows(rig)
         tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
         assert [len(t) for t in tracks] == [2, 2]
-        # Centers, tops and bottoms of 16 frames, then the plane tracks'
-        # tops and bottoms; without the dedupe each is 22 frames.
+        attach_top_bottom_batch([(wt.tracklet, wt.segments)
+                                 for window in tracks for wt in window], rig)
+        # Centers of 16 frames, then the tops and bottoms of all four tracks'
+        # 16 frames per camera set; without the dedupe each is 22 frames.
         assert [(cams, len(p)) for cams, p in calls] == \
-            [((0, 1, 2), 3 * 16), ((0, 2), 3 * 16), ((0, 2), 2 * 16)]
+            [((0, 1, 2), 16), ((0, 2), 16), ((0, 1, 2), 2 * 16), ((0, 2), 2 * 16)]
         for _, pixels in calls:
             rows = pixels.reshape(len(pixels), -1)
             assert len(np.unique(rows, axis=0)) == len(rows)
@@ -501,6 +514,8 @@ class TestOverlapSolvedOnce:
     def test_tracks_equal_direct_solves(self, rig):
         windows = self.overlapping_windows(rig)
         tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
+        attach_top_bottom_batch([(wt.tracklet, wt.segments)
+                                 for window in tracks for wt in window], rig)
         for start, window_tracks in zip((0, 5), tracks):
             frames = list(range(start, start + 11))
             for wt in window_tracks:
@@ -529,6 +544,6 @@ class TestOverlapSolvedOnce:
                      segment(1, {0: box, 1: box})))
         t3 = triangulate_one(c, rig)
         pixels, = calls
-        assert pixels.shape == (3 * 2, 2, 2)
+        assert pixels.shape == (2, 2, 2)  # centers only
         assert sorted(np.signbit(pixels[:2, 0, 0])) == [False, True]
         assert sorted(t3.points) == [0, 1]

@@ -321,6 +321,20 @@ class TestTrack:
         assert run_track(runner, out).exit_code == 0
         assert (out / "tracklets.jsonl").read_bytes() == first
 
+    def test_huge_identify_delta_finds_no_target(self, runner, tmp_path):
+        # The trigger visits only a track's own frames in the buffer, so a
+        # huge buffer costs no more than the clip.
+        out = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "opposite-only-episode",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        routine = json.loads((out / "routine.json").read_text())
+        routine["identify_delta"] = 1000000
+        (out / "routine.json").write_text(json.dumps(routine))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+        assert (out / "tracklets.jsonl").read_text() == ""
+
     @pytest.mark.parametrize("h_top,h_bot", [(0.5, 1.5), (1.5, -0.1),
                                              (float("nan"), 0.5)])
     def test_bad_height_triggers_are_config_error(self, runner, tmp_path,

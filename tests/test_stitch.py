@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
+from mvtrack.geometry import CameraRig
+from mvtrack.simulate import make_rig
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
                             merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import Bbox, WindowSegment2D
+
+RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
 def tracklet(frames, value, track_id=-1, provenance=Provenance.TRIANGULATED):
@@ -132,7 +136,7 @@ def window_track(start, frames, value, camera=0, track_id=0):
     seg = WindowSegment2D(camera=camera, track_id=track_id, start=start,
                           window_len=10, boxes=boxes,
                           observed_frames=frozenset(frames))
-    return WindowTrack(start=start, tracklet=t3, segments=[seg])
+    return WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG)
 
 
 class TestTrackRegistry:
@@ -155,6 +159,18 @@ class TestTrackRegistry:
         reg.advance(5, [window_track(5, range(5, 16), (0.0, 0.0, 1.0))])
         assert sorted(reg.tracks) == [0]
         assert reg.tracks[0].tracklet.frames == list(range(16))
+
+    def test_merged_window_tracks_kept_pending_in_merge_order(self):
+        reg = TrackRegistry()
+        first = window_track(0, range(0, 11), (0.0, 0.0, 1.0))
+        other = window_track(0, range(0, 11), (2.0, 0.0, 1.0), track_id=1)
+        reg.advance(0, [first, other])
+        second = window_track(5, range(5, 16), (0.0, 0.0, 1.0))
+        reg.advance(5, [second])
+        assert list(map(id, reg.tracks[0].pending)) == [id(first), id(second)]
+        assert list(map(id, reg.tracks[1].pending)) == [id(other)]
+        # Heights are not merged with the centers.
+        assert reg.tracks[0].tracklet.top == {} == reg.tracks[0].tracklet.bottom
 
     def test_distant_fragment_gets_new_id(self):
         reg = TrackRegistry()

@@ -1,5 +1,8 @@
 """Linear-time stitching and segmentation against the copy-merge and
-rescan versions they replaced, kept here as oracles."""
+rescan versions they replaced, kept here as oracles.  The copy-merge also
+averaged tops and bottoms at every merge; the registry now keeps the merged
+window tracks pending and folds their heights on demand
+(`TrackRecord.fold_heights`), which must give the same heights."""
 
 import copy
 
@@ -9,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
+from mvtrack.geometry import CameraRig
+from mvtrack.simulate import make_rig
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import (MAX_EXTRAPOLATION, Bbox, Tracklet2D,
@@ -16,6 +21,7 @@ from mvtrack.sv_track import (MAX_EXTRAPOLATION, Bbox, Tracklet2D,
                               segment_windows)
 
 WINDOW_LEN = 10
+RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 PROVENANCES = (Provenance.TRIANGULATED, Provenance.PLANE_INTERSECTED)
 
 
@@ -133,7 +139,7 @@ def window_sequences(draw):
                 camera=camera, track_id=p, start=start, window_len=WINDOW_LEN,
                 boxes={f: Bbox(*rng.uniform(10.0, 50.0, size=4)) for f in frames},
                 observed_frames=frozenset(frames))
-            tracks.append(WindowTrack(start=start, tracklet=t3, segments=[seg]))
+            tracks.append(WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG))
         rng.shuffle(tracks)
         windows.append((start, tracks))
     return windows
@@ -147,6 +153,8 @@ class TestAdvanceAgainstCopyMerge:
         reg, oracle = TrackRegistry(), TrackRegistry()
         for (start, tracks), (_, oracle_tracks) in zip(windows, oracle_windows):
             reg.advance(start, tracks)
+            for rec in reg.tracks.values():
+                rec.fold_heights()
             copy_merge_advance(oracle, start, oracle_tracks)
             assert_registries_equal(reg, oracle)
 
@@ -180,6 +188,11 @@ class TestInPlaceMerge:
         assert np.array_equal(prev.points[1], 2 * np.ones(3))
         assert prev.provenance[1] is Provenance.PLANE_INTERSECTED
         assert prev.source_views[1] == {1, 2}
+        # Heights are folded in later, from the pending window track.
+        assert prev.top.keys() == {1}
+        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(0, nxt, [], RIG)])
+        rec.fold_heights()
+        assert rec.pending == []
         assert np.array_equal(prev.top[1], 2 * np.ones(3))
         assert np.array_equal(prev.top[2], np.ones(3))
         assert nxt.frames == [1, 2] and np.array_equal(nxt.points[1], 3 * np.ones(3))

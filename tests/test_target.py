@@ -1,17 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 
-from mvtrack.cascade import Provenance, Tracklet3D, TrackingSpace
+from mvtrack import target
+from mvtrack.cascade import (Provenance, Tracklet3D, TrackingSpace, WindowTrack,
+                             attach_top_bottom_batch)
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
-from mvtrack.sv_track import Bbox
+from mvtrack.sv_track import Bbox, WindowSegment2D
 from mvtrack.target import (TargetCriteria, TargetMaintainer, buffer_bbox,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
+RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
 def performer_track(frames, track_id=0, hole=(), z=1.8):
@@ -26,6 +31,50 @@ def performer_track(frames, track_id=0, hole=(), z=1.8):
         t3.top[f] = X + [0.0, 0.0, 0.85]
         t3.bottom[f] = X - [0.0, 0.0, 0.85]
     return t3
+
+
+def pending_windows(t3, window_len=10):
+    """t3's half-overlapping window tracks in merge order, centers only:
+    each carries four cameras' boxes whose top and bottom centers see t3's
+    tops and bottoms, for the deferred height solve."""
+    frames = t3.frames
+    out = []
+    step = window_len // 2
+    for start in range(frames[0] // step * step,
+                       max(frames[-1] - window_len, frames[0]) + step, step):
+        span = [f for f in frames if start <= f <= start + window_len]
+        if not span:
+            continue
+        segments = []
+        for cam in RIG:
+            tops = project(cam, np.array([t3.top[f] for f in span])).tolist()
+            bottoms = project(cam, np.array([t3.bottom[f] for f in span])).tolist()
+            boxes = {f: Bbox((tx + bx) / 2, (ty + by) / 2, 40.0, by - ty)
+                     for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
+            segments.append(WindowSegment2D(
+                camera=cam.id, track_id=t3.track_id, start=start, window_len=window_len,
+                boxes=boxes, observed_frames=frozenset(span)))
+        out.append(WindowTrack(start, centers_of(t3, span), segments, RIG))
+    return out
+
+
+def centers_of(t3, frames=None):
+    frames = t3.frames if frames is None else frames
+    return Tracklet3D(track_id=t3.track_id, points={f: t3.points[f] for f in frames},
+                      provenance={f: t3.provenance[f] for f in frames},
+                      source_views={f: t3.source_views[f] for f in frames})
+
+
+def old_identify_target(t3, space, crit, current_frame):
+    """`identify_target` as it was: every frame of the buffer visited."""
+    count = 0
+    for f in range(current_frame - crit.delta, current_frame + 1):
+        X, top, bot = t3.points.get(f), t3.top.get(f), t3.bottom.get(f)
+        if X is None or top is None or bot is None:
+            continue
+        if space.in_perf(X) and top[2] > crit.h_top and bot[2] > crit.h_bot:
+            count += 1
+    return count > crit.occupancy * crit.delta
 
 
 class TestTargetCriteria:
@@ -74,6 +123,25 @@ class TestIdentifyTarget:
         t3 = performer_track(range(0, 31))
         t3.top.clear()
         assert not identify_target(t3, SPACE, CRIT, current_frame=30)
+
+    def test_huge_delta_visits_only_the_tracks_frames(self):
+        t3 = performer_track(range(0, 60))
+        crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=10**9)
+        t0 = time.perf_counter()
+        assert identify_target(t3, SPACE, crit, current_frame=59) is False
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("delta", [1, 2, 10, 29, 30, 31, 45, 60, 200])
+    def test_verdict_equals_full_buffer_scan(self, delta):
+        crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=delta)
+        t3 = performer_track(range(0, 61), hole=range(20, 26))
+        for f in range(40, 61, 3):
+            del t3.top[f]
+        for f in range(30, 61, 4):
+            t3.bottom[f] = t3.bottom[f] - [0.0, 0.0, 0.6]
+        for current in range(-5, 130, 3):
+            assert identify_target(t3, SPACE, crit, current) == \
+                old_identify_target(t3, SPACE, crit, current)
 
 
 class TestBufferBbox:
@@ -132,14 +200,15 @@ def run_maintainer(registry, last_frame, maintainer=None, rig=None):
     maintainer = maintainer or TargetMaintainer(space=SPACE, criteria=CRIT)
     for start in range(0, last_frame, 5):
         maintainer.observe(start, 10, registry)
-    rig = rig or CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
-    return maintainer.finalize(registry, rig)
+    return maintainer.finalize(registry, rig or RIG)
 
 
 def registry_with(tracks):
+    """A registry of the tracks' centers, their heights left pending."""
     reg = TrackRegistry()
     for t3 in tracks:
-        reg.tracks[t3.track_id] = TrackRecord(tracklet=t3)
+        reg.tracks[t3.track_id] = TrackRecord(tracklet=centers_of(t3),
+                                              pending=pending_windows(t3))
     reg._next_id = max(reg.tracks) + 1
     return reg
 
@@ -187,6 +256,56 @@ class TestTargetMaintainer:
         smoothed = {r.frame: r.X for r in run_maintainer(registry_with([spiky]), 60)}
         assert smoothed[30][2] == pytest.approx(spiky.points[30][2] - 0.4)
 
+    def test_heights_come_from_the_pending_windows(self):
+        t3 = performer_track(range(0, 61))
+        reg = registry_with([t3])
+        TargetMaintainer(space=SPACE, criteria=CRIT).observe(0, 10, reg)
+        rec = reg.tracks[0]
+        assert rec.pending == [] and sorted(rec.tracklet.top) == t3.frames
+        # The boxes' top and bottom centers are a few pixels off the true
+        # projections sideways, not in height.
+        for heights, want in ((rec.tracklet.top, t3.top), (rec.tracklet.bottom, t3.bottom)):
+            for f in t3.frames:
+                assert np.linalg.norm(heights[f] - want[f]) < 0.02
+                assert abs(heights[f][2] - want[f][2]) < 1e-3
+
+    def test_overlapping_windows_fold_in_merge_order(self):
+        # Two window tracks of one identity see heights 2 cm apart over
+        # their overlap: each is solved on its own and the overlap averaged.
+        low, high = performer_track(range(0, 11)), performer_track(range(5, 16))
+        for f in high.frames:
+            high.top[f] = high.top[f] + [0.0, 0.0, 0.02]
+        (first,), (second,) = pending_windows(low), pending_windows(high)
+        rec = TrackRecord(tracklet=centers_of(performer_track(range(0, 16))),
+                          pending=[first, second])
+        reg = TrackRegistry()
+        reg.tracks[0], reg._next_id = rec, 1
+        TargetMaintainer(space=SPACE, criteria=CRIT).observe(5, 10, reg)
+        alone = pending_windows(low) + pending_windows(high)
+        for wt in alone:
+            attach_top_bottom_batch([(wt.tracklet, wt.segments)], RIG)
+        a, b = (wt.tracklet for wt in alone)
+        for f in range(16):
+            want = (a.top[f] + b.top[f]) / 2.0 if 5 <= f <= 10 else \
+                a.top.get(f, b.top.get(f))
+            assert np.array_equal(rec.tracklet.top[f], want)
+        assert abs(rec.tracklet.top[7][2] - rec.tracklet.top[12][2] + 0.01) < 0.005
+
+    def test_pending_dropped_behind_the_buffer_and_once_ended(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(target, "attach_top_bottom_batch",
+                            lambda tracks, rig: solved.extend(tracks))
+        reg = registry_with([performer_track(range(0, 61))])
+        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, target_id=0)
+        maintainer.observe(25, 10, reg)  # buffer from frame 5: windows from 0 on
+        assert [wt.start for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
+        maintainer.observe(40, 10, reg)  # buffer from frame 20: windows from 10 on
+        assert [wt.start for wt in reg.tracks[0].pending] == list(range(10, 55, 5))
+        maintainer.target_id = None
+        maintainer.observe(70, 10, reg)  # ended at 60: dropped, not solved
+        assert reg.tracks[0].pending == [] and solved == []
+        assert maintainer.tenures == [] and maintainer.target_id is None
+
     def test_reidentification_after_track_end(self):
         first = performer_track(range(0, 31))
         second = performer_track(range(60, 101), track_id=1)
@@ -200,9 +319,10 @@ class TestTargetMaintainer:
 
 class TestEmission:
     def make_scene(self, with_box_for_frame=lambda f: True):
-        rig = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
-        t3 = performer_track(range(0, 61))
-        rec = TrackRecord(tracklet=t3)
+        rig = RIG
+        performer = performer_track(range(0, 61))
+        t3 = centers_of(performer)
+        rec = TrackRecord(tracklet=t3, pending=pending_windows(performer))
         boxes = {}
         for f in t3.frames:
             if not with_box_for_frame(f):
