@@ -48,31 +48,22 @@ class Mode(enum.Enum):
 
 @dataclass
 class Tracklet3D:
-    """Frame-indexed 3D center positions with provenance and view sets.
+    """Frame-indexed 3D center positions with provenance.  Its identity is
+    the `stitch.TrackRegistry` key it is stored under, if any.
 
     `top` / `bottom` hold triangulated head/foot points, solved only for
     the height trigger: a window track's by `attach_top_bottom_batch`, a
     registry track's folded in by `target.TargetMaintainer.observe`.
     """
 
-    track_id: int
     points: dict[int, np.ndarray] = field(default_factory=dict)
     top: dict[int, np.ndarray] = field(default_factory=dict)
     bottom: dict[int, np.ndarray] = field(default_factory=dict)
     provenance: dict[int, Provenance] = field(default_factory=dict)
-    source_views: dict[int, frozenset[int]] = field(default_factory=dict)
 
     @property
     def frames(self) -> list[int]:
         return sorted(self.points)
-
-    @property
-    def first_frame(self) -> int:
-        return min(self.points)
-
-    @property
-    def last_frame(self) -> int:
-        return max(self.points)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[int]]],
                        rig: CameraRig, offsets: tuple[float, ...]
-                       ) -> list[tuple[np.ndarray, np.ndarray, list[frozenset[int] | None]]]:
+                       ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Triangulate box points of each request's segments at its frames.
 
     A request is (segments, frames).  A frame is solved from every segment
@@ -123,31 +114,28 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[
     of all requests are grouped by the cameras they are seen by, and the
     distinct rows of each group are solved, for all `offsets`, in one
     `triangulate_batch` call.
-    Returns, per request, (points, ok, views): points (len(offsets), n, 3)
-    and ok (len(offsets), n) per offset and frame, and the cameras of each
-    frame's solve (None where fewer than two segments have a box).
+    Returns, per request, (points, ok, seen): points (len(offsets), n, 3)
+    and ok (len(offsets), n) per offset and frame, and the number of frames
+    with a box in at least two segments.
     """
     results = []
     by_cameras: dict[tuple[int, ...], list[tuple[int, list[int], np.ndarray]]] = {}
     for r, (segments, frames) in enumerate(requests):
         n = len(frames)
-        views: list[frozenset[int] | None] = [None] * n
-        results.append((np.full((len(offsets), n, 3), np.nan),
-                        np.zeros((len(offsets), n), dtype=bool), views))
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, f in enumerate(frames):
             present = tuple(k for k, seg in enumerate(segments) if f in seg.boxes)
             if len(present) >= 2:
                 groups.setdefault(present, []).append(i)
+        results.append((np.full((len(offsets), n, 3), np.nan),
+                        np.zeros((len(offsets), n), dtype=bool),
+                        sum(map(len, groups.values()))))
         for present, rows in groups.items():
             segs = [segments[k] for k in present]
             boxes = np.stack([boxes_array(seg.boxes[frames[i]] for i in rows)
                               for seg in segs], axis=1)
             cameras = tuple(seg.camera for seg in segs)
             by_cameras.setdefault(cameras, []).append((r, rows, boxes))
-            view_set = frozenset(cameras)
-            for i in rows:
-                views[i] = view_set
     for cameras, parts in by_cameras.items():
         boxes = np.concatenate([b for _, _, b in parts])
         # A box tuple kept across the overlap of two windows recurs.  A row's
@@ -190,7 +178,8 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     if opposite_pairs and frozenset(cameras) in opposite_pairs:
         return False
 
-    common = frozenset.intersection(*[s.valid_frames for s in cluster.members])
+    common = set(cluster.members[0].boxes).intersection(
+        *(s.boxes for s in cluster.members[1:]))
     frames = sorted(common & triangulated.points.keys())
     if not frames:
         return True
@@ -214,15 +203,14 @@ def triangulate_clusters(clusters: Sequence[Cluster],
     solves = _triangulate_boxes(list(zip([c.members for c in clusters], frame_lists)),
                                 rig, (CENTER,))
     out = []
-    for cluster, frames, (points, ok, views) in zip(clusters, frame_lists, solves):
-        t3 = Tracklet3D(track_id=-1)
+    for cluster, frames, (points, ok, seen) in zip(clusters, frame_lists, solves):
+        t3 = Tracklet3D()
         solved = np.flatnonzero(ok[0])
         for i in solved:
             f = frames[i]
             t3.points[f] = points[0, i]
             t3.provenance[f] = Provenance.TRIANGULATED
-            t3.source_views[f] = views[i]
-        skipped = sum(v is not None for v in views) - len(solved)
+        skipped = seen - len(solved)
         if skipped:
             logger.debug("cluster %s: triangulation skipped at %d frames",
                          [s.key for s in cluster.members], skipped)
@@ -272,13 +260,11 @@ def plane_candidates(windows: Sequence[Sequence[WindowSegment2D]], plane: PlaneS
                          seg.key, len(frames[k]) - len(hits))
         if not len(hits):
             continue
-        t3 = Tracklet3D(track_id=-1)
-        views = frozenset({seg.camera})
+        t3 = Tracklet3D()
         for i in hits:
             f = frames[k][i]
             t3.points[f] = points[i]
             t3.provenance[f] = Provenance.PLANE_INTERSECTED
-            t3.source_views[f] = views
         out[window[k]].append((t3, seg))
     return out
 
@@ -286,8 +272,8 @@ def plane_candidates(windows: Sequence[Sequence[WindowSegment2D]], plane: PlaneS
 def _frame_aligned(tracklets: Sequence[Tracklet3D]) -> tuple[int, np.ndarray]:
     """(first, points): the tracklets' points stacked on their common frame
     span starting at frame `first`, (n, span, 3), NaN where missing."""
-    first = min(t.first_frame for t in tracklets)
-    span = max(t.last_frame for t in tracklets) - first + 1
+    first = min(min(t.points) for t in tracklets)
+    span = max(max(t.points) for t in tracklets) - first + 1
     points = np.full((len(tracklets), span, 3), np.nan)
     for k, t in enumerate(tracklets):
         at = np.fromiter(t.points, dtype=int, count=len(t.points)) - first
@@ -320,13 +306,11 @@ def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
         count = seen.sum(axis=0)
         mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
                 / np.maximum(count, 1)[:, None])
-        t3 = Tracklet3D(track_id=-1)
+        t3 = Tracklet3D()
         for i in np.flatnonzero(count):
             f = first + int(i)
             t3.points[f] = mean[i]
             t3.provenance[f] = Provenance.PLANE_INTERSECTED
-            t3.source_views[f] = frozenset(cameras[g] for g, p in zip(group, seen[:, i])
-                                           if p)
         fused.append((t3, [ordered[i][1] for i in group]))
     return fused
 

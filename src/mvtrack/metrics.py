@@ -82,20 +82,15 @@ def evaluate(target_records: list[dict], truth: list[dict],
             gt_boxes[(rec["frame"], int(cam))] = tuple(box)
     rate, evaluated = failure_rate(buffered, gt_boxes)
 
-    per_window = []
-    frames = sorted(gt_points)
-    start = frames[0] - frames[0] % window_len
-    while start <= frames[-1]:
-        win = [f for f in range(start, start + window_len)
-               if f in estimate and f in gt_points]
-        if win:
-            per_window.append({
-                "start": start,
-                "aed_m": float(np.mean([
-                    np.linalg.norm(estimate[f] - gt_points[f]) for f in win])),
-                "frames": len(win),
-            })
-        start += window_len
+    # Only windows holding a common frame are visited, however far apart.
+    by_window: dict[int, list[int]] = {}
+    for f in sorted(estimate.keys() & gt_points.keys()):
+        by_window.setdefault(f // window_len, []).append(f)
+    per_window = [{"start": k * window_len,
+                   "aed_m": float(np.mean([np.linalg.norm(estimate[f] - gt_points[f])
+                                           for f in win])),
+                   "frames": len(win)}
+                  for k, win in by_window.items()]
 
     return {
         "id_switches": id_switches(timeline),

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import Tracklet3D, WindowTrack
-from .sv_track import Bbox
+from .sv_track import Bbox, WindowSegment2D
 
 logger = logging.getLogger(__name__)
 
@@ -169,45 +169,47 @@ def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
     """Merge an assigned fragment into prev in place and return prev.
 
     Only nxt's frames are visited: a frame both have is averaged, keeping
-    prev's provenance and the union of source views; a frame only nxt has
-    is taken from it.  prev's frames before the overlap are untouched and
-    prev's id wins."""
+    prev's provenance; a frame only nxt has is taken from it.  prev's
+    frames before the overlap are untouched."""
     for f, p in nxt.points.items():
         if f in prev.points:
             prev.points[f] = (prev.points[f] + p) / 2.0
-            prev.source_views[f] = prev.source_views.get(f, frozenset()) | \
-                nxt.source_views.get(f, frozenset())
         else:
             prev.points[f] = p
             prev.provenance[f] = nxt.provenance[f]
-            prev.source_views[f] = nxt.source_views.get(f, frozenset())
     return prev
 
 
 @dataclass
 class TrackRecord:
-    """A live stitched track: the accumulated 3D tracklet plus the 2D boxes
-    propagated from associated window segments, per camera, and the window
-    tracks merged into it whose heights are not yet folded into the
-    tracklet, in merge order (see `target.TargetMaintainer.observe`)."""
+    """A stitched track: the accumulated 3D tracklet and its last frame,
+    kept at each merge; the 2D window segments merged into it; and the
+    window tracks merged into it whose heights are not yet folded into the
+    tracklet (see `target.TargetMaintainer.observe`).  Both lists are in
+    merge order."""
 
     tracklet: Tracklet3D
-    boxes2d: dict[int, dict[int, Bbox]] = field(default_factory=dict)
+    segments: list[WindowSegment2D] = field(default_factory=list)
     pending: list[WindowTrack] = field(default_factory=list)
+    last_frame: int = field(init=False)
 
-    def absorb_segments(self, segments) -> None:
-        # On cross-window 2D conflicts the newer window's segment wins; the
-        # boxes are compared only to log a conflict.
+    def __post_init__(self):
+        self.last_frame = max(self.tracklet.points, default=-1)
+
+    def boxes_by_camera(self, track_id: int) -> dict[int, dict[int, Bbox]]:
+        """The 2D box of each camera and frame among the merged segments;
+        where two windows' boxes differ the newer window's wins."""
+        out: dict[int, dict[int, Bbox]] = {}
         debug = logger.isEnabledFor(logging.DEBUG)
-        for seg in segments:
-            per_cam = self.boxes2d.setdefault(seg.camera, {})
+        for seg in self.segments:
+            per_cam = out.setdefault(seg.camera, {})
             if debug:
                 for f, box in seg.boxes.items():
                     if f in per_cam and per_cam[f] != box:
                         logger.debug("track %d cam %d frame %d: 2D link conflict, "
-                                     "keeping newer window", self.tracklet.track_id,
-                                     seg.camera, f)
+                                     "keeping newer window", track_id, seg.camera, f)
             per_cam.update(seg.boxes)
+        return out
 
     def fold_heights(self) -> None:
         """Fold the solved tops and bottoms of the pending window tracks
@@ -236,8 +238,7 @@ class TrackRegistry:
     def live_tracks(self, window_start: int) -> list[int]:
         """Tracks that can still overlap a window starting at window_start."""
         return sorted(tid for tid, rec in self.tracks.items()
-                      if rec.tracklet.points and
-                      rec.tracklet.last_frame >= window_start)
+                      if rec.last_frame >= window_start)
 
     def advance(self, window_start: int, window_tracks: list[WindowTrack]) -> None:
         live = self.live_tracks(window_start)
@@ -246,15 +247,15 @@ class TrackRegistry:
         pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
 
         for i, j in pairs:
-            rec = self.tracks[live[i]]
-            merge_assigned(rec.tracklet, window_tracks[j].tracklet)
-            rec.absorb_segments(window_tracks[j].segments)
-            rec.pending.append(window_tracks[j])
+            rec, wt = self.tracks[live[i]], window_tracks[j]
+            merge_assigned(rec.tracklet, wt.tracklet)
+            rec.last_frame = max(rec.last_frame, max(wt.tracklet.points))
+            rec.segments.extend(wt.segments)
+            rec.pending.append(wt)
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
             # Merged into an empty track: a copy, so later merges leave the
             # window track as it was.
-            rec = TrackRecord(tracklet=merge_assigned(Tracklet3D(track_id=tid),
-                                                      wt.tracklet), pending=[wt])
-            rec.absorb_segments(wt.segments)
-            self.tracks[tid] = rec
+            self.tracks[tid] = TrackRecord(
+                tracklet=merge_assigned(Tracklet3D(), wt.tracklet),
+                segments=list(wt.segments), pending=[wt])

@@ -12,6 +12,7 @@ frame grid so that segments from different cameras line up.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -25,6 +26,9 @@ MAX_AGE = 2
 WINDOW_LEN = 10
 MIN_SEGMENT_OBS = 5
 MAX_EXTRAPOLATION = 2
+# The bound on |x|, |y|, w and h of an input box: every value derived from
+# one by interpolation, extrapolation or triangulation stays finite.
+MAX_BOX_PX = 1e9
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,7 @@ class WindowSegment2D:
     camera: int
     track_id: int
     start: int
-    window_len: int
     boxes: dict[int, Bbox]
-    observed_frames: frozenset[int]
-
-    @property
-    def valid_frames(self) -> frozenset[int]:
-        return frozenset(self.boxes)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -266,8 +264,7 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
                 boxes[f] = _extrapolate(tracklet.boxes[last], prev_hi, gap_hi, f - last)
             segments.append(WindowSegment2D(
                 camera=tracklet.camera, track_id=tracklet.track_id, start=start,
-                window_len=window_len, boxes=dict(sorted(boxes.items())),
-                observed_frames=frozenset(observed)))
+                boxes=dict(sorted(boxes.items()))))
         if start + window_len >= frames[-1]:
             break
         start += step
@@ -280,7 +277,15 @@ _detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
 
 def _parse_detection(rec) -> Detection:
     frame, camera, x, y, w, h = _detection_values(DETECTION_FIELDS.check(rec))
-    return Detection(frame, camera, Bbox(float(x), float(y), float(w), float(h)))
+    box = Bbox(float(x), float(y), float(w), float(h))
+    # The area is a positive normal float, so IoU never divides by zero.
+    if not (-MAX_BOX_PX <= box.x <= MAX_BOX_PX and -MAX_BOX_PX <= box.y <= MAX_BOX_PX
+            and box.w <= MAX_BOX_PX and box.h <= MAX_BOX_PX
+            and box.w * box.h >= sys.float_info.min):
+        raise ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
+                         f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
+                         f"y={y!r}, w={w!r}, h={h!r}")
+    return Detection(frame, camera, box)
 
 
 def load_detections(path) -> list[Detection]:

@@ -20,7 +20,6 @@ from .cascade import Provenance, Tracklet3D, TrackingSpace, attach_top_bottom_ba
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
 from .records import INT, NUM, Fields, read_jsonl, write_jsonl
-from .sv_track import Bbox
 
 logger = logging.getLogger(__name__)
 
@@ -66,19 +65,12 @@ def identify_target(t3: Tracklet3D, space: TrackingSpace, crit: TargetCriteria,
     return count > crit.occupancy * crit.delta
 
 
-def buffer_bbox(b: Bbox, alpha: float = BUFFER_SCALE) -> Bbox:
-    """Square box with the same center and side alpha * max(w, h)."""
-    side = alpha * max(b.w, b.h)
-    return Bbox(b.x, b.y, side, side)
-
-
 def smooth_track(t3: Tracklet3D, window: int = SMOOTH_WINDOW) -> Tracklet3D:
     """Centered moving average over each contiguous frame run; near run
     ends the window shrinks symmetrically."""
     if window % 2 != 1 or window < 1:
         raise ValueError("smoothing window must be odd and >= 1")
-    out = Tracklet3D(track_id=t3.track_id, provenance=dict(t3.provenance),
-                     source_views=dict(t3.source_views))
+    out = Tracklet3D(provenance=dict(t3.provenance))
     frames = t3.frames
     runs: list[list[int]] = []
     for f in frames:
@@ -133,15 +125,15 @@ class TargetMaintainer:
         t_c = window_start + window_len
         for rec in registry.tracks.values():
             if rec.pending:
-                ended = rec.tracklet.last_frame < window_start
+                ended = rec.last_frame < window_start
                 rec.pending = [wt for wt in rec.pending if not ended
                                and wt.start + window_len >= t_c - self.criteria.delta]
         if self.target_id is not None:
             rec = registry.tracks[self.target_id]
-            if rec.tracklet.last_frame < window_start:
+            if rec.last_frame < window_start:
                 logger.info("target track %d lost after frame %d",
-                            self.target_id, rec.tracklet.last_frame)
-                self.tenures[-1]["end"] = rec.tracklet.last_frame
+                            self.target_id, rec.last_frame)
+                self.tenures[-1]["end"] = rec.last_frame
                 self.target_id = None
         if self.target_id is None:
             live = registry.live_tracks(window_start)
@@ -162,18 +154,17 @@ class TargetMaintainer:
 
     def finalize(self, registry: TrackRegistry,
                  rig: CameraRig) -> list[TargetRecord]:
-        target = Tracklet3D(track_id=-1)
+        target = Tracklet3D()
         frame_tid: dict[int, int] = {}
         emitted_end = -1
         for tenure in self.tenures:
-            t3 = registry.tracks[tenure["id"]].tracklet
-            end = tenure["end"] if tenure["end"] is not None else t3.last_frame
-            for f in t3.frames:
+            rec = registry.tracks[tenure["id"]]
+            end = tenure["end"] if tenure["end"] is not None else rec.last_frame
+            for f in rec.tracklet.frames:
                 if f <= emitted_end or f > end:
                     continue
-                target.points[f] = t3.points[f]
-                target.provenance[f] = t3.provenance[f]
-                target.source_views[f] = t3.source_views.get(f, frozenset())
+                target.points[f] = rec.tracklet.points[f]
+                target.provenance[f] = rec.tracklet.provenance[f]
                 frame_tid[f] = tenure["id"]
             emitted_end = max(emitted_end, end)
         if not target.points:
@@ -193,7 +184,6 @@ class TargetMaintainer:
                 u = (f - a) / (b - a)
                 target.points[f] = (1 - u) * target.points[a] + u * target.points[b]
                 target.provenance[f] = Provenance.INTERPOLATED
-                target.source_views[f] = frozenset()
                 frame_tid[f] = frame_tid[b]
 
     def _emit(self, target: Tracklet3D, frame_tid: dict[int, int],
@@ -202,29 +192,28 @@ class TargetMaintainer:
         X = np.array([target.points[f] for f in frames])
         cameras = list(rig)
         pixels = [project(cam, X).tolist() for cam in cameras]
-        last_size: dict[int, tuple[float, float]] = {}
+        boxes = {tid: registry.tracks[tid].boxes_by_camera(tid)
+                 for tid in dict.fromkeys(frame_tid.values())}
+        last_size: dict[int, float] = {}
         records: list[TargetRecord] = []
         for i, f in enumerate(frames):
             tid = frame_tid[f]
-            boxes2d = registry.tracks[tid].boxes2d
             per_view: list[dict] = []
             for cam, cam_pixels in zip(cameras, pixels):
                 x, y = cam_pixels[i]
                 if math.isnan(x):
                     continue
-                orig = boxes2d.get(cam.id, {}).get(f)
+                # A square centred on the projection, its side buffer_scale *
+                # max(w, h) of the box linked there, else of the camera's last.
+                orig = boxes[tid].get(cam.id, {}).get(f)
                 if orig is not None and np.hypot(x - orig.x, y - orig.y) \
                         <= 0.5 * max(orig.w, orig.h):
-                    refined = Bbox(x, y, orig.w, orig.h)
-                    last_size[cam.id] = (orig.w, orig.h)
-                elif cam.id in last_size:
-                    w, h = last_size[cam.id]
-                    refined = Bbox(x, y, w, h)
-                else:
+                    last_size[cam.id] = max(orig.w, orig.h)
+                elif cam.id not in last_size:
                     continue
-                buf = buffer_bbox(refined, self.buffer_scale)
-                per_view.append({"camera": cam.id, "x": buf.x, "y": buf.y,
-                                 "w": buf.w, "h": buf.h, "buffered": True})
+                side = self.buffer_scale * last_size[cam.id]
+                per_view.append({"camera": cam.id, "x": x, "y": y,
+                                 "w": side, "h": side, "buffered": True})
             records.append(TargetRecord(
                 frame=f, track_id=tid, X=target.points[f],
                 provenance=target.provenance[f], per_view=per_view))

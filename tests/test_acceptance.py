@@ -164,13 +164,12 @@ def test_acceptance_5_clean_scene_quality():
 def _replay_with_hole(registry, cfg, rig, duration, hole):
     reg = copy.deepcopy(registry)
     counts = Counter()
-    for rec in reg.tracks.values():
-        counts.update({rec.tracklet.track_id: len(rec.tracklet.points)})
+    for tid, rec in reg.tracks.items():
+        counts.update({tid: len(rec.tracklet.points)})
     tid = counts.most_common(1)[0][0]
     t3 = reg.tracks[tid].tracklet
     for f in hole:
-        for store in (t3.points, t3.top, t3.bottom, t3.provenance,
-                      t3.source_views):
+        for store in (t3.points, t3.top, t3.bottom, t3.provenance):
             store.pop(f, None)
     maintainer = TargetMaintainer(
         space=cfg.space(),

@@ -33,9 +33,7 @@ def project_box(cam, X, w=40.0, h=100.0, noise=None):
 
 
 def segment(camera, boxes, track_id=0, start=0):
-    return WindowSegment2D(camera=camera, track_id=track_id, start=start,
-                           window_len=10, boxes=boxes,
-                           observed_frames=frozenset(boxes))
+    return WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
 
 
 def person_path(frames, lateral=0.5, z0=1.2, x=0.0):
@@ -103,7 +101,7 @@ class TestClassifyCluster:
         t3 = triangulate_one(c, rig)
         assert classify_cluster(c, rig, triangulated=t3) is False
         # With no solved frames there is no angle evidence at all.
-        empty = Tracklet3D(track_id=-1)
+        empty = Tracklet3D()
         assert classify_cluster(c, rig, triangulated=empty) is True
 
     def test_explicit_opposite_pairs_override(self, rig):
@@ -120,7 +118,6 @@ class TestTriangulateCluster:
         for f, X in path.items():
             assert np.linalg.norm(t3.points[f] - X) <= 1e-6
             assert t3.provenance[f] is Provenance.TRIANGULATED
-            assert t3.source_views[f] == {0, 1, 2, 3}
 
     def test_three_views_one_px_noise(self, rig):
         rng = np.random.default_rng(31)
@@ -165,7 +162,7 @@ class TestTriangulateCluster:
 
 class TestOutlierGate:
     def make_track(self, points):
-        t3 = Tracklet3D(track_id=0)
+        t3 = Tracklet3D()
         for f, X in enumerate(points):
             t3.points[f] = np.asarray(X, dtype=float)
         return t3
@@ -183,7 +180,7 @@ class TestOutlierGate:
         assert not outlier_gate(t, SPACE)
 
     def test_gap_steps_are_not_velocity_checked(self):
-        t3 = Tracklet3D(track_id=0)
+        t3 = Tracklet3D()
         t3.points[0] = np.array([0.0, 0.0, 1.0])
         t3.points[5] = np.array([1.5, 0.0, 1.0])
         assert outlier_gate(t3, SPACE)
@@ -198,7 +195,6 @@ class TestPlaneCandidates:
         for f, X in path.items():
             assert np.linalg.norm(t3.points[f] - X) <= 1e-9
             assert t3.provenance[f] is Provenance.PLANE_INTERSECTED
-            assert t3.source_views[f] == {0}
 
     def test_off_plane_person_adjacent_views_disagree(self):
         cams = CameraRig([look_at_camera(0, (6.0, 0.0, 2.0), (0, 0, 1)),
@@ -230,11 +226,10 @@ class TestPlaneCandidates:
 
 
 def constant_candidate(camera, value, frames=range(10)):
-    t3 = Tracklet3D(track_id=-1)
+    t3 = Tracklet3D()
     for f in frames:
         t3.points[f] = np.asarray(value, dtype=float)
         t3.provenance[f] = Provenance.PLANE_INTERSECTED
-        t3.source_views[f] = frozenset({camera})
     seg = segment(camera, {f: Bbox(100.0, 100.0, 10.0, 10.0) for f in frames})
     return t3, seg
 
@@ -277,7 +272,6 @@ class TestPlaneMatchAndFuse:
         assert {s.camera for s in segs} == {0, 2}
         for f in range(10):
             assert np.allclose(t3.points[f], (0.0, 0.5, 1.0))
-            assert t3.source_views[f] == {0, 2}
 
     def test_fusion_averages(self):
         cands = [constant_candidate(0, (0.2, 0.0, 1.0)),
@@ -345,12 +339,12 @@ class TestAttachTopBottom:
                 rig[c], [center, center + [0, 0, half], center - [0, 0, half]]).tolist()
             box = Bbox(cx, (ty + by) / 2.0, 40.0, by - ty)
             segs.append(segment(c, {0: box}))
-        t3 = Tracklet3D(track_id=0, points={0: center})
+        t3 = Tracklet3D(points={0: center})
         attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
-        t3 = Tracklet3D(track_id=0, points={0: np.array([0.0, 0.0, 1.0])})
+        t3 = Tracklet3D(points={0: np.array([0.0, 0.0, 1.0])})
         segs = [segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})]
         attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top == {} and t3.bottom == {}
@@ -458,7 +452,6 @@ class TestProcessWindow:
             want = expected[min(s.key for s in wt.segments)]
             got = wt.tracklet
             assert got.provenance == want.provenance
-            assert got.source_views == want.source_views
             for attr in ("points", "top", "bottom"):
                 a, b = getattr(got, attr), getattr(want, attr)
                 assert sorted(a) == sorted(b) and a

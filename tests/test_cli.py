@@ -272,6 +272,32 @@ class TestTrack:
         assert "detections.jsonl:4: bad detection record: x, y, w and h must be " \
                "finite JSON numbers" in result.output
 
+    @pytest.mark.parametrize("boxes, line", [
+        # The area 1e-400 underflows to 0, and IoU would divide by it.
+        ([(f, 1e-200, 1e-200) for f in range(3)], 1),
+        # Extrapolating w beyond 1.1e308 would overflow to inf.
+        ([(f, 6e307, 1.0) for f in range(5)] + [(5, 1.1e308, 1.0)], 1),
+    ], ids=["area-underflow", "width-overflow"])
+    def test_box_beyond_the_pixel_bounds_is_input_error(self, runner, tmp_path,
+                                                        boxes, line):
+        out = simulate(runner, tmp_path)
+        (out / "detections.jsonl").write_text("".join(
+            json.dumps({"frame": f, "camera": 0, "x": 0.0, "y": 0.0, "w": w, "h": h}) + "\n"
+            for f, w, h in boxes))
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"detections.jsonl:{line}: bad detection record: box needs |x|, |y|, " \
+               "w and h at most 1e+09" in result.output
+
+    def test_box_at_the_pixel_bounds_is_tracked(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        (out / "detections.jsonl").write_text("".join(
+            json.dumps({"frame": f, "camera": 0, "x": -1e9, "y": 1e9, "w": w, "h": h}) + "\n"
+            for f in range(6) for w, h in ((1e9, 1e9), (1e-150, 1e-150))))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+
     def test_box_at_the_epipole_is_tracked(self, runner, tmp_path):
         # Two cameras face each other along x, so each sees the other's
         # center at its principal point, where the epipolar line of a box

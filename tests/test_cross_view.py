@@ -24,9 +24,7 @@ def project_box(cam, X, w=40.0, h=100.0):
 
 
 def segment(camera, track_id, boxes, start=0):
-    return WindowSegment2D(camera=camera, track_id=track_id, start=start,
-                           window_len=10, boxes=boxes,
-                           observed_frames=frozenset(boxes))
+    return WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
 
 
 def box_distance(a, b, cam_a, cam_b, rig):

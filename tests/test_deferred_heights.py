@@ -94,15 +94,15 @@ def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
         advance(self, window_start, window_tracks)
 
     def merge_spy(prev, nxt):
-        merged[prev.track_id].append(windows[id(nxt)])
+        merged[id(prev)].append(windows[id(nxt)])
         return merge(prev, nxt)
 
-    def eager(track_id):
+    def eager(t3):
         """The heights the eager rule gives the track: each merged window
         track's solve averaged in at its merge.  A solve depends on the
         window track alone, so each is computed once, when first needed."""
         heights = ({}, {})
-        for wt in merged[track_id]:
+        for wt in merged[id(t3)]:
             if id(wt) not in solved:
                 solved[id(wt)] = eager_heights(wt)
             for a, b_solved in zip(heights, solved[id(wt)]):
@@ -114,12 +114,12 @@ def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
 
     def identify_spy(t3, space, crit, current_frame):
         first = current_frame - crit.delta
-        for got, want in zip((t3.top, t3.bottom), eager(t3.track_id)):
+        for got, want in zip((t3.top, t3.bottom), eager(t3)):
             got, want = ({f: v for f, v in d.items() if first <= f <= current_frame}
                          for d in (got, want))
             assert got.keys() == want.keys()
             for f in got:
-                assert np.array_equal(got[f], want[f]), (t3.track_id, current_frame, f)
+                assert np.array_equal(got[f], want[f]), (current_frame, f)
         reads.append((current_frame, len(got)))
         return identify(t3, space, crit, current_frame)
 
@@ -169,7 +169,7 @@ def test_work_bound(monkeypatch):
         for rec in registry.tracks.values():
             assert len(rec.pending) <= bound
             state["most"] = max(state["most"], len(rec.pending))
-            if rec.tracklet.last_frame < window_start:  # ended
+            if rec.last_frame < window_start:  # ended
                 assert rec.pending == []
         state["held"] = state["held"] or bool(self.tenures)
 

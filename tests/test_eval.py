@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -127,3 +128,37 @@ class TestEvaluate:
         report = evaluate(target_records(), truth_records())
         assert [w["start"] for w in report["per_window"]] == [0, 10]
         assert all(w["frames"] == 10 for w in report["per_window"])
+
+    def test_distant_frames_visit_only_their_windows(self):
+        frames = (0, 10**12)
+        truth = [{"frame": f, "person": 0, "is_target": True, "X": [0.0, 0.0, 1.5]}
+                 for f in frames]
+        records = [{"frame": f, "track_id": 0, "X": [0.1, 0.0, 1.5]} for f in frames]
+        t0 = time.perf_counter()
+        report = evaluate(records, truth)
+        assert time.perf_counter() - t0 < 1.0
+        assert [(w["start"], w["frames"]) for w in report["per_window"]] == \
+            [(0, 1), (10**12, 1)]
+
+    @pytest.mark.parametrize("window_len", [2, 10, 30])
+    def test_per_window_equals_stepping_every_window(self, window_len):
+        rng = random.Random(window_len)
+        truth_frames = sorted(rng.sample(range(3, 400), 150))
+        estimate_frames = rng.sample(range(0, 420), 200)
+        truth = [{"frame": f, "person": 0, "is_target": True,
+                  "X": [rng.random(), rng.random(), 1.5]} for f in truth_frames]
+        records = [{"frame": f, "track_id": 0, "X": [rng.random(), rng.random(), 1.5]}
+                   for f in estimate_frames]
+        estimate = {r["frame"]: np.asarray(r["X"]) for r in records}
+        gt = {r["frame"]: np.asarray(r["X"]) for r in truth}
+        # The loop it replaced: every window from the first truth frame to
+        # the last.
+        want = []
+        start = truth_frames[0] - truth_frames[0] % window_len
+        while start <= truth_frames[-1]:
+            win = [f for f in range(start, start + window_len) if f in estimate and f in gt]
+            if win:
+                want.append({"start": start, "frames": len(win), "aed_m": float(np.mean(
+                    [np.linalg.norm(estimate[f] - gt[f]) for f in win]))})
+            start += window_len
+        assert evaluate(records, truth, window_len)["per_window"] == want

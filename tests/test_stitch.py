@@ -4,9 +4,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
+from mvtrack.cascade import Mode, Provenance, Tracklet3D, WindowTrack
+from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraRig
-from mvtrack.simulate import make_rig
+from mvtrack.pipeline import run_pipeline
+from mvtrack.scenarios import get_scenario_spec
+from mvtrack.simulate import build_scenario, make_rig, render_detections
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
                             merge_assigned,
                             window_distance_matrix)
@@ -15,13 +18,12 @@ from mvtrack.sv_track import Bbox, WindowSegment2D
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
-def tracklet(frames, value, track_id=-1, provenance=Provenance.TRIANGULATED):
-    t3 = Tracklet3D(track_id=track_id)
+def tracklet(frames, value, provenance=Provenance.TRIANGULATED):
+    t3 = Tracklet3D()
     for f in frames:
         t3.points[f] = np.asarray(value(f) if callable(value) else value,
                                   dtype=float)
         t3.provenance[f] = provenance
-        t3.source_views[f] = frozenset({0, 1})
     return t3
 
 
@@ -99,10 +101,9 @@ class TestAssignOptimality:
 
 class TestMergeAssigned:
     def test_constant_merge(self):
-        prev = tracklet(range(0, 11), (0.0, 0.0, 1.0), track_id=3)
+        prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.0))
         merged = merge_assigned(prev, nxt)
-        assert merged.track_id == 3
         assert merged.frames == list(range(16))
         for f in merged.frames:
             assert np.allclose(merged.points[f], (0.0, 0.0, 1.0))
@@ -133,9 +134,7 @@ class TestMergeAssigned:
 def window_track(start, frames, value, camera=0, track_id=0):
     t3 = tracklet(frames, value)
     boxes = {f: Bbox(100.0 + f, 200.0, 40.0, 80.0) for f in frames}
-    seg = WindowSegment2D(camera=camera, track_id=track_id, start=start,
-                          window_len=10, boxes=boxes,
-                          observed_frames=frozenset(frames))
+    seg = WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
     return WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG)
 
 
@@ -184,33 +183,57 @@ class TestTrackRegistry:
         second = window_track(5, range(5, 16), (0.0, 0.0, 1.0), track_id=9)
         second.segments[0].boxes[7] = Bbox(999.0, 200.0, 40.0, 80.0)
         reg.advance(5, [second])
-        assert reg.tracks[0].boxes2d[0][7].x == 999.0
-        assert reg.tracks[0].boxes2d[0][2].x == 102.0
+        assert [seg.start for seg in reg.tracks[0].segments] == [0, 5]
+        boxes = reg.tracks[0].boxes_by_camera(0)
+        assert boxes[0][7].x == 999.0
+        assert boxes[0][2].x == 102.0
+
+    def test_last_frame_follows_merges(self):
+        reg = TrackRegistry()
+        reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
+        assert reg.tracks[0].last_frame == 10
+        reg.advance(5, [window_track(5, range(5, 14), (0.0, 0.0, 1.0))])
+        assert reg.tracks[0].last_frame == 13
+        assert reg.live_tracks(13) == [0] and reg.live_tracks(14) == []
 
 
 class TestTrackRecord:
     def test_absorb_overwrites_conflicts(self):
-        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1), track_id=0))
-        seg_a = WindowSegment2D(camera=0, track_id=0, start=0, window_len=10,
-                                boxes={0: Bbox(1.0, 1.0, 2.0, 2.0)},
-                                observed_frames=frozenset({0}))
-        seg_b = WindowSegment2D(camera=0, track_id=1, start=0, window_len=10,
-                                boxes={0: Bbox(9.0, 9.0, 2.0, 2.0)},
-                                observed_frames=frozenset({0}))
-        rec.absorb_segments([seg_a])
-        rec.absorb_segments([seg_b])
-        assert rec.boxes2d[0][0].x == 9.0
+        seg_a = WindowSegment2D(camera=0, track_id=0, start=0,
+                                boxes={0: Bbox(1.0, 1.0, 2.0, 2.0)})
+        seg_b = WindowSegment2D(camera=0, track_id=1, start=0,
+                                boxes={0: Bbox(9.0, 9.0, 2.0, 2.0)})
+        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), segments=[seg_a, seg_b])
+        assert rec.boxes_by_camera(0)[0][0].x == 9.0
+        assert rec.last_frame == 2
 
     def test_absorb_logs_conflicts_at_debug(self, caplog):
         def seg(x):
-            return WindowSegment2D(camera=2, track_id=0, start=0, window_len=10,
-                                   boxes={0: Bbox(x, 1.0, 2.0, 2.0)},
-                                   observed_frames=frozenset({0}))
-        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1), track_id=4))
-        rec.absorb_segments([seg(1.0)])
+            return WindowSegment2D(camera=2, track_id=0, start=0,
+                                   boxes={0: Bbox(x, 1.0, 2.0, 2.0)})
+        # The same box again is no conflict.
+        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)),
+                          segments=[seg(1.0), seg(9.0), seg(9.0)])
         caplog.set_level(logging.DEBUG, logger="mvtrack.stitch")
-        rec.absorb_segments([seg(9.0)])
-        rec.absorb_segments([seg(9.0)])  # the same box again: no conflict
+        boxes = rec.boxes_by_camera(4)
         assert [r.getMessage() for r in caplog.records] == \
             ["track 4 cam 2 frame 0: 2D link conflict, keeping newer window"]
-        assert rec.boxes2d[2][0].x == 9.0
+        assert boxes[2][0].x == 9.0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_last_frame_is_kept_on_every_advance(monkeypatch, mode):
+    scene = build_scenario(get_scenario_spec("clean-4cam"))
+    detections, _ = render_detections(scene)
+    cfg = PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
+                         perf_space=scene.space.perf, beta=scene.space.beta)
+    advance, checked = TrackRegistry.advance, []
+
+    def advance_spy(self, window_start, window_tracks):
+        advance(self, window_start, window_tracks)
+        for rec in self.tracks.values():
+            assert rec.last_frame == max(rec.tracklet.points)
+        checked.append(len(self.tracks))
+    monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
+    run_pipeline(detections, CameraRig(scene.rig), cfg, mode)
+    assert len(checked) > 100 and checked[-1] > 0

@@ -27,22 +27,18 @@ PROVENANCES = (Provenance.TRIANGULATED, Provenance.PLANE_INTERSECTED)
 
 def copy_merge(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
     """The merge that rebuilt the whole accumulated track every window."""
-    merged = Tracklet3D(track_id=prev.track_id)
+    merged = Tracklet3D()
     for f in sorted(set(prev.points) | set(nxt.points)):
         in_prev, in_next = f in prev.points, f in nxt.points
         if in_prev and in_next:
             merged.points[f] = (prev.points[f] + nxt.points[f]) / 2.0
             merged.provenance[f] = prev.provenance[f]
-            merged.source_views[f] = prev.source_views.get(f, frozenset()) | \
-                nxt.source_views.get(f, frozenset())
         elif in_prev:
             merged.points[f] = prev.points[f]
             merged.provenance[f] = prev.provenance[f]
-            merged.source_views[f] = prev.source_views.get(f, frozenset())
         else:
             merged.points[f] = nxt.points[f]
             merged.provenance[f] = nxt.provenance[f]
-            merged.source_views[f] = nxt.source_views.get(f, frozenset())
     for attr in ("top", "bottom"):
         a, b = getattr(prev, attr), getattr(nxt, attr)
         out = getattr(merged, attr)
@@ -54,11 +50,19 @@ def copy_merge(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
     return merged
 
 
-def copy_merge_advance(reg: TrackRegistry, window_start: int,
+def absorb_segments(boxes2d: dict, segments) -> None:
+    """The per-camera box store every merge used to update, box by box: the
+    newer window's box wins."""
+    for seg in segments:
+        boxes2d.setdefault(seg.camera, {}).update(seg.boxes)
+
+
+def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
                        window_tracks: list[WindowTrack]) -> None:
     """`TrackRegistry.advance` as it was with the copy-merge: a new identity
-    took the window tracklet object itself.  Scoring and assignment are the
-    module's own; only the merge and the bookkeeping are the oracle's."""
+    took the window tracklet object itself, and each track's 2D boxes were
+    copied into `boxes2d[tid]` at every merge.  Scoring and assignment are
+    the module's own; only the merge and the bookkeeping are the oracle's."""
     live = reg.live_tracks(window_start)
     if live:
         D = window_distance_matrix([reg.tracks[tid].tracklet for tid in live],
@@ -69,32 +73,31 @@ def copy_merge_advance(reg: TrackRegistry, window_start: int,
     for i, j in pairs:
         rec = reg.tracks[live[i]]
         rec.tracklet = copy_merge(rec.tracklet, window_tracks[j].tracklet)
-        rec.absorb_segments(window_tracks[j].segments)
+        rec.last_frame = max(rec.tracklet.points)
+        absorb_segments(boxes2d[live[i]], window_tracks[j].segments)
     for j, tid in zip(unmatched_next, reg.new_track_ids(len(unmatched_next))):
         wt = window_tracks[j]
-        wt.tracklet.track_id = tid
-        rec = TrackRecord(tracklet=wt.tracklet)
-        rec.absorb_segments(wt.segments)
-        reg.tracks[tid] = rec
+        reg.tracks[tid] = TrackRecord(tracklet=wt.tracklet)
+        boxes2d[tid] = {}
+        absorb_segments(boxes2d[tid], wt.segments)
 
 
 def assert_tracklets_equal(a: Tracklet3D, b: Tracklet3D) -> None:
-    assert a.track_id == b.track_id
     for attr in ("points", "top", "bottom"):
         da, db = getattr(a, attr), getattr(b, attr)
         assert da.keys() == db.keys(), attr
         for f in da:
             assert np.array_equal(da[f], db[f]), (attr, f)
     assert a.provenance == b.provenance
-    assert a.source_views == b.source_views
 
 
-def assert_registries_equal(a: TrackRegistry, b: TrackRegistry) -> None:
+def assert_registries_equal(a: TrackRegistry, b: TrackRegistry, b_boxes2d: dict) -> None:
     assert a.tracks.keys() == b.tracks.keys()
     assert a._next_id == b._next_id
     for tid in a.tracks:
         assert_tracklets_equal(a.tracks[tid].tracklet, b.tracks[tid].tracklet)
-        assert a.tracks[tid].boxes2d == b.tracks[tid].boxes2d
+        assert a.tracks[tid].last_frame == b.tracks[tid].last_frame
+        assert a.tracks[tid].boxes_by_camera(tid) == b_boxes2d[tid]
 
 
 @st.composite
@@ -124,21 +127,18 @@ def window_sequences(draw):
             if draw(st.integers(0, 5)) == 0:
                 offsets[p] = offsets[p] + np.array([0.0, 1.0, 0.0])
             prov = draw(st.sampled_from(PROVENANCES))
-            t3 = Tracklet3D(track_id=-1)
+            t3 = Tracklet3D()
             for f in frames:
                 t3.points[f] = offsets[p] + rng.normal(scale=0.05, size=3)
                 t3.provenance[f] = prov
-                t3.source_views[f] = frozenset(
-                    int(c) for c in np.flatnonzero(rng.random(4) < 0.6))
                 if rng.random() < 0.7:
                     t3.top[f] = t3.points[f] + np.array([0.0, 0.0, 0.8])
                 if rng.random() < 0.7:
                     t3.bottom[f] = t3.points[f] - np.array([0.0, 0.0, 0.9])
             camera = int(rng.integers(4))
             seg = WindowSegment2D(
-                camera=camera, track_id=p, start=start, window_len=WINDOW_LEN,
-                boxes={f: Bbox(*rng.uniform(10.0, 50.0, size=4)) for f in frames},
-                observed_frames=frozenset(frames))
+                camera=camera, track_id=p, start=start,
+                boxes={f: Bbox(*rng.uniform(10.0, 50.0, size=4)) for f in frames})
             tracks.append(WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG))
         rng.shuffle(tracks)
         windows.append((start, tracks))
@@ -150,13 +150,13 @@ class TestAdvanceAgainstCopyMerge:
     @given(window_sequences())
     def test_registry_equals_copy_merge(self, windows):
         oracle_windows = copy.deepcopy(windows)
-        reg, oracle = TrackRegistry(), TrackRegistry()
+        reg, oracle, oracle_boxes2d = TrackRegistry(), TrackRegistry(), {}
         for (start, tracks), (_, oracle_tracks) in zip(windows, oracle_windows):
             reg.advance(start, tracks)
             for rec in reg.tracks.values():
                 rec.fold_heights()
-            copy_merge_advance(oracle, start, oracle_tracks)
-            assert_registries_equal(reg, oracle)
+            copy_merge_advance(oracle, oracle_boxes2d, start, oracle_tracks)
+            assert_registries_equal(reg, oracle, oracle_boxes2d)
 
     @settings(max_examples=60, deadline=None)
     @given(window_sequences())
@@ -173,21 +173,18 @@ class TestAdvanceAgainstCopyMerge:
 
 class TestInPlaceMerge:
     def test_merges_into_prev_and_returns_it(self):
-        prev = Tracklet3D(track_id=4, points={0: np.zeros(3), 1: np.ones(3)},
+        prev = Tracklet3D(points={0: np.zeros(3), 1: np.ones(3)},
                           provenance={0: Provenance.TRIANGULATED,
                                       1: Provenance.PLANE_INTERSECTED},
-                          source_views={0: frozenset({0}), 1: frozenset({1})},
                           top={1: np.ones(3)})
-        nxt = Tracklet3D(track_id=9, points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
+        nxt = Tracklet3D(points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
                          provenance={1: Provenance.TRIANGULATED,
                                      2: Provenance.TRIANGULATED},
-                         source_views={1: frozenset({2}), 2: frozenset({3})},
                          top={1: 3 * np.ones(3), 2: np.ones(3)})
         assert merge_assigned(prev, nxt) is prev
-        assert prev.track_id == 4 and prev.frames == [0, 1, 2]
+        assert prev.frames == [0, 1, 2]
         assert np.array_equal(prev.points[1], 2 * np.ones(3))
         assert prev.provenance[1] is Provenance.PLANE_INTERSECTED
-        assert prev.source_views[1] == {1, 2}
         # Heights are folded in later, from the pending window track.
         assert prev.top.keys() == {1}
         rec = TrackRecord(tracklet=prev, pending=[WindowTrack(0, nxt, [], RIG)])
@@ -202,9 +199,9 @@ class TestWindowDistance:
     def test_equals_per_frame_norms(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            prev = Tracklet3D(track_id=0, points={
+            prev = Tracklet3D(points={
                 f: rng.normal(size=3) for f in range(20) if rng.random() < 0.7})
-            nxt = Tracklet3D(track_id=1, points={
+            nxt = Tracklet3D(points={
                 f: rng.normal(size=3) for f in range(10, 30) if rng.random() < 0.7})
             common = sorted(set(prev.points) & set(nxt.points))
             got = window_distance_matrix([prev], [nxt])[0, 0]
@@ -237,7 +234,7 @@ def live_and_window_tracks(draw):
 
     def track(lo, hi):
         frames = [f for f in range(lo, hi + 1) if draw(st.integers(0, 4))]
-        return Tracklet3D(track_id=-1, points={
+        return Tracklet3D(points={
             f: rng.normal(scale=float(10.0 ** rng.integers(-2, 2)), size=3)
             for f in frames})
 
@@ -266,8 +263,8 @@ class TestWindowDistanceMatrixAgainstPairwise:
     def test_long_overlap_keeps_pairwise_summation(self):
         # 21 shared frames: np.mean sums them pairwise, not left to right.
         rng = np.random.default_rng(3)
-        prev = [Tracklet3D(track_id=0, points={f: rng.normal(size=3) for f in range(40)})]
-        nxt = [Tracklet3D(track_id=1, points={f: rng.normal(size=3)
+        prev = [Tracklet3D(points={f: rng.normal(size=3) for f in range(40)})]
+        nxt = [Tracklet3D(points={f: rng.normal(size=3)
                                               for f in range(19, 40)})
                for _ in range(3)]
         want = [[pairwise_window_distance(prev[0], n) for n in nxt]]
@@ -302,8 +299,7 @@ def rescan_segment_windows(tracklet: Tracklet2D, window_len: int,
                 boxes[f] = _extrapolate(tracklet.boxes[last], prev_hi, gap_hi, f - last)
             segments.append(WindowSegment2D(
                 camera=tracklet.camera, track_id=tracklet.track_id, start=start,
-                window_len=window_len, boxes=dict(sorted(boxes.items())),
-                observed_frames=frozenset(observed)))
+                boxes=dict(sorted(boxes.items()))))
         if start + window_len >= tn:
             break
         start += step

@@ -255,7 +255,7 @@ class TestSegmentWindows:
         box = seg.boxes[5]
         assert box.x == pytest.approx((t.boxes[4].x + t.boxes[6].x) / 2.0)
         assert box.y == pytest.approx((t.boxes[4].y + t.boxes[6].y) / 2.0)
-        assert 5 not in seg.observed_frames
+        assert 5 in seg.boxes and 5 not in seg.boxes.keys() & t.boxes.keys()
 
     def test_short_segment_discarded(self):
         assert segment_windows(linear_tracklet(range(4)), window_len=10) == []
@@ -279,9 +279,10 @@ class TestSegmentWindows:
         assert seg.boxes[1].x == pytest.approx(1.0)
 
     def test_frames_stay_inside_window(self):
-        for seg in segment_windows(linear_tracklet(range(40)), window_len=10):
+        t = linear_tracklet(range(40))
+        for seg in segment_windows(t, window_len=10):
             assert all(seg.start <= f <= seg.start + 10 for f in seg.boxes)
-            assert len(seg.observed_frames) >= 5
+            assert len(seg.boxes.keys() & t.boxes.keys()) >= 5
 
     def test_adjacent_windows_overlap_half(self):
         segments = segment_windows(linear_tracklet(range(16)), window_len=10)

@@ -10,7 +10,7 @@ from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
 from mvtrack.sv_track import Bbox, WindowSegment2D
-from mvtrack.target import (TargetCriteria, TargetMaintainer, buffer_bbox,
+from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
@@ -19,15 +19,14 @@ CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
-def performer_track(frames, track_id=0, hole=(), z=1.8):
-    t3 = Tracklet3D(track_id=track_id)
+def performer_track(frames, hole=(), z=1.8):
+    t3 = Tracklet3D()
     for f in frames:
         if f in hole:
             continue
         X = np.array([0.0, 0.01 * f, z])
         t3.points[f] = X
         t3.provenance[f] = Provenance.TRIANGULATED
-        t3.source_views[f] = frozenset({0, 1, 2, 3})
         t3.top[f] = X + [0.0, 0.0, 0.85]
         t3.bottom[f] = X - [0.0, 0.0, 0.85]
     return t3
@@ -51,18 +50,16 @@ def pending_windows(t3, window_len=10):
             bottoms = project(cam, np.array([t3.bottom[f] for f in span])).tolist()
             boxes = {f: Bbox((tx + bx) / 2, (ty + by) / 2, 40.0, by - ty)
                      for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
-            segments.append(WindowSegment2D(
-                camera=cam.id, track_id=t3.track_id, start=start, window_len=window_len,
-                boxes=boxes, observed_frames=frozenset(span)))
+            segments.append(WindowSegment2D(camera=cam.id, track_id=0, start=start,
+                                            boxes=boxes))
         out.append(WindowTrack(start, centers_of(t3, span), segments, RIG))
     return out
 
 
 def centers_of(t3, frames=None):
     frames = t3.frames if frames is None else frames
-    return Tracklet3D(track_id=t3.track_id, points={f: t3.points[f] for f in frames},
-                      provenance={f: t3.provenance[f] for f in frames},
-                      source_views={f: t3.source_views[f] for f in frames})
+    return Tracklet3D(points={f: t3.points[f] for f in frames},
+                      provenance={f: t3.provenance[f] for f in frames})
 
 
 def old_identify_target(t3, space, crit, current_frame):
@@ -111,7 +108,7 @@ class TestIdentifyTarget:
         assert not identify_target(t3, SPACE, CRIT, current_frame=30)
 
     def test_center_outside_perf_fails(self):
-        t3 = Tracklet3D(track_id=0)
+        t3 = Tracklet3D()
         for f in range(31):
             X = np.array([4.0, 0.0, 1.8])
             t3.points[f] = X
@@ -144,34 +141,51 @@ class TestIdentifyTarget:
                 old_identify_target(t3, SPACE, crit, current)
 
 
+def emit_one(w, h, **kwargs):
+    """The pixel (x, y) of a one-frame target in camera 0, and the view
+    `_emit` writes there when a w x h box centred on (x, y) is linked."""
+    X = np.array([0.0, 0.0, 1.8])
+    (x, y), = project(RIG[0], [X]).tolist()
+    seg = WindowSegment2D(camera=0, track_id=0, start=0, boxes={0: Bbox(x, y, w, h)})
+    reg = TrackRegistry()
+    reg.tracks[0] = TrackRecord(tracklet=Tracklet3D(points={0: X}), segments=[seg])
+    target_t3 = Tracklet3D(points={0: X}, provenance={0: Provenance.TRIANGULATED})
+    maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, **kwargs)
+    record, = maintainer._emit(target_t3, {0: 0}, reg, RIG)
+    view, = record.per_view
+    return (x, y), view
+
+
 class TestBufferBbox:
     def test_reference_box(self):
-        b = buffer_bbox(Bbox(100.0, 200.0, 50.0, 80.0))
-        assert (b.x, b.y, b.w, b.h) == (100.0, 200.0, 104.0, 104.0)
+        (x, y), v = emit_one(50.0, 80.0)
+        assert v == {"camera": 0, "x": x, "y": y, "w": 104.0, "h": 104.0,
+                     "buffered": True}
 
     def test_unit_scale_identity(self):
-        b = buffer_bbox(Bbox(0.0, 0.0, 10.0, 10.0), alpha=1.0)
-        assert (b.w, b.h) == (10.0, 10.0)
+        _, v = emit_one(10.0, 10.0, buffer_scale=1.0)
+        assert (v["w"], v["h"]) == (10.0, 10.0)
 
     def test_square_input(self):
-        b = buffer_bbox(Bbox(0.0, 0.0, 20.0, 20.0))
-        assert b.w == b.h == 1.3 * 20.0
+        _, v = emit_one(20.0, 20.0)
+        assert v["w"] == v["h"] == 1.3 * 20.0
 
     def test_double_application_squares_alpha(self):
-        b = buffer_bbox(buffer_bbox(Bbox(0.0, 0.0, 50.0, 80.0)))
-        assert b.w == b.h == 1.3 * (1.3 * 80.0)
+        _, once = emit_one(50.0, 80.0)
+        _, v = emit_one(once["w"], once["h"])
+        assert v["w"] == v["h"] == 1.3 * (1.3 * 80.0)
 
 
 class TestSmoothTrack:
     def test_constant_is_fixed_point(self):
-        t3 = Tracklet3D(track_id=0,
+        t3 = Tracklet3D(
                         points={f: np.array([1.0, 2.0, 3.0]) for f in range(9)})
         out = smooth_track(t3)
         for f in range(9):
             assert np.allclose(out.points[f], (1.0, 2.0, 3.0), atol=1e-15)
 
     def test_linear_ramp_unchanged(self):
-        t3 = Tracklet3D(track_id=0,
+        t3 = Tracklet3D(
                         points={f: np.array([0.1 * f, 0.0, 1.0])
                                 for f in range(11)})
         out = smooth_track(t3)
@@ -181,19 +195,19 @@ class TestSmoothTrack:
     def test_spike_attenuated(self):
         points = {f: np.array([0.0, 0.0, 1.0]) for f in range(11)}
         points[5] = np.array([0.0, 0.0, 1.5])
-        out = smooth_track(Tracklet3D(track_id=0, points=points))
+        out = smooth_track(Tracklet3D(points=points))
         assert abs(out.points[5][2] - 1.0) <= 0.1 + 1e-12
 
     def test_runs_smoothed_independently(self):
         points = {f: np.array([float(f), 0.0, 1.0]) for f in [0, 1, 2, 10, 11, 12]}
-        out = smooth_track(Tracklet3D(track_id=0, points=points))
+        out = smooth_track(Tracklet3D(points=points))
         # End frames of a 3-frame run keep their value (window shrinks to 1).
         assert out.points[2][0] == 2.0
         assert out.points[10][0] == 10.0
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
-            smooth_track(Tracklet3D(track_id=0, points={}), window=4)
+            smooth_track(Tracklet3D(points={}), window=4)
 
 
 def run_maintainer(registry, last_frame, maintainer=None, rig=None):
@@ -206,9 +220,8 @@ def run_maintainer(registry, last_frame, maintainer=None, rig=None):
 def registry_with(tracks):
     """A registry of the tracks' centers, their heights left pending."""
     reg = TrackRegistry()
-    for t3 in tracks:
-        reg.tracks[t3.track_id] = TrackRecord(tracklet=centers_of(t3),
-                                              pending=pending_windows(t3))
+    for tid, t3 in enumerate(tracks):
+        reg.tracks[tid] = TrackRecord(tracklet=centers_of(t3), pending=pending_windows(t3))
     reg._next_id = max(reg.tracks) + 1
     return reg
 
@@ -241,7 +254,7 @@ class TestTargetMaintainer:
             assert records[f].X[1] == pytest.approx(0.01 * f, abs=1e-9)
 
     def test_non_performer_never_selected(self):
-        walker = performer_track(range(0, 61), track_id=1, z=1.0)
+        walker = performer_track(range(0, 61), z=1.0)
         reg = registry_with([performer_track(range(0, 61)), walker])
         records = run_maintainer(reg, 60)
         assert {r.track_id for r in records} == {0}
@@ -308,7 +321,7 @@ class TestTargetMaintainer:
 
     def test_reidentification_after_track_end(self):
         first = performer_track(range(0, 31))
-        second = performer_track(range(60, 101), track_id=1)
+        second = performer_track(range(60, 101))
         reg = registry_with([first, second])
         records = run_maintainer(reg, 100)
         ids = {r.frame: r.track_id for r in records}
@@ -329,7 +342,7 @@ class TestEmission:
                 continue
             (x, y), = project(rig[0], [t3.points[f]]).tolist()
             boxes[f] = Bbox(x, y, 40.0, 100.0)
-        rec.boxes2d[0] = boxes
+        rec.segments.append(WindowSegment2D(camera=0, track_id=0, start=0, boxes=boxes))
         reg = TrackRegistry()
         reg.tracks[0] = rec
         reg._next_id = 1
@@ -351,6 +364,16 @@ class TestEmission:
         views = {v["camera"]: v for v in records[30].per_view}
         assert 0 in views
         assert views[0]["w"] == pytest.approx(1.3 * 100.0)
+
+    def test_boxes_looked_up_for_the_target_tracks_only(self, monkeypatch):
+        looked_up = []
+        lookup = TrackRecord.boxes_by_camera
+        monkeypatch.setattr(TrackRecord, "boxes_by_camera",
+                            lambda rec, tid: looked_up.append(tid) or lookup(rec, tid))
+        reg = registry_with([performer_track(range(0, 61)),
+                             performer_track(range(0, 61), z=1.0)])
+        assert run_maintainer(reg, 60)
+        assert looked_up == [0]
 
 
 class TestRecordIO:
