@@ -1,7 +1,15 @@
+import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mvtrack.geometry import CameraModel
+from mvtrack.config import PipelineConfig
+from mvtrack.geometry import CameraModel, CameraRig
+from mvtrack.simulate import build_scenario, render_detections
+from mvtrack.sv_track import load_detections, save_detections
 
 FOCAL = 1000.0
 PRINCIPAL = (960.0, 540.0)
@@ -37,3 +45,24 @@ def cam_a():
 def cam_b():
     return CameraModel(id=1, K=intrinsics(), R=np.eye(3),
                        t=np.array([-1.0, 0.0, 0.0]))
+
+
+def simulated(spec: dict):
+    """(detections, rig, cfg) of a scenario spec, as `mvtrack simulate`
+    writes them and `mvtrack track` reads them back.  The scene cache of
+    the test session: each spec is simulated once, and callers share the
+    result, so they must not modify it."""
+    return _simulated(json.dumps(spec, sort_keys=True))
+
+
+@lru_cache(maxsize=None)
+def _simulated(spec_json: str):
+    scene = build_scenario(json.loads(spec_json))
+    detections, _ = render_detections(scene)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "detections.jsonl"
+        save_detections(detections, path)
+        detections = load_detections(path)
+    cfg = PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
+                         perf_space=scene.space.perf, beta=scene.space.beta)
+    return detections, CameraRig(scene.rig), cfg

@@ -6,28 +6,19 @@ recurs in a chunk is solved once."""
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from mvtrack import cascade, config, pipeline, target
+from mvtrack import cascade, pipeline, target
 from mvtrack.cascade import Mode
-from mvtrack.cli import main
-from mvtrack.geometry import CameraRig, load_calibration
-from mvtrack.sv_track import load_detections
+from mvtrack.scenarios import get_scenario_spec
+
+from conftest import simulated
 
 SCENARIOS = ("clean-4cam", "opposite-only-episode", "crowded-distractors")
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    loaded = {}
-    for name in SCENARIOS:
-        out = tmp_path_factory.mktemp(name)
-        result = CliRunner().invoke(main, ["simulate", name, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        loaded[name] = (load_detections(out / "detections.jsonl"),
-                        CameraRig(load_calibration(out / "calib.json")),
-                        config.load_routine_config(out / "routine.json"))
-    return loaded
+def inputs():
+    return {name: simulated(get_scenario_spec(name)) for name in SCENARIOS}
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])

@@ -10,20 +10,19 @@ track at once with the merge's old loop.
 """
 
 from collections import defaultdict
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from mvtrack import cascade, stitch, target
 from mvtrack.cascade import BOTTOM, CENTER, TOP, Mode
-from mvtrack.config import PipelineConfig
-from mvtrack.geometry import CameraRig, triangulate_batch
+from mvtrack.geometry import triangulate_batch
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
-from mvtrack.simulate import build_scenario, render_detections
 from mvtrack.stitch import TrackRegistry
 from mvtrack.target import TargetMaintainer
+
+from conftest import simulated
 
 # opposite-only-episode, keeping its own dropout of cameras 1 and 3, with
 # every camera dark twice: the target is lost and found again twice.
@@ -31,15 +30,10 @@ LOSS = ("opposite-only-episode", ((60, 90), (150, 175)))
 CLEAN = ("clean-4cam", ())
 
 
-@lru_cache(maxsize=None)
 def scene_inputs(name, dark):
     spec = get_scenario_spec(name)
     spec["dropout"] += [{"cameras": [0, 1, 2, 3], "start": a, "end": b} for a, b in dark]
-    scene = build_scenario(spec)
-    detections, _ = render_detections(scene)
-    cfg = PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
-                         perf_space=scene.space.perf, beta=scene.space.beta)
-    return detections, CameraRig(scene.rig), cfg
+    return simulated(spec)
 
 
 def run_observed(monkeypatch, scene, mode=Mode.CASCADE):
