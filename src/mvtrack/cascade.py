@@ -5,6 +5,11 @@ single-view and opposite-view-only clusters are routed to the
 ray-plane-intersection path, where coplanar candidates from different
 cameras are matched and fused.  Every cluster goes through exactly one
 branch.
+
+The 2D boxes are read from the segments' arrays: the segments of a
+window share its frame grid, so the frames where a set of segments have
+boxes are masks over that grid, and the rows to solve are gathered by
+index.  The 3D results are frame-keyed `Tracklet3D` dicts.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .clustering import cluster_with_cutoff, shared_frame_distances
 from .cross_view import Cluster
 from .geometry import (CameraRig, PlaneSpec, ray_plane_intersect_batch,
                        triangulate_batch)
-from .sv_track import WindowSegment2D, boxes_array
+from .sv_track import WindowSegment2D
 
 logger = logging.getLogger(__name__)
 
@@ -104,40 +109,51 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[int]]],
+def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
+                                                 np.ndarray | None]],
                        rig: CameraRig, offsets: tuple[float, ...]
-                       ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Triangulate box points of each request's segments at its frames.
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangulate box points of each request's segments.
 
-    A request is (segments, frames).  A frame is solved from every segment
-    of its request with a box there, if there are at least two.  The rows
-    of all requests are grouped by the cameras they are seen by, and the
-    distinct rows of each group are solved, for all `offsets`, in one
-    `triangulate_batch` call.
-    Returns, per request, (points, ok, seen): points (len(offsets), n, 3)
-    and ok (len(offsets), n) per offset and frame, and the number of frames
-    with a box in at least two segments.
+    A request is (segments, wanted): segments of one window, and a mask of
+    the window's frames to solve, or None for all of them.  A frame is
+    solved from every segment of its request with a box there, if there
+    are at least two.  The rows of all requests are grouped by the cameras
+    they are seen by, and the distinct rows of each group are solved, for
+    all `offsets`, in one `triangulate_batch` call.
+    Returns (points, ok, seen): points (len(offsets), R, L, 3) and ok
+    (len(offsets), R, L) per offset, request and frame of the window (L
+    frames), and per request the number of wanted frames with a box in at
+    least two segments.
     """
-    results = []
-    by_cameras: dict[tuple[int, ...], list[tuple[int, list[int], np.ndarray]]] = {}
-    for r, (segments, frames) in enumerate(requests):
-        n = len(frames)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, f in enumerate(frames):
-            present = tuple(k for k, seg in enumerate(segments) if f in seg.boxes)
-            if len(present) >= 2:
-                groups.setdefault(present, []).append(i)
-        results.append((np.full((len(offsets), n, 3), np.nan),
-                        np.zeros((len(offsets), n), dtype=bool),
-                        sum(map(len, groups.values()))))
-        for present, rows in groups.items():
-            segs = [segments[k] for k in present]
-            boxes = np.stack([boxes_array(seg.boxes[frames[i]] for i in rows)
-                              for seg in segs], axis=1)
-            cameras = tuple(seg.camera for seg in segs)
-            by_cameras.setdefault(cameras, []).append((r, rows, boxes))
-    for cameras, parts in by_cameras.items():
-        boxes = np.concatenate([b for _, _, b in parts])
+    if not requests:
+        return np.empty((len(offsets), 0, 0, 3)), np.empty((len(offsets), 0, 0), bool), \
+            np.empty(0, int)
+    sizes = [len(segments) for segments, _ in requests]
+    span = len(requests[0][0][0].boxes)
+    stack = np.full((len(requests), max(sizes), span, 4), np.nan)
+    stack[np.repeat(np.arange(len(requests)), sizes),
+          np.concatenate([np.arange(n) for n in sizes])] = np.stack(
+        [seg.boxes for segments, _ in requests for seg in segments])
+    present = ~np.isnan(stack[..., 0])
+    wanted = np.stack([np.ones(span, dtype=bool) if w is None else w for _, w in requests])
+    solve = wanted & (present.sum(axis=1) >= 2)
+    r, j = np.nonzero(solve)
+    # A cell is seen by the cameras of its request's present segments, in
+    # segment order, looked up once per distinct (request, pattern).
+    pattern = present[r, :, j]
+    distinct, inverse = _distinct_rows(np.column_stack([r, pattern]))
+    cameras_of = [tuple(requests[r[c]][0][k].camera for k in np.flatnonzero(pattern[c]))
+                  for c in distinct.tolist()]
+    group_ids = {cameras: g for g, cameras in enumerate(dict.fromkeys(cameras_of))}
+    group = np.array([group_ids[cameras] for cameras in cameras_of], dtype=int)[inverse]
+
+    points = np.full((len(offsets),) + solve.shape + (3,), np.nan)
+    ok = np.zeros((len(offsets),) + solve.shape, dtype=bool)
+    for cameras, g in group_ids.items():
+        cells = np.flatnonzero(group == g)
+        ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
+        boxes = stack[r[cells, None], ks, j[cells, None]]
         # A box tuple kept across the overlap of two windows recurs.  A row's
         # solve does not depend on the other rows, so one solve serves all.
         first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
@@ -146,15 +162,22 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D], list[
         pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
                                  for off in offsets])
         solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
-        solved = solved.reshape(len(offsets), len(first), 3)[:, inverse]
-        good = good.reshape(len(offsets), len(first))[:, inverse]
-        at = 0
-        for r, rows, b in parts:
-            points, ok, _ = results[r]
-            points[:, rows] = solved[:, at:at + len(b)]
-            ok[:, rows] = good[:, at:at + len(b)]
-            at += len(b)
-    return results
+        points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(first), 3)[:, inverse]
+        ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(first))[:, inverse]
+    return points, ok, solve.sum(axis=1)
+
+
+def _by_frame(values: np.ndarray, mask: np.ndarray, starts) -> list[dict[int, np.ndarray]]:
+    """Per row r of the (R, L) `mask`, {starts[r] + j: values[r, j]} over the
+    set j, in frame order."""
+    r, j = np.nonzero(mask)
+    rows = values[r, j]
+    frames = (j + np.asarray(starts, dtype=int)[r]).tolist()
+    out, lo = [], 0
+    for hi in np.cumsum(mask.sum(axis=1)).tolist():
+        out.append(dict(zip(frames[lo:hi], rows[lo:hi])))
+        lo = hi
+    return out
 
 
 def classify_cluster(cluster: Cluster, rig: CameraRig,
@@ -178,9 +201,9 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     if opposite_pairs and frozenset(cameras) in opposite_pairs:
         return False
 
-    common = set(cluster.members[0].boxes).intersection(
-        *(s.boxes for s in cluster.members[1:]))
-    frames = sorted(common & triangulated.points.keys())
+    common = np.logical_and.reduce([s.valid for s in cluster.members])
+    frames = [f for f in (np.flatnonzero(common) + cluster.members[0].start).tolist()
+              if f in triangulated.points]
     if not frames:
         return True
     X = np.array([triangulated.points[f] for f in frames])
@@ -198,23 +221,16 @@ def triangulate_clusters(clusters: Sequence[Cluster],
     a single view or a degenerate solve are skipped.  The frames of all
     clusters are solved together, one `triangulate_batch` call per camera
     set."""
-    frame_lists = [sorted(set().union(*[s.boxes.keys() for s in c.members]))
-                   for c in clusters]
-    solves = _triangulate_boxes(list(zip([c.members for c in clusters], frame_lists)),
-                                rig, (CENTER,))
+    points, ok, seen = _triangulate_boxes([(c.members, None) for c in clusters], rig,
+                                          (CENTER,))
+    solved = _by_frame(points[0], ok[0], [c.members[0].start for c in clusters])
     out = []
-    for cluster, frames, (points, ok, seen) in zip(clusters, frame_lists, solves):
-        t3 = Tracklet3D()
-        solved = np.flatnonzero(ok[0])
-        for i in solved:
-            f = frames[i]
-            t3.points[f] = points[0, i]
-            t3.provenance[f] = Provenance.TRIANGULATED
-        skipped = seen - len(solved)
-        if skipped:
+    for cluster, found, n in zip(clusters, solved, seen.tolist()):
+        if n > len(found):
             logger.debug("cluster %s: triangulation skipped at %d frames",
-                         [s.key for s in cluster.members], skipped)
-        out.append(t3)
+                         [s.key for s in cluster.members], n - len(found))
+        out.append(Tracklet3D(points=found,
+                              provenance=dict.fromkeys(found, Provenance.TRIANGULATED)))
     return out
 
 
@@ -238,34 +254,35 @@ def plane_candidates(windows: Sequence[Sequence[WindowSegment2D]], plane: PlaneS
     segments of one camera, across all windows, are intersected in one
     call.  Parallel/behind frames are skipped, and a segment with no hit
     has no candidate."""
+    out: list[list[tuple[Tracklet3D, WindowSegment2D]]] = [[] for _ in windows]
     unmatched = [seg for segs in windows for seg in segs]
-    frames = [sorted(seg.boxes) for seg in unmatched]
+    if not unmatched:
+        return out
+    boxes = np.stack([seg.boxes for seg in unmatched])
+    valid = ~np.isnan(boxes[..., 0])
     by_camera: dict[int, list[int]] = {}
     for k, seg in enumerate(unmatched):
         by_camera.setdefault(seg.camera, []).append(k)
-    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    points = np.empty(valid.shape + (3,))
+    s = np.zeros(valid.shape)
     for camera, ks in by_camera.items():
-        centers = boxes_array(unmatched[k].boxes[f] for k in ks for f in frames[k])[:, :2]
-        points, s = ray_plane_intersect_batch(rig[camera], centers, plane)
-        bounds = np.cumsum([len(frames[k]) for k in ks])[:-1]
-        solved.update(zip(ks, zip(np.split(points, bounds), np.split(s, bounds))))
+        k, j = np.nonzero(valid[ks])
+        k = np.asarray(ks)[k]
+        points[k, j], s[k, j] = ray_plane_intersect_batch(rig[camera], boxes[k, j, :2],
+                                                          plane)
 
-    out: list[list[tuple[Tracklet3D, WindowSegment2D]]] = [[] for _ in windows]
+    hit = s > 0
     window = [w for w, segs in enumerate(windows) for _ in segs]
-    for k, seg in enumerate(unmatched):
-        points, s = solved[k]
-        hits = np.flatnonzero(s > 0)
-        if len(hits) < len(frames[k]):
+    candidates = _by_frame(points, hit, [seg.start for seg in unmatched])
+    for k, (seg, found, n) in enumerate(zip(unmatched, candidates,
+                                            valid.sum(axis=1).tolist())):
+        if len(found) < n:
             logger.debug("segment %s: plane intersection skipped at %d frames",
-                         seg.key, len(frames[k]) - len(hits))
-        if not len(hits):
-            continue
-        t3 = Tracklet3D()
-        for i in hits:
-            f = frames[k][i]
-            t3.points[f] = points[i]
-            t3.provenance[f] = Provenance.PLANE_INTERSECTED
-        out[window[k]].append((t3, seg))
+                         seg.key, n - len(found))
+        if found:
+            out[window[k]].append((Tracklet3D(
+                points=found, provenance=dict.fromkeys(found, Provenance.PLANE_INTERSECTED)),
+                seg))
     return out
 
 
@@ -322,14 +339,18 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSe
     where it solves, a bottom only where top and bottom both solve, and
     frames with fewer than two views are omitted.  All tracks are solved
     together, one `triangulate_batch` call per camera set."""
-    frame_lists = [t3.frames for t3, _ in tracks]
-    solves = _triangulate_boxes(list(zip([segs for _, segs in tracks], frame_lists)),
-                                rig, (TOP, BOTTOM))
-    for (t3, _), frames, (points, ok, _) in zip(tracks, frame_lists, solves):
-        for i in np.flatnonzero(ok[0]):
-            t3.top[frames[i]] = points[0, i]
-            if ok[1, i]:
-                t3.bottom[frames[i]] = points[1, i]
+    requests = []
+    for t3, segments in tracks:
+        wanted = np.zeros(len(segments[0].boxes), dtype=bool)
+        wanted[np.fromiter(t3.points, dtype=int, count=len(t3.points))
+               - segments[0].start] = True
+        requests.append((segments, wanted))
+    points, ok, _ = _triangulate_boxes(requests, rig, (TOP, BOTTOM))
+    starts = [segments[0].start for _, segments in tracks]
+    for (t3, _), top, bottom in zip(tracks, _by_frame(points[0], ok[0], starts),
+                                    _by_frame(points[1], ok[0] & ok[1], starts)):
+        t3.top.update(top)
+        t3.bottom.update(bottom)
 
 
 @dataclass

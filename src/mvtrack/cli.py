@@ -107,9 +107,7 @@ def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
         if not set(pair) <= rig.cameras.keys():
             _fail(EXIT_CONFIG_ERROR,
                   f"opposite pair {pair} names a camera absent from calibration")
-    detections = _load(EXIT_INPUT_ERROR, load_detections, detections_path)
-    if any(det.camera not in rig.cameras for det in detections):
-        _fail(EXIT_INPUT_ERROR, "detections reference cameras absent from calibration")
+    detections = _load(EXIT_INPUT_ERROR, load_detections, detections_path, rig.cameras)
 
     records, _registry = run_pipeline(detections, rig, cfg, Mode(mode))
     out = Path(out_dir)

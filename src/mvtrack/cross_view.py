@@ -4,7 +4,9 @@ Segment pairs are compared with the symmetric two-term epipolar box
 distance, averaged over their overlapping frames; same-camera overlaps
 are infinitely far (inf, never merged) and disjoint-frame pairs carry no
 evidence at all (NaN).  Clusters are formed with the NaN-aware
-complete-linkage scheme in `clustering`.
+complete-linkage scheme in `clustering`.  The segments of a window share
+one frame grid, so their box arrays stack as they are, and a frame is
+valid where a box is not NaN.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .clustering import cluster_with_cutoff, shared_frame_distances
 from .geometry import CameraRig, epipolar_distance_batch
-from .sv_track import WindowSegment2D, boxes_array
+from .sv_track import WindowSegment2D
 
 LAMBDA_2D = 0.3
 
@@ -50,23 +52,13 @@ def pair_distance_matrices(windows: Sequence[Sequence[WindowSegment2D]],
     same-camera overlap and NaN where two segments share no valid frames
     (and on the diagonal).
 
-    The boxes of all windows are stacked once on one grid, each window's
-    frames indexed from its first frame.  Only pairs within a window are
-    formed, and the shared frames of all of them from one camera pair are
-    scored in one batched call.
+    The box arrays of all windows' segments are stacked once.  Only pairs
+    within a window are formed, and the shared frames of all of them from
+    one camera pair are scored in one batched call.
     """
     segments = [seg for segs in windows for seg in segs]
-    counts = [len(seg.boxes) for seg in segments]
-    firsts = [min(min(seg.boxes) for seg in segs) if segs else 0 for segs in windows]
-    first = np.repeat(np.repeat(firsts, [len(segs) for segs in windows]), counts)
-    at = np.fromiter((f for seg in segments for f in seg.boxes), dtype=int,
-                     count=sum(counts)) - first
-    item = np.repeat(np.arange(len(segments)), counts)
-    boxes = np.zeros((len(segments), at.max(initial=0) + 1, 4))
-    valid = np.zeros(boxes.shape[:2], dtype=bool)
-    boxes[item, at] = boxes_array(b for seg in segments
-                                  for b in seg.boxes.values()).reshape(-1, 4)
-    valid[item, at] = True
+    boxes = np.stack([seg.boxes for seg in segments]) if segments else np.empty((0, 0, 4))
+    valid = ~np.isnan(boxes[..., 0])
 
     pairs = [np.triu_indices(len(segs), k=1) for segs in windows]
     offsets = np.cumsum([0] + [len(segs) for segs in windows])

@@ -17,13 +17,14 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator
 
+import numpy as np
+
 from .cascade import Mode, process_windows
 from .config import PipelineConfig
 from .cross_view import cluster_windows
 from .geometry import CameraRig
 from .stitch import TrackRegistry
-from .sv_track import (Detection, WindowSegment2D, segment_windows,
-                       track_camera_stream)
+from .sv_track import Detections, WindowSegment2D, segment_windows, track_camera_stream
 from .target import TargetMaintainer, TargetRecord
 
 logger = logging.getLogger(__name__)
@@ -31,18 +32,18 @@ logger = logging.getLogger(__name__)
 CHUNK_SEGMENTS = 128
 
 
-def collect_window_segments(detections: list[Detection], rig: CameraRig,
+def collect_window_segments(detections: Detections, rig: CameraRig,
                             cfg: PipelineConfig) -> dict[int, list[WindowSegment2D]]:
     """Single-view tracking plus segmentation, grouped by window start."""
-    per_camera: dict[int, list[Detection]] = {cam.id: [] for cam in rig}
-    for det in detections:
-        if det.camera not in per_camera:
-            raise ValueError(f"detection references unknown camera {det.camera}")
-        per_camera[det.camera].append(det)
+    cameras = sorted(cam.id for cam in rig)
+    unknown = ~np.isin(detections.camera, cameras)
+    if unknown.any():
+        raise ValueError(f"detection references unknown camera "
+                         f"{detections.camera[unknown][0]}")
 
     by_window: dict[int, list[WindowSegment2D]] = {}
-    for camera in sorted(per_camera):
-        for t in track_camera_stream(camera, per_camera[camera],
+    for camera in cameras:
+        for t in track_camera_stream(camera, detections.take(detections.camera == camera),
                                      cfg.iou_threshold, cfg.max_age):
             for seg in segment_windows(t, cfg.window_len,
                                        min_observed=cfg.min_segment_obs):
@@ -67,7 +68,7 @@ def _chunks(windows: dict[int, list[WindowSegment2D]]
         yield chunk
 
 
-def run_pipeline(detections: list[Detection], rig: CameraRig,
+def run_pipeline(detections: Detections, rig: CameraRig,
                  cfg: PipelineConfig,
                  mode: Mode = Mode.CASCADE) -> tuple[list[TargetRecord], TrackRegistry]:
     """Run the full pipeline and return the per-frame target records plus

@@ -106,6 +106,23 @@ class Fields:
         return rec
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode(line: str):
+    """json.loads(line), for one line of a JSON-lines file.  A line that is
+    one JSON value and a line end is decoded without json.loads's
+    whitespace scans; any other line goes to json.loads, whose rules and
+    messages hold for it."""
+    try:
+        value, end = _raw_decode(line)
+        if line[end:] in ("\n", "", "\r\n"):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def read_jsonl(path, what: str, parse) -> list:
     """[parse(record) for each non-blank line of a JSON-lines file]; a line
     that is not JSON, or whose parse raises ValueError, KeyError or
@@ -116,7 +133,7 @@ def read_jsonl(path, what: str, parse) -> list:
             if line.isspace():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(decode(line)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
     return out

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
 from .records import BOOL, INT, NUM, Fields, read_jsonl, require
-from .sv_track import Bbox, Detection
+from .sv_track import Detections
 
 PERSON_HALF_HEIGHT = 0.85
 BBOX_HEIGHT_SLACK = 1.1
@@ -209,7 +210,9 @@ def build_scenario(spec: dict) -> Scenario:
         raise ValueError(f"invalid scenario spec: {exc}") from exc
 
 
-def _person_box(cam: CameraModel, traj: PersonTrajectory, frame: int) -> Bbox | None:
+def _person_box(cam: CameraModel, traj: PersonTrajectory,
+                frame: int) -> tuple[float, float, float, float] | None:
+    """The (x, y, w, h) box of a person in a camera, or None if not seen."""
     pixels = project(cam, [traj.center[frame], traj.top[frame], traj.bottom[frame]])
     if np.isnan(pixels).any():
         return None
@@ -217,17 +220,18 @@ def _person_box(cam: CameraModel, traj: PersonTrajectory, frame: int) -> Bbox | 
     h = abs(ty - by) * BBOX_HEIGHT_SLACK
     if h <= 0:
         return None
-    return Bbox(cx, cy, BBOX_ASPECT * h, h)
+    return (cx, cy, BBOX_ASPECT * h, h)
 
 
-def render_detections(scenario: Scenario) -> tuple[list[Detection], list[dict]]:
+def render_detections(scenario: Scenario) -> tuple[Detections, list[dict]]:
     """Project every person into every camera, add noise and apply the
-    dropout schedule.  Returns (detections, truth_records)."""
-    detections: list[Detection] = []
+    dropout schedule.  Returns (detections, truth_records), the detections
+    sorted by (frame, camera)."""
+    rows: list[tuple] = []
     truth: list[dict] = []
     for frame in range(scenario.duration):
         for pid, traj in enumerate(scenario.persons):
-            boxes: dict[int, Bbox] = {}
+            boxes: dict[int, tuple] = {}
             for cam in scenario.rig:
                 box = _person_box(cam, traj, frame)
                 if box is None:
@@ -239,20 +243,21 @@ def render_detections(scenario: Scenario) -> tuple[list[Detection], list[dict]]:
                     scenario.seed, spawn_key=(frame, cam.id, pid)))
                 noise = rng.normal(size=4)
                 sigma = scenario.noise_px
-                detections.append(Detection(
-                    frame=frame, camera=cam.id,
-                    bbox=Bbox(box.x + sigma * noise[0], box.y + sigma * noise[1],
-                              max(box.w + 0.5 * sigma * noise[2], 1.0),
-                              max(box.h + 0.5 * sigma * noise[3], 1.0))))
+                x, y, w, h = box
+                rows.append((frame, cam.id, x + sigma * noise[0], y + sigma * noise[1],
+                             max(w + 0.5 * sigma * noise[2], 1.0),
+                             max(h + 0.5 * sigma * noise[3], 1.0)))
             truth.append({
                 "frame": frame, "person": pid, "is_target": traj.is_target,
                 "X": [float(v) for v in traj.center[frame]],
                 "top": [float(v) for v in traj.top[frame]],
                 "bottom": [float(v) for v in traj.bottom[frame]],
-                "boxes": {str(c): [b.x, b.y, b.w, b.h] for c, b in boxes.items()},
+                "boxes": {str(c): list(b) for c, b in boxes.items()},
             })
-    detections.sort(key=lambda d: (d.frame, d.camera))
-    return detections, truth
+    rows.sort(key=itemgetter(0, 1))
+    return Detections(np.array([r[0] for r in rows], dtype=np.int64),
+                      np.array([r[1] for r in rows], dtype=np.int64),
+                      np.array([r[2:] for r in rows], dtype=float).reshape(-1, 4)), truth
 
 
 TRUTH_FIELDS = Fields({"frame": INT, "is_target": BOOL, "X": 3, "top": 3, "bottom": 3},

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import Tracklet3D, WindowTrack
-from .sv_track import Bbox, WindowSegment2D
+from .sv_track import WindowSegment2D
 
 logger = logging.getLogger(__name__)
 
@@ -196,19 +196,30 @@ class TrackRecord:
     def __post_init__(self):
         self.last_frame = max(self.tracklet.points, default=-1)
 
-    def boxes_by_camera(self, track_id: int) -> dict[int, dict[int, Bbox]]:
-        """The 2D box of each camera and frame among the merged segments;
-        where two windows' boxes differ the newer window's wins."""
-        out: dict[int, dict[int, Bbox]] = {}
-        debug = logger.isEnabledFor(logging.DEBUG)
+    def boxes_by_camera(self, track_id: int) -> dict[int, tuple[int, np.ndarray]]:
+        """Per camera, (first, boxes): the 2D box of each frame from `first`
+        on among the merged segments, an (n, 4) array, NaN where none; where
+        two windows' boxes differ the newer window's wins."""
+        by_camera: dict[int, list[WindowSegment2D]] = {}
         for seg in self.segments:
-            per_cam = out.setdefault(seg.camera, {})
-            if debug:
-                for f, box in seg.boxes.items():
-                    if f in per_cam and per_cam[f] != box:
-                        logger.debug("track %d cam %d frame %d: 2D link conflict, "
-                                     "keeping newer window", track_id, seg.camera, f)
-            per_cam.update(seg.boxes)
+            by_camera.setdefault(seg.camera, []).append(seg)
+        out = {}
+        for camera, segments in by_camera.items():
+            stack = np.stack([seg.boxes for seg in segments])
+            first = min(seg.start for seg in segments)
+            at = (np.array([seg.start for seg in segments]) - first)[:, None] \
+                + np.arange(stack.shape[1])
+            has = ~np.isnan(stack[..., 0])
+            # The last of the merge-ordered boxes at each frame wins.
+            frames, last = np.unique(at[has][::-1], return_index=True)
+            boxes = np.full((at.max() + 1, 4), np.nan)
+            boxes[frames] = stack[has][::-1][last]
+            if logger.isEnabledFor(logging.DEBUG):
+                differs = (stack[has] != boxes[at[has]]).any(axis=1)
+                for f in np.unique(at[has][differs]).tolist():
+                    logger.debug("track %d cam %d frame %d: 2D link conflict, keeping "
+                                 "newer window", track_id, camera, first + f)
+            out[camera] = (first, boxes)
         return out
 
     def fold_heights(self) -> None:

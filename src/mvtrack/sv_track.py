@@ -1,25 +1,33 @@
-"""Per-camera IoU tracking and sliding-window segmentation.
+"""Detections as columns, per-camera IoU tracking and sliding-window
+segmentation.
+
+Boxes travel as arrays from the file to the cascade: `load_detections`
+gives one columnar `Detections` (frame, camera and (x, y, w, h) box
+columns, in file order), a tracklet holds its frames and boxes as arrays,
+and a window segment holds its start plus one box row per frame of the
+window, NaN where it has no box.  `Bbox` and `Detection` are the row form
+of a box and of a detection; nothing from `load_detections` to the cascade
+builds them.
 
 Tracks are matched greedily by descending IoU (classic IoU-tracker
 behavior), with ties broken by the lower track id, then the lower
-detection index.  Each step takes a detection's corners and area once,
-as a plain tuple, and each live track keeps the tuple of its last box,
-so scoring a pair is a few float operations inline.  Completed tracklets
-are later cut into temporally overlapping window segments on a global
-frame grid so that segments from different cameras line up.
+detection index.  The corners and area of each box are computed once, as
+arrays, and each live track keeps the tuple of its last box, so scoring a
+pair is a few float operations inline.  Completed tracklets are later cut
+into temporally overlapping window segments on a global frame grid so that
+segments from different cameras line up.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, Fields, read_jsonl, write_jsonl
+from .records import INT, NUM, Fields, decode, is_finite, write_jsonl
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -29,6 +37,10 @@ MAX_EXTRAPOLATION = 2
 # The bound on |x|, |y|, w and h of an input box: every value derived from
 # one by interpolation, extrapolation or triangulation stays finite.
 MAX_BOX_PX = 1e9
+# The bound on a detection's frame index, so frames and every window start
+# and end derived from them fit in int64 arrays.
+MAX_FRAME = 2**31 - 1
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -52,11 +64,6 @@ class Bbox:
                 self.x + self.w / 2, self.y + self.h / 2)
 
 
-def boxes_array(boxes) -> np.ndarray:
-    """(n, 4) array of the (x, y, w, h) rows of an iterable of n boxes."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes])
-
-
 @dataclass(frozen=True)
 class Detection:
     frame: int
@@ -68,54 +75,107 @@ class Detection:
             raise ValueError("frame index must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as columns, one row per detection: `frame` and `camera`
+    (N,) int64 and `boxes` (N, 4) float64 rows (x, y, w, h)."""
+
+    frame: np.ndarray
+    camera: np.ndarray
+    boxes: np.ndarray
+
+    # Row views, and `from_rows` to turn a list of them back into columns,
+    # serve callers that walk detections one at a time (bench/traced.py).
+    # Delete both with ROADMAP item 1, which makes that caller a trace reader.
+    def __iter__(self):
+        for frame, camera, box in zip(self.frame.tolist(), self.camera.tolist(),
+                                      self.boxes.tolist()):
+            yield Detection(frame, camera, Bbox(*box))
+
+    @classmethod
+    def from_rows(cls, rows) -> Detections:
+        rows = list(rows)
+        return cls(np.array([d.frame for d in rows], dtype=np.int64),
+                   np.array([d.camera for d in rows], dtype=np.int64),
+                   np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in rows],
+                            dtype=float).reshape(-1, 4))
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def take(self, index) -> Detections:
+        """The rows at `index`, an index array or mask, in its order."""
+        return Detections(self.frame[index], self.camera[index], self.boxes[index])
+
+
+@dataclass(eq=False)
 class Tracklet2D:
+    """One camera's track: its frames, increasing, as an (n,) int64 array,
+    and the box at each, (n, 4)."""
+
     camera: int
     track_id: int
-    boxes: dict[int, Bbox] = field(default_factory=dict)
+    frames: np.ndarray
+    boxes: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class WindowSegment2D:
     """One tracklet restricted to [start, start + window_len] (inclusive),
-    with interior gaps interpolated and short boundary gaps extrapolated."""
+    with interior gaps interpolated and short boundary gaps extrapolated.
+    `boxes` is (window_len + 1, 4): row k is the box at frame start + k,
+    NaN where the segment has none."""
 
     camera: int
     track_id: int
     start: int
-    boxes: dict[int, Bbox]
+    boxes: np.ndarray
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.camera, self.track_id)
 
+    @property
+    def valid(self) -> np.ndarray:
+        """The (window_len + 1,) mask of the rows that hold a box."""
+        return ~np.isnan(self.boxes[:, 0])
+
 
 class IouTracker:
-    """Online greedy IoU tracker for a single camera.
+    """Online greedy IoU tracker over one camera's detections; each step
+    takes the rows of those detections at one frame.
 
     Tracks unmatched for more than `max_age` frames are closed and
     emitted.  New track ids increase monotonically and are never reused.
     """
 
-    def __init__(self, camera: int, iou_threshold: float = IOU_THRESHOLD,
-                 max_age: int = MAX_AGE):
+    def __init__(self, camera: int, detections: Detections,
+                 iou_threshold: float = IOU_THRESHOLD, max_age: int = MAX_AGE):
+        if (detections.camera != camera).any():
+            raise ValueError(f"camera {camera}'s tracker was given another camera's "
+                             "detections")
         self.camera = camera
         self.iou_threshold = iou_threshold
         self.max_age = max_age
+        self._detections = detections
+        self._frames = detections.frame.tolist()
+        # Corners and area once per box, with the arithmetic of
+        # `Bbox.corners`; the pair loop is the IoU inline (min/max spelled
+        # out with their tie rules), since a function call per pair would
+        # cost more than the arithmetic.
+        x, y, w, h = detections.boxes.T
+        self._scored = list(zip((x - w / 2).tolist(), (y - h / 2).tolist(),
+                                (x + w / 2).tolist(), (y + h / 2).tolist(),
+                                (w * h).tolist()))
         self._next_id = 0
         self._live: list[dict] = []
 
-    def step(self, frame: int, detections: list[Detection]) -> list[Tracklet2D]:
-        """Advance one frame; returns tracklets closed at this step."""
-        for det in detections:
-            if det.frame != frame or det.camera != self.camera:
-                raise ValueError("detections must share the step's frame and camera")
-
-        # Corners and area once per box; the pair loop is the IoU inline
-        # (min/max spelled out with their tie rules), since a function call
-        # per pair would cost more than the arithmetic.
-        boxes = [(*det.bbox.corners(), det.bbox.w * det.bbox.h)
-                 for det in detections]
+    def step(self, frame: int, rows) -> list[Tracklet2D]:
+        """Advance one frame with the detections at `rows`, all of that
+        frame; returns tracklets closed at this step."""
+        if any(self._frames[r] != frame for r in rows):
+            raise ValueError("detections must share the step's frame")
+        boxes = [self._scored[r] for r in rows]
         threshold = self.iou_threshold
         pairs = []
         for ti, track in enumerate(self._live):
@@ -142,7 +202,7 @@ class IouTracker:
             used_tracks.add(ti)
             used_dets.add(di)
             track = self._live[ti]
-            track["boxes"][frame] = detections[di].bbox
+            track["rows"].append(rows[di])
             track["last"] = boxes[di]
             track["missed"] = 0
 
@@ -154,71 +214,76 @@ class IouTracker:
                 continue
             track["missed"] += 1
             if track["missed"] > self.max_age:
-                closed.append(Tracklet2D(self.camera, track["id"], track["boxes"]))
+                closed.append(self._tracklet(track))
             else:
                 survivors.append(track)
         self._live = survivors
 
-        for di, det in enumerate(detections):
+        for di, row in enumerate(rows):
             if di in used_dets:
                 continue
-            self._live.append({
-                "id": self._next_id,
-                "boxes": {frame: det.bbox},
-                "last": boxes[di],
-                "missed": 0,
-            })
+            self._live.append({"id": self._next_id, "rows": [row], "last": boxes[di],
+                               "missed": 0})
             self._next_id += 1
         return closed
 
     def finish(self) -> list[Tracklet2D]:
         """Close and emit all remaining live tracks."""
-        closed = [Tracklet2D(self.camera, t["id"], t["boxes"]) for t in self._live]
+        closed = [self._tracklet(t) for t in self._live]
         self._live = []
         return closed
 
+    def _tracklet(self, track: dict) -> Tracklet2D:
+        rows = track["rows"]
+        return Tracklet2D(self.camera, track["id"], self._detections.frame[rows],
+                          self._detections.boxes[rows])
 
-def track_camera_stream(camera: int, detections: list[Detection],
+
+def track_camera_stream(camera: int, detections: Detections,
                         iou_threshold: float = IOU_THRESHOLD,
                         max_age: int = MAX_AGE) -> list[Tracklet2D]:
-    """Run the IoU tracker over one camera's full detection stream.
+    """Run the IoU tracker over one camera's full detection stream, taken
+    in frame order and, within a frame, in the stream's order.
 
     A frame without detections is stepped only while some track is live
     (at most max_age + 1 such frames in a row); with none live, an empty
-    step changes nothing, so the tracker jumps to the next detection."""
-    tracker = IouTracker(camera, iou_threshold, max_age)
-    by_frame: dict[int, list[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame, []).append(det)
+    step changes nothing, so the tracker jumps to the next detection.
+
+    `detections` may also be a list of `Detection` rows, turned back into
+    columns here (see `Detections.from_rows`)."""
+    if not isinstance(detections, Detections):
+        detections = Detections.from_rows(detections)
+    detections = detections.take(np.argsort(detections.frame, kind="stable"))
+    tracker = IouTracker(camera, detections, iou_threshold, max_age)
+    frames = detections.frame.tolist()
+    ends = (np.flatnonzero(np.diff(detections.frame)) + 1).tolist() + [len(frames)]
     tracklets: list[Tracklet2D] = []
-    empty = 0
-    for frame in sorted(by_frame):
+    empty = lo = 0
+    for hi in ends if frames else ():
+        frame = frames[lo]
         while tracker._live and empty < frame:
-            tracklets.extend(tracker.step(empty, []))
+            tracklets.extend(tracker.step(empty, ()))
             empty += 1
-        tracklets.extend(tracker.step(frame, by_frame[frame]))
-        empty = frame + 1
+        tracklets.extend(tracker.step(frame, range(lo, hi)))
+        empty, lo = frame + 1, hi
     tracklets.extend(tracker.finish())
     tracklets.sort(key=lambda t: t.track_id)
     return tracklets
 
 
-def _lerp_box(a: Bbox, b: Bbox, u: float) -> Bbox:
-    return Bbox(a.x + (b.x - a.x) * u, a.y + (b.y - a.y) * u,
-                a.w + (b.w - a.w) * u, a.h + (b.h - a.h) * u)
-
-
-def _extrapolate(anchor: Bbox, prev: Bbox | None, gap: int, steps: int) -> Bbox:
-    # Constant velocity from the two boxes nearest the boundary (anchor and
-    # prev, `gap` frames apart); falls back to a frozen box when only one
-    # observation is available.
-    if prev is None:
-        return anchor
-    u = steps / gap
-    w = max(anchor.w + (anchor.w - prev.w) * u, 1e-6)
-    h = max(anchor.h + (anchor.h - prev.h) * u, 1e-6)
-    return Bbox(anchor.x + (anchor.x - prev.x) * u,
-                anchor.y + (anchor.y - prev.y) * u, w, h)
+def _extrapolate(out: np.ndarray, slots: np.ndarray, frames: np.ndarray,
+                 boxes: np.ndarray, anchor: np.ndarray, prev: np.ndarray,
+                 mask: np.ndarray) -> None:
+    """Fill out[mask] at constant velocity from each window's observation
+    `anchor` and the one next to it, `prev`, per-field as
+    anchor + (anchor - prev) * (steps / gap), w and h at least 1e-6; a
+    window with one observation (prev == anchor) holds its box."""
+    w, j = np.nonzero(mask)
+    a, p = anchor[w], prev[w]
+    u = np.abs(slots[w, j] - frames[a]) / np.maximum(np.abs(frames[a] - frames[p]), 1)
+    moved = boxes[a] + (boxes[a] - boxes[p]) * u[:, None]
+    moved[:, 2:] = np.maximum(moved[:, 2:], 1e-6)
+    out[w, j] = np.where((p != a)[:, None], moved, boxes[a])
 
 
 def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
@@ -226,74 +291,168 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     """Cut a tracklet into overlapping [start, start + window_len] segments.
 
     Starts lie on the global step grid (so segments of different cameras
-    share windows), advancing by window_len/2.  Segments with fewer than
-    `min_observed` observed frames are discarded; the rest get interior
-    gaps linearly interpolated and up to MAX_EXTRAPOLATION boundary frames
-    extrapolated at constant velocity.
+    share windows), advancing by window_len/2 from the tracklet's first
+    frame to the first window that reaches its last.  Segments with fewer
+    than `min_observed` observed frames are discarded; the rest get
+    interior gaps linearly interpolated, a + (b - a) * ((f - lo) / (hi - lo))
+    per field, and up to MAX_EXTRAPOLATION boundary frames extrapolated at
+    constant velocity.  All windows of the tracklet are filled at once.
     """
     if window_len < 2 or window_len % 2 != 0:
         raise ValueError("window_len must be even and >= 2")
     step = window_len // 2
-    if not tracklet.boxes:
+    frames, boxes = tracklet.frames, tracklet.boxes
+    if not len(frames):
         return []
 
-    frames = sorted(tracklet.boxes)
-    start = (frames[0] // step) * step
-    segments: list[WindowSegment2D] = []
-    while True:
-        observed = frames[bisect_left(frames, start):
-                          bisect_right(frames, start + window_len)]
-        if len(observed) >= min_observed:
-            boxes: dict[int, Bbox] = {f: tracklet.boxes[f] for f in observed}
-            # Interior gaps: per-field linear interpolation.
-            for lo, hi in zip(observed, observed[1:]):
-                for f in range(lo + 1, hi):
-                    boxes[f] = _lerp_box(tracklet.boxes[lo], tracklet.boxes[hi],
-                                         (f - lo) / (hi - lo))
-            # Boundary gaps: constant velocity, at most MAX_EXTRAPOLATION frames.
-            first, last = observed[0], observed[-1]
-            if len(observed) > 1:
-                prev_lo, gap_lo = tracklet.boxes[observed[1]], observed[1] - first
-                prev_hi, gap_hi = tracklet.boxes[observed[-2]], last - observed[-2]
-            else:
-                prev_lo = prev_hi = None
-                gap_lo = gap_hi = 1
-            for f in range(max(start, first - MAX_EXTRAPOLATION), first):
-                boxes[f] = _extrapolate(tracklet.boxes[first], prev_lo, gap_lo, first - f)
-            for f in range(last + 1, min(start + window_len, last + MAX_EXTRAPOLATION) + 1):
-                boxes[f] = _extrapolate(tracklet.boxes[last], prev_hi, gap_hi, f - last)
-            segments.append(WindowSegment2D(
-                camera=tracklet.camera, track_id=tracklet.track_id, start=start,
-                boxes=dict(sorted(boxes.items()))))
-        if start + window_len >= frames[-1]:
-            break
-        start += step
-    return segments
+    first_start = int(frames[0]) // step * step
+    last_k = max(0, -(-(int(frames[-1]) - window_len - first_start) // step))
+    # Only windows that hold an observation can be kept: those starting in
+    # the two steps up to one.
+    k = (frames - first_start) // step
+    ks = np.unique(np.concatenate([k - 2, k - 1, k]))
+    starts = first_start + ks[(ks >= 0) & (ks <= last_k)] * step
+    lo = np.searchsorted(frames, starts, "left")
+    hi = np.searchsorted(frames, starts + window_len, "right")
+    keep = hi - lo >= min_observed
+    starts, lo, hi = starts[keep], lo[keep], hi[keep]
+    if not len(starts):
+        return []
+
+    slots = starts[:, None] + np.arange(window_len + 1)
+    first, last = frames[lo][:, None], frames[hi - 1][:, None]
+    out = np.full(slots.shape + (4,), np.nan)
+    # From the first to the last observation: the observed box, or the
+    # interpolation between the observations around the frame.
+    w, j = np.nonzero((slots >= first) & (slots <= last))
+    f = slots[w, j]
+    i = np.searchsorted(frames, f, "right") - 1
+    seen = frames[i] == f
+    out[w[seen], j[seen]] = boxes[i[seen]]
+    w, j, f, i = w[~seen], j[~seen], f[~seen], i[~seen]
+    u = (f - frames[i]) / (frames[i + 1] - frames[i])
+    out[w, j] = boxes[i] + (boxes[i + 1] - boxes[i]) * u[:, None]
+    # Boundary gaps, from the two observations nearest each boundary.
+    single = hi - lo == 1
+    _extrapolate(out, slots, frames, boxes, lo, np.where(single, lo, lo + 1),
+                 (slots < first) & (slots >= first - MAX_EXTRAPOLATION))
+    _extrapolate(out, slots, frames, boxes, hi - 1, np.where(single, hi - 1, hi - 2),
+                 (slots > last) & (slots <= last + MAX_EXTRAPOLATION))
+    return [WindowSegment2D(tracklet.camera, tracklet.track_id, start, seg)
+            for start, seg in zip(starts.tolist(), out)]
 
 
 DETECTION_FIELDS = Fields({("frame", "camera"): INT, ("x", "y", "w", "h"): NUM})
-_detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
+_DETECTION_KEYS = ("frame", "camera", "x", "y", "w", "h")
+_detection_values = itemgetter(*_DETECTION_KEYS)
+_COMMON_TYPES = (int, int, float, float, float, float)
 
 
-def _parse_detection(rec) -> Detection:
-    frame, camera, x, y, w, h = _detection_values(DETECTION_FIELDS.check(rec))
-    box = Bbox(float(x), float(y), float(w), float(h))
+def _decode_detection(line: str) -> tuple:
+    """(frame, camera, x, y, w, h) of one line, of their JSON kinds: one type
+    tuple check in the common case, the `DETECTION_FIELDS` rules otherwise.
+    Finiteness and ranges are left to `_columns`."""
+    rec = decode(line)
+    try:
+        values = _detection_values(rec)
+    except (KeyError, TypeError):
+        values = None
+    if values is None or tuple(map(type, values)) != _COMMON_TYPES:
+        values = _detection_values(DETECTION_FIELDS.check(rec))
+    return values
+
+
+def _broken_rule(values: tuple, cameras) -> ValueError | None:
+    """The error for the first rule a detection's values break, or None."""
+    frame, camera, x, y, w, h = values
+    try:
+        DETECTION_FIELDS.check(dict(zip(_DETECTION_KEYS, values)))
+    except ValueError as exc:
+        return exc
+    if float(w) <= 0 or float(h) <= 0:
+        return ValueError(f"box sides must be positive, got w={float(w)}, h={float(h)}")
+    fx, fy, fw, fh = map(float, (x, y, w, h))
     # The area is a positive normal float, so IoU never divides by zero.
-    if not (-MAX_BOX_PX <= box.x <= MAX_BOX_PX and -MAX_BOX_PX <= box.y <= MAX_BOX_PX
-            and box.w <= MAX_BOX_PX and box.h <= MAX_BOX_PX
-            and box.w * box.h >= sys.float_info.min):
-        raise ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
-                         f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
-                         f"y={y!r}, w={w!r}, h={h!r}")
-    return Detection(frame, camera, box)
+    if not (-MAX_BOX_PX <= fx <= MAX_BOX_PX and -MAX_BOX_PX <= fy <= MAX_BOX_PX
+            and fw <= MAX_BOX_PX and fh <= MAX_BOX_PX and fw * fh >= sys.float_info.min):
+        return ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
+                          f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
+                          f"y={y!r}, w={w!r}, h={h!r}")
+    if frame < 0:
+        return ValueError("frame index must be >= 0")
+    if frame > MAX_FRAME:
+        return ValueError(f"frame index must be at most {MAX_FRAME}, got {frame}")
+    if not _INT64_MIN <= camera <= _INT64_MAX:
+        return ValueError(f"camera id must fit in a signed 64-bit integer, got {camera}")
+    if cameras is not None and camera not in cameras:
+        return ValueError(f"camera {camera} is absent from calibration")
+    return None
 
 
-def load_detections(path) -> list[Detection]:
-    """Read a JSON-lines detection stream sorted by frame."""
-    return read_jsonl(path, "detection", _parse_detection)
+def _columns(rows: list[tuple], cameras) -> tuple[Detections | None, int | None]:
+    """(columns, None) for decoded rows that keep every rule of
+    `_broken_rule`, else (None, index of the first row that breaks one);
+    each rule is checked over all rows at once."""
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, 6)
+    except OverflowError:  # a frame or camera id beyond float range
+        huge = next(i for i, row in enumerate(rows)
+                    if not (is_finite(row[0]) and is_finite(row[1])))
+        _, bad = _columns(rows[:huge], cameras)
+        return None, huge if bad is None else bad
+    frame, camera, boxes = table[:, 0], table[:, 1], table[:, 2:]
+    x, y, w, h = boxes.T
+    ok = (np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
+          & (np.abs(x) <= MAX_BOX_PX) & (np.abs(y) <= MAX_BOX_PX)
+          & (w <= MAX_BOX_PX) & (h <= MAX_BOX_PX) & (w * h >= sys.float_info.min)
+          & (frame >= 0) & (frame <= MAX_FRAME))
+    # Float holds an id exactly below 2**53; the rest are read from the rows.
+    exact = np.abs(camera) < 2.0**53
+    ids = np.where(exact, camera, 0.0).astype(np.int64)
+    for i in np.flatnonzero(~exact).tolist():
+        ok[i] &= _INT64_MIN <= rows[i][1] <= _INT64_MAX
+        ids[i] = rows[i][1] if ok[i] else 0
+    if cameras is not None:
+        ok &= np.isin(ids, list(cameras))
+    if not ok.all():
+        return None, int(np.argmin(ok))
+    return Detections(frame.astype(np.int64), ids, boxes.copy()), None
 
 
-def save_detections(detections: list[Detection], path) -> None:
-    write_jsonl(path, ({"frame": det.frame, "camera": det.camera, "x": det.bbox.x,
-                        "y": det.bbox.y, "w": det.bbox.w, "h": det.bbox.h}
-                       for det in detections))
+def load_detections(path, cameras=None) -> Detections:
+    """Read a JSON-lines detection stream into columns, in file order.
+
+    A line that is not a detection record raises ValueError "path:line: bad
+    detection record: ..." for the first such line: one whose JSON value
+    is not an object with integer frame and camera and finite x, y, w and
+    h; whose box has a side <= 0, a value beyond MAX_BOX_PX or an area
+    below the smallest normal float; whose frame is negative or beyond
+    MAX_FRAME; whose camera id does not fit in int64; or, given the
+    collection `cameras`, whose camera is not in it."""
+    rows: list[tuple] = []
+    lines: list[int] = []
+    error = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                rows.append(_decode_detection(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                error = lineno, exc
+                break
+            lines.append(lineno)
+    columns, bad = _columns(rows, cameras)
+    if bad is not None:
+        error = lines[bad], _broken_rule(rows[bad], cameras)
+    if error is not None:
+        lineno, exc = error
+        raise ValueError(f"{path}:{lineno}: bad detection record: {exc}") from exc
+    return columns
+
+
+def save_detections(detections: Detections, path) -> None:
+    write_jsonl(path, ({"frame": frame, "camera": camera, "x": x, "y": y, "w": w, "h": h}
+                       for frame, camera, (x, y, w, h) in zip(
+                           detections.frame.tolist(), detections.camera.tolist(),
+                           detections.boxes.tolist())))

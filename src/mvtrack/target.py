@@ -192,7 +192,8 @@ class TargetMaintainer:
         X = np.array([target.points[f] for f in frames])
         cameras = list(rig)
         pixels = [project(cam, X).tolist() for cam in cameras]
-        boxes = {tid: registry.tracks[tid].boxes_by_camera(tid)
+        boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
+                       in registry.tracks[tid].boxes_by_camera(tid).items()}
                  for tid in dict.fromkeys(frame_tid.values())}
         last_size: dict[int, float] = {}
         records: list[TargetRecord] = []
@@ -205,10 +206,11 @@ class TargetMaintainer:
                     continue
                 # A square centred on the projection, its side buffer_scale *
                 # max(w, h) of the box linked there, else of the camera's last.
-                orig = boxes[tid].get(cam.id, {}).get(f)
-                if orig is not None and np.hypot(x - orig.x, y - orig.y) \
-                        <= 0.5 * max(orig.w, orig.h):
-                    last_size[cam.id] = max(orig.w, orig.h)
+                first, linked = boxes[tid].get(cam.id, (f, ()))
+                ox, oy, ow, oh = linked[f - first] if 0 <= f - first < len(linked) \
+                    else (math.nan,) * 4
+                if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
+                    last_size[cam.id] = max(ow, oh)
                 elif cam.id not in last_size:
                     continue
                 side = self.buffer_scale * last_size[cam.id]

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraModel, CameraRig
 from mvtrack.simulate import build_scenario, render_detections
-from mvtrack.sv_track import load_detections, save_detections
+from mvtrack.sv_track import (WINDOW_LEN, Bbox, Detections, WindowSegment2D,
+                              load_detections, save_detections)
 
 FOCAL = 1000.0
 PRINCIPAL = (960.0, 540.0)
@@ -66,3 +68,28 @@ def _simulated(spec_json: str):
     cfg = PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
                          perf_space=scene.space.perf, beta=scene.space.beta)
     return detections, CameraRig(scene.rig), cfg
+
+
+def window_segment(camera, boxes, track_id=0, start=0, span=None) -> WindowSegment2D:
+    """A segment holding `boxes`, {frame: Bbox or (x, y, w, h)}, on a grid of
+    `span` frames from `start`: by default a window's, or as many as the
+    boxes need."""
+    span = span or max(WINDOW_LEN + 1, max(boxes, default=start) - start + 1)
+    rows = np.full((span, 4), np.nan)
+    for f, b in boxes.items():
+        rows[f - start] = (b.x, b.y, b.w, b.h) if isinstance(b, Bbox) else b
+    return WindowSegment2D(camera, track_id, start, rows)
+
+
+def box_dict(seg: WindowSegment2D) -> dict:
+    """{frame: Bbox} of the rows of a segment that hold a box."""
+    return {seg.start + j: Bbox(*row) for j, row in enumerate(seg.boxes.tolist())
+            if not math.isnan(row[0])}
+
+
+def columns(rows) -> Detections:
+    """Detections of (frame, camera, x, y, w, h) rows."""
+    rows = list(rows)
+    return Detections(np.array([r[0] for r in rows], dtype=np.int64),
+                      np.array([r[1] for r in rows], dtype=np.int64),
+                      np.array([r[2:] for r in rows], dtype=float).reshape(-1, 4))

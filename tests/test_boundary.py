@@ -1,14 +1,17 @@
 """Property tests of the input boundary: a malformed number in any file
 that `track` or `evaluate` reads gives that file's exit code through
 SystemExit, never a traceback, and a JSON-lines error names its path and
-line; and the fast path of `records.Fields` never accepts what its
-per-field rules reject."""
+line; the fast path of `records.Fields` never accepts what its per-field
+rules reject; and the columnar detection loader reads exactly the values
+a per-record parse gives."""
 
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from mvtrack.cli import main
 from mvtrack.records import BOOL, FLOAT, INT, NUM, Fields, is_finite
+from mvtrack.sv_track import MAX_BOX_PX, MAX_FRAME, load_detections
 
 from test_cli import SMALL_SCENARIO
 
@@ -136,3 +140,43 @@ def test_is_finite():
     assert is_finite(1) and is_finite(-2.5) and is_finite(10 ** 300)
     for value in (True, math.nan, math.inf, 10 ** 400, "1", None, [1.0]):
         assert not is_finite(value)
+
+
+finite_px = st.floats(-MAX_BOX_PX, MAX_BOX_PX, allow_nan=False) | st.integers(-10**9, 10**9)
+side_px = st.floats(1e-150, MAX_BOX_PX) | st.integers(1, 10**9)
+
+
+@st.composite
+def detection_lines(draw):
+    """A valid detection line: its record, with an extra key maybe, keys in
+    any order, and JSON whitespace around it."""
+    rec = {"frame": draw(st.integers(0, MAX_FRAME)),
+           "camera": draw(st.integers(-2**63, 2**63 - 1)),
+           "x": draw(finite_px), "y": draw(finite_px), "w": draw(side_px), "h": draw(side_px)}
+    if draw(st.booleans()):
+        rec["confidence"] = draw(st.floats(0.0, 1.0))
+    keys = draw(st.permutations(sorted(rec)))
+    text = json.dumps({key: rec[key] for key in keys})
+    lead, trail = draw(st.sampled_from(["", " ", "\t "])), draw(st.sampled_from(["", " "]))
+    return lead + text + trail, rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(detection_lines(), max_size=12),
+       blank=st.sampled_from(["", "\n", " \n"]), end=st.sampled_from(["\n", "\r\n"]))
+def test_valid_detection_file_loads_the_per_record_values(lines, blank, end):
+    # Sides whose float area underflows are no valid box.
+    texts = [text for text, rec in lines
+             if float(rec["w"]) * float(rec["h"]) >= sys.float_info.min]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "detections.jsonl"
+        path.write_bytes((blank + end.join(texts) + end).encode())
+        loaded = load_detections(path)
+    # The per-record parse of each line: json.loads, then float() of the box.
+    want = [json.loads(text) for text in texts]
+    assert loaded.frame.tolist() == [rec["frame"] for rec in want]
+    assert loaded.camera.tolist() == [rec["camera"] for rec in want]
+    assert loaded.frame.dtype == loaded.camera.dtype == np.int64
+    assert np.array_equal(loaded.boxes.reshape(-1, 4).view(np.int64),
+                          np.array([[float(rec[k]) for k in "xywh"] for rec in want],
+                                   dtype=float).reshape(-1, 4).view(np.int64))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from mvtrack.cascade import (BOTTOM, CENTER, TOP, Mode, Provenance, Tracklet3D,
 from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox, WindowSegment2D
+from mvtrack.sv_track import Bbox
 
-from conftest import look_at_camera
+from conftest import box_dict, look_at_camera, window_segment
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -33,7 +34,7 @@ def project_box(cam, X, w=40.0, h=100.0, noise=None):
 
 
 def segment(camera, boxes, track_id=0, start=0):
-    return WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
+    return window_segment(camera, boxes, track_id=track_id, start=start)
 
 
 def person_path(frames, lateral=0.5, z0=1.2, x=0.0):
@@ -422,7 +423,7 @@ class TestProcessWindow:
         clusters = []
         for k, c in enumerate(triangulated + plane):
             clusters.append(Cluster(tuple(
-                segment(s.camera, s.boxes, track_id=k) for s in c.members)))
+                dataclasses.replace(s, track_id=k) for s in c.members)))
         calls = []
 
         def spy(cams, pixels):
@@ -464,8 +465,8 @@ class TestProcessWindow:
 def direct_solve(rig, segs, frames, offset):
     """`triangulate_batch` of the boxes of `segs` at `frames`, one row per
     frame, outside the cascade's batching."""
-    pixels = [[(s.boxes[f].x, s.boxes[f].y + offset * s.boxes[f].h) for s in segs]
-              for f in frames]
+    boxes = [box_dict(s) for s in segs]
+    pixels = [[(b[f].x, b[f].y + offset * b[f].h) for b in boxes] for f in frames]
     return triangulate_batch([rig[s.camera] for s in segs], np.array(pixels))
 
 

@@ -4,9 +4,13 @@ import pytest
 from click.testing import CliRunner
 
 from mvtrack.cli import main
+from mvtrack.config import save_routine_config
 from mvtrack.geometry import save_calibration
+from mvtrack.scenarios import get_scenario_spec
+from mvtrack.sv_track import (MAX_EXTRAPOLATION, MAX_FRAME, Bbox, Detection,
+                              save_detections)
 
-from conftest import look_at_camera
+from conftest import look_at_camera, simulated
 
 SMALL_SCENARIO = {
     "seed": 5,
@@ -314,6 +318,88 @@ class TestTrack:
         result = run_track(runner, out)
         assert result.exit_code == 0, result.output
         assert (out / "tracklets.jsonl").exists()
+
+    def edit_line(self, out, lineno, edit):
+        path = out / "detections.jsonl"
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        # The area w * h is positive: only the sign of each side rejects it.
+        (lambda rec: rec.update(w=-2, h=-3), "box sides must be positive, got w=-2.0, "
+                                             "h=-3.0"),
+        (lambda rec: rec.update(camera=9), "camera 9 is absent from calibration"),
+        (lambda rec: rec.update(frame=MAX_FRAME + 1),
+         f"frame index must be at most {MAX_FRAME}, got {MAX_FRAME + 1}"),
+        (lambda rec: rec.update(camera=2**63), "camera id must fit in a signed 64-bit "
+                                               "integer"),
+    ], ids=["negative-sides", "unknown-camera", "frame-beyond-bound", "camera-beyond-int64"])
+    def test_bad_detection_names_its_line(self, runner, tmp_path, edit, message):
+        out = simulate(runner, tmp_path)
+
+        def edited(line):
+            rec = json.loads(line)
+            edit(rec)
+            return json.dumps(rec)
+        self.edit_line(out, 5, edited)
+        # A later bad line is not the one reported.
+        self.edit_line(out, 9, lambda line: line.replace('"x": ', '"x": NaN, "was": '))
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"detections.jsonl:5: bad detection record: {message}" in result.output
+
+    def test_extra_json_after_a_record_is_input_error(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        self.edit_line(out, 4, lambda line: line + " 1")
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "detections.jsonl:4: bad detection record: Extra data" in result.output
+
+    def test_frames_beyond_int64_are_input_error(self, runner, tmp_path):
+        # Frames past int64 once crashed association with an OverflowError.
+        out = simulate(runner, tmp_path)
+        path = out / "detections.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()[:400]]
+        path.write_text("".join(json.dumps({**rec, "frame": rec["frame"] + 10**30}) + "\n"
+                                for rec in records))
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "detections.jsonl:1: bad detection record: frame index must be at most " \
+               f"{MAX_FRAME}, got {10**30}" in result.output
+
+    def test_frames_up_to_the_bound_are_tracked(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        path = out / "detections.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        shift = MAX_FRAME - max(rec["frame"] for rec in records)
+        path.write_text("".join(json.dumps({**rec, "frame": rec["frame"] + shift}) + "\n"
+                                for rec in records))
+        result = run_track(runner, out)
+        assert result.exit_code == 0, result.output
+        frames = [json.loads(line)["frame"]
+                  for line in (out / "tracklets.jsonl").read_text().splitlines()]
+        assert frames and min(frames) >= shift - MAX_EXTRAPOLATION
+        assert max(frames) <= MAX_FRAME + MAX_EXTRAPOLATION
+
+    def test_no_row_objects_are_built_on_the_track_path(self, runner, tmp_path,
+                                                        monkeypatch):
+        # Boxes stay arrays from load_detections to the emitted records.
+        detections, rig, cfg = simulated(get_scenario_spec("clean-4cam"))
+        save_detections(detections, tmp_path / "detections.jsonl")
+        save_calibration(list(rig), tmp_path / "calib.json")
+        save_routine_config(cfg, tmp_path / "routine.json")
+
+        def built(row):
+            raise AssertionError(f"a {type(row).__name__} was built")
+        monkeypatch.setattr(Bbox, "__post_init__", built)
+        monkeypatch.setattr(Detection, "__post_init__", built)
+        result = run_track(runner, tmp_path)
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / "tracklets.jsonl").read_text().splitlines()) == 1801
 
     @pytest.mark.parametrize("key,value", [("window_len", 7), ("window_len", 0),
                                            ("smooth_window", 4),

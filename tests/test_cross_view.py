@@ -8,9 +8,9 @@ from mvtrack.cross_view import (_box_pair_distances, cluster_segments,
                                 pair_distance_matrices)
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox, WindowSegment2D, boxes_array
+from mvtrack.sv_track import Bbox
 
-from conftest import intrinsics, look_at_camera
+from conftest import box_dict, intrinsics, look_at_camera, window_segment
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +24,12 @@ def project_box(cam, X, w=40.0, h=100.0):
 
 
 def segment(camera, track_id, boxes, start=0):
-    return WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
+    return window_segment(camera, boxes, track_id=track_id, start=start)
 
 
 def box_distance(a, b, cam_a, cam_b, rig):
-    return _box_pair_distances(boxes_array([a]), boxes_array([b]), cam_a, cam_b, rig)[0]
+    return _box_pair_distances(np.array([(a.x, a.y, a.w, a.h)]),
+                               np.array([(b.x, b.y, b.w, b.h)]), cam_a, cam_b, rig)[0]
 
 
 def segment_distance(a, b, rig):
@@ -109,11 +110,12 @@ class TestTrackletPairDistance:
 
 def reference_pair_distance(a, b, rig):
     """Per-frame sum of the two epipolar terms, divided by the frame count."""
-    common = sorted(set(a.boxes) & set(b.boxes))
+    boxes_a, boxes_b = box_dict(a), box_dict(b)
+    common = sorted(set(boxes_a) & set(boxes_b))
     total = 0.0
     for f in common:
-        for src, tgt, F in ((b.boxes[f], a.boxes[f], rig.fundamental(b.camera, a.camera)),
-                            (a.boxes[f], b.boxes[f], rig.fundamental(a.camera, b.camera))):
+        for src, tgt, F in ((boxes_b[f], boxes_a[f], rig.fundamental(b.camera, a.camera)),
+                            (boxes_a[f], boxes_b[f], rig.fundamental(a.camera, b.camera))):
             l = F @ [src.x, src.y, 1.0]
             total += abs(l[0] * tgt.x + l[1] * tgt.y + l[2]) / np.hypot(l[0], l[1]) \
                 / (tgt.w + tgt.h)
@@ -155,10 +157,11 @@ class TestPairDistanceMatrix:
 
     def test_bbox_pair_distance_is_one_frame_reference(self, rig):
         a, b = noisy_segments(rig, np.random.default_rng(59))[:2]
-        for f in set(a.boxes) & set(b.boxes):
-            one = (segment(a.camera, 0, {f: a.boxes[f]}),
-                   segment(b.camera, 1, {f: b.boxes[f]}))
-            assert abs(box_distance(a.boxes[f], b.boxes[f], a.camera, b.camera, rig)
+        boxes_a, boxes_b = box_dict(a), box_dict(b)
+        for f in set(boxes_a) & set(boxes_b):
+            one = (segment(a.camera, 0, {f: boxes_a[f]}),
+                   segment(b.camera, 1, {f: boxes_b[f]}))
+            assert abs(box_distance(boxes_a[f], boxes_b[f], a.camera, b.camera, rig)
                        - reference_pair_distance(*one, rig)) <= 1e-12
 
     def test_empty_and_infinite_entries(self, rig):

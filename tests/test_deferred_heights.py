@@ -22,7 +22,7 @@ from mvtrack.scenarios import get_scenario_spec
 from mvtrack.stitch import TrackRegistry
 from mvtrack.target import TargetMaintainer
 
-from conftest import simulated
+from conftest import box_dict, simulated
 
 # opposite-only-episode, keeping its own dropout of cameras 1 and 3, with
 # every camera dark twice: the target is lost and found again twice.
@@ -56,12 +56,13 @@ def eager_heights(wt):
     frame at a time: a top where it solves, a bottom where both do."""
     top, bottom = {}, {}
     for f in wt.tracklet.frames:
-        segs = [s for s in wt.segments if f in s.boxes]
+        segs = [(s, box_dict(s)) for s in wt.segments]
+        segs = [(s, boxes[f]) for s, boxes in segs if f in boxes]
         if len(segs) < 2:
             continue
-        pixels = np.array([[(s.boxes[f].x, s.boxes[f].y + off * s.boxes[f].h)
-                            for s in segs] for off in (TOP, BOTTOM)])
-        points, ok = triangulate_batch([wt.rig[s.camera] for s in segs], pixels)
+        pixels = np.array([[(b.x, b.y + off * b.h) for _, b in segs]
+                           for off in (TOP, BOTTOM)])
+        points, ok = triangulate_batch([wt.rig[s.camera] for s, _ in segs], pixels)
         if ok[0]:
             top[f] = points[0]
             if ok[1]:

@@ -118,6 +118,12 @@ def small_scenario(noise=0.0, dropout=(), seed=11, duration=120):
     return build_scenario(spec)
 
 
+def same_detections(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in ((a.frame, b.frame),
+                                                       (a.camera, b.camera),
+                                                       (a.boxes, b.boxes)))
+
+
 class TestRenderDetections:
     def test_noise_free_matches_truth(self):
         detections, truth = render_detections(small_scenario())
@@ -148,9 +154,10 @@ class TestRenderDetections:
     def test_seeded_determinism(self):
         a, ta = render_detections(small_scenario(noise=2.0))
         b, tb = render_detections(small_scenario(noise=2.0))
-        assert a == b and ta == tb
+        assert same_detections(a, b) and ta == tb
 
     def test_distinct_seeds_differ(self):
         a, _ = render_detections(small_scenario(noise=2.0, seed=1))
         b, _ = render_detections(small_scenario(noise=2.0, seed=2))
-        assert a != b
+        assert not same_detections(a, b)
+        assert np.array_equal(a.frame, b.frame) and np.array_equal(a.camera, b.camera)

@@ -1,19 +1,20 @@
 import logging
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from mvtrack.cascade import Mode, Provenance, Tracklet3D, WindowTrack
-from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraRig
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
-from mvtrack.simulate import build_scenario, make_rig, render_detections
+from mvtrack.simulate import make_rig
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
                             merge_assigned,
                             window_distance_matrix)
-from mvtrack.sv_track import Bbox, WindowSegment2D
+
+from conftest import simulated, window_segment
 
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
@@ -131,10 +132,19 @@ class TestMergeAssigned:
         assert merged.provenance[12] is Provenance.TRIANGULATED
 
 
+def box_at(boxes_by_camera, camera, frame) -> tuple:
+    """The (x, y, w, h) of `TrackRecord.boxes_by_camera` at a camera and
+    frame, NaN where none."""
+    first, boxes = boxes_by_camera[camera]
+    if 0 <= frame - first < len(boxes):
+        return tuple(boxes[frame - first].tolist())
+    return (math.nan,) * 4
+
+
 def window_track(start, frames, value, camera=0, track_id=0):
     t3 = tracklet(frames, value)
-    boxes = {f: Bbox(100.0 + f, 200.0, 40.0, 80.0) for f in frames}
-    seg = WindowSegment2D(camera=camera, track_id=track_id, start=start, boxes=boxes)
+    boxes = {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
+    seg = window_segment(camera, boxes, track_id=track_id, start=start)
     return WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG)
 
 
@@ -181,12 +191,13 @@ class TestTrackRegistry:
         reg = TrackRegistry()
         reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
         second = window_track(5, range(5, 16), (0.0, 0.0, 1.0), track_id=9)
-        second.segments[0].boxes[7] = Bbox(999.0, 200.0, 40.0, 80.0)
+        second.segments[0].boxes[7 - 5] = (999.0, 200.0, 40.0, 80.0)
         reg.advance(5, [second])
         assert [seg.start for seg in reg.tracks[0].segments] == [0, 5]
         boxes = reg.tracks[0].boxes_by_camera(0)
-        assert boxes[0][7].x == 999.0
-        assert boxes[0][2].x == 102.0
+        assert box_at(boxes, 0, 7) == (999.0, 200.0, 40.0, 80.0)
+        assert box_at(boxes, 0, 2) == (102.0, 200.0, 40.0, 80.0)
+        assert math.isnan(box_at(boxes, 0, 16)[0])
 
     def test_last_frame_follows_merges(self):
         reg = TrackRegistry()
@@ -199,18 +210,15 @@ class TestTrackRegistry:
 
 class TestTrackRecord:
     def test_absorb_overwrites_conflicts(self):
-        seg_a = WindowSegment2D(camera=0, track_id=0, start=0,
-                                boxes={0: Bbox(1.0, 1.0, 2.0, 2.0)})
-        seg_b = WindowSegment2D(camera=0, track_id=1, start=0,
-                                boxes={0: Bbox(9.0, 9.0, 2.0, 2.0)})
+        seg_a = window_segment(0, {0: (1.0, 1.0, 2.0, 2.0)})
+        seg_b = window_segment(0, {0: (9.0, 9.0, 2.0, 2.0)}, track_id=1)
         rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), segments=[seg_a, seg_b])
-        assert rec.boxes_by_camera(0)[0][0].x == 9.0
+        assert box_at(rec.boxes_by_camera(0), 0, 0) == (9.0, 9.0, 2.0, 2.0)
         assert rec.last_frame == 2
 
     def test_absorb_logs_conflicts_at_debug(self, caplog):
         def seg(x):
-            return WindowSegment2D(camera=2, track_id=0, start=0,
-                                   boxes={0: Bbox(x, 1.0, 2.0, 2.0)})
+            return window_segment(2, {0: (x, 1.0, 2.0, 2.0)})
         # The same box again is no conflict.
         rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)),
                           segments=[seg(1.0), seg(9.0), seg(9.0)])
@@ -218,15 +226,12 @@ class TestTrackRecord:
         boxes = rec.boxes_by_camera(4)
         assert [r.getMessage() for r in caplog.records] == \
             ["track 4 cam 2 frame 0: 2D link conflict, keeping newer window"]
-        assert boxes[2][0].x == 9.0
+        assert box_at(boxes, 2, 0)[0] == 9.0
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_last_frame_is_kept_on_every_advance(monkeypatch, mode):
-    scene = build_scenario(get_scenario_spec("clean-4cam"))
-    detections, _ = render_detections(scene)
-    cfg = PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
-                         perf_space=scene.space.perf, beta=scene.space.beta)
+    detections, rig, cfg = simulated(get_scenario_spec("clean-4cam"))
     advance, checked = TrackRegistry.advance, []
 
     def advance_spy(self, window_start, window_tracks):
@@ -235,5 +240,5 @@ def test_last_frame_is_kept_on_every_advance(monkeypatch, mode):
             assert rec.last_frame == max(rec.tracklet.points)
         checked.append(len(self.tracks))
     monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
-    run_pipeline(detections, CameraRig(scene.rig), cfg, mode)
+    run_pipeline(detections, rig, cfg, mode)
     assert len(checked) > 100 and checked[-1] > 0

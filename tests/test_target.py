@@ -9,10 +9,12 @@ from mvtrack.cascade import (Provenance, Tracklet3D, TrackingSpace, WindowTrack,
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
-from mvtrack.sv_track import Bbox, WindowSegment2D
+from mvtrack.sv_track import Bbox
 from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
+
+from conftest import window_segment
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
@@ -50,8 +52,7 @@ def pending_windows(t3, window_len=10):
             bottoms = project(cam, np.array([t3.bottom[f] for f in span])).tolist()
             boxes = {f: Bbox((tx + bx) / 2, (ty + by) / 2, 40.0, by - ty)
                      for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
-            segments.append(WindowSegment2D(camera=cam.id, track_id=0, start=start,
-                                            boxes=boxes))
+            segments.append(window_segment(cam.id, boxes, start=start))
         out.append(WindowTrack(start, centers_of(t3, span), segments, RIG))
     return out
 
@@ -146,7 +147,7 @@ def emit_one(w, h, **kwargs):
     `_emit` writes there when a w x h box centred on (x, y) is linked."""
     X = np.array([0.0, 0.0, 1.8])
     (x, y), = project(RIG[0], [X]).tolist()
-    seg = WindowSegment2D(camera=0, track_id=0, start=0, boxes={0: Bbox(x, y, w, h)})
+    seg = window_segment(0, {0: (x, y, w, h)})
     reg = TrackRegistry()
     reg.tracks[0] = TrackRecord(tracklet=Tracklet3D(points={0: X}), segments=[seg])
     target_t3 = Tracklet3D(points={0: X}, provenance={0: Provenance.TRIANGULATED})
@@ -342,7 +343,7 @@ class TestEmission:
                 continue
             (x, y), = project(rig[0], [t3.points[f]]).tolist()
             boxes[f] = Bbox(x, y, 40.0, 100.0)
-        rec.segments.append(WindowSegment2D(camera=0, track_id=0, start=0, boxes=boxes))
+        rec.segments.append(window_segment(0, boxes))
         reg = TrackRegistry()
         reg.tracks[0] = rec
         reg._next_id = 1
