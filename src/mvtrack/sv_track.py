@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, Fields, decode, is_finite, write_jsonl
+from .records import INT, NUM, Fields, decode, write_jsonl
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -395,23 +395,18 @@ def _columns(rows: list[tuple], cameras) -> tuple[Detections | None, int | None]
     each rule is checked over all rows at once."""
     try:
         table = np.array(rows, dtype=float).reshape(-1, 6)
-    except OverflowError:  # a frame or camera id beyond float range
+        ids = np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows))
+    except OverflowError:  # a frame or camera id beyond int64
         huge = next(i for i, row in enumerate(rows)
-                    if not (is_finite(row[0]) and is_finite(row[1])))
+                    if not _INT64_MIN <= min(row[:2]) <= max(row[:2]) <= _INT64_MAX)
         _, bad = _columns(rows[:huge], cameras)
         return None, huge if bad is None else bad
-    frame, camera, boxes = table[:, 0], table[:, 1], table[:, 2:]
+    frame, boxes = table[:, 0], table[:, 2:]
     x, y, w, h = boxes.T
     ok = (np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
           & (np.abs(x) <= MAX_BOX_PX) & (np.abs(y) <= MAX_BOX_PX)
           & (w <= MAX_BOX_PX) & (h <= MAX_BOX_PX) & (w * h >= sys.float_info.min)
           & (frame >= 0) & (frame <= MAX_FRAME))
-    # Float holds an id exactly below 2**53; the rest are read from the rows.
-    exact = np.abs(camera) < 2.0**53
-    ids = np.where(exact, camera, 0.0).astype(np.int64)
-    for i in np.flatnonzero(~exact).tolist():
-        ok[i] &= _INT64_MIN <= rows[i][1] <= _INT64_MAX
-        ids[i] = rows[i][1] if ok[i] else 0
     if cameras is not None:
         ok &= np.isin(ids, list(cameras))
     if not ok.all():

@@ -206,9 +206,9 @@ class TargetMaintainer:
                     continue
                 # A square centred on the projection, its side buffer_scale *
                 # max(w, h) of the box linked there, else of the camera's last.
-                first, linked = boxes[tid].get(cam.id, (f, ()))
-                ox, oy, ow, oh = linked[f - first] if 0 <= f - first < len(linked) \
-                    else (math.nan,) * 4
+                first, linked = boxes[tid].get(cam.id, (0, []))
+                at = f - first
+                ox, oy, ow, oh = linked[at] if 0 <= at < len(linked) else (math.nan,) * 4
                 if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
                     last_size[cam.id] = max(ow, oh)
                 elif cam.id not in last_size:
