@@ -6,10 +6,12 @@ ray-plane-intersection path, where coplanar candidates from different
 cameras are matched and fused.  Every cluster goes through exactly one
 branch.
 
-The 2D boxes are read from the segments' arrays: the segments of a
-window share its frame grid, so the frames where a set of segments have
-boxes are masks over that grid, and the rows to solve are gathered by
-index.  The 3D results are frame-keyed `Tracklet3D` dicts.
+All segments of a window share its (L+1)-frame grid, so the 2D boxes
+and every 3D result on the way from solve to gate are arrays on that
+grid: the frames where a set of segments have boxes are masks over it,
+the rows to solve are gathered by index, and a 3D track is an (L+1, 3)
+array, NaN where it has no point.  A frame-keyed `Tracklet3D` is built
+only for a track that passes the outlier gate.
 """
 
 from __future__ import annotations
@@ -183,14 +185,14 @@ def _by_frame(values: np.ndarray, mask: np.ndarray, starts) -> list[dict[int, np
 def classify_cluster(cluster: Cluster, rig: CameraRig,
                      theta_opp_deg: float = THETA_OPP_DEG,
                      opposite_pairs: list[frozenset[int]] | None = None, *,
-                     triangulated: Tracklet3D | None) -> bool:
+                     triangulated: np.ndarray | None) -> bool:
     """True if the cluster is sufficient for triangulation.  False for
     single-view clusters and for two-view clusters whose line-of-sight
     rays are nearly opposed (median per-frame angle above theta_opp, or an
     explicitly configured opposite pair).
 
-    The angles are taken at `triangulated`, the cluster's centers as
-    solved by `triangulate_clusters`; it is read only for two-camera
+    The angles are taken at `triangulated`, the cluster's (L+1, 3) centers
+    as solved by `triangulate_clusters`; it is read only for two-camera
     clusters, so a single-camera cluster may pass None.
     """
     cameras = sorted(cluster.cameras)
@@ -202,11 +204,9 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
         return False
 
     common = np.logical_and.reduce([s.valid for s in cluster.members])
-    frames = [f for f in (np.flatnonzero(common) + cluster.members[0].start).tolist()
-              if f in triangulated.points]
-    if not frames:
+    X = triangulated[common & ~np.isnan(triangulated[:, 0])]
+    if not len(X):
         return True
-    X = np.array([triangulated.points[f] for f in frames])
     d_a = X - rig[cameras[0]].center
     d_b = X - rig[cameras[1]].center
     cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
@@ -215,107 +215,81 @@ def classify_cluster(cluster: Cluster, rig: CameraRig,
     return not float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg
 
 
-def triangulate_clusters(clusters: Sequence[Cluster],
-                         rig: CameraRig) -> list[Tracklet3D]:
-    """Per-frame triangulation of each cluster's bbox centers; frames with
-    a single view or a degenerate solve are skipped.  The frames of all
-    clusters are solved together, one `triangulate_batch` call per camera
-    set."""
+def triangulate_clusters(clusters: Sequence[Cluster], rig: CameraRig) -> np.ndarray:
+    """Per-frame triangulation of each cluster's bbox centers, (R, L+1, 3) on
+    the clusters' window grid, NaN at frames with a single view or a
+    degenerate solve.  The frames of all clusters are solved together, one
+    `triangulate_batch` call per camera set."""
     points, ok, seen = _triangulate_boxes([(c.members, None) for c in clusters], rig,
                                           (CENTER,))
-    solved = _by_frame(points[0], ok[0], [c.members[0].start for c in clusters])
-    out = []
-    for cluster, found, n in zip(clusters, solved, seen.tolist()):
-        if n > len(found):
-            logger.debug("cluster %s: triangulation skipped at %d frames",
-                         [s.key for s in cluster.members], n - len(found))
-        out.append(Tracklet3D(points=found,
-                              provenance=dict.fromkeys(found, Provenance.TRIANGULATED)))
-    return out
+    for k in np.flatnonzero(seen > ok[0].sum(axis=1)).tolist():
+        logger.debug("cluster %s: triangulation skipped at %d frames",
+                     [s.key for s in clusters[k].members], seen[k] - ok[0, k].sum())
+    return points[0]
 
 
-def outlier_gate(t3: Tracklet3D, space: TrackingSpace,
+def outlier_gate(points: np.ndarray, space: TrackingSpace,
                  velocity_limit: float = VELOCITY_LIMIT_M) -> bool:
-    """True to keep: all points inside the tracking cuboid and no
+    """True to keep the (L+1, 3) track `points`, NaN where it has no point:
+    at least one point, all inside the tracking cuboid, and no
     consecutive-frame step above the velocity limit."""
-    frames = t3.frames
-    pts = np.array([t3.points[f] for f in frames])
+    frames = np.flatnonzero(~np.isnan(points[:, 0]))
+    pts = points[frames]
     x0, y0, z0, x1, y1, z1 = space.track
-    if not np.all((pts >= (x0, y0, z0)) & (pts <= (x1, y1, z1))):
+    if not len(pts) or not np.all((pts >= (x0, y0, z0)) & (pts <= (x1, y1, z1))):
         return False
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     return not np.any((np.diff(frames) == 1) & (steps > velocity_limit))
 
 
-def plane_candidates(windows: Sequence[Sequence[WindowSegment2D]], plane: PlaneSpec,
-                     rig: CameraRig) -> list[list[tuple[Tracklet3D, WindowSegment2D]]]:
-    """Per window, one coplanar 3D candidate per segment, in the window's
-    order, from per-frame ray-plane intersection of the bbox centers; the
-    segments of one camera, across all windows, are intersected in one
-    call.  Parallel/behind frames are skipped, and a segment with no hit
-    has no candidate."""
-    out: list[list[tuple[Tracklet3D, WindowSegment2D]]] = [[] for _ in windows]
-    unmatched = [seg for segs in windows for seg in segs]
-    if not unmatched:
-        return out
-    boxes = np.stack([seg.boxes for seg in unmatched])
+def plane_candidates(segments: Sequence[WindowSegment2D], plane: PlaneSpec,
+                     rig: CameraRig) -> np.ndarray:
+    """One coplanar 3D candidate per segment, (n, L+1, 3) on the segments'
+    window grid, from per-frame ray-plane intersection of the bbox
+    centers; NaN where a segment has no box or its ray is parallel to the
+    plane or hits it behind the camera.  The segments of one camera are
+    intersected in one call."""
+    if not segments:
+        return np.empty((0, 0, 3))
+    boxes = np.stack([seg.boxes for seg in segments])
     valid = ~np.isnan(boxes[..., 0])
     by_camera: dict[int, list[int]] = {}
-    for k, seg in enumerate(unmatched):
+    for k, seg in enumerate(segments):
         by_camera.setdefault(seg.camera, []).append(k)
-    points = np.empty(valid.shape + (3,))
-    s = np.zeros(valid.shape)
+    points = np.full(valid.shape + (3,), np.nan)
     for camera, ks in by_camera.items():
         k, j = np.nonzero(valid[ks])
         k = np.asarray(ks)[k]
-        points[k, j], s[k, j] = ray_plane_intersect_batch(rig[camera], boxes[k, j, :2],
-                                                          plane)
+        points[k, j] = ray_plane_intersect_batch(rig[camera], boxes[k, j, :2], plane)[0]
 
-    hit = s > 0
-    window = [w for w, segs in enumerate(windows) for _ in segs]
-    candidates = _by_frame(points, hit, [seg.start for seg in unmatched])
-    for k, (seg, found, n) in enumerate(zip(unmatched, candidates,
-                                            valid.sum(axis=1).tolist())):
-        if len(found) < n:
-            logger.debug("segment %s: plane intersection skipped at %d frames",
-                         seg.key, n - len(found))
-        if found:
-            out[window[k]].append((Tracklet3D(
-                points=found, provenance=dict.fromkeys(found, Provenance.PLANE_INTERSECTED)),
-                seg))
-    return out
+    missed = valid.sum(axis=1) - (~np.isnan(points[..., 0])).sum(axis=1)
+    for k in np.flatnonzero(missed).tolist():
+        logger.debug("segment %s: plane intersection skipped at %d frames",
+                     segments[k].key, missed[k])
+    return points
 
 
-def _frame_aligned(tracklets: Sequence[Tracklet3D]) -> tuple[int, np.ndarray]:
-    """(first, points): the tracklets' points stacked on their common frame
-    span starting at frame `first`, (n, span, 3), NaN where missing."""
-    first = min(min(t.points) for t in tracklets)
-    span = max(max(t.points) for t in tracklets) - first + 1
-    points = np.full((len(tracklets), span, 3), np.nan)
-    for k, t in enumerate(tracklets):
-        at = np.fromiter(t.points, dtype=int, count=len(t.points)) - first
-        points[k, at] = list(t.points.values())
-    return first, points
-
-
-def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
+def plane_match_and_fuse(points: np.ndarray, segments: Sequence[WindowSegment2D],
                          cutoff: float = TAU_PLANE_M
-                         ) -> list[tuple[Tracklet3D, list[WindowSegment2D]]]:
-    """Cluster coplanar candidates and fuse clusters covering >=2 cameras by
-    per-frame averaging over the views present; single-camera clusters
-    are discarded."""
-    if not cands:
-        return []
-    ordered = sorted(cands, key=lambda cs: cs[1].key)
-    cameras = [seg.camera for _, seg in ordered]
-    first, points = _frame_aligned([t for t, _ in ordered])
+                         ) -> list[tuple[np.ndarray, list[WindowSegment2D]]]:
+    """Cluster the coplanar candidates `points` (n, L+1, 3) of `segments`,
+    one window's, and fuse each cluster covering >=2 cameras by per-frame
+    averaging over the views present, into an (L+1, 3) track, NaN where no
+    member has a point; single-camera clusters are discarded.  Candidates
+    with no point take no part, and the rest are taken in key order."""
     present = ~np.isnan(points[..., 0])
+    order = [k for k in sorted(range(len(segments)), key=lambda k: segments[k].key)
+             if present[k].any()]
+    if not order:
+        return []
+    points, present = points[order], present[order]
+    cameras = [segments[k].camera for k in order]
     D = shared_frame_distances(
         present, cameras,
         lambda _a, _b, i, j, frame: np.linalg.norm(points[i, frame] - points[j, frame],
                                                    axis=1))
 
-    fused: list[tuple[Tracklet3D, list[WindowSegment2D]]] = []
+    fused: list[tuple[np.ndarray, list[WindowSegment2D]]] = []
     for group in cluster_with_cutoff(D, cutoff):
         if len({cameras[i] for i in group}) < 2:
             continue
@@ -323,12 +297,8 @@ def plane_match_and_fuse(cands: list[tuple[Tracklet3D, WindowSegment2D]],
         count = seen.sum(axis=0)
         mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
                 / np.maximum(count, 1)[:, None])
-        t3 = Tracklet3D()
-        for i in np.flatnonzero(count):
-            f = first + int(i)
-            t3.points[f] = mean[i]
-            t3.provenance[f] = Provenance.PLANE_INTERSECTED
-        fused.append((t3, [ordered[i][1] for i in group]))
+        mean[count == 0] = np.nan
+        fused.append((mean, [segments[order[i]] for i in group]))
     return fused
 
 
@@ -381,9 +351,11 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
     insufficient segments intersected with the plane together
     (`plane_candidates`).  Only centers are solved: tops and bottoms are
     left to the height trigger (`attach_top_bottom_batch`).  The two-view
-    verdict, plane matching and the outlier gate run per window,
-    and every row of those batched solves is independent of the others, so
-    a window's tracks do not depend on the windows it is solved with.
+    verdict, plane matching and the outlier gate run per window, on the
+    (L+1, 3) arrays, and every row of those batched solves is independent
+    of the others, so a window's tracks do not depend on the windows it is
+    solved with.  The tracks that pass the gate become `Tracklet3D`s
+    together.
     """
     # The triangulation feeds both the two-view verdict and the branch.
     solvable = [(w, i) for w, clusters in enumerate(windows)
@@ -391,30 +363,42 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
                 if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
     solved = dict(zip(solvable, triangulate_clusters(
         [windows[w][i] for w, i in solvable], rig)))
-    tracks: list[list[WindowTrack]] = [[] for _ in windows]
+    # Gated tracks as (window, points, segments, branch).
+    kept: list[tuple[int, np.ndarray, list[WindowSegment2D], Provenance]] = []
     insufficient: list[list[WindowSegment2D]] = [[] for _ in windows]
-    for w, (start, clusters) in enumerate(zip(starts, windows)):
+    for w, clusters in enumerate(windows):
         for i, cluster in enumerate(clusters):
-            t3 = solved.get((w, i))
+            points = solved.get((w, i))
             if mode is Mode.CASCADE:
                 sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
-                                              triangulated=t3)
+                                              triangulated=points)
             else:
-                sufficient = t3 is not None
+                sufficient = points is not None
             if not sufficient:
                 insufficient[w].extend(cluster.members)
-            elif t3.points and outlier_gate(t3, space, velocity_limit):
-                tracks[w].append(WindowTrack(start, t3, list(cluster.members), rig))
+            elif outlier_gate(points, space, velocity_limit):
+                kept.append((w, points, list(cluster.members), Provenance.TRIANGULATED))
 
     if mode is not Mode.TRIANGULATION_ONLY:
-        cands = plane_candidates(
-            [sorted(segs, key=lambda s: s.key) for segs in insufficient], plane, rig)
-        for start, window_tracks, c in zip(starts, tracks, cands):
+        insufficient = [sorted(segs, key=lambda s: s.key) for segs in insufficient]
+        cands = plane_candidates([s for segs in insufficient for s in segs], plane, rig)
+        lo = 0
+        for w, segs in enumerate(insufficient):
             # The gate is applied to both branches for uniformity.
-            window_tracks.extend(WindowTrack(start, t3, segs, rig)
-                                 for t3, segs in plane_match_and_fuse(c, tau_plane)
-                                 if t3.points and outlier_gate(t3, space, velocity_limit))
+            kept.extend((w, points, members, Provenance.PLANE_INTERSECTED)
+                        for points, members in plane_match_and_fuse(
+                            cands[lo:lo + len(segs)], segs, tau_plane)
+                        if outlier_gate(points, space, velocity_limit))
+            lo += len(segs)
 
+    tracks: list[list[WindowTrack]] = [[] for _ in windows]
+    if kept:
+        points = np.stack([points for _, points, _, _ in kept])
+        tracklets = _by_frame(points, ~np.isnan(points[..., 0]),
+                              [segments[0].start for _, _, segments, _ in kept])
+        for (w, _, segments, branch), found in zip(kept, tracklets):
+            tracks[w].append(WindowTrack(starts[w], Tracklet3D(
+                points=found, provenance=dict.fromkeys(found, branch)), segments, rig))
     for window_tracks in tracks:
         window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
     return tracks

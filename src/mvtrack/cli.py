@@ -71,9 +71,12 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
                 spec = json.load(fh)
     except FileNotFoundError:
         _fail(EXIT_CONFIG_ERROR, f"scenario not found: {scenario}")
+    except OSError as exc:
+        _fail(EXIT_CONFIG_ERROR, f"unreadable scenario: {exc}")
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, f"unreadable scenario file: {exc}")
-    if seed is not None:
+    # A spec that is not an object is left for build_scenario to reject.
+    if seed is not None and type(spec) is dict:
         spec["seed"] = seed
     scene = _load(EXIT_CONFIG_ERROR, simulate.build_scenario, spec)
 

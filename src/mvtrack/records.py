@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import compress
-from operator import itemgetter
 
 INT = "int"
 NUM = "num"
@@ -23,11 +21,11 @@ FLOAT = "float"
 BOOL = "bool"
 
 _FLOAT_MAX = sys.float_info.max
-# (rule for one value, rule for several, exact type of the common case)
-_RULES = {INT: ("an integer", "integers", int),
-          NUM: ("a number", "finite JSON numbers", float),
-          FLOAT: ("a number", "numbers", float),
-          BOOL: ("true or false", "true or false", bool)}
+# (rule for one value, rule for several)
+_RULES = {INT: ("an integer", "integers"),
+          NUM: ("a number", "finite JSON numbers"),
+          FLOAT: ("a number", "numbers"),
+          BOOL: ("true or false", "true or false")}
 
 
 def is_finite(value) -> bool:
@@ -74,24 +72,10 @@ class Fields:
         self.kinds = {(keys,) if type(keys) is str else keys: kind
                       for keys, kind in kinds.items()}
         self.optional = optional
-        # Per detection record, C-level calls first try the exact type of
-        # every scalar field, then one finite sum of the NUM fields (NaN and
-        # the infinities propagate through a sum).
-        each = [kind for keys, kind in self.kinds.items() for _ in keys]
-        self._fast = not optional and len(each) > 1 and all(type(k) is str for k in each)
-        if self._fast:
-            self._get = itemgetter(*(key for keys in self.kinds for key in keys))
-            self._types = tuple(_RULES[kind][2] for kind in each)
-            self._numbers = [kind == NUM for kind in each]
 
     def check(self, rec, where: str = ""):
         """`rec` if it is a JSON object with fields of these kinds, else raise
         ValueError (KeyError for a missing key), the message led by `where`."""
-        if self._fast and type(rec) is dict:
-            values = self._get(rec)
-            if (tuple(map(type, values)) == self._types
-                    and math.isfinite(sum(compress(values, self._numbers)))):
-                return rec
         if type(rec) is not dict:
             raise ValueError(f"{where}expected a JSON object, got {rec!r}")
         for keys, kind in self.kinds.items():

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, Fields, decode, write_jsonl
+from .records import INT, NUM, Fields, read_jsonl, write_jsonl
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -343,75 +343,42 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
 
 
 DETECTION_FIELDS = Fields({("frame", "camera"): INT, ("x", "y", "w", "h"): NUM})
-_DETECTION_KEYS = ("frame", "camera", "x", "y", "w", "h")
-_detection_values = itemgetter(*_DETECTION_KEYS)
+_detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
 _COMMON_TYPES = (int, int, float, float, float, float)
 
 
-def _decode_detection(line: str) -> tuple:
-    """(frame, camera, x, y, w, h) of one line, of their JSON kinds: one type
-    tuple check in the common case, the `DETECTION_FIELDS` rules otherwise.
-    Finiteness and ranges are left to `_columns`."""
-    rec = decode(line)
+def _detection(rec, cameras) -> tuple:
+    """(frame, camera, x, y, w, h) of one decoded detection record, or
+    ValueError (KeyError for a missing key) for the first rule it breaks,
+    in the order of `load_detections`.  The kinds take one type tuple
+    check and one finite sum in the common case, the `DETECTION_FIELDS`
+    rules otherwise."""
     try:
-        values = _detection_values(rec)
+        frame, camera, x, y, w, h = values = _detection_values(rec)
+        # NaN and the infinities propagate through a sum; a sum that
+        # overflows is left to the rules.
+        common = tuple(map(type, values)) == _COMMON_TYPES and math.isfinite(x + y + w + h)
     except (KeyError, TypeError):
-        values = None
-    if values is None or tuple(map(type, values)) != _COMMON_TYPES:
-        values = _detection_values(DETECTION_FIELDS.check(rec))
-    return values
-
-
-def _broken_rule(values: tuple, cameras) -> ValueError | None:
-    """The error for the first rule a detection's values break, or None."""
-    frame, camera, x, y, w, h = values
-    try:
-        DETECTION_FIELDS.check(dict(zip(_DETECTION_KEYS, values)))
-    except ValueError as exc:
-        return exc
-    if float(w) <= 0 or float(h) <= 0:
-        return ValueError(f"box sides must be positive, got w={float(w)}, h={float(h)}")
-    fx, fy, fw, fh = map(float, (x, y, w, h))
+        common = False
+    if not common:
+        frame, camera, x, y, w, h = values = _detection_values(DETECTION_FIELDS.check(rec))
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box sides must be positive, got w={float(w)}, h={float(h)}")
     # The area is a positive normal float, so IoU never divides by zero.
-    if not (-MAX_BOX_PX <= fx <= MAX_BOX_PX and -MAX_BOX_PX <= fy <= MAX_BOX_PX
-            and fw <= MAX_BOX_PX and fh <= MAX_BOX_PX and fw * fh >= sys.float_info.min):
-        return ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
-                          f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
-                          f"y={y!r}, w={w!r}, h={h!r}")
+    if not (-MAX_BOX_PX <= x <= MAX_BOX_PX and -MAX_BOX_PX <= y <= MAX_BOX_PX
+            and w <= MAX_BOX_PX and h <= MAX_BOX_PX and w * h >= sys.float_info.min):
+        raise ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
+                         f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
+                         f"y={y!r}, w={w!r}, h={h!r}")
     if frame < 0:
-        return ValueError("frame index must be >= 0")
+        raise ValueError("frame index must be >= 0")
     if frame > MAX_FRAME:
-        return ValueError(f"frame index must be at most {MAX_FRAME}, got {frame}")
+        raise ValueError(f"frame index must be at most {MAX_FRAME}, got {frame}")
     if not _INT64_MIN <= camera <= _INT64_MAX:
-        return ValueError(f"camera id must fit in a signed 64-bit integer, got {camera}")
+        raise ValueError(f"camera id must fit in a signed 64-bit integer, got {camera}")
     if cameras is not None and camera not in cameras:
-        return ValueError(f"camera {camera} is absent from calibration")
-    return None
-
-
-def _columns(rows: list[tuple], cameras) -> tuple[Detections | None, int | None]:
-    """(columns, None) for decoded rows that keep every rule of
-    `_broken_rule`, else (None, index of the first row that breaks one);
-    each rule is checked over all rows at once."""
-    try:
-        table = np.array(rows, dtype=float).reshape(-1, 6)
-        ids = np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows))
-    except OverflowError:  # a frame or camera id beyond int64
-        huge = next(i for i, row in enumerate(rows)
-                    if not _INT64_MIN <= min(row[:2]) <= max(row[:2]) <= _INT64_MAX)
-        _, bad = _columns(rows[:huge], cameras)
-        return None, huge if bad is None else bad
-    frame, boxes = table[:, 0], table[:, 2:]
-    x, y, w, h = boxes.T
-    ok = (np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
-          & (np.abs(x) <= MAX_BOX_PX) & (np.abs(y) <= MAX_BOX_PX)
-          & (w <= MAX_BOX_PX) & (h <= MAX_BOX_PX) & (w * h >= sys.float_info.min)
-          & (frame >= 0) & (frame <= MAX_FRAME))
-    if cameras is not None:
-        ok &= np.isin(ids, list(cameras))
-    if not ok.all():
-        return None, int(np.argmin(ok))
-    return Detections(frame.astype(np.int64), ids, boxes.copy()), None
+        raise ValueError(f"camera {camera} is absent from calibration")
+    return values
 
 
 def load_detections(path, cameras=None) -> Detections:
@@ -423,27 +390,14 @@ def load_detections(path, cameras=None) -> Detections:
     h; whose box has a side <= 0, a value beyond MAX_BOX_PX or an area
     below the smallest normal float; whose frame is negative or beyond
     MAX_FRAME; whose camera id does not fit in int64; or, given the
-    collection `cameras`, whose camera is not in it."""
-    rows: list[tuple] = []
-    lines: list[int] = []
-    error = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            try:
-                rows.append(_decode_detection(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                error = lineno, exc
-                break
-            lines.append(lineno)
-    columns, bad = _columns(rows, cameras)
-    if bad is not None:
-        error = lines[bad], _broken_rule(rows[bad], cameras)
-    if error is not None:
-        lineno, exc = error
-        raise ValueError(f"{path}:{lineno}: bad detection record: {exc}") from exc
-    return columns
+    collection `cameras`, whose camera is not in it.  Each line is checked
+    as it is read."""
+    rows = read_jsonl(path, "detection", lambda rec: _detection(rec, cameras))
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    # Camera ids beyond 2**53 are not exact as floats.
+    return Detections(table[:, 0].astype(np.int64),
+                      np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows)),
+                      table[:, 2:].copy())
 
 
 def save_detections(detections: Detections, path) -> None:

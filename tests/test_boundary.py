@@ -1,9 +1,9 @@
 """Property tests of the input boundary: a malformed number in any file
 that `track` or `evaluate` reads gives that file's exit code through
 SystemExit, never a traceback, and a JSON-lines error names its path and
-line; the fast path of `records.Fields` never accepts what its per-field
-rules reject; and the columnar detection loader reads exactly the values
-a per-record parse gives."""
+line; `records.Fields.check` accepts exactly what its per-value rules
+accept; and the columnar detection loader reads exactly the values a
+per-record parse gives."""
 
 import json
 import math
@@ -123,7 +123,7 @@ SCALARS = st.one_of(st.integers(-3, 3), st.just(10 ** 400), st.floats(), st.bool
 # Finite numbers whose sum overflows, and infinities whose sum is NaN.
 @example(values=[1, 2, 1e308, 1e308, 1e308], kinds=[INT, NUM])
 @example(values=[1, 2, math.inf, -math.inf, 0.0], kinds=[INT, NUM])
-def test_fields_fast_path_agrees_with_the_rules(values, kinds):
+def test_fields_check_agrees_with_the_per_value_rules(values, kinds):
     fields = Fields({("a", "b"): kinds[0], ("c", "d", "e"): kinds[1]})
     rec = dict(zip("abcde", values))
     want = all(reference_fits(v, kinds[0]) for v in values[:2]) and \

@@ -10,6 +10,7 @@ from mvtrack.cascade import (BOTTOM, CENTER, TOP, Mode, Provenance, Tracklet3D,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
                              triangulate_clusters)
+from mvtrack.clustering import cluster_with_cutoff
 from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
@@ -69,8 +70,20 @@ class TestTrackingSpace:
 
 
 def triangulate_one(cluster, rig):
-    t3, = triangulate_clusters([cluster], rig)
-    return t3
+    points, = triangulate_clusters([cluster], rig)
+    return points
+
+
+def solved_frames(points):
+    """The frames at which (L+1, 3) window-grid `points` from frame 0 hold
+    a point."""
+    return np.flatnonzero(~np.isnan(points[:, 0])).tolist()
+
+
+def as_tracklet(points, branch=Provenance.TRIANGULATED):
+    """The `Tracklet3D` of (L+1, 3) window-grid `points` from frame 0."""
+    found = {f: points[f] for f in solved_frames(points)}
+    return Tracklet3D(points=found, provenance=dict.fromkeys(found, branch))
 
 
 def classify(cluster, rig, **kwargs):
@@ -99,10 +112,10 @@ class TestClassifyCluster:
 
     def test_reuses_given_triangulation(self, rig):
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
-        t3 = triangulate_one(c, rig)
-        assert classify_cluster(c, rig, triangulated=t3) is False
+        points = triangulate_one(c, rig)
+        assert classify_cluster(c, rig, triangulated=points) is False
         # With no solved frames there is no angle evidence at all.
-        empty = Tracklet3D()
+        empty = np.full_like(points, np.nan)
         assert classify_cluster(c, rig, triangulated=empty) is True
 
     def test_explicit_opposite_pairs_override(self, rig):
@@ -115,25 +128,25 @@ class TestTriangulateCluster:
     def test_exact_round_trip(self, rig):
         path = person_path(range(10))
         c = cluster_for(rig, [0, 1, 2, 3], path)
-        t3 = triangulate_one(c, rig)
+        points = triangulate_one(c, rig)
+        assert solved_frames(points) == list(path)
         for f, X in path.items():
-            assert np.linalg.norm(t3.points[f] - X) <= 1e-6
-            assert t3.provenance[f] is Provenance.TRIANGULATED
+            assert np.linalg.norm(points[f] - X) <= 1e-6
 
     def test_three_views_one_px_noise(self, rig):
         rng = np.random.default_rng(31)
         path = person_path(range(100))
         c = cluster_for(rig, [0, 1, 2], path, noise_rng=rng, sigma=1.0)
-        t3 = triangulate_one(c, rig)
-        errs = [np.linalg.norm(t3.points[f] - path[f]) for f in path]
+        points = triangulate_one(c, rig)
+        errs = [np.linalg.norm(points[f] - path[f]) for f in path]
         assert np.mean(errs) <= 0.02
 
     def test_two_adjacent_views_two_px_noise(self, rig):
         rng = np.random.default_rng(32)
         path = person_path(range(100))
         c = cluster_for(rig, [0, 1], path, noise_rng=rng, sigma=2.0)
-        t3 = triangulate_one(c, rig)
-        errs = [np.linalg.norm(t3.points[f] - path[f]) for f in path]
+        points = triangulate_one(c, rig)
+        errs = [np.linalg.norm(points[f] - path[f]) for f in path]
         assert np.mean(errs) <= 0.05
 
     def test_top_bottom_match_attach_top_bottom(self, rig):
@@ -143,7 +156,7 @@ class TestTriangulateCluster:
         rng = np.random.default_rng(34)
         path = person_path(range(11))
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
-        t3 = triangulate_one(c, rig)
+        t3 = as_tracklet(triangulate_one(c, rig))
         assert t3.top == {} and t3.bottom == {}
         attach_top_bottom_batch([(t3, list(c.members))], rig)
         for offset, got in ((TOP, t3.top), (BOTTOM, t3.bottom)):
@@ -157,16 +170,31 @@ class TestTriangulateCluster:
         segs = [segment(0, {f: project_box(rig[0], X) for f, X in path.items()}),
                 segment(1, {f: project_box(rig[1], X)
                             for f, X in path.items() if f < 5})]
-        t3 = triangulate_one(Cluster(members=tuple(segs)), rig)
-        assert sorted(t3.points) == list(range(5))
+        points = triangulate_one(Cluster(members=tuple(segs)), rig)
+        assert solved_frames(points) == list(range(5))
+        assert np.isnan(points[5:]).all()
+
+    def test_nan_exactly_where_unsolvable(self, rig):
+        # Frames 0-5 seen by cameras 0 and 1, frames 7-8 by camera 0 alone.
+        # At frame 3 both boxes lie on the image of one world direction,
+        # so the two rays are parallel and the solve is degenerate.
+        path = person_path(range(9))
+        boxes = [{f: project_box(rig[c], X) for f, X in path.items()} for c in (0, 1)]
+        del boxes[0][6], boxes[1][6]
+        for f in (7, 8):
+            del boxes[1][f]
+        direction = -(rig[0].center + rig[1].center)
+        for c in (0, 1):
+            x, y, z = rig[c].K @ rig[c].R @ direction
+            boxes[c][3] = Bbox(x / z, y / z, 40.0, 100.0)
+        points = triangulate_one(Cluster((segment(0, boxes[0]), segment(1, boxes[1]))), rig)
+        assert solved_frames(points) == [0, 1, 2, 4, 5]
+        assert np.isnan(points[[3, 6, 7, 8, 9, 10]]).all()
 
 
 class TestOutlierGate:
     def make_track(self, points):
-        t3 = Tracklet3D()
-        for f, X in enumerate(points):
-            t3.points[f] = np.asarray(X, dtype=float)
-        return t3
+        return np.asarray(points, dtype=float)
 
     def test_keeps_inlier_track(self):
         t = self.make_track([(0.0, 0.0, 1.0), (0.3, 0.0, 1.0), (0.5, 0.1, 1.2)])
@@ -181,21 +209,20 @@ class TestOutlierGate:
         assert not outlier_gate(t, SPACE)
 
     def test_gap_steps_are_not_velocity_checked(self):
-        t3 = Tracklet3D()
-        t3.points[0] = np.array([0.0, 0.0, 1.0])
-        t3.points[5] = np.array([1.5, 0.0, 1.0])
-        assert outlier_gate(t3, SPACE)
+        points = np.full((11, 3), np.nan)
+        points[0] = (0.0, 0.0, 1.0)
+        points[5] = (1.5, 0.0, 1.0)
+        assert outlier_gate(points, SPACE)
 
 
 class TestPlaneCandidates:
     def test_on_plane_exact_round_trip(self, rig):
         path = person_path(range(10), x=0.0)
         seg = segment(0, {f: project_box(rig[0], X) for f, X in path.items()})
-        (t3, out_seg), = plane_candidates([[seg]], PLANE, rig)[0]
-        assert out_seg is seg
+        points, = plane_candidates([seg], PLANE, rig)
+        assert solved_frames(points) == list(path)
         for f, X in path.items():
-            assert np.linalg.norm(t3.points[f] - X) <= 1e-9
-            assert t3.provenance[f] is Provenance.PLANE_INTERSECTED
+            assert np.linalg.norm(points[f] - X) <= 1e-9
 
     def test_off_plane_person_adjacent_views_disagree(self):
         cams = CameraRig([look_at_camera(0, (6.0, 0.0, 2.0), (0, 0, 1)),
@@ -203,8 +230,8 @@ class TestPlaneCandidates:
         path = person_path(range(10), x=1.0, z0=1.0)
         segs = [segment(c, {f: project_box(cams[c], X) for f, X in path.items()})
                 for c in (0, 1)]
-        (ta, _), (tb, _) = plane_candidates([segs], PLANE, cams)[0]
-        diffs = [np.linalg.norm(ta.points[f] - tb.points[f]) for f in range(10)]
+        ta, tb = plane_candidates(segs, PLANE, cams)
+        diffs = [np.linalg.norm(ta[f] - tb[f]) for f in range(10)]
         assert np.mean(diffs) > 0.5
 
     def test_on_plane_opposite_views_agree(self, rig):
@@ -215,24 +242,28 @@ class TestPlaneCandidates:
             boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                      for f, X in path.items()}
             segs.append(segment(c, boxes))
-        (ta, _), (tb, _) = plane_candidates([segs], PLANE, rig)[0]
-        diffs = [np.linalg.norm(ta.points[f] - tb.points[f]) for f in range(10)]
+        ta, tb = plane_candidates(segs, PLANE, rig)
+        diffs = [np.linalg.norm(ta[f] - tb[f]) for f in range(10)]
         assert np.mean(diffs) <= 0.1
 
     def test_camera_on_plane_yields_no_candidate(self, rig):
         # Camera 1 sits on the plane x = 0: every ray multiplier is zero.
         path = person_path(range(10), x=0.0)
         seg = segment(1, {f: project_box(rig[1], X) for f, X in path.items()})
-        assert plane_candidates([[seg]], PLANE, rig) == [[]]
+        assert np.isnan(plane_candidates([seg], PLANE, rig)).all()
 
 
 def constant_candidate(camera, value, frames=range(10)):
-    t3 = Tracklet3D()
-    for f in frames:
-        t3.points[f] = np.asarray(value, dtype=float)
-        t3.provenance[f] = Provenance.PLANE_INTERSECTED
+    points = np.full((11, 3), np.nan)
+    points[list(frames)] = value
     seg = segment(camera, {f: Bbox(100.0, 100.0, 10.0, 10.0) for f in frames})
-    return t3, seg
+    return points, seg
+
+
+def fuse(cands):
+    """`plane_match_and_fuse` of (points, segment) candidates."""
+    return plane_match_and_fuse(np.stack([points for points, _ in cands]),
+                                [seg for _, seg in cands])
 
 
 def candidate_pair_distance(a, b):
@@ -242,7 +273,7 @@ def candidate_pair_distance(a, b):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cascade, "cluster_with_cutoff",
                    lambda D, cutoff: seen.append(D) or [])
-        plane_match_and_fuse([a, b])
+        fuse([a, b])
     return seen[0][0, 1]
 
 
@@ -267,43 +298,43 @@ class TestPlaneMatchAndFuse:
     def test_identical_candidates_fuse_to_same(self):
         cands = [constant_candidate(0, (0.0, 0.5, 1.0)),
                  constant_candidate(2, (0.0, 0.5, 1.0))]
-        fused = plane_match_and_fuse(cands)
+        fused = fuse(cands)
         assert len(fused) == 1
-        t3, segs = fused[0]
+        points, segs = fused[0]
         assert {s.camera for s in segs} == {0, 2}
         for f in range(10):
-            assert np.allclose(t3.points[f], (0.0, 0.5, 1.0))
+            assert np.allclose(points[f], (0.0, 0.5, 1.0))
 
     def test_fusion_averages(self):
         cands = [constant_candidate(0, (0.2, 0.0, 1.0)),
                  constant_candidate(2, (0.0, 0.0, 1.0))]
-        (t3, _), = plane_match_and_fuse(cands)
+        (points, _), = fuse(cands)
         for f in range(10):
-            assert np.allclose(t3.points[f], (0.1, 0.0, 1.0), atol=1e-12)
+            assert np.allclose(points[f], (0.1, 0.0, 1.0), atol=1e-12)
 
     def test_single_camera_cluster_discarded(self):
         cands = [constant_candidate(0, (0.0, 0.0, 1.0))]
-        assert plane_match_and_fuse(cands) == []
+        assert fuse(cands) == []
 
     def test_far_candidates_not_fused(self):
         cands = [constant_candidate(0, (0.0, 0.0, 1.0)),
                  constant_candidate(2, (0.0, 0.9, 1.0))]
-        assert plane_match_and_fuse(cands) == []
+        assert fuse(cands) == []
 
     def test_fusion_commutative(self):
         cands = [constant_candidate(0, (0.2, 0.0, 1.0)),
                  constant_candidate(2, (0.0, 0.0, 1.0))]
-        (a, _), = plane_match_and_fuse(cands)
-        (b, _), = plane_match_and_fuse(list(reversed(cands)))
+        (a, _), = fuse(cands)
+        (b, _), = fuse(list(reversed(cands)))
         for f in range(10):
-            assert np.array_equal(a.points[f], b.points[f])
+            assert np.array_equal(a[f], b[f])
 
     def test_fusion_idempotent_for_identical_inputs(self):
         cands = [constant_candidate(0, (0.3, -0.1, 1.4)),
                  constant_candidate(2, (0.3, -0.1, 1.4))]
-        (t3, _), = plane_match_and_fuse(cands)
+        (points, _), = fuse(cands)
         for f in range(10):
-            assert np.array_equal(t3.points[f], cands[0][0].points[f])
+            assert np.array_equal(points[f], cands[0][0][f])
 
     def test_three_persons_opposite_views_only_on_plane_survives(self, rig):
         rng = np.random.default_rng(77)
@@ -321,11 +352,30 @@ class TestPlaneMatchAndFuse:
                 boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                          for f, X in path.items()}
                 segs.append(segment(c, boxes, track_id=pid))
-        fused = plane_match_and_fuse(plane_candidates([segs], PLANE, rig)[0])
+        fused = plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs)
         assert len(fused) == 1
-        t3, _ = fused[0]
-        errs = [np.linalg.norm(t3.points[f] - paths["target"][f]) for f in frames]
+        points, _ = fused[0]
+        errs = [np.linalg.norm(points[f] - paths["target"][f]) for f in frames]
         assert np.mean(errs) <= 0.15
+
+    def test_candidate_without_hit_dropped_before_matching(self, rig, monkeypatch):
+        # Camera 1 sits on the plane x = 0, so its candidate has no point:
+        # it is left out of the distances and changes no fused track.
+        path = person_path(range(11), x=0.0, lateral=0.3)
+        segs = [segment(c, {f: project_box(rig[c], X) for f, X in path.items()})
+                for c in (0, 1, 2)]
+        sizes = []
+        monkeypatch.setattr(cascade, "cluster_with_cutoff",
+                            lambda D, cutoff: sizes.append(len(D))
+                            or cluster_with_cutoff(D, cutoff))
+        with_miss = plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs)
+        pair = [segs[0], segs[2]]
+        without = plane_match_and_fuse(plane_candidates(pair, PLANE, rig), pair)
+        assert sizes == [2, 2]
+        (a, members_a), = with_miss
+        (b, members_b), = without
+        assert np.array_equal(a, b, equal_nan=True)
+        assert members_a == members_b == pair
 
 
 class TestAttachTopBottom:
@@ -441,10 +491,12 @@ class TestProcessWindow:
 
         expected = {}
         for c in clusters[:3]:
-            expected[c.members[0].key] = triangulate_one(c, rig)
+            expected[c.members[0].key] = as_tracklet(triangulate_one(c, rig))
             attach_top_bottom_batch([(expected[c.members[0].key], list(c.members))], rig)
         segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
-        for t3, fused_segs in plane_match_and_fuse(plane_candidates([segs], PLANE, rig)[0]):
+        for points, fused_segs in plane_match_and_fuse(plane_candidates(segs, PLANE, rig),
+                                                       segs):
+            t3 = as_tracklet(points, Provenance.PLANE_INTERSECTED)
             attach_top_bottom_batch([(t3, fused_segs)], rig)
             expected[min(s.key for s in fused_segs)] = t3
         assert len(expected) == 5
@@ -536,8 +588,8 @@ class TestOverlapSolvedOnce:
         c = Cluster((segment(0, {0: Bbox(-0.0, 500.0, 40.0, 100.0),
                                  1: Bbox(0.0, 500.0, 40.0, 100.0)}),
                      segment(1, {0: box, 1: box})))
-        t3 = triangulate_one(c, rig)
+        points = triangulate_one(c, rig)
         pixels, = calls
         assert pixels.shape == (2, 2, 2)  # centers only
         assert sorted(np.signbit(pixels[:2, 0, 0])) == [False, True]
-        assert sorted(t3.points) == [0, 1]
+        assert solved_frames(points) == [0, 1]

@@ -99,6 +99,22 @@ class TestSimulate:
         assert f"invalid scenario spec: {message}" in result.output
         assert not (tmp_path / "sim").exists()
 
+    def test_scenario_not_an_object_with_seed(self, runner, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("[1, 2]")
+        result = runner.invoke(main, ["simulate", str(path), "--out",
+                                      str(tmp_path / "sim"), "--seed", "3"])
+        assert result.exit_code == 2
+        assert "error: invalid scenario spec: expected a JSON object" in result.output
+        assert "Traceback" not in result.output
+
+    def test_scenario_path_is_a_directory(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", str(tmp_path), "--out",
+                                      str(tmp_path / "sim")])
+        assert result.exit_code == 2
+        assert "error: unreadable scenario:" in result.output
+        assert "Traceback" not in result.output
+
     def test_seeded_rerun_identical(self, runner, tmp_path):
         a = simulate(runner, tmp_path, out="a")
         b = simulate(runner, tmp_path, out="b")
