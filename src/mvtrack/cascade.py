@@ -6,12 +6,11 @@ ray-plane-intersection path, where coplanar candidates from different
 cameras are matched and fused.  Every cluster goes through exactly one
 branch.
 
-All segments of a window share its (L+1)-frame grid, so the 2D boxes
-and every 3D result on the way from solve to gate are arrays on that
-grid: the frames where a set of segments have boxes are masks over it,
-the rows to solve are gathered by index, and a 3D track is an (L+1, 3)
-array, NaN where it has no point.  A frame-keyed `Tracklet3D` is built
-only for a track that passes the outlier gate.
+All segments of a window share its (L+1)-frame grid, so every 3D result
+from solve to gate is an (L+1, 3) row, NaN where it has no point, and the
+rows of a run of windows stack: each step (solve, two-view verdict, plane
+matching, outlier gate) is one call per run, not one per window or
+cluster.  A frame-keyed `Tracklet3D` is built only for a gated track.
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ import enum
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, groupby
 
 import numpy as np
 
-from .clustering import cluster_with_cutoff, shared_frame_distances
+from .clustering import block_distances, cluster_with_cutoff
 from .cross_view import Cluster
 from .geometry import (CameraRig, PlaneSpec, ray_plane_intersect_batch,
                        triangulate_batch)
@@ -182,37 +182,47 @@ def _by_frame(values: np.ndarray, mask: np.ndarray, starts) -> list[dict[int, np
     return out
 
 
-def classify_cluster(cluster: Cluster, rig: CameraRig,
-                     theta_opp_deg: float = THETA_OPP_DEG,
-                     opposite_pairs: list[frozenset[int]] | None = None, *,
-                     triangulated: np.ndarray | None) -> bool:
-    """True if the cluster is sufficient for triangulation.  False for
-    single-view clusters and for two-view clusters whose line-of-sight
-    rays are nearly opposed (median per-frame angle above theta_opp, or an
-    explicitly configured opposite pair).
+def classify_clusters(clusters: Sequence[Cluster], rig: CameraRig,
+                      theta_opp_deg: float = THETA_OPP_DEG,
+                      opposite_pairs: list[frozenset[int]] | None = None, *,
+                      triangulated: np.ndarray) -> np.ndarray:
+    """(C,) bool, True where a cluster is sufficient for triangulation:
+    False for single-view clusters and for two-view clusters whose
+    line-of-sight rays are nearly opposed (median per-frame angle above
+    theta_opp, or an explicitly configured opposite pair).
 
-    The angles are taken at `triangulated`, the cluster's (L+1, 3) centers
-    as solved by `triangulate_clusters`; it is read only for two-camera
-    clusters, so a single-camera cluster may pass None.
+    The angles are taken at `triangulated`, the clusters' (C, L+1, 3)
+    centers from `triangulate_clusters` (only two-camera rows are read),
+    at the frames where every member has a box and the center is solved;
+    a two-view cluster with no such frame, or a NaN angle, is sufficient.
     """
-    cameras = sorted(cluster.cameras)
-    if len(cameras) == 1:
-        return False
-    if len(cameras) != 2:
-        return True
-    if opposite_pairs and frozenset(cameras) in opposite_pairs:
-        return False
-
-    common = np.logical_and.reduce([s.valid for s in cluster.members])
-    X = triangulated[common & ~np.isnan(triangulated[:, 0])]
-    if not len(X):
-        return True
-    d_a = X - rig[cameras[0]].center
-    d_b = X - rig[cameras[1]].center
+    cameras = [sorted(c.cameras) for c in clusters]
+    sufficient = np.array([len(cams) > 2 for cams in cameras], dtype=bool)
+    two = [k for k, cams in enumerate(cameras) if len(cams) == 2
+           and not (opposite_pairs and frozenset(cams) in opposite_pairs)]
+    if not two:
+        return sufficient
+    boxes = np.stack([seg.boxes[:, 0] for k in two for seg in clusters[k].members])
+    firsts = np.cumsum([0] + [len(clusters[k].members) for k in two[:-1]])
+    common = np.logical_and.reduceat(~np.isnan(boxes), firsts, axis=0)
+    X = triangulated[two]
+    c, f = np.nonzero(common & ~np.isnan(X[..., 0]))
+    X = X[c, f]
+    d_a = X - np.array([rig[cameras[k][0]].center for k in two])[c]
+    d_b = X - np.array([rig[cameras[k][1]].center for k in two])[c]
     cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
                      / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)),
                      -1.0, 1.0)
-    return not float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg
+    # Unused frames sort last, so the median of a row's n used angles is
+    # the mean of its middle two, as np.median takes it: (a + b) / 2.
+    angles = np.full(common.shape, np.inf)
+    angles[c, f] = np.degrees(np.arccos(cosang))
+    n = np.bincount(c, minlength=len(two))[:, None]
+    ranked = np.sort(angles, axis=1)
+    median = (np.take_along_axis(ranked, (n - 1) // 2, 1)
+              + np.take_along_axis(ranked, n // 2, 1))[:, 0] / 2
+    sufficient[two] = (n[:, 0] == 0) | np.isnan(angles).any(axis=1) | ~(median > theta_opp_deg)
+    return sufficient
 
 
 def triangulate_clusters(clusters: Sequence[Cluster], rig: CameraRig) -> np.ndarray:
@@ -229,17 +239,19 @@ def triangulate_clusters(clusters: Sequence[Cluster], rig: CameraRig) -> np.ndar
 
 
 def outlier_gate(points: np.ndarray, space: TrackingSpace,
-                 velocity_limit: float = VELOCITY_LIMIT_M) -> bool:
-    """True to keep the (L+1, 3) track `points`, NaN where it has no point:
-    at least one point, all inside the tracking cuboid, and no
-    consecutive-frame step above the velocity limit."""
-    frames = np.flatnonzero(~np.isnan(points[:, 0]))
-    pts = points[frames]
+                 velocity_limit: float = VELOCITY_LIMIT_M) -> np.ndarray:
+    """(K,) bool, True to keep each track of the (K, L+1, 3) stack
+    `points`, NaN where a track has no point: at least one point, all
+    inside the tracking cuboid, and no step between consecutive grid
+    frames above the velocity limit."""
     x0, y0, z0, x1, y1, z1 = space.track
-    if not len(pts) or not np.all((pts >= (x0, y0, z0)) & (pts <= (x1, y1, z1))):
-        return False
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return not np.any((np.diff(frames) == 1) & (steps > velocity_limit))
+    valid = ~np.isnan(points[..., 0])
+    inside = ((points >= (x0, y0, z0)) & (points <= (x1, y1, z1))).all(axis=-1)
+    # A step to or from a frame with no point is NaN, so never above the
+    # limit: only consecutive grid frames that both have a point count.
+    with np.errstate(invalid="ignore"):
+        fast = np.linalg.norm(np.diff(points, axis=1), axis=-1) > velocity_limit
+    return valid.any(axis=1) & (inside | ~valid).all(axis=1) & ~fast.any(axis=1)
 
 
 def plane_candidates(segments: Sequence[WindowSegment2D], plane: PlaneSpec,
@@ -273,32 +285,38 @@ def plane_match_and_fuse(points: np.ndarray, segments: Sequence[WindowSegment2D]
                          cutoff: float = TAU_PLANE_M
                          ) -> list[tuple[np.ndarray, list[WindowSegment2D]]]:
     """Cluster the coplanar candidates `points` (n, L+1, 3) of `segments`,
-    one window's, and fuse each cluster covering >=2 cameras by per-frame
-    averaging over the views present, into an (L+1, 3) track, NaN where no
-    member has a point; single-camera clusters are discarded.  Candidates
-    with no point take no part, and the rest are taken in key order."""
+    each window's (segments of one start) apart, and fuse each cluster
+    covering >=2 cameras by per-frame averaging over the views present,
+    into an (L+1, 3) track, NaN where no member has a point; single-camera
+    clusters are discarded.  Candidates with no point take no part, and
+    the rest are taken in (start, key) order."""
     present = ~np.isnan(points[..., 0])
-    order = [k for k in sorted(range(len(segments)), key=lambda k: segments[k].key)
-             if present[k].any()]
+    hit = present.any(axis=1).tolist()
+    order = sorted((k for k in range(len(segments)) if hit[k]),
+                   key=lambda k: (segments[k].start, segments[k].key))
     if not order:
         return []
     points, present = points[order], present[order]
     cameras = [segments[k].camera for k in order]
-    D = shared_frame_distances(
+    sizes = [len(list(run)) for _, run in groupby(order, key=lambda k: segments[k].start)]
+    Ds = block_distances(
         present, cameras,
         lambda _a, _b, i, j, frame: np.linalg.norm(points[i, frame] - points[j, frame],
-                                                   axis=1))
+                                                   axis=1),
+        sizes)
 
     fused: list[tuple[np.ndarray, list[WindowSegment2D]]] = []
-    for group in cluster_with_cutoff(D, cutoff):
-        if len({cameras[i] for i in group}) < 2:
-            continue
-        seen = present[group]
-        count = seen.sum(axis=0)
-        mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
-                / np.maximum(count, 1)[:, None])
-        mean[count == 0] = np.nan
-        fused.append((mean, [segments[order[i]] for i in group]))
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    for first, groups in zip(firsts, cluster_with_cutoff(Ds, cutoff)):
+        for group in ([first + i for i in g] for g in groups):
+            if len({cameras[i] for i in group}) < 2:
+                continue
+            seen = present[group]
+            count = seen.sum(axis=0)
+            mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
+                    / np.maximum(count, 1)[:, None])
+            mean[count == 0] = np.nan
+            fused.append((mean, [segments[order[i]] for i in group]))
     return fused
 
 
@@ -346,59 +364,47 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
     through exactly one branch and gate the results; returns each window's
     tracks.
 
-    A run of windows is solved at once: the multi-camera clusters of all
-    windows are triangulated together (`triangulate_clusters`), their
-    insufficient segments intersected with the plane together
-    (`plane_candidates`).  Only centers are solved: tops and bottoms are
-    left to the height trigger (`attach_top_bottom_batch`).  The two-view
-    verdict, plane matching and the outlier gate run per window, on the
-    (L+1, 3) arrays, and every row of those batched solves is independent
-    of the others, so a window's tracks do not depend on the windows it is
-    solved with.  The tracks that pass the gate become `Tracklet3D`s
-    together.
+    Each step takes all windows in one call: the multi-camera clusters
+    are triangulated (`triangulate_clusters`) and given the two-view
+    verdict (`classify_clusters`), the insufficient segments are
+    intersected with the plane (`plane_candidates`) and matched
+    (`plane_match_and_fuse`), and both branches' tracks are gated
+    (`outlier_gate`).  Only centers are solved: tops and bottoms are left
+    to the height trigger (`attach_top_bottom_batch`).  Each row of these
+    calls is independent of the others, so a window's tracks do not depend
+    on the windows it is solved with.
     """
+    clusters = [c for window in windows for c in window]
+    window_at = {c.members[0].start: w for w, window in enumerate(windows) for c in window}
     # The triangulation feeds both the two-view verdict and the branch.
-    solvable = [(w, i) for w, clusters in enumerate(windows)
-                for i, c in enumerate(clusters)
-                if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
-    solved = dict(zip(solvable, triangulate_clusters(
-        [windows[w][i] for w, i in solvable], rig)))
-    # Gated tracks as (window, points, segments, branch).
-    kept: list[tuple[int, np.ndarray, list[WindowSegment2D], Provenance]] = []
-    insufficient: list[list[WindowSegment2D]] = [[] for _ in windows]
-    for w, clusters in enumerate(windows):
-        for i, cluster in enumerate(clusters):
-            points = solved.get((w, i))
-            if mode is Mode.CASCADE:
-                sufficient = classify_cluster(cluster, rig, theta_opp_deg, opposite_pairs,
-                                              triangulated=points)
-            else:
-                sufficient = points is not None
-            if not sufficient:
-                insufficient[w].extend(cluster.members)
-            elif outlier_gate(points, space, velocity_limit):
-                kept.append((w, points, list(cluster.members), Provenance.TRIANGULATED))
-
+    multi = [k for k, c in enumerate(clusters)
+             if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
+    solved = triangulate_clusters([clusters[k] for k in multi], rig)
+    sufficient = np.zeros(len(clusters), dtype=bool)
+    sufficient[multi] = (classify_clusters([clusters[k] for k in multi], rig, theta_opp_deg,
+                                           opposite_pairs, triangulated=solved)
+                         if mode is Mode.CASCADE else True)
+    ok = sufficient.tolist()
+    # The tracks of both branches as (points, segments, branch).
+    found = [(points, list(clusters[k].members), Provenance.TRIANGULATED)
+             for k, points in zip(multi, solved) if ok[k]]
     if mode is not Mode.TRIANGULATION_ONLY:
-        insufficient = [sorted(segs, key=lambda s: s.key) for segs in insufficient]
-        cands = plane_candidates([s for segs in insufficient for s in segs], plane, rig)
-        lo = 0
-        for w, segs in enumerate(insufficient):
-            # The gate is applied to both branches for uniformity.
-            kept.extend((w, points, members, Provenance.PLANE_INTERSECTED)
-                        for points, members in plane_match_and_fuse(
-                            cands[lo:lo + len(segs)], segs, tau_plane)
-                        if outlier_gate(points, space, velocity_limit))
-            lo += len(segs)
+        rest = sorted((s for k, c in enumerate(clusters) if not ok[k] for s in c.members),
+                      key=lambda s: (s.start, s.key))
+        found += [(points, members, Provenance.PLANE_INTERSECTED) for points, members
+                  in plane_match_and_fuse(plane_candidates(rest, plane, rig), rest, tau_plane)]
 
     tracks: list[list[WindowTrack]] = [[] for _ in windows]
-    if kept:
-        points = np.stack([points for _, points, _, _ in kept])
-        tracklets = _by_frame(points, ~np.isnan(points[..., 0]),
-                              [segments[0].start for _, _, segments, _ in kept])
-        for (w, _, segments, branch), found in zip(kept, tracklets):
-            tracks[w].append(WindowTrack(starts[w], Tracklet3D(
-                points=found, provenance=dict.fromkeys(found, branch)), segments, rig))
+    if found:
+        # The gate is applied to both branches for uniformity.
+        points = np.stack([points for points, _, _ in found])
+        kept = outlier_gate(points, space, velocity_limit)
+        found, points = list(compress(found, kept.tolist())), points[kept]
+        firsts = [segments[0].start for _, segments, _ in found]
+        for (_, segments, branch), start, frames in zip(
+                found, firsts, _by_frame(points, ~np.isnan(points[..., 0]), firsts)):
+            tracks[window_at[start]].append(WindowTrack(starts[window_at[start]], Tracklet3D(
+                points=frames, provenance=dict.fromkeys(frames, branch)), segments, rig))
     for window_tracks in tracks:
         window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
     return tracks

@@ -38,6 +38,16 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _check_out_dir(path) -> None:
+    """Exit 2 unless the output directory `path` exists or can be made:
+    its nearest existing ancestor must be a writable directory."""
+    ancestor = Path(path).absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        _fail(EXIT_CONFIG_ERROR, f"output {path}: {ancestor} is not a writable directory")
+
+
 def _load(code: int, load, *args):
     """load(*args), exiting with `code` on OSError or ValueError."""
     try:
@@ -63,6 +73,7 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
     SCENARIO is a scenario JSON file or one of the canned names:
     clean-4cam, opposite-only-episode, crowded-distractors.
     """
+    _check_out_dir(out_dir)
     try:
         if scenario in scenarios.CANNED:
             spec = scenarios.get_scenario_spec(scenario)
@@ -104,6 +115,7 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
               default=Mode.CASCADE.value, show_default=True)
 def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
     """Track a detection stream into target tracklets (tracklets.jsonl)."""
+    _check_out_dir(out_dir)
     rig = _load(EXIT_CONFIG_ERROR, lambda: CameraRig(load_calibration(calib_path)))
     cfg = _load(EXIT_CONFIG_ERROR, config_mod.load_routine_config, config_path)
     for pair in cfg.opposite_pairs or ():
@@ -129,6 +141,9 @@ def cmd_track(detections_path, calib_path, config_path, out_dir, mode):
               help="Routine config echoed into the report.")
 def cmd_evaluate(tracklets_path, truth_path, report_path, config_path):
     """Score tracklets against ground truth into report.json."""
+    if report_path is None:
+        report_path = str(Path(tracklets_path).parent / "report.json")
+    _check_out_dir(Path(report_path).parent)
     records = _load(EXIT_INPUT_ERROR, target.load_target_records, tracklets_path)
     truth = _load(EXIT_INPUT_ERROR, simulate.load_truth, truth_path)
     cfg = _load(EXIT_CONFIG_ERROR, config_mod.load_routine_config, config_path) \
@@ -137,8 +152,7 @@ def cmd_evaluate(tracklets_path, truth_path, report_path, config_path):
                    (cfg or config_mod.PipelineConfig()).window_len)
     if cfg is not None:
         report["config"] = asdict(cfg)
-    if report_path is None:
-        report_path = str(Path(tracklets_path).parent / "report.json")
+    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
     write_json(report_path, report)
     click.echo(json.dumps({k: report[k] for k in
                            ("id_switches", "aed_m", "failure_rate", "coverage")},

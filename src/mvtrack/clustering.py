@@ -13,42 +13,38 @@ inf still wins:
 
 Merging continues while the global minimum over non-NaN entries is below
 the cutoff.  Ties are broken by the lexicographically smallest (i, j)
-cluster-index pair, which makes the result deterministic.
+cluster-index pair, which makes the result deterministic.  The arrays of
+a run of windows are clustered in one call, stacked by size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 
 def shared_frame_distances(present: np.ndarray, cameras,
                            frame_distance: Callable[..., np.ndarray],
-                           pairs: tuple[np.ndarray, np.ndarray] | None = None
-                           ) -> np.ndarray:
-    """Pairwise (n, n) distances between n items over the frames they share.
+                           pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Distances between the item pairs `pairs`, a (rows, cols) pair of
+    index arrays with rows < cols, over the frames they share, in pair order.
 
     `present` is an (n, span) mask of the frames each item has and
-    `cameras` the camera label of each item.  An entry is the mean
+    `cameras` the camera label of each item.  A distance is the mean
     per-frame distance over the two items' shared frames, inf where two
     items of one camera share a frame, and NaN where two items share no
-    frame (and on the diagonal).  A NaN frame distance is no evidence: it
-    leaves the mean, and a pair with no other shared frame gets NaN.
+    frame.  A NaN frame distance is no evidence: it leaves the mean, and a
+    pair with no other shared frame gets NaN.
 
     `frame_distance(cam_a, cam_b, i, j, frames)` returns the distances
     between items i[k] of camera cam_a and j[k] of camera cam_b at frame
     frames[k]; it is called once per camera pair, with the shared frames
     of all that pair's item pairs.
-
-    With `pairs`, a (rows, cols) pair of index arrays with rows < cols,
-    only those item pairs are scored, and their (len(rows),) distances
-    are returned in pair order instead of the (n, n) array.
     """
-    n = len(present)
     labels, camera = np.unique(cameras, return_inverse=True)
     labels = labels.tolist()
-    rows, cols = np.triu_indices(n, k=1) if pairs is None else pairs
+    rows, cols = pairs
     out = np.full(len(rows), np.nan)
     shared = present[rows] & present[cols]
     overlap = shared.any(axis=1)
@@ -67,39 +63,66 @@ def shared_frame_distances(present: np.ndarray, cameras,
         total = np.bincount(pair, weights=np.where(defined, d, 0.0), minlength=len(group))
         with np.errstate(invalid="ignore"):
             out[group] = total / np.bincount(pair, weights=defined, minlength=len(group))
-    if pairs is not None:
-        return out
-    D = np.full((n, n), np.nan)
-    D[rows, cols] = D[cols, rows] = out
-    return D
+    return out
 
 
-def cluster_with_cutoff(D, cutoff: float) -> list[list[int]]:
-    """Cluster items 0..n-1 of the symmetric (n, n) distance array D; the
-    diagonal is ignored.
+def block_distances(present: np.ndarray, cameras, frame_distance: Callable[..., np.ndarray],
+                    sizes: Sequence[int]) -> list[np.ndarray]:
+    """`shared_frame_distances` of the pairs within each of consecutive
+    blocks of `sizes` items, as one (n, n) array per block, NaN on the
+    diagonal; all pairs, each block's row-major, are scored in one call."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = np.triu_indices(len(block), k=1)
+    same = block[rows] == block[cols]
+    rows, cols = rows[same], cols[same]
+    D = np.full((len(block),) * 2, np.nan)
+    D[rows, cols] = D[cols, rows] = shared_frame_distances(present, cameras, frame_distance,
+                                                           pairs=(rows, cols))
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    return [D[e - n:e, e - n:e] for n, e in zip(sizes, ends)]
 
-    Returns the final clusters as lists of original item indices, each
-    sorted, in a deterministic order.
+
+def cluster_with_cutoff(Ds: Sequence[np.ndarray], cutoff: float) -> list[list[list[int]]]:
+    """Cluster items 0..n-1 of each symmetric (n, n) distance array of Ds;
+    the diagonal is ignored.
+
+    Returns each array's final clusters as lists of original item indices,
+    each sorted, in a deterministic order.  The arrays of one size are
+    stacked and clustered together by `_link`.
     """
-    D = np.array(D, dtype=float)
-    n = len(D)
-    clusters = [[i] for i in range(n)]
-    if n < 2:
-        return clusters
-    active = np.ones(n, dtype=bool)
+    out = [[[i] for i in range(len(D))] for D in Ds]
+    for n in sorted({len(D) for D in Ds} - {0, 1}):
+        ks = [k for k, D in enumerate(Ds) if len(D) == n]
+        for k, clusters in zip(ks, _link(np.array([Ds[k] for k in ks], dtype=float), cutoff)):
+            out[k] = clusters
+    return out
+
+
+def _link(D: np.ndarray, cutoff: float) -> list[list[list[int]]]:
+    """`cluster_with_cutoff` of a (W, n, n) stack, n >= 2, which it
+    overwrites.  Each pass makes one merge in every array whose smallest
+    candidate is still below the cutoff, so the passes are as many as the
+    most merges of any one array."""
+    W, n, _ = D.shape
+    clusters = [[[i] for i in range(n)] for _ in range(W)]
+    active = np.ones((W, n), dtype=bool)
     # The merge candidates: the active upper triangle, NaN and inactive
     # entries as inf, so a row-major argmin is the lexicographic minimum.
     search = np.where(np.isnan(D) | np.tri(n, dtype=bool), np.inf, D)
-    while True:
-        k = int(search.argmin())
-        if not search.flat[k] < cutoff:
-            break
-        i, j = divmod(k, n)
-        clusters[i] = sorted(clusters[i] + clusters[j])
-        active[j] = False
-        search[j, :] = search[:, j] = np.inf
-        D[i] = D[:, i] = np.fmax(D[i], D[j])
-        row = np.where(np.isnan(D[i]) | ~active, np.inf, D[i])
-        search[i, i + 1:] = row[i + 1:]
-        search[:i, i] = row[:i]
-    return [clusters[k] for k in np.flatnonzero(active)]
+    flat = search.reshape(W, n * n)
+    col = np.arange(n)
+    live = np.arange(W)
+    while len(live):
+        k = (flat if len(live) == W else flat[live]).argmin(axis=1)
+        below = flat[live, k] < cutoff
+        live, (i, j) = live[below], np.divmod(k[below], n)
+        for w, a, b in zip(live.tolist(), i.tolist(), j.tolist()):
+            clusters[w][a] = sorted(clusters[w][a] + clusters[w][b])
+        active[live, j] = False
+        search[live, j] = search[live, :, j] = np.inf
+        D[live, i] = D[live, :, i] = merged = np.fmax(D[live, i], D[live, j])
+        row = np.where(np.isnan(merged) | ~active[live], np.inf, merged)
+        search[live, i] = np.where(col > i[:, None], row, np.inf)
+        search[live, :, i] = np.where(col < i[:, None], row, np.inf)
+    return [[c[a] for a, on in enumerate(act) if on]
+            for c, act in zip(clusters, active.tolist())]

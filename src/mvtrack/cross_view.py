@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import cluster_with_cutoff, shared_frame_distances
+from .clustering import block_distances, cluster_with_cutoff
 from .geometry import CameraRig, epipolar_distance_batch
 from .sv_track import WindowSegment2D
 
@@ -58,36 +58,22 @@ def pair_distance_matrices(windows: Sequence[Sequence[WindowSegment2D]],
     """
     segments = [seg for segs in windows for seg in segs]
     boxes = np.stack([seg.boxes for seg in segments]) if segments else np.empty((0, 0, 4))
-    valid = ~np.isnan(boxes[..., 0])
-
-    pairs = [np.triu_indices(len(segs), k=1) for segs in windows]
-    offsets = np.cumsum([0] + [len(segs) for segs in windows])
-    rows = np.concatenate([r + o for (r, _), o in zip(pairs, offsets)])
-    cols = np.concatenate([c + o for (_, c), o in zip(pairs, offsets)])
-    d = shared_frame_distances(
-        valid, [seg.camera for seg in segments],
+    return block_distances(
+        ~np.isnan(boxes[..., 0]), [seg.camera for seg in segments],
         lambda cam_a, cam_b, i, j, frame: _box_pair_distances(
             boxes[i, frame], boxes[j, frame], cam_a, cam_b, rig),
-        pairs=(rows, cols))
-
-    out, done = [], 0
-    for segs, (r, c) in zip(windows, pairs):
-        n = len(segs)
-        D = np.full((n, n), np.nan)
-        D[r, c] = D[c, r] = d[done:done + len(r)]
-        out.append(D)
-        done += len(r)
-    return out
+        [len(segs) for segs in windows])
 
 
 def cluster_windows(windows: Sequence[Sequence[WindowSegment2D]], rig: CameraRig,
                     cutoff: float = LAMBDA_2D) -> list[list[Cluster]]:
     """Associate each window's segments into per-identity clusters; the
-    distances of all windows are scored together, and each window is
-    clustered on its own."""
+    distances of all windows are scored together and clustered in one
+    `cluster_with_cutoff` call."""
     ordered = [sorted(segs, key=lambda s: s.key) for segs in windows]
-    return [[Cluster(tuple(segs[i] for i in g)) for g in cluster_with_cutoff(D, cutoff)]
-            for segs, D in zip(ordered, pair_distance_matrices(ordered, rig))]
+    groups = cluster_with_cutoff(pair_distance_matrices(ordered, rig), cutoff)
+    return [[Cluster(tuple(segs[i] for i in g)) for g in window]
+            for segs, window in zip(ordered, groups)]
 
 
 def cluster_segments(segments: list[WindowSegment2D], rig: CameraRig,

@@ -4,8 +4,8 @@ stitching and target maintenance, run in one thread.
 
 Windows are associated in chunks: consecutive windows are buffered, in
 order, until they hold at least CHUNK_SEGMENTS segments; the chunk is
-clustered (`cluster_windows`) and solved (`process_windows`) at once, and
-only then is each of its windows stitched and observed, in window order.
+clustered (`cluster_windows`) and solved (`process_windows`) with one call
+per stage, and then each window is stitched and observed, in order.
 This is safe because association reads only a window's own segments,
 never the track registry, and every batched solve is row-independent, so
 a window's tracks are the same in any chunk.  Budgeting in segments rather

@@ -6,7 +6,7 @@ import pytest
 
 from mvtrack import cascade
 from mvtrack.cascade import (BOTTOM, CENTER, TOP, Mode, Provenance, Tracklet3D,
-                             TrackingSpace, attach_top_bottom_batch, classify_cluster,
+                             TrackingSpace, attach_top_bottom_batch, classify_clusters,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
                              triangulate_clusters)
@@ -14,7 +14,7 @@ from mvtrack.clustering import cluster_with_cutoff
 from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox
+from mvtrack.sv_track import Bbox, WindowSegment2D
 
 from conftest import box_dict, look_at_camera, window_segment
 
@@ -87,8 +87,10 @@ def as_tracklet(points, branch=Provenance.TRIANGULATED):
 
 
 def classify(cluster, rig, **kwargs):
-    solved = triangulate_one(cluster, rig) if len(cluster.cameras) >= 2 else None
-    return classify_cluster(cluster, rig, triangulated=solved, **kwargs)
+    solved = (triangulate_clusters([cluster], rig) if len(cluster.cameras) >= 2
+              else np.full((1, len(cluster.members[0].boxes), 3), np.nan))
+    verdict, = classify_clusters([cluster], rig, triangulated=solved, **kwargs).tolist()
+    return verdict
 
 
 class TestClassifyCluster:
@@ -113,10 +115,10 @@ class TestClassifyCluster:
     def test_reuses_given_triangulation(self, rig):
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
         points = triangulate_one(c, rig)
-        assert classify_cluster(c, rig, triangulated=points) is False
+        assert classify_clusters([c], rig, triangulated=points[None]).tolist() == [False]
         # With no solved frames there is no angle evidence at all.
         empty = np.full_like(points, np.nan)
-        assert classify_cluster(c, rig, triangulated=empty) is True
+        assert classify_clusters([c], rig, triangulated=empty[None]).tolist() == [True]
 
     def test_explicit_opposite_pairs_override(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
@@ -196,23 +198,188 @@ class TestOutlierGate:
     def make_track(self, points):
         return np.asarray(points, dtype=float)
 
+    def gate(self, points):
+        verdict, = outlier_gate(points[None], SPACE).tolist()
+        return verdict
+
     def test_keeps_inlier_track(self):
         t = self.make_track([(0.0, 0.0, 1.0), (0.3, 0.0, 1.0), (0.5, 0.1, 1.2)])
-        assert outlier_gate(t, SPACE)
+        assert self.gate(t)
 
     def test_drops_point_outside_space(self):
         t = self.make_track([(0.0, 0.0, 1.0), (8.0, 0.0, 1.0)])
-        assert not outlier_gate(t, SPACE)
+        assert not self.gate(t)
 
     def test_drops_fast_step(self):
         t = self.make_track([(0.0, 0.0, 1.0), (1.2, 0.0, 1.0)])
-        assert not outlier_gate(t, SPACE)
+        assert not self.gate(t)
 
     def test_gap_steps_are_not_velocity_checked(self):
         points = np.full((11, 3), np.nan)
         points[0] = (0.0, 0.0, 1.0)
         points[5] = (1.5, 0.0, 1.0)
-        assert outlier_gate(points, SPACE)
+        assert self.gate(points)
+
+
+def reference_outlier_gate(points, space, velocity_limit=cascade.VELOCITY_LIMIT_M):
+    """The per-track gate: True to keep the (L+1, 3) track `points`, NaN
+    where it has no point."""
+    frames = np.flatnonzero(~np.isnan(points[:, 0]))
+    pts = points[frames]
+    x0, y0, z0, x1, y1, z1 = space.track
+    if not len(pts) or not np.all((pts >= (x0, y0, z0)) & (pts <= (x1, y1, z1))):
+        return False
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return not np.any((np.diff(frames) == 1) & (steps > velocity_limit))
+
+
+def reference_classify(cluster, rig, theta_opp_deg=cascade.THETA_OPP_DEG,
+                       opposite_pairs=None, *, triangulated):
+    """The per-cluster two-view verdict, on the cluster's (L+1, 3) centers."""
+    cameras = sorted(cluster.cameras)
+    if len(cameras) == 1:
+        return False
+    if len(cameras) != 2:
+        return True
+    if opposite_pairs and frozenset(cameras) in opposite_pairs:
+        return False
+    common = np.logical_and.reduce([s.valid for s in cluster.members])
+    X = triangulated[common & ~np.isnan(triangulated[:, 0])]
+    if not len(X):
+        return True
+    d_a = X - rig[cameras[0]].center
+    d_b = X - rig[cameras[1]].center
+    cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
+                     / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)),
+                     -1.0, 1.0)
+    return not float(np.median(np.degrees(np.arccos(cosang)))) > theta_opp_deg
+
+
+def used_angles(cluster, rig, points):
+    """The per-frame ray angles, in degrees, the verdict of a two-camera
+    cluster takes the median of."""
+    a, b = sorted(cluster.cameras)
+    common = np.logical_and.reduce([s.valid for s in cluster.members])
+    X = points[common & ~np.isnan(points[:, 0])]
+    d_a, d_b = X - rig[a].center, X - rig[b].center
+    return np.degrees(np.arccos(np.clip(
+        np.einsum("ij,ij->i", d_a, d_b)
+        / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)), -1.0, 1.0)))
+
+
+class TestBatchedGate:
+    def random_stack(self, rng, K=60, span=11):
+        """Random walks from inside the tracking cuboid, with gaps, rows
+        with no point and rows missing only y."""
+        start = rng.uniform((-2.5, -2.5, 0.5), (2.5, 2.5, 3.5), size=(K, 1, 3))
+        sigma = rng.choice([0.1, 0.5], size=(K, 1, 1))
+        points = start + np.cumsum(rng.normal(0.0, 1.0, size=(K, span, 3)) * sigma, axis=1)
+        points[rng.random((K, span)) < 0.25] = np.nan
+        points[rng.random(K) < 0.1] = np.nan
+        points[rng.random((K, span)) < 0.02, 1] = np.nan
+        return points
+
+    def test_equals_per_track_gate(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            points = self.random_stack(rng)
+            want = [reference_outlier_gate(row, SPACE) for row in points]
+            assert outlier_gate(points, SPACE).tolist() == want
+            assert 0 < sum(want) < len(want)
+
+    def test_exact_ties_are_kept(self):
+        x0, y0, z0, x1, y1, z1 = SPACE.track
+        points = np.full((4, 11, 3), np.nan)
+        # A step of exactly the velocity limit, then one just above it.
+        points[0, :2] = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
+        points[1, :2] = [(0.0, 0.0, 1.0), (np.nextafter(1.0, 2.0), 0.0, 1.0)]
+        # Points on the faces of the cuboid, and a gap the limit ignores.
+        points[2, [0, 1]] = [(x0, y0, z0), (x0, y0, z0 + 1.0)]
+        points[3, [0, 2]] = [(x1, y1, z1), (x1, y1 - 2.5, z1)]
+        want = [True, False, True, True]
+        assert [reference_outlier_gate(row, SPACE) for row in points] == want
+        assert outlier_gate(points, SPACE).tolist() == want
+
+    def test_empty_stack(self):
+        assert outlier_gate(np.empty((0, 11, 3)), SPACE).tolist() == []
+
+
+class TestBatchedVerdict:
+    def random_clusters(self, rng, rig, count=40, span=11):
+        """Clusters of one to three cameras and up to four members, with
+        random gaps, and centers near the rig's middle with NaN frames."""
+        clusters, rows = [], []
+        for k in range(count):
+            cameras = rng.choice(4, size=int(rng.choice([1, 2, 2, 2, 3])), replace=False)
+            members = []
+            for m in range(len(cameras) + int(rng.integers(0, 2))):
+                boxes = np.full((span, 4), np.nan)
+                boxes[rng.random(span) < 0.85] = (960.0, 540.0, 40.0, 100.0)
+                members.append(WindowSegment2D(int(cameras[m % len(cameras)]), 10 * k + m,
+                                               0, boxes))
+            clusters.append(Cluster(tuple(members)))
+            points = rng.normal(0.0, rng.choice([0.3, 1.5]), size=(span, 3)) + (0.0, 0.0, 1.0)
+            points[rng.random(span) < 0.2] = np.nan
+            rows.append(points)
+        return clusters, np.stack(rows)
+
+    def test_equals_per_cluster_verdict(self, rig):
+        rng = np.random.default_rng(7)
+        parities = set()
+        for opposite_pairs in (None, [frozenset({1, 2})]):
+            for _ in range(10):
+                clusters, points = self.random_clusters(rng, rig)
+                want = [reference_classify(c, rig, opposite_pairs=opposite_pairs,
+                                           triangulated=p) for c, p in zip(clusters, points)]
+                got = classify_clusters(clusters, rig, opposite_pairs=opposite_pairs,
+                                        triangulated=points).tolist()
+                assert got == want
+                assert 0 < sum(want) < len(want)
+                parities |= {len(used_angles(c, rig, p)) % 2
+                             for c, p in zip(clusters, points) if len(c.cameras) == 2}
+        assert parities == {0, 1}
+
+    def test_median_equal_to_threshold_is_sufficient(self, rig):
+        # With theta_opp equal to the median, odd and even used-frame
+        # counts alike, the cluster is not above it: sufficient.
+        rng = np.random.default_rng(11)
+        clusters, points = self.random_clusters(rng, rig)
+        counts = set()
+        for c, p in zip(clusters, points):
+            if len(c.cameras) != 2 or not len(angles := used_angles(c, rig, p)):
+                continue
+            counts.add(len(angles) % 2)
+            median = float(np.median(angles))
+            for theta in (median, float(np.nextafter(median, 0.0))):
+                want = reference_classify(c, rig, theta, triangulated=p)
+                assert want is (theta == median)
+                assert classify_clusters([c], rig, theta, triangulated=p[None]).tolist() == \
+                    [want]
+        assert counts == {0, 1}
+
+    def test_no_common_frame_is_sufficient(self, rig):
+        # Two segments of camera 0 on disjoint frames leave no frame that
+        # every member has, however opposed the rays.
+        boxes = np.full((3, 11, 4), np.nan)
+        boxes[0, :5] = boxes[1, 6:] = boxes[2] = (960.0, 540.0, 40.0, 100.0)
+        c = Cluster(tuple(WindowSegment2D(cam, k, 0, b)
+                          for k, (cam, b) in enumerate(zip((0, 0, 2), boxes))))
+        points = np.zeros((1, 11, 3)) + (0.0, 0.0, 1.0)
+        assert reference_classify(c, rig, triangulated=points[0]) is True
+        assert classify_clusters([c], rig, triangulated=points).tolist() == [True]
+
+    def test_nan_angle_is_sufficient(self, rig):
+        # An opposed pair, except that at frame 4 the center sits on camera
+        # 0, where the angle is 0 / 0: np.median of a NaN is NaN, and NaN is
+        # not above theta_opp.
+        c = cluster_for(rig, [0, 2], person_path(range(11), lateral=0.2))
+        points = triangulate_clusters([c], rig)
+        assert classify_clusters([c], rig, triangulated=points).tolist() == [False]
+        points[0, 4] = rig[0].center
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert np.isnan(used_angles(c, rig, points[0])).sum() == 1
+            assert reference_classify(c, rig, triangulated=points[0]) is True
+            assert classify_clusters([c], rig, triangulated=points).tolist() == [True]
 
 
 class TestPlaneCandidates:
@@ -272,7 +439,7 @@ def candidate_pair_distance(a, b):
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cascade, "cluster_with_cutoff",
-                   lambda D, cutoff: seen.append(D) or [])
+                   lambda Ds, cutoff: seen.extend(Ds) or [[] for _ in Ds])
         fuse([a, b])
     return seen[0][0, 1]
 
@@ -366,8 +533,8 @@ class TestPlaneMatchAndFuse:
                 for c in (0, 1, 2)]
         sizes = []
         monkeypatch.setattr(cascade, "cluster_with_cutoff",
-                            lambda D, cutoff: sizes.append(len(D))
-                            or cluster_with_cutoff(D, cutoff))
+                            lambda Ds, cutoff: sizes.extend(len(D) for D in Ds)
+                            or cluster_with_cutoff(Ds, cutoff))
         with_miss = plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs)
         pair = [segs[0], segs[2]]
         without = plane_match_and_fuse(plane_candidates(pair, PLANE, rig), pair)
@@ -376,6 +543,53 @@ class TestPlaneMatchAndFuse:
         (b, members_b), = without
         assert np.array_equal(a, b, equal_nan=True)
         assert members_a == members_b == pair
+
+
+class TestPlaneMatchAcrossWindows:
+    @staticmethod
+    def candidate(camera, value, start, frames=range(11), track_id=0):
+        """A candidate at the fixed point `value` (or NaN: no hit) at
+        `frames` of the window from `start`."""
+        points = np.full((11, 3), np.nan)
+        points[list(frames)] = value
+        seg = segment(camera, {start + f: Bbox(100.0, 100.0, 10.0, 10.0) for f in frames},
+                      track_id=track_id, start=start)
+        return points, seg
+
+    def windows(self):
+        here, near = (0.0, 0.5, 1.0), (0.0, 0.6, 1.0)
+        return {
+            # Two views of one person and a far single view.
+            0: [self.candidate(2, here, 0), self.candidate(0, near, 0),
+                self.candidate(1, (0.0, -1.5, 1.0), 0)],
+            # Candidates without a hit only.
+            5: [self.candidate(0, np.nan, 5), self.candidate(2, np.nan, 5)],
+            # One camera only, at the same place as window 0's people: it
+            # would fuse with them if windows were matched together.
+            10: [self.candidate(0, here, 10, range(5)),
+                 self.candidate(0, here, 10, range(6, 11), track_id=1)],
+            # Three views of one person, one of them missing a hit.
+            15: [self.candidate(3, near, 15), self.candidate(1, here, 15),
+                 self.candidate(0, here, 15, range(4)), self.candidate(2, np.nan, 15)],
+        }
+
+    def test_chunk_equals_one_window_at_a_time(self):
+        windows = self.windows()
+        alone = [fused for cands in windows.values() for fused in fuse(cands)]
+        assert [sorted(s.camera for s in members) for _, members in alone] == \
+            [[0, 2], [0, 1, 3]]
+        # Interleaved across windows: each window's candidates are still
+        # taken in key order, and the windows in start order.
+        chunk = [c for k in range(4) for cands in windows.values() for c in cands[k:k + 1]]
+        together = fuse(chunk[::-1])
+        assert len(together) == len(alone)
+        for (a, members_a), (b, members_b) in zip(together, alone):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert members_a == members_b
+
+    def test_no_window_with_a_hit_gives_nothing(self):
+        assert fuse(self.windows()[5]) == []
+        assert fuse(self.windows()[5] + self.windows()[10]) == []
 
 
 class TestAttachTopBottom:

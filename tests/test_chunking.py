@@ -7,7 +7,7 @@ recurs in a chunk is solved once."""
 import numpy as np
 import pytest
 
-from mvtrack import cascade, pipeline, target
+from mvtrack import cascade, clustering, pipeline, target
 from mvtrack.cascade import Mode
 from mvtrack.scenarios import get_scenario_spec
 
@@ -67,3 +67,43 @@ def test_records_do_not_depend_on_row_dedupe(inputs, scenario, mode, monkeypatch
         outputs.append(path.read_bytes())
     assert outputs[0]
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_one_call_per_stage_and_chunk(inputs, scenario, monkeypatch):
+    # Per chunk: one outlier gate and one plane matcher call, and one
+    # linkage per distinct window size (of two or more items) per stage.
+    detections, rig, cfg = inputs[scenario]
+    calls = []
+
+    def spy(module, name, sizes=None):
+        """Record each call of module.name, with sizes(*args)."""
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, sizes(*args) if sizes else None))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    def plane_windows(points, segments, *_):
+        hits = (~np.isnan(points[..., 0])).any(axis=1).tolist()
+        return [seg.start for seg, hit in zip(segments, hits) if hit]
+
+    spy(pipeline, "cluster_windows", lambda windows, *_: [len(w) for w in windows])
+    spy(cascade, "plane_match_and_fuse", plane_windows)
+    spy(cascade, "outlier_gate")
+    spy(clustering, "_link", lambda D, _: D.shape[1])
+    pipeline.run_pipeline(detections, rig, cfg)
+
+    chunks = [k for k, (name, _) in enumerate(calls) if name == "cluster_windows"]
+    assert len(chunks) > 1
+    for lo, hi in zip(chunks, chunks[1:] + [len(calls)]):
+        chunk = calls[lo:hi]
+        names = [name for name, _ in chunk]
+        assert names.count("plane_match_and_fuse") == names.count("outlier_gate") == 1
+        plane_at = names.index("plane_match_and_fuse")
+        starts = chunk[plane_at][1]
+        for stage, sizes in ((chunk[:plane_at], chunk[0][1]),
+                             (chunk[plane_at:], [starts.count(s) for s in set(starts)])):
+            assert [n for name, n in stage if name == "_link"] == \
+                sorted({n for n in sizes if n >= 2})

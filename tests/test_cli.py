@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from mvtrack import cli
 from mvtrack.cli import main
 from mvtrack.config import save_routine_config
 from mvtrack.geometry import save_calibration
@@ -115,6 +116,15 @@ class TestSimulate:
         assert "error: unreadable scenario:" in result.output
         assert "Traceback" not in result.output
 
+    def test_output_under_a_file_is_config_error(self, runner, tmp_path):
+        (tmp_path / "X").write_text("")
+        result = runner.invoke(main, ["simulate", str(write_scenario(tmp_path)),
+                                      "--out", str(tmp_path / "X" / "sub")])
+        assert result.exit_code == 2, result.output
+        assert f"error: output {tmp_path / 'X' / 'sub'}: {tmp_path / 'X'} is not a " \
+            "writable directory" in result.output
+        assert "Traceback" not in result.output
+
     def test_seeded_rerun_identical(self, runner, tmp_path):
         a = simulate(runner, tmp_path, out="a")
         b = simulate(runner, tmp_path, out="b")
@@ -144,6 +154,20 @@ class TestTrack:
         record = json.loads(lines[0])
         assert set(record) == {"frame", "track_id", "X", "provenance",
                                "per_view"}
+
+    def test_output_under_a_file_fails_before_reading_input(self, runner, tmp_path,
+                                                             monkeypatch):
+        out = simulate(runner, tmp_path)
+        (tmp_path / "X").write_text("")
+        monkeypatch.setattr(cli, "load_detections",
+                            lambda *_: pytest.fail("detections read before the output check"))
+        result = runner.invoke(main, ["track", "--detections", str(out / "detections.jsonl"),
+                                      "--calib", str(out / "calib.json"),
+                                      "--config", str(out / "routine.json"),
+                                      "--out", str(tmp_path / "X" / "sub")])
+        assert result.exit_code == 2, result.output
+        assert "is not a writable directory" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_calib_is_config_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
@@ -703,6 +727,20 @@ class TestEvaluate:
         assert f"{truth_path}:{i + 1}: bad truth record" in result.output
         assert message in result.output
         assert not (out / "report.json").exists()
+
+    def test_report_directory_is_made_or_refused(self, runner, tmp_path):
+        out = simulate(runner, tmp_path)
+        assert run_track(runner, out).exit_code == 0
+        args = ["evaluate", "--tracklets", str(out / "tracklets.jsonl"),
+                "--truth", str(out / "truth.jsonl"), "--out"]
+        result = runner.invoke(main, args + [str(tmp_path / "nodir" / "report.json")])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "nodir" / "report.json").read_text())["per_window"]
+        (tmp_path / "X").write_text("")
+        result = runner.invoke(main, args + [str(tmp_path / "X" / "report.json")])
+        assert result.exit_code == 2, result.output
+        assert "is not a writable directory" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_tracklets_is_input_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.clustering import cluster_with_cutoff, shared_frame_distances
+from mvtrack import clustering
+from mvtrack.clustering import block_distances, cluster_with_cutoff, shared_frame_distances
 
 nan = math.nan
 
@@ -18,7 +19,7 @@ def linkage_after_merge(a, b, cutoff):
                   [0.0, nan, b, nan],
                   [a, b, nan, 0.1],
                   [0.2, nan, 0.1, nan]])
-    return cluster_with_cutoff(D, cutoff)
+    return cluster_with_cutoff([D], cutoff)[0]
 
 
 class TestCombine:
@@ -52,26 +53,26 @@ class TestCombine:
 
 class TestClusterWithCutoff:
     def test_single_item(self):
-        assert cluster_with_cutoff(np.array([[nan]]), 0.5) == [[0]]
+        assert cluster_with_cutoff([np.array([[nan]])], 0.5) == [[[0]]]
 
     def test_no_items(self):
-        assert cluster_with_cutoff(np.empty((0, 0)), 0.5) == []
+        assert cluster_with_cutoff([np.empty((0, 0))], 0.5) == [[]]
 
     def test_pair_below_cutoff_merges(self):
         D = np.array([[nan, 0.1], [0.1, nan]])
-        assert cluster_with_cutoff(D, 0.3) == [[0, 1]]
+        assert cluster_with_cutoff([D], 0.3) == [[[0, 1]]]
 
     def test_pair_above_cutoff_stays(self):
         D = np.array([[nan, 0.4], [0.4, nan]])
-        assert cluster_with_cutoff(D, 0.3) == [[0], [1]]
+        assert cluster_with_cutoff([D], 0.3) == [[[0], [1]]]
 
     def test_empty_pair_never_merges(self):
         D = np.array([[nan, nan], [nan, nan]])
-        assert cluster_with_cutoff(D, 0.3) == [[0], [1]]
+        assert cluster_with_cutoff([D], 0.3) == [[[0], [1]]]
 
     def test_infinite_blocks_merge(self):
         D = np.array([[nan, math.inf], [math.inf, nan]])
-        assert cluster_with_cutoff(D, 0.3) == [[0], [1]]
+        assert cluster_with_cutoff([D], 0.3) == [[[0], [1]]]
 
     def test_max_update_blocks_chained_merge(self):
         # 0-1 merge first (0.1); the merged cluster is 0.9 from item 2
@@ -79,7 +80,7 @@ class TestClusterWithCutoff:
         D = np.array([[nan, 0.1, 0.9],
                       [0.1, nan, 0.2],
                       [0.9, 0.2, nan]])
-        assert cluster_with_cutoff(D, 0.5) == [[0, 1], [2]]
+        assert cluster_with_cutoff([D], 0.5) == [[[0, 1], [2]]]
 
     def test_empty_aware_update_allows_merge(self):
         # Item 2 has no relation to 0; after 0-1 merge the combined
@@ -87,7 +88,7 @@ class TestClusterWithCutoff:
         D = np.array([[nan, 0.1, nan],
                       [0.1, nan, 0.2],
                       [nan, 0.2, nan]])
-        assert cluster_with_cutoff(D, 0.5) == [[0, 1, 2]]
+        assert cluster_with_cutoff([D], 0.5) == [[[0, 1, 2]]]
 
     def test_tie_break_is_lexicographic(self):
         D = np.array([[nan, 0.1, 0.1],
@@ -95,14 +96,14 @@ class TestClusterWithCutoff:
                       [0.1, 0.1, nan]])
         # All pairs tie at 0.1: (0,1) merges first, then the combined
         # cluster is still 0.1 from item 2.
-        assert cluster_with_cutoff(D, 0.5) == [[0, 1, 2]]
+        assert cluster_with_cutoff([D], 0.5) == [[[0, 1, 2]]]
 
     def test_input_is_not_modified(self):
         D = np.array([[nan, 0.1, 0.9],
                       [0.1, nan, 0.2],
                       [0.9, 0.2, nan]])
         before = D.copy()
-        cluster_with_cutoff(D, 0.5)
+        cluster_with_cutoff([D], 0.5)
         assert np.array_equal(D, before, equal_nan=True)
 
 
@@ -151,7 +152,7 @@ class TestReferenceEquivalence:
         for _ in range(200):
             n = int(rng.integers(1, 7))
             D = random_distance_matrix(rng, n, cutoff)
-            got = cluster_with_cutoff(D, cutoff)
+            got, = cluster_with_cutoff([D], cutoff)
             want = reference_clustering(n, D, cutoff)
             assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
@@ -163,7 +164,7 @@ class TestReferenceEquivalence:
         for _ in range(100):
             n = int(rng.integers(2, 7))
             D = random_distance_matrix(rng, n, cutoff)
-            for group in cluster_with_cutoff(D, cutoff):
+            for group in cluster_with_cutoff([D], cutoff)[0]:
                 for a in group:
                     for b in group:
                         if a < b and not math.isnan(D[a][b]):
@@ -171,10 +172,10 @@ class TestReferenceEquivalence:
 
 
 @st.composite
-def tied_distance_matrices(draw):
+def tied_distance_matrices(draw, sizes=st.integers(1, 12)):
     """Symmetric (n, n) arrays whose entries come from a few values, so
     that merges tie, plus inf and NaN."""
-    n = draw(st.integers(1, 12))
+    n = draw(sizes)
     entries = st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8, math.inf, nan])
     D = np.full((n, n), nan)
     for i in range(n):
@@ -187,7 +188,33 @@ class TestClusteringProperties:
     @settings(max_examples=300, deadline=None)
     @given(D=tied_distance_matrices(), cutoff=st.sampled_from([0.15, 0.3, 0.6, math.inf]))
     def test_equals_reference_in_order(self, D, cutoff):
-        assert cluster_with_cutoff(D, cutoff) == reference_clustering(len(D), D, cutoff)
+        assert cluster_with_cutoff([D], cutoff) == [reference_clustering(len(D), D, cutoff)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cutoff=st.sampled_from([0.15, 0.3, 0.6, math.inf]))
+    def test_batch_equals_reference_in_order(self, data, cutoff):
+        # Mixed sizes, with one size repeated, so that one stack holds
+        # arrays that need different numbers of merges.
+        size = st.integers(0, 12)
+        sizes = data.draw(st.lists(size, max_size=5))
+        sizes += [data.draw(size)] * data.draw(st.integers(2, 4))
+        sizes = data.draw(st.permutations(sizes))
+        Ds = [data.draw(tied_distance_matrices(st.just(n))) for n in sizes]
+        before = [D.copy() for D in Ds]
+        assert cluster_with_cutoff(Ds, cutoff) == \
+            [reference_clustering(len(D), D, cutoff) for D in Ds]
+        for D, was in zip(Ds, before):
+            assert np.array_equal(D, was, equal_nan=True)
+
+    def test_one_link_per_size(self, monkeypatch):
+        sizes = []
+        real = clustering._link
+        monkeypatch.setattr(clustering, "_link",
+                            lambda D, cutoff: sizes.append(D.shape) or real(D, cutoff))
+        Ds = [np.full((n, n), 0.1) for n in (3, 0, 1, 3, 2, 3, 1)]
+        assert cluster_with_cutoff(Ds, 0.5) == \
+            [[[0, 1, 2]], [], [[0]], [[0, 1, 2]], [[0, 1]], [[0, 1, 2]], [[0]]]
+        assert sizes == [(1, 2, 2), (3, 3, 3)]
 
 
 def reference_shared_frame_distances(present, cameras, values):
@@ -229,7 +256,7 @@ class TestSharedFrameDistances:
             assert (np.asarray(cameras)[j] == cam_b).all()
             return np.linalg.norm(values[i, frames] - values[j, frames], axis=1)
 
-        got = shared_frame_distances(present, cameras, frame_distance)
+        got, = block_distances(present, cameras, frame_distance, [n])
         want = reference_shared_frame_distances(present, cameras, values)
         assert got.shape == (n, n)
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -247,3 +274,9 @@ class TestSharedFrameDistances:
         some = shared_frame_distances(present, cameras, frame_distance,
                                       pairs=(rows[pick], cols[pick]))
         assert np.array_equal(some, got[rows[pick], cols[pick]], equal_nan=True)
+        # Consecutive blocks are scored as if each were alone.
+        cuts = sorted(rng.integers(0, n + 1, size=2).tolist())
+        sizes = [cuts[0], cuts[1] - cuts[0], n - cuts[1]]
+        blocks = block_distances(present, cameras, frame_distance, sizes)
+        for block, lo, hi in zip(blocks, [0] + cuts, cuts + [n]):
+            assert np.array_equal(block, got[lo:hi, lo:hi], equal_nan=True)
