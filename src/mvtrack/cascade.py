@@ -10,7 +10,7 @@ All segments of a window share its (L+1)-frame grid, so every 3D result
 from solve to gate is an (L+1, 3) row, NaN where it has no point, and the
 rows of a run of windows stack: each step (solve, two-view verdict, plane
 matching, outlier gate) is one call per run, not one per window or
-cluster.  A frame-keyed `Tracklet3D` is built only for a gated track.
+cluster.  A gated row is a window track's `Tracklet3D` as it stands.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import enum
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, groupby
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +48,10 @@ class Provenance(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
+# A member's uint8 code in `Tracklet3D.provenance` is its index here.
+PROVENANCE = tuple(Provenance)
+
+
 class Mode(enum.Enum):
     CASCADE = "cascade"
     TRIANGULATION_ONLY = "triangulation_only"
@@ -55,22 +60,33 @@ class Mode(enum.Enum):
 
 @dataclass
 class Tracklet3D:
-    """Frame-indexed 3D center positions with provenance.  Its identity is
-    the `stitch.TrackRegistry` key it is stored under, if any.
+    """A 3D track over the n frames from `first`: `points` (n, 3) centers,
+    NaN at a frame with none, and `provenance` (n,) uint8 codes into
+    `PROVENANCE`, read where there is a point.  Its identity is the
+    `stitch.TrackRegistry` key it is stored under, if any.  `top` / `bottom`
+    (n, 3) hold head/foot points, NaN where none was solved (the default),
+    solved only for the height trigger (`attach_top_bottom_batch`)."""
 
-    `top` / `bottom` hold triangulated head/foot points, solved only for
-    the height trigger: a window track's by `attach_top_bottom_batch`, a
-    registry track's folded in by `target.TargetMaintainer.observe`.
-    """
+    first: int
+    points: np.ndarray
+    provenance: np.ndarray
+    top: np.ndarray | None = None
+    bottom: np.ndarray | None = None
 
-    points: dict[int, np.ndarray] = field(default_factory=dict)
-    top: dict[int, np.ndarray] = field(default_factory=dict)
-    bottom: dict[int, np.ndarray] = field(default_factory=dict)
-    provenance: dict[int, Provenance] = field(default_factory=dict)
+    def __post_init__(self):
+        if self.top is None:
+            self.top = np.full_like(self.points, np.nan)
+        if self.bottom is None:
+            self.bottom = np.full_like(self.points, np.nan)
 
     @property
-    def frames(self) -> list[int]:
-        return sorted(self.points)
+    def valid(self) -> np.ndarray:
+        """(n,) bool, True at the frames with a point."""
+        return ~np.isnan(self.points[:, 0])
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.first + np.flatnonzero(self.valid)
 
 
 @dataclass(frozen=True)
@@ -92,14 +108,6 @@ class TrackingSpace:
         x0, y0, z0, x1, y1, z1 = self.perf
         b = self.beta
         return (x0 - b, y0 - b, z0, x1 + b, y1 + b, z1)
-
-    def in_perf(self, X) -> bool:
-        return self._contains(self.perf, X)
-
-    @staticmethod
-    def _contains(cuboid, X) -> bool:
-        x0, y0, z0, x1, y1, z1 = cuboid
-        return bool(x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,19 +175,6 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
         points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(first), 3)[:, inverse]
         ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(first))[:, inverse]
     return points, ok, solve.sum(axis=1)
-
-
-def _by_frame(values: np.ndarray, mask: np.ndarray, starts) -> list[dict[int, np.ndarray]]:
-    """Per row r of the (R, L) `mask`, {starts[r] + j: values[r, j]} over the
-    set j, in frame order."""
-    r, j = np.nonzero(mask)
-    rows = values[r, j]
-    frames = (j + np.asarray(starts, dtype=int)[r]).tolist()
-    out, lo = [], 0
-    for hi in np.cumsum(mask.sum(axis=1)).tolist():
-        out.append(dict(zip(frames[lo:hi], rows[lo:hi])))
-        lo = hi
-    return out
 
 
 def classify_clusters(clusters: Sequence[Cluster], rig: CameraRig,
@@ -325,31 +320,35 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSe
     """Triangulate per-frame top-center and bottom-center pixels of the 2D
     boxes associated with each track, at the track's frames; a top is kept
     where it solves, a bottom only where top and bottom both solve, and
-    frames with fewer than two views are omitted.  All tracks are solved
-    together, one `triangulate_batch` call per camera set."""
-    requests = []
-    for t3, segments in tracks:
-        wanted = np.zeros(len(segments[0].boxes), dtype=bool)
-        wanted[np.fromiter(t3.points, dtype=int, count=len(t3.points))
-               - segments[0].start] = True
-        requests.append((segments, wanted))
-    points, ok, _ = _triangulate_boxes(requests, rig, (TOP, BOTTOM))
-    starts = [segments[0].start for _, segments in tracks]
-    for (t3, _), top, bottom in zip(tracks, _by_frame(points[0], ok[0], starts),
-                                    _by_frame(points[1], ok[0] & ok[1], starts)):
-        t3.top.update(top)
-        t3.bottom.update(bottom)
+    frames with fewer than two views are left NaN.  Each track lies on its
+    segments' window grid.  All tracks are solved together, one
+    `triangulate_batch` call per camera set."""
+    points, ok, _ = _triangulate_boxes([(segments, t3.valid) for t3, segments in tracks],
+                                       rig, (TOP, BOTTOM))
+    for (t3, _), top, bottom, has_top, has_bottom in zip(
+            tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
+        t3.top[has_top] = top[has_top]
+        t3.bottom[has_bottom] = bottom[has_bottom]
 
 
 @dataclass
 class WindowTrack:
-    """A fused 3D tracklet for one window plus its contributing segments
+    """A fused 3D track on one window's grid plus its contributing segments
     and the rig they are seen by, which its height solve needs."""
 
     start: int
-    tracklet: Tracklet3D
+    track: Tracklet3D
     segments: list[WindowSegment2D]
     rig: CameraRig
+
+    # A frame-keyed view of `track` for bench/traced.py, the one caller that
+    # reads it so.  Delete it with ROADMAP item 1.
+    @property
+    def tracklet(self) -> SimpleNamespace:
+        frames, valid = self.track.frames.tolist(), self.track.valid
+        codes = self.track.provenance[valid].tolist()
+        return SimpleNamespace(frames=frames, points=dict(zip(frames, self.track.points[valid])),
+                               provenance={f: PROVENANCE[c] for f, c in zip(frames, codes)})
 
 
 def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
@@ -375,7 +374,7 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
     on the windows it is solved with.
     """
     clusters = [c for window in windows for c in window]
-    window_at = {c.members[0].start: w for w, window in enumerate(windows) for c in window}
+    window_at = {start: w for w, start in enumerate(starts)}
     # The triangulation feeds both the two-view verdict and the branch.
     multi = [k for k, c in enumerate(clusters)
              if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
@@ -399,25 +398,15 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
         # The gate is applied to both branches for uniformity.
         points = np.stack([points for points, _, _ in found])
         kept = outlier_gate(points, space, velocity_limit)
-        found, points = list(compress(found, kept.tolist())), points[kept]
-        firsts = [segments[0].start for _, segments, _ in found]
-        for (_, segments, branch), start, frames in zip(
-                found, firsts, _by_frame(points, ~np.isnan(points[..., 0]), firsts)):
-            tracks[window_at[start]].append(WindowTrack(starts[window_at[start]], Tracklet3D(
-                points=frames, provenance=dict.fromkeys(frames, branch)), segments, rig))
+        for (_, segments, branch), row in zip(compress(found, kept.tolist()), points[kept]):
+            start, code = segments[0].start, PROVENANCE.index(branch)
+            tracks[window_at[start]].append(WindowTrack(
+                start, Tracklet3D(start, row, np.full(len(row), code, np.uint8)), segments, rig))
     for window_tracks in tracks:
         window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
     return tracks
 
 
-def process_window(start: int, clusters: list[Cluster], rig: CameraRig,
-                   plane: PlaneSpec, space: TrackingSpace,
-                   mode: Mode = Mode.CASCADE,
-                   theta_opp_deg: float = THETA_OPP_DEG,
-                   tau_plane: float = TAU_PLANE_M,
-                   velocity_limit: float = VELOCITY_LIMIT_M,
-                   opposite_pairs: list[frozenset[int]] | None = None
-                   ) -> list[WindowTrack]:
-    """`process_windows` for one window."""
-    return process_windows([start], [clusters], rig, plane, space, mode, theta_opp_deg,
-                           tau_plane, velocity_limit, opposite_pairs)[0]
+def process_window(start: int, clusters: list[Cluster], *args, **kwargs) -> list[WindowTrack]:
+    """`process_windows` for one window, with its other arguments."""
+    return process_windows([start], [clusters], *args, **kwargs)[0]

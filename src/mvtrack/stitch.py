@@ -5,10 +5,9 @@ their mean 3D distance over shared frames (NaN when they share none)
 and matched with an optimal linear assignment, rejecting pairs with no
 shared frame or above the unmatched threshold.  Each window scores all
 live-track x window-track pairs at once, on arrays over the window's
-frames only.
-Matched fragments are merged in place into the earlier track, touching
-only the new window's frames and averaging the overlap; unmatched
-fragments from the new window get fresh ids as copies.
+frames only.  Unmatched fragments get fresh ids as copies, so a track's
+arrays start at the window that made it; matched ones, starting later,
+are merged in place, averaging the overlap and appending the rest.
 
 The assignment is solved in plain Python by `min_cost_assignment`, the
 shortest-augmenting-path method of Crouse ("On implementing 2D
@@ -45,35 +44,26 @@ STITCH_THRESHOLD_M = 0.6
 UNAVAILABLE_COST = 1e9
 
 
-def _frame_stack(tracks: list[Tracklet3D], frames: list[int]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(len(tracks), len(frames), 3) points, zero where a track has no
-    point, and the matching presence mask.  Only `frames` are looked up,
-    so a long live track costs no more than a window track."""
-    got = [t.points.get(f) for t in tracks for f in frames]
-    has = np.array([p is not None for p in got], dtype=bool
-                   ).reshape(len(tracks), len(frames))
-    pts = np.zeros(has.shape + (3,))
-    present = [p for p in got if p is not None]
-    if present:
-        pts[has] = np.concatenate(present).reshape(-1, 3)
-    return pts, has
-
-
 def window_distance_matrix(prev: list[Tracklet3D], nxt: list[Tracklet3D]) -> np.ndarray:
     """The (len(prev), len(nxt)) array of mean per-frame distances over
-    shared frames, NaN for a pair that shares none.
+    shared frames, NaN for a pair that shares none; `nxt` are the tracks
+    of one window, on its grid.
 
-    Every pair is scored in one pass over the new window's frames.  Each
-    pair's mean is `np.mean` of its per-frame distances in frame order:
-    pairs with the same number of shared frames are reduced together as
-    contiguous rows, which numpy sums exactly as it sums one such row.
+    Every pair is scored in one pass over the window's frames, copying
+    only each live track's slice of them.  Each pair's mean is `np.mean`
+    of its per-frame distances in frame order: pairs with the same number
+    of shared frames are reduced together as contiguous rows, which numpy
+    sums exactly as it sums one such row.
     """
-    frames = sorted({f for t in nxt for f in t.points})
-    a, has_a = _frame_stack(prev, frames)
-    b, has_b = _frame_stack(nxt, frames)
+    first, n = (nxt[0].first, len(nxt[0].points)) if nxt else (0, 0)
+    b = np.array([t.points for t in nxt]).reshape(len(nxt), n, 3)
+    a = np.full((len(prev), n, 3), np.nan)
+    for row, t in zip(a, prev):
+        lo = max(first, t.first)
+        hi = max(lo, min(first + n, t.first + len(t.points)))
+        row[lo - first:hi - first] = t.points[lo - t.first:hi - t.first]
     dist = np.linalg.norm(a[:, None] - b[None], axis=-1)
-    shared = has_a[:, None] & has_b[None]
+    shared = ~np.isnan(a[:, None, :, 0]) & ~np.isnan(b[None, :, :, 0])
     counts = shared.sum(axis=-1)
     D = np.full(counts.shape, np.nan)
     for k in set(counts[counts > 0].tolist()):
@@ -165,18 +155,30 @@ def assign(D, unmatched_threshold: float = STITCH_THRESHOLD_M
             [j for j in range(n_cols) if j not in matched_cols])
 
 
-def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
-    """Merge an assigned fragment into prev in place and return prev.
+def _average_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge the (n, 3) rows b into a in place, averaging a row both have;
+    returns where only b has one, taken from it."""
+    has_a, has_b = ~np.isnan(a[:, 0]), ~np.isnan(b[:, 0])
+    only_b = has_b & ~has_a
+    np.copyto(a, (a + b) / 2.0, where=(has_a & has_b)[:, None])
+    np.copyto(a, b, where=only_b[:, None])
+    return only_b
 
-    Only nxt's frames are visited: a frame both have is averaged, keeping
-    prev's provenance; a frame only nxt has is taken from it.  prev's
-    frames before the overlap are untouched."""
-    for f, p in nxt.points.items():
-        if f in prev.points:
-            prev.points[f] = (prev.points[f] + p) / 2.0
-        else:
-            prev.points[f] = p
-            prev.provenance[f] = nxt.provenance[f]
+
+def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
+    """Merge an assigned fragment, starting no earlier than prev, into prev
+    in place and return prev.  Only nxt's frames are visited: a frame both
+    have is averaged, keeping prev's provenance; a frame only nxt has is
+    taken from it."""
+    at, n = nxt.first - prev.first, len(nxt.points)
+    if at + n > len(prev.points):
+        # Grown by at least doubling: appending costs amortised O(1) a frame.
+        pad = max(at + n, 2 * len(prev.points)) - len(prev.points)
+        prev.points, prev.top, prev.bottom = (np.concatenate([a, np.full((pad, 3), np.nan)])
+                                              for a in (prev.points, prev.top, prev.bottom))
+        prev.provenance = np.concatenate([prev.provenance, np.zeros(pad, np.uint8)])
+    taken = _average_into(prev.points[at:at + n], nxt.points)
+    prev.provenance[at:at + n][taken] = nxt.provenance[taken]
     return prev
 
 
@@ -194,7 +196,7 @@ class TrackRecord:
     last_frame: int = field(init=False)
 
     def __post_init__(self):
-        self.last_frame = max(self.tracklet.points, default=-1)
+        self.last_frame = int(self.tracklet.frames.max(initial=-1))
 
     def boxes_by_camera(self, track_id: int) -> dict[int, tuple[int, np.ndarray]]:
         """Per camera, (first, boxes): the 2D box of each frame from `first`
@@ -227,9 +229,10 @@ class TrackRecord:
         into the tracklet in merge order, averaging a frame it already has,
         and clear them."""
         for wt in self.pending:
-            for a, b in ((self.tracklet.top, wt.tracklet.top),
-                         (self.tracklet.bottom, wt.tracklet.bottom)):
-                a.update({f: (a[f] + v) / 2.0 if f in a else v for f, v in b.items()})
+            at = wt.track.first - self.tracklet.first
+            rows = slice(at, at + len(wt.track.points))
+            _average_into(self.tracklet.top[rows], wt.track.top)
+            _average_into(self.tracklet.bottom[rows], wt.track.bottom)
         self.pending = []
 
 
@@ -254,19 +257,19 @@ class TrackRegistry:
     def advance(self, window_start: int, window_tracks: list[WindowTrack]) -> None:
         live = self.live_tracks(window_start)
         D = window_distance_matrix([self.tracks[tid].tracklet for tid in live],
-                                   [wt.tracklet for wt in window_tracks])
+                                   [wt.track for wt in window_tracks])
         pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
 
         for i, j in pairs:
             rec, wt = self.tracks[live[i]], window_tracks[j]
-            merge_assigned(rec.tracklet, wt.tracklet)
-            rec.last_frame = max(rec.last_frame, max(wt.tracklet.points))
+            merge_assigned(rec.tracklet, wt.track)
+            rec.last_frame = max(rec.last_frame, int(wt.track.frames[-1]))
             rec.segments.extend(wt.segments)
             rec.pending.append(wt)
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
-            # Merged into an empty track: a copy, so later merges leave the
-            # window track as it was.
-            self.tracks[tid] = TrackRecord(
-                tracklet=merge_assigned(Tracklet3D(), wt.tracklet),
-                segments=list(wt.segments), pending=[wt])
+            # Merged into an empty track from the window's start: a copy, so
+            # later merges leave the window track as it was.
+            empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8))
+            self.tracks[tid] = TrackRecord(tracklet=merge_assigned(empty, wt.track),
+                                           segments=list(wt.segments), pending=[wt])

@@ -4,8 +4,8 @@ per-view box emission.
 The pipeline always tracks every identity; the target is a view over the
 multi-object output, picked by the height-trigger rule and re-picked by
 the same rule after a loss.  Short gaps in the target track are bridged
-by linear interpolation; the bridged track is smoothed and reprojected
-into each camera with buffered square boxes.
+by linear interpolation, in blocks split at the longer gaps; each block is
+smoothed and reprojected into each camera with buffered square boxes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import Provenance, Tracklet3D, TrackingSpace, attach_top_bottom_batch
+from .cascade import (PROVENANCE, Provenance, Tracklet3D, TrackingSpace,
+                      attach_top_bottom_batch)
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
 from .records import INT, NUM, Fields, read_jsonl, write_jsonl
@@ -50,41 +51,36 @@ def identify_target(t3: Tracklet3D, space: TrackingSpace, crit: TargetCriteria,
     """True when, over the trailing delta-frame buffer, the count of frames
     with (center in perf) and (top.z > h_top) and (bottom.z > h_bot)
     strictly exceeds occupancy * delta.  Only the track's frames inside
-    the buffer are visited, however long the buffer."""
-    first = current_frame - crit.delta
-    count = 0
-    for f in (range(first, current_frame + 1) if len(t3.top) > crit.delta
-              else [f for f in t3.top if first <= f <= current_frame]):
-        X = t3.points.get(f)
-        top = t3.top.get(f)
-        bot = t3.bottom.get(f)
-        if X is None or top is None or bot is None:
-            continue
-        if space.in_perf(X) and top[2] > crit.h_top and bot[2] > crit.h_bot:
-            count += 1
-    return count > crit.occupancy * crit.delta
+    the buffer are read, however long the buffer."""
+    lo = max(current_frame - crit.delta - t3.first, 0)
+    rows = slice(lo, max(lo, current_frame + 1 - t3.first))
+    X = t3.points[rows]
+    hits = (((X >= space.perf[:3]) & (X <= space.perf[3:])).all(axis=1)
+            & (t3.top[rows, 2] > crit.h_top) & (t3.bottom[rows, 2] > crit.h_bot))
+    return int(hits.sum()) > crit.occupancy * crit.delta
 
 
 def smooth_track(t3: Tracklet3D, window: int = SMOOTH_WINDOW) -> Tracklet3D:
-    """Centered moving average over each contiguous frame run; near run
-    ends the window shrinks symmetrically."""
+    """Centered moving average over each run of consecutive frames with a
+    point; near run ends the window shrinks symmetrically.  Each output is
+    the sum of its window's rows, added in frame order from zero, over
+    their count: the bits of `np.mean(axis=0)` of those rows."""
     if window % 2 != 1 or window < 1:
         raise ValueError("smoothing window must be odd and >= 1")
-    out = Tracklet3D(provenance=dict(t3.provenance))
-    frames = t3.frames
-    runs: list[list[int]] = []
-    for f in frames:
-        if runs and f == runs[-1][-1] + 1:
-            runs[-1].append(f)
-        else:
-            runs.append([f])
-    half = window // 2
-    for run in runs:
-        pts = np.array([t3.points[f] for f in run])
-        for i, f in enumerate(run):
-            k = min(half, i, len(run) - 1 - i)
-            out.points[f] = pts[i - k:i + k + 1].mean(axis=0)
-    return out
+    rows = np.flatnonzero(t3.valid)
+    # Each row's distance to the nearer end of its run bounds its window.
+    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+    starts, ends = np.r_[0, breaks], np.r_[breaks, len(rows)]
+    at = np.arange(len(rows))
+    run = np.repeat(np.arange(len(starts)), ends - starts)
+    k = np.minimum(window // 2, np.minimum(at - starts[run], ends[run] - 1 - at))
+    total = np.zeros((len(rows), 3))
+    for step in range(window):
+        use = step <= 2 * k
+        total[use] += t3.points[rows[use] - k[use] + step]
+    points = np.full_like(t3.points, np.nan)
+    points[rows] = total / (2 * k + 1)[:, None]
+    return Tracklet3D(t3.first, points, t3.provenance.copy())
 
 
 @dataclass
@@ -139,7 +135,7 @@ class TargetMaintainer:
             live = registry.live_tracks(window_start)
             pending = [wt for tid in live for wt in registry.tracks[tid].pending]
             if pending:
-                attach_top_bottom_batch([(wt.tracklet, wt.segments) for wt in pending],
+                attach_top_bottom_batch([(wt.track, wt.segments) for wt in pending],
                                         pending[0].rig)
             for tid in live:
                 registry.tracks[tid].fold_heights()
@@ -154,51 +150,62 @@ class TargetMaintainer:
 
     def finalize(self, registry: TrackRegistry,
                  rig: CameraRig) -> list[TargetRecord]:
-        target = Tracklet3D()
-        frame_tid: dict[int, int] = {}
-        emitted_end = -1
+        # Each tenure's points after the frames already taken, to its end.
+        parts, emitted_end = [], -1
         for tenure in self.tenures:
             rec = registry.tracks[tenure["id"]]
+            t3 = rec.tracklet
             end = tenure["end"] if tenure["end"] is not None else rec.last_frame
-            for f in rec.tracklet.frames:
-                if f <= emitted_end or f > end:
-                    continue
-                target.points[f] = rec.tracklet.points[f]
-                target.provenance[f] = rec.tracklet.provenance[f]
-                frame_tid[f] = tenure["id"]
+            rows = np.flatnonzero(t3.valid)
+            rows = rows[(rows > emitted_end - t3.first) & (rows <= end - t3.first)]
+            parts.append((t3.first + rows, t3.points[rows], t3.provenance[rows],
+                          np.full(len(rows), tenure["id"])))
             emitted_end = max(emitted_end, end)
-        if not target.points:
+        if not any(len(frames) for frames, _, _, _ in parts):
             return []
+        frames, X, codes, tids = map(np.concatenate, zip(*parts))
 
-        self._fill_gaps(target, frame_tid)
-        smoothed = smooth_track(target, self.smooth_window)
-        return self._emit(smoothed, frame_tid, registry, rig)
+        # A block per run of frames whose gaps can all be bridged, so the
+        # timeline stays sparse across longer ones.
+        blocks = []
+        for run in np.split(np.arange(len(frames)),
+                            np.flatnonzero(np.diff(frames) > self.max_gap + 1) + 1):
+            rows = frames[run] - frames[run[0]]
+            block = Tracklet3D(int(frames[run[0]]), np.full((rows[-1] + 1, 3), np.nan),
+                               np.zeros(rows[-1] + 1, np.uint8))
+            block.points[rows], block.provenance[rows] = X[run], codes[run]
+            tid = np.zeros(len(block.points), dtype=int)
+            tid[rows] = tids[run]
+            self._fill_gaps(block, tid)
+            block = smooth_track(block, self.smooth_window)
+            blocks.append((block.first + np.arange(len(tid)), block.points,
+                           block.provenance, tid))
+        return self._emit(*map(np.concatenate, zip(*blocks)), registry, rig)
 
-    def _fill_gaps(self, target: Tracklet3D, frame_tid: dict[int, int]) -> None:
-        frames = target.frames
-        for a, b in zip(frames, frames[1:]):
-            gap = b - a - 1
-            if gap < 1 or gap > self.max_gap:
-                continue
-            for f in range(a + 1, b):
-                u = (f - a) / (b - a)
-                target.points[f] = (1 - u) * target.points[a] + u * target.points[b]
-                target.provenance[f] = Provenance.INTERPOLATED
-                frame_tid[f] = frame_tid[b]
+    def _fill_gaps(self, target: Tracklet3D, tids: np.ndarray) -> None:
+        """Bridge each gap of at most max_gap frames between frames a and b
+        with points linear in u = (f - a) / (b - a), taking b's track id."""
+        rows = np.flatnonzero(target.valid)
+        gap = np.diff(rows) - 1
+        bridged = (gap >= 1) & (gap <= self.max_gap)
+        for a, b in zip(rows[:-1][bridged].tolist(), rows[1:][bridged].tolist()):
+            u = (np.arange(a + 1, b) - a) / (b - a)
+            target.points[a + 1:b] = ((1 - u)[:, None] * target.points[a]
+                                      + u[:, None] * target.points[b])
+            target.provenance[a + 1:b] = PROVENANCE.index(Provenance.INTERPOLATED)
+            tids[a + 1:b] = tids[b]
 
-    def _emit(self, target: Tracklet3D, frame_tid: dict[int, int],
+    def _emit(self, frames: np.ndarray, X: np.ndarray, codes: np.ndarray, tids: np.ndarray,
               registry: TrackRegistry, rig: CameraRig) -> list[TargetRecord]:
-        frames = target.frames
-        X = np.array([target.points[f] for f in frames])
         cameras = list(rig)
         pixels = [project(cam, X).tolist() for cam in cameras]
+        tids = tids.tolist()
         boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
                        in registry.tracks[tid].boxes_by_camera(tid).items()}
-                 for tid in dict.fromkeys(frame_tid.values())}
+                 for tid in dict.fromkeys(tids)}
         last_size: dict[int, float] = {}
         records: list[TargetRecord] = []
-        for i, f in enumerate(frames):
-            tid = frame_tid[f]
+        for i, (f, tid, code) in enumerate(zip(frames.tolist(), tids, codes.tolist())):
             per_view: list[dict] = []
             for cam, cam_pixels in zip(cameras, pixels):
                 x, y = cam_pixels[i]
@@ -216,9 +223,8 @@ class TargetMaintainer:
                 side = self.buffer_scale * last_size[cam.id]
                 per_view.append({"camera": cam.id, "x": x, "y": y,
                                  "w": side, "h": side, "buffered": True})
-            records.append(TargetRecord(
-                frame=f, track_id=tid, X=target.points[f],
-                provenance=target.provenance[f], per_view=per_view))
+            records.append(TargetRecord(frame=f, track_id=tid, X=X[i],
+                                        provenance=PROVENANCE[code], per_view=per_view))
         return records
 
 

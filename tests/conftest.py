@@ -1,12 +1,14 @@
 import json
 import math
 import tempfile
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D
 from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraModel, CameraRig
 from mvtrack.simulate import build_scenario, render_detections
@@ -93,3 +95,60 @@ def columns(rows) -> Detections:
     return Detections(np.array([r[0] for r in rows], dtype=np.int64),
                       np.array([r[1] for r in rows], dtype=np.int64),
                       np.array([r[2:] for r in rows], dtype=float).reshape(-1, 4))
+
+
+@dataclass
+class FrameTrack:
+    """A 3D track as frame-keyed dicts, {frame: (3,) point} and {frame:
+    Provenance}: the form the tests' oracles work on."""
+
+    points: dict = field(default_factory=dict)
+    top: dict = field(default_factory=dict)
+    bottom: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
+
+    @property
+    def frames(self) -> list[int]:
+        return sorted(self.points)
+
+
+def to_arrays(t: FrameTrack, first: int | None = None, n: int | None = None) -> Tracklet3D:
+    """`t` as a `Tracklet3D` over the n frames from `first`: by default from
+    its first to its last frame with a point, top or bottom.  A point with
+    no provenance is TRIANGULATED."""
+    frames = sorted({*t.points, *t.top, *t.bottom})
+    first = (frames[0] if frames else 0) if first is None else first
+    n = (frames[-1] + 1 - first if frames else 0) if n is None else n
+
+    def rows(points):
+        out = np.full((n, 3), np.nan)
+        for f, X in points.items():
+            out[f - first] = X
+        return out
+    codes = np.zeros(n, np.uint8)
+    for f in t.points:
+        codes[f - first] = PROVENANCE.index(t.provenance.get(f, Provenance.TRIANGULATED))
+    return Tracklet3D(first, rows(t.points), codes, rows(t.top), rows(t.bottom))
+
+
+def to_frames(t3: Tracklet3D) -> FrameTrack:
+    """`t3` as frame-keyed dicts of the rows of each array that hold a
+    point, and of the provenance of the rows with a center."""
+    def keyed(points):
+        rows = np.flatnonzero(~np.isnan(points[:, 0]))
+        return dict(zip((t3.first + rows).tolist(), points[rows]))
+    points = keyed(t3.points)
+    codes = t3.provenance[np.flatnonzero(t3.valid)].tolist()
+    return FrameTrack(points, keyed(t3.top), keyed(t3.bottom),
+                      {f: PROVENANCE[c] for f, c in zip(points, codes)})
+
+
+def assert_frame_tracks_equal(a: FrameTrack, b: FrameTrack) -> None:
+    """Bit for bit: the same frames, points, heights and provenance."""
+    for attr in ("points", "top", "bottom"):
+        da, db = getattr(a, attr), getattr(b, attr)
+        assert da.keys() == db.keys(), attr
+        for f in da:
+            assert np.array_equal(da[f], db[f]) and \
+                np.array_equal(np.signbit(da[f]), np.signbit(db[f])), (attr, f)
+    assert a.provenance == b.provenance

@@ -165,12 +165,12 @@ def _replay_with_hole(registry, cfg, rig, duration, hole):
     reg = copy.deepcopy(registry)
     counts = Counter()
     for tid, rec in reg.tracks.items():
-        counts.update({tid: len(rec.tracklet.points)})
+        counts.update({tid: len(rec.tracklet.frames)})
     tid = counts.most_common(1)[0][0]
     t3 = reg.tracks[tid].tracklet
-    for f in hole:
-        for store in (t3.points, t3.top, t3.bottom, t3.provenance):
-            store.pop(f, None)
+    rows = np.array(hole) - t3.first
+    for store in (t3.points, t3.top, t3.bottom):
+        store[rows] = np.nan
     maintainer = TargetMaintainer(
         space=cfg.space(),
         criteria=TargetCriteria(h_top=cfg.h_top, h_bot=cfg.h_bot,

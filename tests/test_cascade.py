@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvtrack import cascade
-from mvtrack.cascade import (BOTTOM, CENTER, TOP, Mode, Provenance, Tracklet3D,
+from mvtrack.cascade import (BOTTOM, CENTER, PROVENANCE, TOP, Mode, Provenance, Tracklet3D,
                              TrackingSpace, attach_top_bottom_batch, classify_clusters,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_window,
@@ -15,8 +15,9 @@ from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, WindowSegment2D
+from mvtrack.target import TargetCriteria, identify_target
 
-from conftest import box_dict, look_at_camera, window_segment
+from conftest import box_dict, look_at_camera, to_frames, window_segment
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -59,14 +60,32 @@ class TestTrackingSpace:
         assert SPACE.track == (-3.0, -3.0, 0.0, 3.0, 3.0, 4.0)
 
     def test_membership(self):
-        assert SPACE.in_perf((0.0, 0.0, 1.0))
-        assert not SPACE.in_perf((2.5, 0.0, 1.0))
-        assert TrackingSpace._contains(SPACE.track, (2.5, 0.0, 1.0))
-        assert not TrackingSpace._contains(SPACE.track, (0.0, 0.0, 5.0))
+        # The performance cuboid is the height trigger's, the tracking
+        # cuboid the outlier gate's.
+        def in_perf(X):
+            heights = np.array([[X[0], X[1], 9.0]])
+            t3 = Tracklet3D(0, np.array([X], dtype=float), np.zeros(1, np.uint8),
+                            heights, heights)
+            return identify_target(t3, SPACE, TargetCriteria(h_top=1.0, h_bot=1.0, delta=1), 0)
+
+        def in_track(X):
+            kept, = outlier_gate(np.array([[X]], dtype=float), SPACE)
+            return kept
+        assert in_perf((0.0, 0.0, 1.0))
+        assert not in_perf((2.5, 0.0, 1.0))
+        assert in_track((2.5, 0.0, 1.0))
+        assert not in_track((0.0, 0.0, 5.0))
 
     def test_rejects_degenerate_cuboid(self):
         with pytest.raises(ValueError):
             TrackingSpace(perf=(1.0, 0.0, 0.0, -1.0, 1.0, 1.0))
+
+
+def on_grid(center, segs):
+    """A track on the segments' window grid with one point, at frame 0."""
+    points = np.full((len(segs[0].boxes), 3), np.nan)
+    points[0] = center
+    return as_tracklet(points)
 
 
 def triangulate_one(cluster, rig):
@@ -82,8 +101,12 @@ def solved_frames(points):
 
 def as_tracklet(points, branch=Provenance.TRIANGULATED):
     """The `Tracklet3D` of (L+1, 3) window-grid `points` from frame 0."""
-    found = {f: points[f] for f in solved_frames(points)}
-    return Tracklet3D(points=found, provenance=dict.fromkeys(found, branch))
+    return Tracklet3D(0, points, np.full(len(points), PROVENANCE.index(branch), np.uint8))
+
+
+def branches(wt) -> set:
+    """The provenance of a window track's frames."""
+    return set(to_frames(wt.track).provenance.values())
 
 
 def classify(cluster, rig, **kwargs):
@@ -159,9 +182,9 @@ class TestTriangulateCluster:
         path = person_path(range(11))
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
         t3 = as_tracklet(triangulate_one(c, rig))
-        assert t3.top == {} and t3.bottom == {}
+        assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
         attach_top_bottom_batch([(t3, list(c.members))], rig)
-        for offset, got in ((TOP, t3.top), (BOTTOM, t3.bottom)):
+        for offset, got in ((TOP, to_frames(t3).top), (BOTTOM, to_frames(t3).bottom)):
             points, ok = direct_solve(rig, c.members, range(11), offset)
             assert ok.all() and sorted(got) == list(range(11))
             for f in range(11):
@@ -604,15 +627,15 @@ class TestAttachTopBottom:
                 rig[c], [center, center + [0, 0, half], center - [0, 0, half]]).tolist()
             box = Bbox(cx, (ty + by) / 2.0, 40.0, by - ty)
             segs.append(segment(c, {0: box}))
-        t3 = Tracklet3D(points={0: center})
+        t3 = on_grid(center, segs)
         attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
-        t3 = Tracklet3D(points={0: np.array([0.0, 0.0, 1.0])})
         segs = [segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})]
+        t3 = on_grid(np.array([0.0, 0.0, 1.0]), segs)
         attach_top_bottom_batch([(t3, segs)], rig)
-        assert t3.top == {} and t3.bottom == {}
+        assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
 
 
 class TestProcessWindow:
@@ -628,20 +651,21 @@ class TestProcessWindow:
         b = process_window(0, clusters, rig, PLANE, SPACE,
                            mode=Mode.TRIANGULATION_ONLY)
         assert len(a) == len(b) == 1
-        assert a[0].tracklet.frames == b[0].tracklet.frames
+        assert a[0].track.frames.tolist() == b[0].track.frames.tolist()
         for wt in (a[0], b[0]):
-            assert wt.rig is rig and wt.tracklet.top == {}
-            attach_top_bottom_batch([(wt.tracklet, wt.segments)], wt.rig)
-        for f in a[0].tracklet.frames:
-            assert np.array_equal(a[0].tracklet.points[f], b[0].tracklet.points[f])
-            assert np.array_equal(a[0].tracklet.top[f], b[0].tracklet.top[f])
+            assert wt.rig is rig and to_frames(wt.track).top == {}
+            attach_top_bottom_batch([(wt.track, wt.segments)], wt.rig)
+        got, want = to_frames(a[0].track), to_frames(b[0].track)
+        for f in got.frames:
+            assert np.array_equal(got.points[f], want.points[f])
+            assert np.array_equal(got.top[f], want.top[f])
 
     def test_opposite_only_cluster_routed_to_plane_path(self, rig):
         path = person_path(range(11), x=0.0, lateral=0.3)
         clusters = [cluster_for(rig, [0, 2], path)]
         tracks = process_window(0, clusters, rig, PLANE, SPACE, mode=Mode.CASCADE)
         assert len(tracks) == 1
-        provs = set(tracks[0].tracklet.provenance.values())
+        provs = branches(tracks[0])
         assert provs == {Provenance.PLANE_INTERSECTED}
 
     def test_plane_only_mode_never_triangulates(self, rig):
@@ -651,8 +675,7 @@ class TestProcessWindow:
         tracks = process_window(0, clusters, rig, PLANE, SPACE,
                                 mode=Mode.PLANE_ONLY)
         for wt in tracks:
-            assert set(wt.tracklet.provenance.values()) == \
-                {Provenance.PLANE_INTERSECTED}
+            assert branches(wt) == {Provenance.PLANE_INTERSECTED}
 
     def test_gate_applies_to_triangulation_branch(self, rig):
         path = {f: np.array([0.0, 6.0, 1.0]) for f in range(11)}  # outside
@@ -667,7 +690,7 @@ class TestProcessWindow:
                                                          lateral=0.4, z0=1.0))
         tracks = process_window(0, [target, walker], rig, PLANE, SPACE,
                                 mode=Mode.CASCADE)
-        provs = [set(wt.tracklet.provenance.values()) for wt in tracks]
+        provs = [branches(wt) for wt in tracks]
         assert sorted(map(tuple, (sorted(p.value for p in s) for s in provs))) == \
             [("plane_intersected",), ("triangulated",)]
 
@@ -699,7 +722,7 @@ class TestProcessWindow:
         # verdicts.  The heights of all five tracks take one more call per
         # camera set.
         assert calls == [(0, 1, 2), (1, 2, 3), (0, 2)]
-        attach_top_bottom_batch([(wt.tracklet, wt.segments) for wt in tracks], rig)
+        attach_top_bottom_batch([(wt.track, wt.segments) for wt in tracks], rig)
         assert sorted(calls[3:]) == [(0, 1, 2), (0, 2), (1, 2, 3)]
         monkeypatch.undo()
 
@@ -716,16 +739,16 @@ class TestProcessWindow:
         assert len(expected) == 5
         assert sorted(min(s.key for s in wt.segments) for wt in tracks) == sorted(expected)
         for wt in tracks:
-            want = expected[min(s.key for s in wt.segments)]
-            got = wt.tracklet
+            want = to_frames(expected[min(s.key for s in wt.segments)])
+            got = to_frames(wt.track)
             assert got.provenance == want.provenance
             for attr in ("points", "top", "bottom"):
                 a, b = getattr(got, attr), getattr(want, attr)
                 assert sorted(a) == sorted(b) and a
                 for f in a:
                     assert np.max(np.abs(a[f] - b[f])) <= 1e-12
-        branches = [next(iter(wt.tracklet.provenance.values())) for wt in tracks]
-        assert branches.count(Provenance.PLANE_INTERSECTED) == 2
+        firsts = [next(iter(to_frames(wt.track).provenance.values())) for wt in tracks]
+        assert firsts.count(Provenance.PLANE_INTERSECTED) == 2
 
 
 def direct_solve(rig, segs, frames, offset):
@@ -761,7 +784,7 @@ class TestOverlapSolvedOnce:
         windows = self.overlapping_windows(rig)
         tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
         assert [len(t) for t in tracks] == [2, 2]
-        attach_top_bottom_batch([(wt.tracklet, wt.segments)
+        attach_top_bottom_batch([(wt.track, wt.segments)
                                  for window in tracks for wt in window], rig)
         # Centers of 16 frames, then the tops and bottoms of all four tracks'
         # 16 frames per camera set; without the dedupe each is 22 frames.
@@ -774,12 +797,12 @@ class TestOverlapSolvedOnce:
     def test_tracks_equal_direct_solves(self, rig):
         windows = self.overlapping_windows(rig)
         tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
-        attach_top_bottom_batch([(wt.tracklet, wt.segments)
+        attach_top_bottom_batch([(wt.track, wt.segments)
                                  for window in tracks for wt in window], rig)
         for start, window_tracks in zip((0, 5), tracks):
             frames = list(range(start, start + 11))
             for wt in window_tracks:
-                t3, segs = wt.tracklet, wt.segments
+                t3, segs = to_frames(wt.track), wt.segments
                 assert t3.frames == frames
                 solves = [direct_solve(rig, segs, frames, off) for off in (TOP, BOTTOM)]
                 if len(segs) == 3:

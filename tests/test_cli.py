@@ -1,15 +1,17 @@
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 from mvtrack import cli
 from mvtrack.cli import main
-from mvtrack.config import save_routine_config
-from mvtrack.geometry import save_calibration
+from mvtrack.config import load_routine_config, save_routine_config
+from mvtrack.geometry import CameraRig, load_calibration, save_calibration
+from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.sv_track import (MAX_EXTRAPOLATION, MAX_FRAME, Bbox, Detection,
-                              save_detections)
+                              load_detections, save_detections)
 
 from conftest import look_at_camera, simulated
 
@@ -424,6 +426,39 @@ class TestTrack:
                   for line in (out / "tracklets.jsonl").read_text().splitlines()]
         assert frames and min(frames) >= shift - MAX_EXTRAPOLATION
         assert max(frames) <= MAX_FRAME + MAX_EXTRAPOLATION
+
+    def test_episodes_far_apart_keep_the_timeline_sparse(self, runner, tmp_path):
+        # Two copies of one episode, the second ending at MAX_FRAME: a dense
+        # target timeline from the first target frame to the last would
+        # need about 50 GB.
+        result = runner.invoke(main, ["simulate", "opposite-only-episode",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "detections.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        last = max(rec["frame"] for rec in records)
+        shift = MAX_FRAME - last
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records)
+                        + "".join(json.dumps({**rec, "frame": rec["frame"] + shift}) + "\n"
+                                  for rec in records))
+        result = run_track(runner, tmp_path)
+        assert result.exit_code == 0, result.output
+        frames = [json.loads(line)["frame"]
+                  for line in (tmp_path / "tracklets.jsonl").read_text().splitlines()]
+        assert any(f <= last + MAX_EXTRAPOLATION for f in frames)
+        assert any(f >= shift - MAX_EXTRAPOLATION for f in frames)
+
+        detections = load_detections(path)
+        rig = CameraRig(load_calibration(tmp_path / "calib.json"))
+        cfg = load_routine_config(tmp_path / "routine.json")
+        tracemalloc.start()
+        try:
+            records, _ = run_pipeline(detections, rig, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(frames)
+        assert peak < 200e6
 
     def test_no_row_objects_are_built_on_the_track_path(self, runner, tmp_path,
                                                         monkeypatch):

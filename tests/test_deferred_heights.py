@@ -22,7 +22,7 @@ from mvtrack.scenarios import get_scenario_spec
 from mvtrack.stitch import TrackRegistry
 from mvtrack.target import TargetMaintainer
 
-from conftest import box_dict, simulated
+from conftest import box_dict, simulated, to_frames
 
 # opposite-only-episode, keeping its own dropout of cameras 1 and 3, with
 # every camera dark twice: the target is lost and found again twice.
@@ -55,7 +55,7 @@ def eager_heights(wt):
     """The window track's tops and bottoms at its own frames, solved one
     frame at a time: a top where it solves, a bottom where both do."""
     top, bottom = {}, {}
-    for f in wt.tracklet.frames:
+    for f in wt.track.frames.tolist():
         segs = [(s, box_dict(s)) for s in wt.segments]
         segs = [(s, boxes[f]) for s, boxes in segs if f in boxes]
         if len(segs) < 2:
@@ -85,7 +85,7 @@ def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
                                 target.identify_target)
 
     def advance_spy(self, window_start, window_tracks):
-        windows.update((id(wt.tracklet), wt) for wt in window_tracks)
+        windows.update((id(wt.track), wt) for wt in window_tracks)
         advance(self, window_start, window_tracks)
 
     def merge_spy(prev, nxt):
@@ -109,7 +109,8 @@ def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
 
     def identify_spy(t3, space, crit, current_frame):
         first = current_frame - crit.delta
-        for got, want in zip((t3.top, t3.bottom), eager(t3)):
+        heights = to_frames(t3)
+        for got, want in zip((heights.top, heights.bottom), eager(t3)):
             got, want = ({f: v for f, v in d.items() if first <= f <= current_frame}
                          for d in (got, want))
             assert got.keys() == want.keys()

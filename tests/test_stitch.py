@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mvtrack.cascade import Mode, Provenance, Tracklet3D, WindowTrack
+from mvtrack.cascade import Mode, Provenance, WindowTrack
 from mvtrack.geometry import CameraRig
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
@@ -14,18 +14,18 @@ from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
                             merge_assigned,
                             window_distance_matrix)
 
-from conftest import simulated, window_segment
+from conftest import FrameTrack, simulated, to_arrays, to_frames, window_segment
 
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
-def tracklet(frames, value, provenance=Provenance.TRIANGULATED):
-    t3 = Tracklet3D()
+def tracklet(frames, value, provenance=Provenance.TRIANGULATED, first=None, n=None):
+    t3 = FrameTrack()
     for f in frames:
         t3.points[f] = np.asarray(value(f) if callable(value) else value,
                                   dtype=float)
         t3.provenance[f] = provenance
-    return t3
+    return to_arrays(t3, first, n)
 
 
 class TestWindowDistance:
@@ -105,14 +105,14 @@ class TestMergeAssigned:
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.0))
         merged = merge_assigned(prev, nxt)
-        assert merged.frames == list(range(16))
-        for f in merged.frames:
-            assert np.allclose(merged.points[f], (0.0, 0.0, 1.0))
+        assert merged.frames.tolist() == list(range(16))
+        for f in merged.frames.tolist():
+            assert np.allclose(to_frames(merged).points[f], (0.0, 0.0, 1.0))
 
     def test_overlap_averaged(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.2))
-        merged = merge_assigned(prev, nxt)
+        merged = to_frames(merge_assigned(prev, nxt))
         assert np.allclose(merged.points[7], (0.0, 0.0, 1.1))
         assert np.allclose(merged.points[2], (0.0, 0.0, 1.0))
         assert np.allclose(merged.points[14], (0.0, 0.0, 1.2))
@@ -120,14 +120,14 @@ class TestMergeAssigned:
     def test_overlap_frame_in_prev_only(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet([5, 6, 8, 9, 10, 11], (0.0, 0.0, 1.2))
-        merged = merge_assigned(prev, nxt)
+        merged = to_frames(merge_assigned(prev, nxt))
         assert np.allclose(merged.points[7], (0.0, 0.0, 1.0))
 
     def test_overlap_provenance_prefers_prev(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0),
                         provenance=Provenance.PLANE_INTERSECTED)
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.0))
-        merged = merge_assigned(prev, nxt)
+        merged = to_frames(merge_assigned(prev, nxt))
         assert merged.provenance[7] is Provenance.PLANE_INTERSECTED
         assert merged.provenance[12] is Provenance.TRIANGULATED
 
@@ -142,10 +142,10 @@ def box_at(boxes_by_camera, camera, frame) -> tuple:
 
 
 def window_track(start, frames, value, camera=0, track_id=0):
-    t3 = tracklet(frames, value)
     boxes = {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
     seg = window_segment(camera, boxes, track_id=track_id, start=start)
-    return WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG)
+    t3 = tracklet(frames, value, first=start, n=len(seg.boxes))
+    return WindowTrack(start=start, track=t3, segments=[seg], rig=RIG)
 
 
 class TestTrackRegistry:
@@ -167,7 +167,7 @@ class TestTrackRegistry:
         reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
         reg.advance(5, [window_track(5, range(5, 16), (0.0, 0.0, 1.0))])
         assert sorted(reg.tracks) == [0]
-        assert reg.tracks[0].tracklet.frames == list(range(16))
+        assert reg.tracks[0].tracklet.frames.tolist() == list(range(16))
 
     def test_merged_window_tracks_kept_pending_in_merge_order(self):
         reg = TrackRegistry()
@@ -179,7 +179,8 @@ class TestTrackRegistry:
         assert list(map(id, reg.tracks[0].pending)) == [id(first), id(second)]
         assert list(map(id, reg.tracks[1].pending)) == [id(other)]
         # Heights are not merged with the centers.
-        assert reg.tracks[0].tracklet.top == {} == reg.tracks[0].tracklet.bottom
+        assert to_frames(reg.tracks[0].tracklet).top == {} == \
+            to_frames(reg.tracks[0].tracklet).bottom
 
     def test_distant_fragment_gets_new_id(self):
         reg = TrackRegistry()
@@ -237,7 +238,7 @@ def test_last_frame_is_kept_on_every_advance(monkeypatch, mode):
     def advance_spy(self, window_start, window_tracks):
         advance(self, window_start, window_tracks)
         for rec in self.tracks.values():
-            assert rec.last_frame == max(rec.tracklet.points)
+            assert rec.last_frame == rec.tracklet.frames[-1]
         checked.append(len(self.tracks))
     monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
     run_pipeline(detections, rig, cfg, mode)

@@ -2,32 +2,37 @@
 rescan versions they replaced, kept here as oracles.  The copy-merge also
 averaged tops and bottoms at every merge; the registry now keeps the merged
 window tracks pending and folds their heights on demand
-(`TrackRecord.fold_heights`), which must give the same heights."""
+(`TrackRecord.fold_heights`), which must give the same heights.  The
+oracles work on frame-keyed dicts (`conftest.FrameTrack`), the registry on
+arrays."""
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.cascade import Provenance, Tracklet3D, WindowTrack
+from mvtrack.cascade import Provenance, WindowTrack
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
-from conftest import box_dict, window_segment
+from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, to_arrays,
+                      to_frames, window_segment)
+from test_track_arrays import window_distance_matrix_dicts
 
 WINDOW_LEN = 10
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 PROVENANCES = (Provenance.TRIANGULATED, Provenance.PLANE_INTERSECTED)
 
 
-def copy_merge(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
+def copy_merge(prev: FrameTrack, nxt: FrameTrack) -> FrameTrack:
     """The merge that rebuilt the whole accumulated track every window."""
-    merged = Tracklet3D()
+    merged = FrameTrack()
     for f in sorted(set(prev.points) | set(nxt.points)):
         in_prev, in_next = f in prev.points, f in nxt.points
         if in_prev and in_next:
@@ -57,27 +62,35 @@ def absorb_segments(boxes2d: dict, segments) -> None:
         boxes2d.setdefault(seg.camera, {}).update(box_dict(seg))
 
 
+@dataclass
+class OracleRecord:
+    """A registry track of the oracle: its frame-keyed track and last frame."""
+
+    tracklet: FrameTrack
+    last_frame: int
+
+
 def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
                        window_tracks: list[WindowTrack]) -> None:
     """`TrackRegistry.advance` as it was with the copy-merge: a new identity
     took the window tracklet object itself, and each track's 2D boxes were
-    copied into `boxes2d[tid]` at every merge.  Scoring and assignment are
-    the module's own; only the merge and the bookkeeping are the oracle's."""
+    copied into `boxes2d[tid]` at every merge.  The assignment is the
+    module's own; scoring, the merge and the bookkeeping are the oracle's."""
     live = reg.live_tracks(window_start)
     if live:
-        D = window_distance_matrix([reg.tracks[tid].tracklet for tid in live],
-                                   [wt.tracklet for wt in window_tracks])
+        D = window_distance_matrix_dicts([reg.tracks[tid].tracklet for tid in live],
+                                         [wt.track for wt in window_tracks])
         pairs, _, unmatched_next = assign(D, reg.unmatched_threshold)
     else:
         pairs, unmatched_next = [], list(range(len(window_tracks)))
     for i, j in pairs:
         rec = reg.tracks[live[i]]
-        rec.tracklet = copy_merge(rec.tracklet, window_tracks[j].tracklet)
+        rec.tracklet = copy_merge(rec.tracklet, window_tracks[j].track)
         rec.last_frame = max(rec.tracklet.points)
         absorb_segments(boxes2d[live[i]], window_tracks[j].segments)
     for j, tid in zip(unmatched_next, reg.new_track_ids(len(unmatched_next))):
         wt = window_tracks[j]
-        reg.tracks[tid] = TrackRecord(tracklet=wt.tracklet)
+        reg.tracks[tid] = OracleRecord(wt.track, max(wt.track.points))
         boxes2d[tid] = {}
         absorb_segments(boxes2d[tid], wt.segments)
 
@@ -86,20 +99,19 @@ def segment_state(seg) -> tuple:
     return seg.camera, seg.track_id, seg.start, seg.boxes.tobytes()
 
 
-def assert_tracklets_equal(a: Tracklet3D, b: Tracklet3D) -> None:
+def assert_tracks_equal(a, b) -> None:
+    """Two array tracks, bit for bit, with their empty rows."""
+    assert a.first == b.first
     for attr in ("points", "top", "bottom"):
-        da, db = getattr(a, attr), getattr(b, attr)
-        assert da.keys() == db.keys(), attr
-        for f in da:
-            assert np.array_equal(da[f], db[f]), (attr, f)
-    assert a.provenance == b.provenance
+        assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), attr
+    assert a.provenance[a.valid].tolist() == b.provenance[b.valid].tolist()
 
 
 def assert_registries_equal(a: TrackRegistry, b: TrackRegistry, b_boxes2d: dict) -> None:
     assert a.tracks.keys() == b.tracks.keys()
     assert a._next_id == b._next_id
     for tid in a.tracks:
-        assert_tracklets_equal(a.tracks[tid].tracklet, b.tracks[tid].tracklet)
+        assert_frame_tracks_equal(to_frames(a.tracks[tid].tracklet), b.tracks[tid].tracklet)
         assert a.tracks[tid].last_frame == b.tracks[tid].last_frame
         assert {camera: {first + j: Bbox(*row) for j, row in enumerate(boxes.tolist())
                          if not np.isnan(row[0])}
@@ -113,7 +125,8 @@ def window_sequences(draw):
 
     A walker may skip windows (its track ends and it re-appears under a new
     id), jump by 1 m (its fragment is left unmatched), carry top/bottom on a
-    subset of frames and either provenance."""
+    subset of frames and either provenance.  Each window track's `track` is
+    a `FrameTrack`; `as_arrays` gives the registry's input."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_people = draw(st.integers(1, 4))
     n_windows = draw(st.integers(1, 8))
@@ -134,7 +147,7 @@ def window_sequences(draw):
             if draw(st.integers(0, 5)) == 0:
                 offsets[p] = offsets[p] + np.array([0.0, 1.0, 0.0])
             prov = draw(st.sampled_from(PROVENANCES))
-            t3 = Tracklet3D()
+            t3 = FrameTrack()
             for f in frames:
                 t3.points[f] = offsets[p] + rng.normal(scale=0.05, size=3)
                 t3.provenance[f] = prov
@@ -145,17 +158,24 @@ def window_sequences(draw):
             camera = int(rng.integers(4))
             seg = window_segment(camera, {f: tuple(rng.uniform(10.0, 50.0, size=4))
                                           for f in frames}, track_id=p, start=start)
-            tracks.append(WindowTrack(start=start, tracklet=t3, segments=[seg], rig=RIG))
+            tracks.append(WindowTrack(start=start, track=t3, segments=[seg], rig=RIG))
         rng.shuffle(tracks)
         windows.append((start, tracks))
     return windows
 
 
+def as_arrays(windows):
+    """The windows with each track on its window's grid."""
+    return [(start, [WindowTrack(start, to_arrays(wt.track, start, WINDOW_LEN + 1),
+                                 wt.segments, wt.rig) for wt in tracks])
+            for start, tracks in windows]
+
+
 class TestAdvanceAgainstCopyMerge:
     @settings(max_examples=150, deadline=None)
     @given(window_sequences())
-    def test_registry_equals_copy_merge(self, windows):
-        oracle_windows = copy.deepcopy(windows)
+    def test_registry_equals_copy_merge(self, oracle_windows):
+        windows = as_arrays(copy.deepcopy(oracle_windows))
         reg, oracle, oracle_boxes2d = TrackRegistry(), TrackRegistry(), {}
         for (start, tracks), (_, oracle_tracks) in zip(windows, oracle_windows):
             reg.advance(start, tracks)
@@ -167,51 +187,55 @@ class TestAdvanceAgainstCopyMerge:
     @settings(max_examples=60, deadline=None)
     @given(window_sequences())
     def test_window_tracks_are_not_mutated(self, windows):
+        windows = as_arrays(windows)
         before = copy.deepcopy(windows)
         reg = TrackRegistry()
         for start, tracks in windows:
             reg.advance(start, tracks)
         for (_, tracks), (_, kept) in zip(windows, before):
             for wt, wt0 in zip(tracks, kept):
-                assert_tracklets_equal(wt.tracklet, wt0.tracklet)
+                assert_tracks_equal(wt.track, wt0.track)
                 assert [segment_state(s) for s in wt.segments] == \
                     [segment_state(s) for s in wt0.segments]
 
 
 class TestInPlaceMerge:
     def test_merges_into_prev_and_returns_it(self):
-        prev = Tracklet3D(points={0: np.zeros(3), 1: np.ones(3)},
-                          provenance={0: Provenance.TRIANGULATED,
-                                      1: Provenance.PLANE_INTERSECTED},
-                          top={1: np.ones(3)})
-        nxt = Tracklet3D(points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
-                         provenance={1: Provenance.TRIANGULATED,
-                                     2: Provenance.TRIANGULATED},
-                         top={1: 3 * np.ones(3), 2: np.ones(3)})
+        prev = to_arrays(FrameTrack(points={0: np.zeros(3), 1: np.ones(3)},
+                                    provenance={0: Provenance.TRIANGULATED,
+                                                1: Provenance.PLANE_INTERSECTED},
+                                    top={1: np.ones(3)}))
+        nxt = to_arrays(FrameTrack(points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
+                                   provenance={1: Provenance.TRIANGULATED,
+                                               2: Provenance.TRIANGULATED},
+                                   top={1: 3 * np.ones(3), 2: np.ones(3)}))
         assert merge_assigned(prev, nxt) is prev
-        assert prev.frames == [0, 1, 2]
-        assert np.array_equal(prev.points[1], 2 * np.ones(3))
-        assert prev.provenance[1] is Provenance.PLANE_INTERSECTED
+        merged = to_frames(prev)
+        assert merged.frames == [0, 1, 2]
+        assert np.array_equal(merged.points[1], 2 * np.ones(3))
+        assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
         # Heights are folded in later, from the pending window track.
-        assert prev.top.keys() == {1}
-        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(0, nxt, [], RIG)])
+        assert merged.top.keys() == {1}
+        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(1, nxt, [], RIG)])
         rec.fold_heights()
         assert rec.pending == []
-        assert np.array_equal(prev.top[1], 2 * np.ones(3))
-        assert np.array_equal(prev.top[2], np.ones(3))
-        assert nxt.frames == [1, 2] and np.array_equal(nxt.points[1], 3 * np.ones(3))
+        folded = to_frames(prev)
+        assert np.array_equal(folded.top[1], 2 * np.ones(3))
+        assert np.array_equal(folded.top[2], np.ones(3))
+        assert to_frames(nxt).frames == [1, 2] and \
+            np.array_equal(to_frames(nxt).points[1], 3 * np.ones(3))
 
 
 class TestWindowDistance:
     def test_equals_per_frame_norms(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            prev = Tracklet3D(points={
+            prev = FrameTrack(points={
                 f: rng.normal(size=3) for f in range(20) if rng.random() < 0.7})
-            nxt = Tracklet3D(points={
+            nxt = FrameTrack(points={
                 f: rng.normal(size=3) for f in range(10, 30) if rng.random() < 0.7})
             common = sorted(set(prev.points) & set(nxt.points))
-            got = window_distance_matrix([prev], [nxt])[0, 0]
+            got = window_distance_matrix([to_arrays(prev)], [to_arrays(nxt)])[0, 0]
             if not common:
                 assert np.isnan(got)
                 continue
@@ -221,7 +245,7 @@ class TestWindowDistance:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def pairwise_window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
+def pairwise_window_distance(prev: FrameTrack, nxt: FrameTrack) -> float:
     """The one-pair distance as it was: one `np.mean` over the shared frames."""
     common = sorted(f for f in nxt.points if f in prev.points)
     if not common:
@@ -234,14 +258,15 @@ def pairwise_window_distance(prev: Tracklet3D, nxt: Tracklet3D) -> float:
 @st.composite
 def live_and_window_tracks(draw):
     """Gappy live tracks (some ending before the window, some reaching
-    back far) and gappy window tracks of one window, 0 or more of each."""
+    back far) and gappy window tracks of one window, 0 or more of each;
+    and the window's first frame and length."""
     window_len = draw(st.sampled_from([10, 20]))
     start = draw(st.integers(0, 3)) * window_len // 2 + 40
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def track(lo, hi):
         frames = [f for f in range(lo, hi + 1) if draw(st.integers(0, 4))]
-        return Tracklet3D(points={
+        return FrameTrack(points={
             f: rng.normal(scale=float(10.0 ** rng.integers(-2, 2)), size=3)
             for f in frames})
 
@@ -249,33 +274,35 @@ def live_and_window_tracks(draw):
             for _ in range(draw(st.integers(0, 5)))]
     nxt = [track(start + draw(st.integers(0, 3)), start + window_len)
            for _ in range(draw(st.integers(0, 5)))]
-    return prev, nxt
+    return prev, nxt, start, window_len + 1
 
 
 class TestWindowDistanceMatrixAgainstPairwise:
     @settings(max_examples=300, deadline=None)
     @given(live_and_window_tracks())
     def test_equals_pairwise_mean(self, tracks):
-        prev, nxt = tracks
+        prev, nxt, start, span = tracks
         want = np.array([[pairwise_window_distance(p, n) for n in nxt] for p in prev]
                         ).reshape(len(prev), len(nxt))
-        got = window_distance_matrix(prev, nxt)
+        prev_arrays = [to_arrays(p) for p in prev]
+        nxt_arrays = [to_arrays(n, start, span) for n in nxt]
+        got = window_distance_matrix(prev_arrays, nxt_arrays)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
-        for p in prev[:2]:
-            for n in nxt[:2]:
-                assert np.array_equal(window_distance_matrix([p], [n])[0, 0],
+        for p, pa in list(zip(prev, prev_arrays))[:2]:
+            for n, na in list(zip(nxt, nxt_arrays))[:2]:
+                assert np.array_equal(window_distance_matrix([pa], [na])[0, 0],
                                       pairwise_window_distance(p, n), equal_nan=True)
 
     def test_long_overlap_keeps_pairwise_summation(self):
         # 21 shared frames: np.mean sums them pairwise, not left to right.
         rng = np.random.default_rng(3)
-        prev = [Tracklet3D(points={f: rng.normal(size=3) for f in range(40)})]
-        nxt = [Tracklet3D(points={f: rng.normal(size=3)
-                                              for f in range(19, 40)})
+        prev = [FrameTrack(points={f: rng.normal(size=3) for f in range(40)})]
+        nxt = [FrameTrack(points={f: rng.normal(size=3) for f in range(19, 40)})
                for _ in range(3)]
         want = [[pairwise_window_distance(prev[0], n) for n in nxt]]
-        assert np.array_equal(window_distance_matrix(prev, nxt), want)
+        assert np.array_equal(window_distance_matrix([to_arrays(p) for p in prev],
+                                                     [to_arrays(n) for n in nxt]), want)
 
 
 def _lerp_box(a: Bbox, b: Bbox, u: float) -> Bbox:

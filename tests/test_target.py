@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvtrack import target
-from mvtrack.cascade import (Provenance, Tracklet3D, TrackingSpace, WindowTrack,
+from mvtrack.cascade import (PROVENANCE, Provenance, TrackingSpace, WindowTrack,
                              attach_top_bottom_batch)
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
@@ -14,7 +14,7 @@ from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
-from conftest import window_segment
+from conftest import FrameTrack, to_arrays, to_frames, window_segment
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
@@ -22,7 +22,7 @@ RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
 def performer_track(frames, hole=(), z=1.8):
-    t3 = Tracklet3D()
+    t3 = FrameTrack()
     for f in frames:
         if f in hole:
             continue
@@ -53,26 +53,38 @@ def pending_windows(t3, window_len=10):
             boxes = {f: Bbox((tx + bx) / 2, (ty + by) / 2, 40.0, by - ty)
                      for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
             segments.append(window_segment(cam.id, boxes, start=start))
-        out.append(WindowTrack(start, centers_of(t3, span), segments, RIG))
+        out.append(WindowTrack(start, to_arrays(centers_of(t3, span), start,
+                                                len(segments[0].boxes)), segments, RIG))
     return out
 
 
 def centers_of(t3, frames=None):
     frames = t3.frames if frames is None else frames
-    return Tracklet3D(points={f: t3.points[f] for f in frames},
+    return FrameTrack(points={f: t3.points[f] for f in frames},
                       provenance={f: t3.provenance[f] for f in frames})
 
 
 def old_identify_target(t3, space, crit, current_frame):
-    """`identify_target` as it was: every frame of the buffer visited."""
+    """`identify_target` as it was on frame-keyed dicts: every frame of the
+    buffer visited."""
+    x0, y0, z0, x1, y1, z1 = space.perf
     count = 0
     for f in range(current_frame - crit.delta, current_frame + 1):
         X, top, bot = t3.points.get(f), t3.top.get(f), t3.bottom.get(f)
         if X is None or top is None or bot is None:
             continue
-        if space.in_perf(X) and top[2] > crit.h_top and bot[2] > crit.h_bot:
+        if (x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1
+                and top[2] > crit.h_top and bot[2] > crit.h_bot):
             count += 1
     return count > crit.occupancy * crit.delta
+
+
+def record_of(t3, pending):
+    """A registry track of t3's centers on the frames its pending window
+    tracks span."""
+    first = pending[0].start
+    n = pending[-1].start + len(pending[-1].track.points) - first
+    return TrackRecord(tracklet=to_arrays(centers_of(t3), first, n), pending=pending)
 
 
 class TestTargetCriteria:
@@ -88,7 +100,7 @@ class TestTargetCriteria:
 class TestIdentifyTarget:
     def test_all_frames_satisfy(self):
         t3 = performer_track(range(0, 31))
-        assert identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_exactly_half_is_not_enough(self):
         # 15 of 30 satisfying frames sits on the strict boundary.
@@ -98,32 +110,32 @@ class TestIdentifyTarget:
             t3.points[f] = X
             t3.top[f] = X + [0, 0, 0.85]  # top 1.15 < 1.5
             t3.bottom[f] = X - [0, 0, 0.85]
-        assert not identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_sixteen_of_thirty_satisfies(self):
         t3 = performer_track(range(0, 16))
-        assert identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_low_bottom_fails(self):
         t3 = performer_track(range(0, 31), z=1.2)  # bottom 0.35 < 0.5
-        assert not identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_center_outside_perf_fails(self):
-        t3 = Tracklet3D()
+        t3 = FrameTrack()
         for f in range(31):
             X = np.array([4.0, 0.0, 1.8])
             t3.points[f] = X
             t3.top[f] = X + [0, 0, 0.85]
             t3.bottom[f] = X - [0, 0, 0.85]
-        assert not identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_frames_without_extent_do_not_count(self):
         t3 = performer_track(range(0, 31))
         t3.top.clear()
-        assert not identify_target(t3, SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
 
     def test_huge_delta_visits_only_the_tracks_frames(self):
-        t3 = performer_track(range(0, 60))
+        t3 = to_arrays(performer_track(range(0, 60)))
         crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=10**9)
         t0 = time.perf_counter()
         assert identify_target(t3, SPACE, crit, current_frame=59) is False
@@ -138,7 +150,7 @@ class TestIdentifyTarget:
         for f in range(30, 61, 4):
             t3.bottom[f] = t3.bottom[f] - [0.0, 0.0, 0.6]
         for current in range(-5, 130, 3):
-            assert identify_target(t3, SPACE, crit, current) == \
+            assert identify_target(to_arrays(t3), SPACE, crit, current) == \
                 old_identify_target(t3, SPACE, crit, current)
 
 
@@ -149,10 +161,11 @@ def emit_one(w, h, **kwargs):
     (x, y), = project(RIG[0], [X]).tolist()
     seg = window_segment(0, {0: (x, y, w, h)})
     reg = TrackRegistry()
-    reg.tracks[0] = TrackRecord(tracklet=Tracklet3D(points={0: X}), segments=[seg])
-    target_t3 = Tracklet3D(points={0: X}, provenance={0: Provenance.TRIANGULATED})
+    reg.tracks[0] = TrackRecord(tracklet=to_arrays(FrameTrack(points={0: X})), segments=[seg])
     maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, **kwargs)
-    record, = maintainer._emit(target_t3, {0: 0}, reg, RIG)
+    record, = maintainer._emit(np.array([0]), X[None],
+                               np.array([PROVENANCE.index(Provenance.TRIANGULATED)], np.uint8),
+                               np.array([0]), reg, RIG)
     view, = record.per_view
     return (x, y), view
 
@@ -179,36 +192,33 @@ class TestBufferBbox:
 
 class TestSmoothTrack:
     def test_constant_is_fixed_point(self):
-        t3 = Tracklet3D(
-                        points={f: np.array([1.0, 2.0, 3.0]) for f in range(9)})
-        out = smooth_track(t3)
+        t3 = FrameTrack(points={f: np.array([1.0, 2.0, 3.0]) for f in range(9)})
+        out = to_frames(smooth_track(to_arrays(t3)))
         for f in range(9):
             assert np.allclose(out.points[f], (1.0, 2.0, 3.0), atol=1e-15)
 
     def test_linear_ramp_unchanged(self):
-        t3 = Tracklet3D(
-                        points={f: np.array([0.1 * f, 0.0, 1.0])
-                                for f in range(11)})
-        out = smooth_track(t3)
+        t3 = FrameTrack(points={f: np.array([0.1 * f, 0.0, 1.0]) for f in range(11)})
+        out = to_frames(smooth_track(to_arrays(t3)))
         for f in range(2, 9):
             assert out.points[f][0] == pytest.approx(0.1 * f, abs=1e-12)
 
     def test_spike_attenuated(self):
         points = {f: np.array([0.0, 0.0, 1.0]) for f in range(11)}
         points[5] = np.array([0.0, 0.0, 1.5])
-        out = smooth_track(Tracklet3D(points=points))
+        out = to_frames(smooth_track(to_arrays(FrameTrack(points=points))))
         assert abs(out.points[5][2] - 1.0) <= 0.1 + 1e-12
 
     def test_runs_smoothed_independently(self):
         points = {f: np.array([float(f), 0.0, 1.0]) for f in [0, 1, 2, 10, 11, 12]}
-        out = smooth_track(Tracklet3D(points=points))
+        out = to_frames(smooth_track(to_arrays(FrameTrack(points=points))))
         # End frames of a 3-frame run keep their value (window shrinks to 1).
         assert out.points[2][0] == 2.0
         assert out.points[10][0] == 10.0
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
-            smooth_track(Tracklet3D(points={}), window=4)
+            smooth_track(to_arrays(FrameTrack()), window=4)
 
 
 def run_maintainer(registry, last_frame, maintainer=None, rig=None):
@@ -222,7 +232,7 @@ def registry_with(tracks):
     """A registry of the tracks' centers, their heights left pending."""
     reg = TrackRegistry()
     for tid, t3 in enumerate(tracks):
-        reg.tracks[tid] = TrackRecord(tracklet=centers_of(t3), pending=pending_windows(t3))
+        reg.tracks[tid] = record_of(t3, pending_windows(t3))
     reg._next_id = max(reg.tracks) + 1
     return reg
 
@@ -275,10 +285,11 @@ class TestTargetMaintainer:
         reg = registry_with([t3])
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(0, 10, reg)
         rec = reg.tracks[0]
-        assert rec.pending == [] and sorted(rec.tracklet.top) == t3.frames
+        got = to_frames(rec.tracklet)
+        assert rec.pending == [] and sorted(got.top) == t3.frames
         # The boxes' top and bottom centers are a few pixels off the true
         # projections sideways, not in height.
-        for heights, want in ((rec.tracklet.top, t3.top), (rec.tracklet.bottom, t3.bottom)):
+        for heights, want in ((got.top, t3.top), (got.bottom, t3.bottom)):
             for f in t3.frames:
                 assert np.linalg.norm(heights[f] - want[f]) < 0.02
                 assert abs(heights[f][2] - want[f][2]) < 1e-3
@@ -290,20 +301,20 @@ class TestTargetMaintainer:
         for f in high.frames:
             high.top[f] = high.top[f] + [0.0, 0.0, 0.02]
         (first,), (second,) = pending_windows(low), pending_windows(high)
-        rec = TrackRecord(tracklet=centers_of(performer_track(range(0, 16))),
-                          pending=[first, second])
+        rec = record_of(performer_track(range(0, 16)), [first, second])
         reg = TrackRegistry()
         reg.tracks[0], reg._next_id = rec, 1
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(5, 10, reg)
         alone = pending_windows(low) + pending_windows(high)
         for wt in alone:
-            attach_top_bottom_batch([(wt.tracklet, wt.segments)], RIG)
-        a, b = (wt.tracklet for wt in alone)
+            attach_top_bottom_batch([(wt.track, wt.segments)], RIG)
+        a, b = (to_frames(wt.track) for wt in alone)
+        top = to_frames(rec.tracklet).top
         for f in range(16):
             want = (a.top[f] + b.top[f]) / 2.0 if 5 <= f <= 10 else \
                 a.top.get(f, b.top.get(f))
-            assert np.array_equal(rec.tracklet.top[f], want)
-        assert abs(rec.tracklet.top[7][2] - rec.tracklet.top[12][2] + 0.01) < 0.005
+            assert np.array_equal(top[f], want)
+        assert abs(top[7][2] - top[12][2] + 0.01) < 0.005
 
     def test_pending_dropped_behind_the_buffer_and_once_ended(self, monkeypatch):
         solved = []
@@ -336,7 +347,7 @@ class TestEmission:
         rig = RIG
         performer = performer_track(range(0, 61))
         t3 = centers_of(performer)
-        rec = TrackRecord(tracklet=t3, pending=pending_windows(performer))
+        rec = record_of(performer, pending_windows(performer))
         boxes = {}
         for f in t3.frames:
             if not with_box_for_frame(f):
