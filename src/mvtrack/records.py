@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import islice
 
 INT = "int"
 NUM = "num"
@@ -90,37 +91,76 @@ class Fields:
         return rec
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def decode(line: str):
     """json.loads(line), for one line of a JSON-lines file.  A line that is
-    one JSON value and a line end is decoded without json.loads's
-    whitespace scans; any other line goes to json.loads, whose rules and
-    messages hold for it."""
+    one JSON value and a line end is decoded by the scanner alone, without
+    json.loads's whitespace scans; any other line goes to json.loads, whose
+    rules and messages hold for it."""
     try:
-        value, end = _raw_decode(line)
+        value, end = _scan_once(line, 0)
         if line[end:] in ("\n", "", "\r\n"):
             return value
-    except ValueError:
+    except (ValueError, StopIteration):
         pass
     return json.loads(line)
+
+
+# Lines read per block: one block's text and decoded records are alive at a
+# time, not the whole file's.  Larger blocks save little per-block work and
+# raise the peak memory of reading a file of long lines (truth records).
+BLOCK_LINES = 256
+
+
+class BadRecord(Exception):
+    """BadRecord(index, error): raised by a block parse of `read_blocks` for
+    the first record of its block that breaks a rule."""
+
+
+def read_blocks(path, what: str, parse) -> list:
+    """[parse(records) for each block of up to BLOCK_LINES lines of a
+    JSON-lines file], `records` the block's non-blank lines decoded, in
+    order.  The first bad line of the file, one that is not JSON or whose
+    record `parse` names with BadRecord, raises ValueError "path:line: bad
+    <what> record: ..."."""
+    out, base = [], 0
+    with open(path) as fh:
+        while lines := list(islice(fh, BLOCK_LINES)):
+            texts = [line for line in lines if not line.isspace()]
+            recs, bad = [], None
+            try:
+                # extend keeps the records decoded before a line that fails.
+                recs.extend(map(decode, texts))
+            except ValueError as exc:
+                bad = len(recs), exc
+            try:
+                out.append(parse(recs))
+            except BadRecord as exc:
+                bad = exc.args
+            if bad:
+                index, exc = bad
+                kept = [i for i, text in enumerate(lines) if not text.isspace()]
+                lineno = base + 1 + kept[index]
+                raise ValueError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+            base += len(lines)
+    return out
 
 
 def read_jsonl(path, what: str, parse) -> list:
     """[parse(record) for each non-blank line of a JSON-lines file]; a line
     that is not JSON, or whose parse raises ValueError, KeyError or
     TypeError, raises ValueError "path:line: bad <what> record: ..."."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
+    def each(recs):
+        out = []
+        for i, rec in enumerate(recs):
             try:
-                out.append(parse(decode(line)))
+                out.append(parse(rec))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
-    return out
+                raise BadRecord(i, exc) from exc
+        return out
+    return [value for block in read_blocks(path, what, each) for value in block]
 
 
 def write_json(path, value) -> None:

@@ -3,7 +3,9 @@ segmentation.
 
 Boxes travel as arrays from the file to the cascade: `load_detections`
 gives one columnar `Detections` (frame, camera and (x, y, w, h) box
-columns, in file order), a tracklet holds its frames and boxes as arrays,
+columns, in file order), checked a block of lines at a time with one
+column test per rule and the first bad line in file order named; a
+tracklet holds its frames and boxes as arrays,
 and a window segment holds its start plus one box row per frame of the
 window, NaN where it has no box.  `Bbox` and `Detection` are the row form
 of a box and of a detection; nothing from `load_detections` to the cascade
@@ -27,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, Fields, read_jsonl, write_jsonl
+from .records import INT, NUM, BadRecord, Fields, read_blocks, write_jsonl
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -347,57 +349,84 @@ _detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
 _COMMON_TYPES = (int, int, float, float, float, float)
 
 
-def _detection(rec, cameras) -> tuple:
-    """(frame, camera, x, y, w, h) of one decoded detection record, or
-    ValueError (KeyError for a missing key) for the first rule it breaks,
-    in the order of `load_detections`.  The kinds take one type tuple
-    check and one finite sum in the common case, the `DETECTION_FIELDS`
-    rules otherwise."""
+def _kind_error(rec) -> Exception | None:
     try:
-        frame, camera, x, y, w, h = values = _detection_values(rec)
-        # NaN and the infinities propagate through a sum; a sum that
-        # overflows is left to the rules.
-        common = tuple(map(type, values)) == _COMMON_TYPES and math.isfinite(x + y + w + h)
+        DETECTION_FIELDS.check(rec)
+    except (ValueError, KeyError) as exc:
+        return exc
+    return None
+
+
+def _ints(values: tuple) -> np.ndarray:
+    """Python ints as int64, or as objects where one does not fit (a bad
+    file's)."""
+    if values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64)
+
+
+def _detection_block(recs: list, cameras) -> tuple:
+    """(frame, camera, boxes) columns of a block of decoded detection
+    records, or BadRecord for the first that breaks a rule of
+    `load_detections`.  Kinds take one type-set test per field, and
+    `DETECTION_FIELDS` only for a record of other types; each value rule
+    is one mask over the records before the first of a wrong kind, `end`."""
+    rows = []
+    try:
+        rows.extend(map(_detection_values, recs))
     except (KeyError, TypeError):
-        common = False
-    if not common:
-        frame, camera, x, y, w, h = values = _detection_values(DETECTION_FIELDS.check(rec))
-    if w <= 0 or h <= 0:
-        raise ValueError(f"box sides must be positive, got w={float(w)}, h={float(h)}")
-    # The area is a positive normal float, so IoU never divides by zero.
-    if not (-MAX_BOX_PX <= x <= MAX_BOX_PX and -MAX_BOX_PX <= y <= MAX_BOX_PX
-            and w <= MAX_BOX_PX and h <= MAX_BOX_PX and w * h >= sys.float_info.min):
-        raise ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
-                         f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
-                         f"y={y!r}, w={w!r}, h={h!r}")
-    if frame < 0:
-        raise ValueError("frame index must be >= 0")
-    if frame > MAX_FRAME:
-        raise ValueError(f"frame index must be at most {MAX_FRAME}, got {frame}")
-    if not _INT64_MIN <= camera <= _INT64_MAX:
-        raise ValueError(f"camera id must fit in a signed 64-bit integer, got {camera}")
-    if cameras is not None and camera not in cameras:
-        raise ValueError(f"camera {camera} is absent from calibration")
-    return values
+        pass
+    columns, end = list(zip(*rows)) or [()] * 6, len(rows)
+    if not all(set(map(type, column)) <= {kind} for column, kind in zip(columns, _COMMON_TYPES)):
+        end = next((i for i, row in enumerate(rows) if tuple(map(type, row)) != _COMMON_TYPES
+                    and _kind_error(recs[i])), end)
+    boxes = np.array([column[:end] for column in columns[2:]], dtype=float).T.copy()
+    finite = np.isfinite(boxes).all(axis=1)  # NaN and inf are floats, but no NUM
+    end = int(np.argmin(finite)) if not finite.all() else end
+    boxes = boxes[:end]
+    frame, camera = _ints(columns[0][:end]), _ints(columns[1][:end])
+    w, h = boxes[:, 2], boxes[:, 3]
+    absent = [] if cameras is None else [c for c in np.unique(camera).tolist() if c not in cameras]
+    with np.errstate(over="ignore"):
+        # The area is a positive normal float, so IoU never divides by zero.
+        rules = np.array([(w <= 0) | (h <= 0),
+                          ~((np.abs(boxes) <= MAX_BOX_PX).all(axis=1)
+                            & (w * h >= sys.float_info.min)),
+                          frame < 0, frame > MAX_FRAME,
+                          (camera < _INT64_MIN) | (camera > _INT64_MAX),
+                          np.isin(camera, absent)], dtype=bool)
+    broken = rules.any(axis=0)
+    if broken.any():
+        i = int(np.argmax(broken))
+        f, c, x, y, w, h = rows[i]
+        raise BadRecord(i, ValueError([
+            f"box sides must be positive, got w={float(w)}, h={float(h)}",
+            f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an area w * h of "
+            f"at least {sys.float_info.min:g}, got x={x!r}, y={y!r}, w={w!r}, h={h!r}",
+            "frame index must be >= 0",
+            f"frame index must be at most {MAX_FRAME}, got {f}",
+            f"camera id must fit in a signed 64-bit integer, got {c}",
+            f"camera {c} is absent from calibration"][int(np.argmax(rules[:, i]))]))
+    if end < len(recs):
+        raise BadRecord(end, _kind_error(recs[end]))
+    return frame, camera, boxes
 
 
 def load_detections(path, cameras=None) -> Detections:
     """Read a JSON-lines detection stream into columns, in file order.
 
     A line that is not a detection record raises ValueError "path:line: bad
-    detection record: ..." for the first such line: one whose JSON value
-    is not an object with integer frame and camera and finite x, y, w and
-    h; whose box has a side <= 0, a value beyond MAX_BOX_PX or an area
-    below the smallest normal float; whose frame is negative or beyond
-    MAX_FRAME; whose camera id does not fit in int64; or, given the
-    collection `cameras`, whose camera is not in it.  Each line is checked
-    as it is read."""
-    rows = read_jsonl(path, "detection", lambda rec: _detection(rec, cameras))
-    table = np.array(rows, dtype=float).reshape(-1, 6)
-    # Camera ids beyond 2**53 are not exact as floats.
-    return Detections(table[:, 0].astype(np.int64),
-                      np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows)),
-                      table[:, 2:].copy())
+    detection record: ..." for the first such line, naming the first rule
+    it breaks: its JSON value is not an object with integer frame and
+    camera and finite x, y, w and h; its box has a side <= 0, a value
+    beyond MAX_BOX_PX or an area below the smallest normal float; its
+    frame is negative or beyond MAX_FRAME; its camera id does not fit in
+    int64; or, given the collection `cameras`, its camera is not in it.
+    The file is read and checked in blocks of `records.BLOCK_LINES` lines,
+    each rule as one column test over a block."""
+    blocks = read_blocks(path, "detection", lambda recs: _detection_block(recs, cameras))
+    frame, camera, boxes = zip(*blocks or [_detection_block([], None)])
+    return Detections(np.concatenate(frame), np.concatenate(camera), np.concatenate(boxes))
 
 
 def save_detections(detections: Detections, path) -> None:

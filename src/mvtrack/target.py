@@ -5,13 +5,14 @@ The pipeline always tracks every identity; the target is a view over the
 multi-object output, picked by the height-trigger rule and re-picked by
 the same rule after a loss.  Short gaps in the target track are bridged
 by linear interpolation, in blocks split at the longer gaps; each block is
-smoothed and reprojected into each camera with buffered square boxes.
+smoothed and reprojected into each camera with buffered square boxes, the
+box rule evaluated per camera over the whole timeline as arrays.  Records
+are written one line each, formatted from one template.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .cascade import (PROVENANCE, Provenance, Tracklet3D, TrackingSpace,
                       attach_top_bottom_batch)
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
-from .records import INT, NUM, Fields, read_jsonl, write_jsonl
+from .records import INT, NUM, Fields, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -197,43 +198,56 @@ class TargetMaintainer:
 
     def _emit(self, frames: np.ndarray, X: np.ndarray, codes: np.ndarray, tids: np.ndarray,
               registry: TrackRegistry, rig: CameraRig) -> list[TargetRecord]:
-        cameras = list(rig)
-        pixels = [project(cam, X).tolist() for cam in cameras]
-        tids = tids.tolist()
-        boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
-                       in registry.tracks[tid].boxes_by_camera(tid).items()}
-                 for tid in dict.fromkeys(tids)}
-        last_size: dict[int, float] = {}
-        records: list[TargetRecord] = []
-        for i, (f, tid, code) in enumerate(zip(frames.tolist(), tids, codes.tolist())):
-            per_view: list[dict] = []
-            for cam, cam_pixels in zip(cameras, pixels):
-                x, y = cam_pixels[i]
-                if math.isnan(x):
-                    continue
-                # A square centred on the projection, its side buffer_scale *
-                # max(w, h) of the box linked there, else of the camera's last.
-                first, linked = boxes[tid].get(cam.id, (0, []))
-                at = f - first
-                ox, oy, ow, oh = linked[at] if 0 <= at < len(linked) else (math.nan,) * 4
-                if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
-                    last_size[cam.id] = max(ow, oh)
-                elif cam.id not in last_size:
-                    continue
-                side = self.buffer_scale * last_size[cam.id]
-                per_view.append({"camera": cam.id, "x": x, "y": y,
-                                 "w": side, "h": side, "buffered": True})
-            records.append(TargetRecord(frame=f, track_id=tid, X=X[i],
-                                        provenance=PROVENANCE[code], per_view=per_view))
-        return records
+        """A record per timeline frame, with a view per camera the point
+        projects into once that camera has a size: a square centred on the
+        projection, its side buffer_scale * max(w, h) of the box linked
+        there when the projection lies within half that size of the box's
+        centre, else of the camera's last such box.  Each rule is one array
+        operation per camera."""
+        linked = [(np.flatnonzero(tids == tid), registry.tracks[tid].boxes_by_camera(tid))
+                  for tid in np.unique(tids).tolist()]
+        views: list[list[dict]] = [[] for _ in frames]
+        for cam in rig:
+            # The box linked at each frame, NaN where none.
+            boxes = np.full((len(frames), 4), np.nan)
+            for rows, by_camera in linked:
+                if cam.id in by_camera:
+                    first, track_boxes = by_camera[cam.id]
+                    at = frames[rows] - first
+                    inside = (at >= 0) & (at < len(track_boxes))
+                    boxes[rows[inside]] = track_boxes[at[inside]]
+            x, y = project(cam, X).T
+            ox, oy, ow, oh = boxes.T
+            size = np.maximum(ow, oh)
+            hit = np.hypot(x - ox, y - oy) <= 0.5 * size
+            last = np.maximum.accumulate(np.where(hit, np.arange(len(frames)), -1))
+            shown = np.flatnonzero(~np.isnan(x) & (last >= 0))
+            for i, px, py, side in zip(shown.tolist(), x[shown].tolist(), y[shown].tolist(),
+                                       (self.buffer_scale * size[last[shown]]).tolist()):
+                views[i].append({"camera": cam.id, "x": px, "y": py, "w": side, "h": side,
+                                 "buffered": True})
+        return [TargetRecord(frame=f, track_id=tid, X=point, provenance=PROVENANCE[code],
+                             per_view=per_view)
+                for f, tid, point, code, per_view in zip(frames.tolist(), tids.tolist(), X,
+                                                         codes.tolist(), views)]
 
 
 def save_target_records(records: list[TargetRecord], path) -> None:
-    """Write the target output as JSON-lines, one record per frame."""
-    write_jsonl(path, ({"frame": rec.frame, "track_id": rec.track_id,
-                        "X": [float(v) for v in rec.X],
-                        "provenance": rec.provenance.value, "per_view": rec.per_view}
-                       for rec in records))
+    """Write the target output as JSON-lines, one record per frame.  Each
+    line is json.dumps(record, sort_keys=True) of its fields, formatted from
+    one template: the floats `_emit` gives are Python floats, finite,
+    written by float.__repr__ as json writes them.  Lines go to the file's
+    buffer as they are formatted: holding them all for one write raised the
+    process's peak memory."""
+    with open(path, "w") as fh:
+        for rec in records:
+            views = ", ".join([f'{{"buffered": true, "camera": {v["camera"]}, "h": {v["h"]!r}, '
+                               f'"w": {v["w"]!r}, "x": {v["x"]!r}, "y": {v["y"]!r}}}'
+                               for v in rec.per_view])
+            x, y, z = rec.X.tolist()
+            fh.write(f'{{"X": [{x!r}, {y!r}, {z!r}], "frame": {rec.frame}, '
+                     f'"per_view": [{views}], "provenance": "{rec.provenance.value}", '
+                     f'"track_id": {rec.track_id}}}\n')
 
 
 VIEW_FIELDS = Fields({"camera": INT, ("x", "y", "w", "h"): NUM})

@@ -1,0 +1,376 @@
+"""The two ends of a `track` job, checked against their per-row forms: the
+block-wise column check of `load_detections` against a per-line loader,
+`TargetMaintainer._emit` against a per-frame, per-camera loop, and
+`save_target_records` against one `json.dumps` per record.  The per-row
+forms below are kept as oracles only."""
+
+import json
+import math
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mvtrack import pipeline, records
+from mvtrack.cascade import PROVENANCE, Mode, Provenance
+from mvtrack.records import decode, read_jsonl, write_jsonl
+from mvtrack.scenarios import get_scenario_spec
+from mvtrack.stitch import TrackRecord, TrackRegistry
+from mvtrack.sv_track import (_COMMON_TYPES, _INT64_MAX, _INT64_MIN, DETECTION_FIELDS,
+                              MAX_BOX_PX, MAX_FRAME, Detections, _detection_values,
+                              load_detections)
+from mvtrack.target import TargetMaintainer, TargetRecord, project, save_target_records
+
+from conftest import FrameTrack, simulated, to_arrays, window_segment
+from test_boundary import detection_lines
+from test_target import CRIT, RIG, SPACE
+
+
+def reference_line_reader(path, what, parse) -> list:
+    """The per-line JSON-lines reader: a line at a time, the first bad one
+    raising "path:line: bad <what> record: ..."."""
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                out.append(parse(decode(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+    return out
+
+
+def reference_detection(rec, cameras) -> tuple:
+    """(frame, camera, x, y, w, h) of one decoded detection record, or the
+    error of the first rule it breaks."""
+    try:
+        frame, camera, x, y, w, h = values = _detection_values(rec)
+        common = tuple(map(type, values)) == _COMMON_TYPES and math.isfinite(x + y + w + h)
+    except (KeyError, TypeError):
+        common = False
+    if not common:
+        frame, camera, x, y, w, h = values = _detection_values(DETECTION_FIELDS.check(rec))
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box sides must be positive, got w={float(w)}, h={float(h)}")
+    if not (-MAX_BOX_PX <= x <= MAX_BOX_PX and -MAX_BOX_PX <= y <= MAX_BOX_PX
+            and w <= MAX_BOX_PX and h <= MAX_BOX_PX and w * h >= sys.float_info.min):
+        raise ValueError(f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an "
+                         f"area w * h of at least {sys.float_info.min:g}, got x={x!r}, "
+                         f"y={y!r}, w={w!r}, h={h!r}")
+    if frame < 0:
+        raise ValueError("frame index must be >= 0")
+    if frame > MAX_FRAME:
+        raise ValueError(f"frame index must be at most {MAX_FRAME}, got {frame}")
+    if not _INT64_MIN <= camera <= _INT64_MAX:
+        raise ValueError(f"camera id must fit in a signed 64-bit integer, got {camera}")
+    if cameras is not None and camera not in cameras:
+        raise ValueError(f"camera {camera} is absent from calibration")
+    return values
+
+
+def reference_load_detections(path, cameras=None) -> Detections:
+    """The per-line detection loader: each line decoded and checked as it
+    is read."""
+    rows = reference_line_reader(path, "detection", lambda rec: reference_detection(rec, cameras))
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    return Detections(table[:, 0].astype(np.int64),
+                      np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows)),
+                      table[:, 2:].copy())
+
+
+def outcome(load, path, cameras):
+    """(frame, camera, box bits) of a load, or its error text."""
+    try:
+        got = load(path, cameras)
+    except ValueError as exc:
+        return str(exc)
+    assert got.frame.dtype == got.camera.dtype == np.int64 and got.boxes.shape == (len(got), 4)
+    assert got.boxes.flags.c_contiguous
+    return got.frame.tolist(), got.camera.tolist(), got.boxes.view(np.int64).tolist()
+
+
+FIELDS = ("frame", "camera", "x", "y", "w", "h")
+
+
+def _set(**values):
+    return lambda text, rec, draw: json.dumps({**rec, **values})
+
+
+def _field(value):
+    """Put `value` in a drawn field."""
+    return lambda text, rec, draw: json.dumps({**rec, draw(st.sampled_from(FIELDS)): value})
+
+
+def _drop(text, rec, draw):
+    key = draw(st.sampled_from(FIELDS))
+    return json.dumps({k: v for k, v in rec.items() if k != key})
+
+
+# Each way to break a line: (text, record, draw) -> the bad line.
+CORRUPTIONS = {
+    "not JSON": lambda text, rec, draw: text.rstrip()[:-1],
+    "two values": lambda text, rec, draw: text + " " + text,
+    "string": _field("1.0"),
+    "true": _field(True),
+    "huge": _field(10**400),
+    "missing key": _drop,
+    "side": _set(w=0.0),
+    "negative side": _set(h=-2),
+    "far": _set(x=-2e9),
+    "underflow": _set(w=1e-200, h=1e-200),
+    "negative frame": _set(frame=-1),
+    "late frame": _set(frame=MAX_FRAME + 1),
+    "wide camera": _set(camera=2**63),
+    "absent camera": _set(camera=-2**63),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), lines=st.lists(detection_lines(), max_size=12),
+       rules=st.lists(st.sampled_from(sorted(CORRUPTIONS)), max_size=2, unique=True),
+       end=st.sampled_from(["\n", "\r\n"]), block=st.sampled_from([1, 2, 3, 5, 256]),
+       calibrated=st.booleans())
+def test_column_loader_equals_per_line_loader(tmp_path_factory, data, lines, rules, end, block,
+                                              calibrated):
+    # The valid records' cameras, less the one "absent camera" writes, are
+    # the calibration.
+    cameras = {rec["camera"] for _, rec in lines} - {-2**63} if calibrated else None
+    texts, rules = [text for text, _ in lines], rules[:len(lines)]
+    if texts:
+        at = sorted(data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=len(rules),
+                                       max_size=len(rules), unique=True), label="at"))
+        for i, rule in zip(at, rules):
+            texts[i] = CORRUPTIONS[rule](texts[i], lines[i][1], data.draw)
+    for i in sorted(data.draw(st.lists(st.integers(0, len(texts)), max_size=3), label="blank"),
+                    reverse=True):
+        texts.insert(i, data.draw(st.sampled_from(["", " ", "\t "])))
+    path = tmp_path_factory.mktemp("lines") / "detections.jsonl"
+    path.write_bytes("".join(text + end for text in texts).encode())
+    with mock.patch.object(records, "BLOCK_LINES", block):
+        got = outcome(load_detections, path, cameras)
+    assert got == outcome(reference_load_detections, path, cameras)
+
+
+def test_first_bad_line_is_named_across_blocks(tmp_path):
+    """Bad lines in three blocks of the module's size, each kind of error
+    once, fixed one at a time."""
+    assert records.BLOCK_LINES < 1100
+    rec = {"frame": 0, "camera": 1, "x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0}
+    texts = [json.dumps(rec)] * 2500
+    texts[2000] = "{"
+    texts[1500] = json.dumps({**rec, "frame": "0"})
+    texts[1100] = json.dumps({**rec, "w": -1.0})
+    path = tmp_path / "detections.jsonl"
+    for bad in (1100, 1500, 2000):
+        path.write_text("\n".join(texts) + "\n")
+        want = outcome(reference_load_detections, path, {1})
+        assert want.startswith(f"{path}:{bad + 1}: bad detection record: ")
+        assert outcome(load_detections, path, {1}) == want
+        texts[bad] = json.dumps(rec)
+    assert outcome(load_detections, path, {1}) == outcome(reference_load_detections, path, {1})
+
+
+@pytest.mark.parametrize("line", ['{"a": 1}\n', '{"a": 1}', '{"a": 1}\r\n', ' {"a": 1}\n',
+                                  '{"a": 1} \n', '{"a": 1} {"a": 2}\n', '{"a": 1}x\n', '',
+                                  '\n', '[1, 2]\n', 'NaN\n', '"\\ud800"\n', '{"a": }\n'])
+def test_decode_is_json_loads(line):
+    def result(parse):
+        try:
+            return parse(line)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    assert repr(result(decode)) == repr(result(json.loads))
+
+
+def read_outcome(read, path):
+    try:
+        return read(path, "target", lambda rec: rec["frame"])
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_record_reader_equals_per_line_reader(tmp_path):
+    """read_jsonl, a record parse per line over blocks, names the first bad
+    line as the per-line reader does."""
+    path = tmp_path / "records.jsonl"
+    good = ['{"frame": %d}' % f for f in range(7)]
+    for texts in (good, good[:3] + ['{"x": 1}'] + good[3:] + ["{"], good + ["", "{", "[]"]):
+        path.write_text("\n".join(texts) + "\n")
+        with mock.patch.object(records, "BLOCK_LINES", 2):
+            assert read_outcome(read_jsonl, path) == read_outcome(reference_line_reader, path)
+
+
+def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> list[TargetRecord]:
+    """`_emit` a frame and a camera at a time."""
+    cameras = list(rig)
+    pixels = [project(cam, X).tolist() for cam in cameras]
+    tids = tids.tolist()
+    boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
+                   in registry.tracks[tid].boxes_by_camera(tid).items()}
+             for tid in dict.fromkeys(tids)}
+    last_size: dict[int, float] = {}
+    out: list[TargetRecord] = []
+    for i, (f, tid, code) in enumerate(zip(frames.tolist(), tids, codes.tolist())):
+        per_view: list[dict] = []
+        for cam, cam_pixels in zip(cameras, pixels):
+            x, y = cam_pixels[i]
+            if math.isnan(x):
+                continue
+            first, linked = boxes[tid].get(cam.id, (0, []))
+            at = f - first
+            ox, oy, ow, oh = linked[at] if 0 <= at < len(linked) else (math.nan,) * 4
+            if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
+                last_size[cam.id] = max(ow, oh)
+            elif cam.id not in last_size:
+                continue
+            side = maintainer.buffer_scale * last_size[cam.id]
+            per_view.append({"camera": cam.id, "x": x, "y": y,
+                             "w": side, "h": side, "buffered": True})
+        out.append(TargetRecord(frame=f, track_id=tid, X=X[i],
+                                provenance=PROVENANCE[code], per_view=per_view))
+    return out
+
+
+def reference_save_target_records(recs, path) -> None:
+    """One json.dumps(sort_keys=True) per record."""
+    write_jsonl(path, ({"frame": rec.frame, "track_id": rec.track_id,
+                        "X": [float(v) for v in rec.X],
+                        "provenance": rec.provenance.value, "per_view": rec.per_view}
+                       for rec in recs))
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.frame, a.track_id, a.provenance) == (b.frame, b.track_id, b.provenance)
+        assert a.X.tobytes() == b.X.tobytes()
+        assert json.dumps(a.per_view) == json.dumps(b.per_view)
+        assert all(type(value) in (int, float, bool) for v in a.per_view for value in v.values())
+
+
+def emit_both(frames, X, tids, registry, buffer_scale=1.3):
+    frames, X, tids = np.asarray(frames), np.asarray(X, dtype=float), np.asarray(tids)
+    codes = np.zeros(len(frames), np.uint8)
+    maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, buffer_scale=buffer_scale)
+    got = maintainer._emit(frames, X, codes, tids, registry, RIG)
+    assert_same_records(got, reference_emit(maintainer, frames, X, codes, tids, registry, RIG))
+    return got
+
+
+def walk(n, z=1.8):
+    return np.array([[0.05 * f, -0.02 * f, z] for f in range(n)])
+
+
+def linked_boxes(points, frames, camera=0, offset=(0.0, 0.0), size=(40.0, 100.0)):
+    """{frame: box} centred `offset` pixels from each point's projection."""
+    pixels = project(RIG[camera], points)
+    return {f: (pixels[f, 0] + offset[0], pixels[f, 1] + offset[1], *size) for f in frames}
+
+
+def registry_of(*tracks):
+    """A registry of (points, segments) tracks, ids from 0."""
+    reg = TrackRegistry()
+    for tid, (points, segments) in enumerate(tracks):
+        reg.tracks[tid] = TrackRecord(
+            tracklet=to_arrays(FrameTrack(points=dict(enumerate(points)))), segments=segments)
+    return reg
+
+
+class TestEmitEqualsPerFrameLoop:
+    def test_views_wait_for_a_first_size(self):
+        X = walk(30)
+        reg = registry_of((X, [window_segment(0, linked_boxes(X, range(12, 30)), start=12,
+                                              span=18)]))
+        got = emit_both(range(30), X, [0] * 30, reg)
+        assert [v["camera"] for v in got[5].per_view] == []
+        assert [v["camera"] for v in got[12].per_view] == [0]
+
+    def test_far_linked_box_reuses_the_last_size(self):
+        X = walk(30)
+        near = linked_boxes(X, range(0, 10))
+        far = linked_boxes(X, range(10, 20), offset=(60.0, 0.0), size=(30.0, 30.0))
+        reg = registry_of((X, [window_segment(0, {**near, **far}, span=30)]))
+        got = emit_both(range(30), X, [0] * 30, reg)
+        assert got[15].per_view[0]["w"] == 1.3 * 100.0
+
+    def test_point_behind_a_camera_has_no_view_there(self):
+        cam = RIG[0]
+        behind = cam.center + (cam.center - np.array([0.0, 0.0, cam.center[2]]))
+        X = np.vstack([walk(10), [behind], walk(10)[::-1]])
+        assert np.isnan(project(cam, X[10:11])).all()
+        reg = registry_of((X, [window_segment(cam.id, linked_boxes(X[:10], range(10), cam.id))
+                               for cam in RIG]))
+        got = emit_both(range(21), X, [0] * 21, reg)
+        assert 0 not in [v["camera"] for v in got[10].per_view]
+        assert 0 in [v["camera"] for v in got[12].per_view]
+
+    def test_several_tracks_and_gaps_in_the_timeline(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            tracks = []
+            for _tid in range(3):
+                X = walk(60, z=rng.uniform(0.5, 2.0)) + rng.normal(0, 0.2, (60, 3))
+                frames = sorted(rng.choice(60, 40, replace=False).tolist())
+                segments = [window_segment(c, linked_boxes(
+                    X, frames, camera=c, offset=rng.normal(0, 30, 2),
+                    size=rng.uniform(20, 120, 2)), span=60)
+                    for c in rng.choice(len(RIG), rng.integers(0, len(RIG) + 1),
+                                        replace=False).tolist()]
+                tracks.append((X, segments))
+            frames = np.sort(rng.choice(60, 40, replace=False))
+            tids = np.sort(rng.integers(0, 3, 40))
+            X = np.array([tracks[t][0][f] for f, t in zip(frames.tolist(), tids.tolist())])
+            emit_both(frames, X, tids, registry_of(*tracks), buffer_scale=rng.uniform(1, 2))
+
+
+@pytest.mark.parametrize("scenario", ["opposite-only-episode", "crowded-distractors"])
+def test_emit_equals_per_frame_loop_on_a_scene(monkeypatch, scenario):
+    spec = get_scenario_spec(scenario)
+    spec["duration"] = min(spec["duration"], 300)
+    calls = []
+    emit = TargetMaintainer._emit
+    monkeypatch.setattr(TargetMaintainer, "_emit",
+                        lambda self, *args: calls.append((self, args)) or emit(self, *args))
+    got, _ = pipeline.run_pipeline(*simulated(spec), Mode.CASCADE)
+    (maintainer, args), = calls
+    assert got and any(rec.per_view for rec in got)
+    assert_same_records(got, reference_emit(maintainer, *args))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 1e22]
+
+
+@st.composite
+def target_records(draw):
+    view = st.builds(lambda c, x, y, s: {"camera": c, "x": x, "y": y, "w": s, "h": s,
+                                         "buffered": True},
+                     st.integers(-2**63, 2**63 - 1), finite, finite, finite)
+    return [TargetRecord(frame=draw(st.integers(0, MAX_FRAME)),
+                         track_id=draw(st.integers(0, 2**40)),
+                         X=np.array(draw(st.lists(finite | st.sampled_from(SPECIAL),
+                                                  min_size=3, max_size=3))),
+                         provenance=draw(st.sampled_from(list(Provenance))),
+                         per_view=draw(st.lists(view, max_size=4)))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=target_records())
+@example(recs=[TargetRecord(0, 0, np.array(SPECIAL[:3]), Provenance.INTERPOLATED,
+                            [{"camera": 3, "x": SPECIAL[3], "y": SPECIAL[4], "w": -0.0,
+                              "h": -0.0, "buffered": True}])])
+def test_writer_bytes_equal_json_dumps(tmp_path_factory, recs):
+    out = tmp_path_factory.mktemp("records")
+    save_target_records(recs, out / "got.jsonl")
+    reference_save_target_records(recs, out / "want.jsonl")
+    got = (out / "got.jsonl").read_bytes()
+    assert got == (out / "want.jsonl").read_bytes()
+    assert got.decode().splitlines() == [
+        json.dumps({"frame": r.frame, "track_id": r.track_id, "X": r.X.tolist(),
+                    "provenance": r.provenance.value, "per_view": r.per_view}, sort_keys=True)
+        for r in recs]

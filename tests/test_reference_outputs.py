@@ -1,6 +1,7 @@
 """Every run on the regression grid of `reference_outputs.py` gives the
 recorded target output: byte for byte where the numpy version and platform
-match the recorded ones, and in its platform-tolerant form everywhere."""
+match the recorded ones, and in its platform-tolerant form everywhere,
+with every line in the canonical form json.dumps(record, sort_keys=True)."""
 
 import json
 import math
@@ -16,7 +17,11 @@ SAME_PLATFORM = REFERENCE["environment"] == ref.environment()
 @pytest.mark.parametrize("name, spec, mode", ref.entries(), ids=[e[0] for e in ref.entries()])
 def test_output_equals_reference(name, spec, mode):
     want = REFERENCE["entries"][name]
-    got = ref.summary(*ref.run(spec, mode))
+    tracklets, tenures = ref.run(spec, mode)
+    # Each line is json.dumps of its record with sorted keys, on every platform.
+    for line in tracklets.decode().splitlines():
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+    got = ref.summary(tracklets, tenures)
     tolerant, want_tolerant = got["tolerant"], want["tolerant"]
     for key in ("frames", "track_ids", "provenance", "cameras", "tenures"):
         assert tolerant[key] == want_tolerant[key], key
