@@ -23,6 +23,10 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+# Item pairs scored per `frame_distance` call: this bounds the per-frame
+# temporaries of a call however many pairs a chunk of windows holds.
+PAIRS_PER_CALL = 512
+
 
 def shared_frame_distances(present: np.ndarray, cameras,
                            frame_distance: Callable[..., np.ndarray],
@@ -39,8 +43,10 @@ def shared_frame_distances(present: np.ndarray, cameras,
 
     `frame_distance(cam_a, cam_b, i, j, frames)` returns the distances
     between items i[k] of camera cam_a and j[k] of camera cam_b at frame
-    frames[k]; it is called once per camera pair, with the shared frames
-    of all that pair's item pairs.
+    frames[k]; it is called once per camera pair and run of up to
+    PAIRS_PER_CALL of its item pairs, with all their shared frames.  A
+    pair's frames are scored in one call, and its mean is taken over them
+    in frame order, so the result does not depend on the other pairs.
     """
     labels, camera = np.unique(cameras, return_inverse=True)
     labels = labels.tolist()
@@ -54,15 +60,16 @@ def shared_frame_distances(present: np.ndarray, cameras,
     out[overlap & same] = np.inf
     scored = overlap & ~same
     for code in np.unique(pair_code[scored]).tolist():
-        group = np.flatnonzero(scored & (pair_code == code))
-        pair, frame = np.nonzero(shared[group])
-        i, j = rows[group], cols[group]
         a, b = divmod(code, len(labels))
-        d = frame_distance(labels[a], labels[b], i[pair], j[pair], frame)
-        defined = ~np.isnan(d)
-        total = np.bincount(pair, weights=np.where(defined, d, 0.0), minlength=len(group))
-        with np.errstate(invalid="ignore"):
-            out[group] = total / np.bincount(pair, weights=defined, minlength=len(group))
+        of_code = np.flatnonzero(scored & (pair_code == code))
+        for group in np.split(of_code, range(PAIRS_PER_CALL, len(of_code), PAIRS_PER_CALL)):
+            pair, frame = np.nonzero(shared[group])
+            i, j = rows[group], cols[group]
+            d = frame_distance(labels[a], labels[b], i[pair], j[pair], frame)
+            defined = ~np.isnan(d)
+            total = np.bincount(pair, weights=np.where(defined, d, 0.0), minlength=len(group))
+            with np.errstate(invalid="ignore"):
+                out[group] = total / np.bincount(pair, weights=defined, minlength=len(group))
     return out
 
 
@@ -70,16 +77,31 @@ def block_distances(present: np.ndarray, cameras, frame_distance: Callable[..., 
                     sizes: Sequence[int]) -> list[np.ndarray]:
     """`shared_frame_distances` of the pairs within each of consecutive
     blocks of `sizes` items, as one (n, n) array per block, NaN on the
-    diagonal; all pairs, each block's row-major, are scored in one call."""
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    rows, cols = np.triu_indices(len(block), k=1)
-    same = block[rows] == block[cols]
-    rows, cols = rows[same], cols[same]
-    D = np.full((len(block),) * 2, np.nan)
-    D[rows, cols] = D[cols, rows] = shared_frame_distances(present, cameras, frame_distance,
-                                                           pairs=(rows, cols))
-    ends = np.cumsum(sizes, dtype=int).tolist()
-    return [D[e - n:e, e - n:e] for n, e in zip(sizes, ends)]
+    diagonal; all pairs, each block's row-major, are scored in one call.
+
+    The arrays are views of one flat buffer of sum(n * n) cells, and the
+    pair indices are built per block size, so the work and memory are
+    linear in the pairs scored, not quadratic in the items."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    cells = np.cumsum(sizes * sizes) - sizes * sizes
+    n_pairs = sizes * (sizes - 1) // 2
+    first = np.cumsum(n_pairs) - n_pairs
+    # Per pair: item rows and cols, and its two cells in the buffer.
+    index = np.empty((4, int(n_pairs.sum())), dtype=np.int64)
+    for n in np.unique(sizes[n_pairs > 0]).tolist():
+        of = np.flatnonzero(sizes == n)
+        r, c = np.triu_indices(n, k=1)
+        at = (first[of, None] + np.arange(len(r))).ravel()
+        index[0, at] = (starts[of, None] + r).ravel()
+        index[1, at] = (starts[of, None] + c).ravel()
+        index[2, at] = (cells[of, None] + r * n + c).ravel()
+        index[3, at] = (cells[of, None] + c * n + r).ravel()
+    rows, cols, upper, lower = index
+    D = np.full(int((sizes * sizes).sum()), np.nan)
+    D[upper] = D[lower] = shared_frame_distances(present, cameras, frame_distance,
+                                                 pairs=(rows, cols))
+    return [D[o:o + n * n].reshape(n, n) for n, o in zip(sizes.tolist(), cells.tolist())]
 
 
 def cluster_with_cutoff(Ds: Sequence[np.ndarray], cutoff: float) -> list[list[list[int]]]:

@@ -3,13 +3,17 @@ cross-view clustering, the triangulation / ray-plane cascade, cross-window
 stitching and target maintenance, run in one thread.
 
 Windows are associated in chunks: consecutive windows are buffered, in
-order, until they hold at least CHUNK_SEGMENTS segments; the chunk is
-clustered (`cluster_windows`) and solved (`process_windows`) with one call
-per stage, and then each window is stitched and observed, in order.
-This is safe because association reads only a window's own segments,
-never the track registry, and every batched solve is row-independent, so
-a window's tracks are the same in any chunk.  Budgeting in segments rather
-than windows bounds the stacked temporaries on crowded clips.
+order, until the sum of n * n over their segment counts n reaches
+CHUNK_CELLS; the chunk is clustered (`cluster_windows`) and solved
+(`process_windows`) with one call per stage, and then each window is
+stitched and observed, in order.  This is safe because association reads
+only a window's own segments, never the track registry, and every batched
+solve is row-independent, so a window's tracks are the same in any chunk.
+The budget is in distance cells because a chunk's largest temporaries are
+its windows' (n, n) distance arrays and their pairs.  It bounds the
+segment count too (n <= n * n): in dense clutter, where each window's
+n * n exceeds the budget, every window is a chunk of its own, while a
+600-frame clip of a few people is associated in one chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .target import TargetMaintainer, TargetRecord
 
 logger = logging.getLogger(__name__)
 
-CHUNK_SEGMENTS = 128
+CHUNK_CELLS = 32768
 
 
 def collect_window_segments(detections: Detections, rig: CameraRig,
@@ -55,13 +59,14 @@ def collect_window_segments(detections: Detections, rig: CameraRig,
 def _chunks(windows: dict[int, list[WindowSegment2D]]
             ) -> Iterator[list[tuple[int, list[WindowSegment2D]]]]:
     """Consecutive (start, segments) runs of `windows`, in order, each
-    closed once it holds at least CHUNK_SEGMENTS segments."""
+    closed once the sum of its windows' squared segment counts reaches
+    CHUNK_CELLS."""
     chunk: list[tuple[int, list[WindowSegment2D]]] = []
     size = 0
     for start, segments in windows.items():
         chunk.append((start, segments))
-        size += len(segments)
-        if size >= CHUNK_SEGMENTS:
+        size += len(segments) ** 2
+        if size >= CHUNK_CELLS:
             yield chunk
             chunk, size = [], 0
     if chunk:

@@ -119,20 +119,37 @@ class BadRecord(Exception):
     the first record of its block that breaks a rule."""
 
 
+def _undecodable(texts: list[str]):
+    """(index, UnicodeDecodeError) of the first of `texts`, lines read with
+    errors="surrogateescape", that held bytes which are not UTF-8, or None.
+    Such bytes are lone surrogates in the text, which no clean line has, so
+    one encode of the whole block finds whether there is one."""
+    try:
+        "".join(texts).encode()
+        return None
+    except UnicodeEncodeError:
+        for i, text in enumerate(texts):
+            try:
+                text.encode(errors="surrogateescape").decode()
+            except UnicodeDecodeError as exc:
+                return i, exc
+
+
 def read_blocks(path, what: str, parse) -> list:
     """[parse(records) for each block of up to BLOCK_LINES lines of a
     JSON-lines file], `records` the block's non-blank lines decoded, in
-    order.  The first bad line of the file, one that is not JSON or whose
-    record `parse` names with BadRecord, raises ValueError "path:line: bad
-    <what> record: ..."."""
+    order.  The first bad line of the file, one that is not UTF-8, is not
+    JSON or whose record `parse` names with BadRecord, raises ValueError
+    "path:line: bad <what> record: ..."."""
     out, base = [], 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         while lines := list(islice(fh, BLOCK_LINES)):
             texts = [line for line in lines if not line.isspace()]
-            recs, bad = [], None
+            recs, bad = [], _undecodable(texts)
             try:
-                # extend keeps the records decoded before a line that fails.
-                recs.extend(map(decode, texts))
+                # extend keeps the records decoded before a line that fails;
+                # only the lines before one that is not UTF-8 are decoded.
+                recs.extend(map(decode, texts[:bad[0]] if bad else texts))
             except ValueError as exc:
                 bad = len(recs), exc
             try:
@@ -150,8 +167,9 @@ def read_blocks(path, what: str, parse) -> list:
 
 def read_jsonl(path, what: str, parse) -> list:
     """[parse(record) for each non-blank line of a JSON-lines file]; a line
-    that is not JSON, or whose parse raises ValueError, KeyError or
-    TypeError, raises ValueError "path:line: bad <what> record: ..."."""
+    that is not UTF-8 or not JSON, or whose parse raises ValueError,
+    KeyError or TypeError, raises ValueError "path:line: bad <what> record:
+    ..."."""
     def each(recs):
         out = []
         for i, rec in enumerate(recs):

@@ -21,12 +21,19 @@ def inputs():
     return {name: simulated(get_scenario_spec(name)) for name in SCENARIOS}
 
 
+def split_budget(windows, parts=3):
+    """A CHUNK_CELLS value that cuts `windows` into `parts` or so chunks,
+    each closing mid-clip."""
+    return max(1, sum(len(segments) ** 2 for segments in windows.values()) // parts)
+
+
 @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_records_do_not_depend_on_chunk_size(inputs, scenario, mode, monkeypatch,
                                              tmp_path):
     detections, rig, cfg = inputs[scenario]
-    n_windows = len(pipeline.collect_window_segments(detections, rig, cfg))
+    windows = pipeline.collect_window_segments(detections, rig, cfg)
+    n_windows = len(windows)
     chunk_sizes = []
     real = pipeline.cluster_windows
 
@@ -36,21 +43,52 @@ def test_records_do_not_depend_on_chunk_size(inputs, scenario, mode, monkeypatch
     monkeypatch.setattr(pipeline, "cluster_windows", spy)
 
     outputs = []
-    for budget in (1, pipeline.CHUNK_SEGMENTS, 10**9):
-        monkeypatch.setattr(pipeline, "CHUNK_SEGMENTS", budget)
+    budgets = (1, split_budget(windows), pipeline.CHUNK_CELLS, 10**9)
+    for budget in budgets:
+        monkeypatch.setattr(pipeline, "CHUNK_CELLS", budget)
         chunk_sizes.clear()
         records, _ = pipeline.run_pipeline(detections, rig, cfg, mode)
         assert sum(chunk_sizes) == n_windows
         if budget == 1:
             assert chunk_sizes == [1] * n_windows
+        elif budget == budgets[1]:
+            assert 2 <= len(chunk_sizes) < n_windows
         elif budget == 10**9:
             assert chunk_sizes == [n_windows]
         path = tmp_path / f"{budget}.jsonl"
         target.save_target_records(records, path)
         outputs.append(path.read_bytes())
     assert outputs[0]
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    for output in outputs[1:]:
+        assert output == outputs[0]
+
+
+def test_chunks_take_every_window_once_in_order(monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_CELLS", 50)
+    windows = {start: ["segment"] * n
+               for start, n in zip(range(0, 100, 10), (3, 4, 8, 1, 2, 5, 5, 6, 0, 1))}
+    chunks = list(pipeline._chunks(windows))
+    assert [item for chunk in chunks for item in chunk] == list(windows.items())
+    assert [[start for start, _ in chunk] for chunk in chunks] == \
+        [[0, 10, 20], [30, 40, 50, 60], [70, 80, 90]]
+    # Each chunk but the last closes at the first window that reaches the
+    # budget: 9 + 16 + 64 = 89, then 1 + 4 + 25 + 25 = 55.
+    for chunk in chunks[:-1]:
+        cells = [len(segments) ** 2 for _, segments in chunk]
+        assert sum(cells) >= 50 > sum(cells[:-1])
+
+
+def test_window_over_the_budget_is_a_chunk_alone(monkeypatch):
+    # A window with n * n at or over the budget closes its chunk, so each
+    # of a run of such windows (dense clutter) is a chunk of its own.
+    monkeypatch.setattr(pipeline, "CHUNK_CELLS", 100)
+    windows = {0: [0] * 11, 1: [0] * 10, 2: [0] * 3, 3: [0] * 12, 4: [0] * 2}
+    assert [[start for start, _ in chunk] for chunk in pipeline._chunks(windows)] == \
+        [[0], [1], [2, 3], [4]]
+    monkeypatch.setattr(pipeline, "CHUNK_CELLS", 1)
+    assert [[start for start, _ in chunk] for chunk in pipeline._chunks(windows)] == \
+        [[0], [1], [2], [3], [4]]
+    assert list(pipeline._chunks({})) == []
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
@@ -74,6 +112,9 @@ def test_one_call_per_stage_and_chunk(inputs, scenario, monkeypatch):
     # Per chunk: one outlier gate and one plane matcher call, and one
     # linkage per distinct window size (of two or more items) per stage.
     detections, rig, cfg = inputs[scenario]
+    # A budget that splits each scenario, so chunk edges are checked too.
+    monkeypatch.setattr(pipeline, "CHUNK_CELLS", split_budget(
+        pipeline.collect_window_segments(detections, rig, cfg)))
     calls = []
 
     def spy(module, name, sizes=None):

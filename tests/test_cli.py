@@ -392,6 +392,27 @@ class TestTrack:
         assert isinstance(result.exception, SystemExit)
         assert f"detections.jsonl:5: bad detection record: {message}" in result.output
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["bytes-first", "value-first"])
+    def test_bytes_not_utf8_name_their_line(self, runner, tmp_path, earlier):
+        out = simulate(runner, tmp_path)
+        path = out / "detections.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b'"x"', b'"\xff"')
+        lines[8] = lines[8].replace(b'"x": ', b'"x": NaN, "was": ')
+        if earlier:
+            lines[2] = lines[2].replace(b'"w": ', b'"w": -')
+        path.write_bytes(b"\n".join(lines))
+        result = run_track(runner, out)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        if earlier:
+            assert "detections.jsonl:3: bad detection record: box sides must be positive" \
+                in result.output
+        else:
+            assert "detections.jsonl:5: bad detection record: 'utf-8' codec can't decode " \
+                   f"byte 0xff in position {lines[4].index(0xff)}: invalid start byte" \
+                in result.output
+
     def test_extra_json_after_a_record_is_input_error(self, runner, tmp_path):
         out = simulate(runner, tmp_path)
         self.edit_line(out, 4, lambda line: line + " 1")

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -280,3 +282,64 @@ class TestSharedFrameDistances:
         blocks = block_distances(present, cameras, frame_distance, sizes)
         for block, lo, hi in zip(blocks, [0] + cuts, cuts + [n]):
             assert np.array_equal(block, got[lo:hi, lo:hi], equal_nan=True)
+
+
+def reference_block_distances(present, cameras, frame_distance, sizes):
+    """The chunk-wide form of `block_distances`: one triu over all S items,
+    the same-block pairs kept, scattered into one (S, S) array."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = np.triu_indices(len(block), k=1)
+    same = block[rows] == block[cols]
+    rows, cols = rows[same], cols[same]
+    D = np.full((len(block),) * 2, nan)
+    D[rows, cols] = D[cols, rows] = shared_frame_distances(present, cameras, frame_distance,
+                                                           pairs=(rows, cols))
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    return [D[e - n:e, e - n:e] for n, e in zip(sizes, ends)]
+
+
+class TestBlockDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.sampled_from([0, 1, 2, 3, 5, 7]), max_size=8),
+           span=st.integers(1, 10), n_cameras=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_chunk_wide_form(self, sizes, span, n_cameras, seed):
+        # Empty, one-item and repeated block sizes, in any order.
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        present = rng.random((n, span)) < 0.6
+        cameras = rng.integers(0, n_cameras, size=n).tolist()
+        values = rng.normal(size=(n, span, 3))
+        values[rng.random((n, span)) < 0.2] = nan
+
+        def frame_distance(cam_a, cam_b, i, j, frames):
+            return np.linalg.norm(values[i, frames] - values[j, frames], axis=1)
+
+        want = reference_block_distances(present, cameras, frame_distance, sizes)
+        # The pairs of a camera pair are scored in runs of PAIRS_PER_CALL.
+        for per_call in (clustering.PAIRS_PER_CALL, 1, 3):
+            with mock.patch.object(clustering, "PAIRS_PER_CALL", per_call):
+                got = block_distances(present, cameras, frame_distance, sizes)
+            assert [D.shape for D in got] == [(k, k) for k in sizes]
+            for D, W in zip(got, want):
+                assert np.array_equal(D, W, equal_nan=True)
+
+    def test_memory_is_linear_in_pairs(self):
+        # 300 blocks of 12: 19 800 pairs.  One (S, S) float array over the
+        # S = 3 600 items alone would take 104 MB.
+        sizes = [12] * 300
+        n = sum(sizes)
+        present = np.ones((n, 9), dtype=bool)
+        cameras = (np.arange(n) % 4).tolist()
+
+        def frame_distance(cam_a, cam_b, i, j, frames):
+            return np.abs(i - j).astype(float)
+
+        tracemalloc.start()
+        try:
+            Ds = block_distances(present, cameras, frame_distance, sizes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(Ds) == 300 and Ds[0].shape == (12, 12)
+        assert peak < 6 * 2**20

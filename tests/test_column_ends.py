@@ -174,6 +174,57 @@ def test_first_bad_line_is_named_across_blocks(tmp_path):
     assert outcome(load_detections, path, {1}) == outcome(reference_load_detections, path, {1})
 
 
+UTF8_REC = {"frame": 0, "camera": 1, "x": 1.0, "y": 2.0, "w": 3.0, "h": 4.0}
+# A record whose "x" key holds a byte that is not UTF-8, at this offset.
+NOT_UTF8 = json.dumps(UTF8_REC).encode().replace(b'"x"', b'"\xff"')
+NOT_UTF8_MESSAGE = ("'utf-8' codec can't decode byte 0xff in position "
+                    f"{NOT_UTF8.index(0xff)}: invalid start byte")
+
+
+@pytest.mark.parametrize("block", [4, 256])
+@pytest.mark.parametrize("undecodable_first", [True, False], ids=["bytes-first", "bytes-last"])
+@pytest.mark.parametrize("other", ["{", json.dumps({**UTF8_REC, "frame": "0"}),
+                                   json.dumps({**UTF8_REC, "w": -1.0})],
+                         ids=["json", "kind", "value"])
+def test_bytes_not_utf8_name_their_line(tmp_path, other, undecodable_first, block):
+    """A line that is not UTF-8 is named as any other bad line is: the
+    first bad line of the file wins, whatever its error, in one block or
+    across blocks."""
+    lines = [json.dumps(UTF8_REC).encode()] * 12
+    first, second = (5, 9) if undecodable_first else (9, 5)
+    lines[first - 1] = NOT_UTF8
+    lines[second - 1] = other.encode()
+    path = tmp_path / "detections.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with mock.patch.object(records, "BLOCK_LINES", block):
+        got = outcome(load_detections, path, {1})
+        lines[second - 1] = lines[0]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        alone = outcome(load_detections, path, {1})
+    want = f"{path}:5: bad detection record: "
+    assert got.startswith(want)
+    if undecodable_first:
+        assert got == want + NOT_UTF8_MESSAGE
+    else:
+        assert NOT_UTF8_MESSAGE not in got
+    assert alone == f"{path}:{first}: bad detection record: {NOT_UTF8_MESSAGE}"
+
+
+@pytest.mark.parametrize("line", [NOT_UTF8.replace(b"{", b"{{"),
+                                  NOT_UTF8.replace(b"3.0", b"-3.0"),
+                                  NOT_UTF8.replace(b"0,", b'"0",', 1),
+                                  b"\xef\xbb\xbf" + NOT_UTF8, b"\xed\xa0\x80\n"],
+                         ids=["json", "value", "kind", "bom", "encoded-surrogate"])
+def test_bytes_not_utf8_come_before_the_rest_of_their_line(tmp_path, line):
+    good = json.dumps(UTF8_REC).encode()
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
+    got = read_outcome(read_jsonl, path)
+    assert got.startswith(f"{path}:3: bad target record: 'utf-8' codec can't decode byte ")
+    assert outcome(load_detections, path, {1}).startswith(
+        f"{path}:3: bad detection record: 'utf-8' codec can't decode byte ")
+
+
 @pytest.mark.parametrize("line", ['{"a": 1}\n', '{"a": 1}', '{"a": 1}\r\n', ' {"a": 1}\n',
                                   '{"a": 1} \n', '{"a": 1} {"a": 2}\n', '{"a": 1}x\n', '',
                                   '\n', '[1, 2]\n', 'NaN\n', '"\\ud800"\n', '{"a": }\n'])
