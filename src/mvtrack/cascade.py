@@ -36,6 +36,9 @@ THETA_OPP_DEG = 150.0
 TAU_PLANE_M = 0.5
 VELOCITY_LIMIT_M = 1.0
 BETA_M = 1.0
+# Cells solved per `triangulate_batch` call in `_triangulate_boxes`: this
+# bounds the temporaries of a call however many cells a chunk holds.
+CELLS_PER_CALL = 2048
 
 # Box points that are triangulated, as vertical offsets from the box
 # center in box heights (image y points down).
@@ -130,7 +133,7 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
     solved from every segment of its request with a box there, if there
     are at least two.  The rows of all requests are grouped by the cameras
     they are seen by, and the distinct rows of each group are solved, for
-    all `offsets`, in one `triangulate_batch` call.
+    all `offsets`, one `triangulate_batch` call per CELLS_PER_CALL cells.
     Returns (points, ok, seen): points (len(offsets), R, L, 3) and ok
     (len(offsets), R, L) per offset, request and frame of the window (L
     frames), and per request the number of wanted frames with a box in at
@@ -161,19 +164,20 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
     points = np.full((len(offsets),) + solve.shape + (3,), np.nan)
     ok = np.zeros((len(offsets),) + solve.shape, dtype=bool)
     for cameras, g in group_ids.items():
-        cells = np.flatnonzero(group == g)
-        ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
-        boxes = stack[r[cells, None], ks, j[cells, None]]
-        # A box tuple kept across the overlap of two windows recurs.  A row's
-        # solve does not depend on the other rows, so one solve serves all.
-        first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
-        distinct = boxes[first]
-        x, y, h = distinct[..., 0], distinct[..., 1], distinct[..., 3]
-        pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
-                                 for off in offsets])
-        solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
-        points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(first), 3)[:, inverse]
-        ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(first))[:, inverse]
+        of_group = np.flatnonzero(group == g)
+        for cells in np.split(of_group, range(CELLS_PER_CALL, len(of_group), CELLS_PER_CALL)):
+            ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
+            boxes = stack[r[cells, None], ks, j[cells, None]]
+            # A box tuple kept across the overlap of two windows recurs.  A row's
+            # solve does not depend on the other rows, so one solve serves all.
+            first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
+            distinct = boxes[first]
+            x, y, h = distinct[..., 0], distinct[..., 1], distinct[..., 3]
+            pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
+                                     for off in offsets])
+            solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
+            points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(first), 3)[:, inverse]
+            ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(first))[:, inverse]
     return points, ok, solve.sum(axis=1)
 
 

@@ -29,7 +29,7 @@ from .cross_view import cluster_windows
 from .geometry import CameraRig
 from .stitch import TrackRegistry
 from .sv_track import Detections, WindowSegment2D, segment_windows, track_camera_stream
-from .target import TargetMaintainer, TargetRecord
+from .target import TargetMaintainer, TargetRecords
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,8 @@ def _chunks(windows: dict[int, list[WindowSegment2D]]
 
 def run_pipeline(detections: Detections, rig: CameraRig,
                  cfg: PipelineConfig,
-                 mode: Mode = Mode.CASCADE) -> tuple[list[TargetRecord], TrackRegistry]:
-    """Run the full pipeline and return the per-frame target records plus
+                 mode: Mode = Mode.CASCADE) -> tuple[TargetRecords, TrackRegistry]:
+    """Run the full pipeline and return the target output as columns plus
     the final track registry (all identities)."""
     plane = cfg.plane()
     space = cfg.space()

@@ -388,25 +388,26 @@ def _detection_block(recs: list, cameras) -> tuple:
     w, h = boxes[:, 2], boxes[:, 3]
     absent = [] if cameras is None else [c for c in np.unique(camera).tolist() if c not in cameras]
     with np.errstate(over="ignore"):
-        # The area is a positive normal float, so IoU never divides by zero.
-        rules = np.array([(w <= 0) | (h <= 0),
-                          ~((np.abs(boxes) <= MAX_BOX_PX).all(axis=1)
-                            & (w * h >= sys.float_info.min)),
-                          frame < 0, frame > MAX_FRAME,
-                          (camera < _INT64_MIN) | (camera > _INT64_MAX),
-                          np.isin(camera, absent)], dtype=bool)
-    broken = rules.any(axis=0)
+        # Each value rule's mask and its message from a record's values.  The
+        # area is a positive normal float, so IoU never divides by zero.
+        rules = [((w <= 0) | (h <= 0), lambda f, c, x, y, w, h:
+                  f"box sides must be positive, got w={float(w)}, h={float(h)}"),
+                 (~((np.abs(boxes) <= MAX_BOX_PX).all(axis=1) & (w * h >= sys.float_info.min)),
+                  lambda f, c, x, y, w, h:
+                  f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an area w * h of "
+                  f"at least {sys.float_info.min:g}, got x={x!r}, y={y!r}, w={w!r}, h={h!r}"),
+                 (frame < 0, lambda *_: "frame index must be >= 0"),
+                 (frame > MAX_FRAME,
+                  lambda f, *_: f"frame index must be at most {MAX_FRAME}, got {f}"),
+                 ((camera < _INT64_MIN) | (camera > _INT64_MAX),
+                  lambda f, c, *_: f"camera id must fit in a signed 64-bit integer, got {c}"),
+                 (np.isin(camera, absent),
+                  lambda f, c, *_: f"camera {c} is absent from calibration")]
+    broken = np.any([mask for mask, _ in rules], axis=0)
     if broken.any():
         i = int(np.argmax(broken))
-        f, c, x, y, w, h = rows[i]
-        raise BadRecord(i, ValueError([
-            f"box sides must be positive, got w={float(w)}, h={float(h)}",
-            f"box needs |x|, |y|, w and h at most {MAX_BOX_PX:g} and an area w * h of "
-            f"at least {sys.float_info.min:g}, got x={x!r}, y={y!r}, w={w!r}, h={h!r}",
-            "frame index must be >= 0",
-            f"frame index must be at most {MAX_FRAME}, got {f}",
-            f"camera id must fit in a signed 64-bit integer, got {c}",
-            f"camera {c} is absent from calibration"][int(np.argmax(rules[:, i]))]))
+        message = next(message for mask, message in rules if mask[i])
+        raise BadRecord(i, ValueError(message(*rows[i])))
     if end < len(recs):
         raise BadRecord(end, _kind_error(recs[end]))
     return frame, camera, boxes

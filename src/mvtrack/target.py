@@ -6,8 +6,8 @@ multi-object output, picked by the height-trigger rule and re-picked by
 the same rule after a loss.  Short gaps in the target track are bridged
 by linear interpolation, in blocks split at the longer gaps; each block is
 smoothed and reprojected into each camera with buffered square boxes, the
-box rule evaluated per camera over the whole timeline as arrays.  Records
-are written one line each, formatted from one template.
+box rule evaluated per camera over the whole timeline as arrays, into
+columns that are written a line per frame from one template.
 """
 
 from __future__ import annotations
@@ -84,15 +84,22 @@ def smooth_track(t3: Tracklet3D, window: int = SMOOTH_WINDOW) -> Tracklet3D:
     return Tracklet3D(t3.first, points, t3.provenance.copy())
 
 
-@dataclass
-class TargetRecord:
-    """One emitted frame of the target track."""
+@dataclass(frozen=True)
+class TargetRecords:
+    """The target output, a row per frame: `frame` and `track_id` (n,) int64,
+    `X` (n, 3) float64, `provenance` (n,) uint8 codes into `PROVENANCE`, and
+    `views` (C, n, 3), per camera of `cameras` (rig order) the x, y and side
+    of its buffered square box, NaN where that camera shows no view."""
 
-    frame: int
-    track_id: int
+    frame: np.ndarray
+    track_id: np.ndarray
     X: np.ndarray
-    provenance: Provenance
-    per_view: list[dict]
+    provenance: np.ndarray
+    cameras: tuple[int, ...]
+    views: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 @dataclass
@@ -149,8 +156,7 @@ class TargetMaintainer:
                     logger.info("target identified: track %d at frame %d", tid, t_c)
                     break
 
-    def finalize(self, registry: TrackRegistry,
-                 rig: CameraRig) -> list[TargetRecord]:
+    def finalize(self, registry: TrackRegistry, rig: CameraRig) -> TargetRecords:
         # Each tenure's points after the frames already taken, to its end.
         parts, emitted_end = [], -1
         for tenure in self.tenures:
@@ -163,7 +169,8 @@ class TargetMaintainer:
                           np.full(len(rows), tenure["id"])))
             emitted_end = max(emitted_end, end)
         if not any(len(frames) for frames, _, _, _ in parts):
-            return []
+            return self._emit(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.uint8),
+                              np.zeros(0, np.int64), registry, rig)
         frames, X, codes, tids = map(np.concatenate, zip(*parts))
 
         # A block per run of frames whose gaps can all be bridged, so the
@@ -197,17 +204,17 @@ class TargetMaintainer:
             tids[a + 1:b] = tids[b]
 
     def _emit(self, frames: np.ndarray, X: np.ndarray, codes: np.ndarray, tids: np.ndarray,
-              registry: TrackRegistry, rig: CameraRig) -> list[TargetRecord]:
-        """A record per timeline frame, with a view per camera the point
-        projects into once that camera has a size: a square centred on the
+              registry: TrackRegistry, rig: CameraRig) -> TargetRecords:
+        """The timeline's columns, with a view per camera the point projects
+        into once that camera has a size: a square centred on the
         projection, its side buffer_scale * max(w, h) of the box linked
         there when the projection lies within half that size of the box's
         centre, else of the camera's last such box.  Each rule is one array
         operation per camera."""
         linked = [(np.flatnonzero(tids == tid), registry.tracks[tid].boxes_by_camera(tid))
                   for tid in np.unique(tids).tolist()]
-        views: list[list[dict]] = [[] for _ in frames]
-        for cam in rig:
+        views = np.full((len(rig), len(frames), 3), np.nan)
+        for view, cam in zip(views, rig):
             # The box linked at each frame, NaN where none.
             boxes = np.full((len(frames), 4), np.nan)
             for rows, by_camera in linked:
@@ -221,33 +228,29 @@ class TargetMaintainer:
             size = np.maximum(ow, oh)
             hit = np.hypot(x - ox, y - oy) <= 0.5 * size
             last = np.maximum.accumulate(np.where(hit, np.arange(len(frames)), -1))
-            shown = np.flatnonzero(~np.isnan(x) & (last >= 0))
-            for i, px, py, side in zip(shown.tolist(), x[shown].tolist(), y[shown].tolist(),
-                                       (self.buffer_scale * size[last[shown]]).tolist()):
-                views[i].append({"camera": cam.id, "x": px, "y": py, "w": side, "h": side,
-                                 "buffered": True})
-        return [TargetRecord(frame=f, track_id=tid, X=point, provenance=PROVENANCE[code],
-                             per_view=per_view)
-                for f, tid, point, code, per_view in zip(frames.tolist(), tids.tolist(), X,
-                                                         codes.tolist(), views)]
+            shown = ~np.isnan(x) & (last >= 0)
+            view[shown] = np.column_stack([x, y, self.buffer_scale * size[last]])[shown]
+        return TargetRecords(frames, tids, X, codes, tuple(cam.id for cam in rig), views)
 
 
-def save_target_records(records: list[TargetRecord], path) -> None:
-    """Write the target output as JSON-lines, one record per frame.  Each
-    line is json.dumps(record, sort_keys=True) of its fields, formatted from
-    one template: the floats `_emit` gives are Python floats, finite,
-    written by float.__repr__ as json writes them.  Lines go to the file's
-    buffer as they are formatted: holding them all for one write raised the
-    process's peak memory."""
+def save_target_records(records: TargetRecords, path) -> None:
+    """Write the target output as JSON-lines, one record per frame: each line
+    is json.dumps(record, sort_keys=True), its `per_view` a view per camera
+    whose x is not NaN, w and h the side, formatted from one template (the
+    floats are finite, written by float.__repr__ as json writes them).
+    Lines go to the file's buffer as they are formatted: holding them all
+    for one write raised the process's peak memory."""
     with open(path, "w") as fh:
-        for rec in records:
-            views = ", ".join([f'{{"buffered": true, "camera": {v["camera"]}, "h": {v["h"]!r}, '
-                               f'"w": {v["w"]!r}, "x": {v["x"]!r}, "y": {v["y"]!r}}}'
-                               for v in rec.per_view])
-            x, y, z = rec.X.tolist()
-            fh.write(f'{{"X": [{x!r}, {y!r}, {z!r}], "frame": {rec.frame}, '
-                     f'"per_view": [{views}], "provenance": "{rec.provenance.value}", '
-                     f'"track_id": {rec.track_id}}}\n')
+        for f, tid, (x, y, z), code, *views in zip(
+                records.frame.tolist(), records.track_id.tolist(), records.X.tolist(),
+                records.provenance.tolist(), *(view.tolist() for view in records.views)):
+            shown = ", ".join([f'{{"buffered": true, "camera": {camera}, "h": {s!r}, '
+                               f'"w": {s!r}, "x": {px!r}, "y": {py!r}}}'
+                               for camera, (px, py, s) in zip(records.cameras, views)
+                               if px == px])
+            fh.write(f'{{"X": [{x!r}, {y!r}, {z!r}], "frame": {f}, '
+                     f'"per_view": [{shown}], "provenance": "{PROVENANCE[code].value}", '
+                     f'"track_id": {tid}}}\n')
 
 
 VIEW_FIELDS = Fields({"camera": INT, ("x", "y", "w", "h"): NUM})

@@ -9,7 +9,7 @@ from statistics import mean
 import numpy as np
 from click.testing import CliRunner
 
-from mvtrack.cascade import Mode, Provenance
+from mvtrack.cascade import PROVENANCE, Mode, Provenance
 from mvtrack.cli import main as cli_main
 from mvtrack.clustering import cluster_with_cutoff
 from mvtrack.config import PipelineConfig
@@ -20,7 +20,8 @@ from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.simulate import build_scenario, make_rig, render_detections
 from mvtrack.stitch import assign
-from mvtrack.target import TargetCriteria, TargetMaintainer
+from mvtrack.target import (TargetCriteria, TargetMaintainer, load_target_records,
+                            save_target_records)
 
 from conftest import look_at_camera
 from test_clustering import random_distance_matrix, reference_clustering
@@ -33,10 +34,15 @@ def _verdict(num, label, ok, detail=""):
     assert ok, f"acceptance {num} {label}{suffix}"
 
 
-def _records_as_dicts(records):
-    return [{"frame": r.frame, "track_id": r.track_id,
-             "X": [float(v) for v in r.X], "per_view": r.per_view}
-            for r in records]
+INTERPOLATED = PROVENANCE.index(Provenance.INTERPOLATED)
+
+
+def _score(records, truth, tmp_path):
+    """The report of `records` as `mvtrack track` writes them and `mvtrack
+    evaluate` reads them back."""
+    path = tmp_path / "tracklets.jsonl"
+    save_target_records(records, path)
+    return evaluate(load_target_records(path), truth)
 
 
 def _scene_config(scene):
@@ -113,7 +119,7 @@ def _episode_aed(report, lo=100, hi=190):
     return sum(w["aed_m"] * w["frames"] for w in windows) / frames
 
 
-def test_acceptance_4_cascade_beats_ablations():
+def test_acceptance_4_cascade_beats_ablations(tmp_path):
     t0 = time.perf_counter()
     modes = (Mode.CASCADE, Mode.TRIANGULATION_ONLY, Mode.PLANE_ONLY)
     full = {m: [] for m in modes}
@@ -127,7 +133,7 @@ def test_acceptance_4_cascade_beats_ablations():
         cfg = _scene_config(scene)
         for mode in modes:
             records, _ = run_pipeline(detections, rig, cfg, mode=mode)
-            report = evaluate(_records_as_dicts(records), truth)
+            report = _score(records, truth, tmp_path)
             full[mode].append(report["aed_m"])
             episode[mode].append(_episode_aed(report))
     elapsed = time.perf_counter() - t0
@@ -147,12 +153,12 @@ def test_acceptance_4_cascade_beats_ablations():
              f"{elapsed:.0f} s")
 
 
-def test_acceptance_5_clean_scene_quality():
+def test_acceptance_5_clean_scene_quality(tmp_path):
     scene = build_scenario(get_scenario_spec("clean-4cam"))
     detections, truth = render_detections(scene)
     records, _ = run_pipeline(detections, CameraRig(scene.rig),
                               _scene_config(scene))
-    report = evaluate(_records_as_dicts(records), truth)
+    report = _score(records, truth, tmp_path)
     ok = (report["id_switches"] == 0
           and report["aed_m"] <= 0.05
           and report["failure_rate"] <= 0.002)
@@ -190,12 +196,10 @@ def test_acceptance_6_gap_bridging():
     _, registry = run_pipeline(detections, rig, cfg)
 
     short = _replay_with_hole(registry, cfg, rig, 400, range(200, 205))
-    short_interp = sorted(r.frame for r in short
-                          if r.provenance is Provenance.INTERPOLATED)
+    short_interp = sorted(short.frame[short.provenance == INTERPOLATED].tolist())
     long = _replay_with_hole(registry, cfg, rig, 400, range(200, 212))
-    long_frames = {r.frame for r in long}
-    long_interp = [r.frame for r in long
-                   if r.provenance is Provenance.INTERPOLATED]
+    long_frames = set(long.frame.tolist())
+    long_interp = long.frame[long.provenance == INTERPOLATED].tolist()
 
     ok = (short_interp == list(range(200, 205))
           and long_frames.isdisjoint(range(200, 212))

@@ -108,6 +108,32 @@ def test_records_do_not_depend_on_row_dedupe(inputs, scenario, mode, monkeypatch
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
+def test_records_do_not_depend_on_cells_per_call(inputs, scenario, monkeypatch, tmp_path):
+    # Centers, tops and bottoms are solved in runs of CELLS_PER_CALL cells,
+    # each run deduplicated on its own.
+    detections, rig, cfg = inputs[scenario]
+    rows = []
+    real = cascade.triangulate_batch
+    monkeypatch.setattr(cascade, "triangulate_batch",
+                        lambda cams, pixels: rows.append(len(pixels)) or real(cams, pixels))
+    outputs = []
+    for cells in (1, 5, cascade.CELLS_PER_CALL, 10**9):
+        monkeypatch.setattr(cascade, "CELLS_PER_CALL", cells)
+        rows.clear()
+        records, registry = pipeline.run_pipeline(detections, rig, cfg)
+        # Two offsets (top and bottom) for the height solves.
+        assert rows and max(rows) <= 2 * cells
+        path = tmp_path / "records.jsonl"
+        target.save_target_records(records, path)
+        outputs.append((path.read_bytes(), [
+            (tid, rec.tracklet.points.tobytes(), rec.tracklet.top.tobytes())
+            for tid, rec in sorted(registry.tracks.items())]))
+    assert outputs[0][0]
+    for output in outputs[1:]:
+        assert output == outputs[0]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
 def test_one_call_per_stage_and_chunk(inputs, scenario, monkeypatch):
     # Per chunk: one outlier gate and one plane matcher call, and one
     # linkage per distinct window size (of two or more items) per stage.

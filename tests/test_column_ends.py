@@ -1,12 +1,13 @@
 """The two ends of a `track` job, checked against their per-row forms: the
 block-wise column check of `load_detections` against a per-line loader,
 `TargetMaintainer._emit` against a per-frame, per-camera loop, and
-`save_target_records` against one `json.dumps` per record.  The per-row
-forms below are kept as oracles only."""
+`save_target_records` against one `json.dumps` per record of the row view
+`record_dicts`.  The per-row forms below are kept as oracles only."""
 
 import json
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from mvtrack.stitch import TrackRecord, TrackRegistry
 from mvtrack.sv_track import (_COMMON_TYPES, _INT64_MAX, _INT64_MIN, DETECTION_FIELDS,
                               MAX_BOX_PX, MAX_FRAME, Detections, _detection_values,
                               load_detections)
-from mvtrack.target import TargetMaintainer, TargetRecord, project, save_target_records
+from mvtrack.target import TargetMaintainer, TargetRecords, project, save_target_records
 
 from conftest import FrameTrack, simulated, to_arrays, window_segment
 from test_boundary import detection_lines
@@ -255,19 +256,17 @@ def test_record_reader_equals_per_line_reader(tmp_path):
             assert read_outcome(read_jsonl, path) == read_outcome(reference_line_reader, path)
 
 
-def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> list[TargetRecord]:
+def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> TargetRecords:
     """`_emit` a frame and a camera at a time."""
     cameras = list(rig)
     pixels = [project(cam, X).tolist() for cam in cameras]
-    tids = tids.tolist()
     boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
                    in registry.tracks[tid].boxes_by_camera(tid).items()}
-             for tid in dict.fromkeys(tids)}
+             for tid in dict.fromkeys(tids.tolist())}
     last_size: dict[int, float] = {}
-    out: list[TargetRecord] = []
-    for i, (f, tid, code) in enumerate(zip(frames.tolist(), tids, codes.tolist())):
-        per_view: list[dict] = []
-        for cam, cam_pixels in zip(cameras, pixels):
+    views = np.full((len(cameras), len(frames), 3), np.nan)
+    for i, (f, tid) in enumerate(zip(frames.tolist(), tids.tolist())):
+        for view, cam, cam_pixels in zip(views, cameras, pixels):
             x, y = cam_pixels[i]
             if math.isnan(x):
                 continue
@@ -278,29 +277,41 @@ def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> list[Ta
                 last_size[cam.id] = max(ow, oh)
             elif cam.id not in last_size:
                 continue
-            side = maintainer.buffer_scale * last_size[cam.id]
-            per_view.append({"camera": cam.id, "x": x, "y": y,
-                             "w": side, "h": side, "buffered": True})
-        out.append(TargetRecord(frame=f, track_id=tid, X=X[i],
-                                provenance=PROVENANCE[code], per_view=per_view))
-    return out
+            view[i] = x, y, maintainer.buffer_scale * last_size[cam.id]
+    return TargetRecords(np.array(frames, np.int64), np.array(tids, np.int64),
+                         np.array(X, np.float64), np.array(codes, np.uint8),
+                         tuple(cam.id for cam in cameras), views)
 
 
-def reference_save_target_records(recs, path) -> None:
+def record_dicts(records: TargetRecords) -> list[dict]:
+    """The rows of `records` as the dicts a line of tracklets.jsonl holds:
+    a view per camera whose x is not NaN, w and h its side."""
+    return [{"frame": f, "track_id": tid, "X": x, "provenance": PROVENANCE[code].value,
+             "per_view": [{"camera": camera, "x": vx, "y": vy, "w": side, "h": side,
+                           "buffered": True}
+                          for camera, (vx, vy, side) in zip(records.cameras, views)
+                          if not math.isnan(vx)]}
+            for f, tid, x, code, *views in zip(
+                records.frame.tolist(), records.track_id.tolist(), records.X.tolist(),
+                records.provenance.tolist(), *(view.tolist() for view in records.views))]
+
+
+def reference_save_target_records(records, path) -> None:
     """One json.dumps(sort_keys=True) per record."""
-    write_jsonl(path, ({"frame": rec.frame, "track_id": rec.track_id,
-                        "X": [float(v) for v in rec.X],
-                        "provenance": rec.provenance.value, "per_view": rec.per_view}
-                       for rec in recs))
+    write_jsonl(path, record_dicts(records))
 
 
 def assert_same_records(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.frame, a.track_id, a.provenance) == (b.frame, b.track_id, b.provenance)
-        assert a.X.tobytes() == b.X.tobytes()
-        assert json.dumps(a.per_view) == json.dumps(b.per_view)
-        assert all(type(value) in (int, float, bool) for v in a.per_view for value in v.values())
+    assert isinstance(got, TargetRecords) and len(got) == len(want)
+    assert got.cameras == want.cameras
+    for name in ("frame", "track_id", "X", "provenance", "views"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def cameras_shown(records, i) -> list[int]:
+    return [camera for camera, view in zip(records.cameras, records.views[:, i])
+            if not np.isnan(view[0])]
 
 
 def emit_both(frames, X, tids, registry, buffer_scale=1.3):
@@ -337,8 +348,8 @@ class TestEmitEqualsPerFrameLoop:
         reg = registry_of((X, [window_segment(0, linked_boxes(X, range(12, 30)), start=12,
                                               span=18)]))
         got = emit_both(range(30), X, [0] * 30, reg)
-        assert [v["camera"] for v in got[5].per_view] == []
-        assert [v["camera"] for v in got[12].per_view] == [0]
+        assert cameras_shown(got, 5) == []
+        assert cameras_shown(got, 12) == [0]
 
     def test_far_linked_box_reuses_the_last_size(self):
         X = walk(30)
@@ -346,7 +357,7 @@ class TestEmitEqualsPerFrameLoop:
         far = linked_boxes(X, range(10, 20), offset=(60.0, 0.0), size=(30.0, 30.0))
         reg = registry_of((X, [window_segment(0, {**near, **far}, span=30)]))
         got = emit_both(range(30), X, [0] * 30, reg)
-        assert got[15].per_view[0]["w"] == 1.3 * 100.0
+        assert got.views[0, 15, 2] == 1.3 * 100.0
 
     def test_point_behind_a_camera_has_no_view_there(self):
         cam = RIG[0]
@@ -356,8 +367,8 @@ class TestEmitEqualsPerFrameLoop:
         reg = registry_of((X, [window_segment(cam.id, linked_boxes(X[:10], range(10), cam.id))
                                for cam in RIG]))
         got = emit_both(range(21), X, [0] * 21, reg)
-        assert 0 not in [v["camera"] for v in got[10].per_view]
-        assert 0 in [v["camera"] for v in got[12].per_view]
+        assert 0 not in cameras_shown(got, 10)
+        assert 0 in cameras_shown(got, 12)
 
     def test_several_tracks_and_gaps_in_the_timeline(self):
         rng = np.random.default_rng(20)
@@ -388,7 +399,7 @@ def test_emit_equals_per_frame_loop_on_a_scene(monkeypatch, scenario):
                         lambda self, *args: calls.append((self, args)) or emit(self, *args))
     got, _ = pipeline.run_pipeline(*simulated(spec), Mode.CASCADE)
     (maintainer, args), = calls
-    assert got and any(rec.per_view for rec in got)
+    assert len(got) and not np.isnan(got.views).all()
     assert_same_records(got, reference_emit(maintainer, *args))
 
 
@@ -398,30 +409,51 @@ SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 1e22]
 
 @st.composite
 def target_records(draw):
-    view = st.builds(lambda c, x, y, s: {"camera": c, "x": x, "y": y, "w": s, "h": s,
-                                         "buffered": True},
-                     st.integers(-2**63, 2**63 - 1), finite, finite, finite)
-    return [TargetRecord(frame=draw(st.integers(0, MAX_FRAME)),
-                         track_id=draw(st.integers(0, 2**40)),
-                         X=np.array(draw(st.lists(finite | st.sampled_from(SPECIAL),
-                                                  min_size=3, max_size=3))),
-                         provenance=draw(st.sampled_from(list(Provenance))),
-                         per_view=draw(st.lists(view, max_size=4)))
-            for _ in range(draw(st.integers(0, 4)))]
+    n = draw(st.integers(0, 4))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype)
+
+    cameras = tuple(draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=4, unique=True)))
+    # A camera's view at a frame: x, y and side, or NaN for none.
+    view = st.tuples(finite, finite, finite) | st.just((math.nan,) * 3)
+    return TargetRecords(
+        frame=column(st.integers(0, MAX_FRAME), np.int64),
+        track_id=column(st.integers(0, 2**40), np.int64),
+        X=column(st.tuples(*[finite | st.sampled_from(SPECIAL)] * 3), np.float64).reshape(n, 3),
+        provenance=column(st.integers(0, len(PROVENANCE) - 1), np.uint8),
+        cameras=cameras,
+        views=np.array([column(view, np.float64).reshape(n, 3) for _ in cameras],
+                       np.float64).reshape(len(cameras), n, 3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(recs=target_records())
-@example(recs=[TargetRecord(0, 0, np.array(SPECIAL[:3]), Provenance.INTERPOLATED,
-                            [{"camera": 3, "x": SPECIAL[3], "y": SPECIAL[4], "w": -0.0,
-                              "h": -0.0, "buffered": True}])])
+@example(recs=TargetRecords(np.array([0]), np.array([0]), np.array([SPECIAL[:3]]),
+                            np.array([PROVENANCE.index(Provenance.INTERPOLATED)], np.uint8), (3,),
+                            np.array([[[SPECIAL[3], SPECIAL[4], -0.0]]])))
 def test_writer_bytes_equal_json_dumps(tmp_path_factory, recs):
     out = tmp_path_factory.mktemp("records")
     save_target_records(recs, out / "got.jsonl")
     reference_save_target_records(recs, out / "want.jsonl")
     got = (out / "got.jsonl").read_bytes()
     assert got == (out / "want.jsonl").read_bytes()
-    assert got.decode().splitlines() == [
-        json.dumps({"frame": r.frame, "track_id": r.track_id, "X": r.X.tolist(),
-                    "provenance": r.provenance.value, "per_view": r.per_view}, sort_keys=True)
-        for r in recs]
+    assert got.decode().splitlines() == [json.dumps(rec, sort_keys=True)
+                                         for rec in record_dicts(recs)]
+
+
+def test_output_is_columns_in_memory():
+    """`run_pipeline` returns the target output as columns: under
+    tracemalloc it holds at most 200 B per frame (clean-4cam, 1 800 frames,
+    four cameras), where rows of per-view dicts held about 1 750."""
+    inputs = simulated(get_scenario_spec("clean-4cam"))
+    tracemalloc.start()
+    try:
+        records, _registry = pipeline.run_pipeline(*inputs)
+        frames, held = len(records), tracemalloc.get_traced_memory()[0]
+        del records
+        size = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert frames > 1000
+    assert size <= 200 * frames, f"{size / frames:.0f} B per frame"

@@ -19,6 +19,7 @@ from conftest import FrameTrack, to_arrays, to_frames, window_segment
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
+INTERPOLATED = PROVENANCE.index(Provenance.INTERPOLATED)
 
 
 def performer_track(frames, hole=(), z=1.8):
@@ -156,38 +157,38 @@ class TestIdentifyTarget:
 
 def emit_one(w, h, **kwargs):
     """The pixel (x, y) of a one-frame target in camera 0, and the view
-    `_emit` writes there when a w x h box centred on (x, y) is linked."""
+    (x, y, side) `_emit` gives there, the only one, when a w x h box
+    centred on (x, y) is linked."""
     X = np.array([0.0, 0.0, 1.8])
     (x, y), = project(RIG[0], [X]).tolist()
     seg = window_segment(0, {0: (x, y, w, h)})
     reg = TrackRegistry()
     reg.tracks[0] = TrackRecord(tracklet=to_arrays(FrameTrack(points={0: X})), segments=[seg])
     maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, **kwargs)
-    record, = maintainer._emit(np.array([0]), X[None],
+    records = maintainer._emit(np.array([0]), X[None],
                                np.array([PROVENANCE.index(Provenance.TRIANGULATED)], np.uint8),
                                np.array([0]), reg, RIG)
-    view, = record.per_view
-    return (x, y), view
+    assert records.cameras[0] == 0 and len(records) == 1 and np.isnan(records.views[1:]).all()
+    return (x, y), records.views[0, 0].tolist()
 
 
 class TestBufferBbox:
     def test_reference_box(self):
         (x, y), v = emit_one(50.0, 80.0)
-        assert v == {"camera": 0, "x": x, "y": y, "w": 104.0, "h": 104.0,
-                     "buffered": True}
+        assert v == [x, y, 104.0]
 
     def test_unit_scale_identity(self):
         _, v = emit_one(10.0, 10.0, buffer_scale=1.0)
-        assert (v["w"], v["h"]) == (10.0, 10.0)
+        assert v[2] == 10.0
 
     def test_square_input(self):
         _, v = emit_one(20.0, 20.0)
-        assert v["w"] == v["h"] == 1.3 * 20.0
+        assert v[2] == 1.3 * 20.0
 
     def test_double_application_squares_alpha(self):
         _, once = emit_one(50.0, 80.0)
-        _, v = emit_one(once["w"], once["h"])
-        assert v["w"] == v["h"] == 1.3 * (1.3 * 80.0)
+        _, v = emit_one(once[2], once[2])
+        assert v[2] == 1.3 * (1.3 * 80.0)
 
 
 class TestSmoothTrack:
@@ -241,43 +242,43 @@ class TestTargetMaintainer:
     def test_continuous_target_single_id_no_interpolation(self):
         reg = registry_with([performer_track(range(0, 61))])
         records = run_maintainer(reg, 60)
-        assert {r.track_id for r in records} == {0}
-        assert all(r.provenance is not Provenance.INTERPOLATED for r in records)
+        assert set(records.track_id.tolist()) == {0}
+        assert not (records.provenance == INTERPOLATED).any()
 
     def test_five_frame_gap_bridged(self):
         reg = registry_with([performer_track(range(0, 61), hole=range(40, 45))])
         records = run_maintainer(reg, 60)
-        interp = [r.frame for r in records
-                  if r.provenance is Provenance.INTERPOLATED]
+        interp = records.frame[records.provenance == INTERPOLATED].tolist()
         assert interp == [40, 41, 42, 43, 44]
 
     def test_twelve_frame_gap_left_open(self):
         reg = registry_with([performer_track(range(0, 61), hole=range(40, 52))])
         records = run_maintainer(reg, 60)
-        frames = {r.frame for r in records}
-        assert frames.isdisjoint(range(40, 52))
-        assert not any(r.provenance is Provenance.INTERPOLATED for r in records)
+        assert set(records.frame.tolist()).isdisjoint(range(40, 52))
+        assert not (records.provenance == INTERPOLATED).any()
 
     def test_interpolated_positions_are_linear(self):
         reg = registry_with([performer_track(range(0, 61), hole=range(40, 45))])
-        records = {r.frame: r for r in run_maintainer(reg, 60)}
+        records = run_maintainer(reg, 60)
+        X = dict(zip(records.frame.tolist(), records.X))
         for f in range(40, 45):
-            assert records[f].X[1] == pytest.approx(0.01 * f, abs=1e-9)
+            assert X[f][1] == pytest.approx(0.01 * f, abs=1e-9)
 
     def test_non_performer_never_selected(self):
         walker = performer_track(range(0, 61), z=1.0)
         reg = registry_with([performer_track(range(0, 61)), walker])
         records = run_maintainer(reg, 60)
-        assert {r.track_id for r in records} == {0}
+        assert set(records.track_id.tolist()) == {0}
 
     def test_smooth_window_is_used(self):
         spiky = performer_track(range(0, 61))
         spiky.points[30] = spiky.points[30] + [0.0, 0.0, 0.5]
-        kept = {r.frame: r.X for r in run_maintainer(
-            registry_with([spiky]), 60,
-            TargetMaintainer(space=SPACE, criteria=CRIT, smooth_window=1))}
+        kept = run_maintainer(registry_with([spiky]), 60,
+                              TargetMaintainer(space=SPACE, criteria=CRIT, smooth_window=1))
+        kept = dict(zip(kept.frame.tolist(), kept.X))
         assert np.array_equal(kept[30], spiky.points[30])
-        smoothed = {r.frame: r.X for r in run_maintainer(registry_with([spiky]), 60)}
+        smoothed = run_maintainer(registry_with([spiky]), 60)
+        smoothed = dict(zip(smoothed.frame.tolist(), smoothed.X))
         assert smoothed[30][2] == pytest.approx(spiky.points[30][2] - 0.4)
 
     def test_heights_come_from_the_pending_windows(self):
@@ -336,7 +337,7 @@ class TestTargetMaintainer:
         second = performer_track(range(60, 101))
         reg = registry_with([first, second])
         records = run_maintainer(reg, 100)
-        ids = {r.frame: r.track_id for r in records}
+        ids = dict(zip(records.frame.tolist(), records.track_id.tolist()))
         assert ids[30] == 0
         assert ids[100] == 1
         assert not any(30 < f < 60 for f in ids)
@@ -362,20 +363,19 @@ class TestEmission:
 
     def test_reprojection_matches_linear_motion(self):
         rig, reg = self.make_scene()
-        records = {r.frame: r for r in run_maintainer(reg, 60, rig=rig)}
+        records = run_maintainer(reg, 60, rig=rig)
         for f in range(2, 59):
-            views = {v["camera"]: v for v in records[f].per_view}
-            (x, _), = project(rig[0], [records[f].X])
-            assert views[0]["x"] == pytest.approx(x, abs=1e-6)
-            assert views[0]["w"] == pytest.approx(1.3 * 100.0)
-            assert views[0]["buffered"] is True
+            i = records.frame.tolist().index(f)
+            (x, _), = project(rig[0], records.X[i:i + 1])
+            assert records.views[0, i, 0] == pytest.approx(x, abs=1e-6)
+            assert records.views[0, i, 2] == pytest.approx(1.3 * 100.0)
 
     def test_missing_box_synthesized_with_last_size(self):
         rig, reg = self.make_scene(with_box_for_frame=lambda f: f != 30)
-        records = {r.frame: r for r in run_maintainer(reg, 60, rig=rig)}
-        views = {v["camera"]: v for v in records[30].per_view}
-        assert 0 in views
-        assert views[0]["w"] == pytest.approx(1.3 * 100.0)
+        records = run_maintainer(reg, 60, rig=rig)
+        view = records.views[0, records.frame.tolist().index(30)]
+        assert not np.isnan(view).any()
+        assert view[2] == pytest.approx(1.3 * 100.0)
 
     def test_boxes_looked_up_for_the_target_tracks_only(self, monkeypatch):
         looked_up = []
@@ -396,8 +396,19 @@ class TestRecordIO:
         save_target_records(records, path)
         loaded = load_target_records(path)
         assert len(loaded) == len(records)
-        assert loaded[0]["frame"] == records[0].frame
-        assert loaded[0]["provenance"] == records[0].provenance.value
+        assert loaded[0]["frame"] == records.frame[0]
+        assert loaded[0]["provenance"] == PROVENANCE[records.provenance[0]].value
+
+    def test_no_target_is_empty_columns(self, tmp_path):
+        # A walker below the height trigger is never the target.
+        records = run_maintainer(registry_with([performer_track(range(0, 61), z=1.0)]), 60)
+        assert len(records) == 0 and records.cameras == tuple(cam.id for cam in RIG)
+        assert [(a.dtype, a.shape) for a in (records.frame, records.track_id, records.X,
+                                             records.provenance, records.views)] == [
+            (np.int64, (0,)), (np.int64, (0,)), (np.float64, (0, 3)), (np.uint8, (0,)),
+            (np.float64, (len(RIG), 0, 3))]
+        save_target_records(records, tmp_path / "tracklets.jsonl")
+        assert (tmp_path / "tracklets.jsonl").read_bytes() == b""
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "tracklets.jsonl"

@@ -323,11 +323,9 @@ def test_timeline_equals_dicts(monkeypatch, max_gap, smooth_window):
         timelines.clear()
         maintainer.finalize(reg, RIG)
         want = timeline_dicts(tenures, tracks, max_gap, smooth_window)
-        if not want:
-            assert timelines == []
-            continue
         (frames, X, codes, tids), = timelines
         assert frames.tolist() == [f for f, _, _, _ in want]
+        assert X.shape == (len(want), 3)
         assert X.tobytes() == np.array([x for _, x, _, _ in want]).tobytes()
         assert codes.tolist() == [PROVENANCE.index(p) for _, _, p, _ in want]
         assert tids.tolist() == [tid for _, _, _, tid in want]
