@@ -6,11 +6,11 @@ ray-plane-intersection path, where coplanar candidates from different
 cameras are matched and fused.  Every cluster goes through exactly one
 branch.
 
-All segments of a window share its (L+1)-frame grid, so every 3D result
-from solve to gate is an (L+1, 3) row, NaN where it has no point, and the
-rows of a run of windows stack: each step (solve, two-view verdict, plane
-matching, outlier gate) is one call per run, not one per window or
-cluster.  A gated row is a window track's `Tracklet3D` as it stands.
+A cluster is a sorted array of rows of a `sv_track.Segments` table, whose
+windows' (L+1)-frame grids make every 3D result from solve to gate an
+(L+1, 3) row, NaN where it has no point; the rows of a run of windows
+stack, so each step (solve, two-view verdict, plane matching, outlier
+gate) is one call per run.  A gated row is a window track's `Tracklet3D`.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ import enum
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 
 from .clustering import block_distances, cluster_with_cutoff
-from .cross_view import Cluster
 from .geometry import (CameraRig, PlaneSpec, ray_plane_intersect_batch,
                        triangulate_batch)
-from .sv_track import WindowSegment2D
+from .sv_track import Segments, WindowSegment2D, run_edges
 
 logger = logging.getLogger(__name__)
 
@@ -122,41 +121,41 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
-                                                 np.ndarray | None]],
+def _triangulate_boxes(segments: Segments,
+                       requests: Sequence[tuple[np.ndarray, np.ndarray | None]],
                        rig: CameraRig, offsets: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triangulate box points of each request's segments.
+    """Triangulate box points of each request's rows of `segments`.
 
-    A request is (segments, wanted): segments of one window, and a mask of
-    the window's frames to solve, or None for all of them.  A frame is
-    solved from every segment of its request with a box there, if there
-    are at least two.  The rows of all requests are grouped by the cameras
-    they are seen by, and the distinct rows of each group are solved, for
-    all `offsets`, one `triangulate_batch` call per CELLS_PER_CALL cells.
+    A request is (rows, wanted): rows of one window, and a mask of the
+    window's frames to solve, or None for all of them.  A frame is solved
+    from every row of its request with a box there, if there are at least
+    two.  The cells of all requests are grouped by the cameras they are
+    seen by, and the distinct cells of each group are solved, for all
+    `offsets`, one `triangulate_batch` call per CELLS_PER_CALL cells.
     Returns (points, ok, seen): points (len(offsets), R, L, 3) and ok
     (len(offsets), R, L) per offset, request and frame of the window (L
     frames), and per request the number of wanted frames with a box in at
-    least two segments.
+    least two rows.
     """
     if not requests:
         return np.empty((len(offsets), 0, 0, 3)), np.empty((len(offsets), 0, 0), bool), \
             np.empty(0, int)
-    sizes = [len(segments) for segments, _ in requests]
-    span = len(requests[0][0][0].boxes)
-    stack = np.full((len(requests), max(sizes), span, 4), np.nan)
-    stack[np.repeat(np.arange(len(requests)), sizes),
-          np.concatenate([np.arange(n) for n in sizes])] = np.stack(
-        [seg.boxes for segments, _ in requests for seg in segments])
-    present = ~np.isnan(stack[..., 0])
+    sizes = [len(rows) for rows, _ in requests]
+    span = segments.boxes.shape[1]
+    # The table row of each request's k-th row, -1 past its last.
+    row = np.full((len(requests), max(sizes)), -1)
+    row[np.repeat(np.arange(len(requests)), sizes), np.concatenate(
+        [np.arange(n) for n in sizes])] = np.concatenate([rows for rows, _ in requests])
+    present = segments.valid[row] & (row >= 0)[..., None]
     wanted = np.stack([np.ones(span, dtype=bool) if w is None else w for _, w in requests])
     solve = wanted & (present.sum(axis=1) >= 2)
     r, j = np.nonzero(solve)
-    # A cell is seen by the cameras of its request's present segments, in
-    # segment order, looked up once per distinct (request, pattern).
+    # A cell is seen by the cameras of its request's present rows, in row
+    # order, looked up once per distinct (request, pattern).
     pattern = present[r, :, j]
     distinct, inverse = _distinct_rows(np.column_stack([r, pattern]))
-    cameras_of = [tuple(requests[r[c]][0][k].camera for k in np.flatnonzero(pattern[c]))
+    cameras_of = [tuple(segments.camera[row[r[c], pattern[c]]].tolist())
                   for c in distinct.tolist()]
     group_ids = {cameras: g for g, cameras in enumerate(dict.fromkeys(cameras_of))}
     group = np.array([group_ids[cameras] for cameras in cameras_of], dtype=int)[inverse]
@@ -167,7 +166,7 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
         of_group = np.flatnonzero(group == g)
         for cells in np.split(of_group, range(CELLS_PER_CALL, len(of_group), CELLS_PER_CALL)):
             ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
-            boxes = stack[r[cells, None], ks, j[cells, None]]
+            boxes = segments.boxes[row[r[cells, None], ks], j[cells, None]]
             # A box tuple kept across the overlap of two windows recurs.  A row's
             # solve does not depend on the other rows, so one solve serves all.
             first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
@@ -181,29 +180,29 @@ def _triangulate_boxes(requests: Sequence[tuple[Sequence[WindowSegment2D],
     return points, ok, solve.sum(axis=1)
 
 
-def classify_clusters(clusters: Sequence[Cluster], rig: CameraRig,
+def classify_clusters(segments: Segments, clusters: Sequence[np.ndarray], rig: CameraRig,
                       theta_opp_deg: float = THETA_OPP_DEG,
                       opposite_pairs: list[frozenset[int]] | None = None, *,
                       triangulated: np.ndarray) -> np.ndarray:
-    """(C,) bool, True where a cluster is sufficient for triangulation:
-    False for single-view clusters and for two-view clusters whose
-    line-of-sight rays are nearly opposed (median per-frame angle above
-    theta_opp, or an explicitly configured opposite pair).
+    """(C,) bool, True where a cluster of rows of `segments` is sufficient
+    for triangulation: False for single-view clusters and for two-view
+    clusters whose line-of-sight rays are nearly opposed (median per-frame
+    angle above theta_opp, or an explicitly configured opposite pair).
 
     The angles are taken at `triangulated`, the clusters' (C, L+1, 3)
     centers from `triangulate_clusters` (only two-camera rows are read),
     at the frames where every member has a box and the center is solved;
     a two-view cluster with no such frame, or a NaN angle, is sufficient.
     """
-    cameras = [sorted(c.cameras) for c in clusters]
+    cameras = [sorted(set(segments.camera[rows].tolist())) for rows in clusters]
     sufficient = np.array([len(cams) > 2 for cams in cameras], dtype=bool)
     two = [k for k, cams in enumerate(cameras) if len(cams) == 2
            and not (opposite_pairs and frozenset(cams) in opposite_pairs)]
     if not two:
         return sufficient
-    boxes = np.stack([seg.boxes[:, 0] for k in two for seg in clusters[k].members])
-    firsts = np.cumsum([0] + [len(clusters[k].members) for k in two[:-1]])
-    common = np.logical_and.reduceat(~np.isnan(boxes), firsts, axis=0)
+    rows = np.concatenate([clusters[k] for k in two])
+    firsts = np.cumsum([0] + [len(clusters[k]) for k in two[:-1]])
+    common = np.logical_and.reduceat(~np.isnan(segments.boxes[rows, :, 0]), firsts, axis=0)
     X = triangulated[two]
     c, f = np.nonzero(common & ~np.isnan(X[..., 0]))
     X = X[c, f]
@@ -224,16 +223,17 @@ def classify_clusters(clusters: Sequence[Cluster], rig: CameraRig,
     return sufficient
 
 
-def triangulate_clusters(clusters: Sequence[Cluster], rig: CameraRig) -> np.ndarray:
+def triangulate_clusters(segments: Segments, clusters: Sequence[np.ndarray],
+                         rig: CameraRig) -> np.ndarray:
     """Per-frame triangulation of each cluster's bbox centers, (R, L+1, 3) on
     the clusters' window grid, NaN at frames with a single view or a
     degenerate solve.  The frames of all clusters are solved together, one
     `triangulate_batch` call per camera set."""
-    points, ok, seen = _triangulate_boxes([(c.members, None) for c in clusters], rig,
+    points, ok, seen = _triangulate_boxes(segments, [(rows, None) for rows in clusters], rig,
                                           (CENTER,))
     for k in np.flatnonzero(seen > ok[0].sum(axis=1)).tolist():
         logger.debug("cluster %s: triangulation skipped at %d frames",
-                     [s.key for s in clusters[k].members], seen[k] - ok[0, k].sum())
+                     segments.keys(clusters[k]), seen[k] - ok[0, k].sum())
     return points[0]
 
 
@@ -253,73 +253,57 @@ def outlier_gate(points: np.ndarray, space: TrackingSpace,
     return valid.any(axis=1) & (inside | ~valid).all(axis=1) & ~fast.any(axis=1)
 
 
-def plane_candidates(segments: Sequence[WindowSegment2D], plane: PlaneSpec,
-                     rig: CameraRig) -> np.ndarray:
-    """One coplanar 3D candidate per segment, (n, L+1, 3) on the segments'
+def plane_candidates(segments: Segments, plane: PlaneSpec, rig: CameraRig) -> np.ndarray:
+    """One coplanar 3D candidate per row of `segments`, (n, L+1, 3) on the
     window grid, from per-frame ray-plane intersection of the bbox
     centers; NaN where a segment has no box or its ray is parallel to the
     plane or hits it behind the camera.  The segments of one camera are
     intersected in one call."""
-    if not segments:
-        return np.empty((0, 0, 3))
-    boxes = np.stack([seg.boxes for seg in segments])
-    valid = ~np.isnan(boxes[..., 0])
-    by_camera: dict[int, list[int]] = {}
-    for k, seg in enumerate(segments):
-        by_camera.setdefault(seg.camera, []).append(k)
+    valid = segments.valid
     points = np.full(valid.shape + (3,), np.nan)
-    for camera, ks in by_camera.items():
-        k, j = np.nonzero(valid[ks])
-        k = np.asarray(ks)[k]
-        points[k, j] = ray_plane_intersect_batch(rig[camera], boxes[k, j, :2], plane)[0]
-
+    for camera in np.unique(segments.camera).tolist():
+        k, j = np.nonzero(valid & (segments.camera == camera)[:, None])
+        points[k, j] = ray_plane_intersect_batch(rig[camera], segments.boxes[k, j, :2], plane)[0]
     missed = valid.sum(axis=1) - (~np.isnan(points[..., 0])).sum(axis=1)
     for k in np.flatnonzero(missed).tolist():
         logger.debug("segment %s: plane intersection skipped at %d frames",
-                     segments[k].key, missed[k])
+                     segments.keys([k])[0], missed[k])
     return points
 
 
-def plane_match_and_fuse(points: np.ndarray, segments: Sequence[WindowSegment2D],
-                         cutoff: float = TAU_PLANE_M
-                         ) -> list[tuple[np.ndarray, list[WindowSegment2D]]]:
-    """Cluster the coplanar candidates `points` (n, L+1, 3) of `segments`,
-    each window's (segments of one start) apart, and fuse each cluster
-    covering >=2 cameras by per-frame averaging over the views present,
-    into an (L+1, 3) track, NaN where no member has a point; single-camera
-    clusters are discarded.  Candidates with no point take no part, and
-    the rest are taken in (start, key) order."""
+def plane_match_and_fuse(points: np.ndarray, segments: Segments,
+                         cutoff: float = TAU_PLANE_M) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cluster the coplanar candidates `points` (n, L+1, 3) of the rows of
+    `segments`, each window's apart, and fuse each cluster covering >=2
+    cameras by per-frame averaging over the views present, into an (L+1, 3)
+    track, NaN where no member has a point, paired with the cluster's rows;
+    single-camera clusters are discarded.  Candidates with no point take
+    no part."""
     present = ~np.isnan(points[..., 0])
-    hit = present.any(axis=1).tolist()
-    order = sorted((k for k in range(len(segments)) if hit[k]),
-                   key=lambda k: (segments[k].start, segments[k].key))
-    if not order:
+    order = np.flatnonzero(present.any(axis=1))
+    if not len(order):
         return []
     points, present = points[order], present[order]
-    cameras = [segments[k].camera for k in order]
-    sizes = [len(list(run)) for _, run in groupby(order, key=lambda k: segments[k].start)]
-    Ds = block_distances(
-        present, cameras,
-        lambda _a, _b, i, j, frame: np.linalg.norm(points[i, frame] - points[j, frame],
-                                                   axis=1),
-        sizes)
+    cameras = segments.camera[order]
+    edges = run_edges(segments.start[order])
+    Ds = block_distances(present, cameras, lambda _a, _b, i, j, frame: np.linalg.norm(
+        points[i, frame] - points[j, frame], axis=1), np.diff(edges))
 
-    fused: list[tuple[np.ndarray, list[WindowSegment2D]]] = []
-    firsts = np.cumsum([0] + sizes[:-1]).tolist()
-    for first, groups in zip(firsts, cluster_with_cutoff(Ds, cutoff)):
-        for group in ([first + i for i in g] for g in groups):
-            if len({cameras[i] for i in group}) < 2:
+    fused: list[tuple[np.ndarray, np.ndarray]] = []
+    for first, groups in zip(edges, cluster_with_cutoff(Ds, cutoff)):
+        for group in (first + np.array(g) for g in groups):
+            if len(set(cameras[group].tolist())) < 2:
                 continue
             seen = present[group]
             count = seen.sum(axis=0)
             mean = (np.where(seen[..., None], points[group], 0.0).sum(axis=0)
                     / np.maximum(count, 1)[:, None])
             mean[count == 0] = np.nan
-            fused.append((mean, [segments[order[i]] for i in group]))
+            fused.append((mean, order[group]))
     return fused
 
 
-def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSegment2D]]],
+def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Segments]],
                             rig: CameraRig) -> None:
     """Triangulate per-frame top-center and bottom-center pixels of the 2D
     boxes associated with each track, at the track's frames; a top is kept
@@ -327,8 +311,11 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Sequence[WindowSe
     frames with fewer than two views are left NaN.  Each track lies on its
     segments' window grid.  All tracks are solved together, one
     `triangulate_batch` call per camera set."""
-    points, ok, _ = _triangulate_boxes([(segments, t3.valid) for t3, segments in tracks],
-                                       rig, (TOP, BOTTOM))
+    edges = np.cumsum([0] + [len(segments) for _, segments in tracks]).tolist()
+    points, ok, _ = _triangulate_boxes(
+        Segments.concat([segments for _, segments in tracks]),
+        [(np.arange(lo, hi), t3.valid) for (t3, _), lo, hi in zip(tracks, edges, edges[1:])],
+        rig, (TOP, BOTTOM))
     for (t3, _), top, bottom, has_top, has_bottom in zip(
             tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
         t3.top[has_top] = top[has_top]
@@ -340,13 +327,12 @@ class WindowTrack:
     """A fused 3D track on one window's grid plus its contributing segments
     and the rig they are seen by, which its height solve needs."""
 
-    start: int
     track: Tracklet3D
-    segments: list[WindowSegment2D]
+    segments: Segments
     rig: CameraRig
 
     # A frame-keyed view of `track` for bench/traced.py, the one caller that
-    # reads it so.  Delete it with ROADMAP item 1.
+    # reads it so.  Delete it with ROADMAP item 12.
     @property
     def tracklet(self) -> SimpleNamespace:
         frames, valid = self.track.frames.tolist(), self.track.valid
@@ -355,21 +341,19 @@ class WindowTrack:
                                provenance={f: PROVENANCE[c] for f, c in zip(frames, codes)})
 
 
-def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
+def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
                     rig: CameraRig, plane: PlaneSpec, space: TrackingSpace,
-                    mode: Mode = Mode.CASCADE,
-                    theta_opp_deg: float = THETA_OPP_DEG,
-                    tau_plane: float = TAU_PLANE_M,
-                    velocity_limit: float = VELOCITY_LIMIT_M,
+                    mode: Mode = Mode.CASCADE, theta_opp_deg: float = THETA_OPP_DEG,
+                    tau_plane: float = TAU_PLANE_M, velocity_limit: float = VELOCITY_LIMIT_M,
                     opposite_pairs: list[frozenset[int]] | None = None
-                    ) -> list[list[WindowTrack]]:
-    """Route every cluster of each window (windows[k] starts at starts[k])
-    through exactly one branch and gate the results; returns each window's
-    tracks.
+                    ) -> dict[int, list[WindowTrack]]:
+    """Route every cluster of rows of `segments` through exactly one branch
+    and gate the results; returns the tracks of each window by its start,
+    in start order, and a window's by their first rows.
 
     Each step takes all windows in one call: the multi-camera clusters
     are triangulated (`triangulate_clusters`) and given the two-view
-    verdict (`classify_clusters`), the insufficient segments are
+    verdict (`classify_clusters`), the rows of the insufficient ones are
     intersected with the plane (`plane_candidates`) and matched
     (`plane_match_and_fuse`), and both branches' tracks are gated
     (`outlier_gate`).  Only centers are solved: tops and bottoms are left
@@ -377,40 +361,45 @@ def process_windows(starts: Sequence[int], windows: Sequence[Sequence[Cluster]],
     calls is independent of the others, so a window's tracks do not depend
     on the windows it is solved with.
     """
-    clusters = [c for window in windows for c in window]
-    window_at = {start: w for w, start in enumerate(starts)}
+    tracks = {start: [] for start in segments.start[run_edges(segments.start)[:-1]].tolist()}
     # The triangulation feeds both the two-view verdict and the branch.
-    multi = [k for k, c in enumerate(clusters)
-             if mode is not Mode.PLANE_ONLY and len(c.cameras) >= 2]
-    solved = triangulate_clusters([clusters[k] for k in multi], rig)
+    multi = [k for k, rows in enumerate(clusters)
+             if mode is not Mode.PLANE_ONLY and len(set(segments.camera[rows].tolist())) >= 2]
+    chosen = [clusters[k] for k in multi]
+    solved = triangulate_clusters(segments, chosen, rig)
     sufficient = np.zeros(len(clusters), dtype=bool)
-    sufficient[multi] = (classify_clusters([clusters[k] for k in multi], rig, theta_opp_deg,
+    sufficient[multi] = (classify_clusters(segments, chosen, rig, theta_opp_deg,
                                            opposite_pairs, triangulated=solved)
                          if mode is Mode.CASCADE else True)
     ok = sufficient.tolist()
-    # The tracks of both branches as (points, segments, branch).
-    found = [(points, list(clusters[k].members), Provenance.TRIANGULATED)
+    # The tracks of both branches as (points, rows, branch).
+    found = [(points, clusters[k], Provenance.TRIANGULATED)
              for k, points in zip(multi, solved) if ok[k]]
     if mode is not Mode.TRIANGULATION_ONLY:
-        rest = sorted((s for k, c in enumerate(clusters) if not ok[k] for s in c.members),
-                      key=lambda s: (s.start, s.key))
-        found += [(points, members, Provenance.PLANE_INTERSECTED) for points, members
-                  in plane_match_and_fuse(plane_candidates(rest, plane, rig), rest, tau_plane)]
+        rest = np.sort(np.concatenate(
+            [np.empty(0, int)] + [rows for rows, good in zip(clusters, ok) if not good]))
+        others = segments.take(rest)
+        fused = plane_match_and_fuse(plane_candidates(others, plane, rig), others, tau_plane)
+        found += [(points, rest[rows], Provenance.PLANE_INTERSECTED) for points, rows in fused]
 
-    tracks: list[list[WindowTrack]] = [[] for _ in windows]
     if found:
-        # The gate is applied to both branches for uniformity.
+        # By first row, so a window's tracks in key order; both branches gated.
+        found.sort(key=lambda f: f[1][0])
         points = np.stack([points for points, _, _ in found])
         kept = outlier_gate(points, space, velocity_limit)
-        for (_, segments, branch), row in zip(compress(found, kept.tolist()), points[kept]):
-            start, code = segments[0].start, PROVENANCE.index(branch)
-            tracks[window_at[start]].append(WindowTrack(
-                start, Tracklet3D(start, row, np.full(len(row), code, np.uint8)), segments, rig))
-    for window_tracks in tracks:
-        window_tracks.sort(key=lambda wt: min(seg.key for seg in wt.segments))
+        for (_, rows, branch), row in zip(compress(found, kept.tolist()), points[kept]):
+            start, code = int(segments.start[rows[0]]), PROVENANCE.index(branch)
+            tracks[start].append(WindowTrack(
+                Tracklet3D(start, row, np.full(len(row), code, np.uint8)),
+                segments.take(rows), rig))
     return tracks
 
 
-def process_window(start: int, clusters: list[Cluster], *args, **kwargs) -> list[WindowTrack]:
-    """`process_windows` for one window, with its other arguments."""
-    return process_windows([start], [clusters], *args, **kwargs)[0]
+def process_window(start: int, clusters: list[list[WindowSegment2D]], *args,
+                   **kwargs) -> list[WindowTrack]:
+    """`process_windows` of one window's `cross_view.cluster_segments`, for
+    bench/traced.py.  Delete with ROADMAP item 12."""
+    table = Segments.from_rows(s for cluster in clusters for s in cluster)
+    row = {key: r for r, key in enumerate(table.keys())}
+    return process_windows(table, [np.array([row[s.key] for s in c]) for c in clusters],
+                           *args, **kwargs).get(start, [])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import Tracklet3D, WindowTrack
-from .sv_track import WindowSegment2D
+from .sv_track import Segments
 
 logger = logging.getLogger(__name__)
 
@@ -185,43 +185,37 @@ def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
 @dataclass
 class TrackRecord:
     """A stitched track: the accumulated 3D tracklet and its last frame,
-    kept at each merge; the 2D window segments merged into it; and the
-    window tracks merged into it whose heights are not yet folded into the
-    tracklet (see `target.TargetMaintainer.observe`).  Both lists are in
-    merge order."""
+    kept at each merge; the segments of each window track merged into it;
+    and those window tracks whose heights are not yet folded into the
+    tracklet (see `target.TargetMaintainer.observe`), both in merge order."""
 
     tracklet: Tracklet3D
-    segments: list[WindowSegment2D] = field(default_factory=list)
+    segments: list[Segments] = field(default_factory=list)
     pending: list[WindowTrack] = field(default_factory=list)
     last_frame: int = field(init=False)
 
     def __post_init__(self):
         self.last_frame = int(self.tracklet.frames.max(initial=-1))
 
-    def boxes_by_camera(self, track_id: int) -> dict[int, tuple[int, np.ndarray]]:
-        """Per camera, (first, boxes): the 2D box of each frame from `first`
-        on among the merged segments, an (n, 4) array, NaN where none; where
-        two windows' boxes differ the newer window's wins."""
-        by_camera: dict[int, list[WindowSegment2D]] = {}
-        for seg in self.segments:
-            by_camera.setdefault(seg.camera, []).append(seg)
-        out = {}
-        for camera, segments in by_camera.items():
-            stack = np.stack([seg.boxes for seg in segments])
-            first = min(seg.start for seg in segments)
-            at = (np.array([seg.start for seg in segments]) - first)[:, None] \
-                + np.arange(stack.shape[1])
-            has = ~np.isnan(stack[..., 0])
+    def boxes_by_camera(self, track_id: int, frames: np.ndarray, cameras) -> np.ndarray:
+        """(len(cameras), len(frames), 4): per camera, the 2D box at each of
+        the increasing `frames` among the merged segments, read there only,
+        NaN where none; where two windows' boxes differ the newer one's wins."""
+        out = np.full((len(cameras), len(frames), 4), np.nan)
+        table = Segments.concat(self.segments)
+        for boxes, camera in zip(out, cameras):
+            rows = np.flatnonzero(table.camera == camera)
+            cells = table.start[rows, None] + np.arange(table.boxes.shape[1])
+            at = np.minimum(np.searchsorted(frames, cells), len(frames) - 1)
+            row, j = np.nonzero(~np.isnan(table.boxes[rows, :, 0]) & (frames[at] == cells))
+            pos, linked = at[row, j], table.boxes[rows[row], j]
             # The last of the merge-ordered boxes at each frame wins.
-            frames, last = np.unique(at[has][::-1], return_index=True)
-            boxes = np.full((at.max() + 1, 4), np.nan)
-            boxes[frames] = stack[has][::-1][last]
+            kept, last = np.unique(pos[::-1], return_index=True)
+            boxes[kept] = linked[::-1][last]
             if logger.isEnabledFor(logging.DEBUG):
-                differs = (stack[has] != boxes[at[has]]).any(axis=1)
-                for f in np.unique(at[has][differs]).tolist():
+                for f in frames[np.unique(pos[(linked != boxes[pos]).any(axis=1)])].tolist():
                     logger.debug("track %d cam %d frame %d: 2D link conflict, keeping "
-                                 "newer window", track_id, camera, first + f)
-            out[camera] = (first, boxes)
+                                 "newer window", track_id, camera, f)
         return out
 
     def fold_heights(self) -> None:
@@ -264,7 +258,7 @@ class TrackRegistry:
             rec, wt = self.tracks[live[i]], window_tracks[j]
             merge_assigned(rec.tracklet, wt.track)
             rec.last_frame = max(rec.last_frame, int(wt.track.frames[-1]))
-            rec.segments.extend(wt.segments)
+            rec.segments.append(wt.segments)
             rec.pending.append(wt)
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
@@ -272,4 +266,4 @@ class TrackRegistry:
             # later merges leave the window track as it was.
             empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8))
             self.tracks[tid] = TrackRecord(tracklet=merge_assigned(empty, wt.track),
-                                           segments=list(wt.segments), pending=[wt])
+                                           segments=[wt.segments], pending=[wt])

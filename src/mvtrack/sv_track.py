@@ -5,11 +5,10 @@ Boxes travel as arrays from the file to the cascade: `load_detections`
 gives one columnar `Detections` (frame, camera and (x, y, w, h) box
 columns, in file order), checked a block of lines at a time with one
 column test per rule and the first bad line in file order named; a
-tracklet holds its frames and boxes as arrays,
-and a window segment holds its start plus one box row per frame of the
-window, NaN where it has no box.  `Bbox` and `Detection` are the row form
-of a box and of a detection; nothing from `load_detections` to the cascade
-builds them.
+tracklet holds its frames and boxes as arrays; and a run's window
+segments are one `Segments` table of columns.  `Bbox`, `Detection` and
+`WindowSegment2D` are the row forms of a box, a detection and a segment;
+nothing from `load_detections` to the cascade builds them.
 
 Tracks are matched greedily by descending IoU (classic IoU-tracker
 behavior), with ties broken by the lower track id, then the lower
@@ -77,8 +76,19 @@ class Detection:
             raise ValueError("frame index must be >= 0")
 
 
+class Columns:
+    """A dataclass of equal-length array fields, one row per index."""
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+    def take(self, index):
+        """The rows at `index`, a slice, index array or mask, in its order."""
+        return type(self)(*(column[index] for column in vars(self).values()))
+
+
 @dataclass(frozen=True, eq=False)
-class Detections:
+class Detections(Columns):
     """Detections as columns, one row per detection: `frame` and `camera`
     (N,) int64 and `boxes` (N, 4) float64 rows (x, y, w, h)."""
 
@@ -88,7 +98,7 @@ class Detections:
 
     # Row views, and `from_rows` to turn a list of them back into columns,
     # serve callers that walk detections one at a time (bench/traced.py).
-    # Delete both with ROADMAP item 1, which makes that caller a trace reader.
+    # Delete both with ROADMAP item 12, which makes that caller a trace reader.
     def __iter__(self):
         for frame, camera, box in zip(self.frame.tolist(), self.camera.tolist(),
                                       self.boxes.tolist()):
@@ -101,13 +111,6 @@ class Detections:
                    np.array([d.camera for d in rows], dtype=np.int64),
                    np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in rows],
                             dtype=float).reshape(-1, 4))
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def take(self, index) -> Detections:
-        """The rows at `index`, an index array or mask, in its order."""
-        return Detections(self.frame[index], self.camera[index], self.boxes[index])
 
 
 @dataclass(eq=False)
@@ -123,10 +126,7 @@ class Tracklet2D:
 
 @dataclass(eq=False)
 class WindowSegment2D:
-    """One tracklet restricted to [start, start + window_len] (inclusive),
-    with interior gaps interpolated and short boundary gaps extrapolated.
-    `boxes` is (window_len + 1, 4): row k is the box at frame start + k,
-    NaN where the segment has none."""
+    """A `Segments` row as an object, for bench/traced.py."""
 
     camera: int
     track_id: int
@@ -137,10 +137,53 @@ class WindowSegment2D:
     def key(self) -> tuple[int, int]:
         return (self.camera, self.track_id)
 
+
+def run_edges(values: np.ndarray) -> list[int]:
+    """The first index of each run of equal `values`, then their count: run
+    k is values[edges[k]:edges[k + 1]], as a window of a sorted `Segments`."""
+    return np.flatnonzero(np.diff(values, prepend=values[:1] - 1)).tolist() + [len(values)]
+
+
+@dataclass(frozen=True, eq=False)
+class Segments(Columns):
+    """Window segments as columns, a row per tracklet in a window [start,
+    start + L]: `camera`, `track_id` and `start` (S,) int64, and `boxes`
+    (S, L + 1, 4), row k the box at frame start + k, NaN where none.  Sorted
+    by (start, camera, track_id), a window is a run of rows in key order."""
+
+    camera: np.ndarray
+    track_id: np.ndarray
+    start: np.ndarray
+    boxes: np.ndarray
+
+    @classmethod
+    def concat(cls, parts, span: int = 0) -> Segments:
+        """The rows of the tables `parts`, in order (with none, of `span` frames)."""
+        if not parts:
+            return cls(*(np.empty(0, np.int64),) * 3, np.empty((0, span, 4)))
+        return cls(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
+
+    def sorted(self) -> Segments:
+        return self.take(np.lexsort((self.track_id, self.camera, self.start)))
+
+    def keys(self, rows=slice(None)) -> list[tuple[int, int]]:
+        """The (camera, track_id) of each of `rows`."""
+        return list(zip(self.camera[rows].tolist(), self.track_id[rows].tolist()))
+
     @property
     def valid(self) -> np.ndarray:
-        """The (window_len + 1,) mask of the rows that hold a box."""
-        return ~np.isnan(self.boxes[:, 0])
+        """The (S, L + 1) mask of the cells that hold a box."""
+        return ~np.isnan(self.boxes[..., 0])
+
+    # Row objects, and `from_rows` to sort a list of them into a table, serve
+    # bench/traced.py.  Delete both, and `WindowSegment2D`, with ROADMAP item 12.
+    def __iter__(self):
+        rows = zip(self.camera.tolist(), self.track_id.tolist(), self.start.tolist(), self.boxes)
+        return (WindowSegment2D(*row) for row in rows)
+
+    @classmethod
+    def from_rows(cls, rows) -> Segments:
+        return cls(*map(np.array, zip(*(vars(row).values() for row in rows)))).sorted()
 
 
 class IouTracker:
@@ -257,17 +300,16 @@ def track_camera_stream(camera: int, detections: Detections,
         detections = Detections.from_rows(detections)
     detections = detections.take(np.argsort(detections.frame, kind="stable"))
     tracker = IouTracker(camera, detections, iou_threshold, max_age)
-    frames = detections.frame.tolist()
-    ends = (np.flatnonzero(np.diff(detections.frame)) + 1).tolist() + [len(frames)]
+    frames, edges = detections.frame.tolist(), run_edges(detections.frame)
     tracklets: list[Tracklet2D] = []
-    empty = lo = 0
-    for hi in ends if frames else ():
+    empty = 0
+    for lo, hi in zip(edges, edges[1:]):
         frame = frames[lo]
         while tracker._live and empty < frame:
             tracklets.extend(tracker.step(empty, ()))
             empty += 1
         tracklets.extend(tracker.step(frame, range(lo, hi)))
-        empty, lo = frame + 1, hi
+        empty = frame + 1
     tracklets.extend(tracker.finish())
     tracklets.sort(key=lambda t: t.track_id)
     return tracklets
@@ -289,8 +331,9 @@ def _extrapolate(out: np.ndarray, slots: np.ndarray, frames: np.ndarray,
 
 
 def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
-                    min_observed: int = MIN_SEGMENT_OBS) -> list[WindowSegment2D]:
-    """Cut a tracklet into overlapping [start, start + window_len] segments.
+                    min_observed: int = MIN_SEGMENT_OBS) -> Segments:
+    """Cut a tracklet into overlapping [start, start + window_len] segments,
+    its rows of a table.
 
     Starts lie on the global step grid (so segments of different cameras
     share windows), advancing by window_len/2 from the tracklet's first
@@ -305,7 +348,7 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     step = window_len // 2
     frames, boxes = tracklet.frames, tracklet.boxes
     if not len(frames):
-        return []
+        return Segments.concat([], window_len + 1)
 
     first_start = int(frames[0]) // step * step
     last_k = max(0, -(-(int(frames[-1]) - window_len - first_start) // step))
@@ -318,8 +361,6 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
     hi = np.searchsorted(frames, starts + window_len, "right")
     keep = hi - lo >= min_observed
     starts, lo, hi = starts[keep], lo[keep], hi[keep]
-    if not len(starts):
-        return []
 
     slots = starts[:, None] + np.arange(window_len + 1)
     first, last = frames[lo][:, None], frames[hi - 1][:, None]
@@ -340,8 +381,8 @@ def segment_windows(tracklet: Tracklet2D, window_len: int = WINDOW_LEN,
                  (slots < first) & (slots >= first - MAX_EXTRAPOLATION))
     _extrapolate(out, slots, frames, boxes, hi - 1, np.where(single, hi - 1, hi - 2),
                  (slots > last) & (slots <= last + MAX_EXTRAPOLATION))
-    return [WindowSegment2D(tracklet.camera, tracklet.track_id, start, seg)
-            for start, seg in zip(starts.tolist(), out)]
+    return Segments(np.full(len(starts), tracklet.camera, np.int64),
+                    np.full(len(starts), tracklet.track_id, np.int64), starts, out)
 
 
 DETECTION_FIELDS = Fields({("frame", "camera"): INT, ("x", "y", "w", "h"): NUM})

@@ -131,7 +131,7 @@ class TargetMaintainer:
             if rec.pending:
                 ended = rec.last_frame < window_start
                 rec.pending = [wt for wt in rec.pending if not ended
-                               and wt.start + window_len >= t_c - self.criteria.delta]
+                               and wt.track.first + window_len >= t_c - self.criteria.delta]
         if self.target_id is not None:
             rec = registry.tracks[self.target_id]
             if rec.last_frame < window_start:
@@ -211,18 +211,14 @@ class TargetMaintainer:
         there when the projection lies within half that size of the box's
         centre, else of the camera's last such box.  Each rule is one array
         operation per camera."""
-        linked = [(np.flatnonzero(tids == tid), registry.tracks[tid].boxes_by_camera(tid))
-                  for tid in np.unique(tids).tolist()]
+        linked = [(tids == tid, registry.tracks[tid].boxes_by_camera(
+            tid, frames[tids == tid], [cam.id for cam in rig])) for tid in np.unique(tids).tolist()]
         views = np.full((len(rig), len(frames), 3), np.nan)
-        for view, cam in zip(views, rig):
+        for c, (view, cam) in enumerate(zip(views, rig)):
             # The box linked at each frame, NaN where none.
             boxes = np.full((len(frames), 4), np.nan)
-            for rows, by_camera in linked:
-                if cam.id in by_camera:
-                    first, track_boxes = by_camera[cam.id]
-                    at = frames[rows] - first
-                    inside = (at >= 0) & (at < len(track_boxes))
-                    boxes[rows[inside]] = track_boxes[at[inside]]
+            for rows, track_boxes in linked:
+                boxes[rows] = track_boxes[c]
             x, y = project(cam, X).T
             ox, oy, ow, oh = boxes.T
             size = np.maximum(ow, oh)

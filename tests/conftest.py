@@ -12,8 +12,8 @@ from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D
 from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraModel, CameraRig
 from mvtrack.simulate import build_scenario, render_detections
-from mvtrack.sv_track import (WINDOW_LEN, Bbox, Detections, WindowSegment2D,
-                              load_detections, save_detections)
+from mvtrack.sv_track import (WINDOW_LEN, Bbox, Detections, Segments, load_detections,
+                              save_detections)
 
 FOCAL = 1000.0
 PRINCIPAL = (960.0, 540.0)
@@ -72,21 +72,43 @@ def _simulated(spec_json: str):
     return detections, CameraRig(scene.rig), cfg
 
 
-def window_segment(camera, boxes, track_id=0, start=0, span=None) -> WindowSegment2D:
-    """A segment holding `boxes`, {frame: Bbox or (x, y, w, h)}, on a grid of
-    `span` frames from `start`: by default a window's, or as many as the
-    boxes need."""
+def window_segment(camera, boxes, track_id=0, start=0, span=None) -> Segments:
+    """A one-row segment table holding `boxes`, {frame: Bbox or (x, y, w,
+    h)}, on a grid of `span` frames from `start`: by default a window's, or
+    as many as the boxes need."""
     span = span or max(WINDOW_LEN + 1, max(boxes, default=start) - start + 1)
     rows = np.full((span, 4), np.nan)
     for f, b in boxes.items():
         rows[f - start] = (b.x, b.y, b.w, b.h) if isinstance(b, Bbox) else b
-    return WindowSegment2D(camera, track_id, start, rows)
+    return Segments(np.array([camera]), np.array([track_id]), np.array([start]), rows[None])
 
 
-def box_dict(seg: WindowSegment2D) -> dict:
-    """{frame: Bbox} of the rows of a segment that hold a box."""
-    return {seg.start + j: Bbox(*row) for j, row in enumerate(seg.boxes.tolist())
-            if not math.isnan(row[0])}
+NO_SEGMENTS = Segments.concat([], WINDOW_LEN + 1)
+
+
+def box_dict(segments: Segments, row: int = 0) -> dict:
+    """{frame: Bbox} of the cells of a row of `segments` that hold a box."""
+    start = int(segments.start[row])
+    return {start + j: Bbox(*box) for j, box in enumerate(segments.boxes[row].tolist())
+            if not math.isnan(box[0])}
+
+
+def sorted_chunk(clusters) -> tuple[Segments, list[np.ndarray]]:
+    """The rows of the tables `clusters` as one table sorted by (start,
+    camera, track_id), as `collect_window_segments` gives it, and each
+    cluster as the sorted array of its rows there."""
+    table = Segments.concat(clusters)
+    order = np.lexsort((table.track_id, table.camera, table.start))
+    rank = np.argsort(order)
+    edges = np.cumsum([0] + [len(c) for c in clusters])
+    return table.take(order), [np.sort(rank[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+
+def assert_same_rows(a: Segments, b: Segments) -> None:
+    """Two tables column for column, the boxes bit for bit."""
+    for name in ("camera", "track_id", "start"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+    assert a.boxes.shape == b.boxes.shape and a.boxes.tobytes() == b.boxes.tobytes()
 
 
 def columns(rows) -> Detections:

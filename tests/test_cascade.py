@@ -8,16 +8,16 @@ from mvtrack import cascade
 from mvtrack.cascade import (BOTTOM, CENTER, PROVENANCE, TOP, Mode, Provenance, Tracklet3D,
                              TrackingSpace, attach_top_bottom_batch, classify_clusters,
                              outlier_gate, plane_candidates,
-                             plane_match_and_fuse, process_window,
+                             plane_match_and_fuse, process_windows,
                              triangulate_clusters)
 from mvtrack.clustering import cluster_with_cutoff
-from mvtrack.cross_view import Cluster, cluster_segments
 from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox, WindowSegment2D
+from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import TargetCriteria, identify_target
 
-from conftest import box_dict, look_at_camera, to_frames, window_segment
+from conftest import (assert_same_rows, box_dict, look_at_camera, sorted_chunk, to_frames,
+                      window_segment)
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -45,6 +45,7 @@ def person_path(frames, lateral=0.5, z0=1.2, x=0.0):
 
 
 def cluster_for(rig, cameras, path, noise_rng=None, sigma=0.0):
+    """A cluster as a table of its segments, one per camera."""
     segs = []
     for cam_id in cameras:
         boxes = {}
@@ -52,7 +53,16 @@ def cluster_for(rig, cameras, path, noise_rng=None, sigma=0.0):
             noise = noise_rng.normal(0.0, sigma, size=2) if noise_rng is not None else None
             boxes[f] = project_box(rig[cam_id], X, noise=noise)
         segs.append(segment(cam_id, boxes))
-    return Cluster(members=tuple(segs))
+    return Segments.concat(segs)
+
+
+def all_rows(cluster):
+    """The one cluster of a table holding only it."""
+    return [np.arange(len(cluster))]
+
+
+def cameras(cluster) -> set:
+    return set(cluster.camera.tolist())
 
 
 class TestTrackingSpace:
@@ -83,13 +93,13 @@ class TestTrackingSpace:
 
 def on_grid(center, segs):
     """A track on the segments' window grid with one point, at frame 0."""
-    points = np.full((len(segs[0].boxes), 3), np.nan)
+    points = np.full((segs.boxes.shape[1], 3), np.nan)
     points[0] = center
     return as_tracklet(points)
 
 
 def triangulate_one(cluster, rig):
-    points, = triangulate_clusters([cluster], rig)
+    points, = triangulate_clusters(cluster, all_rows(cluster), rig)
     return points
 
 
@@ -110,9 +120,11 @@ def branches(wt) -> set:
 
 
 def classify(cluster, rig, **kwargs):
-    solved = (triangulate_clusters([cluster], rig) if len(cluster.cameras) >= 2
-              else np.full((1, len(cluster.members[0].boxes), 3), np.nan))
-    verdict, = classify_clusters([cluster], rig, triangulated=solved, **kwargs).tolist()
+    solved = (triangulate_clusters(cluster, all_rows(cluster), rig)
+              if len(cameras(cluster)) >= 2
+              else np.full((1, cluster.boxes.shape[1], 3), np.nan))
+    verdict, = classify_clusters(cluster, all_rows(cluster), rig, triangulated=solved,
+                                 **kwargs).tolist()
     return verdict
 
 
@@ -138,10 +150,12 @@ class TestClassifyCluster:
     def test_reuses_given_triangulation(self, rig):
         c = cluster_for(rig, [0, 2], person_path(range(10), lateral=0.2))
         points = triangulate_one(c, rig)
-        assert classify_clusters([c], rig, triangulated=points[None]).tolist() == [False]
+        assert classify_clusters(c, all_rows(c), rig,
+                                 triangulated=points[None]).tolist() == [False]
         # With no solved frames there is no angle evidence at all.
         empty = np.full_like(points, np.nan)
-        assert classify_clusters([c], rig, triangulated=empty[None]).tolist() == [True]
+        assert classify_clusters(c, all_rows(c), rig,
+                                 triangulated=empty[None]).tolist() == [True]
 
     def test_explicit_opposite_pairs_override(self, rig):
         c = cluster_for(rig, [0, 1], person_path(range(10)))
@@ -183,9 +197,9 @@ class TestTriangulateCluster:
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
         t3 = as_tracklet(triangulate_one(c, rig))
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
-        attach_top_bottom_batch([(t3, list(c.members))], rig)
+        attach_top_bottom_batch([(t3, c)], rig)
         for offset, got in ((TOP, to_frames(t3).top), (BOTTOM, to_frames(t3).bottom)):
-            points, ok = direct_solve(rig, c.members, range(11), offset)
+            points, ok = direct_solve(rig, c, range(11), offset)
             assert ok.all() and sorted(got) == list(range(11))
             for f in range(11):
                 assert np.array_equal(got[f], points[f])
@@ -195,7 +209,7 @@ class TestTriangulateCluster:
         segs = [segment(0, {f: project_box(rig[0], X) for f, X in path.items()}),
                 segment(1, {f: project_box(rig[1], X)
                             for f, X in path.items() if f < 5})]
-        points = triangulate_one(Cluster(members=tuple(segs)), rig)
+        points = triangulate_one(Segments.concat(segs), rig)
         assert solved_frames(points) == list(range(5))
         assert np.isnan(points[5:]).all()
 
@@ -212,7 +226,8 @@ class TestTriangulateCluster:
         for c in (0, 1):
             x, y, z = rig[c].K @ rig[c].R @ direction
             boxes[c][3] = Bbox(x / z, y / z, 40.0, 100.0)
-        points = triangulate_one(Cluster((segment(0, boxes[0]), segment(1, boxes[1]))), rig)
+        points = triangulate_one(Segments.concat([segment(0, boxes[0]), segment(1, boxes[1])]),
+                                 rig)
         assert solved_frames(points) == [0, 1, 2, 4, 5]
         assert np.isnan(points[[3, 6, 7, 8, 9, 10]]).all()
 
@@ -258,20 +273,21 @@ def reference_outlier_gate(points, space, velocity_limit=cascade.VELOCITY_LIMIT_
 
 def reference_classify(cluster, rig, theta_opp_deg=cascade.THETA_OPP_DEG,
                        opposite_pairs=None, *, triangulated):
-    """The per-cluster two-view verdict, on the cluster's (L+1, 3) centers."""
-    cameras = sorted(cluster.cameras)
-    if len(cameras) == 1:
+    """The per-cluster two-view verdict, on the cluster's (L+1, 3) centers;
+    the cluster is a table of its segments."""
+    cams = sorted(cameras(cluster))
+    if len(cams) == 1:
         return False
-    if len(cameras) != 2:
+    if len(cams) != 2:
         return True
-    if opposite_pairs and frozenset(cameras) in opposite_pairs:
+    if opposite_pairs and frozenset(cams) in opposite_pairs:
         return False
-    common = np.logical_and.reduce([s.valid for s in cluster.members])
+    common = np.logical_and.reduce(cluster.valid)
     X = triangulated[common & ~np.isnan(triangulated[:, 0])]
     if not len(X):
         return True
-    d_a = X - rig[cameras[0]].center
-    d_b = X - rig[cameras[1]].center
+    d_a = X - rig[cams[0]].center
+    d_b = X - rig[cams[1]].center
     cosang = np.clip(np.einsum("ij,ij->i", d_a, d_b)
                      / (np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)),
                      -1.0, 1.0)
@@ -281,8 +297,8 @@ def reference_classify(cluster, rig, theta_opp_deg=cascade.THETA_OPP_DEG,
 def used_angles(cluster, rig, points):
     """The per-frame ray angles, in degrees, the verdict of a two-camera
     cluster takes the median of."""
-    a, b = sorted(cluster.cameras)
-    common = np.logical_and.reduce([s.valid for s in cluster.members])
+    a, b = sorted(cameras(cluster))
+    common = np.logical_and.reduce(cluster.valid)
     X = points[common & ~np.isnan(points[:, 0])]
     d_a, d_b = X - rig[a].center, X - rig[b].center
     return np.degrees(np.arccos(np.clip(
@@ -330,21 +346,28 @@ class TestBatchedGate:
 class TestBatchedVerdict:
     def random_clusters(self, rng, rig, count=40, span=11):
         """Clusters of one to three cameras and up to four members, with
-        random gaps, and centers near the rig's middle with NaN frames."""
+        random gaps, and centers near the rig's middle with NaN frames: the
+        clusters as tables, and their (C, span, 3) centers."""
         clusters, rows = [], []
         for k in range(count):
-            cameras = rng.choice(4, size=int(rng.choice([1, 2, 2, 2, 3])), replace=False)
-            members = []
-            for m in range(len(cameras) + int(rng.integers(0, 2))):
-                boxes = np.full((span, 4), np.nan)
-                boxes[rng.random(span) < 0.85] = (960.0, 540.0, 40.0, 100.0)
-                members.append(WindowSegment2D(int(cameras[m % len(cameras)]), 10 * k + m,
-                                               0, boxes))
-            clusters.append(Cluster(tuple(members)))
+            cams = rng.choice(4, size=int(rng.choice([1, 2, 2, 2, 3])), replace=False)
+            n = len(cams) + int(rng.integers(0, 2))
+            boxes = np.full((n, span, 4), np.nan)
+            boxes[rng.random((n, span)) < 0.85] = (960.0, 540.0, 40.0, 100.0)
+            clusters.append(Segments(cams[np.arange(n) % len(cams)].astype(np.int64),
+                                     10 * k + np.arange(n), np.zeros(n, np.int64), boxes))
             points = rng.normal(0.0, rng.choice([0.3, 1.5]), size=(span, 3)) + (0.0, 0.0, 1.0)
             points[rng.random(span) < 0.2] = np.nan
             rows.append(points)
         return clusters, np.stack(rows)
+
+    @staticmethod
+    def verdicts(clusters, rig, *args, **kwargs):
+        """`classify_clusters` of the tables `clusters` as rows of one table."""
+        edges = np.cumsum([0] + [len(c) for c in clusters])
+        return classify_clusters(Segments.concat(clusters),
+                                 [np.arange(lo, hi) for lo, hi in zip(edges, edges[1:])],
+                                 rig, *args, **kwargs).tolist()
 
     def test_equals_per_cluster_verdict(self, rig):
         rng = np.random.default_rng(7)
@@ -354,12 +377,12 @@ class TestBatchedVerdict:
                 clusters, points = self.random_clusters(rng, rig)
                 want = [reference_classify(c, rig, opposite_pairs=opposite_pairs,
                                            triangulated=p) for c, p in zip(clusters, points)]
-                got = classify_clusters(clusters, rig, opposite_pairs=opposite_pairs,
-                                        triangulated=points).tolist()
+                got = self.verdicts(clusters, rig, opposite_pairs=opposite_pairs,
+                                    triangulated=points)
                 assert got == want
                 assert 0 < sum(want) < len(want)
                 parities |= {len(used_angles(c, rig, p)) % 2
-                             for c, p in zip(clusters, points) if len(c.cameras) == 2}
+                             for c, p in zip(clusters, points) if len(cameras(c)) == 2}
         assert parities == {0, 1}
 
     def test_median_equal_to_threshold_is_sufficient(self, rig):
@@ -369,15 +392,14 @@ class TestBatchedVerdict:
         clusters, points = self.random_clusters(rng, rig)
         counts = set()
         for c, p in zip(clusters, points):
-            if len(c.cameras) != 2 or not len(angles := used_angles(c, rig, p)):
+            if len(cameras(c)) != 2 or not len(angles := used_angles(c, rig, p)):
                 continue
             counts.add(len(angles) % 2)
             median = float(np.median(angles))
             for theta in (median, float(np.nextafter(median, 0.0))):
                 want = reference_classify(c, rig, theta, triangulated=p)
                 assert want is (theta == median)
-                assert classify_clusters([c], rig, theta, triangulated=p[None]).tolist() == \
-                    [want]
+                assert self.verdicts([c], rig, theta, triangulated=p[None]) == [want]
         assert counts == {0, 1}
 
     def test_no_common_frame_is_sufficient(self, rig):
@@ -385,31 +407,31 @@ class TestBatchedVerdict:
         # every member has, however opposed the rays.
         boxes = np.full((3, 11, 4), np.nan)
         boxes[0, :5] = boxes[1, 6:] = boxes[2] = (960.0, 540.0, 40.0, 100.0)
-        c = Cluster(tuple(WindowSegment2D(cam, k, 0, b)
-                          for k, (cam, b) in enumerate(zip((0, 0, 2), boxes))))
+        c = Segments(np.array([0, 0, 2]), np.arange(3), np.zeros(3, np.int64), boxes)
         points = np.zeros((1, 11, 3)) + (0.0, 0.0, 1.0)
         assert reference_classify(c, rig, triangulated=points[0]) is True
-        assert classify_clusters([c], rig, triangulated=points).tolist() == [True]
+        assert classify_clusters(c, all_rows(c), rig, triangulated=points).tolist() == [True]
 
     def test_nan_angle_is_sufficient(self, rig):
         # An opposed pair, except that at frame 4 the center sits on camera
         # 0, where the angle is 0 / 0: np.median of a NaN is NaN, and NaN is
         # not above theta_opp.
         c = cluster_for(rig, [0, 2], person_path(range(11), lateral=0.2))
-        points = triangulate_clusters([c], rig)
-        assert classify_clusters([c], rig, triangulated=points).tolist() == [False]
+        points = triangulate_clusters(c, all_rows(c), rig)
+        assert classify_clusters(c, all_rows(c), rig, triangulated=points).tolist() == [False]
         points[0, 4] = rig[0].center
         with np.errstate(invalid="ignore", divide="ignore"):
             assert np.isnan(used_angles(c, rig, points[0])).sum() == 1
             assert reference_classify(c, rig, triangulated=points[0]) is True
-            assert classify_clusters([c], rig, triangulated=points).tolist() == [True]
+            assert classify_clusters(c, all_rows(c), rig,
+                                     triangulated=points).tolist() == [True]
 
 
 class TestPlaneCandidates:
     def test_on_plane_exact_round_trip(self, rig):
         path = person_path(range(10), x=0.0)
         seg = segment(0, {f: project_box(rig[0], X) for f, X in path.items()})
-        points, = plane_candidates([seg], PLANE, rig)
+        points, = plane_candidates(seg, PLANE, rig)
         assert solved_frames(points) == list(path)
         for f, X in path.items():
             assert np.linalg.norm(points[f] - X) <= 1e-9
@@ -420,7 +442,7 @@ class TestPlaneCandidates:
         path = person_path(range(10), x=1.0, z0=1.0)
         segs = [segment(c, {f: project_box(cams[c], X) for f, X in path.items()})
                 for c in (0, 1)]
-        ta, tb = plane_candidates(segs, PLANE, cams)
+        ta, tb = plane_candidates(Segments.concat(segs), PLANE, cams)
         diffs = [np.linalg.norm(ta[f] - tb[f]) for f in range(10)]
         assert np.mean(diffs) > 0.5
 
@@ -432,7 +454,7 @@ class TestPlaneCandidates:
             boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                      for f, X in path.items()}
             segs.append(segment(c, boxes))
-        ta, tb = plane_candidates(segs, PLANE, rig)
+        ta, tb = plane_candidates(Segments.concat(segs), PLANE, rig)
         diffs = [np.linalg.norm(ta[f] - tb[f]) for f in range(10)]
         assert np.mean(diffs) <= 0.1
 
@@ -440,7 +462,7 @@ class TestPlaneCandidates:
         # Camera 1 sits on the plane x = 0: every ray multiplier is zero.
         path = person_path(range(10), x=0.0)
         seg = segment(1, {f: project_box(rig[1], X) for f, X in path.items()})
-        assert np.isnan(plane_candidates([seg], PLANE, rig)).all()
+        assert np.isnan(plane_candidates(seg, PLANE, rig)).all()
 
 
 def constant_candidate(camera, value, frames=range(10)):
@@ -451,9 +473,15 @@ def constant_candidate(camera, value, frames=range(10)):
 
 
 def fuse(cands):
-    """`plane_match_and_fuse` of (points, segment) candidates."""
-    return plane_match_and_fuse(np.stack([points for points, _ in cands]),
-                                [seg for _, seg in cands])
+    """`plane_match_and_fuse` of (points, segment) candidates, as the rows of
+    one table sorted as `collect_window_segments` sorts it; each fused
+    track with the table of its members."""
+    table, rows = sorted_chunk([seg for _, seg in cands])
+    points = np.empty((len(table), 11, 3))
+    for (p, _), (row,) in zip(cands, rows):
+        points[row] = p
+    return [(fused, table.take(members))
+            for fused, members in plane_match_and_fuse(points, table)]
 
 
 def candidate_pair_distance(a, b):
@@ -491,7 +519,7 @@ class TestPlaneMatchAndFuse:
         fused = fuse(cands)
         assert len(fused) == 1
         points, segs = fused[0]
-        assert {s.camera for s in segs} == {0, 2}
+        assert cameras(segs) == {0, 2}
         for f in range(10):
             assert np.allclose(points[f], (0.0, 0.5, 1.0))
 
@@ -542,6 +570,7 @@ class TestPlaneMatchAndFuse:
                 boxes = {f: project_box(rig[c], X, noise=rng.normal(0, 2.0, size=2))
                          for f, X in path.items()}
                 segs.append(segment(c, boxes, track_id=pid))
+        segs = Segments.concat(segs).sorted()
         fused = plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs)
         assert len(fused) == 1
         points, _ = fused[0]
@@ -552,20 +581,21 @@ class TestPlaneMatchAndFuse:
         # Camera 1 sits on the plane x = 0, so its candidate has no point:
         # it is left out of the distances and changes no fused track.
         path = person_path(range(11), x=0.0, lateral=0.3)
-        segs = [segment(c, {f: project_box(rig[c], X) for f, X in path.items()})
-                for c in (0, 1, 2)]
+        segs = Segments.concat([segment(c, {f: project_box(rig[c], X)
+                                            for f, X in path.items()}) for c in (0, 1, 2)])
         sizes = []
         monkeypatch.setattr(cascade, "cluster_with_cutoff",
                             lambda Ds, cutoff: sizes.extend(len(D) for D in Ds)
                             or cluster_with_cutoff(Ds, cutoff))
         with_miss = plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs)
-        pair = [segs[0], segs[2]]
+        pair = segs.take([0, 2])
         without = plane_match_and_fuse(plane_candidates(pair, PLANE, rig), pair)
         assert sizes == [2, 2]
         (a, members_a), = with_miss
         (b, members_b), = without
         assert np.array_equal(a, b, equal_nan=True)
-        assert members_a == members_b == pair
+        assert_same_rows(segs.take(members_a), pair)
+        assert_same_rows(pair.take(members_b), pair)
 
 
 class TestPlaneMatchAcrossWindows:
@@ -599,16 +629,16 @@ class TestPlaneMatchAcrossWindows:
     def test_chunk_equals_one_window_at_a_time(self):
         windows = self.windows()
         alone = [fused for cands in windows.values() for fused in fuse(cands)]
-        assert [sorted(s.camera for s in members) for _, members in alone] == \
+        assert [sorted(members.camera.tolist()) for _, members in alone] == \
             [[0, 2], [0, 1, 3]]
-        # Interleaved across windows: each window's candidates are still
-        # taken in key order, and the windows in start order.
+        # Interleaved across windows and reversed: the table puts each
+        # window's candidates in key order, and the windows in start order.
         chunk = [c for k in range(4) for cands in windows.values() for c in cands[k:k + 1]]
         together = fuse(chunk[::-1])
         assert len(together) == len(alone)
         for (a, members_a), (b, members_b) in zip(together, alone):
             assert np.array_equal(a, b, equal_nan=True)
-            assert members_a == members_b
+            assert_same_rows(members_a, members_b)
 
     def test_no_window_with_a_hit_gives_nothing(self):
         assert fuse(self.windows()[5]) == []
@@ -627,15 +657,26 @@ class TestAttachTopBottom:
                 rig[c], [center, center + [0, 0, half], center - [0, 0, half]]).tolist()
             box = Bbox(cx, (ty + by) / 2.0, 40.0, by - ty)
             segs.append(segment(c, {0: box}))
+        segs = Segments.concat(segs)
         t3 = on_grid(center, segs)
         attach_top_bottom_batch([(t3, segs)], rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
-        segs = [segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})]
+        segs = segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})
         t3 = on_grid(np.array([0.0, 0.0, 1.0]), segs)
         attach_top_bottom_batch([(t3, segs)], rig)
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
+
+
+def process_window(start, clusters, *args, **kwargs):
+    """The tracks `process_windows` gives the window from `start` whose
+    clusters are the tables `clusters`, as rows of one sorted table."""
+    return process_windows(*sorted_chunk(clusters), *args, **kwargs).get(start, [])
+
+
+def min_key(segments):
+    return min(segments.keys())
 
 
 class TestProcessWindow:
@@ -694,6 +735,18 @@ class TestProcessWindow:
         assert sorted(map(tuple, (sorted(p.value for p in s) for s in provs))) == \
             [("plane_intersected",), ("triangulated",)]
 
+    def test_window_tracks_in_key_order(self, rig):
+        # The plane-branch track holds the window's first row, (0, 0), so it
+        # comes first, though the triangulated one is found first.
+        target = cluster_for(rig, [0, 2], person_path(range(11), x=0.0, lateral=0.3))
+        walker = cluster_for(rig, [1, 2, 3], person_path(range(11), x=0.5, lateral=0.4,
+                                                         z0=1.0))
+        walker = dataclasses.replace(walker, track_id=np.ones(len(walker), np.int64))
+        tracks = process_window(0, [walker, target], rig, PLANE, SPACE, mode=Mode.CASCADE)
+        assert [min_key(wt.segments) for wt in tracks] == [(0, 0), (1, 1)]
+        assert [branches(wt) for wt in tracks] == [{Provenance.PLANE_INTERSECTED},
+                                                   {Provenance.TRIANGULATED}]
+
     def test_window_batch_equals_per_cluster_solves(self, rig, monkeypatch):
         # Two clusters share the camera set (0, 1, 2) and one uses
         # (1, 2, 3): their solves are batched across clusters.  Two
@@ -707,10 +760,8 @@ class TestProcessWindow:
             cluster_for(rig, [1, 2, 3], person_path(frames, x=1.2, lateral=-0.4), rng, 1.0)]
         plane = [cluster_for(rig, [0, 2], person_path(frames, x=0.0, lateral=0.3)),
                  cluster_for(rig, [0, 2], {f: np.array([0.0, 1.0, 1.4]) for f in frames})]
-        clusters = []
-        for k, c in enumerate(triangulated + plane):
-            clusters.append(Cluster(tuple(
-                dataclasses.replace(s, track_id=k) for s in c.members)))
+        clusters = [dataclasses.replace(c, track_id=np.full(len(c), k))
+                    for k, c in enumerate(triangulated + plane)]
         calls = []
 
         def spy(cams, pixels):
@@ -728,18 +779,17 @@ class TestProcessWindow:
 
         expected = {}
         for c in clusters[:3]:
-            expected[c.members[0].key] = as_tracklet(triangulate_one(c, rig))
-            attach_top_bottom_batch([(expected[c.members[0].key], list(c.members))], rig)
-        segs = sorted([s for c in clusters[3:] for s in c.members], key=lambda s: s.key)
-        for points, fused_segs in plane_match_and_fuse(plane_candidates(segs, PLANE, rig),
-                                                       segs):
+            expected[min_key(c)] = as_tracklet(triangulate_one(c, rig))
+            attach_top_bottom_batch([(expected[min_key(c)], c)], rig)
+        segs = Segments.concat(clusters[3:]).sorted()
+        for points, rows in plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs):
             t3 = as_tracklet(points, Provenance.PLANE_INTERSECTED)
-            attach_top_bottom_batch([(t3, fused_segs)], rig)
-            expected[min(s.key for s in fused_segs)] = t3
+            attach_top_bottom_batch([(t3, segs.take(rows))], rig)
+            expected[min_key(segs.take(rows))] = t3
         assert len(expected) == 5
-        assert sorted(min(s.key for s in wt.segments) for wt in tracks) == sorted(expected)
+        assert sorted(min_key(wt.segments) for wt in tracks) == sorted(expected)
         for wt in tracks:
-            want = to_frames(expected[min(s.key for s in wt.segments)])
+            want = to_frames(expected[min_key(wt.segments)])
             got = to_frames(wt.track)
             assert got.provenance == want.provenance
             for attr in ("points", "top", "bottom"):
@@ -752,11 +802,11 @@ class TestProcessWindow:
 
 
 def direct_solve(rig, segs, frames, offset):
-    """`triangulate_batch` of the boxes of `segs` at `frames`, one row per
-    frame, outside the cascade's batching."""
-    boxes = [box_dict(s) for s in segs]
+    """`triangulate_batch` of the boxes of the rows of `segs` at `frames`, one
+    row per frame, outside the cascade's batching."""
+    boxes = [box_dict(segs, k) for k in range(len(segs))]
     pixels = [[(b[f].x, b[f].y + offset * b[f].h) for b in boxes] for f in frames]
-    return triangulate_batch([rig[s.camera] for s in segs], np.array(pixels))
+    return triangulate_batch([rig[c] for c in segs.camera.tolist()], np.array(pixels))
 
 
 class TestOverlapSolvedOnce:
@@ -769,10 +819,9 @@ class TestOverlapSolvedOnce:
                   ((0, 2), person_path(range(16), x=0.0, lateral=0.3))]
         boxes = [{c: {f: project_box(rig[c], X) for f, X in path.items()} for c in cams}
                  for cams, path in people]
-        return [[Cluster(tuple(segment(c, {f: per_cam[c][f] for f in range(s, s + 11)},
-                                       track_id=k, start=s) for c in per_cam))
-                 for k, per_cam in enumerate(boxes)]
-                for s in (0, 5)]
+        return sorted_chunk([Segments.concat([
+            segment(c, {f: per_cam[c][f] for f in range(s, s + 11)}, track_id=k, start=s)
+            for c in per_cam]) for s in (0, 5) for k, per_cam in enumerate(boxes)])
 
     def test_each_distinct_row_once_per_call(self, rig, monkeypatch):
         calls = []
@@ -781,11 +830,10 @@ class TestOverlapSolvedOnce:
             calls.append((tuple(cam.id for cam in cams), pixels))
             return triangulate_batch(cams, pixels)
         monkeypatch.setattr(cascade, "triangulate_batch", spy)
-        windows = self.overlapping_windows(rig)
-        tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
-        assert [len(t) for t in tracks] == [2, 2]
+        tracks = process_windows(*self.overlapping_windows(rig), rig, PLANE, SPACE)
+        assert [len(t) for t in tracks.values()] == [2, 2]
         attach_top_bottom_batch([(wt.track, wt.segments)
-                                 for window in tracks for wt in window], rig)
+                                 for window in tracks.values() for wt in window], rig)
         # Centers of 16 frames, then the tops and bottoms of all four tracks'
         # 16 frames per camera set; without the dedupe each is 22 frames.
         assert [(cams, len(p)) for cams, p in calls] == \
@@ -795,11 +843,11 @@ class TestOverlapSolvedOnce:
             assert len(np.unique(rows, axis=0)) == len(rows)
 
     def test_tracks_equal_direct_solves(self, rig):
-        windows = self.overlapping_windows(rig)
-        tracks = cascade.process_windows([0, 5], windows, rig, PLANE, SPACE)
+        tracks = process_windows(*self.overlapping_windows(rig), rig, PLANE, SPACE)
         attach_top_bottom_batch([(wt.track, wt.segments)
-                                 for window in tracks for wt in window], rig)
-        for start, window_tracks in zip((0, 5), tracks):
+                                 for window in tracks.values() for wt in window], rig)
+        assert list(tracks) == [0, 5]
+        for start, window_tracks in tracks.items():
             frames = list(range(start, start + 11))
             for wt in window_tracks:
                 t3, segs = to_frames(wt.track), wt.segments
@@ -822,9 +870,9 @@ class TestOverlapSolvedOnce:
             return triangulate_batch(cams, pixels)
         monkeypatch.setattr(cascade, "triangulate_batch", spy)
         box = project_box(rig[1], np.array([0.0, 0.0, 1.0]))
-        c = Cluster((segment(0, {0: Bbox(-0.0, 500.0, 40.0, 100.0),
-                                 1: Bbox(0.0, 500.0, 40.0, 100.0)}),
-                     segment(1, {0: box, 1: box})))
+        c = Segments.concat([segment(0, {0: Bbox(-0.0, 500.0, 40.0, 100.0),
+                                         1: Bbox(0.0, 500.0, 40.0, 100.0)}),
+                             segment(1, {0: box, 1: box})])
         points = triangulate_one(c, rig)
         pixels, = calls
         assert pixels.shape == (2, 2, 2)  # centers only

@@ -1,15 +1,21 @@
-"""Chunked association: `run_pipeline` clusters and solves a run of windows
-at once, then stitches them in order.  A window's tracks must not depend
-on the windows it shares a chunk with, so the target records are the same
-bytes for every chunk size, and the same whether or not a box tuple that
-recurs in a chunk is solved once."""
+"""Chunked association: `run_pipeline` sorts every window segment into one
+table, then clusters and solves a run of windows, a slice of its rows, at
+once, and stitches them in order.  A window's tracks must not depend on the
+windows it shares a chunk with, so the target records are the same bytes
+for every chunk size, and the same whether or not a box tuple that recurs
+in a chunk is solved once.  The table must equal the per-object grouping
+it replaced, kept here as the oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvtrack import cascade, clustering, pipeline, target
+from mvtrack import cascade, clustering, pipeline, sv_track, target
 from mvtrack.cascade import Mode
 from mvtrack.scenarios import get_scenario_spec
+from mvtrack.sv_track import (Detections, Segments, Tracklet2D, segment_windows,
+                              track_camera_stream, run_edges)
 
 from conftest import simulated
 
@@ -21,10 +27,27 @@ def inputs():
     return {name: simulated(get_scenario_spec(name)) for name in SCENARIOS}
 
 
-def split_budget(windows, parts=3):
-    """A CHUNK_CELLS value that cuts `windows` into `parts` or so chunks,
-    each closing mid-clip."""
-    return max(1, sum(len(segments) ** 2 for segments in windows.values()) // parts)
+def window_sizes(segments) -> np.ndarray:
+    """The segment count of each window of a sorted table."""
+    return np.diff(run_edges(segments.start))
+
+
+def window_starts(segments) -> list[int]:
+    return segments.start[run_edges(segments.start)[:-1]].tolist()
+
+
+def split_budget(segments, parts=3):
+    """A CHUNK_CELLS value that cuts the windows of `segments` into `parts`
+    or so chunks, each closing mid-clip."""
+    return max(1, int((window_sizes(segments) ** 2).sum()) // parts)
+
+
+def table_of(sizes: dict) -> Segments:
+    """A sorted table with sizes[start] rows of one-frame segments at each
+    start, the track ids counting the rows."""
+    starts = np.repeat(np.array(list(sizes), np.int64), list(sizes.values()))
+    return Segments(np.zeros(len(starts), np.int64), np.arange(len(starts)), starts,
+                    np.zeros((len(starts), 1, 4)))
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
@@ -33,13 +56,13 @@ def test_records_do_not_depend_on_chunk_size(inputs, scenario, mode, monkeypatch
                                              tmp_path):
     detections, rig, cfg = inputs[scenario]
     windows = pipeline.collect_window_segments(detections, rig, cfg)
-    n_windows = len(windows)
+    n_windows = len(window_sizes(windows))
     chunk_sizes = []
     real = pipeline.cluster_windows
 
-    def spy(windows, *args):
-        chunk_sizes.append(len(windows))
-        return real(windows, *args)
+    def spy(segments, *args):
+        chunk_sizes.append(len(window_sizes(segments)))
+        return real(segments, *args)
     monkeypatch.setattr(pipeline, "cluster_windows", spy)
 
     outputs = []
@@ -65,16 +88,20 @@ def test_records_do_not_depend_on_chunk_size(inputs, scenario, mode, monkeypatch
 
 def test_chunks_take_every_window_once_in_order(monkeypatch):
     monkeypatch.setattr(pipeline, "CHUNK_CELLS", 50)
-    windows = {start: ["segment"] * n
-               for start, n in zip(range(0, 100, 10), (3, 4, 8, 1, 2, 5, 5, 6, 0, 1))}
-    chunks = list(pipeline._chunks(windows))
-    assert [item for chunk in chunks for item in chunk] == list(windows.items())
-    assert [[start for start, _ in chunk] for chunk in chunks] == \
-        [[0, 10, 20], [30, 40, 50, 60], [70, 80, 90]]
+    # The window from 80 has no segment, so no rows: it is in no chunk.
+    segments = table_of(dict(zip(range(0, 100, 10), (3, 4, 8, 1, 2, 5, 5, 6, 0, 1))))
+    chunks = list(pipeline._chunks(segments))
+    # Every row once, in order, each chunk a copy of a run of the table's
+    # rows, so the table need not outlive the chunks.
+    assert np.concatenate([c.track_id for c in chunks]).tolist() == \
+        segments.track_id.tolist()
+    assert not any(np.shares_memory(c.boxes, segments.boxes) for c in chunks)
+    assert [window_starts(chunk) for chunk in chunks] == \
+        [[0, 10, 20], [30, 40, 50, 60], [70, 90]]
     # Each chunk but the last closes at the first window that reaches the
     # budget: 9 + 16 + 64 = 89, then 1 + 4 + 25 + 25 = 55.
     for chunk in chunks[:-1]:
-        cells = [len(segments) ** 2 for _, segments in chunk]
+        cells = (window_sizes(chunk) ** 2).tolist()
         assert sum(cells) >= 50 > sum(cells[:-1])
 
 
@@ -82,13 +109,13 @@ def test_window_over_the_budget_is_a_chunk_alone(monkeypatch):
     # A window with n * n at or over the budget closes its chunk, so each
     # of a run of such windows (dense clutter) is a chunk of its own.
     monkeypatch.setattr(pipeline, "CHUNK_CELLS", 100)
-    windows = {0: [0] * 11, 1: [0] * 10, 2: [0] * 3, 3: [0] * 12, 4: [0] * 2}
-    assert [[start for start, _ in chunk] for chunk in pipeline._chunks(windows)] == \
+    windows = table_of({0: 11, 1: 10, 2: 3, 3: 12, 4: 2})
+    assert [window_starts(chunk) for chunk in pipeline._chunks(windows)] == \
         [[0], [1], [2, 3], [4]]
     monkeypatch.setattr(pipeline, "CHUNK_CELLS", 1)
-    assert [[start for start, _ in chunk] for chunk in pipeline._chunks(windows)] == \
+    assert [window_starts(chunk) for chunk in pipeline._chunks(windows)] == \
         [[0], [1], [2], [3], [4]]
-    assert list(pipeline._chunks({})) == []
+    assert list(pipeline._chunks(table_of({}))) == []
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
@@ -153,10 +180,9 @@ def test_one_call_per_stage_and_chunk(inputs, scenario, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     def plane_windows(points, segments, *_):
-        hits = (~np.isnan(points[..., 0])).any(axis=1).tolist()
-        return [seg.start for seg, hit in zip(segments, hits) if hit]
+        return segments.start[(~np.isnan(points[..., 0])).any(axis=1)].tolist()
 
-    spy(pipeline, "cluster_windows", lambda windows, *_: [len(w) for w in windows])
+    spy(pipeline, "cluster_windows", lambda segments, *_: window_sizes(segments).tolist())
     spy(cascade, "plane_match_and_fuse", plane_windows)
     spy(cascade, "outlier_gate")
     spy(clustering, "_link", lambda D, _: D.shape[1])
@@ -174,3 +200,72 @@ def test_one_call_per_stage_and_chunk(inputs, scenario, monkeypatch):
                              (chunk[plane_at:], [starts.count(s) for s in set(starts)])):
             assert [n for name, n in stage if name == "_link"] == \
                 sorted({n for n in sizes if n >= 2})
+
+
+def reference_grouping(tracklets, cfg) -> list[tuple]:
+    """The per-object grouping the table replaced: each tracklet's window
+    segments as (camera, track_id, start, boxes) objects, grouped by start
+    and each group sorted by (camera, track_id), the windows in start order."""
+    by_window: dict[int, list[tuple]] = {}
+    for t in tracklets:
+        segs = segment_windows(t, cfg.window_len, min_observed=cfg.min_segment_obs)
+        for seg in zip(segs.camera.tolist(), segs.track_id.tolist(), segs.start.tolist(),
+                       segs.boxes):
+            by_window.setdefault(seg[2], []).append(seg)
+    return [seg for _, segs in sorted(by_window.items())
+            for seg in sorted(segs, key=lambda s: s[:2])]
+
+
+def assert_table_equals_grouping(table: Segments, grouping: list[tuple]) -> None:
+    """Column for column, the boxes bit for bit (so NaN where NaN)."""
+    assert list(zip(table.camera.tolist(), table.track_id.tolist(),
+                    table.start.tolist())) == [seg[:3] for seg in grouping]
+    assert table.boxes.tobytes() == b"".join(seg[3].tobytes() for seg in grouping)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_segment_table_equals_per_object_grouping(inputs, scenario):
+    detections, rig, cfg = inputs[scenario]
+    tracklets = [t for camera in sorted(cam.id for cam in rig)
+                 for t in track_camera_stream(camera, detections.take(detections.camera == camera),
+                                              cfg.iou_threshold, cfg.max_age)]
+    table = pipeline.collect_window_segments(detections, rig, cfg)
+    assert len(table) > 100
+    assert_table_equals_grouping(table, reference_grouping(tracklets, cfg))
+
+
+@st.composite
+def camera_tracklets(draw):
+    """Per camera of four, tracklets of distinct ids in random order, with
+    random increasing frames and boxes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = {}
+    for camera in range(4):
+        out[camera] = []
+        for tid in draw(st.lists(st.integers(0, 40), unique=True, max_size=5)):
+            frames = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=40)))
+            out[camera].append(Tracklet2D(camera, tid, np.array(frames, np.int64),
+                                          rng.uniform(1.0, 500.0, size=(len(frames), 4))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(camera_tracklets())
+def test_segment_table_equals_per_object_grouping_on_tracklets(inputs, tracklets):
+    _, rig, cfg = inputs["clean-4cam"]
+    no_detections = Detections(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "track_camera_stream", lambda camera, *_: tracklets[camera])
+        table = pipeline.collect_window_segments(no_detections, rig, cfg)
+    assert_table_equals_grouping(
+        table, reference_grouping([t for camera in range(4) for t in tracklets[camera]], cfg))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_no_stage_builds_segment_rows(inputs, scenario, monkeypatch):
+    # `WindowSegment2D` is only the row view of the bench adapters.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage built a WindowSegment2D")
+    monkeypatch.setattr(sv_track.WindowSegment2D, "__init__", refuse)
+    records, registry = pipeline.run_pipeline(*inputs[scenario])
+    assert len(records) and registry.tracks

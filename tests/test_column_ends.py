@@ -25,7 +25,7 @@ from mvtrack.sv_track import (_COMMON_TYPES, _INT64_MAX, _INT64_MIN, DETECTION_F
                               load_detections)
 from mvtrack.target import TargetMaintainer, TargetRecords, project, save_target_records
 
-from conftest import FrameTrack, simulated, to_arrays, window_segment
+from conftest import FrameTrack, box_dict, simulated, to_arrays, window_segment
 from test_boundary import detection_lines
 from test_target import CRIT, RIG, SPACE
 
@@ -260,9 +260,13 @@ def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> TargetR
     """`_emit` a frame and a camera at a time."""
     cameras = list(rig)
     pixels = [project(cam, X).tolist() for cam in cameras]
-    boxes = {tid: {camera: (first, arr.tolist()) for camera, (first, arr)
-                   in registry.tracks[tid].boxes_by_camera(tid).items()}
-             for tid in dict.fromkeys(tids.tolist())}
+    # Per track and camera, {frame: Bbox} of its merged segments, a newer
+    # window's box replacing an older one's.
+    boxes = {tid: {} for tid in dict.fromkeys(tids.tolist())}
+    for tid, linked in boxes.items():
+        for segments in registry.tracks[tid].segments:
+            for k, camera in enumerate(segments.camera.tolist()):
+                linked.setdefault(camera, {}).update(box_dict(segments, k))
     last_size: dict[int, float] = {}
     views = np.full((len(cameras), len(frames), 3), np.nan)
     for i, (f, tid) in enumerate(zip(frames.tolist(), tids.tolist())):
@@ -270,9 +274,8 @@ def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> TargetR
             x, y = cam_pixels[i]
             if math.isnan(x):
                 continue
-            first, linked = boxes[tid].get(cam.id, (0, []))
-            at = f - first
-            ox, oy, ow, oh = linked[at] if 0 <= at < len(linked) else (math.nan,) * 4
+            box = boxes[tid].get(cam.id, {}).get(f)
+            ox, oy, ow, oh = (box.x, box.y, box.w, box.h) if box else (math.nan,) * 4
             if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
                 last_size[cam.id] = max(ow, oh)
             elif cam.id not in last_size:

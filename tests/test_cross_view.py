@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from mvtrack.cross_view import (_box_pair_distances, cluster_segments,
+from mvtrack.cross_view import (_box_pair_distances, cluster_windows,
                                 pair_distance_matrices)
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
-from mvtrack.sv_track import Bbox
+from mvtrack.sv_track import Bbox, Segments
 
 from conftest import box_dict, intrinsics, look_at_camera, window_segment
 
@@ -33,7 +33,12 @@ def box_distance(a, b, cam_a, cam_b, rig):
 
 
 def segment_distance(a, b, rig):
-    return pair_distance_matrices([[a, b]], rig)[0][0, 1]
+    return pair_distance_matrices(Segments.concat([a, b]), rig)[0][0, 1]
+
+
+def camera(seg) -> int:
+    """The camera of a one-row table."""
+    return int(seg.camera[0])
 
 
 def trajectory(t, offset=(0.0, 0.0)):
@@ -114,8 +119,8 @@ def reference_pair_distance(a, b, rig):
     common = sorted(set(boxes_a) & set(boxes_b))
     total = 0.0
     for f in common:
-        for src, tgt, F in ((boxes_b[f], boxes_a[f], rig.fundamental(b.camera, a.camera)),
-                            (boxes_a[f], boxes_b[f], rig.fundamental(a.camera, b.camera))):
+        for src, tgt, F in ((boxes_b[f], boxes_a[f], rig.fundamental(camera(b), camera(a))),
+                            (boxes_a[f], boxes_b[f], rig.fundamental(camera(a), camera(b)))):
             l = F @ [src.x, src.y, 1.0]
             total += abs(l[0] * tgt.x + l[1] * tgt.y + l[2]) / np.hypot(l[0], l[1]) \
                 / (tgt.w + tgt.h)
@@ -142,7 +147,7 @@ class TestPairDistanceMatrix:
     def test_matches_per_frame_reference(self, rig):
         rng = np.random.default_rng(53)
         segs = noisy_segments(rig, rng)
-        D, = pair_distance_matrices([segs], rig)
+        D, = pair_distance_matrices(Segments.concat(segs), rig)
         for i, a in enumerate(segs):
             assert math.isnan(D[i, i])
             for j, b in enumerate(segs):
@@ -150,7 +155,7 @@ class TestPairDistanceMatrix:
                     continue
                 assert D[i, j] == D[j, i]
                 assert segment_distance(a, b, rig) == D[i, j]
-                if a.camera == b.camera:
+                if camera(a) == camera(b):
                     assert D[i, j] == math.inf
                 else:
                     assert abs(D[i, j] - reference_pair_distance(a, b, rig)) <= 1e-12
@@ -159,19 +164,26 @@ class TestPairDistanceMatrix:
         a, b = noisy_segments(rig, np.random.default_rng(59))[:2]
         boxes_a, boxes_b = box_dict(a), box_dict(b)
         for f in set(boxes_a) & set(boxes_b):
-            one = (segment(a.camera, 0, {f: boxes_a[f]}),
-                   segment(b.camera, 1, {f: boxes_b[f]}))
-            assert abs(box_distance(boxes_a[f], boxes_b[f], a.camera, b.camera, rig)
+            one = (segment(camera(a), 0, {f: boxes_a[f]}),
+                   segment(camera(b), 1, {f: boxes_b[f]}))
+            assert abs(box_distance(boxes_a[f], boxes_b[f], camera(a), camera(b), rig)
                        - reference_pair_distance(*one, rig)) <= 1e-12
 
     def test_empty_and_infinite_entries(self, rig):
         a, = consistent_segments(rig, [0], range(0, 4))
         b, = consistent_segments(rig, [1], range(6, 10))
         c, = consistent_segments(rig, [0], range(2, 8), track_id=1)
-        D, = pair_distance_matrices([[a, b, c]], rig)
+        D, = pair_distance_matrices(Segments.concat([a, b, c]), rig)
         assert math.isnan(D[0, 1]) and math.isnan(D[1, 0])
         assert D[0, 2] == math.inf
         assert abs(D[1, 2] - reference_pair_distance(b, c, rig)) <= 1e-12
+
+
+def cluster_segments(segs, rig):
+    """`cluster_windows` of one window's segments, one-row tables, as the
+    rows of a table in the order given; each cluster as its table."""
+    table = Segments.concat(segs)
+    return [table.take(rows) for rows in cluster_windows(table, rig)]
 
 
 class TestClusterSegments:
@@ -179,7 +191,7 @@ class TestClusterSegments:
         segs = consistent_segments(rig, [0, 1], range(10))
         clusters = cluster_segments(segs, rig)
         assert len(clusters) == 1
-        assert clusters[0].cameras == {0, 1}
+        assert set(clusters[0].camera.tolist()) == {0, 1}
 
     def test_distant_pair_stays_separate(self, rig):
         a, = consistent_segments(rig, [0], range(10))
@@ -196,20 +208,18 @@ class TestClusterSegments:
         assert len(clusters) == 3
         for cluster in clusters:
             # One segment per camera at most.
-            cams = [s.camera for s in cluster.members]
+            cams = cluster.camera.tolist()
             assert len(cams) == len(set(cams))
             # All members belong to one person.
-            assert len({s.track_id for s in cluster.members}) == 1
+            assert len(set(cluster.track_id.tolist())) == 1
 
     def test_permutation_robustness(self, rig):
         segs = []
         for pid, offset in enumerate([(0.0, 0.0), (1.2, -0.8)]):
             segs.extend(consistent_segments(rig, [0, 1, 2], range(10),
                                             offset=offset, track_id=pid))
-        expected = {frozenset(s.key for s in c.members)
-                    for c in cluster_segments(segs, rig)}
+        expected = {frozenset(c.keys()) for c in cluster_segments(segs, rig)}
         shuffled = list(segs)
         random.Random(3).shuffle(shuffled)
-        got = {frozenset(s.key for s in c.members)
-               for c in cluster_segments(shuffled, rig)}
+        got = {frozenset(c.keys()) for c in cluster_segments(shuffled, rig)}
         assert got == expected

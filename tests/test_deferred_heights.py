@@ -56,13 +56,14 @@ def eager_heights(wt):
     frame at a time: a top where it solves, a bottom where both do."""
     top, bottom = {}, {}
     for f in wt.track.frames.tolist():
-        segs = [(s, box_dict(s)) for s in wt.segments]
-        segs = [(s, boxes[f]) for s, boxes in segs if f in boxes]
+        segs = [(camera, box_dict(wt.segments, k))
+                for k, camera in enumerate(wt.segments.camera.tolist())]
+        segs = [(camera, boxes[f]) for camera, boxes in segs if f in boxes]
         if len(segs) < 2:
             continue
         pixels = np.array([[(b.x, b.y + off * b.h) for _, b in segs]
                            for off in (TOP, BOTTOM)])
-        points, ok = triangulate_batch([wt.rig[s.camera] for s, _ in segs], pixels)
+        points, ok = triangulate_batch([wt.rig[camera] for camera, _ in segs], pixels)
         if ok[0]:
             top[f] = points[0]
             if ok[1]:
@@ -146,10 +147,10 @@ def test_work_bound(monkeypatch):
         finally:
             state["clusters"] = False
 
-    def boxes_spy(requests, rig, offsets):
+    def boxes_spy(segments, requests, rig, offsets):
         solves.append((state["clusters"], offsets))
         state["offsets"] = offsets
-        return boxes(requests, rig, offsets)
+        return boxes(segments, requests, rig, offsets)
 
     def batch_spy(cams, pixels):
         rows.append((state["offsets"], state["held"], len(pixels)))

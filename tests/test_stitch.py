@@ -132,20 +132,17 @@ class TestMergeAssigned:
         assert merged.provenance[12] is Provenance.TRIANGULATED
 
 
-def box_at(boxes_by_camera, camera, frame) -> tuple:
-    """The (x, y, w, h) of `TrackRecord.boxes_by_camera` at a camera and
+def box_at(rec, camera, frame) -> tuple:
+    """The (x, y, w, h) `TrackRecord.boxes_by_camera` gives at a camera and
     frame, NaN where none."""
-    first, boxes = boxes_by_camera[camera]
-    if 0 <= frame - first < len(boxes):
-        return tuple(boxes[frame - first].tolist())
-    return (math.nan,) * 4
+    return tuple(rec.boxes_by_camera(0, np.array([frame]), [camera])[0, 0].tolist())
 
 
 def window_track(start, frames, value, camera=0, track_id=0):
     boxes = {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
     seg = window_segment(camera, boxes, track_id=track_id, start=start)
-    t3 = tracklet(frames, value, first=start, n=len(seg.boxes))
-    return WindowTrack(start=start, track=t3, segments=[seg], rig=RIG)
+    t3 = tracklet(frames, value, first=start, n=seg.boxes.shape[1])
+    return WindowTrack(track=t3, segments=seg, rig=RIG)
 
 
 class TestTrackRegistry:
@@ -192,13 +189,12 @@ class TestTrackRegistry:
         reg = TrackRegistry()
         reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
         second = window_track(5, range(5, 16), (0.0, 0.0, 1.0), track_id=9)
-        second.segments[0].boxes[7 - 5] = (999.0, 200.0, 40.0, 80.0)
+        second.segments.boxes[0, 7 - 5] = (999.0, 200.0, 40.0, 80.0)
         reg.advance(5, [second])
-        assert [seg.start for seg in reg.tracks[0].segments] == [0, 5]
-        boxes = reg.tracks[0].boxes_by_camera(0)
-        assert box_at(boxes, 0, 7) == (999.0, 200.0, 40.0, 80.0)
-        assert box_at(boxes, 0, 2) == (102.0, 200.0, 40.0, 80.0)
-        assert math.isnan(box_at(boxes, 0, 16)[0])
+        assert [seg.start.tolist() for seg in reg.tracks[0].segments] == [[0], [5]]
+        assert box_at(reg.tracks[0], 0, 7) == (999.0, 200.0, 40.0, 80.0)
+        assert box_at(reg.tracks[0], 0, 2) == (102.0, 200.0, 40.0, 80.0)
+        assert math.isnan(box_at(reg.tracks[0], 0, 16)[0])
 
     def test_last_frame_follows_merges(self):
         reg = TrackRegistry()
@@ -214,7 +210,7 @@ class TestTrackRecord:
         seg_a = window_segment(0, {0: (1.0, 1.0, 2.0, 2.0)})
         seg_b = window_segment(0, {0: (9.0, 9.0, 2.0, 2.0)}, track_id=1)
         rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), segments=[seg_a, seg_b])
-        assert box_at(rec.boxes_by_camera(0), 0, 0) == (9.0, 9.0, 2.0, 2.0)
+        assert box_at(rec, 0, 0) == (9.0, 9.0, 2.0, 2.0)
         assert rec.last_frame == 2
 
     def test_absorb_logs_conflicts_at_debug(self, caplog):
@@ -224,10 +220,10 @@ class TestTrackRecord:
         rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)),
                           segments=[seg(1.0), seg(9.0), seg(9.0)])
         caplog.set_level(logging.DEBUG, logger="mvtrack.stitch")
-        boxes = rec.boxes_by_camera(4)
+        boxes = rec.boxes_by_camera(4, np.array([0]), [2])
         assert [r.getMessage() for r in caplog.records] == \
             ["track 4 cam 2 frame 0: 2D link conflict, keeping newer window"]
-        assert box_at(boxes, 2, 0)[0] == 9.0
+        assert boxes[0, 0, 0] == 9.0
 
 
 @pytest.mark.parametrize("mode", list(Mode))

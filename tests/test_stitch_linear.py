@@ -21,8 +21,8 @@ from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
-from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, to_arrays,
-                      to_frames, window_segment)
+from conftest import (NO_SEGMENTS, FrameTrack, assert_frame_tracks_equal, box_dict,
+                      to_arrays, to_frames, window_segment)
 from test_track_arrays import window_distance_matrix_dicts
 
 WINDOW_LEN = 10
@@ -58,8 +58,8 @@ def copy_merge(prev: FrameTrack, nxt: FrameTrack) -> FrameTrack:
 def absorb_segments(boxes2d: dict, segments) -> None:
     """The per-camera box store every merge used to update, box by box: the
     newer window's box wins."""
-    for seg in segments:
-        boxes2d.setdefault(seg.camera, {}).update(box_dict(seg))
+    for k, camera in enumerate(segments.camera.tolist()):
+        boxes2d.setdefault(camera, {}).update(box_dict(segments, k))
 
 
 @dataclass
@@ -95,8 +95,9 @@ def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
         absorb_segments(boxes2d[tid], wt.segments)
 
 
-def segment_state(seg) -> tuple:
-    return seg.camera, seg.track_id, seg.start, seg.boxes.tobytes()
+def segment_state(segments) -> tuple:
+    return tuple(getattr(segments, name).tobytes()
+                 for name in ("camera", "track_id", "start", "boxes"))
 
 
 def assert_tracks_equal(a, b) -> None:
@@ -113,10 +114,15 @@ def assert_registries_equal(a: TrackRegistry, b: TrackRegistry, b_boxes2d: dict)
     for tid in a.tracks:
         assert_frame_tracks_equal(to_frames(a.tracks[tid].tracklet), b.tracks[tid].tracklet)
         assert a.tracks[tid].last_frame == b.tracks[tid].last_frame
-        assert {camera: {first + j: Bbox(*row) for j, row in enumerate(boxes.tolist())
-                         if not np.isnan(row[0])}
-                for camera, (first, boxes) in a.tracks[tid].boxes_by_camera(tid).items()
-                } == b_boxes2d[tid]
+        # Every frame the merged segments span, and one past each end.
+        segments = a.tracks[tid].segments
+        frames = np.arange(min(int(t.start.min()) for t in segments) - 1,
+                           max(int(t.start.max()) for t in segments) + WINDOW_LEN + 2)
+        linked = {}
+        for camera, boxes in enumerate(a.tracks[tid].boxes_by_camera(tid, frames, range(4))):
+            linked[camera] = {f: Bbox(*row) for f, row in zip(frames.tolist(), boxes.tolist())
+                              if not np.isnan(row[0])}
+        assert {camera: boxes for camera, boxes in linked.items() if boxes} == b_boxes2d[tid]
 
 
 @st.composite
@@ -158,7 +164,7 @@ def window_sequences(draw):
             camera = int(rng.integers(4))
             seg = window_segment(camera, {f: tuple(rng.uniform(10.0, 50.0, size=4))
                                           for f in frames}, track_id=p, start=start)
-            tracks.append(WindowTrack(start=start, track=t3, segments=[seg], rig=RIG))
+            tracks.append(WindowTrack(track=t3, segments=seg, rig=RIG))
         rng.shuffle(tracks)
         windows.append((start, tracks))
     return windows
@@ -166,7 +172,7 @@ def window_sequences(draw):
 
 def as_arrays(windows):
     """The windows with each track on its window's grid."""
-    return [(start, [WindowTrack(start, to_arrays(wt.track, start, WINDOW_LEN + 1),
+    return [(start, [WindowTrack(to_arrays(wt.track, start, WINDOW_LEN + 1),
                                  wt.segments, wt.rig) for wt in tracks])
             for start, tracks in windows]
 
@@ -195,8 +201,7 @@ class TestAdvanceAgainstCopyMerge:
         for (_, tracks), (_, kept) in zip(windows, before):
             for wt, wt0 in zip(tracks, kept):
                 assert_tracks_equal(wt.track, wt0.track)
-                assert [segment_state(s) for s in wt.segments] == \
-                    [segment_state(s) for s in wt0.segments]
+                assert segment_state(wt.segments) == segment_state(wt0.segments)
 
 
 class TestInPlaceMerge:
@@ -216,7 +221,7 @@ class TestInPlaceMerge:
         assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
         # Heights are folded in later, from the pending window track.
         assert merged.top.keys() == {1}
-        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(1, nxt, [], RIG)])
+        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(nxt, NO_SEGMENTS, RIG)])
         rec.fold_heights()
         assert rec.pending == []
         folded = to_frames(prev)
@@ -380,8 +385,8 @@ class TestSegmentWindowsAgainstRescan:
                                        for f in order]))
         got = segment_windows(t, window_len, min_observed)
         want = rescan_segment_windows(boxes, window_len, min_observed)
-        assert [(s.camera, s.track_id, s.start) for s in got] == \
+        assert list(zip(got.camera.tolist(), got.track_id.tolist(), got.start.tolist())) == \
             [(2, 7, start) for start, _ in want]
-        for seg, (start, out) in zip(got, want):
-            assert bits(seg.boxes) == bits(window_segment(2, out, start=start,
-                                                          span=window_len + 1).boxes)
+        for boxes, (start, out) in zip(got.boxes, want):
+            assert bits(boxes) == bits(window_segment(2, out, start=start,
+                                                      span=window_len + 1).boxes[0])

@@ -299,27 +299,25 @@ def linear_tracklet(frames, camera=0, track_id=0):
 class TestSegmentWindows:
     def test_window_starts_on_grid(self):
         segments = segment_windows(linear_tracklet(range(21)), window_len=10)
-        assert [s.start for s in segments] == [0, 5, 10]
+        assert segments.start.tolist() == [0, 5, 10]
 
     def test_start_snaps_down_to_grid(self):
         segments = segment_windows(linear_tracklet(range(7, 21)), window_len=10)
-        assert segments[0].start == 5
+        assert segments.start[0] == 5
 
     def test_interior_interpolation_midpoint(self):
         frames = [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
         t = linear_tracklet(frames)
-        seg = segment_windows(t, window_len=10)[0]
-        boxes = box_dict(seg)
+        boxes = box_dict(segment_windows(t, window_len=10), 0)
         assert boxes[5].x == pytest.approx((4.0 + 6.0) / 2.0)
         assert boxes[5].y == pytest.approx((8.0 + 12.0) / 2.0)
         assert 5 in boxes and 5 not in frames
 
     def test_short_segment_discarded(self):
-        assert segment_windows(linear_tracklet(range(4)), window_len=10) == []
+        assert len(segment_windows(linear_tracklet(range(4)), window_len=10)) == 0
 
     def test_boundary_extrapolation_constant_velocity(self):
-        seg = segment_windows(linear_tracklet(range(3, 11)), window_len=10)[0]
-        boxes = box_dict(seg)
+        boxes = box_dict(segment_windows(linear_tracklet(range(3, 11)), window_len=10), 0)
         # Linear motion x = f extends exactly; at most 2 frames are added.
         assert 0 not in boxes
         assert boxes[1].x == pytest.approx(1.0)
@@ -330,20 +328,19 @@ class TestSegmentWindows:
         t = Tracklet2D(camera=0, track_id=0, frames=np.array([2, 4, 5, 6, 7]),
                        boxes=np.array([(x, 0.0, 10.0, 10.0) for x in (2.0, 4.0, 5.0, 6.0,
                                                                        7.0)]))
-        seg = segment_windows(t, window_len=10)[0]
-        assert box_dict(seg)[1].x == pytest.approx(1.0)
+        assert box_dict(segment_windows(t, window_len=10), 0)[1].x == pytest.approx(1.0)
 
     def test_frames_stay_inside_window(self):
         frames = range(40)
-        for seg in segment_windows(linear_tracklet(frames), window_len=10):
-            assert seg.boxes.shape == (11, 4)
-            assert all(seg.start <= f <= seg.start + 10 for f in box_dict(seg))
-            assert len(box_dict(seg).keys() & set(frames)) >= 5
+        segments = segment_windows(linear_tracklet(frames), window_len=10)
+        for k, start in enumerate(segments.start.tolist()):
+            assert segments.boxes[k].shape == (11, 4)
+            assert all(start <= f <= start + 10 for f in box_dict(segments, k))
+            assert len(box_dict(segments, k).keys() & set(frames)) >= 5
 
     def test_adjacent_windows_overlap_half(self):
         segments = segment_windows(linear_tracklet(range(16)), window_len=10)
-        first, second = segments[0], segments[1]
-        overlap = set(box_dict(first)) & set(box_dict(second))
+        overlap = set(box_dict(segments, 0)) & set(box_dict(segments, 1))
         assert len(overlap) == 6  # inclusive window endpoints share 6 frames
 
     def test_rejects_odd_window(self):

@@ -9,7 +9,7 @@ from mvtrack.cascade import (PROVENANCE, Provenance, TrackingSpace, WindowTrack,
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
-from mvtrack.sv_track import Bbox
+from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
@@ -54,8 +54,9 @@ def pending_windows(t3, window_len=10):
             boxes = {f: Bbox((tx + bx) / 2, (ty + by) / 2, 40.0, by - ty)
                      for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
             segments.append(window_segment(cam.id, boxes, start=start))
-        out.append(WindowTrack(start, to_arrays(centers_of(t3, span), start,
-                                                len(segments[0].boxes)), segments, RIG))
+        segments = Segments.concat(segments)
+        out.append(WindowTrack(to_arrays(centers_of(t3, span), start, segments.boxes.shape[1]),
+                               segments, RIG))
     return out
 
 
@@ -83,8 +84,8 @@ def old_identify_target(t3, space, crit, current_frame):
 def record_of(t3, pending):
     """A registry track of t3's centers on the frames its pending window
     tracks span."""
-    first = pending[0].start
-    n = pending[-1].start + len(pending[-1].track.points) - first
+    first = pending[0].track.first
+    n = pending[-1].track.first + len(pending[-1].track.points) - first
     return TrackRecord(tracklet=to_arrays(centers_of(t3), first, n), pending=pending)
 
 
@@ -324,9 +325,9 @@ class TestTargetMaintainer:
         reg = registry_with([performer_track(range(0, 61))])
         maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, target_id=0)
         maintainer.observe(25, 10, reg)  # buffer from frame 5: windows from 0 on
-        assert [wt.start for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
+        assert [wt.track.first for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
         maintainer.observe(40, 10, reg)  # buffer from frame 20: windows from 10 on
-        assert [wt.start for wt in reg.tracks[0].pending] == list(range(10, 55, 5))
+        assert [wt.track.first for wt in reg.tracks[0].pending] == list(range(10, 55, 5))
         maintainer.target_id = None
         maintainer.observe(70, 10, reg)  # ended at 60: dropped, not solved
         assert reg.tracks[0].pending == [] and solved == []
@@ -381,7 +382,8 @@ class TestEmission:
         looked_up = []
         lookup = TrackRecord.boxes_by_camera
         monkeypatch.setattr(TrackRecord, "boxes_by_camera",
-                            lambda rec, tid: looked_up.append(tid) or lookup(rec, tid))
+                            lambda rec, tid, *args: looked_up.append(tid)
+                            or lookup(rec, tid, *args))
         reg = registry_with([performer_track(range(0, 61)),
                              performer_track(range(0, 61), z=1.0)])
         assert run_maintainer(reg, 60)

@@ -13,7 +13,7 @@ from mvtrack.stitch import TrackRecord, TrackRegistry, merge_assigned, window_di
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
 
-from conftest import FrameTrack, assert_frame_tracks_equal, to_arrays, to_frames
+from conftest import NO_SEGMENTS, FrameTrack, assert_frame_tracks_equal, to_arrays, to_frames
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
@@ -226,7 +226,7 @@ def test_fold_heights_equals_dicts():
         span = int(rng.choice([3, 11, 21]))
         windows = window_tracks(rng, int(rng.integers(0, 50)), span // 2, span,
                                 int(rng.integers(1, 8)))
-        pending = [WindowTrack(start, to_arrays(t, start, span), [], RIG)
+        pending = [WindowTrack(to_arrays(t, start, span), NO_SEGMENTS, RIG)
                    for start, t in windows]
         rec = TrackRecord(tracklet=to_arrays(FrameTrack(), windows[0][0], 0))
         for wt in pending:
