@@ -10,7 +10,8 @@ A cluster is a sorted array of rows of a `sv_track.Segments` table, whose
 windows' (L+1)-frame grids make every 3D result from solve to gate an
 (L+1, 3) row, NaN where it has no point; the rows of a run of windows
 stack, so each step (solve, two-view verdict, plane matching, outlier
-gate) is one call per run.  A gated row is a window track's `Tracklet3D`.
+gate) is one call per run.  A gated row is a window track's `Tracklet3D`,
+and the boxes of its cluster's rows, per camera, the track's links.
 """
 
 from __future__ import annotations
@@ -121,11 +122,12 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _triangulate_boxes(segments: Segments,
+def _triangulate_boxes(boxes: np.ndarray, camera: np.ndarray,
                        requests: Sequence[tuple[np.ndarray, np.ndarray | None]],
                        rig: CameraRig, offsets: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triangulate box points of each request's rows of `segments`.
+    """Triangulate box points of each request's rows of `boxes` (S, L, 4),
+    row k on one window's grid, seen by `camera[k]`, NaN where none.
 
     A request is (rows, wanted): rows of one window, and a mask of the
     window's frames to solve, or None for all of them.  A frame is solved
@@ -142,20 +144,19 @@ def _triangulate_boxes(segments: Segments,
         return np.empty((len(offsets), 0, 0, 3)), np.empty((len(offsets), 0, 0), bool), \
             np.empty(0, int)
     sizes = [len(rows) for rows, _ in requests]
-    span = segments.boxes.shape[1]
     # The table row of each request's k-th row, -1 past its last.
     row = np.full((len(requests), max(sizes)), -1)
     row[np.repeat(np.arange(len(requests)), sizes), np.concatenate(
         [np.arange(n) for n in sizes])] = np.concatenate([rows for rows, _ in requests])
-    present = segments.valid[row] & (row >= 0)[..., None]
-    wanted = np.stack([np.ones(span, dtype=bool) if w is None else w for _, w in requests])
+    present = ~np.isnan(boxes[..., 0])[row] & (row >= 0)[..., None]
+    wanted = np.stack([np.ones(boxes.shape[1], bool) if w is None else w for _, w in requests])
     solve = wanted & (present.sum(axis=1) >= 2)
     r, j = np.nonzero(solve)
     # A cell is seen by the cameras of its request's present rows, in row
     # order, looked up once per distinct (request, pattern).
     pattern = present[r, :, j]
     distinct, inverse = _distinct_rows(np.column_stack([r, pattern]))
-    cameras_of = [tuple(segments.camera[row[r[c], pattern[c]]].tolist())
+    cameras_of = [tuple(camera[row[r[c], pattern[c]]].tolist())
                   for c in distinct.tolist()]
     group_ids = {cameras: g for g, cameras in enumerate(dict.fromkeys(cameras_of))}
     group = np.array([group_ids[cameras] for cameras in cameras_of], dtype=int)[inverse]
@@ -166,11 +167,11 @@ def _triangulate_boxes(segments: Segments,
         of_group = np.flatnonzero(group == g)
         for cells in np.split(of_group, range(CELLS_PER_CALL, len(of_group), CELLS_PER_CALL)):
             ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
-            boxes = segments.boxes[row[r[cells, None], ks], j[cells, None]]
+            cell_boxes = boxes[row[r[cells, None], ks], j[cells, None]]
             # A box tuple kept across the overlap of two windows recurs.  A row's
             # solve does not depend on the other rows, so one solve serves all.
-            first, inverse = _distinct_rows(boxes.reshape(len(boxes), -1))
-            distinct = boxes[first]
+            first, inverse = _distinct_rows(cell_boxes.reshape(len(cell_boxes), -1))
+            distinct = cell_boxes[first]
             x, y, h = distinct[..., 0], distinct[..., 1], distinct[..., 3]
             pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
                                      for off in offsets])
@@ -229,8 +230,8 @@ def triangulate_clusters(segments: Segments, clusters: Sequence[np.ndarray],
     the clusters' window grid, NaN at frames with a single view or a
     degenerate solve.  The frames of all clusters are solved together, one
     `triangulate_batch` call per camera set."""
-    points, ok, seen = _triangulate_boxes(segments, [(rows, None) for rows in clusters], rig,
-                                          (CENTER,))
+    points, ok, seen = _triangulate_boxes(segments.boxes, segments.camera,
+                                          [(rows, None) for rows in clusters], rig, (CENTER,))
     for k in np.flatnonzero(seen > ok[0].sum(axis=1)).tolist():
         logger.debug("cluster %s: triangulation skipped at %d frames",
                      segments.keys(clusters[k]), seen[k] - ok[0, k].sum())
@@ -303,19 +304,18 @@ def plane_match_and_fuse(points: np.ndarray, segments: Segments,
     return fused
 
 
-def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Segments]],
+def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, np.ndarray]],
                             rig: CameraRig) -> None:
     """Triangulate per-frame top-center and bottom-center pixels of the 2D
-    boxes associated with each track, at the track's frames; a top is kept
+    boxes linked to each track, at the track's frames; a top is kept
     where it solves, a bottom only where top and bottom both solve, and
-    frames with fewer than two views are left NaN.  Each track lies on its
-    segments' window grid.  All tracks are solved together, one
-    `triangulate_batch` call per camera set."""
-    edges = np.cumsum([0] + [len(segments) for _, segments in tracks]).tolist()
+    frames with fewer than two views are left NaN.  Each track comes with
+    its links on its own frames (`WindowTrack.links`).  All tracks are
+    solved together, one `triangulate_batch` call per camera set."""
+    rows = np.arange(len(tracks) * len(rig)).reshape(len(tracks), len(rig))
     points, ok, _ = _triangulate_boxes(
-        Segments.concat([segments for _, segments in tracks]),
-        [(np.arange(lo, hi), t3.valid) for (t3, _), lo, hi in zip(tracks, edges, edges[1:])],
-        rig, (TOP, BOTTOM))
+        np.concatenate([links for _, links in tracks]), np.tile(sorted(rig.cameras), len(tracks)),
+        [(k, t3.valid) for (t3, _), k in zip(tracks, rows)], rig, (TOP, BOTTOM))
     for (t3, _), top, bottom, has_top, has_bottom in zip(
             tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
         t3.top[has_top] = top[has_top]
@@ -324,11 +324,13 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, Segments]],
 
 @dataclass
 class WindowTrack:
-    """A fused 3D track on one window's grid plus its contributing segments
-    and the rig they are seen by, which its height solve needs."""
+    """A fused 3D track on one window's grid; its `links` (C, L+1, 4), per
+    camera of the rig in id order the box of its segments at each frame,
+    NaN where none, the later segment's in key order where two of one
+    camera hold one; and the rig, which its height solve needs."""
 
     track: Tracklet3D
-    segments: Segments
+    links: np.ndarray
     rig: CameraRig
 
     # A frame-keyed view of `track` for bench/traced.py, the one caller that
@@ -387,11 +389,15 @@ def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
         found.sort(key=lambda f: f[1][0])
         points = np.stack([points for points, _, _ in found])
         kept = outlier_gate(points, space, velocity_limit)
+        slot = np.searchsorted(sorted(rig.cameras), segments.camera).tolist()
+        valid = segments.valid[..., None]
         for (_, rows, branch), row in zip(compress(found, kept.tolist()), points[kept]):
             start, code = int(segments.start[rows[0]]), PROVENANCE.index(branch)
+            links = np.full((len(rig),) + segments.boxes.shape[1:], np.nan)
+            for r in rows.tolist():  # in key order, so the later of one camera's rows wins
+                np.copyto(links[slot[r]], segments.boxes[r], where=valid[r])
             tracks[start].append(WindowTrack(
-                Tracklet3D(start, row, np.full(len(row), code, np.uint8)),
-                segments.take(rows), rig))
+                Tracklet3D(start, row, np.full(len(row), code, np.uint8)), links, rig))
     return tracks
 
 

@@ -59,8 +59,7 @@ def _chunks(segments: Segments) -> Iterator[Segments]:
     """Consecutive runs of whole windows of `segments`, in order, each
     closed once the sum of its windows' squared segment counts reaches
     CHUNK_CELLS.  Each is a copy of its rows, taken before the first is
-    yielded, so the table is freed, and a chunk's rows are held only by
-    its window tracks once it is solved."""
+    yielded, so the table is freed, and so is each chunk once it is done."""
     edges, chunks, lo, size = run_edges(segments.start), [], 0, 0
     for start, end in zip(edges, edges[1:]):
         size += (end - start) ** 2

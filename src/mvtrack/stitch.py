@@ -7,7 +7,8 @@ shared frame or above the unmatched threshold.  Each window scores all
 live-track x window-track pairs at once, on arrays over the window's
 frames only.  Unmatched fragments get fresh ids as copies, so a track's
 arrays start at the window that made it; matched ones, starting later,
-are merged in place, averaging the overlap and appending the rest.
+are merged in place, averaging the overlap and appending the rest, and
+their 2D links are written over the track's (`TrackRecord.merge`).
 
 The assignment is solved in plain Python by `min_cost_assignment`, the
 shortest-augmenting-path method of Crouse ("On implementing 2D
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import Tracklet3D, WindowTrack
-from .sv_track import Segments
 
 logger = logging.getLogger(__name__)
 
@@ -185,38 +185,35 @@ def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
 @dataclass
 class TrackRecord:
     """A stitched track: the accumulated 3D tracklet and its last frame,
-    kept at each merge; the segments of each window track merged into it;
-    and those window tracks whose heights are not yet folded into the
-    tracklet (see `target.TargetMaintainer.observe`), both in merge order."""
+    kept at each merge; its `links` (C, n, 4) on the tracklet's n frames,
+    as `WindowTrack.links`, the newest merged window's box where two
+    differ; and the merged window tracks whose heights are not yet folded
+    into the tracklet (see `target.TargetMaintainer.observe`), in merge order."""
 
     tracklet: Tracklet3D
-    segments: list[Segments] = field(default_factory=list)
+    links: np.ndarray
     pending: list[WindowTrack] = field(default_factory=list)
     last_frame: int = field(init=False)
 
     def __post_init__(self):
         self.last_frame = int(self.tracklet.frames.max(initial=-1))
 
-    def boxes_by_camera(self, track_id: int, frames: np.ndarray, cameras) -> np.ndarray:
-        """(len(cameras), len(frames), 4): per camera, the 2D box at each of
-        the increasing `frames` among the merged segments, read there only,
-        NaN where none; where two windows' boxes differ the newer one's wins."""
-        out = np.full((len(cameras), len(frames), 4), np.nan)
-        table = Segments.concat(self.segments)
-        for boxes, camera in zip(out, cameras):
-            rows = np.flatnonzero(table.camera == camera)
-            cells = table.start[rows, None] + np.arange(table.boxes.shape[1])
-            at = np.minimum(np.searchsorted(frames, cells), len(frames) - 1)
-            row, j = np.nonzero(~np.isnan(table.boxes[rows, :, 0]) & (frames[at] == cells))
-            pos, linked = at[row, j], table.boxes[rows[row], j]
-            # The last of the merge-ordered boxes at each frame wins.
-            kept, last = np.unique(pos[::-1], return_index=True)
-            boxes[kept] = linked[::-1][last]
-            if logger.isEnabledFor(logging.DEBUG):
-                for f in frames[np.unique(pos[(linked != boxes[pos]).any(axis=1)])].tolist():
-                    logger.debug("track %d cam %d frame %d: 2D link conflict, keeping "
-                                 "newer window", track_id, camera, f)
-        return out
+    def merge(self, track_id: int, wt: WindowTrack) -> None:
+        """Merge a window track starting no earlier than the tracklet: points
+        by `merge_assigned`, links over the track's where it has a box."""
+        merge_assigned(self.tracklet, wt.track)
+        if pad := len(self.tracklet.points) - self.links.shape[1]:  # grown with the tracklet
+            self.links = np.concatenate([self.links, np.full((len(self.links), pad, 4), np.nan)], 1)
+        at = wt.track.first - self.tracklet.first
+        links, linked = self.links[:, at:at + wt.links.shape[1]], ~np.isnan(wt.links)
+        if logger.isEnabledFor(logging.DEBUG):
+            differ = linked[..., 0] & ~np.isnan(links[..., 0]) & (links != wt.links).any(axis=-1)
+            for c, j in zip(*np.nonzero(differ)):
+                logger.debug("track %d cam %d frame %d: 2D link conflict, keeping newer window",
+                             track_id, sorted(wt.rig.cameras)[c], wt.track.first + j)
+        np.copyto(links, wt.links, where=linked)
+        self.last_frame = max(self.last_frame, int(wt.track.frames[-1]))
+        self.pending.append(wt)
 
     def fold_heights(self) -> None:
         """Fold the solved tops and bottoms of the pending window tracks
@@ -255,15 +252,11 @@ class TrackRegistry:
         pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
 
         for i, j in pairs:
-            rec, wt = self.tracks[live[i]], window_tracks[j]
-            merge_assigned(rec.tracklet, wt.track)
-            rec.last_frame = max(rec.last_frame, int(wt.track.frames[-1]))
-            rec.segments.append(wt.segments)
-            rec.pending.append(wt)
+            self.tracks[live[i]].merge(live[i], window_tracks[j])
         for j, tid in zip(unmatched_next, self.new_track_ids(len(unmatched_next))):
             wt = window_tracks[j]
             # Merged into an empty track from the window's start: a copy, so
             # later merges leave the window track as it was.
             empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8))
-            self.tracks[tid] = TrackRecord(tracklet=merge_assigned(empty, wt.track),
-                                           segments=[wt.segments], pending=[wt])
+            self.tracks[tid] = TrackRecord(empty, np.empty((len(wt.links), 0, 4)))
+            self.tracks[tid].merge(tid, wt)

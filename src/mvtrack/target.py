@@ -143,7 +143,7 @@ class TargetMaintainer:
             live = registry.live_tracks(window_start)
             pending = [wt for tid in live for wt in registry.tracks[tid].pending]
             if pending:
-                attach_top_bottom_batch([(wt.track, wt.segments) for wt in pending],
+                attach_top_bottom_batch([(wt.track, wt.links) for wt in pending],
                                         pending[0].rig)
             for tid in live:
                 registry.tracks[tid].fold_heights()
@@ -211,14 +211,16 @@ class TargetMaintainer:
         there when the projection lies within half that size of the box's
         centre, else of the camera's last such box.  Each rule is one array
         operation per camera."""
-        linked = [(tids == tid, registry.tracks[tid].boxes_by_camera(
-            tid, frames[tids == tid], [cam.id for cam in rig])) for tid in np.unique(tids).tolist()]
+        # Per camera, the box linked at each frame, NaN where none.
+        linked = np.full((len(rig), len(frames), 4), np.nan)
+        for tid in np.unique(tids).tolist():
+            # A bridged frame takes the next point's track id, so it can lie
+            # before that track's first frame, where it has no link.
+            rec = registry.tracks[tid]
+            rows = np.flatnonzero((tids == tid) & (frames >= rec.tracklet.first))
+            linked[:, rows] = rec.links[:, frames[rows] - rec.tracklet.first]
         views = np.full((len(rig), len(frames), 3), np.nan)
-        for c, (view, cam) in enumerate(zip(views, rig)):
-            # The box linked at each frame, NaN where none.
-            boxes = np.full((len(frames), 4), np.nan)
-            for rows, track_boxes in linked:
-                boxes[rows] = track_boxes[c]
+        for view, cam, boxes in zip(views, rig, linked):
             x, y = project(cam, X).T
             ox, oy, ow, oh = boxes.T
             size = np.maximum(ow, oh)

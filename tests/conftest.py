@@ -83,7 +83,22 @@ def window_segment(camera, boxes, track_id=0, start=0, span=None) -> Segments:
     return Segments(np.array([camera]), np.array([track_id]), np.array([start]), rows[None])
 
 
-NO_SEGMENTS = Segments.concat([], WINDOW_LEN + 1)
+def no_links(n: int, cameras: int = 4) -> np.ndarray:
+    """(cameras, n, 4) links that hold no box."""
+    return np.full((cameras, n, 4), np.nan)
+
+
+def links_of(segments: Segments, rig) -> np.ndarray:
+    """The (C, L+1, 4) links of a window track whose segments are the rows
+    of `segments`, on their grid, per camera of `rig` in id order: each
+    row's boxes at its camera, the later row's where two rows of one
+    camera both hold a box, NaN where none."""
+    cameras = [cam.id for cam in rig]
+    links = np.full((len(cameras),) + segments.boxes.shape[1:], np.nan)
+    for camera, boxes in zip(segments.camera.tolist(), segments.boxes):
+        rows = ~np.isnan(boxes[:, 0])
+        links[cameras.index(camera), rows] = boxes[rows]
+    return links
 
 
 def box_dict(segments: Segments, row: int = 0) -> dict:

@@ -16,8 +16,8 @@ from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import TargetCriteria, identify_target
 
-from conftest import (assert_same_rows, box_dict, look_at_camera, sorted_chunk, to_frames,
-                      window_segment)
+from conftest import (assert_same_rows, box_dict, links_of, look_at_camera, sorted_chunk,
+                      to_frames, window_segment)
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -197,7 +197,7 @@ class TestTriangulateCluster:
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
         t3 = as_tracklet(triangulate_one(c, rig))
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
-        attach_top_bottom_batch([(t3, c)], rig)
+        attach_top_bottom_batch([(t3, links_of(c, rig))], rig)
         for offset, got in ((TOP, to_frames(t3).top), (BOTTOM, to_frames(t3).bottom)):
             points, ok = direct_solve(rig, c, range(11), offset)
             assert ok.all() and sorted(got) == list(range(11))
@@ -659,13 +659,13 @@ class TestAttachTopBottom:
             segs.append(segment(c, {0: box}))
         segs = Segments.concat(segs)
         t3 = on_grid(center, segs)
-        attach_top_bottom_batch([(t3, segs)], rig)
+        attach_top_bottom_batch([(t3, links_of(segs, rig))], rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
         segs = segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})
         t3 = on_grid(np.array([0.0, 0.0, 1.0]), segs)
-        attach_top_bottom_batch([(t3, segs)], rig)
+        attach_top_bottom_batch([(t3, links_of(segs, rig))], rig)
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
 
 
@@ -675,8 +675,9 @@ def process_window(start, clusters, *args, **kwargs):
     return process_windows(*sorted_chunk(clusters), *args, **kwargs).get(start, [])
 
 
-def min_key(segments):
-    return min(segments.keys())
+def linked_to(wt, segments, rig) -> bool:
+    """Whether the links of window track `wt` are those of `segments`."""
+    return np.array_equal(wt.links, links_of(segments, rig), equal_nan=True)
 
 
 class TestProcessWindow:
@@ -695,7 +696,7 @@ class TestProcessWindow:
         assert a[0].track.frames.tolist() == b[0].track.frames.tolist()
         for wt in (a[0], b[0]):
             assert wt.rig is rig and to_frames(wt.track).top == {}
-            attach_top_bottom_batch([(wt.track, wt.segments)], wt.rig)
+            attach_top_bottom_batch([(wt.track, wt.links)], wt.rig)
         got, want = to_frames(a[0].track), to_frames(b[0].track)
         for f in got.frames:
             assert np.array_equal(got.points[f], want.points[f])
@@ -743,9 +744,36 @@ class TestProcessWindow:
                                                          z0=1.0))
         walker = dataclasses.replace(walker, track_id=np.ones(len(walker), np.int64))
         tracks = process_window(0, [walker, target], rig, PLANE, SPACE, mode=Mode.CASCADE)
-        assert [min_key(wt.segments) for wt in tracks] == [(0, 0), (1, 1)]
+        assert [linked_to(wt, c, rig) for wt, c in zip(tracks, (target, walker))] == [True, True]
         assert [branches(wt) for wt in tracks] == [{Provenance.PLANE_INTERSECTED},
                                                    {Provenance.TRIANGULATED}]
+
+    def test_later_row_of_a_camera_is_linked(self):
+        # Camera 0 looks along +y beside the plane x = 0, so a box right of
+        # its image centre has a ray hitting the plane in front and its
+        # mirror image a ray hitting it behind, which gives no candidate.
+        # Its rows (0, 0) and (0, 1) both hold a box at frames 3..10, but
+        # only one of them has a candidate at each frame, so they fuse, with
+        # camera 1's row, into one plane-branch track.
+        rig = CameraRig([look_at_camera(0, (-1.0, -6.0, 1.2), (-1.0, 0.0, 1.2)),
+                         look_at_camera(1, (6.0, 0.0, 1.5), (0.0, 0.0, 1.2))])
+        path = person_path(range(11), lateral=0.3, x=0.0)
+        hit = {f: project_box(rig[0], X) for f, X in path.items()}
+        miss = {f: Bbox(2 * 960.0 - b.x, b.y, b.w, b.h) for f, b in hit.items()}
+        first = segment(0, {f: (hit if f <= 5 else miss)[f] for f in range(11)})
+        second = segment(0, {f: (miss if f <= 5 else hit)[f] for f in range(3, 11)},
+                         track_id=1)
+        other = segment(1, {f: project_box(rig[1], X) for f, X in path.items()})
+        tracks = process_window(0, [first, second, other], rig, PLANE, SPACE)
+        wt, = tracks
+        assert branches(wt) == {Provenance.PLANE_INTERSECTED}
+        assert sorted(to_frames(wt.track).points) == list(range(11))
+        # Both of camera 0's rows hold a box at frames 3..10, and differ
+        # there; the later row in key order, (0, 1), is linked.
+        linked = {f: Bbox(*box) for f, box in enumerate(wt.links[0].tolist())}
+        assert linked == {**box_dict(first), **box_dict(second)}
+        assert all(box_dict(first)[f] != box_dict(second)[f] for f in range(3, 11))
+        assert np.array_equal(wt.links[1], other.boxes[0])
 
     def test_window_batch_equals_per_cluster_solves(self, rig, monkeypatch):
         # Two clusters share the camera set (0, 1, 2) and one uses
@@ -773,23 +801,25 @@ class TestProcessWindow:
         # verdicts.  The heights of all five tracks take one more call per
         # camera set.
         assert calls == [(0, 1, 2), (1, 2, 3), (0, 2)]
-        attach_top_bottom_batch([(wt.track, wt.segments) for wt in tracks], rig)
+        attach_top_bottom_batch([(wt.track, wt.links) for wt in tracks], rig)
         assert sorted(calls[3:]) == [(0, 1, 2), (0, 2), (1, 2, 3)]
         monkeypatch.undo()
 
+        # Keyed by the bytes of each track's links, built from its segments.
         expected = {}
         for c in clusters[:3]:
-            expected[min_key(c)] = as_tracklet(triangulate_one(c, rig))
-            attach_top_bottom_batch([(expected[min_key(c)], c)], rig)
+            t3 = as_tracklet(triangulate_one(c, rig))
+            attach_top_bottom_batch([(t3, links_of(c, rig))], rig)
+            expected[links_of(c, rig).tobytes()] = t3
         segs = Segments.concat(clusters[3:]).sorted()
         for points, rows in plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs):
             t3 = as_tracklet(points, Provenance.PLANE_INTERSECTED)
-            attach_top_bottom_batch([(t3, segs.take(rows))], rig)
-            expected[min_key(segs.take(rows))] = t3
+            attach_top_bottom_batch([(t3, links_of(segs.take(rows), rig))], rig)
+            expected[links_of(segs.take(rows), rig).tobytes()] = t3
         assert len(expected) == 5
-        assert sorted(min_key(wt.segments) for wt in tracks) == sorted(expected)
+        assert sorted(wt.links.tobytes() for wt in tracks) == sorted(expected)
         for wt in tracks:
-            want = to_frames(expected[min_key(wt.segments)])
+            want = to_frames(expected[wt.links.tobytes()])
             got = to_frames(wt.track)
             assert got.provenance == want.provenance
             for attr in ("points", "top", "bottom"):
@@ -832,7 +862,7 @@ class TestOverlapSolvedOnce:
         monkeypatch.setattr(cascade, "triangulate_batch", spy)
         tracks = process_windows(*self.overlapping_windows(rig), rig, PLANE, SPACE)
         assert [len(t) for t in tracks.values()] == [2, 2]
-        attach_top_bottom_batch([(wt.track, wt.segments)
+        attach_top_bottom_batch([(wt.track, wt.links)
                                  for window in tracks.values() for wt in window], rig)
         # Centers of 16 frames, then the tops and bottoms of all four tracks'
         # 16 frames per camera set; without the dedupe each is 22 frames.
@@ -843,14 +873,18 @@ class TestOverlapSolvedOnce:
             assert len(np.unique(rows, axis=0)) == len(rows)
 
     def test_tracks_equal_direct_solves(self, rig):
-        tracks = process_windows(*self.overlapping_windows(rig), rig, PLANE, SPACE)
-        attach_top_bottom_batch([(wt.track, wt.segments)
+        table, clusters = self.overlapping_windows(rig)
+        tracks = process_windows(table, clusters, rig, PLANE, SPACE)
+        attach_top_bottom_batch([(wt.track, wt.links)
                                  for window in tracks.values() for wt in window], rig)
         assert list(tracks) == [0, 5]
         for start, window_tracks in tracks.items():
             frames = list(range(start, start + 11))
             for wt in window_tracks:
-                t3, segs = to_frames(wt.track), wt.segments
+                # The segments of the one cluster the track's links hold.
+                segs, = [table.take(rows) for rows in clusters
+                         if linked_to(wt, table.take(rows), rig)]
+                t3 = to_frames(wt.track)
                 assert t3.frames == frames
                 solves = [direct_solve(rig, segs, frames, off) for off in (TOP, BOTTOM)]
                 if len(segs) == 3:

@@ -21,11 +21,11 @@ from mvtrack.records import decode, read_jsonl, write_jsonl
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.stitch import TrackRecord, TrackRegistry
 from mvtrack.sv_track import (_COMMON_TYPES, _INT64_MAX, _INT64_MIN, DETECTION_FIELDS,
-                              MAX_BOX_PX, MAX_FRAME, Detections, _detection_values,
+                              MAX_BOX_PX, MAX_FRAME, Bbox, Detections, _detection_values,
                               load_detections)
 from mvtrack.target import TargetMaintainer, TargetRecords, project, save_target_records
 
-from conftest import FrameTrack, box_dict, simulated, to_arrays, window_segment
+from conftest import FrameTrack, box_dict, links_of, simulated, to_arrays, window_segment
 from test_boundary import detection_lines
 from test_target import CRIT, RIG, SPACE
 
@@ -256,17 +256,21 @@ def test_record_reader_equals_per_line_reader(tmp_path):
             assert read_outcome(read_jsonl, path) == read_outcome(reference_line_reader, path)
 
 
-def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> TargetRecords:
-    """`_emit` a frame and a camera at a time."""
+def newest_wins(merged) -> dict:
+    """{tid: {camera: {frame: Bbox}}} of the (tid, camera, {frame: Bbox})
+    boxes of merged window tracks, in merge order: a newer window's box
+    replaces an older one's."""
+    boxes: dict = {}
+    for tid, camera, linked in merged:
+        boxes.setdefault(tid, {}).setdefault(camera, {}).update(linked)
+    return boxes
+
+
+def reference_emit(maintainer, frames, X, codes, tids, boxes, rig) -> TargetRecords:
+    """`_emit` a frame and a camera at a time, with the boxes linked to each
+    track given as `newest_wins` gives them."""
     cameras = list(rig)
     pixels = [project(cam, X).tolist() for cam in cameras]
-    # Per track and camera, {frame: Bbox} of its merged segments, a newer
-    # window's box replacing an older one's.
-    boxes = {tid: {} for tid in dict.fromkeys(tids.tolist())}
-    for tid, linked in boxes.items():
-        for segments in registry.tracks[tid].segments:
-            for k, camera in enumerate(segments.camera.tolist()):
-                linked.setdefault(camera, {}).update(box_dict(segments, k))
     last_size: dict[int, float] = {}
     views = np.full((len(cameras), len(frames), 3), np.nan)
     for i, (f, tid) in enumerate(zip(frames.tolist(), tids.tolist())):
@@ -274,7 +278,7 @@ def reference_emit(maintainer, frames, X, codes, tids, registry, rig) -> TargetR
             x, y = cam_pixels[i]
             if math.isnan(x):
                 continue
-            box = boxes[tid].get(cam.id, {}).get(f)
+            box = boxes.get(tid, {}).get(cam.id, {}).get(f)
             ox, oy, ow, oh = (box.x, box.y, box.w, box.h) if box else (math.nan,) * 4
             if not math.isnan(ox) and np.hypot(x - ox, y - oy) <= 0.5 * max(ow, oh):
                 last_size[cam.id] = max(ow, oh)
@@ -317,12 +321,16 @@ def cameras_shown(records, i) -> list[int]:
             if not np.isnan(view[0])]
 
 
-def emit_both(frames, X, tids, registry, buffer_scale=1.3):
+def emit_both(frames, X, tids, tracks, buffer_scale=1.3):
+    """`_emit` and the oracle on the registry of the (points, segments)
+    `tracks`, the oracle reading the boxes of the segments themselves."""
     frames, X, tids = np.asarray(frames), np.asarray(X, dtype=float), np.asarray(tids)
     codes = np.zeros(len(frames), np.uint8)
     maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, buffer_scale=buffer_scale)
-    got = maintainer._emit(frames, X, codes, tids, registry, RIG)
-    assert_same_records(got, reference_emit(maintainer, frames, X, codes, tids, registry, RIG))
+    got = maintainer._emit(frames, X, codes, tids, registry_of(*tracks), RIG)
+    boxes = newest_wins((tid, int(seg.camera[0]), box_dict(seg))
+                        for tid, (_, segments) in enumerate(tracks) for seg in segments)
+    assert_same_records(got, reference_emit(maintainer, frames, X, codes, tids, boxes, RIG))
     return got
 
 
@@ -337,20 +345,26 @@ def linked_boxes(points, frames, camera=0, offset=(0.0, 0.0), size=(40.0, 100.0)
 
 
 def registry_of(*tracks):
-    """A registry of (points, segments) tracks, ids from 0."""
+    """A registry of (points, segments) tracks from frame 0, ids from 0, each
+    linked to the boxes of its one-row segment tables, a later table's
+    where two hold a box."""
     reg = TrackRegistry()
     for tid, (points, segments) in enumerate(tracks):
+        links = np.full((len(RIG), len(points), 4), np.nan)
+        for seg in segments:
+            lo = int(seg.start[0])
+            window, linked = links[:, lo:lo + seg.boxes.shape[1]], links_of(seg, RIG)
+            np.copyto(window, linked, where=~np.isnan(linked))
         reg.tracks[tid] = TrackRecord(
-            tracklet=to_arrays(FrameTrack(points=dict(enumerate(points)))), segments=segments)
+            tracklet=to_arrays(FrameTrack(points=dict(enumerate(points)))), links=links)
     return reg
 
 
 class TestEmitEqualsPerFrameLoop:
     def test_views_wait_for_a_first_size(self):
         X = walk(30)
-        reg = registry_of((X, [window_segment(0, linked_boxes(X, range(12, 30)), start=12,
-                                              span=18)]))
-        got = emit_both(range(30), X, [0] * 30, reg)
+        tracks = [(X, [window_segment(0, linked_boxes(X, range(12, 30)), start=12, span=18)])]
+        got = emit_both(range(30), X, [0] * 30, tracks)
         assert cameras_shown(got, 5) == []
         assert cameras_shown(got, 12) == [0]
 
@@ -358,8 +372,8 @@ class TestEmitEqualsPerFrameLoop:
         X = walk(30)
         near = linked_boxes(X, range(0, 10))
         far = linked_boxes(X, range(10, 20), offset=(60.0, 0.0), size=(30.0, 30.0))
-        reg = registry_of((X, [window_segment(0, {**near, **far}, span=30)]))
-        got = emit_both(range(30), X, [0] * 30, reg)
+        tracks = [(X, [window_segment(0, {**near, **far}, span=30)])]
+        got = emit_both(range(30), X, [0] * 30, tracks)
         assert got.views[0, 15, 2] == 1.3 * 100.0
 
     def test_point_behind_a_camera_has_no_view_there(self):
@@ -367,9 +381,9 @@ class TestEmitEqualsPerFrameLoop:
         behind = cam.center + (cam.center - np.array([0.0, 0.0, cam.center[2]]))
         X = np.vstack([walk(10), [behind], walk(10)[::-1]])
         assert np.isnan(project(cam, X[10:11])).all()
-        reg = registry_of((X, [window_segment(cam.id, linked_boxes(X[:10], range(10), cam.id))
-                               for cam in RIG]))
-        got = emit_both(range(21), X, [0] * 21, reg)
+        tracks = [(X, [window_segment(cam.id, linked_boxes(X[:10], range(10), cam.id))
+                       for cam in RIG])]
+        got = emit_both(range(21), X, [0] * 21, tracks)
         assert 0 not in cameras_shown(got, 10)
         assert 0 in cameras_shown(got, 12)
 
@@ -389,21 +403,35 @@ class TestEmitEqualsPerFrameLoop:
             frames = np.sort(rng.choice(60, 40, replace=False))
             tids = np.sort(rng.integers(0, 3, 40))
             X = np.array([tracks[t][0][f] for f, t in zip(frames.tolist(), tids.tolist())])
-            emit_both(frames, X, tids, registry_of(*tracks), buffer_scale=rng.uniform(1, 2))
+            emit_both(frames, X, tids, tracks, buffer_scale=rng.uniform(1, 2))
 
 
 @pytest.mark.parametrize("scenario", ["opposite-only-episode", "crowded-distractors"])
 def test_emit_equals_per_frame_loop_on_a_scene(monkeypatch, scenario):
     spec = get_scenario_spec(scenario)
     spec["duration"] = min(spec["duration"], 300)
-    calls = []
-    emit = TargetMaintainer._emit
+    calls, merged = [], []
+    emit, advance = TargetMaintainer._emit, TrackRegistry.advance
+
+    def advance_spy(self, window_start, window_tracks):
+        # The boxes of each window track, per camera, under the id of the
+        # track it was merged into, read before the merge.
+        boxes = [[(cam.id, {wt.track.first + j: Bbox(*box)
+                            for j, box in enumerate(links.tolist()) if not math.isnan(box[0])})
+                  for cam, links in zip(wt.rig, wt.links)] for wt in window_tracks]
+        advance(self, window_start, window_tracks)
+        for tid, rec in self.tracks.items():
+            for wt, linked in zip(window_tracks, boxes):
+                if any(wt is pending for pending in rec.pending):
+                    merged.extend((tid, camera, b) for camera, b in linked)
+    monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
     monkeypatch.setattr(TargetMaintainer, "_emit",
                         lambda self, *args: calls.append((self, args)) or emit(self, *args))
     got, _ = pipeline.run_pipeline(*simulated(spec), Mode.CASCADE)
-    (maintainer, args), = calls
+    (maintainer, (frames, X, codes, tids, _, rig)), = calls
     assert len(got) and not np.isnan(got.views).all()
-    assert_same_records(got, reference_emit(maintainer, *args))
+    assert_same_records(got, reference_emit(maintainer, frames, X, codes, tids,
+                                            newest_wins(merged), rig))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -20,9 +20,10 @@ from mvtrack.geometry import triangulate_batch
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.stitch import TrackRegistry
+from mvtrack.sv_track import Bbox
 from mvtrack.target import TargetMaintainer
 
-from conftest import box_dict, simulated, to_frames
+from conftest import simulated, to_frames
 
 # opposite-only-episode, keeping its own dropout of cameras 1 and 3, with
 # every camera dark twice: the target is lost and found again twice.
@@ -55,10 +56,11 @@ def eager_heights(wt):
     """The window track's tops and bottoms at its own frames, solved one
     frame at a time: a top where it solves, a bottom where both do."""
     top, bottom = {}, {}
+    cameras = [cam.id for cam in wt.rig]
     for f in wt.track.frames.tolist():
-        segs = [(camera, box_dict(wt.segments, k))
-                for k, camera in enumerate(wt.segments.camera.tolist())]
-        segs = [(camera, boxes[f]) for camera, boxes in segs if f in boxes]
+        segs = [(camera, Bbox(*boxes[f - wt.track.first].tolist()))
+                for camera, boxes in zip(cameras, wt.links)
+                if not np.isnan(boxes[f - wt.track.first, 0])]
         if len(segs) < 2:
             continue
         pixels = np.array([[(b.x, b.y + off * b.h) for _, b in segs]
@@ -147,10 +149,10 @@ def test_work_bound(monkeypatch):
         finally:
             state["clusters"] = False
 
-    def boxes_spy(segments, requests, rig, offsets):
+    def boxes_spy(linked, camera, requests, rig, offsets):
         solves.append((state["clusters"], offsets))
         state["offsets"] = offsets
-        return boxes(segments, requests, rig, offsets)
+        return boxes(linked, camera, requests, rig, offsets)
 
     def batch_spy(cams, pixels):
         rows.append((state["offsets"], state["held"], len(pixels)))

@@ -14,7 +14,8 @@ from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
                             merge_assigned,
                             window_distance_matrix)
 
-from conftest import FrameTrack, simulated, to_arrays, to_frames, window_segment
+from conftest import (FrameTrack, links_of, no_links, simulated, to_arrays, to_frames,
+                      window_segment)
 
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
@@ -133,16 +134,19 @@ class TestMergeAssigned:
 
 
 def box_at(rec, camera, frame) -> tuple:
-    """The (x, y, w, h) `TrackRecord.boxes_by_camera` gives at a camera and
-    frame, NaN where none."""
-    return tuple(rec.boxes_by_camera(0, np.array([frame]), [camera])[0, 0].tolist())
+    """The (x, y, w, h) linked to a registry track at a camera and frame,
+    NaN where none."""
+    at = frame - rec.tracklet.first
+    if not 0 <= at < rec.links.shape[1]:
+        return (math.nan,) * 4
+    return tuple(rec.links[[cam.id for cam in RIG].index(camera), at].tolist())
 
 
-def window_track(start, frames, value, camera=0, track_id=0):
-    boxes = {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
+def window_track(start, frames, value, camera=0, track_id=0, boxes=None):
+    boxes = boxes or {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
     seg = window_segment(camera, boxes, track_id=track_id, start=start)
     t3 = tracklet(frames, value, first=start, n=seg.boxes.shape[1])
-    return WindowTrack(track=t3, segments=seg, rig=RIG)
+    return WindowTrack(track=t3, links=links_of(seg, RIG), rig=RIG)
 
 
 class TestTrackRegistry:
@@ -189,9 +193,10 @@ class TestTrackRegistry:
         reg = TrackRegistry()
         reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
         second = window_track(5, range(5, 16), (0.0, 0.0, 1.0), track_id=9)
-        second.segments.boxes[0, 7 - 5] = (999.0, 200.0, 40.0, 80.0)
+        second.links[0, 7 - 5] = (999.0, 200.0, 40.0, 80.0)
         reg.advance(5, [second])
-        assert [seg.start.tolist() for seg in reg.tracks[0].segments] == [[0], [5]]
+        rec = reg.tracks[0]
+        assert rec.links.shape == (len(RIG), len(rec.tracklet.points), 4)
         assert box_at(reg.tracks[0], 0, 7) == (999.0, 200.0, 40.0, 80.0)
         assert box_at(reg.tracks[0], 0, 2) == (102.0, 200.0, 40.0, 80.0)
         assert math.isnan(box_at(reg.tracks[0], 0, 16)[0])
@@ -206,24 +211,29 @@ class TestTrackRegistry:
 
 
 class TestTrackRecord:
+    @staticmethod
+    def record():
+        return TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), links=no_links(3, len(RIG)))
+
     def test_absorb_overwrites_conflicts(self):
-        seg_a = window_segment(0, {0: (1.0, 1.0, 2.0, 2.0)})
-        seg_b = window_segment(0, {0: (9.0, 9.0, 2.0, 2.0)}, track_id=1)
-        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), segments=[seg_a, seg_b])
+        rec = self.record()
+        for x, track_id in ((1.0, 0), (9.0, 1)):
+            rec.merge(0, window_track(0, range(3), (0, 0, 1), track_id=track_id,
+                                      boxes={0: (x, x, 2.0, 2.0)}))
         assert box_at(rec, 0, 0) == (9.0, 9.0, 2.0, 2.0)
+        assert math.isnan(box_at(rec, 0, 1)[0])
         assert rec.last_frame == 2
 
     def test_absorb_logs_conflicts_at_debug(self, caplog):
-        def seg(x):
-            return window_segment(2, {0: (x, 1.0, 2.0, 2.0)})
-        # The same box again is no conflict.
-        rec = TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)),
-                          segments=[seg(1.0), seg(9.0), seg(9.0)])
         caplog.set_level(logging.DEBUG, logger="mvtrack.stitch")
-        boxes = rec.boxes_by_camera(4, np.array([0]), [2])
+        rec = self.record()
+        # The same box again is no conflict.
+        for x in (1.0, 9.0, 9.0):
+            rec.merge(4, window_track(0, range(3), (0, 0, 1), camera=2,
+                                      boxes={0: (x, 1.0, 2.0, 2.0)}))
         assert [r.getMessage() for r in caplog.records] == \
             ["track 4 cam 2 frame 0: 2D link conflict, keeping newer window"]
-        assert boxes[0, 0, 0] == 9.0
+        assert box_at(rec, 2, 0)[0] == 9.0
 
 
 @pytest.mark.parametrize("mode", list(Mode))

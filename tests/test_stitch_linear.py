@@ -21,8 +21,8 @@ from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
                             window_distance_matrix)
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
-from conftest import (NO_SEGMENTS, FrameTrack, assert_frame_tracks_equal, box_dict,
-                      to_arrays, to_frames, window_segment)
+from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, links_of,
+                      no_links, to_arrays, to_frames, window_segment)
 from test_track_arrays import window_distance_matrix_dicts
 
 WINDOW_LEN = 10
@@ -63,6 +63,15 @@ def absorb_segments(boxes2d: dict, segments) -> None:
 
 
 @dataclass
+class OracleWindowTrack:
+    """A window track of the oracle: its frame-keyed track and the table of
+    its segments, from which its registry twin's links are built."""
+
+    track: FrameTrack
+    segments: object
+
+
+@dataclass
 class OracleRecord:
     """A registry track of the oracle: its frame-keyed track and last frame."""
 
@@ -71,7 +80,7 @@ class OracleRecord:
 
 
 def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
-                       window_tracks: list[WindowTrack]) -> None:
+                       window_tracks: list[OracleWindowTrack]) -> None:
     """`TrackRegistry.advance` as it was with the copy-merge: a new identity
     took the window tracklet object itself, and each track's 2D boxes were
     copied into `boxes2d[tid]` at every merge.  The assignment is the
@@ -95,11 +104,6 @@ def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
         absorb_segments(boxes2d[tid], wt.segments)
 
 
-def segment_state(segments) -> tuple:
-    return tuple(getattr(segments, name).tobytes()
-                 for name in ("camera", "track_id", "start", "boxes"))
-
-
 def assert_tracks_equal(a, b) -> None:
     """Two array tracks, bit for bit, with their empty rows."""
     assert a.first == b.first
@@ -114,14 +118,13 @@ def assert_registries_equal(a: TrackRegistry, b: TrackRegistry, b_boxes2d: dict)
     for tid in a.tracks:
         assert_frame_tracks_equal(to_frames(a.tracks[tid].tracklet), b.tracks[tid].tracklet)
         assert a.tracks[tid].last_frame == b.tracks[tid].last_frame
-        # Every frame the merged segments span, and one past each end.
-        segments = a.tracks[tid].segments
-        frames = np.arange(min(int(t.start.min()) for t in segments) - 1,
-                           max(int(t.start.max()) for t in segments) + WINDOW_LEN + 2)
+        # The box linked at every frame of the track, per camera.
+        rec = a.tracks[tid]
+        assert rec.links.shape == (len(RIG), len(rec.tracklet.points), 4)
         linked = {}
-        for camera, boxes in enumerate(a.tracks[tid].boxes_by_camera(tid, frames, range(4))):
-            linked[camera] = {f: Bbox(*row) for f, row in zip(frames.tolist(), boxes.tolist())
-                              if not np.isnan(row[0])}
+        for cam, boxes in zip(RIG, rec.links):
+            linked[cam.id] = {rec.tracklet.first + j: Bbox(*row)
+                              for j, row in enumerate(boxes.tolist()) if not np.isnan(row[0])}
         assert {camera: boxes for camera, boxes in linked.items() if boxes} == b_boxes2d[tid]
 
 
@@ -131,8 +134,8 @@ def window_sequences(draw):
 
     A walker may skip windows (its track ends and it re-appears under a new
     id), jump by 1 m (its fragment is left unmatched), carry top/bottom on a
-    subset of frames and either provenance.  Each window track's `track` is
-    a `FrameTrack`; `as_arrays` gives the registry's input."""
+    subset of frames and either provenance.  Each window track is an
+    `OracleWindowTrack`; `as_arrays` gives the registry's input."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_people = draw(st.integers(1, 4))
     n_windows = draw(st.integers(1, 8))
@@ -164,16 +167,17 @@ def window_sequences(draw):
             camera = int(rng.integers(4))
             seg = window_segment(camera, {f: tuple(rng.uniform(10.0, 50.0, size=4))
                                           for f in frames}, track_id=p, start=start)
-            tracks.append(WindowTrack(track=t3, segments=seg, rig=RIG))
+            tracks.append(OracleWindowTrack(track=t3, segments=seg))
         rng.shuffle(tracks)
         windows.append((start, tracks))
     return windows
 
 
 def as_arrays(windows):
-    """The windows with each track on its window's grid."""
+    """The windows with each track on its window's grid and its segments as
+    links."""
     return [(start, [WindowTrack(to_arrays(wt.track, start, WINDOW_LEN + 1),
-                                 wt.segments, wt.rig) for wt in tracks])
+                                 links_of(wt.segments, RIG), RIG) for wt in tracks])
             for start, tracks in windows]
 
 
@@ -201,7 +205,7 @@ class TestAdvanceAgainstCopyMerge:
         for (_, tracks), (_, kept) in zip(windows, before):
             for wt, wt0 in zip(tracks, kept):
                 assert_tracks_equal(wt.track, wt0.track)
-                assert segment_state(wt.segments) == segment_state(wt0.segments)
+                assert wt.links.tobytes() == wt0.links.tobytes()
 
 
 class TestInPlaceMerge:
@@ -221,7 +225,8 @@ class TestInPlaceMerge:
         assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
         # Heights are folded in later, from the pending window track.
         assert merged.top.keys() == {1}
-        rec = TrackRecord(tracklet=prev, pending=[WindowTrack(nxt, NO_SEGMENTS, RIG)])
+        rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points)),
+                          pending=[WindowTrack(nxt, no_links(len(nxt.points)), RIG)])
         rec.fold_heights()
         assert rec.pending == []
         folded = to_frames(prev)

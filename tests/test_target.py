@@ -14,7 +14,7 @@ from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
-from conftest import FrameTrack, to_arrays, to_frames, window_segment
+from conftest import FrameTrack, links_of, no_links, to_arrays, to_frames, window_segment
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
@@ -56,7 +56,7 @@ def pending_windows(t3, window_len=10):
             segments.append(window_segment(cam.id, boxes, start=start))
         segments = Segments.concat(segments)
         out.append(WindowTrack(to_arrays(centers_of(t3, span), start, segments.boxes.shape[1]),
-                               segments, RIG))
+                               links_of(segments, RIG), RIG))
     return out
 
 
@@ -83,10 +83,11 @@ def old_identify_target(t3, space, crit, current_frame):
 
 def record_of(t3, pending):
     """A registry track of t3's centers on the frames its pending window
-    tracks span."""
+    tracks span, with no 2D links."""
     first = pending[0].track.first
     n = pending[-1].track.first + len(pending[-1].track.points) - first
-    return TrackRecord(tracklet=to_arrays(centers_of(t3), first, n), pending=pending)
+    return TrackRecord(tracklet=to_arrays(centers_of(t3), first, n),
+                       links=no_links(n, len(RIG)), pending=pending)
 
 
 class TestTargetCriteria:
@@ -162,9 +163,10 @@ def emit_one(w, h, **kwargs):
     centred on (x, y) is linked."""
     X = np.array([0.0, 0.0, 1.8])
     (x, y), = project(RIG[0], [X]).tolist()
-    seg = window_segment(0, {0: (x, y, w, h)})
+    seg = window_segment(0, {0: (x, y, w, h)}, span=1)
     reg = TrackRegistry()
-    reg.tracks[0] = TrackRecord(tracklet=to_arrays(FrameTrack(points={0: X})), segments=[seg])
+    reg.tracks[0] = TrackRecord(tracklet=to_arrays(FrameTrack(points={0: X})),
+                                links=links_of(seg, RIG))
     maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, **kwargs)
     records = maintainer._emit(np.array([0]), X[None],
                                np.array([PROVENANCE.index(Provenance.TRIANGULATED)], np.uint8),
@@ -309,7 +311,7 @@ class TestTargetMaintainer:
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(5, 10, reg)
         alone = pending_windows(low) + pending_windows(high)
         for wt in alone:
-            attach_top_bottom_batch([(wt.track, wt.segments)], RIG)
+            attach_top_bottom_batch([(wt.track, wt.links)], RIG)
         a, b = (to_frames(wt.track) for wt in alone)
         top = to_frames(rec.tracklet).top
         for f in range(16):
@@ -350,13 +352,11 @@ class TestEmission:
         performer = performer_track(range(0, 61))
         t3 = centers_of(performer)
         rec = record_of(performer, pending_windows(performer))
-        boxes = {}
         for f in t3.frames:
             if not with_box_for_frame(f):
                 continue
             (x, y), = project(rig[0], [t3.points[f]]).tolist()
-            boxes[f] = Bbox(x, y, 40.0, 100.0)
-        rec.segments.append(window_segment(0, boxes))
+            rec.links[0, f - rec.tracklet.first] = (x, y, 40.0, 100.0)
         reg = TrackRegistry()
         reg.tracks[0] = rec
         reg._next_id = 1
@@ -378,16 +378,50 @@ class TestEmission:
         assert not np.isnan(view).any()
         assert view[2] == pytest.approx(1.3 * 100.0)
 
-    def test_boxes_looked_up_for_the_target_tracks_only(self, monkeypatch):
+    def test_boxes_looked_up_for_the_target_tracks_only(self):
         looked_up = []
-        lookup = TrackRecord.boxes_by_camera
-        monkeypatch.setattr(TrackRecord, "boxes_by_camera",
-                            lambda rec, tid, *args: looked_up.append(tid)
-                            or lookup(rec, tid, *args))
+
+        class Lookup:
+            """A track's links, noting each read of them."""
+
+            def __init__(self, tid, links):
+                self.tid, self.links = tid, links
+
+            def __getitem__(self, index):
+                looked_up.append(self.tid)
+                return self.links[index]
         reg = registry_with([performer_track(range(0, 61)),
                              performer_track(range(0, 61), z=1.0)])
+        for tid, rec in reg.tracks.items():
+            rec.links = Lookup(tid, rec.links)
         assert run_maintainer(reg, 60)
         assert looked_up == [0]
+
+    def test_bridged_frame_before_a_tracks_first_has_no_link(self):
+        # Track 1's tenure starts three frames after track 0 is lost, and the
+        # bridged frames 21..23 take its id, though they lie before its first
+        # frame.  Its links hold a box at every frame, so no NaN tail would
+        # hide a read that wrapped to their end.
+        def linked_record(frames, w, h):
+            t3 = performer_track(frames)
+            pixels = project(RIG[0], np.array([t3.points[f] for f in frames])).tolist()
+            boxes = {f: Bbox(x, y, w, h) for f, (x, y) in zip(frames, pixels)}
+            seg = window_segment(0, boxes, start=frames[0], span=len(frames))
+            return TrackRecord(tracklet=to_arrays(centers_of(t3)), links=links_of(seg, RIG))
+        reg = TrackRegistry()
+        reg.tracks[0] = linked_record(range(0, 21), 40.0, 100.0)
+        reg.tracks[1] = linked_record(range(24, 41), 60.0, 200.0)
+        assert not np.isnan(reg.tracks[1].links[0]).any()
+        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, tenures=[
+            {"id": 0, "identified_at": 10, "end": 20},
+            {"id": 1, "identified_at": 30, "end": None}])
+        records = maintainer.finalize(reg, RIG)
+        assert records.frame.tolist() == list(range(41))
+        assert records.track_id[20:25].tolist() == [0, 1, 1, 1, 1]
+        assert (records.provenance[21:24] == INTERPOLATED).all()
+        # No box is linked at 21..23: camera 0 keeps track 0's last size.
+        assert records.views[0, 20:24, 2].tolist() == [1.3 * 100.0] * 4
+        assert records.views[0, 24:, 2].tolist() == [1.3 * 200.0] * 17
 
 
 class TestRecordIO:

@@ -13,7 +13,7 @@ from mvtrack.stitch import TrackRecord, TrackRegistry, merge_assigned, window_di
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
 
-from conftest import NO_SEGMENTS, FrameTrack, assert_frame_tracks_equal, to_arrays, to_frames
+from conftest import FrameTrack, assert_frame_tracks_equal, no_links, to_arrays, to_frames
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
@@ -226,9 +226,9 @@ def test_fold_heights_equals_dicts():
         span = int(rng.choice([3, 11, 21]))
         windows = window_tracks(rng, int(rng.integers(0, 50)), span // 2, span,
                                 int(rng.integers(1, 8)))
-        pending = [WindowTrack(to_arrays(t, start, span), NO_SEGMENTS, RIG)
+        pending = [WindowTrack(to_arrays(t, start, span), no_links(span), RIG)
                    for start, t in windows]
-        rec = TrackRecord(tracklet=to_arrays(FrameTrack(), windows[0][0], 0))
+        rec = TrackRecord(tracklet=to_arrays(FrameTrack(), windows[0][0], 0), links=no_links(0))
         for wt in pending:
             merge_assigned(rec.tracklet, wt.track)
         oracle = to_frames(rec.tracklet)
@@ -312,7 +312,7 @@ def test_timeline_equals_dicts(monkeypatch, max_gap, smooth_window):
         for tid in range(rng.integers(1, 5)):
             start = max(0, start + int(rng.integers(-20, 30)))
             t = random_track(rng, start, int(rng.integers(1, 60)), keep=rng.uniform(0.4, 1.0))
-            reg.tracks[tid] = TrackRecord(tracklet=to_arrays(t, start, 80))
+            reg.tracks[tid] = TrackRecord(tracklet=to_arrays(t, start, 80), links=no_links(80))
             tracks[tid] = (t, reg.tracks[tid].last_frame)
             end = [None, reg.tracks[tid].last_frame - int(rng.integers(0, 10))]
             tenures.append({"id": tid, "identified_at": start, "end": end[rng.integers(2)]})
