@@ -10,13 +10,12 @@ segments are one `Segments` table of columns.  `Bbox`, `Detection` and
 `WindowSegment2D` are the row forms of a box, a detection and a segment;
 nothing from `load_detections` to the cascade builds them.
 
-Tracks are matched greedily by descending IoU (classic IoU-tracker
-behavior), with ties broken by the lower track id, then the lower
-detection index.  The corners and area of each box are computed once, as
-arrays, and each live track keeps the tuple of its last box, so scoring a
-pair is a few float operations inline.  Completed tracklets are later cut
-into temporally overlapping window segments on a global frame grid so that
-segments from different cameras line up.
+Tracks are matched greedily by descending IoU (the IoU tracker of
+Bochinski et al., AVSS 2017), ties to the lower track id, then the lower
+detection row, in one pass over the frames with detections: no empty
+frame is stepped.  Completed tracklets are later cut into temporally
+overlapping window segments on a global frame grid so that segments
+from different cameras line up.
 """
 
 from __future__ import annotations
@@ -186,47 +185,42 @@ class Segments(Columns):
         return cls(*map(np.array, zip(*(vars(row).values() for row in rows)))).sorted()
 
 
-class IouTracker:
-    """Online greedy IoU tracker over one camera's detections; each step
-    takes the rows of those detections at one frame.
+def track_camera_stream(camera: int, detections: Detections,
+                        iou_threshold: float = IOU_THRESHOLD,
+                        max_age: int = MAX_AGE) -> list[Tracklet2D]:
+    """Greedy IoU tracking of one camera's detections, taken in frame order
+    and, within a frame, in the stream's order; the tracklets in id order.
 
-    Tracks unmatched for more than `max_age` frames are closed and
-    emitted.  New track ids increase monotonically and are never reused.
-    """
+    A step per frame with detections.  Its candidates are the tracks last
+    matched at most max_age + 1 frames before; the rest are closed, as if
+    every empty frame had been stepped.  New ids go in row order, and a
+    past assignment never changes.
 
-    def __init__(self, camera: int, detections: Detections,
-                 iou_threshold: float = IOU_THRESHOLD, max_age: int = MAX_AGE):
-        if (detections.camera != camera).any():
-            raise ValueError(f"camera {camera}'s tracker was given another camera's "
-                             "detections")
-        self.camera = camera
-        self.iou_threshold = iou_threshold
-        self.max_age = max_age
-        self._detections = detections
-        self._frames = detections.frame.tolist()
-        # Corners and area once per box, with the arithmetic of
-        # `Bbox.corners`; the pair loop is the IoU inline (min/max spelled
-        # out with their tie rules), since a function call per pair would
-        # cost more than the arithmetic.
-        x, y, w, h = detections.boxes.T
-        self._scored = list(zip((x - w / 2).tolist(), (y - h / 2).tolist(),
-                                (x + w / 2).tolist(), (y + h / 2).tolist(),
-                                (w * h).tolist()))
-        self._next_id = 0
-        self._live: list[dict] = []
-
-    def step(self, frame: int, rows) -> list[Tracklet2D]:
-        """Advance one frame with the detections at `rows`, all of that
-        frame; returns tracklets closed at this step."""
-        if any(self._frames[r] != frame for r in rows):
-            raise ValueError("detections must share the step's frame")
-        boxes = [self._scored[r] for r in rows]
-        threshold = self.iou_threshold
+    `detections` may also be a list of `Detection` rows, turned back into
+    columns here (see `Detections.from_rows`)."""
+    if not isinstance(detections, Detections):
+        detections = Detections.from_rows(detections)
+    if (detections.camera != camera).any():
+        raise ValueError(f"camera {camera}'s tracker was given another camera's "
+                         "detections")
+    detections = detections.take(np.argsort(detections.frame, kind="stable"))
+    # Corners and area once per box, as `Bbox.corners`; the pair loop is the
+    # IoU inline (min/max spelled out with their tie rules), since a call
+    # per pair would cost more than the arithmetic.
+    x, y, w, h = detections.boxes.T
+    scored = list(zip((x - w / 2).tolist(), (y - h / 2).tolist(),
+                      (x + w / 2).tolist(), (y + h / 2).tolist(), (w * h).tolist()))
+    frames, edges = detections.frame.tolist(), run_edges(detections.frame)
+    tracks: list[list] = []  # per track id: [rows, last box, last frame]
+    live: list[int] = []
+    for lo, hi in zip(edges, edges[1:]):
+        frame = frames[lo]
+        live = [tid for tid in live if tracks[tid][2] >= frame - max_age - 1]
         pairs = []
-        for ti, track in enumerate(self._live):
-            ax0, ay0, ax1, ay1, a_area = track["last"]
-            tid = track["id"]
-            for di, (bx0, by0, bx1, by1, b_area) in enumerate(boxes):
+        for tid in live:
+            ax0, ay0, ax1, ay1, a_area = tracks[tid][1]
+            for row in range(lo, hi):
+                bx0, by0, bx1, by1, b_area = scored[row]
                 iw = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
                 ih = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
                 if iw <= 0 or ih <= 0:
@@ -234,85 +228,27 @@ class IouTracker:
                 else:
                     inter = iw * ih
                     score = inter / (a_area + b_area - inter)
-                if score >= threshold:
-                    pairs.append((-score, tid, di, ti))
-        # (-score, track id, detection index) is unique per pair.
+                if score >= iou_threshold:
+                    pairs.append((-score, tid, row))
+        # (-score, track id, detection row) is unique per pair.
         pairs.sort()
 
         used_tracks: set[int] = set()
-        used_dets: set[int] = set()
-        for _score, _tid, di, ti in pairs:
-            if ti in used_tracks or di in used_dets:
+        used_rows: set[int] = set()
+        for _score, tid, row in pairs:
+            if tid in used_tracks or row in used_rows:
                 continue
-            used_tracks.add(ti)
-            used_dets.add(di)
-            track = self._live[ti]
-            track["rows"].append(rows[di])
-            track["last"] = boxes[di]
-            track["missed"] = 0
-
-        closed: list[Tracklet2D] = []
-        survivors = []
-        for ti, track in enumerate(self._live):
-            if ti in used_tracks:
-                survivors.append(track)
-                continue
-            track["missed"] += 1
-            if track["missed"] > self.max_age:
-                closed.append(self._tracklet(track))
-            else:
-                survivors.append(track)
-        self._live = survivors
-
-        for di, row in enumerate(rows):
-            if di in used_dets:
-                continue
-            self._live.append({"id": self._next_id, "rows": [row], "last": boxes[di],
-                               "missed": 0})
-            self._next_id += 1
-        return closed
-
-    def finish(self) -> list[Tracklet2D]:
-        """Close and emit all remaining live tracks."""
-        closed = [self._tracklet(t) for t in self._live]
-        self._live = []
-        return closed
-
-    def _tracklet(self, track: dict) -> Tracklet2D:
-        rows = track["rows"]
-        return Tracklet2D(self.camera, track["id"], self._detections.frame[rows],
-                          self._detections.boxes[rows])
-
-
-def track_camera_stream(camera: int, detections: Detections,
-                        iou_threshold: float = IOU_THRESHOLD,
-                        max_age: int = MAX_AGE) -> list[Tracklet2D]:
-    """Run the IoU tracker over one camera's full detection stream, taken
-    in frame order and, within a frame, in the stream's order.
-
-    A frame without detections is stepped only while some track is live
-    (at most max_age + 1 such frames in a row); with none live, an empty
-    step changes nothing, so the tracker jumps to the next detection.
-
-    `detections` may also be a list of `Detection` rows, turned back into
-    columns here (see `Detections.from_rows`)."""
-    if not isinstance(detections, Detections):
-        detections = Detections.from_rows(detections)
-    detections = detections.take(np.argsort(detections.frame, kind="stable"))
-    tracker = IouTracker(camera, detections, iou_threshold, max_age)
-    frames, edges = detections.frame.tolist(), run_edges(detections.frame)
-    tracklets: list[Tracklet2D] = []
-    empty = 0
-    for lo, hi in zip(edges, edges[1:]):
-        frame = frames[lo]
-        while tracker._live and empty < frame:
-            tracklets.extend(tracker.step(empty, ()))
-            empty += 1
-        tracklets.extend(tracker.step(frame, range(lo, hi)))
-        empty = frame + 1
-    tracklets.extend(tracker.finish())
-    tracklets.sort(key=lambda t: t.track_id)
-    return tracklets
+            used_tracks.add(tid)
+            used_rows.add(row)
+            track = tracks[tid]
+            track[0].append(row)
+            track[1], track[2] = scored[row], frame
+        for row in range(lo, hi):
+            if row not in used_rows:
+                live.append(len(tracks))
+                tracks.append([[row], scored[row], frame])
+    return [Tracklet2D(camera, tid, detections.frame[rows], detections.boxes[rows])
+            for tid, (rows, _, _) in enumerate(tracks)]
 
 
 def _extrapolate(out: np.ndarray, slots: np.ndarray, frames: np.ndarray,

@@ -3,11 +3,11 @@ per-view box emission.
 
 The pipeline always tracks every identity; the target is a view over the
 multi-object output, picked by the height-trigger rule and re-picked by
-the same rule after a loss.  Short gaps in the target track are bridged
-by linear interpolation, in blocks split at the longer gaps; each block is
-smoothed and reprojected into each camera with buffered square boxes, the
-box rule evaluated per camera over the whole timeline as arrays, into
-columns that are written a line per frame from one template.
+the same rule after a loss.  The target timeline is sparse columns: short
+gaps are bridged by linear interpolation, each run of frames is smoothed
+and reprojected into each camera with buffered square boxes, the box rule
+evaluated per camera over the whole timeline as arrays, into columns that
+are written a line per frame from one template.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .records import INT, NUM, Fields, read_jsonl
 logger = logging.getLogger(__name__)
 
 IDENTIFY_WINDOW = 30
+# The share of the trailing buffer's frames that must pass the trigger.
+IDENTIFY_OCCUPANCY = 0.5
 MAX_GAP_FILL = 7
 BUFFER_SCALE = 1.3
 SMOOTH_WINDOW = 5
@@ -38,7 +40,6 @@ class TargetCriteria:
     h_top: float
     h_bot: float
     delta: int = IDENTIFY_WINDOW
-    occupancy: float = 0.5
 
     def __post_init__(self):
         if not self.h_top >= self.h_bot >= 0:
@@ -51,37 +52,35 @@ def identify_target(t3: Tracklet3D, space: TrackingSpace, crit: TargetCriteria,
                     current_frame: int) -> bool:
     """True when, over the trailing delta-frame buffer, the count of frames
     with (center in perf) and (top.z > h_top) and (bottom.z > h_bot)
-    strictly exceeds occupancy * delta.  Only the track's frames inside
+    strictly exceeds IDENTIFY_OCCUPANCY * delta.  Only the track's frames inside
     the buffer are read, however long the buffer."""
     lo = max(current_frame - crit.delta - t3.first, 0)
     rows = slice(lo, max(lo, current_frame + 1 - t3.first))
     X = t3.points[rows]
     hits = (((X >= space.perf[:3]) & (X <= space.perf[3:])).all(axis=1)
             & (t3.top[rows, 2] > crit.h_top) & (t3.bottom[rows, 2] > crit.h_bot))
-    return int(hits.sum()) > crit.occupancy * crit.delta
+    return int(hits.sum()) > IDENTIFY_OCCUPANCY * crit.delta
 
 
-def smooth_track(t3: Tracklet3D, window: int = SMOOTH_WINDOW) -> Tracklet3D:
-    """Centered moving average over each run of consecutive frames with a
-    point; near run ends the window shrinks symmetrically.  Each output is
-    the sum of its window's rows, added in frame order from zero, over
-    their count: the bits of `np.mean(axis=0)` of those rows."""
+def smooth_track(frames: np.ndarray, X: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
+    """The points X at increasing `frames` after a centered moving average
+    over each run of consecutive frames; near run ends the window shrinks
+    symmetrically.  Each output is the sum of its window's rows, added in
+    frame order from zero, over their count: the bits of
+    `np.mean(axis=0)` of those rows."""
     if window % 2 != 1 or window < 1:
         raise ValueError("smoothing window must be odd and >= 1")
-    rows = np.flatnonzero(t3.valid)
     # Each row's distance to the nearer end of its run bounds its window.
-    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
-    starts, ends = np.r_[0, breaks], np.r_[breaks, len(rows)]
-    at = np.arange(len(rows))
+    breaks = np.flatnonzero(np.diff(frames) != 1) + 1
+    starts, ends = np.r_[0, breaks], np.r_[breaks, len(frames)]
+    at = np.arange(len(frames))
     run = np.repeat(np.arange(len(starts)), ends - starts)
     k = np.minimum(window // 2, np.minimum(at - starts[run], ends[run] - 1 - at))
-    total = np.zeros((len(rows), 3))
+    total = np.zeros((len(frames), 3))
     for step in range(window):
         use = step <= 2 * k
-        total[use] += t3.points[rows[use] - k[use] + step]
-    points = np.full_like(t3.points, np.nan)
-    points[rows] = total / (2 * k + 1)[:, None]
-    return Tracklet3D(t3.first, points, t3.provenance.copy())
+        total[use] += X[at[use] - k[use] + step]
+    return total / (2 * k + 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,8 @@ class TargetMaintainer:
 
     def finalize(self, registry: TrackRegistry, rig: CameraRig) -> TargetRecords:
         # Each tenure's points after the frames already taken, to its end.
-        parts, emitted_end = [], -1
+        parts, emitted_end = [(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.uint8),
+                               np.zeros(0, np.int64))], -1
         for tenure in self.tenures:
             rec = registry.tracks[tenure["id"]]
             t3 = rec.tracklet
@@ -168,40 +168,25 @@ class TargetMaintainer:
             parts.append((t3.first + rows, t3.points[rows], t3.provenance[rows],
                           np.full(len(rows), tenure["id"])))
             emitted_end = max(emitted_end, end)
-        if not any(len(frames) for frames, _, _, _ in parts):
-            return self._emit(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros(0, np.uint8),
-                              np.zeros(0, np.int64), registry, rig)
-        frames, X, codes, tids = map(np.concatenate, zip(*parts))
+        frames, X, codes, tids = self._fill_gaps(*map(np.concatenate, zip(*parts)))
+        return self._emit(frames, smooth_track(frames, X, self.smooth_window), codes, tids,
+                          registry, rig)
 
-        # A block per run of frames whose gaps can all be bridged, so the
-        # timeline stays sparse across longer ones.
-        blocks = []
-        for run in np.split(np.arange(len(frames)),
-                            np.flatnonzero(np.diff(frames) > self.max_gap + 1) + 1):
-            rows = frames[run] - frames[run[0]]
-            block = Tracklet3D(int(frames[run[0]]), np.full((rows[-1] + 1, 3), np.nan),
-                               np.zeros(rows[-1] + 1, np.uint8))
-            block.points[rows], block.provenance[rows] = X[run], codes[run]
-            tid = np.zeros(len(block.points), dtype=int)
-            tid[rows] = tids[run]
-            self._fill_gaps(block, tid)
-            block = smooth_track(block, self.smooth_window)
-            blocks.append((block.first + np.arange(len(tid)), block.points,
-                           block.provenance, tid))
-        return self._emit(*map(np.concatenate, zip(*blocks)), registry, rig)
-
-    def _fill_gaps(self, target: Tracklet3D, tids: np.ndarray) -> None:
-        """Bridge each gap of at most max_gap frames between frames a and b
-        with points linear in u = (f - a) / (b - a), taking b's track id."""
-        rows = np.flatnonzero(target.valid)
-        gap = np.diff(rows) - 1
-        bridged = (gap >= 1) & (gap <= self.max_gap)
-        for a, b in zip(rows[:-1][bridged].tolist(), rows[1:][bridged].tolist()):
-            u = (np.arange(a + 1, b) - a) / (b - a)
-            target.points[a + 1:b] = ((1 - u)[:, None] * target.points[a]
-                                      + u[:, None] * target.points[b])
-            target.provenance[a + 1:b] = PROVENANCE.index(Provenance.INTERPOLATED)
-            tids[a + 1:b] = tids[b]
+    def _fill_gaps(self, frames, X, codes, tids) -> tuple[np.ndarray, ...]:
+        """The timeline's columns with each gap of at most max_gap frames
+        between frames a and b bridged, its rows inserted before b: points
+        linear in u = (f - a) / (b - a), taking b's track id."""
+        gap = np.diff(frames) - 1
+        bridged = np.flatnonzero((gap >= 1) & (gap <= self.max_gap))
+        # Per bridged frame f, the row of its gap's b, before which it goes.
+        at = np.repeat(bridged + 1, gap[bridged])
+        a, b = frames[at - 1], frames[at]
+        f = a + 1 + np.arange(len(at)) - np.searchsorted(at, at)
+        u = (f - a) / (b - a)
+        points = (1 - u)[:, None] * X[at - 1] + u[:, None] * X[at]
+        return (np.insert(frames, at, f), np.insert(X, at, points, axis=0),
+                np.insert(codes, at, PROVENANCE.index(Provenance.INTERPOLATED)),
+                np.insert(tids, at, tids[at]))
 
     def _emit(self, frames: np.ndarray, X: np.ndarray, codes: np.ndarray, tids: np.ndarray,
               registry: TrackRegistry, rig: CameraRig) -> TargetRecords:

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.sv_track import (Bbox, Detection, Detections, IouTracker, Tracklet2D,
+from mvtrack.sv_track import (Bbox, Detection, Detections, Tracklet2D,
                               load_detections, save_detections,
                               segment_windows, track_camera_stream)
 
@@ -96,14 +98,16 @@ def as_dicts(tracklets):
             for t in tracklets]
 
 
-def frame_tracker(frames, camera=0, iou_threshold=0.1, max_age=2):
-    """An IouTracker over a list of frames, each a list of boxes, and the
-    rows of each frame."""
-    dets = columns((f, camera, b.x, b.y, b.w, b.h) for f, boxes in enumerate(frames)
-                   for b in boxes)
-    ends = np.cumsum([len(boxes) for boxes in frames]).tolist()
-    rows = [range(hi - len(boxes), hi) for hi, boxes in zip(ends, frames)]
-    return IouTracker(camera, dets, iou_threshold, max_age), rows
+def frame_detections(frames, camera=0):
+    """`Detection` rows of a list of frames, each a list of boxes."""
+    return [Detection(frame=f, camera=camera, bbox=b) for f, boxes in enumerate(frames)
+            for b in boxes]
+
+
+def track_frames(frames, camera=0, iou_threshold=0.1, max_age=2):
+    """`track_camera_stream` over a list of frames, each a list of boxes."""
+    return track_camera_stream(camera, Detections.from_rows(frame_detections(frames, camera)),
+                               iou_threshold, max_age)
 
 
 def box(x, y, w=10.0, h=10.0):
@@ -137,45 +141,36 @@ class TestIou:
 class TestIouTracker:
     def test_match_extends_track(self):
         # IoU 7/13 with the previous box.
-        tracker, rows = frame_tracker([[box(0.0, 0.0)], [box(3.0, 0.0)]])
-        tracker.step(0, rows[0])
-        tracker.step(1, rows[1])
-        tracks = tracker.finish()
+        tracks = track_frames([[box(0.0, 0.0)], [box(3.0, 0.0)]])
         assert len(tracks) == 1
         assert tracks[0].frames.tolist() == [0, 1]
 
     def test_track_closed_after_age_exceeded(self):
-        tracker, rows = frame_tracker([[box(0.0, 0.0)]])
-        tracker.step(0, rows[0])
-        assert tracker.step(1, ()) == []
-        assert tracker.step(2, ()) == []
-        closed = tracker.step(3, ())
-        assert len(closed) == 1
-        assert closed[0].frames.tolist() == [0]
+        # max_age = 2: a track last matched at frame 0 is still a candidate
+        # at frame 3, and closed before frame 4.
+        tracks = track_frames([[box(0.0, 0.0)], [], [], [box(0.0, 0.0)]])
+        assert [t.frames.tolist() for t in tracks] == [[0, 3]]
+        tracks = track_frames([[box(0.0, 0.0)], [], [], [], [box(0.0, 0.0)]])
+        assert [t.frames.tolist() for t in tracks] == [[0], [4]]
 
     def test_dominant_diagonal_matching(self):
-        tracker, rows = frame_tracker([[box(0.0, 0.0), box(100.0, 0.0)],
-                                       [box(100.0, 1.0), box(0.0, 1.0)]])
-        tracker.step(0, rows[0])
-        tracker.step(1, rows[1])
-        tracks = sorted(tracker.finish(), key=lambda t: t.track_id)
+        tracks = track_frames([[box(0.0, 0.0), box(100.0, 0.0)],
+                               [box(100.0, 1.0), box(0.0, 1.0)]])
         assert tracks[0].boxes[1, 0] == 0.0
         assert tracks[1].boxes[1, 0] == 100.0
 
     def test_one_detection_never_feeds_two_tracks(self):
-        tracker, rows = frame_tracker([[box(0.0, 0.0), box(4.0, 0.0)], [box(2.0, 0.0)]])
-        tracker.step(0, rows[0])
-        tracker.step(1, rows[1])
-        tracks = tracker.finish()
+        tracks = track_frames([[box(0.0, 0.0), box(4.0, 0.0)], [box(2.0, 0.0)]])
         extended = [t for t in tracks if 1 in t.frames.tolist()]
         assert len(extended) == 1
 
     def test_rejects_mixed_frames(self):
-        tracker = IouTracker(0, columns([(1, 0, 0.0, 0.0, 10.0, 10.0)]))
+        # The camera check; frames need no check, as the stream is sorted
+        # into frames here.
         with pytest.raises(ValueError):
-            tracker.step(0, [0])
+            track_camera_stream(1, columns([(1, 0, 0.0, 0.0, 10.0, 10.0)]))
         with pytest.raises(ValueError):
-            IouTracker(1, columns([(1, 0, 0.0, 0.0, 10.0, 10.0)]))
+            track_camera_stream(1, [det(1, 0.0, 0.0, camera=0)])
 
     def test_determinism(self):
         stream = columns((f, 0, 10.0 * (f % 3), float(f), 10.0, 10.0) for f in range(30))
@@ -207,27 +202,20 @@ class TestIouTrackerAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(detection_streams())
     def test_equals_scalar_iou_step(self, stream):
+        # Empty frames included: the reference steps each of them.
         frames, threshold, max_age = stream
-        tracker, rows = frame_tracker(frames, 3, threshold, max_age)
-        reference = ReferenceIouTracker(3, threshold, max_age)
-        for f, boxes in enumerate(frames):
-            dets = [Detection(frame=f, camera=3, bbox=b) for b in boxes]
-            assert as_dicts(tracker.step(f, rows[f])) == reference.step(f, dets)
-        assert as_dicts(tracker.finish()) == reference.finish()
+        detections = frame_detections(frames, 3)
+        want = dense_reference_stream(3, detections, threshold, max_age) if detections else []
+        assert as_dicts(track_frames(frames, 3, threshold, max_age)) == want
 
     def test_score_at_threshold_matches(self):
         # 2x2 boxes one unit apart: IoU 2/6, exactly the threshold.
-        tracker, rows = frame_tracker([[box(0.0, 0.0, 2.0, 2.0)], [box(1.0, 0.0, 2.0, 2.0)]],
-                                      iou_threshold=2.0 / 6.0)
-        tracker.step(0, rows[0])
-        tracker.step(1, rows[1])
-        assert [t.frames.tolist() for t in tracker.finish()] == [[0, 1]]
+        tracks = track_frames([[box(0.0, 0.0, 2.0, 2.0)], [box(1.0, 0.0, 2.0, 2.0)]],
+                              iou_threshold=2.0 / 6.0)
+        assert [t.frames.tolist() for t in tracks] == [[0, 1]]
 
     def test_equal_scores_go_to_lower_track_id(self):
-        tracker, rows = frame_tracker([[box(0.0, 0.0), box(0.0, 0.0)], [box(1.0, 0.0)]])
-        tracker.step(0, rows[0])
-        tracker.step(1, rows[1])
-        tracks = sorted(tracker.finish(), key=lambda t: t.track_id)
+        tracks = track_frames([[box(0.0, 0.0), box(0.0, 0.0)], [box(1.0, 0.0)]])
         assert [t.frames.tolist() for t in tracks] == [[0, 1], [0]]
 
 
@@ -264,20 +252,24 @@ class TestSparseFrames:
         # A list of rows is turned into the same columns.
         assert as_dicts(track_camera_stream(1, detections, threshold, max_age)) == want
 
-    def test_far_frame_steps_only_to_close_tracks(self, monkeypatch):
-        steps = []
-        real = IouTracker.step
+    def test_far_frame_steps_only_to_close_tracks(self):
+        # A track is a candidate at a far frame exactly when max_age spans
+        # the gap, with no empty frame stepped.
+        stream = columns([(0, 0, 0.0, 0.0, 10.0, 10.0), (10**9, 0, 0.0, 0.0, 10.0, 10.0)])
+        for max_age, want in ((2, [[0], [10**9]]), (10**9 - 2, [[0], [10**9]]),
+                              (10**9 - 1, [[0, 10**9]])):
+            tracklets = track_camera_stream(0, stream, max_age=max_age)
+            assert [t.frames.tolist() for t in tracklets] == want
 
-        def spy(self, frame, rows):
-            steps.append(frame)
-            assert len(steps) <= 10, "stepped through the empty frames"
-            return real(self, frame, rows)
-        monkeypatch.setattr(IouTracker, "step", spy)
-        tracklets = track_camera_stream(0, columns([(0, 0, 0.0, 0.0, 10.0, 10.0),
-                                                    (10**9, 0, 0.0, 0.0, 10.0, 10.0)]),
-                                        max_age=2)
-        assert steps == [0, 1, 2, 3, 10**9]
-        assert [t.frames.tolist() for t in tracklets] == [[0], [10**9]]
+    def test_long_gap_with_a_live_track_is_not_stepped(self):
+        # Stepping each of the 10**7 empty frames, while the track stays
+        # live, took seconds.
+        stream = columns([(0, 0, 0.0, 0.0, 10.0, 10.0), (1, 0, 0.0, 0.0, 10.0, 10.0),
+                          (10**7, 0, 0.0, 0.0, 10.0, 10.0)])
+        start = time.perf_counter()
+        tracklets = track_camera_stream(0, stream, max_age=10**9)
+        assert time.perf_counter() - start < 2.0
+        assert [t.frames.tolist() for t in tracklets] == [[0, 1, 10**7]]
 
     def test_rows_of_a_frame_keep_stream_order(self):
         # Unsorted frames: each frame's rows are stepped in stream order, so

@@ -78,7 +78,7 @@ def old_identify_target(t3, space, crit, current_frame):
         if (x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1
                 and top[2] > crit.h_top and bot[2] > crit.h_bot):
             count += 1
-    return count > crit.occupancy * crit.delta
+    return count > target.IDENTIFY_OCCUPANCY * crit.delta
 
 
 def record_of(t3, pending):
@@ -194,35 +194,40 @@ class TestBufferBbox:
         assert v[2] == 1.3 * (1.3 * 80.0)
 
 
+def smoothed(points, window=5):
+    """`smooth_track` of {frame: (3,) point}, as such a dict."""
+    frames = sorted(points)
+    X = smooth_track(np.array(frames, dtype=np.int64),
+                     np.array([points[f] for f in frames]).reshape(-1, 3), window)
+    return dict(zip(frames, X))
+
+
 class TestSmoothTrack:
     def test_constant_is_fixed_point(self):
-        t3 = FrameTrack(points={f: np.array([1.0, 2.0, 3.0]) for f in range(9)})
-        out = to_frames(smooth_track(to_arrays(t3)))
+        out = smoothed({f: np.array([1.0, 2.0, 3.0]) for f in range(9)})
         for f in range(9):
-            assert np.allclose(out.points[f], (1.0, 2.0, 3.0), atol=1e-15)
+            assert np.allclose(out[f], (1.0, 2.0, 3.0), atol=1e-15)
 
     def test_linear_ramp_unchanged(self):
-        t3 = FrameTrack(points={f: np.array([0.1 * f, 0.0, 1.0]) for f in range(11)})
-        out = to_frames(smooth_track(to_arrays(t3)))
+        out = smoothed({f: np.array([0.1 * f, 0.0, 1.0]) for f in range(11)})
         for f in range(2, 9):
-            assert out.points[f][0] == pytest.approx(0.1 * f, abs=1e-12)
+            assert out[f][0] == pytest.approx(0.1 * f, abs=1e-12)
 
     def test_spike_attenuated(self):
         points = {f: np.array([0.0, 0.0, 1.0]) for f in range(11)}
         points[5] = np.array([0.0, 0.0, 1.5])
-        out = to_frames(smooth_track(to_arrays(FrameTrack(points=points))))
-        assert abs(out.points[5][2] - 1.0) <= 0.1 + 1e-12
+        out = smoothed(points)
+        assert abs(out[5][2] - 1.0) <= 0.1 + 1e-12
 
     def test_runs_smoothed_independently(self):
-        points = {f: np.array([float(f), 0.0, 1.0]) for f in [0, 1, 2, 10, 11, 12]}
-        out = to_frames(smooth_track(to_arrays(FrameTrack(points=points))))
+        out = smoothed({f: np.array([float(f), 0.0, 1.0]) for f in [0, 1, 2, 10, 11, 12]})
         # End frames of a 3-frame run keep their value (window shrinks to 1).
-        assert out.points[2][0] == 2.0
-        assert out.points[10][0] == 10.0
+        assert out[2][0] == 2.0
+        assert out[10][0] == 10.0
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
-            smooth_track(to_arrays(FrameTrack()), window=4)
+            smoothed({}, window=4)
 
 
 def run_maintainer(registry, last_frame, maintainer=None, rig=None):

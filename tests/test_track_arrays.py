@@ -10,6 +10,7 @@ from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace, WindowTrack
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry, merge_assigned, window_distance_matrix
+from mvtrack import target
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
 
@@ -80,7 +81,7 @@ def identify_target_dicts(t3, space, crit, current_frame):
         if (x0 <= X[0] <= x1 and y0 <= X[1] <= y1 and z0 <= X[2] <= z1
                 and top[2] > crit.h_top and bot[2] > crit.h_bot):
             count += 1
-    return count > crit.occupancy * crit.delta
+    return count > target.IDENTIFY_OCCUPANCY * crit.delta
 
 
 def fill_gaps_dicts(target, frame_tid, max_gap):
@@ -241,7 +242,7 @@ def test_fold_heights_equals_dicts():
             assert_frame_tracks_equal(to_frames(rec.tracklet), oracle)
 
 
-def test_identify_target_equals_dicts():
+def test_identify_target_equals_dicts(monkeypatch):
     rng = np.random.default_rng(105)
     for _ in range(200):
         n = int(rng.integers(1, 80))
@@ -258,11 +259,20 @@ def test_identify_target_equals_dicts():
         t3 = to_arrays(t, 40 - int(rng.integers(0, 3)), n + 5)
         # Buffers shorter and longer than the track.
         delta = int(rng.choice([1, 2, 5, 10, 30, n, n + 1, 2 * n + 7, 10**6]))
-        crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=max(delta, 1),
-                              occupancy=float(rng.choice([0.0, 0.25, 0.5])))
+        crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=max(delta, 1))
+        monkeypatch.setattr(target, "IDENTIFY_OCCUPANCY", float(rng.choice([0.0, 0.25, 0.5])))
         for current in range(30, 40 + n + 15, 3):
             assert identify_target(t3, SPACE, crit, current) == \
                 identify_target_dicts(t, SPACE, crit, current)
+
+
+def timeline_columns(t, frame_tid=None):
+    """(frames, X, codes, tids) columns of a FrameTrack and {frame: track id}."""
+    frames = t.frames
+    return (np.array(frames, dtype=np.int64),
+            np.array([t.points[f] for f in frames]).reshape(-1, 3),
+            np.array([PROVENANCE.index(t.provenance[f]) for f in frames], dtype=np.uint8),
+            np.array([(frame_tid or {}).get(f, 0) for f in frames], dtype=np.int64))
 
 
 @pytest.mark.parametrize("max_gap", [0, 1, 3, 7])
@@ -279,13 +289,13 @@ def test_fill_gaps_equals_dicts(max_gap):
                 t.provenance[g] = BRANCHES[rng.integers(2)]
                 frame_tid[g] = int(rng.integers(3))
             f = g + 1 + int(rng.choice([max_gap, max_gap + 1, 1, 2, 12]))
-        block = to_arrays(t)
-        tids = np.zeros(len(block.points), dtype=int)
-        tids[block.frames - block.first] = [frame_tid[g] for g in t.frames]
-        maintainer._fill_gaps(block, tids)
+        frames, X, codes, tids = maintainer._fill_gaps(*timeline_columns(t, frame_tid))
         fill_gaps_dicts(t, frame_tid, max_gap)
-        assert_frame_tracks_equal(to_frames(block), t)
-        assert {g: tids[g - block.first] for g in block.frames.tolist()} == frame_tid
+        got = FrameTrack(points=dict(zip(frames.tolist(), X)),
+                         provenance={g: PROVENANCE[c] for g, c in zip(frames.tolist(), codes)})
+        assert frames.tolist() == t.frames
+        assert_frame_tracks_equal(got, t)
+        assert dict(zip(frames.tolist(), tids.tolist())) == frame_tid
 
 
 @pytest.mark.parametrize("window", [1, 3, 5, 9, 21])
@@ -294,8 +304,10 @@ def test_smooth_track_equals_dicts(window):
     for _ in range(100):
         t = random_track(rng, int(rng.integers(0, 30)), int(rng.integers(0, 120)),
                          keep=rng.uniform(0.3, 1.0))
-        got = smooth_track(to_arrays(t), window)
-        assert_frame_tracks_equal(to_frames(got), smooth_track_dicts(t, window))
+        frames, X, _, _ = timeline_columns(t)
+        got = FrameTrack(points=dict(zip(frames.tolist(), smooth_track(frames, X, window))),
+                         provenance=dict(t.provenance))
+        assert_frame_tracks_equal(got, smooth_track_dicts(t, window))
 
 
 @pytest.mark.parametrize("max_gap, smooth_window", [(0, 1), (3, 5), (7, 5), (7, 9)])
