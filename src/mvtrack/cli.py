@@ -94,7 +94,7 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     detections, truth = simulate.render_detections(scene)
-    save_detections(detections, out / "detections.jsonl")
+    _load(EXIT_CONFIG_ERROR, save_detections, detections, out / "detections.jsonl")
     write_jsonl(out / "truth.jsonl", truth)
     save_calibration(scene.rig, out / "calib.json")
     cfg = config_mod.PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,

@@ -4,14 +4,14 @@ streams with pixel noise and per-camera dropout episodes.
 The generated streams are the source for all statistically derived test
 expectations.  Randomness is drawn from per-record substreams (seeded by
 (seed, frame, camera, person)) so outputs are deterministic regardless of
-generation order.
+generation order; rendering projects whole trajectories, one `project`
+call per (person, camera).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -71,16 +71,18 @@ class PersonTrajectory:
 
 def _smooth_gate(frames: np.ndarray, intervals: list[tuple[int, int]],
                  ramp: int = 20) -> np.ndarray:
-    """1 outside the intervals, 0 inside, with cosine ramps at the edges."""
+    """1 outside the intervals, 0 inside, with cosine ramps at the edges (an
+    interval's ramp before it wins where it meets the one after it)."""
     gate = np.ones(len(frames))
     for start, end in intervals:
-        for i, f in enumerate(frames):
-            if start <= f <= end:
-                gate[i] = 0.0
-            elif start - ramp < f < start:
-                gate[i] = min(gate[i], 0.5 - 0.5 * math.cos(math.pi * (start - f) / ramp))
-            elif end < f < end + ramp:
-                gate[i] = min(gate[i], 0.5 - 0.5 * math.cos(math.pi * (f - end) / ramp))
+        inside = (start <= frames) & (frames <= end)
+        before = (start - ramp < frames) & (frames < start)
+        after = (end < frames) & (frames < end + ramp)
+        rows = np.flatnonzero(before | after)
+        gate[rows] = np.minimum(gate[rows], [
+            0.5 - 0.5 * math.cos(math.pi * (start - f if b else f - end) / ramp)
+            for f, b in zip(frames[rows].tolist(), before[rows].tolist())])
+        gate[inside] = 0.0
     return gate
 
 
@@ -111,10 +113,8 @@ def synth_trajectory(kind: str, duration: int, seed: int,
         base = 0.9
         bounce = 30
         heights = rng.uniform(1.2, 1.9, size=duration // bounce + 1)
-        z = np.empty(duration)
-        for i, f in enumerate(frames):
-            tau = (f % bounce) / bounce
-            z[i] = base + heights[f // bounce] * (1.0 - (2.0 * tau - 1.0) ** 2)
+        tau = (frames % bounce) / bounce
+        z = base + heights[frames // bounce] * (1.0 - (2.0 * tau - 1.0) ** 2)
         lat = 0.8 * np.sin(2.0 * math.pi * frames / 300.0 + rng.uniform(0, 2 * math.pi))
         dev = off_plane_amplitude * np.sin(2.0 * math.pi * frames / 137.0)
         if on_plane_intervals:
@@ -150,13 +150,6 @@ class Scenario:
     space: TrackingSpace
     persons: list[PersonTrajectory]
     dropout: list[dict] = field(default_factory=list)  # {cameras, start, end}
-
-    def camera_visible(self, camera: int, frame: int) -> bool:
-        for episode in self.dropout:
-            if camera in episode["cameras"] and \
-                    episode["start"] <= frame <= episode["end"]:
-                return False
-        return True
 
 
 SCENARIO_FIELDS = Fields(
@@ -210,54 +203,51 @@ def build_scenario(spec: dict) -> Scenario:
         raise ValueError(f"invalid scenario spec: {exc}") from exc
 
 
-def _person_box(cam: CameraModel, traj: PersonTrajectory,
-                frame: int) -> tuple[float, float, float, float] | None:
-    """The (x, y, w, h) box of a person in a camera, or None if not seen."""
-    pixels = project(cam, [traj.center[frame], traj.top[frame], traj.bottom[frame]])
-    if np.isnan(pixels).any():
-        return None
-    (cx, cy), (_, ty), (_, by) = pixels.tolist()
-    h = abs(ty - by) * BBOX_HEIGHT_SLACK
-    if h <= 0:
-        return None
-    return (cx, cy, BBOX_ASPECT * h, h)
-
-
 def render_detections(scenario: Scenario) -> tuple[Detections, list[dict]]:
     """Project every person into every camera, add noise and apply the
     dropout schedule.  Returns (detections, truth_records), the detections
-    sorted by (frame, camera)."""
-    rows: list[tuple] = []
-    truth: list[dict] = []
-    for frame in range(scenario.duration):
-        for pid, traj in enumerate(scenario.persons):
-            boxes: dict[int, tuple] = {}
-            for cam in scenario.rig:
-                box = _person_box(cam, traj, frame)
-                if box is None:
-                    continue
-                boxes[cam.id] = box
-                if not scenario.camera_visible(cam.id, frame):
-                    continue
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    scenario.seed, spawn_key=(frame, cam.id, pid)))
-                noise = rng.normal(size=4)
-                sigma = scenario.noise_px
-                x, y, w, h = box
-                rows.append((frame, cam.id, x + sigma * noise[0], y + sigma * noise[1],
-                             max(w + 0.5 * sigma * noise[2], 1.0),
-                             max(h + 0.5 * sigma * noise[3], 1.0)))
-            truth.append({
-                "frame": frame, "person": pid, "is_target": traj.is_target,
-                "X": [float(v) for v in traj.center[frame]],
-                "top": [float(v) for v in traj.top[frame]],
-                "bottom": [float(v) for v in traj.bottom[frame]],
-                "boxes": {str(c): list(b) for c, b in boxes.items()},
-            })
-    rows.sort(key=itemgetter(0, 1))
-    return Detections(np.array([r[0] for r in rows], dtype=np.int64),
-                      np.array([r[1] for r in rows], dtype=np.int64),
-                      np.array([r[2:] for r in rows], dtype=float).reshape(-1, 4)), truth
+    sorted by (frame, camera, person), cameras in rig order.  A person is
+    seen where none of its center, top and bottom pixels is NaN and its box
+    height is not <= 0; `project`'s rows are independent, so projecting a
+    whole trajectory gives each frame the bits of projecting it alone."""
+    duration, rig = scenario.duration, scenario.rig
+    boxes = np.full((duration, len(rig), len(scenario.persons), 4), np.nan)
+    for p, traj in enumerate(scenario.persons):
+        points = np.concatenate([traj.center, traj.top, traj.bottom])
+        for c, cam in enumerate(rig):
+            pixels = project(cam, points).reshape(3, duration, 2)
+            h = np.abs(pixels[1, :, 1] - pixels[2, :, 1]) * BBOX_HEIGHT_SLACK
+            kept = ~np.isnan(pixels).any(axis=(0, 2)) & ~(h <= 0)
+            boxes[kept, c, p] = np.column_stack([pixels[0], BBOX_ASPECT * h, h])[kept]
+    visible = np.ones((duration, len(rig)), dtype=bool)
+    for episode in scenario.dropout:
+        dark = [c for c, cam in enumerate(rig) if cam.id in episode["cameras"]]
+        visible[max(episode["start"], 0):max(episode["end"] + 1, 0), dark] = False
+    seen = ~np.isnan(boxes[..., 0])
+    frame, c, person = np.nonzero(seen & visible[:, :, None])
+    camera = np.array([cam.id for cam in rig], dtype=np.int64)[c]
+    noise = np.array([np.random.default_rng(np.random.SeedSequence(
+        scenario.seed, spawn_key=key)).normal(size=4)
+        for key in zip(frame.tolist(), camera.tolist(), person.tolist())]).reshape(-1, 4)
+    x, y, w, h = boxes[frame, c, person].T
+    sigma = scenario.noise_px
+    with np.errstate(over="ignore"):  # save_detections refuses what overflows
+        detections = Detections(frame, camera, np.stack([
+            x + sigma * noise[:, 0], y + sigma * noise[:, 1],
+            np.maximum(w + 0.5 * sigma * noise[:, 2], 1.0),
+            np.maximum(h + 0.5 * sigma * noise[:, 3], 1.0)], axis=1))
+
+    keys = [str(cam.id) for cam in rig]
+    paths = [(traj.is_target, traj.center.tolist(), traj.top.tolist(), traj.bottom.tolist())
+             for traj in scenario.persons]
+    box_rows = boxes.transpose(0, 2, 1, 3).tolist()
+    seen_rows = seen.transpose(0, 2, 1).tolist()
+    truth = [{"frame": f, "person": p, "is_target": is_target,
+              "X": X[f], "top": top[f], "bottom": bottom[f],
+              "boxes": {key: box for key, box, s in zip(keys, box_rows[f][p], seen_rows[f][p])
+                        if s}}
+             for f in range(duration) for p, (is_target, X, top, bottom) in enumerate(paths)]
+    return detections, truth
 
 
 TRUTH_FIELDS = Fields({"frame": INT, "is_target": BOOL, "X": 3, "top": 3, "bottom": 3},

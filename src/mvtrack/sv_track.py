@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, BadRecord, Fields, read_blocks, write_jsonl
+from .records import INT, NUM, BadRecord, Fields, read_blocks
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -408,7 +408,14 @@ def load_detections(path, cameras=None) -> Detections:
 
 
 def save_detections(detections: Detections, path) -> None:
-    write_jsonl(path, ({"frame": frame, "camera": camera, "x": x, "y": y, "w": w, "h": h}
-                       for frame, camera, (x, y, w, h) in zip(
-                           detections.frame.tolist(), detections.camera.tolist(),
-                           detections.boxes.tolist())))
+    """Write a line per row, json.dumps(record, sort_keys=True) formatted from
+    one template (finite floats, written by float.__repr__ as json writes
+    them); raises ValueError naming the first row whose box is not finite."""
+    bad = np.flatnonzero(~np.isfinite(detections.boxes).all(axis=1))
+    if len(bad):
+        raise ValueError(f"detection row {bad[0]} has a box that is not finite")
+    with open(path, "w") as fh:
+        fh.writelines(f'{{"camera": {c}, "frame": {f}, "h": {h!r}, "w": {w!r}, "x": {x!r}, '
+                      f'"y": {y!r}}}\n' for f, c, (x, y, w, h) in zip(
+                          detections.frame.tolist(), detections.camera.tolist(),
+                          detections.boxes.tolist()))

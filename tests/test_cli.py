@@ -102,6 +102,15 @@ class TestSimulate:
         assert f"invalid scenario spec: {message}" in result.output
         assert not (tmp_path / "sim").exists()
 
+    def test_scenario_whose_boxes_overflow_is_config_error(self, runner, tmp_path):
+        spec = dict(json.loads(json.dumps(SMALL_SCENARIO)), noise_px=1e308)
+        result = runner.invoke(main, ["simulate", str(write_scenario(tmp_path, spec)),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 2, result.output
+        assert "has a box that is not finite" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "sim" / "detections.jsonl").exists()
+
     def test_scenario_not_an_object_with_seed(self, runner, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text("[1, 2]")

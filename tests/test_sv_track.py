@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtrack.records import write_jsonl
 from mvtrack.sv_track import (Bbox, Detection, Detections, Tracklet2D,
                               load_detections, save_detections,
                               segment_windows, track_camera_stream)
@@ -354,6 +356,27 @@ class TestDetectionIO:
         assert list(loaded) == stream
         assert loaded.frame.dtype == loaded.camera.dtype == np.int64
         assert loaded.boxes.dtype == np.float64 and loaded.boxes.shape == (6, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2**63 - 1), st.integers(-2**63, 2**63 - 1),
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1])),
+                 min_size=4, max_size=4)), max_size=20))
+    def test_lines_are_the_json_of_each_record(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("io") / "detections.jsonl"
+        save_detections(columns((f, c, *box) for f, c, box in rows), path)
+        oracle = path.with_name("oracle.jsonl")
+        write_jsonl(oracle, ({"frame": f, "camera": c, "x": x, "y": y, "w": w, "h": h}
+                             for f, c, (x, y, w, h) in rows))
+        assert path.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_box_that_is_not_finite_raises_naming_its_row(self, tmp_path, bad):
+        detections = columns([(0, 0, 1.0, 2.0, 3.0, 4.0), (1, 0, 1.0, 2.0, bad, 4.0),
+                              (2, 0, bad, 2.0, 3.0, 4.0)])
+        with pytest.raises(ValueError, match="detection row 1 has a box that is not finite"):
+            save_detections(detections, tmp_path / "detections.jsonl")
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "detections.jsonl"
