@@ -122,63 +122,49 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _triangulate_boxes(boxes: np.ndarray, camera: np.ndarray,
-                       requests: Sequence[tuple[np.ndarray, np.ndarray | None]],
-                       rig: CameraRig, offsets: tuple[float, ...]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triangulate box points of each request's rows of `boxes` (S, L, 4),
-    row k on one window's grid, seen by `camera[k]`, NaN where none.
+def _triangulate_boxes(boxes: np.ndarray, camera: np.ndarray, clusters: Sequence[np.ndarray],
+                       rig: CameraRig, offsets: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate box points of each cluster's rows of `boxes` (S, L, 4),
+    row k on one window's grid, seen by `camera[k]`, NaN where none; a
+    cluster holds at most one box of a camera at a frame.
 
-    A request is (rows, wanted): rows of one window, and a mask of the
-    window's frames to solve, or None for all of them.  A frame is solved
-    from every row of its request with a box there, if there are at least
-    two.  The cells of all requests are grouped by the cameras they are
-    seen by, and the distinct cells of each group are solved, for all
+    A frame is solved from every row of its cluster with a box there, if
+    there are at least two, its cameras and rows taken in rig order, so a
+    solve depends on neither the order of the rows nor the camera ids.
+    The cells of all clusters are grouped by the rig slots they are seen
+    in, and the distinct cells of each group are solved, for all
     `offsets`, one `triangulate_batch` call per CELLS_PER_CALL cells.
-    Returns (points, ok, seen): points (len(offsets), R, L, 3) and ok
-    (len(offsets), R, L) per offset, request and frame of the window (L
-    frames), and per request the number of wanted frames with a box in at
-    least two rows.
+    Returns (points, ok): points (len(offsets), R, L, 3) and ok
+    (len(offsets), R, L) per offset, cluster and frame of the window.
     """
-    if not requests:
-        return np.empty((len(offsets), 0, 0, 3)), np.empty((len(offsets), 0, 0), bool), \
-            np.empty(0, int)
-    sizes = [len(rows) for rows, _ in requests]
-    # The table row of each request's k-th row, -1 past its last.
-    row = np.full((len(requests), max(sizes)), -1)
-    row[np.repeat(np.arange(len(requests)), sizes), np.concatenate(
-        [np.arange(n) for n in sizes])] = np.concatenate([rows for rows, _ in requests])
-    present = ~np.isnan(boxes[..., 0])[row] & (row >= 0)[..., None]
-    wanted = np.stack([np.ones(boxes.shape[1], bool) if w is None else w for _, w in requests])
-    solve = wanted & (present.sum(axis=1) >= 2)
-    r, j = np.nonzero(solve)
-    # A cell is seen by the cameras of its request's present rows, in row
-    # order, looked up once per distinct (request, pattern).
-    pattern = present[r, :, j]
-    distinct, inverse = _distinct_rows(np.column_stack([r, pattern]))
-    cameras_of = [tuple(camera[row[r[c], pattern[c]]].tolist())
-                  for c in distinct.tolist()]
-    group_ids = {cameras: g for g, cameras in enumerate(dict.fromkeys(cameras_of))}
-    group = np.array([group_ids[cameras] for cameras in cameras_of], dtype=int)[inverse]
+    cameras, L = np.array(sorted(rig.cameras)), boxes.shape[1]
+    rows = np.concatenate([np.empty(0, int), *clusters])
+    k, frame = np.nonzero(~np.isnan(boxes[rows, :, 0]))
+    # The row of each (cluster, frame) cell's box per rig slot, -1 where it
+    # has none; only the cells with two or more boxes are kept.
+    by_slot = np.full((len(clusters) * L, len(cameras)), -1)
+    by_slot[np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])[k] * L + frame,
+            np.searchsorted(cameras, camera[rows[k]])] = rows[k]
+    r, j = np.divmod(np.flatnonzero((by_slot >= 0).sum(axis=1) >= 2), L)
+    by_slot = by_slot[r * L + j]
+    slots, first, group = np.unique(by_slot >= 0, axis=0, return_index=True, return_inverse=True)
 
-    points = np.full((len(offsets),) + solve.shape + (3,), np.nan)
-    ok = np.zeros((len(offsets),) + solve.shape, dtype=bool)
-    for cameras, g in group_ids.items():
-        of_group = np.flatnonzero(group == g)
+    points = np.full((len(offsets), len(clusters), L, 3), np.nan)
+    ok = np.zeros(points.shape[:-1], dtype=bool)
+    for g in np.argsort(first).tolist():
+        seen_by, of_group = slots[g], np.flatnonzero(group.ravel() == g)
         for cells in np.split(of_group, range(CELLS_PER_CALL, len(of_group), CELLS_PER_CALL)):
-            ks = np.nonzero(pattern[cells])[1].reshape(len(cells), len(cameras))
-            cell_boxes = boxes[row[r[cells, None], ks], j[cells, None]]
+            cell_boxes = boxes[by_slot[cells][:, seen_by], j[cells, None]]
             # A box tuple kept across the overlap of two windows recurs.  A row's
             # solve does not depend on the other rows, so one solve serves all.
-            first, inverse = _distinct_rows(cell_boxes.reshape(len(cell_boxes), -1))
-            distinct = cell_boxes[first]
+            once, inverse = _distinct_rows(cell_boxes.reshape(len(cells), -1))
+            distinct = cell_boxes[once]
             x, y, h = distinct[..., 0], distinct[..., 1], distinct[..., 3]
-            pixels = np.concatenate([np.stack([x, y + off * h], axis=-1)
-                                     for off in offsets])
-            solved, good = triangulate_batch([rig[c] for c in cameras], pixels)
-            points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(first), 3)[:, inverse]
-            ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(first))[:, inverse]
-    return points, ok, solve.sum(axis=1)
+            pixels = np.concatenate([np.stack([x, y + off * h], axis=-1) for off in offsets])
+            solved, good = triangulate_batch([rig[c] for c in cameras[seen_by].tolist()], pixels)
+            points[:, r[cells], j[cells]] = solved.reshape(len(offsets), len(once), 3)[:, inverse]
+            ok[:, r[cells], j[cells]] = good.reshape(len(offsets), len(once))[:, inverse]
+    return points, ok
 
 
 def classify_clusters(segments: Segments, clusters: Sequence[np.ndarray], rig: CameraRig,
@@ -230,11 +216,13 @@ def triangulate_clusters(segments: Segments, clusters: Sequence[np.ndarray],
     the clusters' window grid, NaN at frames with a single view or a
     degenerate solve.  The frames of all clusters are solved together, one
     `triangulate_batch` call per camera set."""
-    points, ok, seen = _triangulate_boxes(segments.boxes, segments.camera,
-                                          [(rows, None) for rows in clusters], rig, (CENTER,))
-    for k in np.flatnonzero(seen > ok[0].sum(axis=1)).tolist():
-        logger.debug("cluster %s: triangulation skipped at %d frames",
-                     segments.keys(clusters[k]), seen[k] - ok[0, k].sum())
+    points, ok = _triangulate_boxes(segments.boxes, segments.camera, clusters, rig, (CENTER,))
+    if logger.isEnabledFor(logging.DEBUG):
+        for rows, solved in zip(clusters, ok[0]):
+            missed = ((~np.isnan(segments.boxes[rows, :, 0])).sum(axis=0) >= 2).sum() - solved.sum()
+            if missed:
+                logger.debug("cluster %s: triangulation skipped at %d frames",
+                             segments.keys(rows), missed)
     return points[0]
 
 
@@ -265,10 +253,11 @@ def plane_candidates(segments: Segments, plane: PlaneSpec, rig: CameraRig) -> np
     for camera in np.unique(segments.camera).tolist():
         k, j = np.nonzero(valid & (segments.camera == camera)[:, None])
         points[k, j] = ray_plane_intersect_batch(rig[camera], segments.boxes[k, j, :2], plane)[0]
-    missed = valid.sum(axis=1) - (~np.isnan(points[..., 0])).sum(axis=1)
-    for k in np.flatnonzero(missed).tolist():
-        logger.debug("segment %s: plane intersection skipped at %d frames",
-                     segments.keys([k])[0], missed[k])
+    if logger.isEnabledFor(logging.DEBUG):
+        missed = valid.sum(axis=1) - (~np.isnan(points[..., 0])).sum(axis=1)
+        for k in np.flatnonzero(missed).tolist():
+            logger.debug("segment %s: plane intersection skipped at %d frames",
+                         segments.keys([k])[0], missed[k])
     return points
 
 
@@ -310,12 +299,13 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, np.ndarray]],
     boxes linked to each track, at the track's frames; a top is kept
     where it solves, a bottom only where top and bottom both solve, and
     frames with fewer than two views are left NaN.  Each track comes with
-    its links on its own frames (`WindowTrack.links`).  All tracks are
-    solved together, one `triangulate_batch` call per camera set."""
-    rows = np.arange(len(tracks) * len(rig)).reshape(len(tracks), len(rig))
-    points, ok, _ = _triangulate_boxes(
-        np.concatenate([links for _, links in tracks]), np.tile(sorted(rig.cameras), len(tracks)),
-        [(k, t3.valid) for (t3, _), k in zip(tracks, rows)], rig, (TOP, BOTTOM))
+    its links (`WindowTrack.links`), read at its own frames as one cluster
+    of C rows.  All tracks are solved together, one `triangulate_batch`
+    call per camera set."""
+    points, ok = _triangulate_boxes(
+        np.concatenate([np.where(t3.valid[:, None], links, np.nan) for t3, links in tracks]),
+        np.tile(sorted(rig.cameras), len(tracks)),
+        np.arange(len(tracks) * len(rig)).reshape(len(tracks), len(rig)), rig, (TOP, BOTTOM))
     for (t3, _), top, bottom, has_top, has_bottom in zip(
             tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
         t3.top[has_top] = top[has_top]

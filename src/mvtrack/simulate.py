@@ -167,7 +167,7 @@ SCENARIO_FIELDS = Fields(
 
 def build_scenario(spec: dict) -> Scenario:
     """Instantiate a Scenario from its JSON description, whose fields must
-    be of the kinds in SCENARIO_FIELDS."""
+    be of the kinds in SCENARIO_FIELDS and whose ranges start <= end."""
     try:
         SCENARIO_FIELDS.check(spec)
         rig_spec = spec.get("rig", {})
@@ -183,6 +183,13 @@ def build_scenario(spec: dict) -> Scenario:
                               beta=float(spec.get("beta", 1.0)))
         seed = spec.get("seed", 0)
         duration = spec["duration"]
+        ranges = [(f"person {i} on_plane_intervals pair", iv) for i, p in enumerate(
+            spec["persons"]) for iv in p.get("on_plane_intervals", [])]
+        ranges += [(f"dropout episode {k}", [d["start"], d["end"]])
+                   for k, d in enumerate(spec.get("dropout", []))]
+        for name, (start, end) in ranges:
+            if end < start:
+                raise ValueError(f"{name} {[start, end]} ends before it starts")
         persons = []
         for i, p in enumerate(spec["persons"]):
             traj = synth_trajectory(

@@ -115,8 +115,8 @@ class TargetMaintainer:
     max_gap: int = MAX_GAP_FILL
     buffer_scale: float = BUFFER_SCALE
     smooth_window: int = SMOOTH_WINDOW
-    target_id: int | None = None
-    tenures: list[dict] = field(default_factory=list)
+    target_id: int | None = field(default=None, init=False)
+    tenures: list[dict] = field(default_factory=list, init=False)
 
     def observe(self, window_start: int, window_len: int,
                 registry: TrackRegistry) -> None:

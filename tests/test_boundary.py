@@ -2,8 +2,9 @@
 that `track` or `evaluate` reads gives that file's exit code through
 SystemExit, never a traceback, and a JSON-lines error names its path and
 line; `records.Fields.check` accepts exactly what its per-value rules
-accept; and the columnar detection loader reads exactly the values a
-per-record parse gives."""
+accept; the columnar detection loader reads exactly the values a
+per-record parse gives; an empty or one-camera stream finds no target in
+every mode; and the output does not depend on the camera ids."""
 
 import json
 import math
@@ -17,11 +18,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvtrack.cascade import Mode
 from mvtrack.cli import main
 from mvtrack.records import BOOL, FLOAT, INT, NUM, Fields, is_finite
 from mvtrack.sv_track import MAX_BOX_PX, MAX_FRAME, load_detections
 
-from test_cli import SMALL_SCENARIO
+from test_cli import SMALL_SCENARIO, run_track
 
 # Exit code of a malformed file: 2 for configuration, 3 for input.
 EXIT_CODES = {"detections.jsonl": 3, "tracklets.jsonl": 3, "truth.jsonl": 3,
@@ -32,18 +34,85 @@ NOT_NUMBERS = ["1.0", True, None, math.nan, [1.0]]
 
 
 @pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    """The text of one valid file of each kind, from one small simulation."""
+def scene(tmp_path_factory):
+    """A directory with one small simulation and the `track` output for it."""
     out = tmp_path_factory.mktemp("valid")
     scenario = out / "scenario.json"
     scenario.write_text(json.dumps(SMALL_SCENARIO))
     runner = CliRunner()
     assert runner.invoke(main, ["simulate", str(scenario), "--out", str(out)]).exit_code == 0
-    result = runner.invoke(main, ["track", "--detections", str(out / "detections.jsonl"),
-                                  "--calib", str(out / "calib.json"),
-                                  "--config", str(out / "routine.json"), "--out", str(out)])
+    result = run_track(runner, out)
     assert result.exit_code == 0, result.output
-    return {name: (out / name).read_text() for name in EXIT_CODES}
+    return out
+
+
+@pytest.fixture(scope="module")
+def valid_files(scene):
+    """The text of one valid file of each kind, from one small simulation."""
+    return {name: (scene / name).read_text() for name in EXIT_CODES}
+
+
+def copy_scene(scene, out, relabel=None, kept=None):
+    """Copy the inputs of `scene` to `out`, each camera id mapped by
+    `relabel`, and only the detections of the (old) camera ids in `kept`."""
+    relabel = relabel or {}
+    out.mkdir()
+    calib = json.loads((scene / "calib.json").read_text())
+    for cam in calib:
+        cam["id"] = relabel.get(cam["id"], cam["id"])
+    (out / "calib.json").write_text(json.dumps(calib))
+    (out / "routine.json").write_text((scene / "routine.json").read_text())
+    lines = []
+    for line in (scene / "detections.jsonl").read_text().splitlines():
+        detection = json.loads(line)
+        if kept is None or detection["camera"] in kept:
+            detection["camera"] = relabel.get(detection["camera"], detection["camera"])
+            lines.append(json.dumps(detection) + "\n")
+    (out / "detections.jsonl").write_text("".join(lines))
+    return out
+
+
+@pytest.mark.parametrize("mode", [m.value for m in Mode])
+@pytest.mark.parametrize("kept", [(), (0,)], ids=["empty", "one-camera"])
+def test_empty_or_one_camera_stream_finds_no_target(scene, tmp_path, kept, mode):
+    # The plane branch drops single-camera clusters, so no track is made.
+    out = copy_scene(scene, tmp_path / "in", kept=kept)
+    assert bool(kept) == bool((out / "detections.jsonl").read_text())
+    result = run_track(CliRunner(), out, mode)
+    assert result.exit_code == 0, result.output
+    assert "wrote 0 target frames" in result.output
+    assert (out / "tracklets.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("ids", [[10, 11, 12, 13], [2**40 + k for k in range(4)]],
+                         ids=["10-13", "2**40+k"])
+def test_monotone_camera_relabelling_keeps_the_bytes(scene, tmp_path, ids):
+    # A cell's cameras are taken in rig order, which a monotone map keeps.
+    relabel = dict(enumerate(ids))
+    out = copy_scene(scene, tmp_path / "in", relabel)
+    assert run_track(CliRunner(), out).exit_code == 0
+    back = {new: old for old, new in relabel.items()}
+    lines = []
+    for line in (out / "tracklets.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        assert [view["camera"] for view in record["per_view"]] == sorted(
+            view["camera"] for view in record["per_view"])
+        for view in record["per_view"]:
+            view["camera"] = back[view["camera"]]
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    want = (scene / "tracklets.jsonl").read_text()
+    assert want and "".join(lines) == want
+
+
+def test_camera_permutation_keeps_frames_and_ids(scene, tmp_path):
+    # Rig order changes with the ids, so X moves only by summation order.
+    out = copy_scene(scene, tmp_path / "in", {0: 2, 1: 0, 2: 3, 3: 1})
+    assert run_track(CliRunner(), out).exit_code == 0
+    got, want = ([json.loads(line) for line in (path / "tracklets.jsonl").read_text().splitlines()]
+                 for path in (out, scene))
+    assert want and [(r["frame"], r["track_id"], r["provenance"]) for r in got] == \
+        [(r["frame"], r["track_id"], r["provenance"]) for r in want]
+    assert np.abs(np.array([r["X"] for r in got]) - [r["X"] for r in want]).max() <= 1e-12
 
 
 def number_paths(value, path=()):

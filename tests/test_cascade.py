@@ -1,8 +1,11 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtrack import cascade
 from mvtrack.cascade import (BOTTOM, CENTER, PROVENANCE, TOP, Mode, Provenance, Tracklet3D,
@@ -11,7 +14,7 @@ from mvtrack.cascade import (BOTTOM, CENTER, PROVENANCE, TOP, Mode, Provenance, 
                              plane_match_and_fuse, process_windows,
                              triangulate_clusters)
 from mvtrack.clustering import cluster_with_cutoff
-from mvtrack.geometry import CameraRig, PlaneSpec, project, triangulate_batch
+from mvtrack.geometry import CameraModel, CameraRig, PlaneSpec, project, triangulate_batch
 from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import TargetCriteria, identify_target
@@ -230,6 +233,23 @@ class TestTriangulateCluster:
                                  rig)
         assert solved_frames(points) == [0, 1, 2, 4, 5]
         assert np.isnan(points[[3, 6, 7, 8, 9, 10]]).all()
+
+    def test_skipped_frames_are_logged_at_debug(self, rig, monkeypatch, caplog):
+        # Each first row of a solve fails: one frame of the one camera set.
+        def fail_first(cams, pixels):
+            points, ok = triangulate_batch(cams, pixels)
+            points[0], ok[0] = np.nan, False
+            return points, ok
+        monkeypatch.setattr(cascade, "triangulate_batch", fail_first)
+        c = cluster_for(rig, [0, 1], person_path(range(11)))
+        with caplog.at_level(logging.INFO, logger="mvtrack.cascade"):
+            triangulate_one(c, rig)
+        assert caplog.messages == []
+        with caplog.at_level(logging.DEBUG, logger="mvtrack.cascade"):
+            points = triangulate_one(c, rig)
+        assert len(solved_frames(points)) == 10
+        assert caplog.messages == [
+            f"cluster {c.keys([0, 1])}: triangulation skipped at 1 frames"]
 
 
 class TestOutlierGate:
@@ -464,6 +484,19 @@ class TestPlaneCandidates:
         seg = segment(1, {f: project_box(rig[1], X) for f, X in path.items()})
         assert np.isnan(plane_candidates(seg, PLANE, rig)).all()
 
+    def test_skipped_frames_are_logged_at_debug(self, rig, caplog):
+        # Camera 1's rays lie in the plane, camera 0's hit it.
+        path = person_path(range(10), x=0.0)
+        segs = Segments.concat([segment(c, {f: project_box(rig[c], X) for f, X in path.items()})
+                                for c in (0, 1)])
+        with caplog.at_level(logging.INFO, logger="mvtrack.cascade"):
+            plane_candidates(segs, PLANE, rig)
+        assert caplog.messages == []
+        with caplog.at_level(logging.DEBUG, logger="mvtrack.cascade"):
+            plane_candidates(segs, PLANE, rig)
+        assert caplog.messages == [
+            f"segment {segs.keys([1])[0]}: plane intersection skipped at 10 frames"]
+
 
 def constant_candidate(camera, value, frames=range(10)):
     points = np.full((11, 3), np.nan)
@@ -667,6 +700,104 @@ class TestAttachTopBottom:
         t3 = on_grid(np.array([0.0, 0.0, 1.0]), segs)
         attach_top_bottom_batch([(t3, links_of(segs, rig))], rig)
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
+
+    def test_frames_off_the_track_stay_nan(self, rig):
+        # The links hold a box in every camera at every frame, but only the
+        # track's own frames are solved.
+        path = person_path(range(11))
+        segs = cluster_for(rig, [0, 1, 2, 3], path)
+        points = np.full((11, 3), np.nan)
+        points[[2, 3, 7]] = [path[f] for f in (2, 3, 7)]
+        t3 = as_tracklet(points)
+        links = links_of(segs, rig)
+        assert not np.isnan(links).any()
+        attach_top_bottom_batch([(t3, links)], rig)
+        assert solved_frames(t3.top) == solved_frames(t3.bottom) == [2, 3, 7]
+
+
+def solve_each_cell(boxes, camera, clusters, rig, offsets):
+    """The oracle of `_triangulate_boxes`: each (cluster, frame) cell solved
+    alone by `triangulate_batch`, from the cameras of the cluster's rows
+    with a box at the frame, in rig order, if there are two or more."""
+    L = boxes.shape[1]
+    points = np.full((len(offsets), len(clusters), L, 3), np.nan)
+    ok = np.zeros(points.shape[:-1], dtype=bool)
+    for c, rows in enumerate(clusters):
+        for j in range(L):
+            here = sorted((int(camera[k]), int(k)) for k in rows if not np.isnan(boxes[k, j, 0]))
+            if len(here) < 2:
+                continue
+            x, y, _, h = boxes[[k for _, k in here], j].T
+            for o, off in enumerate(offsets):
+                solved, good = triangulate_batch([rig[cam] for cam, _ in here],
+                                                 np.stack([x, y + off * h], axis=-1)[None])
+                points[o, c, j], ok[o, c, j] = solved[0], good[0]
+    return points, ok
+
+
+# Five cameras on a ring, the ids of their slots drawn: small, large,
+# negative, and in any order around the ring.
+RING = [look_at_camera(k, [6.0 * math.cos(a), 6.0 * math.sin(a), 2.0], [0.0, 0.0, 1.0])
+        for k, a in enumerate(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))]
+_IDS = st.one_of(st.permutations(range(5)), st.permutations([10, 11, 12, 13, 14]),
+                 st.lists(st.integers(-2**62, 2**62), min_size=5, max_size=5, unique=True))
+
+
+@st.composite
+def cluster_tables(draw):
+    """(boxes, camera, clusters, rig): a table of rows of boxes on an
+    L-frame grid and clusters of its rows.  A cluster's rows are in any
+    order, and the table's too; a cluster may hold two rows of one camera
+    on disjoint frames, one row, or none, and a row may have no box."""
+    ids = draw(_IDS)
+    rig = CameraRig([CameraModel(id=i, K=c.K, R=c.R, t=c.t) for i, c in zip(ids, RING)])
+    L = draw(st.integers(1, 6))
+    members = []  # per cluster, its rows as (camera, frame mask)
+    for _ in range(draw(st.integers(0, 5))):
+        taken, rows = {}, []
+        for _ in range(draw(st.integers(0, 6))):
+            cam = draw(st.sampled_from(ids))
+            free = ~taken.get(cam, np.zeros(L, bool))
+            mask = free & np.array(draw(st.lists(st.booleans(), min_size=L, max_size=L)))
+            taken[cam] = ~free | mask
+            rows.append((cam, mask))
+        members.append(rows)
+    extra = draw(st.integers(0, 2))  # rows of no cluster
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    flat = [m for rows in members for m in rows] + [
+        (ids[int(rng.integers(5))], rng.random(L) < 0.5) for _ in range(extra)]
+    order = np.array(draw(st.permutations(range(len(flat)))), dtype=int)
+    camera = np.array([cam for cam, _ in flat], dtype=np.int64)[order]
+    # One point per frame, seen through a few pixels of noise or none, so
+    # that box tuples recur and the dedupe is exercised.
+    X = rng.uniform([-1.5, -1.5, 0.5], [1.5, 1.5, 2.5], size=(L, 3))
+    boxes = np.full((len(flat), L, 4), np.nan)
+    for k, (cam, mask) in enumerate(flat):
+        xy = project(rig[cam], X) + rng.choice([0.0, 0.0, 2.0]) * rng.normal(size=(L, 2))
+        boxes[k, mask] = np.column_stack([xy, np.full((L, 2), [40.0, 100.0])])[mask]
+    boxes = boxes[order]
+    position = np.argsort(order)  # the new row of each old row
+    clusters, first = [], 0
+    for rows in members:
+        picked = position[first:first + len(rows)]
+        clusters.append(picked[rng.permutation(len(picked))])
+        first += len(rows)
+    return boxes, camera, clusters, rig
+
+
+class TestTriangulateBoxes:
+    @settings(max_examples=150, deadline=None)
+    @given(cluster_tables(), st.integers(1, 3), st.sampled_from([(CENTER,), (TOP, BOTTOM)]))
+    def test_equals_each_cell_solved_alone(self, table, cells, offsets):
+        boxes, camera, clusters, rig = table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cascade, "CELLS_PER_CALL", cells)
+            points, ok = cascade._triangulate_boxes(boxes, camera, clusters, rig, offsets)
+        want, want_ok = solve_each_cell(boxes, camera, clusters, rig, offsets)
+        assert points.shape == want.shape and ok.shape == want_ok.shape
+        assert points.tobytes() == want.tobytes()
+        assert ok.tobytes() == want_ok.tobytes()
 
 
 def process_window(start, clusters, *args, **kwargs):

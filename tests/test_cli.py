@@ -92,7 +92,13 @@ class TestSimulate:
         (lambda spec: spec.update(duration="20"), "duration must be an integer, got '20'"),
         (lambda spec: spec["persons"][1].update(is_target="no"),
          "persons entry: is_target must be true or false, got 'no'"),
-    ], ids=["float-seed", "string-duration", "string-is-target"])
+        (lambda spec: spec["persons"][0].update(on_plane_intervals=[[10, 20], [40, 30]]),
+         "person 0 on_plane_intervals pair [40, 30] ends before it starts"),
+        (lambda spec: spec.update(dropout=[{"cameras": [1], "start": 10, "end": 20},
+                                           {"cameras": [0, 2], "start": 50, "end": 49}]),
+         "dropout episode 1 [50, 49] ends before it starts"),
+    ], ids=["float-seed", "string-duration", "string-is-target", "reversed-interval",
+            "reversed-dropout"])
     def test_scenario_field_of_wrong_kind(self, runner, tmp_path, edit, message):
         spec = json.loads(json.dumps(SMALL_SCENARIO))
         edit(spec)
@@ -101,6 +107,14 @@ class TestSimulate:
         assert result.exit_code == 2
         assert f"invalid scenario spec: {message}" in result.output
         assert not (tmp_path / "sim").exists()
+
+    def test_single_frame_ranges_are_valid(self, runner, tmp_path):
+        spec = json.loads(json.dumps(SMALL_SCENARIO))
+        spec["persons"][0]["on_plane_intervals"] = [[30, 30]]
+        spec["dropout"] = [{"cameras": [1], "start": 40, "end": 40}]
+        result = runner.invoke(main, ["simulate", str(write_scenario(tmp_path, spec)),
+                                      "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 0, result.output
 
     def test_scenario_whose_boxes_overflow_is_config_error(self, runner, tmp_path):
         spec = dict(json.loads(json.dumps(SMALL_SCENARIO)), noise_px=1e308)

@@ -149,10 +149,10 @@ def test_work_bound(monkeypatch):
         finally:
             state["clusters"] = False
 
-    def boxes_spy(linked, camera, requests, rig, offsets):
+    def boxes_spy(linked, camera, clusters, rig, offsets):
         solves.append((state["clusters"], offsets))
         state["offsets"] = offsets
-        return boxes(linked, camera, requests, rig, offsets)
+        return boxes(linked, camera, clusters, rig, offsets)
 
     def batch_spy(cams, pixels):
         rows.append((state["offsets"], state["held"], len(pixels)))

@@ -255,11 +255,13 @@ _PERSON = st.fixed_dictionaries(
     {"kind": st.sampled_from(["on_plane_jump", "off_plane_walk"])},
     optional={"is_target": st.booleans(), "off_plane_amplitude": st.floats(0.0, 0.5),
               "offset": st.floats(-2.5, 2.5),
-              "on_plane_intervals": st.lists(st.lists(_BOUND, min_size=2, max_size=2),
-                                             max_size=3)})
-_EPISODE = st.fixed_dictionaries({"cameras": st.lists(st.integers(-1, 4), max_size=4),
-                                  "start": st.integers(-20, 140),
-                                  "end": st.integers(-20, 140)})
+              "on_plane_intervals": st.lists(
+                  st.lists(_BOUND, min_size=2, max_size=2).map(sorted), max_size=3)})
+# Ranges end at or after their start: build_scenario refuses the others.
+_EPISODE = st.builds(lambda cameras, ends: {"cameras": cameras, "start": min(ends),
+                                            "end": max(ends)},
+                     st.lists(st.integers(-1, 4), max_size=4),
+                     st.tuples(st.integers(-20, 140), st.integers(-20, 140)))
 # A focal length of 1e-300 px images every point at the principal point, so
 # top and bottom meet and the box height is 0.
 _SCENE = st.fixed_dictionaries({

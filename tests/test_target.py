@@ -330,7 +330,8 @@ class TestTargetMaintainer:
         monkeypatch.setattr(target, "attach_top_bottom_batch",
                             lambda tracks, rig: solved.extend(tracks))
         reg = registry_with([performer_track(range(0, 61))])
-        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, target_id=0)
+        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT)
+        maintainer.target_id = 0
         maintainer.observe(25, 10, reg)  # buffer from frame 5: windows from 0 on
         assert [wt.track.first for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
         maintainer.observe(40, 10, reg)  # buffer from frame 20: windows from 10 on
@@ -417,9 +418,9 @@ class TestEmission:
         reg.tracks[0] = linked_record(range(0, 21), 40.0, 100.0)
         reg.tracks[1] = linked_record(range(24, 41), 60.0, 200.0)
         assert not np.isnan(reg.tracks[1].links[0]).any()
-        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, tenures=[
-            {"id": 0, "identified_at": 10, "end": 20},
-            {"id": 1, "identified_at": 30, "end": None}])
+        maintainer = TargetMaintainer(space=SPACE, criteria=CRIT)
+        maintainer.tenures = [{"id": 0, "identified_at": 10, "end": 20},
+                              {"id": 1, "identified_at": 30, "end": None}]
         records = maintainer.finalize(reg, RIG)
         assert records.frame.tolist() == list(range(41))
         assert records.track_id[20:25].tolist() == [0, 1, 1, 1, 1]

@@ -330,8 +330,8 @@ def test_timeline_equals_dicts(monkeypatch, max_gap, smooth_window):
             tenures.append({"id": tid, "identified_at": start, "end": end[rng.integers(2)]})
             start += int(rng.integers(0, 40))
         maintainer = TargetMaintainer(space=SPACE, criteria=TargetCriteria(1.5, 0.5),
-                                      max_gap=max_gap, smooth_window=smooth_window,
-                                      tenures=tenures)
+                                      max_gap=max_gap, smooth_window=smooth_window)
+        maintainer.tenures = tenures
         timelines.clear()
         maintainer.finalize(reg, RIG)
         want = timeline_dicts(tenures, tracks, max_gap, smooth_window)
