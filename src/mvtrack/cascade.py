@@ -137,7 +137,7 @@ def _triangulate_boxes(boxes: np.ndarray, camera: np.ndarray, clusters: Sequence
     Returns (points, ok): points (len(offsets), R, L, 3) and ok
     (len(offsets), R, L) per offset, cluster and frame of the window.
     """
-    cameras, L = np.array(sorted(rig.cameras)), boxes.shape[1]
+    cameras, L = rig.ids, boxes.shape[1]
     rows = np.concatenate([np.empty(0, int), *clusters])
     k, frame = np.nonzero(~np.isnan(boxes[rows, :, 0]))
     # The row of each (cluster, frame) cell's box per rig slot, -1 where it
@@ -304,7 +304,7 @@ def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, np.ndarray]],
     call per camera set."""
     points, ok = _triangulate_boxes(
         np.concatenate([np.where(t3.valid[:, None], links, np.nan) for t3, links in tracks]),
-        np.tile(sorted(rig.cameras), len(tracks)),
+        np.tile(rig.ids, len(tracks)),
         np.arange(len(tracks) * len(rig)).reshape(len(tracks), len(rig)), rig, (TOP, BOTTOM))
     for (t3, _), top, bottom, has_top, has_bottom in zip(
             tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
@@ -379,7 +379,7 @@ def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
         found.sort(key=lambda f: f[1][0])
         points = np.stack([points for points, _, _ in found])
         kept = outlier_gate(points, space, velocity_limit)
-        slot = np.searchsorted(sorted(rig.cameras), segments.camera).tolist()
+        slot = np.searchsorted(rig.ids, segments.camera).tolist()
         valid = segments.valid[..., None]
         for (_, rows, branch), row in zip(compress(found, kept.tolist()), points[kept]):
             start, code = int(segments.start[rows[0]]), PROVENANCE.index(branch)

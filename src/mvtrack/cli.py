@@ -20,7 +20,7 @@ from . import metrics, scenarios, simulate, target
 from .cascade import Mode
 from .geometry import CameraRig, load_calibration, save_calibration
 from .pipeline import run_pipeline
-from .records import write_json, write_jsonl
+from .records import read_json, write_json, write_jsonl
 from .sv_track import load_detections, save_detections
 
 EXIT_CONFIG_ERROR = 2
@@ -78,14 +78,13 @@ def cmd_simulate(scenario: str, out_dir: str, seed: int | None):
         if scenario in scenarios.CANNED:
             spec = scenarios.get_scenario_spec(scenario)
         else:
-            with open(scenario) as fh:
-                spec = json.load(fh)
+            spec = read_json(scenario, "scenario")
     except FileNotFoundError:
         _fail(EXIT_CONFIG_ERROR, f"scenario not found: {scenario}")
     except OSError as exc:
         _fail(EXIT_CONFIG_ERROR, f"unreadable scenario: {exc}")
     except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, f"unreadable scenario file: {exc}")
+        _fail(EXIT_INPUT_ERROR, str(exc))
     # A spec that is not an object is left for build_scenario to reject.
     if seed is not None and type(spec) is dict:
         spec["seed"] = seed

@@ -3,7 +3,6 @@ routine JSON file and echoed into the evaluation report for provenance."""
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import asdict, dataclass
 
@@ -13,7 +12,7 @@ from .cascade import (BETA_M, TAU_PLANE_M, THETA_OPP_DEG, TrackingSpace,
                       VELOCITY_LIMIT_M)
 from .cross_view import LAMBDA_2D
 from .geometry import PlaneSpec
-from .records import FLOAT, INT, require, write_json
+from .records import FLOAT, INT, read_json, require, write_json
 from .stitch import STITCH_THRESHOLD_M
 from .sv_track import IOU_THRESHOLD, MAX_AGE, MIN_SEGMENT_OBS, WINDOW_LEN
 from .target import (BUFFER_SCALE, IDENTIFY_WINDOW, MAX_GAP_FILL, SMOOTH_WINDOW,
@@ -123,8 +122,7 @@ def load_routine_config(path) -> PipelineConfig:
     PipelineConfig field, with `plane` standing for plane_n and
     plane_point, and hold a value of that field's kind (null only where
     the field may be None); PipelineConfig then applies the range rules."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "routine")
     try:
         _known_keys(raw, _KINDS.keys() - _LABELS.keys() | {"plane"}, "the routine")
         values = dict(raw)

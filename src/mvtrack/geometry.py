@@ -21,13 +21,12 @@ a point is on or behind the principal plane.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import INT, NUM, require, write_json
+from .records import INT, NUM, read_json, require, write_json
 
 
 MIN_DEPTH_M = 1e-9
@@ -302,10 +301,9 @@ def triangulate_batch(cams: list[CameraModel],
 def load_calibration(path) -> list[CameraModel]:
     """Read a JSON array of {id, K, R, t} camera records: K and R row-major
     or as nested rows.  Raises ValueError for an entry that is not such an
-    object, an id that is not an integer or is repeated, a K, R or t entry
-    that is not a finite JSON number, and K, R, t of no valid CameraModel."""
-    with open(path) as fh:
-        records = json.load(fh)
+    object, an id that is not an integer within int64 or is repeated, a K, R
+    or t entry not a finite JSON number, and K, R, t of no valid CameraModel."""
+    records = read_json(path, "calibration")
     if not isinstance(records, list):
         raise ValueError("calibration file must contain a JSON array")
     cams: dict[int, CameraModel] = {}
@@ -315,6 +313,8 @@ def load_calibration(path) -> list[CameraModel]:
                              "keys id, K, R and t")
         where = f"calibration entry {k}: "
         require(rec["id"], INT, where + "id")
+        if not -2**63 <= rec["id"] < 2**63:  # CameraRig.ids is int64
+            raise ValueError(f"{where}id must fit in a signed 64-bit integer, got {rec['id']}")
         for key in ("K", "R", "t"):
             nested = type(rec[key]) is list and rec[key] and type(rec[key][0]) is list
             require(rec[key], [[NUM]] if nested else [NUM], where + key)
@@ -339,10 +339,13 @@ def save_calibration(cams: list[CameraModel], path) -> None:
 class CameraRig:
     """A fixed set of calibrated cameras with their fundamental matrices,
     computed for every ordered pair of distinct cameras at construction.
-    Raises ValueError for two cameras that share an optical center."""
+    It owns rig order: `ids`, its sorted camera ids (int64), the order it
+    iterates in and a camera's slot in every per-camera array.  Raises
+    ValueError for two cameras that share an optical center."""
 
     def __init__(self, cameras: list[CameraModel]):
-        self.cameras = {c.id: c for c in cameras}
+        self.cameras = {c.id: c for c in sorted(cameras, key=lambda c: c.id)}
+        self.ids = np.array(list(self.cameras), dtype=np.int64)
         self._F = {(a.id, b.id): fundamental_matrix(a, b)
                    for a in cameras for b in cameras if a.id != b.id}
 
@@ -350,7 +353,7 @@ class CameraRig:
         return self.cameras[cam_id]
 
     def __iter__(self):
-        return iter(sorted(self.cameras.values(), key=lambda c: c.id))
+        return iter(self.cameras.values())
 
     def __len__(self):
         return len(self.cameras)

@@ -42,14 +42,13 @@ def collect_window_segments(detections: Detections, rig: CameraRig,
                             cfg: PipelineConfig) -> Segments:
     """Single-view tracking plus segmentation: every window segment of the
     run, one table sorted by (start, camera, track_id)."""
-    cameras = sorted(cam.id for cam in rig)
-    unknown = ~np.isin(detections.camera, cameras)
+    unknown = ~np.isin(detections.camera, rig.ids)
     if unknown.any():
         raise ValueError(f"detection references unknown camera "
                          f"{detections.camera[unknown][0]}")
     return Segments.concat([
         segment_windows(t, cfg.window_len, min_observed=cfg.min_segment_obs)
-        for camera in cameras
+        for camera in rig.ids.tolist()
         for t in track_camera_stream(camera, detections.take(detections.camera == camera),
                                      cfg.iou_threshold, cfg.max_age)],
         cfg.window_len + 1).sorted()

@@ -1,5 +1,5 @@
 """The input boundary: one kind checker for decoded JSON values, and one
-JSON-lines reader (and writer) for every record stream.
+reader (and writer) for every JSON-lines record stream and JSON document.
 
 Each kind is one rule, written here only: INT, a JSON integer (not true);
 NUM, a finite JSON number (not true; an integer beyond float range counts
@@ -43,11 +43,20 @@ _TESTS = {INT: lambda value: type(value) is int,
           BOOL: lambda value: type(value) is bool}
 
 
+def describe(value) -> str:
+    """repr(value), or a phrase where it nests too deep for repr, which can
+    reach a recursion limit that the decode a few calls up did not."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return "a value nested too deep to show"
+
+
 def require(value, kind, label: str) -> None:
     """Raise ValueError, naming `label`, unless `value` is of `kind`."""
     if type(kind) is list:
         if type(value) is not list:
-            raise ValueError(f"{label} must be a list, got {value!r}")
+            raise ValueError(f"{label} must be a list, got {describe(value)}")
         for item in value:
             require(item, kind[0], label)
     elif type(kind) is Fields:
@@ -55,11 +64,11 @@ def require(value, kind, label: str) -> None:
     elif type(kind) is int:
         if not (type(value) is list and len(value) == kind and all(map(is_finite, value))):
             count = {3: "three", 4: "four"}.get(kind, kind)
-            raise ValueError(f"{label} must be {count} finite JSON numbers, got {value!r}")
+            raise ValueError(f"{label} must be {count} finite JSON numbers, got {describe(value)}")
     elif not _TESTS[kind](value):
         huge = type(value) is int and kind in (NUM, FLOAT)
         rule = "finite" if kind == NUM and (huge or type(value) is float) else _RULES[kind][0]
-        shown = "an integer too large for a float" if huge else repr(value)
+        shown = "an integer too large for a float" if huge else describe(value)
         raise ValueError(f"{label} must be {rule}, got {shown}")
 
 
@@ -78,14 +87,14 @@ class Fields:
         """`rec` if it is a JSON object with fields of these kinds, else raise
         ValueError (KeyError for a missing key), the message led by `where`."""
         if type(rec) is not dict:
-            raise ValueError(f"{where}expected a JSON object, got {rec!r}")
+            raise ValueError(f"{where}expected a JSON object, got {describe(rec)}")
         for keys, kind in self.kinds.items():
             if len(keys) > 1:
                 values = [rec[key] for key in keys]
                 if not all(map(_TESTS[kind], values)):
                     names = ", ".join(keys[:-1]) + " and " + keys[-1]
                     raise ValueError(f"{where}{names} must be {_RULES[kind][1]}, "
-                                     f"got {values!r}")
+                                     f"got {describe(values)}")
             elif keys[0] in rec or keys[0] not in self.optional:
                 require(rec[keys[0]], kind, where + keys[0])
         return rec
@@ -139,8 +148,8 @@ def read_blocks(path, what: str, parse) -> list:
     """[parse(records) for each block of up to BLOCK_LINES lines of a
     JSON-lines file], `records` the block's non-blank lines decoded, in
     order.  The first bad line of the file, one that is not UTF-8, is not
-    JSON or whose record `parse` names with BadRecord, raises ValueError
-    "path:line: bad <what> record: ..."."""
+    JSON, nests too deep to decode or whose record `parse` names with
+    BadRecord, raises ValueError "path:line: bad <what> record: ..."."""
     out, base = [], 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         while lines := list(islice(fh, BLOCK_LINES)):
@@ -150,7 +159,7 @@ def read_blocks(path, what: str, parse) -> list:
                 # extend keeps the records decoded before a line that fails;
                 # only the lines before one that is not UTF-8 are decoded.
                 recs.extend(map(decode, texts[:bad[0]] if bad else texts))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 bad = len(recs), exc
             try:
                 out.append(parse(recs))
@@ -179,6 +188,16 @@ def read_jsonl(path, what: str, parse) -> list:
                 raise BadRecord(i, exc) from exc
         return out
     return [value for block in read_blocks(path, what, each) for value in block]
+
+
+def read_json(path, what: str):
+    """The JSON document in a file; one that is not UTF-8 or not JSON, or
+    nests too deep to decode, raises ValueError "path: bad <what> file: ..."."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: bad {what} file: {exc}") from exc
 
 
 def write_json(path, value) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
-from .records import BOOL, INT, NUM, Fields, read_jsonl, require
+from .records import BOOL, INT, NUM, Fields, describe, read_jsonl, require
 from .sv_track import Detections
 
 PERSON_HALF_HEIGHT = 0.85
@@ -131,7 +131,7 @@ def synth_trajectory(kind: str, duration: int, seed: int,
                   + lat[:, None] * lateral[None, :])
         center[:, 2] = 1.0
     else:
-        raise ValueError(f"unknown trajectory kind: {kind!r}")
+        raise ValueError(f"unknown trajectory kind: {describe(kind)}")
 
     up = np.array([0.0, 0.0, PERSON_HALF_HEIGHT])
     return PersonTrajectory(is_target=False, center=center,
@@ -267,7 +267,7 @@ def _parse_truth_record(rec) -> dict:
     TRUTH_FIELDS.check(rec)
     boxes = rec.get("boxes", {})
     if type(boxes) is not dict:
-        raise ValueError(f"boxes must be an object, got {boxes!r}")
+        raise ValueError(f"boxes must be an object, got {describe(boxes)}")
     for cam, box in boxes.items():
         if not (cam.removeprefix("-").isdecimal() and str(int(cam)) == cam):
             raise ValueError(f"box camera id must be an integer string, got {cam!r}")

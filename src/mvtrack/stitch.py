@@ -165,29 +165,12 @@ def _average_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return only_b
 
 
-def merge_assigned(prev: Tracklet3D, nxt: Tracklet3D) -> Tracklet3D:
-    """Merge an assigned fragment, starting no earlier than prev, into prev
-    in place and return prev.  Only nxt's frames are visited: a frame both
-    have is averaged, keeping prev's provenance; a frame only nxt has is
-    taken from it."""
-    at, n = nxt.first - prev.first, len(nxt.points)
-    if at + n > len(prev.points):
-        # Grown by at least doubling: appending costs amortised O(1) a frame.
-        pad = max(at + n, 2 * len(prev.points)) - len(prev.points)
-        prev.points, prev.top, prev.bottom = (np.concatenate([a, np.full((pad, 3), np.nan)])
-                                              for a in (prev.points, prev.top, prev.bottom))
-        prev.provenance = np.concatenate([prev.provenance, np.zeros(pad, np.uint8)])
-    taken = _average_into(prev.points[at:at + n], nxt.points)
-    prev.provenance[at:at + n][taken] = nxt.provenance[taken]
-    return prev
-
-
 @dataclass
 class TrackRecord:
     """A stitched track: the accumulated 3D tracklet and its last frame,
     kept at each merge; its `links` (C, n, 4) on the tracklet's n frames,
-    as `WindowTrack.links`, the newest merged window's box where two
-    differ; and the merged window tracks whose heights are not yet folded
+    as `WindowTrack.links`, so `links.shape[1] == len(tracklet.points)`
+    always; and the merged window tracks whose heights are not yet folded
     into the tracklet (see `target.TargetMaintainer.observe`), in merge order."""
 
     tracklet: Tracklet3D
@@ -199,20 +182,35 @@ class TrackRecord:
         self.last_frame = int(self.tracklet.frames.max(initial=-1))
 
     def merge(self, track_id: int, wt: WindowTrack) -> None:
-        """Merge a window track starting no earlier than the tracklet: points
-        by `merge_assigned`, links over the track's where it has a box."""
-        merge_assigned(self.tracklet, wt.track)
-        if pad := len(self.tracklet.points) - self.links.shape[1]:  # grown with the tracklet
-            self.links = np.concatenate([self.links, np.full((len(self.links), pad, 4), np.nan)], 1)
-        at = wt.track.first - self.tracklet.first
+        """Merge a window track starting no earlier than the tracklet, the one
+        place where the five per-frame arrays (points, provenance, top, bottom
+        and links) grow, together.  A point both have is averaged, keeping
+        the older provenance; the window track's links are written wherever
+        it has a box, so the newest window wins."""
+        t3, new = self.tracklet, wt.track
+        at, n = new.first - t3.first, len(new.points)
+        if at + n > len(t3.points):
+            # By at least doubling, so appending costs amortised O(1) a frame,
+            # and one array at a time, so one old copy is alive at once.
+            pad = max(at + n, 2 * len(t3.points)) - len(t3.points)
+
+            def grown(a):  # along the frame axis, each float array's second to last
+                return np.concatenate([a, np.full(a.shape[:-2] + (pad, a.shape[-1]), np.nan)], -2)
+            t3.points = grown(t3.points)
+            t3.top = grown(t3.top)
+            t3.bottom = grown(t3.bottom)
+            self.links = grown(self.links)
+            t3.provenance = np.concatenate([t3.provenance, np.zeros(pad, np.uint8)])
+        taken = _average_into(t3.points[at:at + n], new.points)
+        t3.provenance[at:at + n][taken] = new.provenance[taken]
         links, linked = self.links[:, at:at + wt.links.shape[1]], ~np.isnan(wt.links)
         if logger.isEnabledFor(logging.DEBUG):
             differ = linked[..., 0] & ~np.isnan(links[..., 0]) & (links != wt.links).any(axis=-1)
             for c, j in zip(*np.nonzero(differ)):
                 logger.debug("track %d cam %d frame %d: 2D link conflict, keeping newer window",
-                             track_id, sorted(wt.rig.cameras)[c], wt.track.first + j)
+                             track_id, wt.rig.ids[c], new.first + j)
         np.copyto(links, wt.links, where=linked)
-        self.last_frame = max(self.last_frame, int(wt.track.frames[-1]))
+        self.last_frame = max(self.last_frame, int(new.frames[-1]))
         self.pending.append(wt)
 
     def fold_heights(self) -> None:

@@ -77,7 +77,7 @@ def smooth_track(frames: np.ndarray, X: np.ndarray, window: int = SMOOTH_WINDOW)
     run = np.repeat(np.arange(len(starts)), ends - starts)
     k = np.minimum(window // 2, np.minimum(at - starts[run], ends[run] - 1 - at))
     total = np.zeros((len(frames), 3))
-    for step in range(window):
+    for step in range(2 * int(k.max(initial=0)) + 1):  # no run needs more steps
         use = step <= 2 * k
         total[use] += X[at[use] - k[use] + step]
     return total / (2 * k + 1)[:, None]
@@ -213,7 +213,7 @@ class TargetMaintainer:
             last = np.maximum.accumulate(np.where(hit, np.arange(len(frames)), -1))
             shown = ~np.isnan(x) & (last >= 0)
             view[shown] = np.column_stack([x, y, self.buffer_scale * size[last]])[shown]
-        return TargetRecords(frames, tids, X, codes, tuple(cam.id for cam in rig), views)
+        return TargetRecords(frames, tids, X, codes, tuple(rig.ids.tolist()), views)
 
 
 def save_target_records(records: TargetRecords, path) -> None:

@@ -1,13 +1,16 @@
-"""Property tests of the input boundary: a malformed number in any file
-that `track` or `evaluate` reads gives that file's exit code through
-SystemExit, never a traceback, and a JSON-lines error names its path and
-line; `records.Fields.check` accepts exactly what its per-value rules
-accept; the columnar detection loader reads exactly the values a
-per-record parse gives; an empty or one-camera stream finds no target in
-every mode; and the output does not depend on the camera ids."""
+"""Property tests of the input boundary: a malformed number, or a value
+nested at any depth, in any file that `simulate`, `track` or `evaluate`
+reads gives that file's exit code through SystemExit, never a traceback,
+and an error names its path, and a JSON-lines error its line, as does any
+byte string put in place of a detection line; `records.Fields.check`
+accepts exactly what its per-value rules accept; the columnar detection
+loader reads exactly the values a per-record parse gives; an empty or
+one-camera stream finds no target in every mode; and the output does not
+depend on the camera ids."""
 
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 
 from mvtrack.cascade import Mode
 from mvtrack.cli import main
-from mvtrack.records import BOOL, FLOAT, INT, NUM, Fields, is_finite
+from mvtrack.records import BOOL, FLOAT, INT, NUM, Fields, is_finite, read_json
+from mvtrack.simulate import build_scenario
 from mvtrack.sv_track import MAX_BOX_PX, MAX_FRAME, load_detections
 
 from test_cli import SMALL_SCENARIO, run_track
@@ -249,3 +253,90 @@ def test_valid_detection_file_loads_the_per_record_values(lines, blank, end):
     assert np.array_equal(loaded.boxes.reshape(-1, 4).view(np.int64),
                           np.array([[float(rec[k]) for k in "xywh"] for rec in want],
                                    dtype=float).reshape(-1, 4).view(np.int64))
+
+
+DEEP = "[" * 1000 + "]" * 1000
+# Every file a command reads, its exit code when bad, and whether it is read
+# line by line.
+NESTED = [("detections.jsonl", 3), ("tracklets.jsonl", 3), ("truth.jsonl", 3),
+          ("calib.json", 2), ("routine.json", 2), ("config.json", 2), ("scenario.json", 3)]
+
+
+def command(tmp: Path, name: str) -> list[str]:
+    """The command that reads the file `name` of `tmp`."""
+    if name == "scenario.json":
+        return ["simulate", str(tmp / name), "--out", str(tmp / "sim")]
+    if name in ("tracklets.jsonl", "truth.jsonl", "config.json"):
+        return ["evaluate", "--tracklets", str(tmp / "tracklets.jsonl"),
+                "--truth", str(tmp / "truth.jsonl"), "--out", str(tmp / "report.json"),
+                "--config", str(tmp / "config.json")]
+    return ["track", "--detections", str(tmp / "detections.jsonl"),
+            "--calib", str(tmp / "calib.json"),
+            "--config", str(tmp / "routine.json"), "--out", str(tmp / "out")]
+
+
+@pytest.mark.parametrize("name, code", NESTED, ids=[name for name, _ in NESTED])
+def test_deep_nesting_exits_with_the_file_code_and_names_it(scene, tmp_path, name, code):
+    for other in (*EXIT_CODES, "scenario.json"):
+        (tmp_path / other).write_text((scene / other).read_text())
+    (tmp_path / "config.json").write_text((scene / "routine.json").read_text())
+    path = tmp_path / name
+    if name.endswith(".jsonl"):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = DEEP + "\n"
+        path.write_text("".join(lines))
+        where = f"error: {path}:3: bad "
+    else:
+        path.write_text(DEEP)
+        where = f"error: {path}: bad "
+    result = CliRunner().invoke(main, command(tmp_path, name))
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith(where), result.output
+
+
+def test_every_nesting_depth_is_a_bad_record(tmp_path):
+    # Near the recursion limit a value can decode at one call depth and be
+    # too deep for repr at the deeper one where its error is written.
+    path, scenario = tmp_path / "detections.jsonl", tmp_path / "scenario.json"
+    valid = '{"frame": 0, "camera": 0, "x": 1.0, "y": 1.0, "w": 2.0, "h": 2.0}\n'
+    for depth in range(1, sys.getrecursionlimit() + 1):
+        deep = "[" * depth + "]" * depth
+        for line in (deep, f'{{"frame": {deep}}}'):
+            path.write_text(valid + line + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad detection "):
+                load_detections(path)
+        scenario.write_text(f'{{"duration": {deep}}}')
+        with pytest.raises(ValueError, match=f"^({re.escape(str(scenario))}: bad scenario file"
+                                             "|invalid scenario spec): "):
+            build_scenario(read_json(scenario, "scenario"))
+
+
+@pytest.fixture(scope="module")
+def short_detections(scene):
+    """The first frames of the scene's detections, as bytes."""
+    return b"".join((scene / "detections.jsonl").read_bytes().splitlines(keepends=True)[:24])
+
+
+@settings(max_examples=200, deadline=None)
+# With no line end: a lone CR ends a line too, as Python's universal newlines read it.
+@given(lineno=st.integers(1, 24),
+       raw=st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")))
+# Hypothesis raises the recursion limit while a test runs, so the nesting
+# that no decode can reach is deeper than DEEP.
+@example(lineno=5, raw=b"[" * 100_000 + b"]" * 100_000)
+def test_any_bytes_as_a_line_exit_0_or_name_that_line(scene, short_detections, lineno, raw):
+    lines = short_detections.splitlines(keepends=True)
+    lines[lineno - 1] = raw + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("calib.json", "routine.json"):
+            (tmp / name).write_text((scene / name).read_text())
+        (tmp / "detections.jsonl").write_bytes(b"".join(lines))
+        result = CliRunner().invoke(main, command(tmp, "detections.jsonl"))
+        assert result.exit_code in (0, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 3:
+            assert result.output.startswith(f"error: {tmp / 'detections.jsonl'}:{lineno}: "), \
+                result.output

@@ -217,8 +217,10 @@ class TestTrack:
         (lambda calib: [dict(calib[0], id=True)] + calib[1:], "id must be an integer"),
         (lambda calib: calib + [dict(calib[2], id=1)], "camera id 1 is repeated"),
         (lambda calib: [dict(calib[0], K={"f": 1})] + calib[1:], "calibration entry 0"),
+        (lambda calib: [dict(calib[0], id=2**63)] + calib[1:],
+         "calibration entry 0: id must fit in a signed 64-bit integer, got 9223372036854775808"),
     ], ids=["not-objects", "missing-t", "string-id", "float-id", "bool-id",
-            "repeated-id", "bad-K"])
+            "repeated-id", "bad-K", "id-beyond-int64"])
     def test_malformed_calibration_is_config_error(self, runner, tmp_path, edit,
                                                    message):
         out = simulate(runner, tmp_path)

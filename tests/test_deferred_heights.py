@@ -14,12 +14,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mvtrack import cascade, stitch, target
+from mvtrack import cascade, target
 from mvtrack.cascade import BOTTOM, CENTER, TOP, Mode
 from mvtrack.geometry import triangulate_batch
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
-from mvtrack.stitch import TrackRegistry
+from mvtrack.stitch import TrackRecord, TrackRegistry
 from mvtrack.sv_track import Bbox
 from mvtrack.target import TargetMaintainer
 
@@ -83,17 +83,12 @@ def test_reidentification_after_two_losses(monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("scene", [CLEAN, LOSS], ids=["clean-4cam", "loss"])
 def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
-    windows, merged, solved = {}, defaultdict(list), {}
-    advance, merge, identify = (TrackRegistry.advance, stitch.merge_assigned,
-                                target.identify_target)
+    merged, solved = defaultdict(list), {}
+    merge, identify = TrackRecord.merge, target.identify_target
 
-    def advance_spy(self, window_start, window_tracks):
-        windows.update((id(wt.track), wt) for wt in window_tracks)
-        advance(self, window_start, window_tracks)
-
-    def merge_spy(prev, nxt):
-        merged[id(prev)].append(windows[id(nxt)])
-        return merge(prev, nxt)
+    def merge_spy(self, track_id, wt):
+        merged[id(self.tracklet)].append(wt)
+        merge(self, track_id, wt)
 
     def eager(t3):
         """The heights the eager rule gives the track: each merged window
@@ -122,8 +117,7 @@ def test_trigger_reads_the_eager_heights(monkeypatch, scene, mode):
         reads.append((current_frame, len(got)))
         return identify(t3, space, crit, current_frame)
 
-    monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
-    monkeypatch.setattr(stitch, "merge_assigned", merge_spy)
+    monkeypatch.setattr(TrackRecord, "merge", merge_spy)
     monkeypatch.setattr(target, "identify_target", identify_spy)
     _, maintainer = run_observed(monkeypatch, scene, mode)
     assert any(n for _, n in reads)

@@ -10,9 +10,7 @@ from mvtrack.geometry import CameraRig
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import (TrackRecord, TrackRegistry, assign,
-                            merge_assigned,
-                            window_distance_matrix)
+from mvtrack.stitch import TrackRecord, TrackRegistry, assign, window_distance_matrix
 
 from conftest import (FrameTrack, links_of, no_links, simulated, to_arrays, to_frames,
                       window_segment)
@@ -101,11 +99,21 @@ class TestAssignOptimality:
             assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 
+def merged_into(prev, nxt):
+    """prev after `TrackRecord.merge` of the window track nxt, neither
+    with a 2D link."""
+    rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points), len(RIG)))
+    rec.merge(0, WindowTrack(nxt, no_links(len(nxt.points), len(RIG)), RIG))
+    return rec.tracklet
+
+
 class TestMergeAssigned:
+    """The points and provenance of a `TrackRecord.merge`."""
+
     def test_constant_merge(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.0))
-        merged = merge_assigned(prev, nxt)
+        merged = merged_into(prev, nxt)
         assert merged.frames.tolist() == list(range(16))
         for f in merged.frames.tolist():
             assert np.allclose(to_frames(merged).points[f], (0.0, 0.0, 1.0))
@@ -113,7 +121,7 @@ class TestMergeAssigned:
     def test_overlap_averaged(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.2))
-        merged = to_frames(merge_assigned(prev, nxt))
+        merged = to_frames(merged_into(prev, nxt))
         assert np.allclose(merged.points[7], (0.0, 0.0, 1.1))
         assert np.allclose(merged.points[2], (0.0, 0.0, 1.0))
         assert np.allclose(merged.points[14], (0.0, 0.0, 1.2))
@@ -121,14 +129,14 @@ class TestMergeAssigned:
     def test_overlap_frame_in_prev_only(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0))
         nxt = tracklet([5, 6, 8, 9, 10, 11], (0.0, 0.0, 1.2))
-        merged = to_frames(merge_assigned(prev, nxt))
+        merged = to_frames(merged_into(prev, nxt))
         assert np.allclose(merged.points[7], (0.0, 0.0, 1.0))
 
     def test_overlap_provenance_prefers_prev(self):
         prev = tracklet(range(0, 11), (0.0, 0.0, 1.0),
                         provenance=Provenance.PLANE_INTERSECTED)
         nxt = tracklet(range(5, 16), (0.0, 0.0, 1.0))
-        merged = to_frames(merge_assigned(prev, nxt))
+        merged = to_frames(merged_into(prev, nxt))
         assert merged.provenance[7] is Provenance.PLANE_INTERSECTED
         assert merged.provenance[12] is Provenance.TRIANGULATED
 

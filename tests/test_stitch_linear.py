@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from mvtrack.cascade import Provenance, WindowTrack
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import (TrackRecord, TrackRegistry, assign, merge_assigned,
-                            window_distance_matrix)
+from mvtrack.stitch import TrackRecord, TrackRegistry, assign, window_distance_matrix
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
 from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, links_of,
@@ -218,15 +217,16 @@ class TestInPlaceMerge:
                                    provenance={1: Provenance.TRIANGULATED,
                                                2: Provenance.TRIANGULATED},
                                    top={1: 3 * np.ones(3), 2: np.ones(3)}))
-        assert merge_assigned(prev, nxt) is prev
+        rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points)))
+        wt = WindowTrack(nxt, no_links(len(nxt.points)), RIG)
+        rec.merge(0, wt)
+        assert rec.tracklet is prev and len(rec.pending) == 1 and rec.pending[0] is wt
         merged = to_frames(prev)
         assert merged.frames == [0, 1, 2]
         assert np.array_equal(merged.points[1], 2 * np.ones(3))
         assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
         # Heights are folded in later, from the pending window track.
         assert merged.top.keys() == {1}
-        rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points)),
-                          pending=[WindowTrack(nxt, no_links(len(nxt.points)), RIG)])
         rec.fold_heights()
         assert rec.pending == []
         folded = to_frames(prev)

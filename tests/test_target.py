@@ -229,6 +229,17 @@ class TestSmoothTrack:
         with pytest.raises(ValueError):
             smoothed({}, window=4)
 
+    def test_huge_window_costs_no_more_than_the_longest_run(self):
+        # A window wider than every run smooths as the widest any run uses;
+        # the cost follows the runs, not the window.
+        frames, X = np.arange(50), np.random.default_rng(7).normal(size=(50, 3))
+        want = smooth_track(frames, X, 49).tobytes()
+        for window in (2 * 10**6 + 1, 10**9 + 1):
+            begin = time.perf_counter()
+            got = smooth_track(frames, X, window)
+            assert time.perf_counter() - begin < 1.0, window
+            assert got.tobytes() == want
+
 
 def run_maintainer(registry, last_frame, maintainer=None, rig=None):
     maintainer = maintainer or TargetMaintainer(space=SPACE, criteria=CRIT)

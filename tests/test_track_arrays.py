@@ -9,7 +9,7 @@ import pytest
 from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace, WindowTrack
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import TrackRecord, TrackRegistry, merge_assigned, window_distance_matrix
+from mvtrack.stitch import TrackRecord, TrackRegistry, window_distance_matrix
 from mvtrack import target
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
@@ -47,8 +47,9 @@ def window_distance_matrix_dicts(prev, nxt):
     return D
 
 
-def merge_assigned_dicts(prev, nxt):
-    """`stitch.merge_assigned` on frame-keyed dicts."""
+def merge_dicts(prev, nxt):
+    """The points and provenance of `stitch.TrackRecord.merge` on
+    frame-keyed dicts."""
     for f, p in nxt.points.items():
         if f in prev.points:
             prev.points[f] = (prev.points[f] + p) / 2.0
@@ -198,12 +199,14 @@ def test_merge_assigned_equals_dicts():
         windows = window_tracks(rng, int(rng.integers(0, 50)), span // 2, span,
                                 int(rng.integers(1, 12)))
         merged = to_arrays(FrameTrack(), windows[0][0], 0)
+        rec = TrackRecord(tracklet=merged, links=no_links(0))
         oracle = FrameTrack()
         for start, t in windows:
             wt = to_arrays(t, start, span)
             kept = wt.points.tobytes(), wt.provenance.tobytes()
-            assert merge_assigned(merged, wt) is merged
-            merge_assigned_dicts(oracle, t)
+            rec.merge(0, WindowTrack(wt, no_links(span), RIG))
+            assert rec.tracklet is merged
+            merge_dicts(oracle, t)
             assert (wt.points.tobytes(), wt.provenance.tobytes()) == kept
             assert merged.first == windows[0][0]
             assert_frame_tracks_equal(to_frames(merged), oracle)
@@ -212,10 +215,15 @@ def test_merge_assigned_equals_dicts():
 def test_merge_grows_by_doubling():
     rng = np.random.default_rng(103)
     merged = to_arrays(FrameTrack(), 0, 0)
+    rec = TrackRecord(tracklet=merged, links=no_links(0))
     sizes = []
     for start in range(0, 2000, 5):
-        merge_assigned(merged, to_arrays(random_track(rng, start, 11, keep=1.0), start, 11))
+        rec.merge(0, WindowTrack(to_arrays(random_track(rng, start, 11, keep=1.0), start, 11),
+                                 no_links(11), RIG))
         sizes.append(len(merged.points))
+        # All five per-frame arrays grow together.
+        assert rec.links.shape == (4, len(merged.points), 4)
+        assert len(merged.provenance) == len(merged.top) == len(merged.bottom) == sizes[-1]
     # 11, 22, 44, ..., 2816 rows: each growth at least doubles.
     assert sorted(set(sizes)) == [11 * 2**k for k in range(9)]
     assert merged.frames.tolist() == list(range(2006))
@@ -231,7 +239,7 @@ def test_fold_heights_equals_dicts():
                    for start, t in windows]
         rec = TrackRecord(tracklet=to_arrays(FrameTrack(), windows[0][0], 0), links=no_links(0))
         for wt in pending:
-            merge_assigned(rec.tracklet, wt.track)
+            rec.merge(0, wt)
         oracle = to_frames(rec.tracklet)
         split = int(rng.integers(0, len(pending) + 1))
         for lo, hi in ((0, split), (split, len(pending))):
