@@ -67,20 +67,14 @@ class Tracklet3D:
     NaN at a frame with none, and `provenance` (n,) uint8 codes into
     `PROVENANCE`, read where there is a point.  Its identity is the
     `stitch.TrackRegistry` key it is stored under, if any.  `top` / `bottom`
-    (n, 3) hold head/foot points, NaN where none was solved (the default),
-    solved only for the height trigger (`attach_top_bottom_batch`)."""
+    (n, 3) hold a stitched track's head/foot points, NaN where none was
+    solved (`stitch.TrackRecord.fold_heights`); a window track's are None."""
 
     first: int
     points: np.ndarray
     provenance: np.ndarray
     top: np.ndarray | None = None
     bottom: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.top is None:
-            self.top = np.full_like(self.points, np.nan)
-        if self.bottom is None:
-            self.bottom = np.full_like(self.points, np.nan)
 
     @property
     def valid(self) -> np.ndarray:
@@ -293,31 +287,13 @@ def plane_match_and_fuse(points: np.ndarray, segments: Segments,
     return fused
 
 
-def attach_top_bottom_batch(tracks: Sequence[tuple[Tracklet3D, np.ndarray]],
-                            rig: CameraRig) -> None:
-    """Triangulate per-frame top-center and bottom-center pixels of the 2D
-    boxes linked to each track, at the track's frames; a top is kept
-    where it solves, a bottom only where top and bottom both solve, and
-    frames with fewer than two views are left NaN.  Each track comes with
-    its links (`WindowTrack.links`), read at its own frames as one cluster
-    of C rows.  All tracks are solved together, one `triangulate_batch`
-    call per camera set."""
-    points, ok = _triangulate_boxes(
-        np.concatenate([np.where(t3.valid[:, None], links, np.nan) for t3, links in tracks]),
-        np.tile(rig.ids, len(tracks)),
-        np.arange(len(tracks) * len(rig)).reshape(len(tracks), len(rig)), rig, (TOP, BOTTOM))
-    for (t3, _), top, bottom, has_top, has_bottom in zip(
-            tracks, points[0], points[1], ok[0], ok[0] & ok[1]):
-        t3.top[has_top] = top[has_top]
-        t3.bottom[has_bottom] = bottom[has_bottom]
-
-
 @dataclass
 class WindowTrack:
     """A fused 3D track on one window's grid; its `links` (C, L+1, 4), per
     camera of the rig in id order the box of its segments at each frame,
     NaN where none, the later segment's in key order where two of one
-    camera hold one; and the rig, which its height solve needs."""
+    camera hold one; and the rig, which its height solve (`solve_heights`)
+    needs.  It is read-only once `process_windows` returns it."""
 
     track: Tracklet3D
     links: np.ndarray
@@ -331,6 +307,20 @@ class WindowTrack:
         codes = self.track.provenance[valid].tolist()
         return SimpleNamespace(frames=frames, points=dict(zip(frames, self.track.points[valid])),
                                provenance={f: PROVENANCE[c] for f, c in zip(frames, codes)})
+
+
+def solve_heights(window_tracks: Sequence[WindowTrack]) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate per-frame top-center and bottom-center pixels of the 2D
+    boxes linked to each window track, at the track's frames, as (top,
+    bottom) (K, L+1, 3) stacks: a top where it solves, a bottom only where
+    top and bottom both solve, NaN elsewhere.  Each track's links are read
+    at its own frames as one cluster of C rows.  All tracks are solved
+    together, one `triangulate_batch` call per camera set; none is written."""
+    rig, n = window_tracks[0].rig, len(window_tracks)
+    linked = [np.where(wt.track.valid[:, None], wt.links, np.nan) for wt in window_tracks]
+    points, ok = _triangulate_boxes(np.concatenate(linked), np.tile(rig.ids, n),
+                                    np.arange(n * len(rig)).reshape(n, -1), rig, (TOP, BOTTOM))
+    return points[0], np.where((ok[0] & ok[1])[..., None], points[1], np.nan)
 
 
 def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
@@ -349,7 +339,7 @@ def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
     intersected with the plane (`plane_candidates`) and matched
     (`plane_match_and_fuse`), and both branches' tracks are gated
     (`outlier_gate`).  Only centers are solved: tops and bottoms are left
-    to the height trigger (`attach_top_bottom_batch`).  Each row of these
+    to the height trigger (`solve_heights`).  Each row of these
     calls is independent of the others, so a window's tracks do not depend
     on the windows it is solved with.
     """

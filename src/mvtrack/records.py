@@ -44,12 +44,14 @@ _TESTS = {INT: lambda value: type(value) is int,
 
 
 def describe(value) -> str:
-    """repr(value), or a phrase where it nests too deep for repr, which can
+    """repr(value), cut to its first 80 characters and its length where it
+    is longer, or a phrase where it nests too deep for repr, which can
     reach a recursion limit that the decode a few calls up did not."""
     try:
-        return repr(value)
+        text = repr(value)
     except RecursionError:
         return "a value nested too deep to show"
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 def require(value, kind, label: str) -> None:

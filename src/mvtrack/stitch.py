@@ -167,11 +167,11 @@ def _average_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrackRecord:
-    """A stitched track: the accumulated 3D tracklet and its last frame,
-    kept at each merge; its `links` (C, n, 4) on the tracklet's n frames,
-    as `WindowTrack.links`, so `links.shape[1] == len(tracklet.points)`
-    always; and the merged window tracks whose heights are not yet folded
-    into the tracklet (see `target.TargetMaintainer.observe`), in merge order."""
+    """A stitched track: the accumulated 3D tracklet, the one holder of
+    tops and bottoms, and its last frame, kept at each merge; its `links`
+    (C, n, 4) on the tracklet's n frames, as `WindowTrack.links`, so
+    `links.shape[1] == len(tracklet.points)` always; and the merged window
+    tracks whose heights are not yet folded in, in merge order."""
 
     tracklet: Tracklet3D
     links: np.ndarray
@@ -213,16 +213,12 @@ class TrackRecord:
         self.last_frame = max(self.last_frame, int(new.frames[-1]))
         self.pending.append(wt)
 
-    def fold_heights(self) -> None:
-        """Fold the solved tops and bottoms of the pending window tracks
-        into the tracklet in merge order, averaging a frame it already has,
-        and clear them."""
-        for wt in self.pending:
-            at = wt.track.first - self.tracklet.first
-            rows = slice(at, at + len(wt.track.points))
-            _average_into(self.tracklet.top[rows], wt.track.top)
-            _average_into(self.tracklet.bottom[rows], wt.track.bottom)
-        self.pending = []
+    def fold_heights(self, first: int, top: np.ndarray, bottom: np.ndarray) -> None:
+        """Average the (n, 3) tops and bottoms `cascade.solve_heights` gives
+        a merged window track from frame `first` into the tracklet's."""
+        at = first - self.tracklet.first
+        _average_into(self.tracklet.top[at:at + len(top)], top)
+        _average_into(self.tracklet.bottom[at:at + len(bottom)], bottom)
 
 
 class TrackRegistry:
@@ -255,6 +251,7 @@ class TrackRegistry:
             wt = window_tracks[j]
             # Merged into an empty track from the window's start: a copy, so
             # later merges leave the window track as it was.
-            empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8))
+            empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8),
+                               np.empty((0, 3)), np.empty((0, 3)))
             self.tracks[tid] = TrackRecord(empty, np.empty((len(wt.links), 0, 4)))
             self.tracks[tid].merge(tid, wt)

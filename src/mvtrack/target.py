@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import (PROVENANCE, Provenance, Tracklet3D, TrackingSpace,
-                      attach_top_bottom_batch)
+from .cascade import PROVENANCE, Provenance, Tracklet3D, TrackingSpace, solve_heights
 from .geometry import CameraRig, project
 from .stitch import TrackRegistry
 from .records import INT, NUM, Fields, read_jsonl
@@ -140,15 +139,16 @@ class TargetMaintainer:
                 self.target_id = None
         if self.target_id is None:
             live = registry.live_tracks(window_start)
-            pending = [wt for tid in live for wt in registry.tracks[tid].pending]
+            records = [registry.tracks[tid] for tid in live]
+            pending = [(rec, wt) for rec in records for wt in rec.pending]
             if pending:
-                attach_top_bottom_batch([(wt.track, wt.links) for wt in pending],
-                                        pending[0].rig)
-            for tid in live:
-                registry.tracks[tid].fold_heights()
-            for tid in live:
-                t3 = registry.tracks[tid].tracklet
-                if identify_target(t3, self.space, self.criteria, t_c):
+                tops, bottoms = solve_heights([wt for _, wt in pending])
+                for (rec, wt), top, bottom in zip(pending, tops, bottoms):
+                    rec.fold_heights(wt.track.first, top, bottom)
+            for rec in records:
+                rec.pending = []
+            for tid, rec in zip(live, records):
+                if identify_target(rec.tracklet, self.space, self.criteria, t_c):
                     self.target_id = tid
                     self.tenures.append({"id": tid, "identified_at": t_c,
                                          "end": None})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D
+from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D, solve_heights
 from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraModel, CameraRig
 from mvtrack.simulate import build_scenario, render_detections
@@ -170,14 +171,35 @@ def to_arrays(t: FrameTrack, first: int | None = None, n: int | None = None) -> 
 
 def to_frames(t3: Tracklet3D) -> FrameTrack:
     """`t3` as frame-keyed dicts of the rows of each array that hold a
-    point, and of the provenance of the rows with a center."""
+    point, and of the provenance of the rows with a center; a window
+    track's None heights are empty."""
     def keyed(points):
+        if points is None:
+            return {}
         rows = np.flatnonzero(~np.isnan(points[:, 0]))
         return dict(zip((t3.first + rows).tolist(), points[rows]))
     points = keyed(t3.points)
     codes = t3.provenance[np.flatnonzero(t3.valid)].tolist()
     return FrameTrack(points, keyed(t3.top), keyed(t3.bottom),
                       {f: PROVENANCE[c] for f, c in zip(points, codes)})
+
+
+def with_heights(window_tracks) -> list[Tracklet3D]:
+    """Each window track's `Tracklet3D` with the tops and bottoms that
+    `cascade.solve_heights` returns for the batch: a copy, so the window
+    tracks are left as they were."""
+    top, bottom = solve_heights(window_tracks)
+    return [dataclasses.replace(wt.track, top=t, bottom=b)
+            for wt, t, b in zip(window_tracks, top, bottom)]
+
+
+def fold_pending(rec) -> None:
+    """Fold the heights the window tracks pending on registry track `rec`
+    carry, in merge order, as `TargetMaintainer.observe` folds solved ones,
+    and clear them."""
+    for wt in rec.pending:
+        rec.fold_heights(wt.track.first, wt.track.top, wt.track.bottom)
+    rec.pending = []
 
 
 def assert_frame_tracks_equal(a: FrameTrack, b: FrameTrack) -> None:

@@ -340,3 +340,64 @@ def test_any_bytes_as_a_line_exit_0_or_name_that_line(scene, short_detections, l
         if result.exit_code == 3:
             assert result.output.startswith(f"error: {tmp / 'detections.jsonl'}:{lineno}: "), \
                 result.output
+
+
+def finite_floats(value) -> bool:
+    """Whether every number in a decoded JSON value is finite."""
+    if type(value) is dict:
+        return all(map(finite_floats, value.values()))
+    if type(value) is list:
+        return all(map(finite_floats, value))
+    return type(value) is not float or math.isfinite(value)
+
+
+# Boxes the loader accepts: |x| and |y| at most MAX_BOX_PX, sides in
+# (0, MAX_BOX_PX] and an area of at least the smallest normal float.
+IN_RANGE_BOXES = st.tuples(
+    st.floats(-MAX_BOX_PX, MAX_BOX_PX), st.floats(-MAX_BOX_PX, MAX_BOX_PX),
+    st.floats(0.0, MAX_BOX_PX, exclude_min=True), st.floats(0.0, MAX_BOX_PX, exclude_min=True),
+).filter(lambda box: box[2] * box[3] >= sys.float_info.min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes=st.lists(st.tuples(st.integers(0, 10**6), IN_RANGE_BOXES), min_size=1, max_size=20))
+def test_in_range_boxes_exit_0_with_finite_output_or_3(scene, boxes):
+    lines = (scene / "detections.jsonl").read_text().splitlines(keepends=True)
+    for k, (x, y, w, h) in boxes:
+        rec = json.loads(lines[k % len(lines)])
+        lines[k % len(lines)] = json.dumps({**rec, "x": x, "y": y, "w": w, "h": h}) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("calib.json", "routine.json"):
+            (tmp / name).write_text((scene / name).read_text())
+        (tmp / "detections.jsonl").write_text("".join(lines))
+        result = CliRunner().invoke(main, command(tmp, "detections.jsonl"))
+        assert result.exit_code in (0, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            with open(tmp / "out" / "tracklets.jsonl") as fh:
+                for line in fh:
+                    assert finite_floats(json.loads(line, parse_constant=float)), line
+
+
+# A detection value shown in full would make an error line of its size.
+LONG_VALUES = {"string-of-100000": json.dumps("x" * 100_000),
+               "list-nested-900-deep": "[" * 900 + "]" * 900}
+
+
+@pytest.mark.parametrize("value", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_error_line_shows_a_bounded_value(scene, tmp_path, value):
+    for name in ("calib.json", "routine.json"):
+        (tmp_path / name).write_text((scene / name).read_text())
+    lines = (scene / "detections.jsonl").read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    lines[2] = json.dumps({**rec, "x": None}).replace('"x": null', f'"x": {value}') + "\n"
+    path = tmp_path / "detections.jsonl"
+    path.write_text("".join(lines))
+    result = CliRunner().invoke(main, command(tmp_path, "detections.jsonl"))
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {path}:3: bad detection record: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert len(result.stderr.encode()) <= 300, result.stderr

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvtrack import cascade
 from mvtrack.cascade import (BOTTOM, CENTER, PROVENANCE, TOP, Mode, Provenance, Tracklet3D,
-                             TrackingSpace, attach_top_bottom_batch, classify_clusters,
+                             TrackingSpace, WindowTrack, classify_clusters,
                              outlier_gate, plane_candidates,
                              plane_match_and_fuse, process_windows,
                              triangulate_clusters)
@@ -20,7 +20,7 @@ from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import TargetCriteria, identify_target
 
 from conftest import (assert_same_rows, box_dict, links_of, look_at_camera, sorted_chunk,
-                      to_frames, window_segment)
+                      to_frames, window_segment, with_heights)
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -117,6 +117,12 @@ def as_tracklet(points, branch=Provenance.TRIANGULATED):
     return Tracklet3D(0, points, np.full(len(points), PROVENANCE.index(branch), np.uint8))
 
 
+def solved_alone(t3, links, rig):
+    """t3 with the tops and bottoms `solve_heights` gives it as a window
+    track linked to the boxes `links`, solved in a call of its own."""
+    return with_heights([WindowTrack(t3, links, rig)])[0]
+
+
 def branches(wt) -> set:
     """The provenance of a window track's frames."""
     return set(to_frames(wt.track).provenance.values())
@@ -193,14 +199,14 @@ class TestTriangulateCluster:
 
     def test_top_bottom_match_attach_top_bottom(self, rig):
         # Centers only: a cluster's tops and bottoms are left to
-        # attach_top_bottom_batch on the track's own frames, which solves
-        # the top and bottom centers of the cluster's boxes.
+        # solve_heights on the track's own frames, which solves the top and
+        # bottom centers of the cluster's boxes.
         rng = np.random.default_rng(34)
         path = person_path(range(11))
         c = cluster_for(rig, [0, 1, 3], path, noise_rng=rng, sigma=1.0)
         t3 = as_tracklet(triangulate_one(c, rig))
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
-        attach_top_bottom_batch([(t3, links_of(c, rig))], rig)
+        t3 = solved_alone(t3, links_of(c, rig), rig)
         for offset, got in ((TOP, to_frames(t3).top), (BOTTOM, to_frames(t3).bottom)):
             points, ok = direct_solve(rig, c, range(11), offset)
             assert ok.all() and sorted(got) == list(range(11))
@@ -691,14 +697,12 @@ class TestAttachTopBottom:
             box = Bbox(cx, (ty + by) / 2.0, 40.0, by - ty)
             segs.append(segment(c, {0: box}))
         segs = Segments.concat(segs)
-        t3 = on_grid(center, segs)
-        attach_top_bottom_batch([(t3, links_of(segs, rig))], rig)
+        t3 = solved_alone(on_grid(center, segs), links_of(segs, rig), rig)
         assert t3.top[0][2] - t3.bottom[0][2] == pytest.approx(1.7, abs=1e-6)
 
     def test_single_view_frame_omitted(self, rig):
         segs = segment(0, {0: Bbox(960.0, 540.0, 40.0, 100.0)})
-        t3 = on_grid(np.array([0.0, 0.0, 1.0]), segs)
-        attach_top_bottom_batch([(t3, links_of(segs, rig))], rig)
+        t3 = solved_alone(on_grid(np.array([0.0, 0.0, 1.0]), segs), links_of(segs, rig), rig)
         assert to_frames(t3).top == {} and to_frames(t3).bottom == {}
 
     def test_frames_off_the_track_stay_nan(self, rig):
@@ -711,7 +715,7 @@ class TestAttachTopBottom:
         t3 = as_tracklet(points)
         links = links_of(segs, rig)
         assert not np.isnan(links).any()
-        attach_top_bottom_batch([(t3, links)], rig)
+        t3 = solved_alone(t3, links, rig)
         assert solved_frames(t3.top) == solved_frames(t3.bottom) == [2, 3, 7]
 
 
@@ -827,8 +831,7 @@ class TestProcessWindow:
         assert a[0].track.frames.tolist() == b[0].track.frames.tolist()
         for wt in (a[0], b[0]):
             assert wt.rig is rig and to_frames(wt.track).top == {}
-            attach_top_bottom_batch([(wt.track, wt.links)], wt.rig)
-        got, want = to_frames(a[0].track), to_frames(b[0].track)
+        got, want = (to_frames(with_heights([wt])[0]) for wt in (a[0], b[0]))
         for f in got.frames:
             assert np.array_equal(got.points[f], want.points[f])
             assert np.array_equal(got.top[f], want.top[f])
@@ -932,26 +935,25 @@ class TestProcessWindow:
         # verdicts.  The heights of all five tracks take one more call per
         # camera set.
         assert calls == [(0, 1, 2), (1, 2, 3), (0, 2)]
-        attach_top_bottom_batch([(wt.track, wt.links) for wt in tracks], rig)
+        solved = with_heights(tracks)
         assert sorted(calls[3:]) == [(0, 1, 2), (0, 2), (1, 2, 3)]
         monkeypatch.undo()
 
         # Keyed by the bytes of each track's links, built from its segments.
         expected = {}
         for c in clusters[:3]:
-            t3 = as_tracklet(triangulate_one(c, rig))
-            attach_top_bottom_batch([(t3, links_of(c, rig))], rig)
+            t3 = solved_alone(as_tracklet(triangulate_one(c, rig)), links_of(c, rig), rig)
             expected[links_of(c, rig).tobytes()] = t3
         segs = Segments.concat(clusters[3:]).sorted()
         for points, rows in plane_match_and_fuse(plane_candidates(segs, PLANE, rig), segs):
-            t3 = as_tracklet(points, Provenance.PLANE_INTERSECTED)
-            attach_top_bottom_batch([(t3, links_of(segs.take(rows), rig))], rig)
+            t3 = solved_alone(as_tracklet(points, Provenance.PLANE_INTERSECTED),
+                              links_of(segs.take(rows), rig), rig)
             expected[links_of(segs.take(rows), rig).tobytes()] = t3
         assert len(expected) == 5
         assert sorted(wt.links.tobytes() for wt in tracks) == sorted(expected)
-        for wt in tracks:
+        for wt, t3 in zip(tracks, solved):
             want = to_frames(expected[wt.links.tobytes()])
-            got = to_frames(wt.track)
+            got = to_frames(t3)
             assert got.provenance == want.provenance
             for attr in ("points", "top", "bottom"):
                 a, b = getattr(got, attr), getattr(want, attr)
@@ -993,8 +995,7 @@ class TestOverlapSolvedOnce:
         monkeypatch.setattr(cascade, "triangulate_batch", spy)
         tracks = process_windows(*self.overlapping_windows(rig), rig, PLANE, SPACE)
         assert [len(t) for t in tracks.values()] == [2, 2]
-        attach_top_bottom_batch([(wt.track, wt.links)
-                                 for window in tracks.values() for wt in window], rig)
+        with_heights([wt for window in tracks.values() for wt in window])
         # Centers of 16 frames, then the tops and bottoms of all four tracks'
         # 16 frames per camera set; without the dedupe each is 22 frames.
         assert [(cams, len(p)) for cams, p in calls] == \
@@ -1006,8 +1007,7 @@ class TestOverlapSolvedOnce:
     def test_tracks_equal_direct_solves(self, rig):
         table, clusters = self.overlapping_windows(rig)
         tracks = process_windows(table, clusters, rig, PLANE, SPACE)
-        attach_top_bottom_batch([(wt.track, wt.links)
-                                 for window in tracks.values() for wt in window], rig)
+        solved = iter(with_heights([wt for window in tracks.values() for wt in window]))
         assert list(tracks) == [0, 5]
         for start, window_tracks in tracks.items():
             frames = list(range(start, start + 11))
@@ -1015,7 +1015,7 @@ class TestOverlapSolvedOnce:
                 # The segments of the one cluster the track's links hold.
                 segs, = [table.take(rows) for rows in clusters
                          if linked_to(wt, table.take(rows), rig)]
-                t3 = to_frames(wt.track)
+                t3 = to_frames(next(solved))
                 assert t3.frames == frames
                 solves = [direct_solve(rig, segs, frames, off) for off in (TOP, BOTTOM)]
                 if len(segs) == 3:

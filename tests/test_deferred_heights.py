@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mvtrack import cascade, target
+from mvtrack import cascade, pipeline, target
 from mvtrack.cascade import BOTTOM, CENTER, TOP, Mode
 from mvtrack.geometry import triangulate_batch
 from mvtrack.pipeline import run_pipeline
@@ -78,6 +78,35 @@ def test_reidentification_after_two_losses(monkeypatch):
     assert maintainer.tenures == [{"id": 0, "identified_at": 20, "end": 60},
                                   {"id": 3, "identified_at": 110, "end": 150},
                                   {"id": 8, "identified_at": 200, "end": None}]
+
+
+def test_window_tracks_are_read_only(monkeypatch):
+    # Heights are solved after each of the scene's losses, returned to the
+    # stitched tracks; no window track is written after the cascade.
+    returned, solved = [], set()
+    process, solve = pipeline.process_windows, target.solve_heights
+
+    def snapshot(wt):
+        return (wt.track.first, wt.track.points.tobytes(), wt.track.provenance.tobytes(),
+                wt.links.tobytes(), tuple(None if heights is None else heights.tobytes()
+                                          for heights in (wt.track.top, wt.track.bottom)))
+
+    def process_spy(*args, **kwargs):
+        tracks = process(*args, **kwargs)
+        returned.extend((wt, snapshot(wt)) for window in tracks.values() for wt in window)
+        return tracks
+
+    def solve_spy(window_tracks):
+        solved.update(map(id, window_tracks))
+        return solve(window_tracks)
+    monkeypatch.setattr(pipeline, "process_windows", process_spy)
+    monkeypatch.setattr(target, "solve_heights", solve_spy)
+    _, maintainer = run_observed(monkeypatch, LOSS)
+    assert len(maintainer.tenures) == 3
+    assert any(id(wt) in solved for wt, _ in returned)
+    for wt, before in returned:
+        assert snapshot(wt) == before
+        assert before[-1] == (None, None)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

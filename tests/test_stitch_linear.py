@@ -1,7 +1,7 @@
 """Linear-time stitching and segmentation against the copy-merge and
 rescan versions they replaced, kept here as oracles.  The copy-merge also
 averaged tops and bottoms at every merge; the registry now keeps the merged
-window tracks pending and folds their heights on demand
+window tracks pending and folds the heights solved for them on demand
 (`TrackRecord.fold_heights`), which must give the same heights.  The
 oracles work on frame-keyed dicts (`conftest.FrameTrack`), the registry on
 arrays."""
@@ -20,7 +20,7 @@ from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry, assign, window_distance_matrix
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
-from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, links_of,
+from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, fold_pending, links_of,
                       no_links, to_arrays, to_frames, window_segment)
 from test_track_arrays import window_distance_matrix_dicts
 
@@ -189,7 +189,7 @@ class TestAdvanceAgainstCopyMerge:
         for (start, tracks), (_, oracle_tracks) in zip(windows, oracle_windows):
             reg.advance(start, tracks)
             for rec in reg.tracks.values():
-                rec.fold_heights()
+                fold_pending(rec)
             copy_merge_advance(oracle, oracle_boxes2d, start, oracle_tracks)
             assert_registries_equal(reg, oracle, oracle_boxes2d)
 
@@ -227,7 +227,7 @@ class TestInPlaceMerge:
         assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
         # Heights are folded in later, from the pending window track.
         assert merged.top.keys() == {1}
-        rec.fold_heights()
+        fold_pending(rec)
         assert rec.pending == []
         folded = to_frames(prev)
         assert np.array_equal(folded.top[1], 2 * np.ones(3))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mvtrack import target
-from mvtrack.cascade import (PROVENANCE, Provenance, TrackingSpace, WindowTrack,
-                             attach_top_bottom_batch)
+from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace, WindowTrack
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
 from mvtrack.stitch import TrackRecord, TrackRegistry
@@ -14,7 +13,8 @@ from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
-from conftest import FrameTrack, links_of, no_links, to_arrays, to_frames, window_segment
+from conftest import (FrameTrack, links_of, no_links, to_arrays, to_frames, window_segment,
+                      with_heights)
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
@@ -326,9 +326,7 @@ class TestTargetMaintainer:
         reg.tracks[0], reg._next_id = rec, 1
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(5, 10, reg)
         alone = pending_windows(low) + pending_windows(high)
-        for wt in alone:
-            attach_top_bottom_batch([(wt.track, wt.links)], RIG)
-        a, b = (to_frames(wt.track) for wt in alone)
+        a, b = (to_frames(with_heights([wt])[0]) for wt in alone)
         top = to_frames(rec.tracklet).top
         for f in range(16):
             want = (a.top[f] + b.top[f]) / 2.0 if 5 <= f <= 10 else \
@@ -338,8 +336,8 @@ class TestTargetMaintainer:
 
     def test_pending_dropped_behind_the_buffer_and_once_ended(self, monkeypatch):
         solved = []
-        monkeypatch.setattr(target, "attach_top_bottom_batch",
-                            lambda tracks, rig: solved.extend(tracks))
+        monkeypatch.setattr(target, "solve_heights",
+                            lambda window_tracks: solved.extend(window_tracks))
         reg = registry_with([performer_track(range(0, 61))])
         maintainer = TargetMaintainer(space=SPACE, criteria=CRIT)
         maintainer.target_id = 0

@@ -14,7 +14,8 @@ from mvtrack import target
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
 
-from conftest import FrameTrack, assert_frame_tracks_equal, no_links, to_arrays, to_frames
+from conftest import (FrameTrack, assert_frame_tracks_equal, fold_pending, no_links, to_arrays,
+                      to_frames)
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
@@ -244,7 +245,7 @@ def test_fold_heights_equals_dicts():
         split = int(rng.integers(0, len(pending) + 1))
         for lo, hi in ((0, split), (split, len(pending))):
             rec.pending = pending[lo:hi]
-            rec.fold_heights()
+            fold_pending(rec)
             assert rec.pending == []
             fold_heights_dicts(oracle, [t for _, t in windows[lo:hi]])
             assert_frame_tracks_equal(to_frames(rec.tracklet), oracle)
