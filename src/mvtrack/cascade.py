@@ -10,8 +10,8 @@ A cluster is a sorted array of rows of a `sv_track.Segments` table, whose
 windows' (L+1)-frame grids make every 3D result from solve to gate an
 (L+1, 3) row, NaN where it has no point; the rows of a run of windows
 stack, so each step (solve, two-view verdict, plane matching, outlier
-gate) is one call per run.  A gated row is a window track's `Tracklet3D`,
-and the boxes of its cluster's rows, per camera, the track's links.
+gate) is one call per run.  A gated row is a window track's points, and
+the boxes of its cluster's rows, per camera, the track's links.
 """
 
 from __future__ import annotations
@@ -64,17 +64,16 @@ class Mode(enum.Enum):
 @dataclass
 class Tracklet3D:
     """A 3D track over the n frames from `first`: `points` (n, 3) centers,
-    NaN at a frame with none, and `provenance` (n,) uint8 codes into
-    `PROVENANCE`, read where there is a point.  Its identity is the
-    `stitch.TrackRegistry` key it is stored under, if any.  `top` / `bottom`
-    (n, 3) hold a stitched track's head/foot points, NaN where none was
-    solved (`stitch.TrackRecord.fold_heights`); a window track's are None."""
+    NaN at a frame with none; `provenance` (n,) uint8 codes into
+    `PROVENANCE`, read where there is a point; and `links` (C, n, 4), per
+    camera of the rig in id order the 2D box linked at each frame, NaN where
+    none.  A window track (`WindowTrack`) and a stitched track
+    (`stitch.TrackRecord`) are each one plus what only they need."""
 
     first: int
     points: np.ndarray
     provenance: np.ndarray
-    top: np.ndarray | None = None
-    bottom: np.ndarray | None = None
+    links: np.ndarray
 
     @property
     def valid(self) -> np.ndarray:
@@ -288,24 +287,21 @@ def plane_match_and_fuse(points: np.ndarray, segments: Segments,
 
 
 @dataclass
-class WindowTrack:
-    """A fused 3D track on one window's grid; its `links` (C, L+1, 4), per
-    camera of the rig in id order the box of its segments at each frame,
-    NaN where none, the later segment's in key order where two of one
-    camera hold one; and the rig, which its height solve (`solve_heights`)
-    needs.  It is read-only once `process_windows` returns it."""
+class WindowTrack(Tracklet3D):
+    """A fused 3D track on one window's grid, linked to its cluster's
+    segments (the later in key order where two of one camera hold a box),
+    and the rig its height solve (`solve_heights`) needs.  It is read-only
+    once `process_windows` returns it."""
 
-    track: Tracklet3D
-    links: np.ndarray
     rig: CameraRig
 
-    # A frame-keyed view of `track` for bench/traced.py, the one caller that
-    # reads it so.  Delete it with ROADMAP item 12.
+    # A frame-keyed view for bench/traced.py, the one caller that reads it
+    # so.  Delete it with ROADMAP item 12.
     @property
     def tracklet(self) -> SimpleNamespace:
-        frames, valid = self.track.frames.tolist(), self.track.valid
-        codes = self.track.provenance[valid].tolist()
-        return SimpleNamespace(frames=frames, points=dict(zip(frames, self.track.points[valid])),
+        frames, valid = self.frames.tolist(), self.valid
+        codes = self.provenance[valid].tolist()
+        return SimpleNamespace(frames=frames, points=dict(zip(frames, self.points[valid])),
                                provenance={f: PROVENANCE[c] for f, c in zip(frames, codes)})
 
 
@@ -317,7 +313,7 @@ def solve_heights(window_tracks: Sequence[WindowTrack]) -> tuple[np.ndarray, np.
     at its own frames as one cluster of C rows.  All tracks are solved
     together, one `triangulate_batch` call per camera set; none is written."""
     rig, n = window_tracks[0].rig, len(window_tracks)
-    linked = [np.where(wt.track.valid[:, None], wt.links, np.nan) for wt in window_tracks]
+    linked = [np.where(wt.valid[:, None], wt.links, np.nan) for wt in window_tracks]
     points, ok = _triangulate_boxes(np.concatenate(linked), np.tile(rig.ids, n),
                                     np.arange(n * len(rig)).reshape(n, -1), rig, (TOP, BOTTOM))
     return points[0], np.where((ok[0] & ok[1])[..., None], points[1], np.nan)
@@ -376,8 +372,8 @@ def process_windows(segments: Segments, clusters: Sequence[np.ndarray],
             links = np.full((len(rig),) + segments.boxes.shape[1:], np.nan)
             for r in rows.tolist():  # in key order, so the later of one camera's rows wins
                 np.copyto(links[slot[r]], segments.boxes[r], where=valid[r])
-            tracks[start].append(WindowTrack(
-                Tracklet3D(start, row, np.full(len(row), code, np.uint8)), links, rig))
+            tracks[start].append(WindowTrack(start, row, np.full(len(row), code, np.uint8),
+                                             links, rig))
     return tracks
 
 

@@ -151,9 +151,10 @@ def read_blocks(path, what: str, parse) -> list:
     JSON-lines file], `records` the block's non-blank lines decoded, in
     order.  The first bad line of the file, one that is not UTF-8, is not
     JSON, nests too deep to decode or whose record `parse` names with
-    BadRecord, raises ValueError "path:line: bad <what> record: ..."."""
+    BadRecord, raises ValueError "path:line: bad <what> record: ...".  Only
+    LF ends a line, as `grep -n` counts them: a CR is part of its line."""
     out, base = [], 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         while lines := list(islice(fh, BLOCK_LINES)):
             texts = [line for line in lines if not line.isspace()]
             recs, bad = [], _undecodable(texts)

@@ -233,9 +233,10 @@ def render_detections(scenario: Scenario) -> tuple[Detections, list[dict]]:
     seen = ~np.isnan(boxes[..., 0])
     frame, c, person = np.nonzero(seen & visible[:, :, None])
     camera = np.array([cam.id for cam in rig], dtype=np.int64)[c]
+    # A spawn key is non-negative: a camera id keys by its 64 bits, unsigned.
+    keys = zip(frame.tolist(), camera.view(np.uint64).tolist(), person.tolist())
     noise = np.array([np.random.default_rng(np.random.SeedSequence(
-        scenario.seed, spawn_key=key)).normal(size=4)
-        for key in zip(frame.tolist(), camera.tolist(), person.tolist())]).reshape(-1, 4)
+        scenario.seed, spawn_key=key)).normal(size=4) for key in keys]).reshape(-1, 4)
     x, y, w, h = boxes[frame, c, person].T
     sigma = scenario.noise_px
     with np.errstate(over="ignore"):  # save_detections refuses what overflows

@@ -166,59 +166,57 @@ def _average_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TrackRecord:
-    """A stitched track: the accumulated 3D tracklet, the one holder of
-    tops and bottoms, and its last frame, kept at each merge; its `links`
-    (C, n, 4) on the tracklet's n frames, as `WindowTrack.links`, so
-    `links.shape[1] == len(tracklet.points)` always; and the merged window
-    tracks whose heights are not yet folded in, in merge order."""
+class TrackRecord(Tracklet3D):
+    """A stitched track, its identity the `TrackRegistry` key it is stored
+    under: the merged centers, provenance and links of its window tracks,
+    the newest window's link where two hold a box; `top` and `bottom` (n,
+    3), its head/foot points, NaN where none was solved, held by no other
+    track; the merged window tracks whose heights are not yet folded in, in
+    merge order; and its last frame, kept at each merge."""
 
-    tracklet: Tracklet3D
-    links: np.ndarray
     pending: list[WindowTrack] = field(default_factory=list)
+    top: np.ndarray = field(init=False)
+    bottom: np.ndarray = field(init=False)
     last_frame: int = field(init=False)
 
     def __post_init__(self):
-        self.last_frame = int(self.tracklet.frames.max(initial=-1))
+        self.top, self.bottom = np.full((2, len(self.points), 3), np.nan)
+        self.last_frame = int(self.frames.max(initial=-1))
 
     def merge(self, track_id: int, wt: WindowTrack) -> None:
-        """Merge a window track starting no earlier than the tracklet, the one
+        """Merge a window track starting no earlier than the record, the one
         place where the five per-frame arrays (points, provenance, top, bottom
         and links) grow, together.  A point both have is averaged, keeping
         the older provenance; the window track's links are written wherever
         it has a box, so the newest window wins."""
-        t3, new = self.tracklet, wt.track
-        at, n = new.first - t3.first, len(new.points)
-        if at + n > len(t3.points):
+        at, n = wt.first - self.first, len(wt.points)
+        if at + n > len(self.points):
             # By at least doubling, so appending costs amortised O(1) a frame,
             # and one array at a time, so one old copy is alive at once.
-            pad = max(at + n, 2 * len(t3.points)) - len(t3.points)
-
-            def grown(a):  # along the frame axis, each float array's second to last
-                return np.concatenate([a, np.full(a.shape[:-2] + (pad, a.shape[-1]), np.nan)], -2)
-            t3.points = grown(t3.points)
-            t3.top = grown(t3.top)
-            t3.bottom = grown(t3.bottom)
-            self.links = grown(self.links)
-            t3.provenance = np.concatenate([t3.provenance, np.zeros(pad, np.uint8)])
-        taken = _average_into(t3.points[at:at + n], new.points)
-        t3.provenance[at:at + n][taken] = new.provenance[taken]
-        links, linked = self.links[:, at:at + wt.links.shape[1]], ~np.isnan(wt.links)
+            pad = max(at + n, 2 * len(self.points)) - len(self.points)
+            for name in ("points", "top", "bottom", "links"):  # along the frame axis
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    [a, np.full(a.shape[:-2] + (pad, a.shape[-1]), np.nan)], -2))
+            self.provenance = np.concatenate([self.provenance, np.zeros(pad, np.uint8)])
+        taken = _average_into(self.points[at:at + n], wt.points)
+        self.provenance[at:at + n][taken] = wt.provenance[taken]
+        links, linked = self.links[:, at:at + n], ~np.isnan(wt.links)
         if logger.isEnabledFor(logging.DEBUG):
             differ = linked[..., 0] & ~np.isnan(links[..., 0]) & (links != wt.links).any(axis=-1)
             for c, j in zip(*np.nonzero(differ)):
                 logger.debug("track %d cam %d frame %d: 2D link conflict, keeping newer window",
-                             track_id, wt.rig.ids[c], new.first + j)
+                             track_id, wt.rig.ids[c], wt.first + j)
         np.copyto(links, wt.links, where=linked)
-        self.last_frame = max(self.last_frame, int(new.frames[-1]))
+        self.last_frame = max(self.last_frame, int(wt.frames[-1]))
         self.pending.append(wt)
 
     def fold_heights(self, first: int, top: np.ndarray, bottom: np.ndarray) -> None:
         """Average the (n, 3) tops and bottoms `cascade.solve_heights` gives
-        a merged window track from frame `first` into the tracklet's."""
-        at = first - self.tracklet.first
-        _average_into(self.tracklet.top[at:at + len(top)], top)
-        _average_into(self.tracklet.bottom[at:at + len(bottom)], bottom)
+        a merged window track from frame `first` into the record's."""
+        at = first - self.first
+        _average_into(self.top[at:at + len(top)], top)
+        _average_into(self.bottom[at:at + len(bottom)], bottom)
 
 
 class TrackRegistry:
@@ -241,8 +239,7 @@ class TrackRegistry:
 
     def advance(self, window_start: int, window_tracks: list[WindowTrack]) -> None:
         live = self.live_tracks(window_start)
-        D = window_distance_matrix([self.tracks[tid].tracklet for tid in live],
-                                   [wt.track for wt in window_tracks])
+        D = window_distance_matrix([self.tracks[tid] for tid in live], window_tracks)
         pairs, _unmatched_prev, unmatched_next = assign(D, self.unmatched_threshold)
 
         for i, j in pairs:
@@ -251,7 +248,6 @@ class TrackRegistry:
             wt = window_tracks[j]
             # Merged into an empty track from the window's start: a copy, so
             # later merges leave the window track as it was.
-            empty = Tracklet3D(wt.track.first, np.empty((0, 3)), np.empty(0, np.uint8),
-                               np.empty((0, 3)), np.empty((0, 3)))
-            self.tracks[tid] = TrackRecord(empty, np.empty((len(wt.links), 0, 4)))
+            self.tracks[tid] = TrackRecord(wt.first, np.empty((0, 3)), np.empty(0, np.uint8),
+                                           np.empty((len(wt.links), 0, 4)))
             self.tracks[tid].merge(tid, wt)

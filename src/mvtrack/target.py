@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import PROVENANCE, Provenance, Tracklet3D, TrackingSpace, solve_heights
+from .cascade import PROVENANCE, Provenance, TrackingSpace, solve_heights
 from .geometry import CameraRig, project
-from .stitch import TrackRegistry
+from .stitch import TrackRecord, TrackRegistry
 from .records import INT, NUM, Fields, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -47,17 +47,17 @@ class TargetCriteria:
             raise ValueError("delta must be >= 1")
 
 
-def identify_target(t3: Tracklet3D, space: TrackingSpace, crit: TargetCriteria,
+def identify_target(rec: TrackRecord, space: TrackingSpace, crit: TargetCriteria,
                     current_frame: int) -> bool:
     """True when, over the trailing delta-frame buffer, the count of frames
     with (center in perf) and (top.z > h_top) and (bottom.z > h_bot)
-    strictly exceeds IDENTIFY_OCCUPANCY * delta.  Only the track's frames inside
-    the buffer are read, however long the buffer."""
-    lo = max(current_frame - crit.delta - t3.first, 0)
-    rows = slice(lo, max(lo, current_frame + 1 - t3.first))
-    X = t3.points[rows]
+    strictly exceeds IDENTIFY_OCCUPANCY * delta.  Only the stitched track's
+    frames inside the buffer are read, however long the buffer."""
+    lo = max(current_frame - crit.delta - rec.first, 0)
+    rows = slice(lo, max(lo, current_frame + 1 - rec.first))
+    X = rec.points[rows]
     hits = (((X >= space.perf[:3]) & (X <= space.perf[3:])).all(axis=1)
-            & (t3.top[rows, 2] > crit.h_top) & (t3.bottom[rows, 2] > crit.h_bot))
+            & (rec.top[rows, 2] > crit.h_top) & (rec.bottom[rows, 2] > crit.h_bot))
     return int(hits.sum()) > IDENTIFY_OCCUPANCY * crit.delta
 
 
@@ -129,7 +129,7 @@ class TargetMaintainer:
             if rec.pending:
                 ended = rec.last_frame < window_start
                 rec.pending = [wt for wt in rec.pending if not ended
-                               and wt.track.first + window_len >= t_c - self.criteria.delta]
+                               and wt.first + window_len >= t_c - self.criteria.delta]
         if self.target_id is not None:
             rec = registry.tracks[self.target_id]
             if rec.last_frame < window_start:
@@ -144,11 +144,11 @@ class TargetMaintainer:
             if pending:
                 tops, bottoms = solve_heights([wt for _, wt in pending])
                 for (rec, wt), top, bottom in zip(pending, tops, bottoms):
-                    rec.fold_heights(wt.track.first, top, bottom)
+                    rec.fold_heights(wt.first, top, bottom)
             for rec in records:
                 rec.pending = []
             for tid, rec in zip(live, records):
-                if identify_target(rec.tracklet, self.space, self.criteria, t_c):
+                if identify_target(rec, self.space, self.criteria, t_c):
                     self.target_id = tid
                     self.tenures.append({"id": tid, "identified_at": t_c,
                                          "end": None})
@@ -161,11 +161,10 @@ class TargetMaintainer:
                                np.zeros(0, np.int64))], -1
         for tenure in self.tenures:
             rec = registry.tracks[tenure["id"]]
-            t3 = rec.tracklet
             end = tenure["end"] if tenure["end"] is not None else rec.last_frame
-            rows = np.flatnonzero(t3.valid)
-            rows = rows[(rows > emitted_end - t3.first) & (rows <= end - t3.first)]
-            parts.append((t3.first + rows, t3.points[rows], t3.provenance[rows],
+            rows = np.flatnonzero(rec.valid)
+            rows = rows[(rows > emitted_end - rec.first) & (rows <= end - rec.first)]
+            parts.append((rec.first + rows, rec.points[rows], rec.provenance[rows],
                           np.full(len(rows), tenure["id"])))
             emitted_end = max(emitted_end, end)
         frames, X, codes, tids = self._fill_gaps(*map(np.concatenate, zip(*parts)))
@@ -202,8 +201,8 @@ class TargetMaintainer:
             # A bridged frame takes the next point's track id, so it can lie
             # before that track's first frame, where it has no link.
             rec = registry.tracks[tid]
-            rows = np.flatnonzero((tids == tid) & (frames >= rec.tracklet.first))
-            linked[:, rows] = rec.links[:, frames[rows] - rec.tracklet.first]
+            rows = np.flatnonzero((tids == tid) & (frames >= rec.first))
+            linked[:, rows] = rec.links[:, frames[rows] - rec.first]
         views = np.full((len(rig), len(frames), 3), np.nan)
         for view, cam, boxes in zip(views, rig, linked):
             x, y = project(cam, X).T

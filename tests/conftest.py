@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tempfile
@@ -9,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D, solve_heights
+from mvtrack.cascade import PROVENANCE, Provenance, Tracklet3D, WindowTrack, solve_heights
 from mvtrack.config import PipelineConfig
 from mvtrack.geometry import CameraModel, CameraRig
 from mvtrack.simulate import build_scenario, render_detections
+from mvtrack.stitch import TrackRecord
 from mvtrack.sv_track import (WINDOW_LEN, Bbox, Detections, Segments, load_detections,
                               save_detections)
 
@@ -150,29 +150,54 @@ class FrameTrack:
         return sorted(self.points)
 
 
-def to_arrays(t: FrameTrack, first: int | None = None, n: int | None = None) -> Tracklet3D:
-    """`t` as a `Tracklet3D` over the n frames from `first`: by default from
-    its first to its last frame with a point, top or bottom.  A point with
-    no provenance is TRIANGULATED."""
+def _rows(points: dict, first: int, n: int) -> np.ndarray:
+    """{frame: (3,) point} as (n, 3) rows from `first`, NaN where none."""
+    out = np.full((n, 3), np.nan)
+    for f, X in points.items():
+        out[f - first] = X
+    return out
+
+
+def to_arrays(t: FrameTrack, first: int | None = None, n: int | None = None,
+              links: np.ndarray | None = None) -> Tracklet3D:
+    """`t`'s points and provenance as a `Tracklet3D` over the n frames from
+    `first`: by default from its first to its last frame with a point, top
+    or bottom.  Its links are `links`, by default four cameras' with no box.
+    A point with no provenance is TRIANGULATED."""
     frames = sorted({*t.points, *t.top, *t.bottom})
     first = (frames[0] if frames else 0) if first is None else first
     n = (frames[-1] + 1 - first if frames else 0) if n is None else n
-
-    def rows(points):
-        out = np.full((n, 3), np.nan)
-        for f, X in points.items():
-            out[f - first] = X
-        return out
     codes = np.zeros(n, np.uint8)
     for f in t.points:
         codes[f - first] = PROVENANCE.index(t.provenance.get(f, Provenance.TRIANGULATED))
-    return Tracklet3D(first, rows(t.points), codes, rows(t.top), rows(t.bottom))
+    return Tracklet3D(first, _rows(t.points, first, n), codes,
+                      no_links(n) if links is None else links)
+
+
+def to_record(t: FrameTrack, first: int | None = None, n: int | None = None,
+              links: np.ndarray | None = None, pending=()) -> TrackRecord:
+    """`t` as a stitched track over the frames `to_arrays` gives it, with
+    its tops and bottoms and the window tracks `pending`."""
+    rec = as_record(to_arrays(t, first, n, links), pending)
+    rec.top, rec.bottom = (_rows(h, rec.first, len(rec.points)) for h in (t.top, t.bottom))
+    return rec
+
+
+def as_record(t3: Tracklet3D, pending=()) -> TrackRecord:
+    """A stitched track of `t3`'s arrays, with no height and the window
+    tracks `pending`."""
+    return TrackRecord(t3.first, t3.points, t3.provenance, t3.links, list(pending))
+
+
+def as_window_track(t3: Tracklet3D, rig) -> WindowTrack:
+    """A window track of `rig` of `t3`'s arrays."""
+    return WindowTrack(t3.first, t3.points, t3.provenance, t3.links, rig)
 
 
 def to_frames(t3: Tracklet3D) -> FrameTrack:
     """`t3` as frame-keyed dicts of the rows of each array that hold a
-    point, and of the provenance of the rows with a center; a window
-    track's None heights are empty."""
+    point, and of the provenance of the rows with a center; a track with
+    no heights, as a window track, has empty tops and bottoms."""
     def keyed(points):
         if points is None:
             return {}
@@ -180,25 +205,27 @@ def to_frames(t3: Tracklet3D) -> FrameTrack:
         return dict(zip((t3.first + rows).tolist(), points[rows]))
     points = keyed(t3.points)
     codes = t3.provenance[np.flatnonzero(t3.valid)].tolist()
-    return FrameTrack(points, keyed(t3.top), keyed(t3.bottom),
+    return FrameTrack(points, keyed(getattr(t3, "top", None)), keyed(getattr(t3, "bottom", None)),
                       {f: PROVENANCE[c] for f, c in zip(points, codes)})
 
 
-def with_heights(window_tracks) -> list[Tracklet3D]:
-    """Each window track's `Tracklet3D` with the tops and bottoms that
-    `cascade.solve_heights` returns for the batch: a copy, so the window
-    tracks are left as they were."""
+def with_heights(window_tracks) -> list[TrackRecord]:
+    """Each window track as a stitched track of its own, holding the tops
+    and bottoms that `cascade.solve_heights` returns for the batch; the
+    window tracks are left as they were."""
     top, bottom = solve_heights(window_tracks)
-    return [dataclasses.replace(wt.track, top=t, bottom=b)
-            for wt, t, b in zip(window_tracks, top, bottom)]
+    records = [as_record(wt) for wt in window_tracks]
+    for rec, t, b in zip(records, top, bottom):
+        rec.top, rec.bottom = t, b
+    return records
 
 
-def fold_pending(rec) -> None:
-    """Fold the heights the window tracks pending on registry track `rec`
-    carry, in merge order, as `TargetMaintainer.observe` folds solved ones,
-    and clear them."""
+def fold_pending(rec, heights: dict) -> None:
+    """Fold into registry track `rec` the (top, bottom) rows `heights` holds,
+    by id, for each window track pending on it, in merge order, as
+    `TargetMaintainer.observe` folds solved ones, and clear them."""
     for wt in rec.pending:
-        rec.fold_heights(wt.track.first, wt.track.top, wt.track.bottom)
+        rec.fold_heights(wt.first, *heights[id(wt)])
     rec.pending = []
 
 

@@ -77,9 +77,8 @@ def main() -> None:
         records_digest = hashlib.sha256(path.read_bytes()).hexdigest()
     tracks = hashlib.sha256()
     for tid, rec in sorted(registry.tracks.items()):
-        t3 = rec.tracklet
-        tracks.update(np.array([tid, t3.first]).tobytes() + t3.points.tobytes()
-                      + t3.provenance.tobytes())
+        tracks.update(np.array([tid, rec.first]).tobytes() + rec.points.tobytes()
+                      + rec.provenance.tobytes())
     print(json.dumps({"n": args.n, "budget": args.budget, "seconds": round(seconds, 3),
                       "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                           / 1024, 1),

@@ -171,11 +171,11 @@ def _replay_with_hole(registry, cfg, rig, duration, hole):
     reg = copy.deepcopy(registry)
     counts = Counter()
     for tid, rec in reg.tracks.items():
-        counts.update({tid: len(rec.tracklet.frames)})
+        counts.update({tid: len(rec.frames)})
     tid = counts.most_common(1)[0][0]
-    t3 = reg.tracks[tid].tracklet
-    rows = np.array(hole) - t3.first
-    for store in (t3.points, t3.top, t3.bottom):
+    rec = reg.tracks[tid]
+    rows = np.array(hole) - rec.first
+    for store in (rec.points, rec.top, rec.bottom):
         store[rows] = np.nan
     maintainer = TargetMaintainer(
         space=cfg.space(),

@@ -8,6 +8,7 @@ loader reads exactly the values a per-record parse gives; an empty or
 one-camera stream finds no target in every mode; and the output does not
 depend on the camera ids."""
 
+import dataclasses
 import json
 import math
 import re
@@ -23,10 +24,13 @@ from hypothesis import strategies as st
 
 from mvtrack.cascade import Mode
 from mvtrack.cli import main
+from mvtrack.config import PipelineConfig, save_routine_config
+from mvtrack.geometry import CameraModel, save_calibration
 from mvtrack.records import BOOL, FLOAT, INT, NUM, Fields, is_finite, read_json
-from mvtrack.simulate import build_scenario
-from mvtrack.sv_track import MAX_BOX_PX, MAX_FRAME, load_detections
+from mvtrack.simulate import build_scenario, make_rig, render_detections
+from mvtrack.sv_track import MAX_BOX_PX, MAX_FRAME, load_detections, save_detections
 
+from conftest import look_at_camera
 from test_cli import SMALL_SCENARIO, run_track
 
 # Exit code of a malformed file: 2 for configuration, 3 for input.
@@ -320,12 +324,12 @@ def short_detections(scene):
 
 
 @settings(max_examples=200, deadline=None)
-# With no line end: a lone CR ends a line too, as Python's universal newlines read it.
-@given(lineno=st.integers(1, 24),
-       raw=st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")))
+# With no LF, the one line end: a CR is part of its line, as grep -n counts.
+@given(lineno=st.integers(1, 24), raw=st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")))
 # Hypothesis raises the recursion limit while a test runs, so the nesting
 # that no decode can reach is deeper than DEEP.
 @example(lineno=5, raw=b"[" * 100_000 + b"]" * 100_000)
+@example(lineno=3, raw=b"\r0")
 def test_any_bytes_as_a_line_exit_0_or_name_that_line(scene, short_detections, lineno, raw):
     lines = short_detections.splitlines(keepends=True)
     lines[lineno - 1] = raw + b"\n"
@@ -359,9 +363,63 @@ IN_RANGE_BOXES = st.tuples(
 ).filter(lambda box: box[2] * box[3] >= sys.float_info.min)
 
 
+IN_RANGE_LINES = st.lists(st.tuples(st.integers(0, 10**6), IN_RANGE_BOXES), min_size=1,
+                          max_size=20)
+
+
 @settings(max_examples=150, deadline=None)
-@given(boxes=st.lists(st.tuples(st.integers(0, 10**6), IN_RANGE_BOXES), min_size=1, max_size=20))
+@given(boxes=IN_RANGE_LINES)
 def test_in_range_boxes_exit_0_with_finite_output_or_3(scene, boxes):
+    assert_in_range_boxes_exit_0_with_finite_output_or_3(scene, boxes)
+
+
+def _rig(ids=(0, 1, 2, 3)) -> list[CameraModel]:
+    """The small scene's four cameras, with the ids `ids` in position order."""
+    return [dataclasses.replace(cam, id=i)
+            for cam, i in zip(make_rig(6.0, 2.0, 1000.0, (1920, 1080)), ids)]
+
+
+# Rigs other than the small scene's: a fifth camera overhead; ids far apart
+# in int64, whose id order is not the position order; and a camera beside
+# the plane x = 0, looking along it, for which a box on its image's left
+# half has a ray meeting the plane behind the camera.
+OTHER_RIGS = {
+    "five-cameras": _rig() + [look_at_camera(4, (0.5, -3.0, 6.0), (0.0, 0.0, 1.2))],
+    "ids-far-apart": _rig((2**62 - 1, -2**62, 0, -1)),
+    "camera-behind-the-plane": _rig()[:3] + [look_at_camera(3, (-1.0, -6.0, 1.2),
+                                                            (-1.0, 0.0, 1.2))],
+}
+
+
+@pytest.fixture(scope="module")
+def rig_scenes(tmp_path_factory):
+    """Per rig of OTHER_RIGS, a directory with the small scenario rendered
+    from it, written as `mvtrack simulate` writes its inputs."""
+    scenes = {}
+    for name, rig in OTHER_RIGS.items():
+        out = scenes[name] = tmp_path_factory.mktemp(name)
+        scene = dataclasses.replace(build_scenario(SMALL_SCENARIO), rig=rig)
+        detections, _ = render_detections(scene)
+        assert set(detections.camera.tolist()) == {cam.id for cam in rig}
+        save_detections(detections, out / "detections.jsonl")
+        save_calibration(rig, out / "calib.json")
+        save_routine_config(PipelineConfig(plane_n=scene.plane.n, plane_point=scene.plane.point,
+                                           perf_space=scene.space.perf, beta=scene.space.beta),
+                            out / "routine.json")
+    return scenes
+
+
+@pytest.mark.parametrize("rig", OTHER_RIGS)
+@settings(max_examples=100, deadline=None)
+@given(boxes=IN_RANGE_LINES)
+def test_in_range_boxes_on_other_rigs_exit_0_with_finite_output_or_3(rig_scenes, rig, boxes):
+    assert_in_range_boxes_exit_0_with_finite_output_or_3(rig_scenes[rig], boxes)
+
+
+def assert_in_range_boxes_exit_0_with_finite_output_or_3(scene, boxes):
+    """`track` of the scene's inputs with each (k, box) of `boxes` put in
+    line k (mod the line count) of its detections exits 0 with finite
+    output or 3, never with a traceback."""
     lines = (scene / "detections.jsonl").read_text().splitlines(keepends=True)
     for k, (x, y, w, h) in boxes:
         rec = json.loads(lines[k % len(lines)])

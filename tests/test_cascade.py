@@ -19,8 +19,8 @@ from mvtrack.simulate import make_rig
 from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import TargetCriteria, identify_target
 
-from conftest import (assert_same_rows, box_dict, links_of, look_at_camera, sorted_chunk,
-                      to_frames, window_segment, with_heights)
+from conftest import (as_record, assert_same_rows, box_dict, links_of, look_at_camera, no_links,
+                      sorted_chunk, to_frames, window_segment, with_heights)
 
 PLANE = PlaneSpec(n=[1.0, 0.0, 0.0], point=[0.0, 0.0, 0.0])
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
@@ -77,9 +77,10 @@ class TestTrackingSpace:
         # cuboid the outlier gate's.
         def in_perf(X):
             heights = np.array([[X[0], X[1], 9.0]])
-            t3 = Tracklet3D(0, np.array([X], dtype=float), np.zeros(1, np.uint8),
-                            heights, heights)
-            return identify_target(t3, SPACE, TargetCriteria(h_top=1.0, h_bot=1.0, delta=1), 0)
+            rec = as_record(Tracklet3D(0, np.array([X], dtype=float), np.zeros(1, np.uint8),
+                                       no_links(1)))
+            rec.top, rec.bottom = heights, heights
+            return identify_target(rec, SPACE, TargetCriteria(h_top=1.0, h_bot=1.0, delta=1), 0)
 
         def in_track(X):
             kept, = outlier_gate(np.array([[X]], dtype=float), SPACE)
@@ -113,19 +114,21 @@ def solved_frames(points):
 
 
 def as_tracklet(points, branch=Provenance.TRIANGULATED):
-    """The `Tracklet3D` of (L+1, 3) window-grid `points` from frame 0."""
-    return Tracklet3D(0, points, np.full(len(points), PROVENANCE.index(branch), np.uint8))
+    """The `Tracklet3D` of (L+1, 3) window-grid `points` from frame 0, with
+    no link."""
+    return Tracklet3D(0, points, np.full(len(points), PROVENANCE.index(branch), np.uint8),
+                      no_links(len(points)))
 
 
 def solved_alone(t3, links, rig):
     """t3 with the tops and bottoms `solve_heights` gives it as a window
     track linked to the boxes `links`, solved in a call of its own."""
-    return with_heights([WindowTrack(t3, links, rig)])[0]
+    return with_heights([WindowTrack(t3.first, t3.points, t3.provenance, links, rig)])[0]
 
 
 def branches(wt) -> set:
     """The provenance of a window track's frames."""
-    return set(to_frames(wt.track).provenance.values())
+    return set(to_frames(wt).provenance.values())
 
 
 def classify(cluster, rig, **kwargs):
@@ -828,9 +831,9 @@ class TestProcessWindow:
         b = process_window(0, clusters, rig, PLANE, SPACE,
                            mode=Mode.TRIANGULATION_ONLY)
         assert len(a) == len(b) == 1
-        assert a[0].track.frames.tolist() == b[0].track.frames.tolist()
+        assert a[0].frames.tolist() == b[0].frames.tolist()
         for wt in (a[0], b[0]):
-            assert wt.rig is rig and to_frames(wt.track).top == {}
+            assert wt.rig is rig and to_frames(wt).top == {}
         got, want = (to_frames(with_heights([wt])[0]) for wt in (a[0], b[0]))
         for f in got.frames:
             assert np.array_equal(got.points[f], want.points[f])
@@ -901,7 +904,7 @@ class TestProcessWindow:
         tracks = process_window(0, [first, second, other], rig, PLANE, SPACE)
         wt, = tracks
         assert branches(wt) == {Provenance.PLANE_INTERSECTED}
-        assert sorted(to_frames(wt.track).points) == list(range(11))
+        assert sorted(to_frames(wt).points) == list(range(11))
         # Both of camera 0's rows hold a box at frames 3..10, and differ
         # there; the later row in key order, (0, 1), is linked.
         linked = {f: Bbox(*box) for f, box in enumerate(wt.links[0].tolist())}
@@ -960,7 +963,7 @@ class TestProcessWindow:
                 assert sorted(a) == sorted(b) and a
                 for f in a:
                     assert np.max(np.abs(a[f] - b[f])) <= 1e-12
-        firsts = [next(iter(to_frames(wt.track).provenance.values())) for wt in tracks]
+        firsts = [next(iter(to_frames(wt).provenance.values())) for wt in tracks]
         assert firsts.count(Provenance.PLANE_INTERSECTED) == 2
 
 

@@ -153,7 +153,7 @@ def test_records_do_not_depend_on_cells_per_call(inputs, scenario, monkeypatch, 
         path = tmp_path / "records.jsonl"
         target.save_target_records(records, path)
         outputs.append((path.read_bytes(), [
-            (tid, rec.tracklet.points.tobytes(), rec.tracklet.top.tobytes())
+            (tid, rec.points.tobytes(), rec.top.tobytes())
             for tid, rec in sorted(registry.tracks.items())]))
     assert outputs[0][0]
     for output in outputs[1:]:

@@ -19,22 +19,22 @@ from mvtrack import pipeline, records
 from mvtrack.cascade import PROVENANCE, Mode, Provenance
 from mvtrack.records import decode, read_jsonl, write_jsonl
 from mvtrack.scenarios import get_scenario_spec
-from mvtrack.stitch import TrackRecord, TrackRegistry
+from mvtrack.stitch import TrackRegistry
 from mvtrack.sv_track import (_COMMON_TYPES, _INT64_MAX, _INT64_MIN, DETECTION_FIELDS,
                               MAX_BOX_PX, MAX_FRAME, Bbox, Detections, _detection_values,
                               load_detections)
 from mvtrack.target import TargetMaintainer, TargetRecords, project, save_target_records
 
-from conftest import FrameTrack, box_dict, links_of, simulated, to_arrays, window_segment
+from conftest import FrameTrack, box_dict, links_of, simulated, to_record, window_segment
 from test_boundary import detection_lines
 from test_target import CRIT, RIG, SPACE
 
 
 def reference_line_reader(path, what, parse) -> list:
-    """The per-line JSON-lines reader: a line at a time, the first bad one
-    raising "path:line: bad <what> record: ..."."""
+    """The per-line JSON-lines reader: a line at a time, each ended by an
+    LF only, the first bad one raising "path:line: bad <what> record: ..."."""
     out = []
-    with open(path) as fh:
+    with open(path, newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
@@ -355,8 +355,7 @@ def registry_of(*tracks):
             lo = int(seg.start[0])
             window, linked = links[:, lo:lo + seg.boxes.shape[1]], links_of(seg, RIG)
             np.copyto(window, linked, where=~np.isnan(linked))
-        reg.tracks[tid] = TrackRecord(
-            tracklet=to_arrays(FrameTrack(points=dict(enumerate(points)))), links=links)
+        reg.tracks[tid] = to_record(FrameTrack(points=dict(enumerate(points))), links=links)
     return reg
 
 
@@ -416,7 +415,7 @@ def test_emit_equals_per_frame_loop_on_a_scene(monkeypatch, scenario):
     def advance_spy(self, window_start, window_tracks):
         # The boxes of each window track, per camera, under the id of the
         # track it was merged into, read before the merge.
-        boxes = [[(cam.id, {wt.track.first + j: Bbox(*box)
+        boxes = [[(cam.id, {wt.first + j: Bbox(*box)
                             for j, box in enumerate(links.tolist()) if not math.isnan(box[0])})
                   for cam, links in zip(wt.rig, wt.links)] for wt in window_tracks]
         advance(self, window_start, window_tracks)

@@ -5,26 +5,26 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mvtrack.cascade import Mode, Provenance, WindowTrack
+from mvtrack.cascade import Mode, Provenance
 from mvtrack.geometry import CameraRig
 from mvtrack.pipeline import run_pipeline
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import TrackRecord, TrackRegistry, assign, window_distance_matrix
+from mvtrack.stitch import TrackRegistry, assign, window_distance_matrix
 
-from conftest import (FrameTrack, links_of, no_links, simulated, to_arrays, to_frames,
-                      window_segment)
+from conftest import (FrameTrack, as_record, as_window_track, links_of, no_links, simulated,
+                      to_arrays, to_frames, window_segment)
 
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
 
 
-def tracklet(frames, value, provenance=Provenance.TRIANGULATED, first=None, n=None):
+def tracklet(frames, value, provenance=Provenance.TRIANGULATED, first=None, n=None, links=None):
     t3 = FrameTrack()
     for f in frames:
         t3.points[f] = np.asarray(value(f) if callable(value) else value,
                                   dtype=float)
         t3.provenance[f] = provenance
-    return to_arrays(t3, first, n)
+    return to_arrays(t3, first, n, links)
 
 
 class TestWindowDistance:
@@ -102,9 +102,9 @@ class TestAssignOptimality:
 def merged_into(prev, nxt):
     """prev after `TrackRecord.merge` of the window track nxt, neither
     with a 2D link."""
-    rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points), len(RIG)))
-    rec.merge(0, WindowTrack(nxt, no_links(len(nxt.points), len(RIG)), RIG))
-    return rec.tracklet
+    rec = as_record(prev)
+    rec.merge(0, as_window_track(nxt, RIG))
+    return rec
 
 
 class TestMergeAssigned:
@@ -144,7 +144,7 @@ class TestMergeAssigned:
 def box_at(rec, camera, frame) -> tuple:
     """The (x, y, w, h) linked to a registry track at a camera and frame,
     NaN where none."""
-    at = frame - rec.tracklet.first
+    at = frame - rec.first
     if not 0 <= at < rec.links.shape[1]:
         return (math.nan,) * 4
     return tuple(rec.links[[cam.id for cam in RIG].index(camera), at].tolist())
@@ -153,8 +153,8 @@ def box_at(rec, camera, frame) -> tuple:
 def window_track(start, frames, value, camera=0, track_id=0, boxes=None):
     boxes = boxes or {f: (100.0 + f, 200.0, 40.0, 80.0) for f in frames}
     seg = window_segment(camera, boxes, track_id=track_id, start=start)
-    t3 = tracklet(frames, value, first=start, n=seg.boxes.shape[1])
-    return WindowTrack(track=t3, links=links_of(seg, RIG), rig=RIG)
+    t3 = tracklet(frames, value, first=start, n=seg.boxes.shape[1], links=links_of(seg, RIG))
+    return as_window_track(t3, RIG)
 
 
 class TestTrackRegistry:
@@ -176,7 +176,7 @@ class TestTrackRegistry:
         reg.advance(0, [window_track(0, range(0, 11), (0.0, 0.0, 1.0))])
         reg.advance(5, [window_track(5, range(5, 16), (0.0, 0.0, 1.0))])
         assert sorted(reg.tracks) == [0]
-        assert reg.tracks[0].tracklet.frames.tolist() == list(range(16))
+        assert reg.tracks[0].frames.tolist() == list(range(16))
 
     def test_merged_window_tracks_kept_pending_in_merge_order(self):
         reg = TrackRegistry()
@@ -188,8 +188,7 @@ class TestTrackRegistry:
         assert list(map(id, reg.tracks[0].pending)) == [id(first), id(second)]
         assert list(map(id, reg.tracks[1].pending)) == [id(other)]
         # Heights are not merged with the centers.
-        assert to_frames(reg.tracks[0].tracklet).top == {} == \
-            to_frames(reg.tracks[0].tracklet).bottom
+        assert to_frames(reg.tracks[0]).top == {} == to_frames(reg.tracks[0]).bottom
 
     def test_distant_fragment_gets_new_id(self):
         reg = TrackRegistry()
@@ -204,7 +203,7 @@ class TestTrackRegistry:
         second.links[0, 7 - 5] = (999.0, 200.0, 40.0, 80.0)
         reg.advance(5, [second])
         rec = reg.tracks[0]
-        assert rec.links.shape == (len(RIG), len(rec.tracklet.points), 4)
+        assert rec.links.shape == (len(RIG), len(rec.points), 4)
         assert box_at(reg.tracks[0], 0, 7) == (999.0, 200.0, 40.0, 80.0)
         assert box_at(reg.tracks[0], 0, 2) == (102.0, 200.0, 40.0, 80.0)
         assert math.isnan(box_at(reg.tracks[0], 0, 16)[0])
@@ -221,7 +220,7 @@ class TestTrackRegistry:
 class TestTrackRecord:
     @staticmethod
     def record():
-        return TrackRecord(tracklet=tracklet(range(3), (0, 0, 1)), links=no_links(3, len(RIG)))
+        return as_record(tracklet(range(3), (0, 0, 1), links=no_links(3, len(RIG))))
 
     def test_absorb_overwrites_conflicts(self):
         rec = self.record()
@@ -252,7 +251,7 @@ def test_last_frame_is_kept_on_every_advance(monkeypatch, mode):
     def advance_spy(self, window_start, window_tracks):
         advance(self, window_start, window_tracks)
         for rec in self.tracks.values():
-            assert rec.last_frame == rec.tracklet.frames[-1]
+            assert rec.last_frame == rec.frames[-1]
         checked.append(len(self.tracks))
     monkeypatch.setattr(TrackRegistry, "advance", advance_spy)
     run_pipeline(detections, rig, cfg, mode)

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrack.cascade import Provenance, WindowTrack
+from mvtrack.cascade import Provenance
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import TrackRecord, TrackRegistry, assign, window_distance_matrix
+from mvtrack.stitch import TrackRegistry, assign, window_distance_matrix
 from mvtrack.sv_track import MAX_EXTRAPOLATION, Bbox, Tracklet2D, segment_windows
 
-from conftest import (FrameTrack, assert_frame_tracks_equal, box_dict, fold_pending, links_of,
-                      no_links, to_arrays, to_frames, window_segment)
+from conftest import (FrameTrack, as_window_track, assert_frame_tracks_equal, box_dict,
+                      fold_pending, links_of, to_arrays, to_frames, to_record, window_segment)
 from test_track_arrays import window_distance_matrix_dicts
 
 WINDOW_LEN = 10
@@ -104,10 +104,8 @@ def copy_merge_advance(reg: TrackRegistry, boxes2d: dict, window_start: int,
 
 
 def assert_tracks_equal(a, b) -> None:
-    """Two array tracks, bit for bit, with their empty rows."""
-    assert a.first == b.first
-    for attr in ("points", "top", "bottom"):
-        assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), attr
+    """Two window tracks' points, bit for bit, with their empty rows."""
+    assert a.first == b.first and a.points.tobytes() == b.points.tobytes()
     assert a.provenance[a.valid].tolist() == b.provenance[b.valid].tolist()
 
 
@@ -115,14 +113,14 @@ def assert_registries_equal(a: TrackRegistry, b: TrackRegistry, b_boxes2d: dict)
     assert a.tracks.keys() == b.tracks.keys()
     assert a._next_id == b._next_id
     for tid in a.tracks:
-        assert_frame_tracks_equal(to_frames(a.tracks[tid].tracklet), b.tracks[tid].tracklet)
+        assert_frame_tracks_equal(to_frames(a.tracks[tid]), b.tracks[tid].tracklet)
         assert a.tracks[tid].last_frame == b.tracks[tid].last_frame
         # The box linked at every frame of the track, per camera.
         rec = a.tracks[tid]
-        assert rec.links.shape == (len(RIG), len(rec.tracklet.points), 4)
+        assert rec.links.shape == (len(RIG), len(rec.points), 4)
         linked = {}
         for cam, boxes in zip(RIG, rec.links):
-            linked[cam.id] = {rec.tracklet.first + j: Bbox(*row)
+            linked[cam.id] = {rec.first + j: Bbox(*row)
                               for j, row in enumerate(boxes.tolist()) if not np.isnan(row[0])}
         assert {camera: boxes for camera, boxes in linked.items() if boxes} == b_boxes2d[tid]
 
@@ -134,7 +132,8 @@ def window_sequences(draw):
     A walker may skip windows (its track ends and it re-appears under a new
     id), jump by 1 m (its fragment is left unmatched), carry top/bottom on a
     subset of frames and either provenance.  Each window track is an
-    `OracleWindowTrack`; `as_arrays` gives the registry's input."""
+    `OracleWindowTrack`; `as_arrays` gives the registry's input and the
+    heights its window tracks are folded with."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_people = draw(st.integers(1, 4))
     n_windows = draw(st.integers(1, 8))
@@ -174,61 +173,66 @@ def window_sequences(draw):
 
 def as_arrays(windows):
     """The windows with each track on its window's grid and its segments as
-    links."""
-    return [(start, [WindowTrack(to_arrays(wt.track, start, WINDOW_LEN + 1),
-                                 links_of(wt.segments, RIG), RIG) for wt in tracks])
-            for start, tracks in windows]
+    links, and the (top, bottom) rows of each window track, by id."""
+    out, heights = [], {}
+    for start, tracks in windows:
+        window = []
+        for wt in tracks:
+            solved = to_record(wt.track, start, WINDOW_LEN + 1, links_of(wt.segments, RIG))
+            window.append(as_window_track(solved, RIG))
+            heights[id(window[-1])] = solved.top, solved.bottom
+        out.append((start, window))
+    return out, heights
 
 
 class TestAdvanceAgainstCopyMerge:
     @settings(max_examples=150, deadline=None)
     @given(window_sequences())
     def test_registry_equals_copy_merge(self, oracle_windows):
-        windows = as_arrays(copy.deepcopy(oracle_windows))
+        windows, heights = as_arrays(copy.deepcopy(oracle_windows))
         reg, oracle, oracle_boxes2d = TrackRegistry(), TrackRegistry(), {}
         for (start, tracks), (_, oracle_tracks) in zip(windows, oracle_windows):
             reg.advance(start, tracks)
             for rec in reg.tracks.values():
-                fold_pending(rec)
+                fold_pending(rec, heights)
             copy_merge_advance(oracle, oracle_boxes2d, start, oracle_tracks)
             assert_registries_equal(reg, oracle, oracle_boxes2d)
 
     @settings(max_examples=60, deadline=None)
     @given(window_sequences())
     def test_window_tracks_are_not_mutated(self, windows):
-        windows = as_arrays(windows)
+        windows, _ = as_arrays(windows)
         before = copy.deepcopy(windows)
         reg = TrackRegistry()
         for start, tracks in windows:
             reg.advance(start, tracks)
         for (_, tracks), (_, kept) in zip(windows, before):
             for wt, wt0 in zip(tracks, kept):
-                assert_tracks_equal(wt.track, wt0.track)
+                assert_tracks_equal(wt, wt0)
                 assert wt.links.tobytes() == wt0.links.tobytes()
 
 
 class TestInPlaceMerge:
     def test_merges_into_prev_and_returns_it(self):
-        prev = to_arrays(FrameTrack(points={0: np.zeros(3), 1: np.ones(3)},
+        prev = to_record(FrameTrack(points={0: np.zeros(3), 1: np.ones(3)},
                                     provenance={0: Provenance.TRIANGULATED,
                                                 1: Provenance.PLANE_INTERSECTED},
                                     top={1: np.ones(3)}))
-        nxt = to_arrays(FrameTrack(points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
-                                   provenance={1: Provenance.TRIANGULATED,
-                                               2: Provenance.TRIANGULATED},
-                                   top={1: 3 * np.ones(3), 2: np.ones(3)}))
-        rec = TrackRecord(tracklet=prev, links=no_links(len(prev.points)))
-        wt = WindowTrack(nxt, no_links(len(nxt.points)), RIG)
-        rec.merge(0, wt)
-        assert rec.tracklet is prev and len(rec.pending) == 1 and rec.pending[0] is wt
+        solved = to_record(FrameTrack(points={1: 3 * np.ones(3), 2: np.full(3, 5.0)},
+                                      provenance={1: Provenance.TRIANGULATED,
+                                                  2: Provenance.TRIANGULATED},
+                                      top={1: 3 * np.ones(3), 2: np.ones(3)}))
+        nxt = as_window_track(solved, RIG)
+        prev.merge(0, nxt)
+        assert len(prev.pending) == 1 and prev.pending[0] is nxt
         merged = to_frames(prev)
         assert merged.frames == [0, 1, 2]
         assert np.array_equal(merged.points[1], 2 * np.ones(3))
         assert merged.provenance[1] is Provenance.PLANE_INTERSECTED
-        # Heights are folded in later, from the pending window track.
+        # Heights are folded in later, for the pending window track.
         assert merged.top.keys() == {1}
-        fold_pending(rec)
-        assert rec.pending == []
+        fold_pending(prev, {id(nxt): (solved.top, solved.bottom)})
+        assert prev.pending == []
         folded = to_frames(prev)
         assert np.array_equal(folded.top[1], 2 * np.ones(3))
         assert np.array_equal(folded.top[2], np.ones(3))

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from mvtrack import target
-from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace, WindowTrack
+from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace
 from mvtrack.geometry import CameraRig, project
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import TrackRecord, TrackRegistry
+from mvtrack.stitch import TrackRegistry
 from mvtrack.sv_track import Bbox, Segments
 from mvtrack.target import (TargetCriteria, TargetMaintainer,
                             identify_target, load_target_records,
                             save_target_records, smooth_track)
 
-from conftest import (FrameTrack, links_of, no_links, to_arrays, to_frames, window_segment,
-                      with_heights)
+from conftest import (FrameTrack, as_window_track, links_of, no_links, to_arrays, to_frames,
+                      to_record, window_segment, with_heights)
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 CRIT = TargetCriteria(h_top=1.5, h_bot=0.5, delta=30)
@@ -55,8 +55,9 @@ def pending_windows(t3, window_len=10):
                      for f, (tx, ty), (bx, by) in zip(span, tops, bottoms)}
             segments.append(window_segment(cam.id, boxes, start=start))
         segments = Segments.concat(segments)
-        out.append(WindowTrack(to_arrays(centers_of(t3, span), start, segments.boxes.shape[1]),
-                               links_of(segments, RIG), RIG))
+        out.append(as_window_track(to_arrays(centers_of(t3, span), start,
+                                             segments.boxes.shape[1], links_of(segments, RIG)),
+                                   RIG))
     return out
 
 
@@ -84,10 +85,9 @@ def old_identify_target(t3, space, crit, current_frame):
 def record_of(t3, pending):
     """A registry track of t3's centers on the frames its pending window
     tracks span, with no 2D links."""
-    first = pending[0].track.first
-    n = pending[-1].track.first + len(pending[-1].track.points) - first
-    return TrackRecord(tracklet=to_arrays(centers_of(t3), first, n),
-                       links=no_links(n, len(RIG)), pending=pending)
+    first = pending[0].first
+    n = pending[-1].first + len(pending[-1].points) - first
+    return to_record(centers_of(t3), first, n, no_links(n, len(RIG)), pending)
 
 
 class TestTargetCriteria:
@@ -103,7 +103,7 @@ class TestTargetCriteria:
 class TestIdentifyTarget:
     def test_all_frames_satisfy(self):
         t3 = performer_track(range(0, 31))
-        assert identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_exactly_half_is_not_enough(self):
         # 15 of 30 satisfying frames sits on the strict boundary.
@@ -113,15 +113,15 @@ class TestIdentifyTarget:
             t3.points[f] = X
             t3.top[f] = X + [0, 0, 0.85]  # top 1.15 < 1.5
             t3.bottom[f] = X - [0, 0, 0.85]
-        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_sixteen_of_thirty_satisfies(self):
         t3 = performer_track(range(0, 16))
-        assert identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_low_bottom_fails(self):
         t3 = performer_track(range(0, 31), z=1.2)  # bottom 0.35 < 0.5
-        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_center_outside_perf_fails(self):
         t3 = FrameTrack()
@@ -130,15 +130,15 @@ class TestIdentifyTarget:
             t3.points[f] = X
             t3.top[f] = X + [0, 0, 0.85]
             t3.bottom[f] = X - [0, 0, 0.85]
-        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_frames_without_extent_do_not_count(self):
         t3 = performer_track(range(0, 31))
         t3.top.clear()
-        assert not identify_target(to_arrays(t3), SPACE, CRIT, current_frame=30)
+        assert not identify_target(to_record(t3), SPACE, CRIT, current_frame=30)
 
     def test_huge_delta_visits_only_the_tracks_frames(self):
-        t3 = to_arrays(performer_track(range(0, 60)))
+        t3 = to_record(performer_track(range(0, 60)))
         crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=10**9)
         t0 = time.perf_counter()
         assert identify_target(t3, SPACE, crit, current_frame=59) is False
@@ -153,7 +153,7 @@ class TestIdentifyTarget:
         for f in range(30, 61, 4):
             t3.bottom[f] = t3.bottom[f] - [0.0, 0.0, 0.6]
         for current in range(-5, 130, 3):
-            assert identify_target(to_arrays(t3), SPACE, crit, current) == \
+            assert identify_target(to_record(t3), SPACE, crit, current) == \
                 old_identify_target(t3, SPACE, crit, current)
 
 
@@ -165,8 +165,7 @@ def emit_one(w, h, **kwargs):
     (x, y), = project(RIG[0], [X]).tolist()
     seg = window_segment(0, {0: (x, y, w, h)}, span=1)
     reg = TrackRegistry()
-    reg.tracks[0] = TrackRecord(tracklet=to_arrays(FrameTrack(points={0: X})),
-                                links=links_of(seg, RIG))
+    reg.tracks[0] = to_record(FrameTrack(points={0: X}), links=links_of(seg, RIG))
     maintainer = TargetMaintainer(space=SPACE, criteria=CRIT, **kwargs)
     records = maintainer._emit(np.array([0]), X[None],
                                np.array([PROVENANCE.index(Provenance.TRIANGULATED)], np.uint8),
@@ -305,7 +304,7 @@ class TestTargetMaintainer:
         reg = registry_with([t3])
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(0, 10, reg)
         rec = reg.tracks[0]
-        got = to_frames(rec.tracklet)
+        got = to_frames(rec)
         assert rec.pending == [] and sorted(got.top) == t3.frames
         # The boxes' top and bottom centers are a few pixels off the true
         # projections sideways, not in height.
@@ -327,7 +326,7 @@ class TestTargetMaintainer:
         TargetMaintainer(space=SPACE, criteria=CRIT).observe(5, 10, reg)
         alone = pending_windows(low) + pending_windows(high)
         a, b = (to_frames(with_heights([wt])[0]) for wt in alone)
-        top = to_frames(rec.tracklet).top
+        top = to_frames(rec).top
         for f in range(16):
             want = (a.top[f] + b.top[f]) / 2.0 if 5 <= f <= 10 else \
                 a.top.get(f, b.top.get(f))
@@ -342,9 +341,9 @@ class TestTargetMaintainer:
         maintainer = TargetMaintainer(space=SPACE, criteria=CRIT)
         maintainer.target_id = 0
         maintainer.observe(25, 10, reg)  # buffer from frame 5: windows from 0 on
-        assert [wt.track.first for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
+        assert [wt.first for wt in reg.tracks[0].pending] == list(range(0, 55, 5))
         maintainer.observe(40, 10, reg)  # buffer from frame 20: windows from 10 on
-        assert [wt.track.first for wt in reg.tracks[0].pending] == list(range(10, 55, 5))
+        assert [wt.first for wt in reg.tracks[0].pending] == list(range(10, 55, 5))
         maintainer.target_id = None
         maintainer.observe(70, 10, reg)  # ended at 60: dropped, not solved
         assert reg.tracks[0].pending == [] and solved == []
@@ -371,7 +370,7 @@ class TestEmission:
             if not with_box_for_frame(f):
                 continue
             (x, y), = project(rig[0], [t3.points[f]]).tolist()
-            rec.links[0, f - rec.tracklet.first] = (x, y, 40.0, 100.0)
+            rec.links[0, f - rec.first] = (x, y, 40.0, 100.0)
         reg = TrackRegistry()
         reg.tracks[0] = rec
         reg._next_id = 1
@@ -422,7 +421,7 @@ class TestEmission:
             pixels = project(RIG[0], np.array([t3.points[f] for f in frames])).tolist()
             boxes = {f: Bbox(x, y, w, h) for f, (x, y) in zip(frames, pixels)}
             seg = window_segment(0, boxes, start=frames[0], span=len(frames))
-            return TrackRecord(tracklet=to_arrays(centers_of(t3)), links=links_of(seg, RIG))
+            return to_record(centers_of(t3), links=links_of(seg, RIG))
         reg = TrackRegistry()
         reg.tracks[0] = linked_record(range(0, 21), 40.0, 100.0)
         reg.tracks[1] = linked_record(range(24, 41), 60.0, 200.0)

@@ -6,16 +6,16 @@ timeline.  Each is checked bit for bit on random tracks with empty rows."""
 import numpy as np
 import pytest
 
-from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace, WindowTrack
+from mvtrack.cascade import PROVENANCE, Provenance, TrackingSpace
 from mvtrack.geometry import CameraRig
 from mvtrack.simulate import make_rig
-from mvtrack.stitch import TrackRecord, TrackRegistry, window_distance_matrix
+from mvtrack.stitch import TrackRegistry, window_distance_matrix
 from mvtrack import target
 from mvtrack.target import (TargetCriteria, TargetMaintainer, identify_target,
                             smooth_track)
 
-from conftest import (FrameTrack, assert_frame_tracks_equal, fold_pending, no_links, to_arrays,
-                      to_frames)
+from conftest import (FrameTrack, as_record, as_window_track, assert_frame_tracks_equal,
+                      fold_pending, to_arrays, to_frames, to_record)
 
 SPACE = TrackingSpace(perf=(-2.0, -2.0, 0.0, 2.0, 2.0, 4.0), beta=1.0)
 RIG = CameraRig(make_rig(6.0, 2.0, 1000.0, (1920, 1080)))
@@ -199,35 +199,33 @@ def test_merge_assigned_equals_dicts():
         span = int(rng.choice([3, 11, 21]))
         windows = window_tracks(rng, int(rng.integers(0, 50)), span // 2, span,
                                 int(rng.integers(1, 12)))
-        merged = to_arrays(FrameTrack(), windows[0][0], 0)
-        rec = TrackRecord(tracklet=merged, links=no_links(0))
+        rec = as_record(to_arrays(FrameTrack(), windows[0][0], 0))
         oracle = FrameTrack()
         for start, t in windows:
-            wt = to_arrays(t, start, span)
+            wt = as_window_track(to_arrays(t, start, span), RIG)
             kept = wt.points.tobytes(), wt.provenance.tobytes()
-            rec.merge(0, WindowTrack(wt, no_links(span), RIG))
-            assert rec.tracklet is merged
+            rec.merge(0, wt)
+            assert rec.pending[-1] is wt
             merge_dicts(oracle, t)
             assert (wt.points.tobytes(), wt.provenance.tobytes()) == kept
-            assert merged.first == windows[0][0]
-            assert_frame_tracks_equal(to_frames(merged), oracle)
+            assert rec.first == windows[0][0]
+            assert_frame_tracks_equal(to_frames(rec), oracle)
 
 
 def test_merge_grows_by_doubling():
     rng = np.random.default_rng(103)
-    merged = to_arrays(FrameTrack(), 0, 0)
-    rec = TrackRecord(tracklet=merged, links=no_links(0))
+    rec = as_record(to_arrays(FrameTrack(), 0, 0))
     sizes = []
     for start in range(0, 2000, 5):
-        rec.merge(0, WindowTrack(to_arrays(random_track(rng, start, 11, keep=1.0), start, 11),
-                                 no_links(11), RIG))
-        sizes.append(len(merged.points))
+        rec.merge(0, as_window_track(
+            to_arrays(random_track(rng, start, 11, keep=1.0), start, 11), RIG))
+        sizes.append(len(rec.points))
         # All five per-frame arrays grow together.
-        assert rec.links.shape == (4, len(merged.points), 4)
-        assert len(merged.provenance) == len(merged.top) == len(merged.bottom) == sizes[-1]
+        assert rec.links.shape == (4, len(rec.points), 4)
+        assert len(rec.provenance) == len(rec.top) == len(rec.bottom) == sizes[-1]
     # 11, 22, 44, ..., 2816 rows: each growth at least doubles.
     assert sorted(set(sizes)) == [11 * 2**k for k in range(9)]
-    assert merged.frames.tolist() == list(range(2006))
+    assert rec.frames.tolist() == list(range(2006))
 
 
 def test_fold_heights_equals_dicts():
@@ -236,19 +234,23 @@ def test_fold_heights_equals_dicts():
         span = int(rng.choice([3, 11, 21]))
         windows = window_tracks(rng, int(rng.integers(0, 50)), span // 2, span,
                                 int(rng.integers(1, 8)))
-        pending = [WindowTrack(to_arrays(t, start, span), no_links(span), RIG)
-                   for start, t in windows]
-        rec = TrackRecord(tracklet=to_arrays(FrameTrack(), windows[0][0], 0), links=no_links(0))
+        # Each window track with the tops and bottoms of its FrameTrack, by id.
+        pending, heights = [], {}
+        for start, t in windows:
+            solved = to_record(t, start, span)
+            pending.append(as_window_track(solved, RIG))
+            heights[id(pending[-1])] = solved.top, solved.bottom
+        rec = as_record(to_arrays(FrameTrack(), windows[0][0], 0))
         for wt in pending:
             rec.merge(0, wt)
-        oracle = to_frames(rec.tracklet)
+        oracle = to_frames(rec)
         split = int(rng.integers(0, len(pending) + 1))
         for lo, hi in ((0, split), (split, len(pending))):
             rec.pending = pending[lo:hi]
-            fold_pending(rec)
+            fold_pending(rec, heights)
             assert rec.pending == []
             fold_heights_dicts(oracle, [t for _, t in windows[lo:hi]])
-            assert_frame_tracks_equal(to_frames(rec.tracklet), oracle)
+            assert_frame_tracks_equal(to_frames(rec), oracle)
 
 
 def test_identify_target_equals_dicts(monkeypatch):
@@ -265,7 +267,7 @@ def test_identify_target_equals_dicts(monkeypatch):
                     t.top[f] = X + [0.0, 0.0, rng.uniform(0.0, 1.0)]
                 if rng.random() < 0.8:
                     t.bottom[f] = X - [0.0, 0.0, rng.uniform(0.0, 1.0)]
-        t3 = to_arrays(t, 40 - int(rng.integers(0, 3)), n + 5)
+        t3 = to_record(t, 40 - int(rng.integers(0, 3)), n + 5)
         # Buffers shorter and longer than the track.
         delta = int(rng.choice([1, 2, 5, 10, 30, n, n + 1, 2 * n + 7, 10**6]))
         crit = TargetCriteria(h_top=1.5, h_bot=0.5, delta=max(delta, 1))
@@ -333,7 +335,7 @@ def test_timeline_equals_dicts(monkeypatch, max_gap, smooth_window):
         for tid in range(rng.integers(1, 5)):
             start = max(0, start + int(rng.integers(-20, 30)))
             t = random_track(rng, start, int(rng.integers(1, 60)), keep=rng.uniform(0.4, 1.0))
-            reg.tracks[tid] = TrackRecord(tracklet=to_arrays(t, start, 80), links=no_links(80))
+            reg.tracks[tid] = to_record(t, start, 80)
             tracks[tid] = (t, reg.tracks[tid].last_frame)
             end = [None, reg.tracks[tid].last_frame - int(rng.integers(0, 10))]
             tenures.append({"id": tid, "identified_at": start, "end": end[rng.integers(2)]})
