@@ -1,102 +1,106 @@
 """The three tracking metrics: ID switches, average Euclidean distance of
-the 3D centers, and the per-view buffered-box failure rate."""
+the 3D centers, and the per-view buffered-box failure rate, each computed
+over columns."""
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 import numpy as np
 
-
-def id_switches(timeline: dict[int, int]) -> int:
-    """Number of changes between consecutive assigned ids (frames without
-    an id are skipped; a switch is counted once per switch-in)."""
-    ids = [timeline[f] for f in sorted(timeline)]
-    return sum(1 for a, b in zip(ids, ids[1:]) if a != b)
+from .records import describe, int_column
+from .simulate import Truth
 
 
-def aed(estimate: dict[int, np.ndarray], truth: dict[int, np.ndarray]
-        ) -> tuple[float, float]:
-    """Mean 3D error over frames carrying both estimate and truth.
+def box_failures(buffered: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Whether each buffered (square) box fails: its ground-truth box is
+    smaller than half its side or not fully inside it (boundary inclusive).
+    Both are (..., 4) arrays of (x, y, w, h)."""
+    bx, by, bw, bh = np.moveaxis(buffered, -1, 0)
+    gx, gy, gw, gh = np.moveaxis(truth, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = ((bx - bw / 2 <= gx - gw / 2) & (gx + gw / 2 <= bx + bw / 2)
+                  & (by - bh / 2 <= gy - gh / 2) & (gy + gh / 2 <= by + bh / 2))
+        return (np.maximum(gw, gh) < 0.5 * np.maximum(bw, bh)) | ~inside
 
-    Returns (aed_m, coverage) where coverage is the fraction of truth
-    frames that have an estimate.  Raises ValueError when no frame carries
-    both.
+
+_record_values = itemgetter("frame", "track_id", "X")
+
+
+def _buffered(target_records: list[dict], cameras: tuple) -> np.ndarray:
+    """(records, C, 4): each record's buffered box in each of `cameras`,
+    NaN where it has none; a camera's last view in a record wins, as in a
+    dict by camera."""
+    per_view = [rec.get("per_view", ()) for rec in target_records]
+    views = list(chain.from_iterable(per_view))
+    slot = {camera: c for c, camera in enumerate(cameras)}
+    col = np.array([slot.get(view["camera"], -1) for view in views], dtype=np.int64)
+    kept = col >= 0
+    cell = (np.repeat(np.arange(len(per_view)), list(map(len, per_view))) * len(cameras)
+            + col)[kept]
+    box = np.stack([np.fromiter(map(itemgetter(key), views), float, len(views))
+                    for key in "xywh"], axis=1)[kept]
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
+    out = np.full((len(per_view) * len(cameras), 4), np.nan)
+    out[cell[last]] = box[last]
+    return out.reshape(len(per_view), len(cameras), 4)
+
+
+def evaluate(target_records: list[dict], truth: Truth, window_len: int = 10) -> dict:
+    """Compute the full report from target output records, one per frame,
+    and the ground truth's target rows.
+
+    ID switches count changes of track id between consecutive estimate
+    frames.  The AED is the mean 3D error over frames carrying both
+    estimate and truth (ValueError when none does), and the coverage the
+    fraction of truth frames among them.  The failure rate is over the
+    (frame, camera) cells with a box on both sides.  `per_window` breaks
+    the AED down by frame // window_len, visiting only windows that hold a
+    common frame.
     """
-    common = sorted(set(estimate) & set(truth))
-    if not common:
-        raise ValueError("no frames with both estimate and ground truth")
-    err = float(np.mean([
-        np.linalg.norm(np.asarray(estimate[f]) - np.asarray(truth[f]))
-        for f in common]))
-    coverage = len(common) / len(truth) if truth else 0.0
-    return err, coverage
-
-
-def box_failure(buf_box, gt_box) -> bool:
-    """A buffered (square) box fails when the ground-truth box is smaller
-    than half its side or not fully contained in it (boundary inclusive)."""
-    bx, by, bw, bh = buf_box
-    gx, gy, gw, gh = gt_box
-    side = max(bw, bh)
-    if max(gw, gh) < 0.5 * side:
-        return True
-    return not (bx - bw / 2 <= gx - gw / 2 and gx + gw / 2 <= bx + bw / 2
-                and by - bh / 2 <= gy - gh / 2 and gy + gh / 2 <= by + bh / 2)
-
-
-def failure_rate(buffered: dict[tuple[int, int], tuple],
-                 gt_boxes: dict[tuple[int, int], tuple]) -> tuple[float, int]:
-    """Fraction of failing buffered boxes over (frame, camera) keys present
-    on both sides.  Returns (rate, evaluated_count)."""
-    keys = sorted(set(buffered) & set(gt_boxes))
-    if not keys:
-        return 0.0, 0
-    failures = sum(1 for k in keys if box_failure(buffered[k], gt_boxes[k]))
-    return failures / len(keys), len(keys)
-
-
-def evaluate(target_records: list[dict], truth: list[dict],
-             window_len: int = 10) -> dict:
-    """Compute the full report from target output records and ground truth.
-
-    Ground truth must contain exactly one identity flagged is_target.
-    """
-    gt_target = [rec for rec in truth if rec.get("is_target")]
-    if not gt_target:
+    if not len(truth.frame):
         raise ValueError("ground truth contains no target identity")
+    frame, track_id, X = list(zip(*map(_record_values, target_records))) or [()] * 3
+    frame, truth_frame = int_column(frame), truth.frame
+    if frame.dtype != truth_frame.dtype:
+        frame, truth_frame = frame.astype(object), truth_frame.astype(object)
+    order = np.argsort(frame, kind="stable")
+    frame = frame[order]
+    if (repeated := np.flatnonzero(frame[1:] == frame[:-1])).size:
+        raise ValueError(f"a second target record for frame "
+                         f"{describe(frame[repeated].tolist()[0])}")
+    track_id = int_column(track_id)[order]
 
-    timeline = {rec["frame"]: rec["track_id"] for rec in target_records}
-    estimate = {rec["frame"]: np.asarray(rec["X"], dtype=float)
-                for rec in target_records}
-    gt_points = {rec["frame"]: np.asarray(rec["X"], dtype=float)
-                 for rec in gt_target}
-    err, coverage = aed(estimate, gt_points)
+    # The estimate frames that truth holds, and their truth rows.
+    truth_order = np.argsort(truth_frame, kind="stable")
+    at = np.minimum(np.searchsorted(truth_frame[truth_order], frame), len(truth_order) - 1)
+    common = np.flatnonzero(truth_frame[truth_order[at]] == frame)
+    if not common.size:
+        raise ValueError("no frames with both estimate and ground truth")
+    truth_rows = truth_order[at[common]]
+    est_rows = order[common]
+    d = np.array(X, dtype=float).reshape(-1, 3)[est_rows] - truth.X[truth_rows]
+    # The row dot has the bits of np.linalg.norm of each row alone.
+    errors = np.sqrt(d[:, None, :] @ d[:, :, None]).reshape(-1)
 
-    buffered = {}
-    for rec in target_records:
-        for view in rec.get("per_view", []):
-            buffered[(rec["frame"], view["camera"])] = (
-                view["x"], view["y"], view["w"], view["h"])
-    gt_boxes = {}
-    for rec in gt_target:
-        for cam, box in rec.get("boxes", {}).items():
-            gt_boxes[(rec["frame"], int(cam))] = tuple(box)
-    rate, evaluated = failure_rate(buffered, gt_boxes)
+    buffered = _buffered(target_records, truth.cameras)[est_rows]
+    gt = truth.boxes[:, truth_rows].swapaxes(0, 1)
+    both = ~np.isnan(buffered[..., 0]) & ~np.isnan(gt[..., 0])
+    evaluated = int(both.sum())
+    failures = int((box_failures(buffered, gt) & both).sum())
 
-    # Only windows holding a common frame are visited, however far apart.
-    by_window: dict[int, list[int]] = {}
-    for f in sorted(estimate.keys() & gt_points.keys()):
-        by_window.setdefault(f // window_len, []).append(f)
-    per_window = [{"start": k * window_len,
-                   "aed_m": float(np.mean([np.linalg.norm(estimate[f] - gt_points[f])
-                                           for f in win])),
-                   "frames": len(win)}
-                  for k, win in by_window.items()]
+    window = frame[common] // window_len
+    cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(window)]
+    per_window = [{"start": k * window_len, "aed_m": float(np.mean(errors[a:b])),
+                   "frames": b - a}
+                  for k, a, b in zip(window[cuts[:-1]].tolist(), cuts, cuts[1:])]
 
     return {
-        "id_switches": id_switches(timeline),
-        "aed_m": err,
-        "failure_rate": rate,
-        "coverage": coverage,
+        "id_switches": int(np.count_nonzero(track_id[1:] != track_id[:-1])),
+        "aed_m": float(np.mean(errors)),
+        "failure_rate": failures / evaluated if evaluated else 0.0,
+        "coverage": len(common) / len(truth_frame),
         "evaluated_boxes": evaluated,
         "per_window": per_window,
     }

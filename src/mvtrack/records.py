@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from itertools import islice
+
+import numpy as np
 
 INT = "int"
 NUM = "num"
@@ -45,12 +48,8 @@ _TESTS = {INT: lambda value: type(value) is int,
 
 def describe(value) -> str:
     """repr(value), cut to its first 80 characters and its length where it
-    is longer, or a phrase where it nests too deep for repr, which can
-    reach a recursion limit that the decode a few calls up did not."""
-    try:
-        text = repr(value)
-    except RecursionError:
-        return "a value nested too deep to show"
+    is longer."""
+    text = repr(value)
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
@@ -102,14 +101,47 @@ class Fields:
         return rec
 
 
+def int_column(values) -> np.ndarray:
+    """Python ints as int64, or as objects where one does not fit (a bad
+    file's)."""
+    if len(values) and not -2**63 <= min(values) <= max(values) <= 2**63 - 1:
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64)
+
+
+# The deepest a JSON value may nest arrays and objects.  A fixed bound, so
+# whether a value is too deep is a property of the file, not of the
+# caller's stack or recursion limit.
+MAX_NESTING = 64
+# A string (its closing quote optional, so no scan backtracks), or a bracket.
+_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
+_DEPTH = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _check_nesting(text: str) -> None:
+    """Raise ValueError when the JSON text nests arrays and objects more
+    than MAX_NESTING deep, brackets in strings not counted."""
+    depth = 0
+    for token in _TOKENS.findall(text):
+        depth += _DEPTH.get(token, 0)
+        if depth > MAX_NESTING:
+            raise ValueError(f"arrays and objects nest more than {MAX_NESTING} deep")
+
+
 _scan_once = json.JSONDecoder().scan_once
 
 
 def decode(line: str):
-    """json.loads(line), for one line of a JSON-lines file.  A line that is
-    one JSON value and a line end is decoded by the scanner alone, without
-    json.loads's whitespace scans; any other line goes to json.loads, whose
-    rules and messages hold for it."""
+    """json.loads(line), for one line of a JSON-lines file, once
+    `_check_nesting` passes it.  A line that is one JSON value and a line
+    end is decoded by the scanner alone, without json.loads's whitespace
+    scans; any other line goes to json.loads, whose rules and messages hold
+    for it."""
+    # A value nested deeper than the bound has more than 2 * MAX_NESTING
+    # brackets, so only a longer line with more opening brackets than the
+    # bound is scanned.
+    if len(line) > 2 * MAX_NESTING and line.count("[") + line.count("{") > MAX_NESTING:
+        _check_nesting(line)
     try:
         value, end = _scan_once(line, 0)
         if line[end:] in ("\n", "", "\r\n"):
@@ -128,6 +160,17 @@ BLOCK_LINES = 256
 class BadRecord(Exception):
     """BadRecord(index, error): raised by a block parse of `read_blocks` for
     the first record of its block that breaks a rule."""
+
+
+def error_of(check, rec) -> Exception | None:
+    """The ValueError, KeyError or TypeError that check(rec) raises, or
+    None: the message of a record that a block parse's column tests find
+    bad."""
+    try:
+        check(rec)
+    except (ValueError, KeyError, TypeError) as exc:
+        return exc
+    return None
 
 
 def _undecodable(texts: list[str]):
@@ -150,7 +193,7 @@ def read_blocks(path, what: str, parse) -> list:
     """[parse(records) for each block of up to BLOCK_LINES lines of a
     JSON-lines file], `records` the block's non-blank lines decoded, in
     order.  The first bad line of the file, one that is not UTF-8, is not
-    JSON, nests too deep to decode or whose record `parse` names with
+    JSON, nests more than MAX_NESTING deep or whose record `parse` names with
     BadRecord, raises ValueError "path:line: bad <what> record: ...".  Only
     LF ends a line, as `grep -n` counts them: a CR is part of its line."""
     out, base = [], 0
@@ -162,7 +205,7 @@ def read_blocks(path, what: str, parse) -> list:
                 # extend keeps the records decoded before a line that fails;
                 # only the lines before one that is not UTF-8 are decoded.
                 recs.extend(map(decode, texts[:bad[0]] if bad else texts))
-            except (ValueError, RecursionError) as exc:
+            except ValueError as exc:
                 bad = len(recs), exc
             try:
                 out.append(parse(recs))
@@ -195,11 +238,14 @@ def read_jsonl(path, what: str, parse) -> list:
 
 def read_json(path, what: str):
     """The JSON document in a file; one that is not UTF-8 or not JSON, or
-    nests too deep to decode, raises ValueError "path: bad <what> file: ..."."""
+    nests more than MAX_NESTING deep, raises ValueError "path: bad <what>
+    file: ..."."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.loads(fh.read())
-        except (ValueError, RecursionError) as exc:
+            text = fh.read()
+            _check_nesting(text)
+            return json.loads(text)
+        except ValueError as exc:
             raise ValueError(f"{path}: bad {what} file: {exc}") from exc
 
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .cascade import TrackingSpace
 from .geometry import CameraModel, PlaneSpec, project
-from .records import BOOL, INT, NUM, Fields, describe, read_jsonl, require
+from .records import (BOOL, INT, NUM, BadRecord, Fields, describe, error_of, int_column,
+                      read_blocks, require)
 from .sv_track import Detections
 
 PERSON_HALF_HEIGHT = 0.85
@@ -270,7 +273,7 @@ def _parse_truth_record(rec) -> dict:
     if type(boxes) is not dict:
         raise ValueError(f"boxes must be an object, got {describe(boxes)}")
     for cam, box in boxes.items():
-        if not (cam.removeprefix("-").isdecimal() and str(int(cam)) == cam):
+        if not _is_camera_key(cam):
             raise ValueError(f"box camera id must be an integer string, got {cam!r}")
         require(box, 4, "box")
         if not (box[2] > 0 and box[3] > 0):
@@ -279,5 +282,97 @@ def _parse_truth_record(rec) -> dict:
     return rec
 
 
-def load_truth(path) -> list[dict]:
-    return read_jsonl(path, "truth", _parse_truth_record)
+def _is_camera_key(key: str) -> bool:
+    return key.removeprefix("-").isdecimal() and str(int(key)) == key
+
+
+def _floats(lists: tuple, k: int) -> np.ndarray | None:
+    """The (n, k) array of `lists` if each is a list of k finite floats,
+    else None."""
+    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {k}):
+        return None
+    flat = list(chain.from_iterable(lists))
+    if not set(map(type, flat)) <= {float}:
+        return None
+    values = np.array(flat, dtype=float).reshape(-1, k)
+    return values if np.isfinite(values).all() else None
+
+
+_truth_values = itemgetter("frame", "is_target", "X", "top", "bottom", "boxes")
+
+
+def _common_kinds(recs: list) -> bool:
+    """Whether every record has all the fields `render_detections` writes,
+    of the types it writes, and boxes with positive sides, so that each
+    passes `_parse_truth_record`: one type-set test per column."""
+    try:
+        frame, is_target, X, top, bottom, boxes = list(zip(*map(_truth_values, recs))) or [()] * 6
+        if not (set(map(type, frame)) <= {int} and set(map(type, is_target)) <= {bool}
+                and set(map(type, boxes)) <= {dict}
+                and all(map(_is_camera_key, set(chain.from_iterable(boxes))))):
+            return False
+    except (KeyError, TypeError, ValueError):  # int() refuses a key of over 4 300 digits
+        return False
+    arrays = [_floats(X, 3), _floats(top, 3), _floats(bottom, 3),
+              _floats(list(chain.from_iterable(map(dict.values, boxes))), 4)]
+    return all(a is not None for a in arrays) and bool((arrays[-1][:, 2:] > 0).all())
+
+
+def _truth_block(recs: list, seen: set) -> tuple:
+    """(frame, X, row, camera, box) of the target rows of a block of decoded
+    truth records: their frames and centres, and a (row, camera, box) per
+    box, `row` counted over the file's target rows.  Raises BadRecord for
+    the first record that breaks a rule of `load_truth`; `seen` holds the
+    target frames of the blocks before.  Kinds take `_common_kinds`, and
+    `_parse_truth_record` only in a block that fails it, to find the first
+    bad record."""
+    end = len(recs)
+    if not _common_kinds(recs):
+        end = next((i for i, rec in enumerate(recs) if error_of(_parse_truth_record, rec)), end)
+    first_row = len(seen)
+    rows = [i for i in range(end) if recs[i].get("is_target")]
+    for i in rows:
+        if recs[i]["frame"] in seen:
+            raise BadRecord(i, ValueError(
+                f"a second is_target row for frame {describe(recs[i]['frame'])}"))
+        seen.add(recs[i]["frame"])
+    if end < len(recs):
+        raise BadRecord(end, error_of(_parse_truth_record, recs[end]))
+    target = [recs[i] for i in rows]
+    boxes = [rec.get("boxes", {}) for rec in target]
+    return ([rec["frame"] for rec in target],
+            np.array([rec["X"] for rec in target], dtype=float).reshape(-1, 3),
+            np.repeat(np.arange(first_row, len(seen)), list(map(len, boxes))),
+            list(map(int, chain.from_iterable(boxes))),
+            np.array(list(chain.from_iterable(map(dict.values, boxes))),
+                     dtype=float).reshape(-1, 4))
+
+
+@dataclass(frozen=True, eq=False)
+class Truth:
+    """The target rows of a ground-truth file, as columns in file order:
+    `frame` (n,), int64 (objects where a frame does not fit), the centres
+    `X` (n, 3), and `boxes` (C, n, 4), each row's (x, y, w, h) box in each
+    of the sorted camera ids `cameras`, NaN where the row has none."""
+
+    frame: np.ndarray
+    X: np.ndarray
+    cameras: tuple
+    boxes: np.ndarray
+
+
+def load_truth(path) -> Truth:
+    """Read a JSON-lines ground-truth file into the columns of its target
+    rows.  Every line is checked, a block of `records.BLOCK_LINES` lines at
+    a time, and the first bad one raises ValueError "path:line: bad truth
+    record: ...": a record whose fields are not of the kinds
+    `_parse_truth_record` reads, or a second is_target row for a frame."""
+    seen = set()
+    blocks = read_blocks(path, "truth", lambda recs: _truth_block(recs, seen))
+    frame, X, row, camera, box = zip(*blocks or [_truth_block([], set())])
+    frame, camera = [f for part in frame for f in part], [c for part in camera for c in part]
+    cameras = sorted(set(camera))
+    slot = {c: k for k, c in enumerate(cameras)}
+    boxes = np.full((len(cameras), len(frame), 4), np.nan)
+    boxes[list(map(slot.__getitem__, camera)), np.concatenate(row)] = np.concatenate(box)
+    return Truth(int_column(frame), np.concatenate(X), tuple(cameras), boxes)

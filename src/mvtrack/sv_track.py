@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .records import INT, NUM, BadRecord, Fields, read_blocks
+from .records import INT, NUM, BadRecord, Fields, error_of, int_column, read_blocks
 
 IOU_THRESHOLD = 0.1
 MAX_AGE = 2
@@ -326,22 +326,6 @@ _detection_values = itemgetter("frame", "camera", "x", "y", "w", "h")
 _COMMON_TYPES = (int, int, float, float, float, float)
 
 
-def _kind_error(rec) -> Exception | None:
-    try:
-        DETECTION_FIELDS.check(rec)
-    except (ValueError, KeyError) as exc:
-        return exc
-    return None
-
-
-def _ints(values: tuple) -> np.ndarray:
-    """Python ints as int64, or as objects where one does not fit (a bad
-    file's)."""
-    if values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
-        return np.array(values, dtype=object)
-    return np.array(values, dtype=np.int64)
-
-
 def _detection_block(recs: list, cameras) -> tuple:
     """(frame, camera, boxes) columns of a block of decoded detection
     records, or BadRecord for the first that breaks a rule of
@@ -356,12 +340,12 @@ def _detection_block(recs: list, cameras) -> tuple:
     columns, end = list(zip(*rows)) or [()] * 6, len(rows)
     if not all(set(map(type, column)) <= {kind} for column, kind in zip(columns, _COMMON_TYPES)):
         end = next((i for i, row in enumerate(rows) if tuple(map(type, row)) != _COMMON_TYPES
-                    and _kind_error(recs[i])), end)
+                    and error_of(DETECTION_FIELDS.check, recs[i])), end)
     boxes = np.array([column[:end] for column in columns[2:]], dtype=float).T.copy()
     finite = np.isfinite(boxes).all(axis=1)  # NaN and inf are floats, but no NUM
     end = int(np.argmin(finite)) if not finite.all() else end
     boxes = boxes[:end]
-    frame, camera = _ints(columns[0][:end]), _ints(columns[1][:end])
+    frame, camera = int_column(columns[0][:end]), int_column(columns[1][:end])
     w, h = boxes[:, 2], boxes[:, 3]
     absent = [] if cameras is None else [c for c in np.unique(camera).tolist() if c not in cameras]
     with np.errstate(over="ignore"):
@@ -386,7 +370,7 @@ def _detection_block(recs: list, cameras) -> tuple:
         message = next(message for mask, message in rules if mask[i])
         raise BadRecord(i, ValueError(message(*rows[i])))
     if end < len(recs):
-        raise BadRecord(end, _kind_error(recs[end]))
+        raise BadRecord(end, error_of(DETECTION_FIELDS.check, recs[end]))
     return frame, camera, boxes
 
 

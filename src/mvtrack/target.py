@@ -20,7 +20,7 @@ import numpy as np
 from .cascade import PROVENANCE, Provenance, TrackingSpace, solve_heights
 from .geometry import CameraRig, project
 from .stitch import TrackRecord, TrackRegistry
-from .records import INT, NUM, Fields, read_jsonl
+from .records import INT, NUM, Fields, describe, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -242,4 +242,14 @@ TARGET_FIELDS = Fields({"frame": INT, "track_id": INT, "X": 3, "per_view": [VIEW
 
 
 def load_target_records(path) -> list[dict]:
-    return read_jsonl(path, "target", TARGET_FIELDS.check)
+    """The records of a target output file; a record that breaks
+    TARGET_FIELDS, or a second record for a frame, is a bad record."""
+    seen = set()
+
+    def parse(rec):
+        TARGET_FIELDS.check(rec)
+        if rec["frame"] in seen:
+            raise ValueError(f"a second target record for frame {describe(rec['frame'])}")
+        seen.add(rec["frame"])
+        return rec
+    return read_jsonl(path, "target", parse)

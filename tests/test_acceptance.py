@@ -17,8 +17,9 @@ from mvtrack.geometry import (CameraRig, PlaneSpec, project,
                               ray_plane_intersect_batch, triangulate_batch)
 from mvtrack.metrics import evaluate
 from mvtrack.pipeline import run_pipeline
+from mvtrack.records import write_jsonl
 from mvtrack.scenarios import get_scenario_spec
-from mvtrack.simulate import build_scenario, make_rig, render_detections
+from mvtrack.simulate import build_scenario, load_truth, make_rig, render_detections
 from mvtrack.stitch import assign
 from mvtrack.target import (TargetCriteria, TargetMaintainer, load_target_records,
                             save_target_records)
@@ -38,11 +39,12 @@ INTERPOLATED = PROVENANCE.index(Provenance.INTERPOLATED)
 
 
 def _score(records, truth, tmp_path):
-    """The report of `records` as `mvtrack track` writes them and `mvtrack
-    evaluate` reads them back."""
-    path = tmp_path / "tracklets.jsonl"
+    """The report of `records` and the simulator's `truth` as `mvtrack track`
+    and `mvtrack simulate` write them and `mvtrack evaluate` reads them back."""
+    path, truth_path = tmp_path / "tracklets.jsonl", tmp_path / "truth.jsonl"
     save_target_records(records, path)
-    return evaluate(load_target_records(path), truth)
+    write_jsonl(truth_path, truth)
+    return evaluate(load_target_records(path), load_truth(truth_path))
 
 
 def _scene_config(scene):

@@ -317,6 +317,41 @@ def test_every_nesting_depth_is_a_bad_record(tmp_path):
             build_scenario(read_json(scenario, "scenario"))
 
 
+@pytest.mark.parametrize("limit", [None, 20_000], ids=["default-limit", "raised-limit"])
+def test_nesting_bound_is_a_property_of_the_file(tmp_path, limit):
+    # Under a raised recursion limit a 990-deep line decoded, and failed
+    # later as "expected a JSON object": the message hung on the caller.
+    old = sys.getrecursionlimit()
+    if limit:
+        sys.setrecursionlimit(limit)
+    try:
+        path, scenario = tmp_path / "detections.jsonl", tmp_path / "scenario.json"
+        valid = '{"frame": 0, "camera": 0, "x": 1.0, "y": 1.0, "w": 2.0, "h": 2.0}\n'
+        brackets = "[" * 200 + "{" * 200
+        for line, message in [
+                ("[" * 65 + "]" * 65, "arrays and objects nest more than 64 deep"),
+                ("[" * 990 + "]" * 990, "arrays and objects nest more than 64 deep"),
+                ('{"frame": ' + "[" * 64 + "]" * 64 + "}",
+                 "arrays and objects nest more than 64 deep"),
+                ("[" * 64 + "]" * 64, "expected a JSON object, got [[[["),
+                ('{"frame": ' + "[" * 63 + "]" * 63 + "}", "'camera'"),
+                # Brackets in a string, closed or not, are not nesting.
+                (f'{{"frame": 0, "camera": 0, "x": "{brackets}", "y": 1, "w": 2, "h": 2}}',
+                 "x, y, w and h must be finite JSON numbers"),
+                (f'["{brackets}\\\\\\"]"]', "expected a JSON object"),
+                (f'["{brackets}', "Invalid control character")]:
+            path.write_text(valid + line + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad detection "
+                                                 f"record: {re.escape(message)}"):
+                load_detections(path)
+        scenario.write_text('{"duration": ' + "[" * 990 + "]" * 990 + "}")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scenario))}: bad scenario file: "
+                                             "arrays and objects nest more than 64 deep$"):
+            read_json(scenario, "scenario")
+    finally:
+        sys.setrecursionlimit(old)
+
+
 @pytest.fixture(scope="module")
 def short_detections(scene):
     """The first frames of the scene's detections, as bytes."""

@@ -9,6 +9,7 @@ from mvtrack.cli import main
 from mvtrack.config import load_routine_config, save_routine_config
 from mvtrack.geometry import CameraRig, load_calibration, save_calibration
 from mvtrack.pipeline import run_pipeline
+from mvtrack.records import BLOCK_LINES
 from mvtrack.scenarios import get_scenario_spec
 from mvtrack.sv_track import (MAX_EXTRAPOLATION, MAX_FRAME, Bbox, Detection,
                               load_detections, save_detections)
@@ -852,6 +853,134 @@ class TestEvaluate:
         result = self.evaluate(runner, out, config=tmp_path / "absent.json")
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+
+
+def _box(value, key="0"):
+    return lambda rec: rec["boxes"].update({key: value})
+
+
+# One case per truth rule: (id, edit of the record at line 300, whether that
+# record is a target row, the message after "path:300: bad truth record: ").
+# Every message but the last three is the one the dict-per-line loader gave.
+TRUTH_RULES = [
+    ("not-an-object", lambda rec: [1, 2], True, "expected a JSON object, got [1, 2]"),
+    ("frame-missing", lambda rec: rec.__delitem__("frame"), True, "'frame'"),
+    ("frame-float", lambda rec: rec.update(frame=1.5), True,
+     "frame must be an integer, got 1.5"),
+    ("frame-bool", lambda rec: rec.update(frame=True), True,
+     "frame must be an integer, got True"),
+    ("is-target-integer", lambda rec: rec.update(is_target=1), True,
+     "is_target must be true or false, got 1"),
+    ("X-missing", lambda rec: rec.__delitem__("X"), True, "'X'"),
+    ("X-short", lambda rec: rec.update(X=[0.0, 1.0]), True,
+     "X must be three finite JSON numbers, got [0.0, 1.0]"),
+    ("X-string", lambda rec: rec.update(X=[0.0, "1", 2.0]), True,
+     "X must be three finite JSON numbers, got [0.0, '1', 2.0]"),
+    ("X-huge-integer", lambda rec: rec.update(X=[0.0, 10**400, 2.0]), True,
+     "X must be three finite JSON numbers, got [0.0, 1" + "0" * 73 + "... (413 characters)"),
+    ("top-nan", lambda rec: rec.update(top=[float("nan"), 0.0, 1.0]), True,
+     "top must be three finite JSON numbers, got [nan, 0.0, 1.0]"),
+    ("bottom-bool", lambda rec: rec.update(bottom=[True, 0.0, 1.0]), True,
+     "bottom must be three finite JSON numbers, got [True, 0.0, 1.0]"),
+    ("boxes-list", lambda rec: rec.update(boxes=[[1.0, 2.0, 3.0, 4.0]]), True,
+     "boxes must be an object, got [[1.0, 2.0, 3.0, 4.0]]"),
+    ("box-key-word", _box([1.0, 2.0, 3.0, 4.0], "cam0"), True,
+     "box camera id must be an integer string, got 'cam0'"),
+    ("box-key-leading-zero", _box([1.0, 2.0, 3.0, 4.0], "01"), True,
+     "box camera id must be an integer string, got '01'"),
+    ("box-key-negative-zero", _box([1.0, 2.0, 3.0, 4.0], "-0"), True,
+     "box camera id must be an integer string, got '-0'"),
+    ("box-three-numbers", _box([1.0, 2.0, 3.0]), True,
+     "box must be four finite JSON numbers, got [1.0, 2.0, 3.0]"),
+    ("box-string", _box([1.0, "2", 3.0, 4.0]), True,
+     "box must be four finite JSON numbers, got [1.0, '2', 3.0, 4.0]"),
+    ("box-infinite", _box([1.0, 2.0, float("inf"), 4.0]), True,
+     "box must be four finite JSON numbers, got [1.0, 2.0, inf, 4.0]"),
+    ("box-zero-width", _box([1.0, 2.0, 0.0, 4.0]), True,
+     "box must be four numbers x, y, w, h with positive w and h, got [1.0, 2.0, 0.0, 4.0]"),
+    ("box-negative-height", _box([1.0, 2.0, 3.0, -4.0]), True,
+     "box must be four numbers x, y, w, h with positive w and h, got [1.0, 2.0, 3.0, -4.0]"),
+    ("non-target-X", lambda rec: rec.update(X=[0.0, 1.0]), False,
+     "X must be three finite JSON numbers, got [0.0, 1.0]"),
+    ("non-target-box-sign", _box([1.0, 2.0, -3.0, 4.0]), False,
+     "box must be four numbers x, y, w, h with positive w and h, got [1.0, 2.0, -3.0, 4.0]"),
+    ("non-target-box-key", _box([1.0, 2.0, 3.0, 4.0], "x"), False,
+     "box camera id must be an integer string, got 'x'"),
+    # The dict-per-line loader gave "expected a JSON object, got [[[[..." for
+    # this line, and kept the last of two is_target rows for a frame.
+    ("nested-100-deep", lambda rec: "[" * 100 + "]" * 100, True,
+     "arrays and objects nest more than 64 deep"),
+    ("second-is-target-row", lambda rec: rec.update(is_target=True), False,
+     "a second is_target row for frame 149"),
+    ("second-is-target-row-of-an-earlier-block", lambda rec: rec.update(is_target=True, frame=0),
+     False, "a second is_target row for frame 0"),
+]
+
+
+class TestTruthRules:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        """A 200-frame, two-person scene's truth.jsonl lines, and tracklets
+        that follow the target exactly."""
+        root = tmp_path_factory.mktemp("truth-rules")
+        spec = dict(SMALL_SCENARIO, duration=200)
+        (root / "scenario.json").write_text(json.dumps(spec))
+        result = CliRunner().invoke(main, ["simulate", str(root / "scenario.json"),
+                                           "--out", str(root)])
+        assert result.exit_code == 0, result.output
+        lines = (root / "truth.jsonl").read_text().splitlines(keepends=True)
+        (root / "tracklets.jsonl").write_text("".join(
+            json.dumps({"frame": rec["frame"], "track_id": 0, "X": rec["X"],
+                        "provenance": "triangulated", "per_view": []}) + "\n"
+            for rec in map(json.loads, lines) if rec["is_target"]))
+        return root, lines
+
+    @pytest.mark.parametrize("edit, target_row, message",
+                             [case[1:] for case in TRUTH_RULES],
+                             ids=[case[0] for case in TRUTH_RULES])
+    def test_bad_line_past_the_first_block_is_named(self, runner, tmp_path, scene, edit,
+                                                    target_row, message):
+        root, lines = scene
+        lines = list(lines)
+        assert BLOCK_LINES < 300
+        if target_row:  # line 299 holds frame 149's target row, line 300 its other person
+            lines[298], lines[299] = lines[299], lines[298]
+        rec = json.loads(lines[299])
+        assert rec["is_target"] is target_row
+        rec = edit(rec) or rec
+        lines[299] = (rec if type(rec) is str else json.dumps(rec)) + "\n"
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(lines))
+        result = runner.invoke(main, ["evaluate", "--tracklets", str(root / "tracklets.jsonl"),
+                                      "--truth", str(truth),
+                                      "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {truth}:300: bad truth record: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unedited_truth_scores(self, runner, tmp_path, scene):
+        root, _ = scene
+        result = runner.invoke(main, ["evaluate", "--tracklets", str(root / "tracklets.jsonl"),
+                                      "--truth", str(root / "truth.jsonl"),
+                                      "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["aed_m"] == 0.0
+
+    @pytest.mark.parametrize("lineno", [3, 180])
+    def test_second_tracklets_record_for_a_frame_is_named(self, runner, tmp_path, scene,
+                                                          lineno):
+        root, _ = scene
+        lines = (root / "tracklets.jsonl").read_text().splitlines(keepends=True)
+        lines.insert(lineno - 1, lines[1])  # frame 1 again
+        tracklets = tmp_path / "tracklets.jsonl"
+        tracklets.write_text("".join(lines))
+        result = runner.invoke(main, ["evaluate", "--tracklets", str(tracklets),
+                                      "--truth", str(root / "truth.jsonl"),
+                                      "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"error: {tracklets}:{lineno}: bad target record: "
+                                 f"a second target record for frame 1\n")
 
 
 class TestCalibrationAndRoutineKinds:

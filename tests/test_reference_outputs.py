@@ -1,23 +1,30 @@
 """Every run on the regression grid of `reference_outputs.py` gives the
 recorded target output: byte for byte where the numpy version and platform
 match the recorded ones, and in its platform-tolerant form everywhere,
-with every line in the canonical form json.dumps(record, sort_keys=True)."""
+with every line in the canonical form json.dumps(record, sort_keys=True).
+Each run's report is the dict evaluator's, bit for bit."""
 
 import json
 import math
 
 import pytest
 
+import dict_evaluator
 import reference_outputs as ref
+from mvtrack.metrics import evaluate
+from mvtrack.records import write_jsonl
+from mvtrack.simulate import build_scenario, load_truth, render_detections
+from mvtrack.target import load_target_records
 
 REFERENCE = json.loads(ref.REFERENCE.read_text())
 SAME_PLATFORM = REFERENCE["environment"] == ref.environment()
 
 
 @pytest.mark.parametrize("name, spec, mode", ref.entries(), ids=[e[0] for e in ref.entries()])
-def test_output_equals_reference(name, spec, mode):
+def test_output_equals_reference(tmp_path, name, spec, mode):
     want = REFERENCE["entries"][name]
     tracklets, tenures = ref.run(spec, mode)
+    assert_report_equals_dict_evaluator(tmp_path, spec, tracklets)
     # Each line is json.dumps of its record with sorted keys, on every platform.
     for line in tracklets.decode().splitlines():
         assert json.dumps(json.loads(line), sort_keys=True) == line
@@ -31,6 +38,21 @@ def test_output_equals_reference(name, spec, mode):
     if SAME_PLATFORM:
         assert got["tracklets_sha256"] == want["tracklets_sha256"]
         assert got["tenures_sha256"] == want["tenures_sha256"]
+
+
+def assert_report_equals_dict_evaluator(tmp_path, spec, tracklets: bytes):
+    """The report of a run's output, with the default and a 30-frame
+    window, is the dict evaluator's, compared as report.json's values."""
+    _, truth = render_detections(build_scenario(spec))
+    (tmp_path / "tracklets.jsonl").write_bytes(tracklets)
+    write_jsonl(tmp_path / "truth.jsonl", truth)
+    records = load_target_records(tmp_path / "tracklets.jsonl")
+    columns = load_truth(tmp_path / "truth.jsonl")
+    for window_len in (10, 30):
+        report = evaluate(records, columns, window_len)
+        assert report["evaluated_boxes"] > 0
+        assert json.dumps(report, sort_keys=True) == \
+            json.dumps(dict_evaluator.evaluate(records, truth, window_len), sort_keys=True)
 
 
 def test_bytes_are_compared():
