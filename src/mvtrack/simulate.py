@@ -5,7 +5,10 @@ The generated streams are the source for all statistically derived test
 expectations.  Randomness is drawn from per-record substreams (seeded by
 (seed, frame, camera, person)) so outputs are deterministic regardless of
 generation order; rendering projects whole trajectories, one `project`
-call per (person, camera).
+call per (person, camera).  Each detection's stream is the one
+`default_rng(SeedSequence(seed, spawn_key=key))` draws, but the seed states
+of all detections are hashed in one array pass (`detection_noise`);
+`tests/test_simulated_bytes.py` pins the bytes this writes.
 """
 
 from __future__ import annotations
@@ -170,7 +173,8 @@ SCENARIO_FIELDS = Fields(
 
 def build_scenario(spec: dict) -> Scenario:
     """Instantiate a Scenario from its JSON description, whose fields must
-    be of the kinds in SCENARIO_FIELDS and whose ranges start <= end."""
+    be of the kinds in SCENARIO_FIELDS, whose seed and duration are
+    non-negative and whose ranges start <= end."""
     try:
         SCENARIO_FIELDS.check(spec)
         rig_spec = spec.get("rig", {})
@@ -186,6 +190,9 @@ def build_scenario(spec: dict) -> Scenario:
                               beta=float(spec.get("beta", 1.0)))
         seed = spec.get("seed", 0)
         duration = spec["duration"]
+        for name, value in (("seed", seed), ("duration", duration)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {describe(value)}")
         ranges = [(f"person {i} on_plane_intervals pair", iv) for i, p in enumerate(
             spec["persons"]) for iv in p.get("on_plane_intervals", [])]
         ranges += [(f"dropout episode {k}", [d["start"], d["end"]])
@@ -213,6 +220,82 @@ def build_scenario(spec: dict) -> Scenario:
         raise ValueError(f"invalid scenario spec: {exc}") from exc
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 columns, carrying its running
+    hash constant from call to call as the scalar one does."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> np.uint32(16)
+
+
+def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """`generate_state(4, np.uint64)` of a SeedSequence per row, given each
+    row's assembled entropy as uint32 columns (at least `_POOL` of them):
+    `mix_entropy` into the pool, then the state words, paired little-endian."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    return np.column_stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])])
+
+
+def detection_noise(seed: int, keys: np.ndarray) -> np.ndarray:
+    """(N, 4) normals, row i the `default_rng(SeedSequence(seed,
+    spawn_key=keys[i])).normal(size=4)` of the (N, 3) uint64 `keys`, with
+    its bits.  Every row's seed state is hashed at once: SeedSequence pads
+    the seed's little-endian 32-bit words to the pool and appends each key
+    int's minimal words, so rows are grouped by which keys take two words.
+    One PCG64 is then set per row to the state its srandom makes of that
+    seed state, and draws as a fresh one would."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    run = [seed >> 32 * k & 0xFFFFFFFF for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    run += [0] * (_POOL - len(run))
+    low, high = keys.astype(np.uint32), (keys >> np.uint64(32)).astype(np.uint32)
+    pattern = (high != 0) @ np.array([1, 2, 4])
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    for p in np.unique(pattern).tolist():
+        rows = np.flatnonzero(pattern == p)
+        entropy = [np.full(len(rows), word, dtype=np.uint32) for word in run]
+        for j in range(3):
+            entropy += [low[rows, j]] + ([high[rows, j]] if p >> j & 1 else [])
+        states[rows] = _seed_states(entropy)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    noise = np.empty((len(keys), 4))
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(states.tolist()):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+        noise[i] = rng.normal(size=4)
+    return noise
+
+
 def render_detections(scenario: Scenario) -> tuple[Detections, list[dict]]:
     """Project every person into every camera, add noise and apply the
     dropout schedule.  Returns (detections, truth_records), the detections
@@ -237,9 +320,7 @@ def render_detections(scenario: Scenario) -> tuple[Detections, list[dict]]:
     frame, c, person = np.nonzero(seen & visible[:, :, None])
     camera = np.array([cam.id for cam in rig], dtype=np.int64)[c]
     # A spawn key is non-negative: a camera id keys by its 64 bits, unsigned.
-    keys = zip(frame.tolist(), camera.view(np.uint64).tolist(), person.tolist())
-    noise = np.array([np.random.default_rng(np.random.SeedSequence(
-        scenario.seed, spawn_key=key)).normal(size=4) for key in keys]).reshape(-1, 4)
+    noise = detection_noise(scenario.seed, np.column_stack([frame, camera, person]).view(np.uint64))
     x, y, w, h = boxes[frame, c, person].T
     sigma = scenario.noise_px
     with np.errstate(over="ignore"):  # save_detections refuses what overflows

@@ -98,8 +98,12 @@ class TestSimulate:
         (lambda spec: spec.update(dropout=[{"cameras": [1], "start": 10, "end": 20},
                                            {"cameras": [0, 2], "start": 50, "end": 49}]),
          "dropout episode 1 [50, 49] ends before it starts"),
+        (lambda spec: spec.update(seed=-1), "seed must be non-negative, got -1"),
+        (lambda spec: spec.update(seed=-1, persons=[]), "seed must be non-negative, got -1"),
+        (lambda spec: spec.update(duration=-5), "duration must be non-negative, got -5"),
     ], ids=["float-seed", "string-duration", "string-is-target", "reversed-interval",
-            "reversed-dropout"])
+            "reversed-dropout", "negative-seed", "negative-seed-no-person",
+            "negative-duration"])
     def test_scenario_field_of_wrong_kind(self, runner, tmp_path, edit, message):
         spec = json.loads(json.dumps(SMALL_SCENARIO))
         edit(spec)

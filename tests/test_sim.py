@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from operator import itemgetter
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvtrack.geometry import PlaneSpec, project, triangulate_batch
+from mvtrack.geometry import CameraModel, PlaneSpec, project, triangulate_batch
 from mvtrack.scenarios import CANNED, get_scenario_spec
 from mvtrack.simulate import (BBOX_ASPECT, BBOX_HEIGHT_SLACK, _smooth_gate, build_scenario,
-                              make_rig, render_detections, synth_trajectory)
+                              detection_noise, make_rig, render_detections,
+                              synth_trajectory)
 
 from conftest import columns
 
@@ -216,8 +218,8 @@ def box_of_one_frame(cam, traj, frame):
 
 def render_by_detection(scenario):
     """The oracle of `render_detections`: a projection, a visibility test and
-    a generator per (frame, person, camera), the rows then sorted stably by
-    (frame, camera)."""
+    a generator per (frame, person, camera), the camera keyed by its id's
+    unsigned 64 bits, the rows then sorted stably by (frame, camera)."""
     rows, truth = [], []
     for frame in range(scenario.duration):
         for pid, traj in enumerate(scenario.persons):
@@ -232,7 +234,7 @@ def render_by_detection(scenario):
                        for episode in scenario.dropout):
                     continue
                 rng = np.random.default_rng(np.random.SeedSequence(
-                    scenario.seed, spawn_key=(frame, cam.id, pid)))
+                    scenario.seed, spawn_key=(frame, cam.id % 2**64, pid)))
                 noise = rng.normal(size=4)
                 sigma = scenario.noise_px
                 x, y, w, h = box
@@ -304,3 +306,55 @@ def test_render_branches_are_reached():
             elif box_of_one_frame(cam, traj, frame) is None:
                 degenerate += 1
     assert behind > 0 and degenerate > 0
+
+
+def test_render_keys_a_camera_by_its_unsigned_id():
+    """Camera ids that take one or two 32-bit words as spawn keys, and one
+    that is negative, render as the per-detection loop does."""
+    scenario = build_scenario({"seed": 5, "duration": 30, "noise_px": 1.5,
+                               "persons": [{"kind": "on_plane_jump"},
+                                           {"kind": "off_plane_walk"}]})
+    ids = [-1, 0, 2**32, 2**62]
+    rig = [CameraModel(id=i, K=cam.K, R=cam.R, t=cam.t) for i, cam in zip(ids, scenario.rig)]
+    scenario = replace(scenario, rig=rig,
+                       dropout=[{"cameras": {-1, 2**32}, "start": 10, "end": 19}])
+    detections, truth = render_detections(scenario)
+    want, want_truth = render_by_detection(scenario)
+    assert set(detections.camera.tolist()) == set(ids)
+    for name in ("frame", "camera", "boxes"):
+        assert getattr(detections, name).tobytes() == getattr(want, name).tobytes(), name
+    assert truth == want_truth
+
+
+# Seeds of one 32-bit word, of two, of the four-word pool's width, and of
+# more words than the pool holds (2**128 takes five); key ints of one word
+# and of two.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**127, 2**128, 2**160, 2**200 + 12345]
+_EDGE_WORDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+_EDGE_KEYS = [(f, c, p) for f in _EDGE_WORDS for c in _EDGE_WORDS for p in _EDGE_WORDS]
+_KEY_INT = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, 2**64 - 1))
+
+
+def _with_edges(test):
+    for seed in _EDGE_SEEDS:
+        test = example(seed, _EDGE_KEYS)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**256)),
+       st.lists(st.tuples(_KEY_INT, _KEY_INT, _KEY_INT), max_size=12))
+@_with_edges
+def test_detection_noise_is_the_per_key_generator(seed, keys):
+    """The bulk seed states give each key the normals of a generator of its
+    own, bit for bit."""
+    got = detection_noise(seed, np.array(keys, dtype=np.uint64).reshape(-1, 3))
+    want = np.array([np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=key)).normal(size=4) for key in keys]).reshape(-1, 4)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_detection_noise_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        detection_noise(-1, np.zeros((1, 3), dtype=np.uint64))

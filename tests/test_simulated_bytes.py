@@ -1,5 +1,6 @@
 """`mvtrack simulate` writes the recorded bytes: the sha256 of every file it
-writes for each canned scene, at the scene's own seed and at 90210.
+writes for each canned scene, at the scene's own seed and at 90210, and for
+clean-4cam also at two seeds wider than 64 bits.
 
 These files are the inputs of the regression grid (`reference_outputs.py`),
 which checks only what `track` makes of them, so a simulator change that
@@ -32,6 +33,20 @@ DIGESTS = {
         "detections.jsonl": "7e0d8326b2016869cccd3a06bfbea0a8b464828384a1b4f17ad5610303f2e424",
         "routine.json": _ROUTINE,
         "truth.jsonl": "38df53276f493d4108c66ab37466151dab8a4669b2f9ccd85103db009da66e71",
+    },
+    # Seeds of three 32-bit words and of six, more than the four-word pool
+    # of numpy's SeedSequence.
+    ("clean-4cam", 2**64 + 7): {
+        "calib.json": _RIG_6M,
+        "detections.jsonl": "308a656a9d061c0091aacbd4d40dfb21528c19090b74205f68fef6765e93404e",
+        "routine.json": _ROUTINE,
+        "truth.jsonl": "5cb6a18b5bed7af4c106e3a5a7f4c1afadb365e2c99959ce6fd933311f975c10",
+    },
+    ("clean-4cam", 2**160 + 7): {
+        "calib.json": _RIG_6M,
+        "detections.jsonl": "52309da0e950f7a627629c1856bd597c0736b21e020365300e705575e2a9e005",
+        "routine.json": _ROUTINE,
+        "truth.jsonl": "03c9c5fc8aaec565840a1fed59b53a8bdeddf2bb2093646b0c97d9b1307e36e8",
     },
     ("opposite-only-episode", 11): {
         "calib.json": _RIG_10M,
